@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -48,7 +49,7 @@ func TestErrorEnvelopeMapping(t *testing.T) {
 		http.StatusInternalServerError:   "internal",
 	} {
 		rec := httptest.NewRecorder()
-		httpErrorTo(rec, io.Discard, status, "boom")
+		httpErrorLog(rec, newComponentLogger("text", io.Discard, "test"), status, "boom")
 		if got := decodeEnvelope(t, rec); got != want {
 			t.Errorf("status %d code = %q, want %q", status, got, want)
 		}
@@ -113,8 +114,9 @@ func TestErrorEnvelopeEndpoints(t *testing.T) {
 		wantCode string
 	}{"saturated readyz", satRec, 503, "shed"})
 
-	// 500/internal: a poisoned request through the panic recoverer.
-	panicH := recoverPanicsTo(io.Discard, http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+	// 500/internal: a poisoned request through the production
+	// middleware and route wrapper.
+	panicH := plain.ins.middleware(plain.ins.route("/v1/boom", func(http.ResponseWriter, *http.Request) {
 		panic("poisoned")
 	}))
 	cases = append(cases, struct {
@@ -161,11 +163,6 @@ func TestServeQueryLanguageAndNegotiation(t *testing.T) {
 	}
 	if !strings.HasPrefix(plain.Body.String(), "object,value,confidence\n") {
 		t.Errorf("plain body:\n%s", plain.Body)
-	}
-
-	// The unversioned path is an alias: byte-identical answers.
-	if got := doReq(t, h, "GET", "/estimates?order=object&limit=2", "", "").Body.String(); got != doReq(t, h, "GET", "/v1/estimates?order=object&limit=2", "", "").Body.String() {
-		t.Error("unversioned alias diverges from /v1")
 	}
 
 	// Accept negotiation selects NDJSON; ?format=json is equivalent.
@@ -301,22 +298,15 @@ func TestRouterQueryGoldenEquivalence(t *testing.T) {
 	}
 
 	// Sources queries run over the merged cluster table; the oracle is
-	// the same query over the reference engine's merged CSV.
-	var srcBuf bytes.Buffer
-	if err := writeSourceAccuraciesCSV(&srcBuf, ref); err != nil {
-		t.Fatal(err)
-	}
-	srcCols := []query.Column{
-		{Name: "source", Kind: query.KindString},
-		{Name: "accuracy", Kind: query.KindFloat},
-	}
-	rel, err := parseSourcesCSV(srcBuf.String(), srcCols)
-	if err != nil {
-		t.Fatal(err)
+	// the same query over the reference engine's table at the precision
+	// of the members' CSV surface (%.4f), which the router merges.
+	rel := sourcesRelation(ref)
+	for _, row := range rel.Rows {
+		row[1].Num, _ = strconv.ParseFloat(row[1].String(), 64)
 	}
 	srcRaw := "order=-accuracy,source&limit=3"
 	vals, _ := url.ParseQuery(srcRaw)
-	q, err := query.Parse(vals, srcCols)
+	q, err := query.Parse(vals, rel.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}

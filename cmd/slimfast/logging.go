@@ -6,9 +6,9 @@
 // Two output streams coexist on purpose. The machine-readable protocol
 // lines ("# listening on ...", "# restored ...", "# shutdown ...")
 // stay bare fmt.Fprintf writes — scripts and tests grep them — while
-// diagnostics (panics, dropped response writes, deprecation warnings,
-// per-request access records) go through slog so operators can switch
-// the whole diagnostic stream to JSON with one flag.
+// diagnostics (panics, dropped response writes, per-request access
+// records) go through slog so operators can switch the whole
+// diagnostic stream to JSON with one flag.
 package main
 
 import (

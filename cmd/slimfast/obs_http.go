@@ -1,11 +1,11 @@
 // HTTP instrumentation shared by the node server and the cluster
 // router: the slimfast_http_* metric families, the X-Request-ID
-// tracing middleware, and the per-route wrapper that counts, times and
-// access-logs every request. All of it is allocation-frugal — the
-// request-duration child is resolved once at mount, status labels are
-// precomputed, and counter increments are single atomic adds — so the
-// instrumented /observe path stays inside the benchdiff allocation
-// gate.
+// tracing middleware, and the per-route wrapper that recovers panics
+// and counts, times and access-logs every request. All of it is
+// allocation-frugal — the request-duration child is resolved once at
+// mount, status labels are precomputed, and counter increments are
+// single atomic adds — so the instrumented /observe path stays inside
+// the benchdiff allocation gate.
 package main
 
 import (
@@ -13,6 +13,7 @@ import (
 	"encoding/hex"
 	"log/slog"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -31,10 +32,7 @@ type httpMetrics struct {
 	duration *obs.HistogramVec
 	// inflight is the number of requests currently inside a handler.
 	inflight *obs.Gauge
-	// deprecated counts hits on the unversioned alias paths slated for
-	// removal — the signal that it is safe to drop them.
-	deprecated *obs.CounterVec
-	// panics counts requests recovered into a 500 by the middleware.
+	// panics counts requests recovered into a 500.
 	panics *obs.Counter
 	// shed / timeouts / dedupReplays break the interesting non-2xx
 	// flavors out of the status labels: admission-gate 429s, ingest-lock
@@ -51,7 +49,6 @@ func newHTTPMetrics(reg *obs.Registry) httpMetrics {
 		requests:     reg.CounterVec("slimfast_http_requests_total", "Completed HTTP requests by canonical route and status.", "route", "status"),
 		duration:     reg.HistogramVec("slimfast_http_request_duration_seconds", "Request latency by canonical route.", nil, "route"),
 		inflight:     reg.Gauge("slimfast_http_inflight_requests", "Requests currently being served."),
-		deprecated:   reg.CounterVec("slimfast_deprecated_requests_total", "Hits on deprecated unversioned alias paths.", "path"),
 		panics:       reg.Counter("slimfast_http_panics_total", "Handler panics recovered into 500 responses."),
 		shed:         reg.Counter("slimfast_http_shed_total", "Requests shed with 429 by the admission gate."),
 		timeouts:     reg.Counter("slimfast_http_timeouts_total", "Requests that gave up waiting for the ingest lock."),
@@ -133,9 +130,8 @@ func newInstrumentor(reg *obs.Registry, log *slog.Logger) *instrumentor {
 }
 
 // middleware is the outermost layer on both serving surfaces: it
-// adopts or mints the X-Request-ID, echoes it on the response, plants
-// the request-scoped logger in the context, and recovers panics into
-// logged 500s (the structured successor of the old "# PANIC" line).
+// adopts or mints the X-Request-ID, echoes it on the response, and
+// plants the request-scoped logger in the context.
 func (ins *instrumentor) middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get(resilience.RequestIDHeader)
@@ -148,32 +144,31 @@ func (ins *instrumentor) middleware(next http.Handler) http.Handler {
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
 		)
-		r = r.WithContext(withLogger(resilience.WithRequestID(r.Context(), id), log))
-		defer func() {
-			if rec := recover(); rec != nil {
-				ins.met.panics.Inc()
-				log.Error("PANIC recovered",
-					slog.Any("panic", rec),
-					slog.String("stack", string(stackTrace())))
-				writeJSONLog(w, log, http.StatusInternalServerError,
-					map[string]any{"error": "internal error", "code": "internal"})
-			}
-		}()
-		next.ServeHTTP(w, r)
+		next.ServeHTTP(w, r.WithContext(withLogger(resilience.WithRequestID(r.Context(), id), log)))
 	})
 }
 
-// route wraps one handler with the per-route instrumentation: the
-// in-flight gauge, the route/status request counter, the latency
-// histogram (its child resolved once, here at mount), and a
-// debug-level access record on the request-scoped logger.
+// route wraps one handler with the per-route instrumentation: panic
+// recovery into a logged 500 (so one poisoned request cannot take the
+// service down), the in-flight gauge, the route/status request counter
+// — counting the status the client actually got, the recovered 500
+// included — the latency histogram (its child resolved once, here at
+// mount), and a debug-level access record on the request-scoped logger.
 func (ins *instrumentor) route(route string, h http.HandlerFunc) http.HandlerFunc {
 	dur := ins.met.duration.With(route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		began := time.Now()
 		ins.met.inflight.Add(1)
 		sw := &statusWriter{ResponseWriter: w}
+		log := requestLogger(r.Context(), ins.log)
 		defer func() {
+			if rec := recover(); rec != nil {
+				ins.met.panics.Inc()
+				log.Error("PANIC recovered",
+					slog.Any("panic", rec),
+					slog.String("stack", string(debug.Stack())))
+				httpErrorLog(sw, log, http.StatusInternalServerError, "internal error")
+			}
 			ins.met.inflight.Add(-1)
 			status := sw.status
 			if status == 0 {
@@ -182,7 +177,6 @@ func (ins *instrumentor) route(route string, h http.HandlerFunc) http.HandlerFun
 			ins.met.requests.With(route, statusLabel(status)).Inc()
 			elapsed := time.Since(began)
 			dur.Observe(elapsed.Seconds())
-			log := requestLogger(r.Context(), ins.log)
 			if log.Enabled(r.Context(), slog.LevelDebug) {
 				log.LogAttrs(r.Context(), slog.LevelDebug, "request served",
 					slog.String("route", route),
@@ -191,19 +185,5 @@ func (ins *instrumentor) route(route string, h http.HandlerFunc) http.HandlerFun
 			}
 		}()
 		h(sw, r)
-	}
-}
-
-// deprecated wraps the unversioned alias mount of a route: every hit
-// increments slimfast_deprecated_requests_total{path} and logs a
-// structured warning naming the /v1 replacement, then serves normally.
-func (ins *instrumentor) deprecated(path string, h http.HandlerFunc) http.HandlerFunc {
-	hits := ins.met.deprecated.With(path)
-	return func(w http.ResponseWriter, r *http.Request) {
-		hits.Inc()
-		requestLogger(r.Context(), ins.log).Warn("deprecated unversioned path",
-			slog.String("deprecated_path", path),
-			slog.String("use", "/v1"+path))
-		h(w, r)
 	}
 }

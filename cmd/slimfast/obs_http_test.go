@@ -85,37 +85,27 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestDeprecatedAliasCounter: hitting a bare path serves normally but
-// counts into slimfast_deprecated_requests_total{path} and logs a
-// structured warning; the /v1 mount does neither.
-func TestDeprecatedAliasCounter(t *testing.T) {
-	var log bytes.Buffer
-	srv, _ := obsServer(t, &log)
-	h := srv.handler()
-
-	if rec := doReq(t, h, "GET", "/estimates", "", ""); rec.Code != http.StatusOK {
-		t.Fatalf("bare /estimates = %d", rec.Code)
-	}
-	if rec := doReq(t, h, "GET", "/v1/estimates", "", ""); rec.Code != http.StatusOK {
-		t.Fatalf("/v1/estimates = %d", rec.Code)
-	}
-	fams := scrape(t, h)
-	dep, ok := fams["slimfast_deprecated_requests_total"]
-	if !ok {
-		t.Fatal("scrape missing slimfast_deprecated_requests_total")
-	}
-	if v, ok := dep.Value("slimfast_deprecated_requests_total",
-		map[string]string{"path": "/estimates"}); !ok || v != 1 {
-		t.Errorf("deprecated counter = %v (ok=%v), want 1 (the /v1 hit must not count)", v, ok)
-	}
-	if !strings.Contains(log.String(), "deprecated unversioned path") {
-		t.Errorf("no structured deprecation warning logged:\n%s", log.String())
-	}
-	// Both mounts share the canonical route label.
-	reqs := fams["slimfast_http_requests_total"]
-	if v, _ := reqs.Value("slimfast_http_requests_total",
-		map[string]string{"route": "/v1/estimates", "status": "200"}); v != 2 {
-		t.Errorf("canonical route count = %v, want 2 (both mounts)", v)
+// TestBarePathsNotFound: every route is mounted once, under /v1. The
+// unversioned paths answer the mux's plain 404 on node and router
+// alike, and no deprecated-alias family is exported.
+func TestBarePathsNotFound(t *testing.T) {
+	srv, _ := obsServer(t, io.Discard)
+	for name, h := range map[string]http.Handler{"node": srv.handler(), "router": newGoldenCluster(t, 1, 8, 16).handler()} {
+		for _, req := range []struct{ method, path string }{
+			{"POST", "/observe"}, {"GET", "/estimates"}, {"GET", "/sources"}, {"GET", "/features"},
+			{"POST", "/refine"}, {"POST", "/checkpoint"}, {"GET", "/healthz"}, {"GET", "/readyz"},
+			{"POST", "/epoch/drain"}, {"GET", "/metrics"},
+		} {
+			if rec := doReq(t, h, req.method, req.path, "text/csv", "s,o,v\n"); rec.Code != http.StatusNotFound {
+				t.Errorf("%s: %s %s = %d, want 404", name, req.method, req.path, rec.Code)
+			}
+		}
+		if rec := doReq(t, h, "GET", "/v1/estimates", "", ""); rec.Code != http.StatusOK {
+			t.Errorf("%s: /v1/estimates = %d", name, rec.Code)
+		}
+		if _, ok := scrape(t, h)["slimfast_deprecated_requests_total"]; ok {
+			t.Errorf("%s still exports slimfast_deprecated_requests_total", name)
+		}
 	}
 }
 
@@ -207,6 +197,18 @@ func TestMiddlewarePanicMetrics(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "slimfast_http_panics_total 1") {
 		t.Errorf("panic counter did not move:\n%s", sb.String())
+	}
+	// The request counter records the status the client got.
+	fams, err := obs.Parse(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := fams["slimfast_http_requests_total"]
+	if v, ok := reqs.Value("slimfast_http_requests_total", map[string]string{"route": "/boom", "status": "500"}); !ok || v != 1 {
+		t.Errorf("panicked request counted as 500 %v times (ok=%v), want 1", v, ok)
+	}
+	if v, ok := reqs.Value("slimfast_http_requests_total", map[string]string{"route": "/boom", "status": "200"}); ok {
+		t.Errorf("panicked request counted as 200 (%v)", v)
 	}
 }
 

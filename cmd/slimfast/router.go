@@ -3,48 +3,31 @@
 // over N `slimfast stream -listen -external-epochs` nodes with the
 // engine's own shard hash, fans ingest out through the retrying
 // resilience client, drives cluster-wide epoch barriers and refines
-// over the nodes' /epoch endpoints, and serves the same HTTP surface
-// a single node does — so clients cannot tell a cluster from one big
-// engine, and the merged /estimates and /sources bytes are
-// bit-identical to a single-node run over the same claim stream (see
-// internal/cluster for the protocol and its invariants).
+// over the nodes' /v1/epoch endpoints, and plugs into the same /v1
+// handler set a single node serves (api.go) — so clients cannot tell
+// a cluster from one big engine, and the merged /v1/estimates and
+// /v1/sources bytes are bit-identical to a single-node run over the
+// same claim stream (see internal/cluster for the protocol and its
+// invariants).
 //
-// Endpoints (canonical under /v1; the bare paths are deprecated
-// aliases kept for one release — see README and docs/API.md):
-//
-//	POST /v1/observe     ingest claims (NDJSON or CSV), fanned out by partition;
-//	                     idempotent when stamped with X-Batch-Seq
-//	GET  /v1/estimates   cluster-wide MAP estimates; accepts the full query
-//	                     language (where/order/limit/cols/group/agg/disagree),
-//	                     CSV default, NDJSON via Accept or ?format=json
-//	GET  /v1/sources     cluster-wide source accuracies (union, sorted), same
-//	                     query language over source,accuracy
-//	GET  /v1/features    online learner feature weights, relayed from the
-//	                     first member that runs a learner (409 when none does)
-//	POST /v1/refine      cluster-wide exact re-sweep (?sweeps=N, default 2)
-//	POST /v1/checkpoint  checkpoint every node, then write the router manifest
-//	GET  /v1/healthz     per-partition liveness; always 200 while the router is up
-//	GET  /v1/readyz      readiness: degrades per partition, 503 when no node answers
-//
-// Every non-2xx response carries the uniform JSON error envelope
-// {"error": ..., "code": shed|timeout|bad_request|conflict|internal}.
+// Where the router differs from a node, the difference lives in its
+// backend methods: ingest parses the whole body before fan-out (a bad
+// row rejects the request atomically), reads scatter-gather, a
+// partition failure answers 503 + Retry-After, /v1/checkpoint
+// checkpoints every member and then writes the router manifest,
+// /v1/healthz and /v1/readyz report per partition (readiness degrades,
+// and is 503 only when no member answers), and /v1/features is relayed
+// from the first member that runs a learner.
 package main
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
-	"os"
-	"os/signal"
-	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"slimfast/internal/cluster"
@@ -114,286 +97,126 @@ func runRouter(args []string, stdout io.Writer) error {
 			return err
 		}
 	}
-	return serveRouter(newRouterServer(rt, stdout, reg, *logFormat), *listen, stdout)
+	return newRouterServer(rt, stdout, reg, *logFormat).serve(*listen)
 }
 
-// routerServer wires the cluster router to the HTTP handlers.
+// routerServer is the cluster backend: every read scatter-gathers
+// over the members and every write fans out through the router.
 type routerServer struct {
-	rt   *cluster.Router
-	logw io.Writer
-	log  *slog.Logger
-	reg  *obs.Registry
-	ins  *instrumentor
+	*server
+	rt *cluster.Router
 }
 
 // newRouterServer builds the router's HTTP layer; a nil registry gets
-// a fresh one, so tests and callers without engine metrics still serve
-// /v1/metrics with the HTTP families.
+// a fresh one.
 func newRouterServer(rt *cluster.Router, logw io.Writer, reg *obs.Registry, logFormat string) *routerServer {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	log := newComponentLogger(logFormat, logw, "router")
-	return &routerServer{
-		rt:   rt,
-		logw: logw,
-		log:  log,
-		reg:  reg,
-		ins:  newInstrumentor(reg, log),
-	}
+	s := &routerServer{rt: rt}
+	s.server = newServer(s, logw, reg, logFormat, "router")
+	return s
 }
 
-// Routes mount at /v1 and the deprecated unversioned alias, exactly
-// like a member node: clients cannot tell a cluster from one engine.
-func (s *routerServer) handler() http.Handler {
-	mux := http.NewServeMux()
-	handleBoth(mux, "POST /observe", s.handleObserve, s.ins)
-	handleBoth(mux, "GET /estimates", s.handleEstimates, s.ins)
-	handleBoth(mux, "GET /sources", s.handleSources, s.ins)
-	handleBoth(mux, "GET /features", s.handleFeatures, s.ins)
-	handleBoth(mux, "POST /refine", s.handleRefine, s.ins)
-	handleBoth(mux, "POST /checkpoint", s.handleCheckpoint, s.ins)
-	handleBoth(mux, "GET /healthz", s.handleHealthz, s.ins)
-	handleBoth(mux, "GET /readyz", s.handleReadyz, s.ins)
-	mux.HandleFunc("GET /v1/metrics", s.ins.route("/v1/metrics", s.reg.Handler().ServeHTTP))
-	return s.ins.middleware(mux)
+// unavailable maps a fan-out failure (a partition down past the retry
+// policy) to 503 + Retry-After: the cluster is degraded, the request
+// was fine.
+func unavailable(err error) error {
+	return errStatus(http.StatusServiceUnavailable, "%v", err)
 }
 
-func (s *routerServer) writeJSON(w http.ResponseWriter, r *http.Request, code int, v any) {
-	writeJSONLog(w, requestLogger(r.Context(), s.log), code, v)
-}
-
-func (s *routerServer) httpError(w http.ResponseWriter, r *http.Request, code int, msg string) {
-	httpErrorLog(w, requestLogger(r.Context(), s.log), code, msg)
-}
-
-// handleObserve parses a claim body exactly like a member node and
-// fans it out. A fan-out failure (a partition down past the retry
-// policy) answers 503 + Retry-After: the claims are not lost — the
-// replay client redelivers under the same key, chunks the cluster
-// already completed dedup, and the failed partition catches up.
-func (s *routerServer) handleObserve(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxObserveBody))
+// observe parses the whole body before fan-out, so — unlike a member
+// node — a bad row rejects the request atomically. A fan-out failure
+// loses no claims: the replay client redelivers under the same key,
+// chunks the cluster already completed dedup, and the failed partition
+// catches up.
+func (s *routerServer) observe(r *http.Request, seq string, read func() ([]byte, error)) (any, error) {
+	body, err := read()
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.httpError(w, r, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("observe: body exceeds %d bytes; split the stream into smaller requests", tooBig.Limit))
-			return
-		}
-		s.httpError(w, r, http.StatusBadRequest, fmt.Sprintf("observe: reading body: %v", err))
-		return
+		return nil, err
 	}
 	var claims []stream.Triple
-	err = parseClaimBody(body, r.Header.Get("Content-Type"), func(source, object, value string) error {
-		if source == "" || object == "" || value == "" {
-			return errEmptyClaimField
-		}
-		claims = append(claims, stream.Triple{Source: source, Object: object, Value: value})
+	if err := parseClaimBody(body, r.Header.Get("Content-Type"), func(tr stream.Triple) error {
+		claims = append(claims, tr)
 		return nil
-	})
-	if err != nil {
-		// Unlike a member node, nothing was forwarded yet: the router
-		// parses the whole body before fan-out, so a bad row rejects the
-		// request atomically.
-		s.httpError(w, r, http.StatusBadRequest, fmt.Sprintf("observe: %v", err))
-		return
+	}); err != nil {
+		return nil, errStatus(http.StatusBadRequest, "observe: %v", err)
 	}
-	// The fan-out inherits r.Context(), so the resilience client stamps
-	// this request's X-Request-ID on every member delivery — one ID
-	// traces a claim batch from the router through every partition log.
-	res, err := s.rt.Ingest(r.Context(), claims, seqKey(r))
+	// The fan-out inherits the request context, so the resilience client
+	// stamps this request's X-Request-ID on every member delivery — one
+	// ID traces a claim batch from the router through every partition log.
+	res, err := s.rt.Ingest(r.Context(), claims, seq)
 	if err != nil {
-		w.Header().Set("Retry-After", "1")
-		s.httpError(w, r, http.StatusServiceUnavailable, err.Error())
-		return
+		return nil, unavailable(err)
 	}
 	requestLogger(r.Context(), s.log).LogAttrs(r.Context(), slog.LevelInfo, "fanned out claims",
-		slog.Int("claims", len(claims)), slog.String("seq", seqKey(r)))
-	s.writeJSON(w, r, http.StatusOK, res)
+		slog.Int("claims", len(claims)), slog.String("seq", seq))
+	return res, nil
 }
 
-// serveResult renders a merged query result in the negotiated format.
-func (s *routerServer) serveResult(w http.ResponseWriter, r *http.Request, res *query.Result, format string) {
-	var buf bytes.Buffer
-	if err := query.Write(&buf, res, format); err != nil {
-		s.httpError(w, r, http.StatusInternalServerError, err.Error())
-		return
+// estimatesCSV concatenates the members' plain dumps in partition
+// order — the shard-major bytes of one engine with a shard per member.
+func (s *routerServer) estimatesCSV(ctx context.Context, w io.Writer) error {
+	if err := s.rt.Estimates(ctx, w); err != nil {
+		return unavailable(err)
 	}
-	w.Header().Set("Content-Type", resultContentType(format))
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		requestLogger(r.Context(), s.log).Warn("writing query response failed", slog.Any("error", err))
-	}
+	return nil
 }
 
-// handleEstimates serves the cluster-wide estimates relation: bare CSV
-// requests keep the legacy concatenated scatter-gather; queries push
-// down to every member and merge with the single-engine fold, so the
-// bytes match one N-shard engine.
-func (s *routerServer) handleEstimates(w http.ResponseWriter, r *http.Request) {
-	q, err := query.Parse(r.URL.Query(), query.EstimateColumns())
+// estimates pushes the query down to every member and merges with the
+// single-engine fold, so the bytes match one N-shard engine.
+func (s *routerServer) estimates(ctx context.Context, q *query.Query, _ bool) (*query.Result, error) {
+	res, err := s.rt.Query(ctx, q)
 	if err != nil {
-		s.httpError(w, r, http.StatusBadRequest, "estimates: "+err.Error())
-		return
+		return nil, unavailable(err)
 	}
-	format, err := negotiateFormat(r)
-	if err != nil {
-		s.httpError(w, r, http.StatusBadRequest, "estimates: "+err.Error())
-		return
-	}
-	if q.IsPlain() && format == "csv" {
-		s.serveCSV(w, r, s.rt.Estimates)
-		return
-	}
-	res, err := s.rt.Query(r.Context(), q)
-	if err != nil {
-		w.Header().Set("Retry-After", "1")
-		s.httpError(w, r, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	s.serveResult(w, r, res, format)
+	return res, nil
 }
 
-// handleSources serves cluster-wide source accuracies with the same
-// query language and content negotiation as a member node: the merged
-// table is materialized as a relation and queried locally.
-func (s *routerServer) handleSources(w http.ResponseWriter, r *http.Request) {
-	cols := []query.Column{
-		{Name: "source", Kind: query.KindString},
-		{Name: "accuracy", Kind: query.KindFloat},
-	}
-	q, err := query.Parse(r.URL.Query(), cols)
+func (s *routerServer) sources(ctx context.Context) (*query.Relation, error) {
+	rel, err := s.rt.Sources(ctx)
 	if err != nil {
-		s.httpError(w, r, http.StatusBadRequest, "sources: "+err.Error())
-		return
-	}
-	format, err := negotiateFormat(r)
-	if err != nil {
-		s.httpError(w, r, http.StatusBadRequest, "sources: "+err.Error())
-		return
-	}
-	if q.IsPlain() && format == "csv" {
-		s.serveCSV(w, r, s.rt.Sources)
-		return
-	}
-	var buf strings.Builder
-	if err := s.rt.Sources(r.Context(), &buf); err != nil {
-		w.Header().Set("Retry-After", "1")
-		s.httpError(w, r, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	rel, err := parseSourcesCSV(buf.String(), cols)
-	if err != nil {
-		s.httpError(w, r, http.StatusInternalServerError, err.Error())
-		return
-	}
-	res, err := query.ExecuteRelation(rel, q)
-	if err != nil {
-		s.httpError(w, r, http.StatusBadRequest, "sources: "+err.Error())
-		return
-	}
-	s.serveResult(w, r, res, format)
-}
-
-// parseSourcesCSV rebuilds the merged sources table as a relation.
-func parseSourcesCSV(body string, cols []query.Column) (*query.Relation, error) {
-	rel := &query.Relation{Cols: cols}
-	lines := strings.Split(strings.TrimRight(body, "\n"), "\n")
-	for i, line := range lines {
-		if i == 0 || line == "" {
-			continue // header
-		}
-		name, accStr, ok := strings.Cut(line, ",")
-		if !ok {
-			return nil, fmt.Errorf("sources: malformed merged row %q", line)
-		}
-		acc, err := strconv.ParseFloat(accStr, 64)
-		if err != nil {
-			return nil, fmt.Errorf("sources: malformed accuracy in %q", line)
-		}
-		rel.Rows = append(rel.Rows, []query.Val{
-			{Kind: query.KindString, Str: name},
-			{Kind: query.KindFloat, Num: acc},
-		})
+		return nil, unavailable(err)
 	}
 	return rel, nil
 }
 
-// handleFeatures relays the online learner's feature weights from the
-// first member that has one; a learner-less cluster answers 409 like a
+// features relays the online learner's feature weights from the first
+// member that has one; a learner-less cluster answers 409 like a
 // learner-less node.
-func (s *routerServer) handleFeatures(w http.ResponseWriter, r *http.Request) {
-	body, err := s.rt.Features(r.Context())
+func (s *routerServer) features(ctx context.Context, w io.Writer) error {
+	body, err := s.rt.Features(ctx)
 	if err != nil {
-		s.httpError(w, r, http.StatusConflict,
-			"features: no member has an online learner: "+err.Error())
-		return
+		return errStatus(http.StatusConflict, "features: no member has an online learner: %v", err)
 	}
-	w.Header().Set("Content-Type", "text/csv")
-	if _, err := w.Write(body); err != nil {
-		requestLogger(r.Context(), s.log).Warn("writing features response failed", slog.Any("error", err))
-	}
+	_, err = w.Write(body)
+	return err
 }
 
-// serveCSV buffers the scatter-gather merge so a partition failure
-// mid-gather becomes a clean 503 instead of a truncated 200.
-func (s *routerServer) serveCSV(w http.ResponseWriter, r *http.Request, gather func(context.Context, io.Writer) error) {
-	var buf strings.Builder
-	if err := gather(context.Background(), &buf); err != nil {
-		w.Header().Set("Retry-After", "1")
-		s.httpError(w, r, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "text/csv")
-	if _, err := io.WriteString(w, buf.String()); err != nil {
-		requestLogger(r.Context(), s.log).Warn("writing CSV response failed", slog.Any("error", err))
-	}
-}
-
-func (s *routerServer) handleRefine(w http.ResponseWriter, r *http.Request) {
-	sweeps := 2
-	if q := r.URL.Query().Get("sweeps"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 1 || n > maxRefineSweeps {
-			s.httpError(w, r, http.StatusBadRequest,
-				fmt.Sprintf("refine: sweeps must be an integer in [1,%d], got %q", maxRefineSweeps, q))
-			return
-		}
-		sweeps = n
-	}
-	barriers, err := s.rt.Refine(r.Context(), sweeps)
+func (s *routerServer) refine(ctx context.Context, sweeps int) (any, error) {
+	barriers, err := s.rt.Refine(ctx, sweeps)
 	if err != nil {
-		w.Header().Set("Retry-After", "1")
-		s.httpError(w, r, http.StatusServiceUnavailable, err.Error())
-		return
+		return nil, unavailable(err)
 	}
-	s.writeJSON(w, r, http.StatusOK, map[string]any{"sweeps": sweeps, "barriers": barriers})
+	return map[string]any{"sweeps": sweeps, "barriers": barriers}, nil
 }
 
-func (s *routerServer) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if err := s.rt.Checkpoint(r.Context()); err != nil {
-		s.httpError(w, r, http.StatusInternalServerError, err.Error())
-		return
+// checkpoint checkpoints every member, then writes the router manifest.
+func (s *routerServer) checkpoint(ctx context.Context) (any, error) {
+	if err := s.rt.Checkpoint(ctx); err != nil {
+		return nil, err
 	}
-	s.writeJSON(w, r, http.StatusOK, map[string]any{"stats": s.rt.Stats()})
+	return map[string]any{"stats": s.rt.Stats()}, nil
 }
 
-// handleHealthz always answers 200 while the router process is up;
-// the per-partition detail carries each member's own /healthz.
-func (s *routerServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	status, nodes := s.rt.Health(r.Context())
-	s.writeJSON(w, r, http.StatusOK, map[string]any{
-		"status": status,
-		"router": s.rt.Stats(),
-		"nodes":  nodes,
-	})
+// health carries each member's own /v1/healthz per partition.
+func (s *routerServer) health(ctx context.Context) any {
+	status, nodes := s.rt.Health(ctx)
+	return map[string]any{"status": status, "router": s.rt.Stats(), "nodes": nodes}
 }
 
-// handleReadyz degrades per partition: 200 "ready" when every member
-// can take load, 200 "degraded" naming the dark partitions while the
-// rest still serve, and 503 only when no member answers.
-func (s *routerServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	status, nodes := s.rt.Ready(r.Context())
+// ready degrades per partition: "ready" when every member can take
+// load, "degraded" naming the dark partitions while the rest still
+// serve, and 503 only when no member answers.
+func (s *routerServer) ready(ctx context.Context) (map[string]any, string) {
+	status, nodes := s.rt.Ready(ctx)
 	var down []int
 	for _, n := range nodes {
 		if !n.OK {
@@ -404,54 +227,25 @@ func (s *routerServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if len(down) > 0 {
 		body["down_partitions"] = down
 	}
-	code := http.StatusOK
 	if status == "unavailable" {
-		w.Header().Set("Retry-After", "1")
-		code = http.StatusServiceUnavailable
-		body["error"] = "no cluster partition is ready; retry with backoff"
-		body["code"] = "shed"
+		return body, "no cluster partition is ready; retry with backoff"
 	}
-	s.writeJSON(w, r, code, body)
+	return body, ""
 }
 
-// serveRouter runs the router HTTP service until SIGTERM/SIGINT, then
-// writes a final manifest so a restarted router resumes exactly here.
-func serveRouter(s *routerServer, addr string, stdout io.Writer) error {
-	rt := s.rt
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
+func (s *routerServer) routes() map[string]func(context.Context, []byte) (any, error) { return nil }
+
+func (s *routerServer) start(context.Context) {
+	fmt.Fprintf(s.logw, "# routing %d partitions\n", len(s.rt.Nodes()))
+}
+
+// stop writes a final manifest so a restarted router resumes exactly
+// here.
+func (s *routerServer) stop() error {
+	if err := s.rt.WriteManifest(); err != nil {
 		return err
 	}
-	// Machine-readable on purpose, like the node server: with
-	// -listen :0 it is how scripts discover the port.
-	fmt.Fprintf(stdout, "# listening on %s\n", ln.Addr())
-	fmt.Fprintf(stdout, "# routing %d partitions\n", len(rt.Nodes()))
-	srv := &http.Server{
-		Handler:           s.handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	var shutdownErr error
-	select {
-	case <-ctx.Done():
-		stop()
-		fmt.Fprintf(stdout, "# signal received, draining connections\n")
-		shutCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		shutdownErr = srv.Shutdown(shutCtx)
-	case err := <-errc:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			shutdownErr = err
-		}
-	}
-	if err := rt.WriteManifest(); err != nil {
-		return errors.Join(shutdownErr, err)
-	}
-	st := rt.Stats()
-	fmt.Fprintf(stdout, "# shutdown: %d claims routed, %d barriers\n", st.Claims, st.Barriers)
-	return shutdownErr
+	st := s.rt.Stats()
+	fmt.Fprintf(s.logw, "# shutdown: %d claims routed, %d barriers\n", st.Claims, st.Barriers)
+	return nil
 }

@@ -1,51 +1,35 @@
-// The network serving mode behind `slimfast stream -listen`: an HTTP
-// API over the sharded engine, so the streaming reproduction runs as
-// a long-lived service — claims arrive over the wire, estimates are
-// queried live, and the engine state survives restarts through
-// generation-rotated checkpoints and the SIGTERM handler.
+// The node backend of the /v1 surface (api.go) behind `slimfast stream
+// -listen`: the HTTP API over one sharded engine, so the streaming
+// reproduction runs as a long-lived service — claims arrive over the
+// wire, estimates are queried live, and the engine state survives
+// restarts through generation-rotated checkpoints and the SIGTERM
+// handler.
 //
-// Endpoints (canonical under /v1; the unversioned paths are
-// deprecated aliases kept for one release — see docs/API.md):
+// Beyond the shared routes a node mounts the member half of cluster
+// mode (see internal/cluster and `slimfast router`):
 //
-//	POST /v1/observe     ingest claims (NDJSON objects or text/csv rows);
-//	                     idempotent when stamped with X-Batch-Seq
-//	GET  /v1/estimates   the estimates relation: plain dump, or filtered /
-//	                     ordered / limited / grouped via query parameters
-//	                     (where, order, limit, cols, group, agg, disagree);
-//	                     CSV by default, NDJSON via format=json or
-//	                     Accept: application/json
-//	GET  /v1/sources     source accuracies, same query language and formats
-//	GET  /v1/features    online learner feature weights as CSV
-//	POST /v1/refine      run the exact re-sweep (?sweeps=N, default 2)
-//	POST /v1/checkpoint  write a checkpoint generation to the -checkpoint path
-//	GET  /v1/healthz     liveness + engine stats as JSON
-//	GET  /v1/readyz      readiness: 503 + Retry-After under admission pressure
-//	POST /v1/epoch/drain cluster control plane: drain settled evidence deltas
-//	POST /v1/epoch/mass  cluster control plane: exact refine mass
-//	POST /v1/epoch/apply cluster control plane: install a pushed σ-table
+//	POST /v1/epoch/drain hand the router the settled evidence deltas
+//	POST /v1/epoch/mass  hand the router one exact refine sweep's mass
+//	POST /v1/epoch/apply install a pushed σ-table
 //
-// Every non-2xx response carries the uniform error envelope
-// {"error": ..., "code": shed|timeout|bad_request|conflict|internal}
-// (the mux's own plain-text 404/405 excepted).
+// They are idempotent by coordinator tag, serialized on the ingest
+// lock, and refused (409) by engines running the online learner. On a
+// member started with -external-epochs, POST /v1/refine is refused
+// (409) — the router coordinates cluster-wide refines.
 //
-// The three /epoch endpoints are the member half of cluster mode (see
-// internal/cluster and `slimfast router`): idempotent by coordinator
-// tag, serialized on the ingest lock, and refused (409) by engines
-// running the online learner. On a member started with
-// -external-epochs, POST /refine is refused (409) — the router
-// coordinates cluster-wide refines.
-//
-// Ingest requests are serialized: for a fixed sequence of /observe
-// bodies the engine state (and so the /estimates bytes) is identical
-// run to run and across checkpoint/restore restarts — the property
-// the e2e restart job in CI pins down.
+// Ingest requests are serialized: for a fixed sequence of /v1/observe
+// bodies the engine state (and so the /v1/estimates bytes) is
+// identical run to run and across checkpoint/restore restarts — the
+// property the e2e restart job in CI pins down. A bad row answers 400
+// after the claims before it were ingested; the error says how many.
 //
 // The server is overload-safe by construction: an admission gate
 // bounds in-flight ingest bytes and requests (excess is shed with
 // 429 + Retry-After before any body is read), -request-timeout bounds
 // how long one request may trickle its body or wait on the ingest
-// lock, and every handler runs inside a panic-recovery middleware so
-// a poisoned request becomes a logged 500, not a dead service.
+// lock (503 + Retry-After, code "timeout"), and every handler runs
+// inside panic recovery so a poisoned request becomes a logged 500,
+// not a dead service.
 package main
 
 import (
@@ -56,12 +40,8 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"strconv"
-	"syscall"
 	"time"
 
 	"slimfast/internal/obs"
@@ -72,7 +52,6 @@ import (
 
 // serveConfig carries the serving-mode knobs from the flag set.
 type serveConfig struct {
-	Addr  string
 	Batch int
 
 	// Store is the generation-rotated checkpoint store; nil disables
@@ -102,15 +81,12 @@ type serveConfig struct {
 	LogFormat string
 }
 
-// streamServer wires the engine to the HTTP handlers.
+// streamServer is the node backend: the engine plus its admission
+// gate, ingest lock, epoch caches and checkpoint store.
 type streamServer struct {
+	*server
 	eng  *stream.Engine
 	cfg  serveConfig
-	logw io.Writer
-	log  *slog.Logger
-	reg  *obs.Registry
-	met  httpMetrics
-	ins  *instrumentor
 	gate *resilience.Gate
 	// lock serializes ingest, refine and checkpoint requests — the
 	// channel form of a mutex, so acquisition can honor a request
@@ -140,23 +116,15 @@ func newStreamServer(eng *stream.Engine, cfg serveConfig, logw io.Writer) *strea
 	if cfg.Batch < 1 {
 		cfg.Batch = 1
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	log := newComponentLogger(cfg.LogFormat, logw, "serve")
-	ins := newInstrumentor(reg, log)
-	return &streamServer{
+	s := &streamServer{
 		eng:  eng,
 		cfg:  cfg,
-		logw: logw,
-		log:  log,
-		reg:  reg,
-		met:  ins.met,
-		ins:  ins,
 		gate: resilience.NewGate(cfg.MaxInflightBytes, cfg.MaxInflightReqs),
 		lock: make(chan struct{}, 1),
 	}
+	s.server = newServer(s, logw, cfg.Registry, cfg.LogFormat, "serve")
+	s.bodyTimeout = cfg.RequestTimeout
+	return s
 }
 
 // acquireIngest takes the ingest lock, giving up when ctx expires.
@@ -176,76 +144,33 @@ func (s *streamServer) acquireIngest(ctx context.Context) bool {
 
 func (s *streamServer) releaseIngest() { <-s.lock }
 
-// handler builds the route table. Method matching is delegated to the
-// ServeMux patterns (wrong methods get 405 for free); the whole mux
-// runs behind the panic-recovery middleware.
-// Every route is mounted twice: the canonical /v1 path and the
-// unversioned alias kept for one release (see README's deprecation
-// note). Unmatched paths and wrong methods get the mux's plain-text
-// 404/405 — the one surface outside the JSON error envelope.
-func (s *streamServer) handler() http.Handler {
-	mux := http.NewServeMux()
-	handleBoth(mux, "POST /observe", s.handleObserve, s.ins)
-	handleBoth(mux, "GET /estimates", s.handleEstimates, s.ins)
-	handleBoth(mux, "GET /sources", s.handleSources, s.ins)
-	handleBoth(mux, "GET /features", s.handleFeatures, s.ins)
-	handleBoth(mux, "POST /refine", s.handleRefine, s.ins)
-	handleBoth(mux, "POST /checkpoint", s.handleCheckpoint, s.ins)
-	handleBoth(mux, "GET /healthz", s.handleHealthz, s.ins)
-	handleBoth(mux, "GET /readyz", s.handleReadyz, s.ins)
-	handleBoth(mux, "POST /epoch/drain", s.handleEpochDrain, s.ins)
-	handleBoth(mux, "POST /epoch/mass", s.handleEpochMass, s.ins)
-	handleBoth(mux, "POST /epoch/apply", s.handleEpochApply, s.ins)
-	// The scrape endpoint is versioned-only: it is new in this release,
-	// so no deprecated alias exists to keep.
-	mux.HandleFunc("GET /v1/metrics", s.ins.route("/v1/metrics", s.reg.Handler().ServeHTTP))
-	return s.ins.middleware(mux)
-}
-
 // lockTimeout reports a request that gave up waiting for the ingest
 // lock: 503 + Retry-After like shedding, but with code "timeout" — the
 // deadline expired, the server is not necessarily saturated.
-func (s *streamServer) lockTimeout(w http.ResponseWriter, r *http.Request, op string) {
-	s.met.timeouts.Inc()
-	w.Header().Set("Retry-After", "1")
-	httpErrorCodeLog(w, requestLogger(r.Context(), s.log), http.StatusServiceUnavailable, "timeout",
-		op+": timed out waiting for the ingest lock; retry with backoff")
+func (s *streamServer) lockTimeout(op string) error {
+	s.ins.met.timeouts.Inc()
+	return &apiError{status: http.StatusServiceUnavailable, code: "timeout",
+		msg: op + ": timed out waiting for the ingest lock; retry with backoff"}
 }
 
 // requestContext derives the deadline-bounded context for one request
 // when -request-timeout is set.
-func (s *streamServer) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
+func (s *streamServer) requestContext(ctx context.Context) (context.Context, context.CancelFunc) {
 	if s.cfg.RequestTimeout <= 0 {
-		return r.Context(), func() {}
+		return ctx, func() {}
 	}
-	return context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	return context.WithTimeout(ctx, s.cfg.RequestTimeout)
 }
 
-// maxObserveBody caps one /observe request at 256 MiB: large enough
-// for bulk ingest chunks, small enough that a hostile or buggy client
-// cannot OOM the long-running service with a single unbounded body.
-// Bigger streams just arrive as multiple requests.
-const maxObserveBody = 256 << 20
-
-// shed rejects a request with 429 + Retry-After — the contract the
-// resilience ingest client retries against.
-func (s *streamServer) shed(w http.ResponseWriter, r *http.Request, msg string) {
-	s.met.shed.Inc()
-	w.Header().Set("Retry-After", "1")
-	s.httpError(w, r, http.StatusTooManyRequests, msg)
-}
-
-// handleObserve ingests a claim body. text/csv bodies use the
-// source,object,value exchange format (header row optional); anything
-// else is parsed as NDJSON. Claims feed the engine in fixed-size
-// deterministic batches, exactly like the CLI ingest loop.
+// observe ingests a claim body in fixed-size deterministic batches,
+// exactly like the CLI ingest loop.
 //
 // Requests stamped with an idempotency key (X-Batch-Seq header or
 // ?seq=) are exactly-once within the engine's dedup window: a
 // retried delivery of an already-ingested batch is acknowledged
 // without re-ingesting, and the window rides inside checkpoints so
 // the guarantee holds across restarts.
-func (s *streamServer) handleObserve(w http.ResponseWriter, r *http.Request) {
+func (s *streamServer) observe(r *http.Request, seq string, read func() ([]byte, error)) (any, error) {
 	// Admission first, before a byte of body is read: reserve the
 	// declared Content-Length against the in-flight budget and shed
 	// with 429 when the server is saturated.
@@ -255,55 +180,30 @@ func (s *streamServer) handleObserve(w http.ResponseWriter, r *http.Request) {
 	}
 	release, err := s.gate.Acquire(n)
 	if err != nil {
-		s.shed(w, r, "observe: server saturated; retry with backoff")
-		return
+		s.ins.met.shed.Inc()
+		return nil, errStatus(http.StatusTooManyRequests, "observe: server saturated; retry with backoff")
 	}
 	defer release()
 
-	seq := seqKey(r)
 	if seq != "" && s.eng.SeqSeen(seq) {
 		// Fast path for retry storms: drop the duplicate before the
 		// body read and the lock. The authoritative check still happens
 		// under the lock below for requests that race here.
-		s.deduped(w, r, seq)
-		return
+		return s.deduped(seq), nil
 	}
 
-	ctx, cancel := s.requestContext(r)
+	ctx, cancel := s.requestContext(r.Context())
 	defer cancel()
-	if s.cfg.RequestTimeout > 0 {
-		// Cut off trickling bodies at the deadline: without this a
-		// client sending one byte per minute holds its admission slot
-		// forever (the lock is safe — it is taken after the read).
-		rc := http.NewResponseController(w)
-		rc.SetReadDeadline(time.Now().Add(s.cfg.RequestTimeout))
-		defer rc.SetReadDeadline(time.Time{})
-	}
-
 	// Read the whole body before taking the ingest lock: the lock is
 	// held at request granularity (the determinism unit), and a client
 	// trickling its body must not wedge every other ingest and
 	// checkpoint request behind it.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxObserveBody))
+	body, err := read()
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.httpError(w, r, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("observe: body exceeds %d bytes; split the stream into smaller requests", tooBig.Limit))
-			return
-		}
-		if errors.Is(err, os.ErrDeadlineExceeded) {
-			s.httpError(w, r, http.StatusRequestTimeout,
-				fmt.Sprintf("observe: body not received within %v", s.cfg.RequestTimeout))
-			return
-		}
-		s.httpError(w, r, http.StatusBadRequest, fmt.Sprintf("observe: reading body: %v", err))
-		return
+		return nil, err
 	}
-
 	if !s.acquireIngest(ctx) {
-		s.lockTimeout(w, r, "observe")
-		return
+		return nil, s.lockTimeout("observe")
 	}
 	defer s.releaseIngest()
 
@@ -312,8 +212,7 @@ func (s *streamServer) handleObserve(w http.ResponseWriter, r *http.Request) {
 	// before ingest so a mid-body 400 (claims before the bad row are
 	// already in) is not re-applied by a confused retry.
 	if seq != "" && !s.eng.MarkSeq(seq) {
-		s.deduped(w, r, seq)
-		return
+		return s.deduped(seq), nil
 	}
 
 	buf := make([]stream.Triple, 0, s.cfg.Batch)
@@ -325,11 +224,8 @@ func (s *streamServer) handleObserve(w http.ResponseWriter, r *http.Request) {
 			buf = buf[:0]
 		}
 	}
-	err = parseClaimBody(body, r.Header.Get("Content-Type"), func(source, object, value string) error {
-		if source == "" || object == "" || value == "" {
-			return errEmptyClaimField
-		}
-		buf = append(buf, stream.Triple{Source: source, Object: object, Value: value})
+	err = parseClaimBody(body, r.Header.Get("Content-Type"), func(tr stream.Triple) error {
+		buf = append(buf, tr)
 		if len(buf) == cap(buf) {
 			flush()
 		}
@@ -338,233 +234,133 @@ func (s *streamServer) handleObserve(w http.ResponseWriter, r *http.Request) {
 	flush()
 	if err != nil {
 		// Claims before the bad row are already ingested; report both.
-		s.httpError(w, r, http.StatusBadRequest, fmt.Sprintf("observe: %v (ingested %d claims before the error)", err, ingested))
-		return
+		return nil, errStatus(http.StatusBadRequest, "observe: %v (ingested %d claims before the error)", err, ingested)
 	}
 	// The one info-level record per ingest request: with the request ID
 	// attached by the middleware, this is what makes a router fan-out
 	// followable across member logs.
-	log := requestLogger(r.Context(), s.log)
-	log.LogAttrs(r.Context(), slog.LevelInfo, "ingested claims",
+	requestLogger(ctx, s.log).LogAttrs(ctx, slog.LevelInfo, "ingested claims",
 		slog.Int64("claims", ingested), slog.String("seq", seq))
-	s.writeJSON(w, r, http.StatusOK, map[string]any{
+	return map[string]any{
 		"ingested":     ingested,
 		"observations": s.eng.Stats().Observations,
-	})
+	}, nil
 }
 
 // deduped acknowledges an already-ingested idempotency key.
-func (s *streamServer) deduped(w http.ResponseWriter, r *http.Request, seq string) {
-	s.met.dedupReplays.Inc()
-	s.writeJSON(w, r, http.StatusOK, map[string]any{
+func (s *streamServer) deduped(seq string) any {
+	s.ins.met.dedupReplays.Inc()
+	return map[string]any{
 		"ingested":     0,
 		"deduped":      true,
 		"seq":          seq,
 		"observations": s.eng.Stats().Observations,
-	})
-}
-
-// serveCSV renders through emit into a buffer first, so an emit
-// failure can still become a clean 500 — writing straight to the
-// ResponseWriter would commit a 200 before the error surfaced.
-func (s *streamServer) serveCSV(w http.ResponseWriter, r *http.Request, emit func(io.Writer) error) {
-	var buf bytes.Buffer
-	if err := emit(&buf); err != nil {
-		s.httpError(w, r, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "text/csv")
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		requestLogger(r.Context(), s.log).Warn("writing CSV response failed", slog.Any("error", err))
 	}
 }
 
-// serveResult renders a query result in the negotiated format, buffered
-// so a failure still becomes a clean 500.
-func (s *streamServer) serveResult(w http.ResponseWriter, r *http.Request, res *query.Result, format string) {
-	var buf bytes.Buffer
-	if err := query.Write(&buf, res, format); err != nil {
-		s.httpError(w, r, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", resultContentType(format))
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		requestLogger(r.Context(), s.log).Warn("writing query response failed", slog.Any("error", err))
-	}
+func (s *streamServer) estimatesCSV(_ context.Context, w io.Writer) error {
+	return writeEstimatesCSV(w, s.eng)
 }
 
-// handleEstimates serves the estimates relation. Bare requests stream
-// the legacy CSV bytes (what the restart e2e test byte-compares); any
-// query parameter routes through the relational executor, and the
-// format parameter / Accept header select CSV or NDJSON. The internal
-// partial=1 flag (cluster scatter) returns unfinalized group
-// aggregates for the router to fold.
-func (s *streamServer) handleEstimates(w http.ResponseWriter, r *http.Request) {
-	q, err := query.Parse(r.URL.Query(), query.EstimateColumns())
+func (s *streamServer) estimates(_ context.Context, q *query.Query, partial bool) (*query.Result, error) {
+	exec := query.Execute
+	if partial {
+		exec = query.ExecutePartial
+	}
+	res, err := exec(s.eng, q)
 	if err != nil {
-		s.httpError(w, r, http.StatusBadRequest, "estimates: "+err.Error())
-		return
+		return nil, errStatus(http.StatusBadRequest, "estimates: %v", err)
 	}
-	format, err := negotiateFormat(r)
-	if err != nil {
-		s.httpError(w, r, http.StatusBadRequest, "estimates: "+err.Error())
-		return
-	}
-	if q.IsPlain() && format == "csv" {
-		s.serveCSV(w, r, func(out io.Writer) error { return writeEstimatesCSV(out, s.eng) })
-		return
-	}
-	var res *query.Result
-	if r.URL.Query().Get("partial") != "" {
-		res, err = query.ExecutePartial(s.eng, q)
-	} else {
-		res, err = query.Execute(s.eng, q)
-	}
-	if err != nil {
-		s.httpError(w, r, http.StatusBadRequest, "estimates: "+err.Error())
-		return
-	}
-	s.serveResult(w, r, res, format)
+	return res, nil
 }
 
-// sourcesRelation materializes the source accuracy table with the
-// legacy column set (the online decomposition columns when the engine
-// learns), so queried and negotiated reads share one schema with the
-// plain CSV surface.
+func (s *streamServer) sources(context.Context) (*query.Relation, error) {
+	return sourcesRelation(s.eng), nil
+}
+
+// sourcesRelation materializes the source accuracy table, sorted by
+// source. Online engines report the full decomposition — the served
+// accuracy plus the feature-model ("learned") and agreement-only
+// ("empirical") estimates it blends — so an operator can see what the
+// features are contributing. The CLI's -accuracies output writes the
+// same relation, so a served engine and a batch run produce
+// comparable bytes.
 func sourcesRelation(eng *stream.Engine) *query.Relation {
-	str := func(s string) query.Val { return query.Val{Kind: query.KindString, Str: s} }
-	num := func(f float64) query.Val { return query.Val{Kind: query.KindFloat, Num: f} }
-	if !eng.OnlineLearning() {
-		rel := &query.Relation{Cols: []query.Column{
-			{Name: "source", Kind: query.KindString},
-			{Name: "accuracy", Kind: query.KindFloat},
-		}}
-		for _, s := range eng.Sources() {
-			rel.Rows = append(rel.Rows, []query.Val{str(s), num(eng.SourceAccuracy(s))})
-		}
-		return rel
-	}
+	online := eng.OnlineLearning()
 	rel := &query.Relation{Cols: []query.Column{
 		{Name: "source", Kind: query.KindString},
 		{Name: "accuracy", Kind: query.KindFloat},
-		{Name: "learned", Kind: query.KindFloat},
-		{Name: "empirical", Kind: query.KindFloat},
 	}}
+	if online {
+		rel.Cols = append(rel.Cols, query.Column{Name: "learned", Kind: query.KindFloat}, query.Column{Name: "empirical", Kind: query.KindFloat})
+	}
+	str := func(s string) query.Val { return query.Val{Kind: query.KindString, Str: s} }
+	num := func(f float64) query.Val { return query.Val{Kind: query.KindFloat, Num: f} }
 	for _, s := range eng.Sources() {
-		acc, learned, empirical, ok := eng.SourceAccuracyDetail(s)
-		if !ok {
-			continue
+		if !online {
+			rel.Rows = append(rel.Rows, []query.Val{str(s), num(eng.SourceAccuracy(s))})
+		} else if acc, learned, empirical, ok := eng.SourceAccuracyDetail(s); ok {
+			rel.Rows = append(rel.Rows, []query.Val{str(s), num(acc), num(learned), num(empirical)})
 		}
-		rel.Rows = append(rel.Rows, []query.Val{str(s), num(acc), num(learned), num(empirical)})
 	}
 	return rel
 }
 
-// handleSources serves the source accuracy relation with the same
-// query language and content negotiation as /estimates.
-func (s *streamServer) handleSources(w http.ResponseWriter, r *http.Request) {
-	rel := sourcesRelation(s.eng)
-	q, err := query.Parse(r.URL.Query(), rel.Cols)
-	if err != nil {
-		s.httpError(w, r, http.StatusBadRequest, "sources: "+err.Error())
-		return
-	}
-	format, err := negotiateFormat(r)
-	if err != nil {
-		s.httpError(w, r, http.StatusBadRequest, "sources: "+err.Error())
-		return
-	}
-	if q.IsPlain() && format == "csv" {
-		s.serveCSV(w, r, func(out io.Writer) error { return writeSourceAccuraciesCSV(out, s.eng) })
-		return
-	}
-	res, err := query.ExecuteRelation(rel, q)
-	if err != nil {
-		s.httpError(w, r, http.StatusBadRequest, "sources: "+err.Error())
-		return
-	}
-	s.serveResult(w, r, res, format)
-}
-
-// handleFeatures exposes the online learner's model — the intercept
-// plus every feature's learned weight — so an operator can see what
-// the discriminative layer has learned without a checkpoint dump.
-// Engines without an online learner get 409, matching how /checkpoint
+// features exposes the online learner's model — the intercept plus
+// every feature's learned weight — so an operator can see what the
+// discriminative layer has learned without a checkpoint dump. Engines
+// without an online learner answer 409, matching how /checkpoint
 // reports a missing -checkpoint path.
-func (s *streamServer) handleFeatures(w http.ResponseWriter, r *http.Request) {
+func (s *streamServer) features(_ context.Context, w io.Writer) error {
 	intercept, feats, ok := s.eng.FeatureWeights()
 	if !ok {
-		s.httpError(w, r, http.StatusConflict, "features: engine has no online learner (start with -features)")
-		return
+		return errStatus(http.StatusConflict, "features: engine has no online learner (start with -features)")
 	}
-	s.serveCSV(w, r, func(out io.Writer) error { return writeFeatureWeightsCSV(out, intercept, feats) })
+	return writeFeatureWeightsCSV(w, intercept, feats)
 }
 
-// maxRefineSweeps caps an operator-requested re-sweep: each sweep is
-// O(total claims), and an absurd count from a typo must not wedge the
-// ingest lock for hours.
-const maxRefineSweeps = 64
-
-// handleRefine runs the exact re-estimation re-sweep (Engine.Refine)
-// on operator demand — the way to tighten single-pass estimates to
-// the batch fixed point without restarting the service. The optional
-// ?sweeps=N query selects the sweep count (default 2). The request
-// holds the ingest lock: the engine itself is safe to refine during
-// ingest, but serializing on request boundaries keeps a replayed
-// request sequence deterministic, like /observe and /checkpoint. A
-// refine storm therefore queues on the lock — with -request-timeout
-// set, the queue sheds itself with 503s instead of piling up.
-func (s *streamServer) handleRefine(w http.ResponseWriter, r *http.Request) {
+// refine runs Engine.Refine under the ingest lock: the engine itself
+// is safe to refine during ingest, but serializing on request
+// boundaries keeps a replayed request sequence deterministic, like
+// /observe and /checkpoint. A refine storm therefore queues on the
+// lock — with -request-timeout set, the queue sheds itself with 503s
+// instead of piling up.
+func (s *streamServer) refine(ctx context.Context, sweeps int) (any, error) {
 	if s.eng.ExternalEpochs() {
 		// A member-local refine would rebuild σ from this partition's
 		// mass alone and silently fork the cluster's accuracy state.
-		s.httpError(w, r, http.StatusConflict,
-			"refine: this node's epochs are externally coordinated (-external-epochs); POST /refine on the router")
-		return
+		return nil, errStatus(http.StatusConflict,
+			"refine: this node's epochs are externally coordinated (-external-epochs); POST /v1/refine on the router")
 	}
-	sweeps := 2
-	if q := r.URL.Query().Get("sweeps"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 1 || n > maxRefineSweeps {
-			s.httpError(w, r, http.StatusBadRequest,
-				fmt.Sprintf("refine: sweeps must be an integer in [1,%d], got %q", maxRefineSweeps, q))
-			return
-		}
-		sweeps = n
-	}
-	ctx, cancel := s.requestContext(r)
+	ctx, cancel := s.requestContext(ctx)
 	defer cancel()
 	if !s.acquireIngest(ctx) {
-		s.lockTimeout(w, r, "refine")
-		return
+		return nil, s.lockTimeout("refine")
 	}
 	defer s.releaseIngest()
 	s.eng.Refine(sweeps)
 	st := s.eng.Stats()
-	s.writeJSON(w, r, http.StatusOK, map[string]any{
+	return map[string]any{
 		"sweeps":       sweeps,
 		"epoch":        st.Epoch,
 		"observations": st.Observations,
-	})
+	}, nil
 }
 
-// handleCheckpoint durably checkpoints the engine as a new generation
-// and reports where the bytes went.
-func (s *streamServer) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
+// checkpoint durably checkpoints the engine as a new generation and
+// reports where the bytes went.
+func (s *streamServer) checkpoint(ctx context.Context) (any, error) {
 	if s.cfg.Store == nil {
-		s.httpError(w, r, http.StatusConflict, "no -checkpoint path configured")
-		return
+		return nil, errStatus(http.StatusConflict, "no -checkpoint path configured")
 	}
-	ctx, cancel := s.requestContext(r)
+	ctx, cancel := s.requestContext(ctx)
 	defer cancel()
 	if !s.acquireIngest(ctx) {
-		s.lockTimeout(w, r, "checkpoint")
-		return
+		return nil, s.lockTimeout("checkpoint")
 	}
 	defer s.releaseIngest()
 	if err := s.cfg.Store.Write(s.eng); err != nil {
-		s.httpError(w, r, http.StatusInternalServerError, err.Error())
-		return
+		return nil, err
 	}
 	path := s.cfg.Store.Path()
 	var size int64
@@ -572,19 +368,18 @@ func (s *streamServer) handleCheckpoint(w http.ResponseWriter, r *http.Request) 
 		size = fi.Size()
 	}
 	fmt.Fprintf(s.logw, "# checkpoint written to %s (%d bytes)\n", path, size)
-	s.writeJSON(w, r, http.StatusOK, map[string]any{
+	return map[string]any{
 		"path":        path,
 		"bytes":       size,
 		"generations": s.cfg.Store.Keep(),
-	})
+	}, nil
 }
 
-// handleHealthz reports liveness plus the engine counters. It always
-// answers 200 while the process is up — readiness (can the server
-// take more load?) is /readyz's job.
-func (s *streamServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// health reports liveness plus the engine counters; readiness (can the
+// server take more load?) is ready's job.
+func (s *streamServer) health(context.Context) any {
 	st := s.eng.Stats()
-	s.writeJSON(w, r, http.StatusOK, map[string]any{
+	return map[string]any{
 		"status":       "ok",
 		"shards":       st.Shards,
 		"sources":      st.Sources,
@@ -592,40 +387,25 @@ func (s *streamServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"observations": st.Observations,
 		"epoch":        st.Epoch,
 		"evicted":      st.EvictedObjects,
-	})
+	}
 }
 
-// handleReadyz reports admission pressure: 200 with the in-flight
-// counters while the gate has headroom, 503 + Retry-After when
-// saturated — the signal a load balancer uses to rotate a replica
-// out before its clients see 429s.
-func (s *streamServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
+// ready reports admission pressure: the in-flight counters, and
+// "overloaded" (503) while the gate is saturated, so a load balancer
+// rotates the replica out before its clients see 429s.
+func (s *streamServer) ready(context.Context) (map[string]any, string) {
 	reqs, inflight, shed := s.gate.Pressure()
 	body := map[string]any{
+		"status":            "ready",
 		"inflight_requests": reqs,
 		"inflight_bytes":    inflight,
 		"shed_total":        shed,
 	}
 	if s.gate.Saturated() {
 		body["status"] = "overloaded"
-		// Non-2xx responses carry the uniform error envelope keys even
-		// when, as here, they also carry diagnostic detail.
-		body["error"] = "server saturated; retry with backoff"
-		body["code"] = "shed"
-		w.Header().Set("Retry-After", "1")
-		s.writeJSON(w, r, http.StatusServiceUnavailable, body)
-		return
+		return body, "server saturated; retry with backoff"
 	}
-	body["status"] = "ready"
-	s.writeJSON(w, r, http.StatusOK, body)
-}
-
-func (s *streamServer) writeJSON(w http.ResponseWriter, r *http.Request, code int, v any) {
-	writeJSONLog(w, requestLogger(r.Context(), s.log), code, v)
-}
-
-func (s *streamServer) httpError(w http.ResponseWriter, r *http.Request, code int, msg string) {
-	httpErrorLog(w, requestLogger(r.Context(), s.log), code, msg)
+	return body, ""
 }
 
 // epochRequest is the body of the /epoch coordination endpoints. Tag
@@ -639,94 +419,89 @@ type epochRequest struct {
 	Rescore    bool                    `json:"rescore,omitempty"`
 }
 
-// decodeEpochRequest reads and parses an /epoch request body.
-func (s *streamServer) decodeEpochRequest(w http.ResponseWriter, r *http.Request) (epochRequest, bool) {
-	var req epochRequest
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxObserveBody))
-	if err != nil {
-		s.httpError(w, r, http.StatusBadRequest, fmt.Sprintf("epoch: reading body: %v", err))
-		return req, false
+// routes mounts the cluster control plane.
+func (s *streamServer) routes() map[string]func(context.Context, []byte) (any, error) {
+	return map[string]func(context.Context, []byte) (any, error){
+		// drain hands the coordinator this engine's settled evidence
+		// deltas since the last drain — the cluster form of the shard
+		// drain an epoch refresh starts with.
+		"POST /v1/epoch/drain": s.epoch(&s.drainCache, func(req epochRequest) (any, error) {
+			stats, err := s.eng.DrainDeltas()
+			return map[string]any{"tag": req.Tag, "sources": stats}, err
+		}),
+		// mass hands the coordinator one Refine sweep's exact
+		// per-source posterior mass (evicted base included).
+		"POST /v1/epoch/mass": s.epoch(&s.massCache, func(req epochRequest) (any, error) {
+			stats, err := s.eng.RefineMass()
+			return map[string]any{"tag": req.Tag, "sources": stats}, err
+		}),
+		// apply installs the coordinator's merged accuracy table as the
+		// new frozen σ-table; with "rescore" every live object is
+		// rescored eagerly (the re-sweep half of a distributed Refine).
+		"POST /v1/epoch/apply": s.epoch(&s.applyCache, func(req epochRequest) (any, error) {
+			if err := s.eng.ApplyAccuracies(req.Accuracies, req.Rescore); err != nil {
+				return nil, err
+			}
+			return map[string]any{"tag": req.Tag, "epoch": s.eng.Stats().Epoch, "applied": len(req.Accuracies)}, nil
+		}),
 	}
-	if len(bytes.TrimSpace(body)) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			s.httpError(w, r, http.StatusBadRequest, fmt.Sprintf("epoch: parsing body: %v", err))
-			return req, false
-		}
-	}
-	return req, true
 }
 
-// runEpoch wraps one coordination exchange: take the ingest lock
-// (coordination moves are request-serialized like everything that
-// mutates the engine), replay the cached response when the tag
-// matches, otherwise execute and cache. Engines running the online
-// learner refuse with 409.
-func (s *streamServer) runEpoch(w http.ResponseWriter, r *http.Request, cache *epochCache, exec func(req epochRequest) (any, error)) {
-	req, ok := s.decodeEpochRequest(w, r)
-	if !ok {
-		return
+// epoch wraps one coordination exchange: parse the body, take the
+// ingest lock (coordination moves are request-serialized like
+// everything that mutates the engine), replay the cached response when
+// the tag matches, otherwise execute and cache. Engines running the
+// online learner refuse with 409.
+func (s *streamServer) epoch(cache *epochCache, exec func(req epochRequest) (any, error)) func(context.Context, []byte) (any, error) {
+	return func(ctx context.Context, body []byte) (any, error) {
+		var req epochRequest
+		if len(bytes.TrimSpace(body)) > 0 {
+			if err := json.Unmarshal(body, &req); err != nil {
+				return nil, errStatus(http.StatusBadRequest, "epoch: parsing body: %v", err)
+			}
+		}
+		ctx, cancel := s.requestContext(ctx)
+		defer cancel()
+		if !s.acquireIngest(ctx) {
+			return nil, s.lockTimeout("epoch")
+		}
+		defer s.releaseIngest()
+		if req.Tag != "" && req.Tag == cache.tag {
+			return cache.resp, nil
+		}
+		resp, err := exec(req)
+		switch {
+		case errors.Is(err, stream.ErrOnlineUnsupported):
+			return nil, errStatus(http.StatusConflict, "%v", err)
+		case err != nil:
+			return nil, errStatus(http.StatusBadRequest, "%v", err)
+		}
+		if req.Tag != "" {
+			cache.tag, cache.resp = req.Tag, resp
+		}
+		return resp, nil
 	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	if !s.acquireIngest(ctx) {
-		s.lockTimeout(w, r, "epoch")
-		return
-	}
-	defer s.releaseIngest()
-	if req.Tag != "" && req.Tag == cache.tag {
-		s.writeJSON(w, r, http.StatusOK, cache.resp)
-		return
-	}
-	resp, err := exec(req)
-	switch {
-	case errors.Is(err, stream.ErrOnlineUnsupported):
-		s.httpError(w, r, http.StatusConflict, err.Error())
-		return
-	case err != nil:
-		s.httpError(w, r, http.StatusBadRequest, err.Error())
-		return
-	}
-	if req.Tag != "" {
-		cache.tag, cache.resp = req.Tag, resp
-	}
-	s.writeJSON(w, r, http.StatusOK, resp)
 }
 
-// handleEpochDrain hands the coordinator this engine's settled
-// evidence deltas since the last drain — the cluster form of the
-// shard drain an epoch refresh starts with.
-func (s *streamServer) handleEpochDrain(w http.ResponseWriter, r *http.Request) {
-	s.runEpoch(w, r, &s.drainCache, func(req epochRequest) (any, error) {
-		stats, err := s.eng.DrainDeltas()
-		if err != nil {
-			return nil, err
-		}
-		return map[string]any{"tag": req.Tag, "sources": stats}, nil
-	})
+// start begins periodic checkpointing when configured.
+func (s *streamServer) start(ctx context.Context) {
+	if s.cfg.Store != nil && s.cfg.CheckpointEvery > 0 {
+		go s.checkpointLoop(ctx, s.cfg.CheckpointEvery)
+	}
 }
 
-// handleEpochMass hands the coordinator one Refine sweep's exact
-// per-source posterior mass (evicted base included).
-func (s *streamServer) handleEpochMass(w http.ResponseWriter, r *http.Request) {
-	s.runEpoch(w, r, &s.massCache, func(req epochRequest) (any, error) {
-		stats, err := s.eng.RefineMass()
-		if err != nil {
-			return nil, err
-		}
-		return map[string]any{"tag": req.Tag, "sources": stats}, nil
-	})
-}
-
-// handleEpochApply installs the coordinator's merged accuracy table as
-// the new frozen σ-table; with "rescore" every live object is rescored
-// eagerly (the re-sweep half of a distributed Refine).
-func (s *streamServer) handleEpochApply(w http.ResponseWriter, r *http.Request) {
-	s.runEpoch(w, r, &s.applyCache, func(req epochRequest) (any, error) {
-		if err := s.eng.ApplyAccuracies(req.Accuracies, req.Rescore); err != nil {
-			return nil, err
-		}
-		return map[string]any{"tag": req.Tag, "epoch": s.eng.Stats().Epoch, "applied": len(req.Accuracies)}, nil
-	})
+// stop writes the final checkpoint generation, so the next -restore
+// boot resumes exactly here. Checkpointing is safe concurrent with
+// ingest, so a drain timeout does not prevent it.
+func (s *streamServer) stop() error {
+	if s.cfg.Store == nil {
+		return nil
+	}
+	if err := s.cfg.Store.Write(s.eng); err != nil {
+		return err
+	}
+	fmt.Fprintf(s.logw, "# shutdown checkpoint written to %s (%d observations)\n", s.cfg.Store.Path(), s.eng.Stats().Observations)
+	return nil
 }
 
 // checkpointLoop runs periodic background checkpointing: every tick
@@ -775,62 +550,4 @@ func resilienceSleep(ctx context.Context, d time.Duration) bool {
 	case <-t.C:
 		return true
 	}
-}
-
-// serveStream runs the HTTP service until SIGTERM/SIGINT or a fatal
-// listener error. On a signal it stops accepting, drains in-flight
-// requests, and — when a checkpoint store is configured — writes a
-// final generation so the next `-restore` boot resumes exactly here.
-func serveStream(eng *stream.Engine, cfg serveConfig, stdout io.Writer) error {
-	s := newStreamServer(eng, cfg, stdout)
-	ln, err := net.Listen("tcp", cfg.Addr)
-	if err != nil {
-		return err
-	}
-	// The resolved address line is machine-readable on purpose: with
-	// -listen :0 it is how scripts discover the port.
-	fmt.Fprintf(stdout, "# listening on %s\n", ln.Addr())
-	// No ReadTimeout: large ingest bodies may legitimately take a
-	// while, and -request-timeout bounds them per request when the
-	// operator wants that. Header and idle timeouts still shed dead
-	// connections.
-	srv := &http.Server{
-		Handler:           s.handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if cfg.Store != nil && cfg.CheckpointEvery > 0 {
-		go s.checkpointLoop(ctx, cfg.CheckpointEvery)
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	var shutdownErr error
-	select {
-	case <-ctx.Done():
-		stop() // restore default signal behavior: a second signal kills
-		fmt.Fprintf(stdout, "# signal received, draining connections\n")
-		shutCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		// A drain timeout (a client still holding a request) must not
-		// skip the final checkpoint — WriteCheckpoint is safe
-		// concurrent with ingest, so save what we have either way.
-		shutdownErr = srv.Shutdown(shutCtx)
-	case err := <-errc:
-		// A fatal listener error still falls through to the final
-		// checkpoint: the operator configured durability, and the
-		// engine state is intact even when the socket is not.
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			shutdownErr = err
-		}
-	}
-	if cfg.Store != nil {
-		if err := cfg.Store.Write(eng); err != nil {
-			return errors.Join(shutdownErr, err)
-		}
-		st := eng.Stats()
-		fmt.Fprintf(stdout, "# shutdown checkpoint written to %s (%d observations)\n", cfg.Store.Path(), st.Observations)
-	}
-	return shutdownErr
 }

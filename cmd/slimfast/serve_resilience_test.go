@@ -236,7 +236,7 @@ func TestServeFeaturesEndpoint(t *testing.T) {
 func TestServePanicRecovery(t *testing.T) {
 	var log bytes.Buffer
 	srv := newStreamServer(testEngine(t, 1), serveConfig{Batch: 1}, &log)
-	h := recoverPanicsTo(srv.logw, http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+	h := srv.ins.middleware(srv.ins.route("/anything", func(http.ResponseWriter, *http.Request) {
 		panic("poisoned request")
 	}))
 	rec := doReq(t, h, "GET", "/anything", "", "")

@@ -50,6 +50,43 @@ func testServer(eng *stream.Engine, ckpt string, batch int) *streamServer {
 	return newStreamServer(eng, serveConfig{Batch: batch, Store: store}, io.Discard)
 }
 
+// legacySourcesCSV is the source table the CSV surface has always
+// served (sorted by source, floats %.4f, the online decomposition
+// columns when the engine learns), emitted independently of the query
+// writer so the byte compares stay an oracle.
+func legacySourcesCSV(eng *stream.Engine) string {
+	var sb strings.Builder
+	if !eng.OnlineLearning() {
+		sb.WriteString("source,accuracy\n")
+		for _, s := range eng.Sources() {
+			fmt.Fprintf(&sb, "%s,%.4f\n", s, eng.SourceAccuracy(s))
+		}
+		return sb.String()
+	}
+	sb.WriteString("source,accuracy,learned,empirical\n")
+	for _, s := range eng.Sources() {
+		if acc, learned, empirical, ok := eng.SourceAccuracyDetail(s); ok {
+			fmt.Fprintf(&sb, "%s,%.4f,%.4f,%.4f\n", s, acc, learned, empirical)
+		}
+	}
+	return sb.String()
+}
+
+// TestServeSourcesLegacyBytes: the plain GET /v1/sources, rendered by
+// the query writer, reproduces the legacy table byte for byte, with
+// and without the online learner.
+func TestServeSourcesLegacyBytes(t *testing.T) {
+	for name, eng := range map[string]*stream.Engine{"plain": testEngine(t, 2), "online": featureEngine(t, 2)} {
+		h := testServer(eng, "", 32).handler()
+		if rec := doReq(t, h, "POST", "/v1/observe", "text/csv", streamCSV(150)); rec.Code != http.StatusOK {
+			t.Fatalf("%s: observe = %d: %s", name, rec.Code, rec.Body)
+		}
+		if got, want := doReq(t, h, "GET", "/v1/sources", "", "").Body.String(), legacySourcesCSV(eng); got != want {
+			t.Errorf("%s: /v1/sources diverged from the legacy table\ngot:\n%s\nwant:\n%s", name, got, want)
+		}
+	}
+}
+
 func testEngine(t *testing.T, workers int) *stream.Engine {
 	t.Helper()
 	opts := stream.DefaultEngineOptions()
@@ -203,7 +240,7 @@ func TestServeStreamSIGTERM(t *testing.T) {
 	var out syncBuffer
 	done := make(chan error, 1)
 	go func() {
-		done <- serveStream(eng, serveConfig{Addr: "127.0.0.1:0", Batch: 32, Store: stream.NewCheckpointStore(ckpt, 2)}, &out)
+		done <- newStreamServer(eng, serveConfig{Batch: 32, Store: stream.NewCheckpointStore(ckpt, 2)}, &out).serve("127.0.0.1:0")
 	}()
 
 	// Wait for the listen line and extract the bound address.
@@ -238,7 +275,7 @@ func TestServeStreamSIGTERM(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("serveStream returned %v", err)
+			t.Fatalf("serve returned %v", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("server did not shut down after SIGTERM")

@@ -13,12 +13,14 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
 	"slimfast/internal/data"
 	"slimfast/internal/obs"
 	"slimfast/internal/online"
+	"slimfast/internal/query"
 	"slimfast/internal/stream"
 )
 
@@ -155,8 +157,7 @@ func runStream(args []string, stdin io.Reader, stdout io.Writer) error {
 				return err
 			}
 		}
-		return serveStream(eng, serveConfig{
-			Addr:             *listen,
+		return newStreamServer(eng, serveConfig{
 			Batch:            *batch,
 			Store:            store,
 			CheckpointEvery:  *ckptEvery,
@@ -165,7 +166,7 @@ func runStream(args []string, stdin io.Reader, stdout io.Writer) error {
 			MaxInflightReqs:  *maxInflightReqs,
 			Registry:         reg,
 			LogFormat:        *logFormat,
-		}, stdout)
+		}, stdout).serve(*listen)
 	}
 	var watched []string
 	if *watch != "" {
@@ -250,11 +251,12 @@ func runStream(args []string, stdin io.Reader, stdout io.Writer) error {
 }
 
 // writeEstimatesCSV emits the final estimates in the exchange format.
-// The CLI's -values output and the server's GET /estimates share this
-// one emitter, so a served engine and a batch run produce comparable
-// bytes. Rows stream through Engine.EstimatesSeq — shard-major, names
-// sorted within each shard, deterministic for a fixed shard count —
-// so huge object sets never materialize in one slice or map.
+// The CLI's -values output and the server's plain GET /v1/estimates
+// share this one emitter, so a served engine and a batch run produce
+// comparable bytes. Rows stream through Engine.EstimatesSeq —
+// shard-major, names sorted within each shard, deterministic for a
+// fixed shard count — so huge object sets never materialize in one
+// slice or map.
 func writeEstimatesCSV(w io.Writer, eng *stream.Engine) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"object", "value", "confidence"}); err != nil {
@@ -262,43 +264,6 @@ func writeEstimatesCSV(w io.Writer, eng *stream.Engine) error {
 	}
 	for est := range eng.EstimatesSeq() {
 		if err := cw.Write([]string{est.Object, est.Value, fmt.Sprintf("%.4f", est.Confidence)}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// writeSourceAccuraciesCSV emits source accuracies; shared by the
-// CLI's -accuracies output and the server's GET /sources. Online
-// engines report the full decomposition — the served accuracy plus
-// the feature-model ("learned") and agreement-only ("empirical")
-// estimates it blends — so an operator can see what the features are
-// contributing.
-func writeSourceAccuraciesCSV(w io.Writer, eng *stream.Engine) error {
-	cw := csv.NewWriter(w)
-	if !eng.OnlineLearning() {
-		if err := cw.Write([]string{"source", "accuracy"}); err != nil {
-			return err
-		}
-		for _, s := range eng.Sources() {
-			if err := cw.Write([]string{s, fmt.Sprintf("%.4f", eng.SourceAccuracy(s))}); err != nil {
-				return err
-			}
-		}
-		cw.Flush()
-		return cw.Error()
-	}
-	if err := cw.Write([]string{"source", "accuracy", "learned", "empirical"}); err != nil {
-		return err
-	}
-	for _, s := range eng.Sources() {
-		acc, learned, empirical, ok := eng.SourceAccuracyDetail(s)
-		if !ok {
-			continue
-		}
-		rec := []string{s, fmt.Sprintf("%.4f", acc), fmt.Sprintf("%.4f", learned), fmt.Sprintf("%.4f", empirical)}
-		if err := cw.Write(rec); err != nil {
 			return err
 		}
 	}
@@ -343,5 +308,6 @@ func writeStreamAccuracies(path string, stdout io.Writer, eng *stream.Engine) er
 		return err
 	}
 	defer closeFn()
-	return writeSourceAccuraciesCSV(w, eng)
+	rel := sourcesRelation(eng)
+	return query.WriteCSV(w, &query.Result{Cols: rel.Cols, Rows: slices.Values(rel.Rows)})
 }

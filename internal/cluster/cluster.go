@@ -48,13 +48,15 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -62,6 +64,7 @@ import (
 	"time"
 
 	"slimfast/internal/obs"
+	"slimfast/internal/query"
 	"slimfast/internal/resilience"
 	"slimfast/internal/stream"
 )
@@ -549,10 +552,9 @@ func (r *Router) refineSweepLocked(ctx context.Context, op int64, sweep int) err
 
 // estimatesHeader / sourcesHeader pin the node CSV surfaces the
 // merges below rely on; drift is an error, not silent corruption.
-const (
-	estimatesHeader = "object,value,confidence\n"
-	sourcesHeader   = "source,accuracy\n"
-)
+const estimatesHeader = "object,value,confidence\n"
+
+var sourcesHeader = []string{"source", "accuracy"}
 
 // Estimates scatter-gathers GET /estimates and writes the merged CSV:
 // node bodies concatenated in partition order with the header kept
@@ -579,51 +581,48 @@ func (r *Router) Estimates(ctx context.Context, w io.Writer) error {
 	return nil
 }
 
-// Sources scatter-gathers GET /sources and writes the cluster-wide
-// accuracy table: the union of the node tables (every node holds the
-// full pushed σ-table, but interning order differs), globally sorted
-// — the same bytes a single engine's sorted emit produces. Rows are
-// merged verbatim, and a source reported with two different
-// accuracies is a protocol error (the apply push keeps them equal).
-func (r *Router) Sources(ctx context.Context, w io.Writer) error {
+// Sources scatter-gathers GET /sources into the cluster-wide accuracy
+// relation: the union of the node tables (every node holds the full
+// pushed σ-table, but interning order differs), sorted by source — the
+// rows of a single engine's table, at the CSV surface's precision. A
+// source reported with two different accuracies is a protocol error
+// (the apply push keeps them equal).
+func (r *Router) Sources(ctx context.Context) (*query.Relation, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rows := map[string]string{}
+	accs := map[string]string{}
 	for i, node := range r.cfg.Nodes {
 		body, err := r.get(ctx, node+"/v1/sources")
 		if err != nil {
-			return fmt.Errorf("cluster: partition %d sources: %w", i, err)
+			return nil, fmt.Errorf("cluster: partition %d sources: %w", i, err)
 		}
-		if !bytes.HasPrefix(body, []byte(sourcesHeader)) {
-			return fmt.Errorf("cluster: partition %d returned an unexpected /sources header (online-learner nodes cannot join a cluster)", i)
+		rows, err := csv.NewReader(bytes.NewReader(body)).ReadAll()
+		if err != nil {
+			return nil, fmt.Errorf("cluster: partition %d returned a malformed /sources table: %w", i, err)
 		}
-		for _, line := range strings.Split(strings.TrimRight(string(body[len(sourcesHeader):]), "\n"), "\n") {
-			if line == "" {
-				continue
+		if len(rows) == 0 || !slices.Equal(rows[0], sourcesHeader) {
+			return nil, fmt.Errorf("cluster: partition %d returned an unexpected /sources header (online-learner nodes cannot join a cluster)", i)
+		}
+		for _, row := range rows[1:] {
+			name, acc := row[0], row[1]
+			if prev, dup := accs[name]; dup && prev != acc {
+				return nil, fmt.Errorf("cluster: source %q diverged across partitions (%s vs %s)", name, prev, acc)
 			}
-			name, _, ok := strings.Cut(line, ",")
-			if !ok {
-				return fmt.Errorf("cluster: partition %d returned a malformed /sources row %q", i, line)
-			}
-			if prev, dup := rows[name]; dup && prev != line {
-				return fmt.Errorf("cluster: source %q diverged across partitions (%q vs %q)", name, prev, line)
-			}
-			rows[name] = line
+			accs[name] = acc
 		}
 	}
-	names := make([]string, 0, len(rows))
-	for name := range rows {
-		names = append(names, name)
+	rel := &query.Relation{Cols: []query.Column{
+		{Name: "source", Kind: query.KindString},
+		{Name: "accuracy", Kind: query.KindFloat},
+	}}
+	for _, name := range slices.Sorted(maps.Keys(accs)) {
+		acc, err := strconv.ParseFloat(accs[name], 64)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: source %q has a malformed accuracy %q", name, accs[name])
+		}
+		rel.Rows = append(rel.Rows, []query.Val{{Kind: query.KindString, Str: name}, {Kind: query.KindFloat, Num: acc}})
 	}
-	sort.Strings(names)
-	var buf bytes.Buffer
-	buf.WriteString(sourcesHeader)
-	for _, name := range names {
-		buf.WriteString(rows[name])
-		buf.WriteByte('\n')
-	}
-	_, err := w.Write(buf.Bytes())
-	return err
+	return rel, nil
 }
 
 // Checkpoint makes the cluster durable on demand: every node writes a
