@@ -443,13 +443,6 @@ func seqKey(r *http.Request) string {
 	return r.URL.Query().Get("seq")
 }
 
-// observation is one NDJSON ingest record.
-type observation struct {
-	Source string `json:"source"`
-	Object string `json:"object"`
-	Value  string `json:"value"`
-}
-
 // errEmptyClaimField is the shared validation failure for ingest rows.
 var errEmptyClaimField = errors.New("source, object and value must all be non-empty")
 
@@ -471,7 +464,7 @@ func parseClaimBody(body []byte, contentType string, add func(stream.Triple) err
 	dec := json.NewDecoder(bytes.NewReader(body))
 	row := 0
 	for {
-		var ob observation
+		var ob stream.Triple
 		if derr := dec.Decode(&ob); derr == io.EOF {
 			return nil
 		} else if derr != nil {

@@ -262,7 +262,7 @@ func TestRouterQueryGoldenEquivalence(t *testing.T) {
 		ref.ObserveBatch(claims[lo:hi])
 	}
 
-	rs := newGoldenCluster(t, nodes, batch, epochLen)
+	rs := newGoldenCluster(t, nodes, batch, epochLen, 1)
 	if rec := doReq(t, rs.handler(), "POST", "/v1/observe?seq=qgolden", "application/x-ndjson", ndjsonFromTriples(claims)); rec.Code != http.StatusOK {
 		t.Fatalf("observe: %d %s", rec.Code, rec.Body)
 	}
@@ -349,7 +349,7 @@ func TestRouterFeaturesRelay(t *testing.T) {
 	}
 	srv := httptest.NewServer(testServer(eng, "", 8).handler())
 	t.Cleanup(srv.Close)
-	rs := newGoldenClusterOver(t, []string{srv.URL}, 8, 16)
+	rs := newGoldenClusterOver(t, []string{srv.URL}, 8, 16, 1)
 	rec := doReq(t, rs.handler(), "GET", "/v1/features", "", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("router features = %d: %s", rec.Code, rec.Body)

@@ -90,7 +90,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // alike, and no deprecated-alias family is exported.
 func TestBarePathsNotFound(t *testing.T) {
 	srv, _ := obsServer(t, io.Discard)
-	for name, h := range map[string]http.Handler{"node": srv.handler(), "router": newGoldenCluster(t, 1, 8, 16).handler()} {
+	for name, h := range map[string]http.Handler{"node": srv.handler(), "router": newGoldenCluster(t, 1, 8, 16, 1).handler()} {
 		for _, req := range []struct{ method, path string }{
 			{"POST", "/observe"}, {"GET", "/estimates"}, {"GET", "/sources"}, {"GET", "/features"},
 			{"POST", "/refine"}, {"POST", "/checkpoint"}, {"GET", "/healthz"}, {"GET", "/readyz"},
@@ -215,7 +215,7 @@ func TestMiddlewarePanicMetrics(t *testing.T) {
 // TestRouterMetricsEndpoint: the router serves its own /v1/metrics
 // with the router families after a fan-out.
 func TestRouterMetricsEndpoint(t *testing.T) {
-	rs := newGoldenCluster(t, 2, 16, 32)
+	rs := newGoldenCluster(t, 2, 16, 32, 1)
 	h := rs.handler()
 	claims := goldenClaims()[:64]
 	if rec := doReq(t, h, "POST", "/v1/observe?seq=met", "application/x-ndjson", ndjsonFromTriples(claims)); rec.Code != http.StatusOK {

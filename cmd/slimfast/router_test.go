@@ -45,12 +45,14 @@ func ndjsonFromTriples(claims []stream.Triple) string {
 }
 
 // newMember starts one single-shard externally-coordinated member
-// engine behind a real node handler, checkpointing to ckpt when set.
-func newMember(t *testing.T, batch int, ckpt string) *httptest.Server {
+// engine with evidence decay decay behind a real node handler,
+// checkpointing to ckpt when set.
+func newMember(t *testing.T, batch int, decay float64, ckpt string) *httptest.Server {
 	t.Helper()
 	opts := stream.DefaultEngineOptions()
 	opts.Shards = 1
 	opts.EpochLength = stream.ExternalEpochLength
+	opts.Decay = decay
 	eng, err := stream.NewEngine(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -61,23 +63,28 @@ func newMember(t *testing.T, batch int, ckpt string) *httptest.Server {
 }
 
 // newGoldenCluster starts nodes members plus a router over them,
-// mirroring the reference geometry: one member per reference shard.
-func newGoldenCluster(t *testing.T, nodes, batch, epochLen int) *routerServer {
+// mirroring the reference geometry: one member per reference shard,
+// all with evidence decay decay.
+func newGoldenCluster(t *testing.T, nodes, batch, epochLen int, decay float64) *routerServer {
 	t.Helper()
 	urls := make([]string, nodes)
 	for i := range urls {
-		urls[i] = newMember(t, batch, "").URL
+		urls[i] = newMember(t, batch, decay, "").URL
 	}
-	return newGoldenClusterOver(t, urls, batch, epochLen)
+	return newGoldenClusterOver(t, urls, batch, epochLen, decay)
 }
 
-// newGoldenClusterOver builds a router over already-running member URLs.
-func newGoldenClusterOver(t *testing.T, urls []string, batch, epochLen int) *routerServer {
+// newGoldenClusterOver builds a router with evidence decay decay over
+// already-running member URLs.
+func newGoldenClusterOver(t *testing.T, urls []string, batch, epochLen int, decay float64) *routerServer {
 	t.Helper()
+	opts := stream.DefaultOptions()
+	opts.Decay = decay
 	rt, err := cluster.New(cluster.Config{
 		Nodes:       urls,
 		Batch:       batch,
 		EpochLength: epochLen,
+		Opts:        opts,
 		Retry:       resilience.ClientConfig{MaxAttempts: 3},
 	})
 	if err != nil {
@@ -91,77 +98,84 @@ func newGoldenClusterOver(t *testing.T, urls []string, batch, epochLen int) *rou
 // public surface produces byte-identical /estimates and /sources to a
 // single three-shard engine fed the same claim stream in the same
 // chunks — after ingest with epoch barriers, and again after a
-// cluster-wide refine.
+// cluster-wide refine. It runs without decay and with decay < 1, which
+// drives the router's barrier through the decaying branch of the fold
+// it shares with the engine's epoch refresh.
 func TestRouterGoldenEquivalence(t *testing.T) {
-	const nodes, batch, epochLen = 3, 32, 64
-	claims := goldenClaims()
+	for _, decay := range []float64{1, 0.97} {
+		t.Run(fmt.Sprintf("decay=%v", decay), func(t *testing.T) {
+			const nodes, batch, epochLen = 3, 32, 64
+			claims := goldenClaims()
 
-	refOpts := stream.DefaultEngineOptions()
-	refOpts.Shards = nodes
-	refOpts.EpochLength = epochLen
-	ref, err := stream.NewEngine(refOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lo := 0; lo < len(claims); lo += batch {
-		hi := min(lo+batch, len(claims))
-		ref.ObserveBatch(claims[lo:hi])
-	}
+			refOpts := stream.DefaultEngineOptions()
+			refOpts.Shards = nodes
+			refOpts.EpochLength = epochLen
+			refOpts.Decay = decay
+			ref, err := stream.NewEngine(refOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for lo := 0; lo < len(claims); lo += batch {
+				hi := min(lo+batch, len(claims))
+				ref.ObserveBatch(claims[lo:hi])
+			}
 
-	rs := newGoldenCluster(t, nodes, batch, epochLen)
-	rec := doReq(t, rs.handler(), http.MethodPost, "/v1/observe?seq=golden", "application/x-ndjson", ndjsonFromTriples(claims))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("observe: %d %s", rec.Code, rec.Body)
-	}
+			rs := newGoldenCluster(t, nodes, batch, epochLen, decay)
+			rec := doReq(t, rs.handler(), http.MethodPost, "/v1/observe?seq=golden", "application/x-ndjson", ndjsonFromTriples(claims))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("observe: %d %s", rec.Code, rec.Body)
+			}
 
-	refCSV := func(emit func(w *bytes.Buffer) error) string {
-		var buf bytes.Buffer
-		if err := emit(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	wantEst := refCSV(func(w *bytes.Buffer) error { return writeEstimatesCSV(w, ref) })
-	wantSrc := legacySourcesCSV(ref)
+			refCSV := func(emit func(w *bytes.Buffer) error) string {
+				var buf bytes.Buffer
+				if err := emit(&buf); err != nil {
+					t.Fatal(err)
+				}
+				return buf.String()
+			}
+			wantEst := refCSV(func(w *bytes.Buffer) error { return writeEstimatesCSV(w, ref) })
+			wantSrc := legacySourcesCSV(ref)
 
-	gotEst := doReq(t, rs.handler(), http.MethodGet, "/v1/estimates", "", "")
-	if gotEst.Code != http.StatusOK || gotEst.Body.String() != wantEst {
-		t.Fatalf("cluster /estimates diverged from the single engine\ncluster:\n%s\nreference:\n%s", gotEst.Body, wantEst)
-	}
-	gotSrc := doReq(t, rs.handler(), http.MethodGet, "/v1/sources", "", "")
-	if gotSrc.Code != http.StatusOK || gotSrc.Body.String() != wantSrc {
-		t.Fatalf("cluster /sources diverged from the single engine\ncluster:\n%s\nreference:\n%s", gotSrc.Body, wantSrc)
-	}
+			gotEst := doReq(t, rs.handler(), http.MethodGet, "/v1/estimates", "", "")
+			if gotEst.Code != http.StatusOK || gotEst.Body.String() != wantEst {
+				t.Fatalf("cluster /estimates diverged from the single engine\ncluster:\n%s\nreference:\n%s", gotEst.Body, wantEst)
+			}
+			gotSrc := doReq(t, rs.handler(), http.MethodGet, "/v1/sources", "", "")
+			if gotSrc.Code != http.StatusOK || gotSrc.Body.String() != wantSrc {
+				t.Fatalf("cluster /sources diverged from the single engine\ncluster:\n%s\nreference:\n%s", gotSrc.Body, wantSrc)
+			}
 
-	// The distributed refine must land on the same fixed point.
-	ref.Refine(2)
-	if rec := doReq(t, rs.handler(), http.MethodPost, "/v1/refine?sweeps=2", "", ""); rec.Code != http.StatusOK {
-		t.Fatalf("refine: %d %s", rec.Code, rec.Body)
-	}
-	wantEst = refCSV(func(w *bytes.Buffer) error { return writeEstimatesCSV(w, ref) })
-	wantSrc = legacySourcesCSV(ref)
-	if got := doReq(t, rs.handler(), http.MethodGet, "/v1/estimates", "", ""); got.Body.String() != wantEst {
-		t.Fatalf("post-refine /estimates diverged\ncluster:\n%s\nreference:\n%s", got.Body, wantEst)
-	}
-	if got := doReq(t, rs.handler(), http.MethodGet, "/v1/sources", "", ""); got.Body.String() != wantSrc {
-		t.Fatalf("post-refine /sources diverged\ncluster:\n%s\nreference:\n%s", got.Body, wantSrc)
-	}
+			// The distributed refine must land on the same fixed point.
+			ref.Refine(2)
+			if rec := doReq(t, rs.handler(), http.MethodPost, "/v1/refine?sweeps=2", "", ""); rec.Code != http.StatusOK {
+				t.Fatalf("refine: %d %s", rec.Code, rec.Body)
+			}
+			wantEst = refCSV(func(w *bytes.Buffer) error { return writeEstimatesCSV(w, ref) })
+			wantSrc = legacySourcesCSV(ref)
+			if got := doReq(t, rs.handler(), http.MethodGet, "/v1/estimates", "", ""); got.Body.String() != wantEst {
+				t.Fatalf("post-refine /estimates diverged\ncluster:\n%s\nreference:\n%s", got.Body, wantEst)
+			}
+			if got := doReq(t, rs.handler(), http.MethodGet, "/v1/sources", "", ""); got.Body.String() != wantSrc {
+				t.Fatalf("post-refine /sources diverged\ncluster:\n%s\nreference:\n%s", got.Body, wantSrc)
+			}
 
-	// A full re-delivery of the same request must change nothing: the
-	// router re-forwards every chunk (node dedup absorbs them) and the
-	// cluster bytes stay put.
-	if rec := doReq(t, rs.handler(), http.MethodPost, "/v1/observe?seq=golden", "application/x-ndjson", ndjsonFromTriples(claims)); rec.Code != http.StatusOK {
-		t.Fatalf("re-observe: %d %s", rec.Code, rec.Body)
-	}
-	if got := doReq(t, rs.handler(), http.MethodGet, "/v1/estimates", "", ""); got.Body.String() != wantEst {
-		t.Fatal("re-delivered request changed the cluster estimates")
+			// A full re-delivery of the same request must change nothing: the
+			// router re-forwards every chunk (node dedup absorbs them) and the
+			// cluster bytes stay put.
+			if rec := doReq(t, rs.handler(), http.MethodPost, "/v1/observe?seq=golden", "application/x-ndjson", ndjsonFromTriples(claims)); rec.Code != http.StatusOK {
+				t.Fatalf("re-observe: %d %s", rec.Code, rec.Body)
+			}
+			if got := doReq(t, rs.handler(), http.MethodGet, "/v1/estimates", "", ""); got.Body.String() != wantEst {
+				t.Fatal("re-delivered request changed the cluster estimates")
+			}
+		})
 	}
 }
 
 // TestRouterHTTPSurface covers the router's error contract: bad rows
 // reject atomically, refine validates sweeps, health endpoints answer.
 func TestRouterHTTPSurface(t *testing.T) {
-	rs := newGoldenCluster(t, 2, 8, 16)
+	rs := newGoldenCluster(t, 2, 8, 16, 1)
 	h := rs.handler()
 
 	if rec := doReq(t, h, http.MethodPost, "/v1/observe", "application/x-ndjson", `{"source":"","object":"o","value":"v"}`+"\n"); rec.Code != http.StatusBadRequest {
@@ -219,7 +233,7 @@ func TestRouterPlainReadsPropagateRequestID(t *testing.T) {
 		node.ServeHTTP(w, r)
 	}))
 	t.Cleanup(member.Close)
-	h := newGoldenClusterOver(t, []string{member.URL}, 8, 16).handler()
+	h := newGoldenClusterOver(t, []string{member.URL}, 8, 16, 1).handler()
 	if rec := doReq(t, h, http.MethodPost, "/v1/observe", "application/x-ndjson", ndjsonFromTriples(goldenClaims()[:8])); rec.Code != http.StatusOK {
 		t.Fatalf("observe: %d %s", rec.Code, rec.Body)
 	}
@@ -245,7 +259,7 @@ func TestRouterPlainReadsPropagateRequestID(t *testing.T) {
 func TestRouterCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	ckpts := []string{filepath.Join(dir, "m0.ckpt"), filepath.Join(dir, "m1.ckpt")}
-	urls := []string{newMember(t, 8, ckpts[0]).URL, newMember(t, 8, ckpts[1]).URL}
+	urls := []string{newMember(t, 8, 1, ckpts[0]).URL, newMember(t, 8, 1, ckpts[1]).URL}
 	manifest := filepath.Join(dir, "router.manifest")
 	cfg := cluster.Config{Nodes: urls, Batch: 8, EpochLength: 16, ManifestPath: manifest, Retry: resilience.ClientConfig{MaxAttempts: 3}}
 	rt, err := cluster.New(cfg)
@@ -290,8 +304,8 @@ func TestRouterCheckpoint(t *testing.T) {
 // any member still answers, and sheds with 503 + Retry-After and the
 // envelope once none does.
 func TestRouterReadyzDegrades(t *testing.T) {
-	m0, m1 := newMember(t, 8, ""), newMember(t, 8, "")
-	h := newGoldenClusterOver(t, []string{m0.URL, m1.URL}, 8, 16).handler()
+	m0, m1 := newMember(t, 8, 1, ""), newMember(t, 8, 1, "")
+	h := newGoldenClusterOver(t, []string{m0.URL, m1.URL}, 8, 16, 1).handler()
 	var ready struct {
 		Status string `json:"status"`
 		Down   []int  `json:"down_partitions"`

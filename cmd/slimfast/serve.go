@@ -408,37 +408,26 @@ func (s *streamServer) ready(context.Context) (map[string]any, string) {
 	return body, ""
 }
 
-// epochRequest is the body of the /epoch coordination endpoints. Tag
-// is the coordinator's idempotency key for the exchange: a retried
-// request with the tag of the last completed exchange replays its
-// response without re-executing — draining is destructive, so this is
-// what makes a barrier safe to retry after a lost response.
-type epochRequest struct {
-	Tag        string                  `json:"tag"`
-	Accuracies []stream.SourceAccuracy `json:"accuracies,omitempty"`
-	Rescore    bool                    `json:"rescore,omitempty"`
-}
-
 // routes mounts the cluster control plane.
 func (s *streamServer) routes() map[string]func(context.Context, []byte) (any, error) {
 	return map[string]func(context.Context, []byte) (any, error){
 		// drain hands the coordinator this engine's settled evidence
 		// deltas since the last drain — the cluster form of the shard
 		// drain an epoch refresh starts with.
-		"POST /v1/epoch/drain": s.epoch(&s.drainCache, func(req epochRequest) (any, error) {
+		"POST /v1/epoch/drain": s.epoch(&s.drainCache, func(req stream.EpochRequest) (any, error) {
 			stats, err := s.eng.DrainDeltas()
 			return map[string]any{"tag": req.Tag, "sources": stats}, err
 		}),
 		// mass hands the coordinator one Refine sweep's exact
 		// per-source posterior mass (evicted base included).
-		"POST /v1/epoch/mass": s.epoch(&s.massCache, func(req epochRequest) (any, error) {
+		"POST /v1/epoch/mass": s.epoch(&s.massCache, func(req stream.EpochRequest) (any, error) {
 			stats, err := s.eng.RefineMass()
 			return map[string]any{"tag": req.Tag, "sources": stats}, err
 		}),
 		// apply installs the coordinator's merged accuracy table as the
 		// new frozen σ-table; with "rescore" every live object is
 		// rescored eagerly (the re-sweep half of a distributed Refine).
-		"POST /v1/epoch/apply": s.epoch(&s.applyCache, func(req epochRequest) (any, error) {
+		"POST /v1/epoch/apply": s.epoch(&s.applyCache, func(req stream.EpochRequest) (any, error) {
 			if err := s.eng.ApplyAccuracies(req.Accuracies, req.Rescore); err != nil {
 				return nil, err
 			}
@@ -452,9 +441,9 @@ func (s *streamServer) routes() map[string]func(context.Context, []byte) (any, e
 // everything that mutates the engine), replay the cached response when
 // the tag matches, otherwise execute and cache. Engines running the
 // online learner refuse with 409.
-func (s *streamServer) epoch(cache *epochCache, exec func(req epochRequest) (any, error)) func(context.Context, []byte) (any, error) {
+func (s *streamServer) epoch(cache *epochCache, exec func(req stream.EpochRequest) (any, error)) func(context.Context, []byte) (any, error) {
 	return func(ctx context.Context, body []byte) (any, error) {
-		var req epochRequest
+		var req stream.EpochRequest
 		if len(bytes.TrimSpace(body)) > 0 {
 			if err := json.Unmarshal(body, &req); err != nil {
 				return nil, errStatus(http.StatusBadRequest, "epoch: parsing body: %v", err)

@@ -12,9 +12,10 @@
 // route to nodes with the same hash (stream.ShardIndex), ingest fans
 // out over the nodes' HTTP /observe surface through the retrying
 // resilience client, and at every epoch barrier the router drains all
-// nodes in fixed node order (POST /epoch/drain), folds the deltas
+// nodes in fixed node order (POST /epoch/drain), merges the deltas
 // node-major — the same float accumulation order as a shard drain —
-// recomputes the accuracies, and pushes the merged σ-table back (POST
+// folds them with stream.Options.Fold, the very function the engine's
+// refresh calls, and pushes the merged σ-table back (POST
 // /epoch/apply). Refine is the same protocol over /epoch/mass with an
 // eager rescore. Because every float is folded in the same order a
 // single engine would fold it, the cluster's estimates and source
@@ -54,7 +55,6 @@ import (
 	"fmt"
 	"io"
 	"maps"
-	"math"
 	"net/http"
 	"slices"
 	"strconv"
@@ -357,20 +357,13 @@ func (r *Router) Ingest(ctx context.Context, claims []stream.Triple, seq string)
 	return res, nil
 }
 
-// ndjsonRecord is one forwarded claim.
-type ndjsonRecord struct {
-	Source string `json:"source"`
-	Object string `json:"object"`
-	Value  string `json:"value"`
-}
-
 // forwardLocked fans one chunk out to the nodes owning its objects.
 func (r *Router) forwardLocked(ctx context.Context, chunk []stream.Triple, key string) error {
 	n := len(r.cfg.Nodes)
 	bufs := make([]bytes.Buffer, n)
 	for _, tr := range chunk {
 		j := stream.ShardIndex(tr.Object, n)
-		if err := json.NewEncoder(&bufs[j]).Encode(ndjsonRecord{tr.Source, tr.Object, tr.Value}); err != nil {
+		if err := json.NewEncoder(&bufs[j]).Encode(tr); err != nil {
 			return fmt.Errorf("cluster: encoding claim: %w", err)
 		}
 	}
@@ -392,14 +385,8 @@ func (r *Router) forwardLocked(ctx context.Context, chunk []stream.Triple, key s
 	return nil
 }
 
-// epochRequest / epochResponse are the node coordination exchange
-// bodies (the server half lives in cmd/slimfast's /epoch handlers).
-type epochRequest struct {
-	Tag        string                  `json:"tag"`
-	Accuracies []stream.SourceAccuracy `json:"accuracies,omitempty"`
-	Rescore    bool                    `json:"rescore,omitempty"`
-}
-
+// epochResponse is the drain and mass exchange reply (the server half
+// lives in cmd/slimfast's /v1/epoch handlers).
 type epochResponse struct {
 	Tag     string              `json:"tag"`
 	Sources []stream.SourceStat `json:"sources"`
@@ -417,58 +404,29 @@ func (r *Router) flushBarrierLocked(ctx context.Context) error {
 }
 
 // barrierLocked runs one cluster epoch: drain every node in node
-// order, fold the deltas node-major (the same accumulation order a
-// single engine's shard drain uses), recompute the accuracies against
-// the cluster-cumulative evidence, and push the merged σ-table back.
-// The cumulative state commits only after every node accepted the
-// apply, so a partial failure retried under the same tag folds the
+// order, fold the merged deltas into the cluster-cumulative evidence
+// with the engine's own Options.Fold, and push the resulting σ-table
+// back. The cumulative state commits only after every node accepted
+// the apply, so a partial failure retried under the same tag folds the
 // very same (cached) drains and cannot double-count.
 func (r *Router) barrierLocked(ctx context.Context) error {
 	tag := "e" + strconv.FormatInt(r.barriers+1, 10)
-	delta := make([]float64, len(r.names), len(r.names)+16)
-	dtot := make([]float64, len(r.names), len(r.names)+16)
-	obs := make([]int64, len(r.names), len(r.names)+16)
-	for _, node := range r.cfg.Nodes {
-		var resp epochResponse
-		if err := r.postEpoch(ctx, node, "/v1/epoch/drain", epochRequest{Tag: tag}, &resp); err != nil {
-			return err
-		}
-		for _, st := range resp.Sources {
-			i := r.internLocked(st.Source)
-			for len(delta) < len(r.names) {
-				delta = append(delta, 0)
-				dtot = append(dtot, 0)
-				obs = append(obs, 0)
-			}
-			delta[i] += st.Agree
-			dtot[i] += st.Total
-			obs[i] += st.Observations
-		}
+	delta, _, err := r.gatherLocked(ctx, "/v1/epoch/drain", tag)
+	if err != nil {
+		return err
 	}
-	// Fold into scratch first; the cumulative table is replaced only
-	// once the apply landed everywhere.
-	newAgree := append([]float64(nil), r.agree...)
-	newTotal := append([]float64(nil), r.total...)
-	accs := make([]stream.SourceAccuracy, len(r.names))
-	for s := range r.names {
-		if r.cfg.Opts.Decay < 1 && obs[s] > 0 {
-			d := math.Pow(r.cfg.Opts.Decay, float64(obs[s]))
-			newAgree[s] *= d
-			newTotal[s] *= d
-		}
-		newAgree[s] += delta[s]
-		newTotal[s] += dtot[s]
-		if newAgree[s] < 0 {
-			newAgree[s] = 0
-		}
-		accs[s] = stream.SourceAccuracy{Source: r.names[s], Accuracy: r.cfg.Opts.EstimateAccuracy(newAgree[s], newTotal[s])}
+	agree := make([]float64, len(delta))
+	total := make([]float64, len(delta))
+	accs := make([]stream.SourceAccuracy, len(delta))
+	for s, d := range delta {
+		var acc float64
+		agree[s], total[s], acc = r.cfg.Opts.Fold(r.agree[s], r.total[s], d.Agree, d.Total, d.Observations)
+		accs[s] = stream.SourceAccuracy{Source: r.names[s], Accuracy: acc}
 	}
-	for _, node := range r.cfg.Nodes {
-		if err := r.postEpoch(ctx, node, "/v1/epoch/apply", epochRequest{Tag: tag, Accuracies: accs}, nil); err != nil {
-			return err
-		}
+	if err := r.applyLocked(ctx, tag, accs, false); err != nil {
+		return err
 	}
-	r.agree, r.total = newAgree, newTotal
+	r.agree, r.total = agree, total
 	r.barriers++
 	r.met.Barriers.Inc()
 	// The barrier is complete before the checkpoint below snapshots the
@@ -515,38 +473,57 @@ func (r *Router) Refine(ctx context.Context, sweeps int) (int64, error) {
 
 func (r *Router) refineSweepLocked(ctx context.Context, op int64, sweep int) error {
 	tag := "r" + strconv.FormatInt(op, 10) + ".s" + strconv.Itoa(sweep)
-	mergedA := make([]float64, len(r.names), len(r.names)+16)
-	mergedT := make([]float64, len(r.names), len(r.names)+16)
-	rows := 0
+	mass, rows, err := r.gatherLocked(ctx, "/v1/epoch/mass", tag)
+	if err != nil || rows == 0 {
+		return err
+	}
+	agree := make([]float64, len(mass))
+	total := make([]float64, len(mass))
+	accs := make([]stream.SourceAccuracy, len(mass))
+	for s, m := range mass {
+		agree[s], total[s] = m.Agree, m.Total
+		accs[s] = stream.SourceAccuracy{Source: r.names[s], Accuracy: r.cfg.Opts.EstimateAccuracy(m.Agree, m.Total)}
+	}
+	if err := r.applyLocked(ctx, tag, accs, true); err != nil {
+		return err
+	}
+	r.agree, r.total = agree, total
+	return nil
+}
+
+// gatherLocked posts one tagged drain or mass exchange to every node in
+// node order and merges the returned stats by interned source id,
+// node-major — the accumulation order of a single engine's shard-
+// ordered reduction. rows counts the stats the nodes returned.
+func (r *Router) gatherLocked(ctx context.Context, path, tag string) (merged []stream.SourceStat, rows int, err error) {
+	merged = make([]stream.SourceStat, len(r.names), len(r.names)+16)
 	for _, node := range r.cfg.Nodes {
 		var resp epochResponse
-		if err := r.postEpoch(ctx, node, "/v1/epoch/mass", epochRequest{Tag: tag}, &resp); err != nil {
-			return err
+		if err := r.postEpoch(ctx, node, path, stream.EpochRequest{Tag: tag}, &resp); err != nil {
+			return nil, 0, err
 		}
 		rows += len(resp.Sources)
 		for _, st := range resp.Sources {
 			i := r.internLocked(st.Source)
-			for len(mergedA) < len(r.names) {
-				mergedA = append(mergedA, 0)
-				mergedT = append(mergedT, 0)
+			for len(merged) < len(r.names) {
+				merged = append(merged, stream.SourceStat{})
 			}
-			mergedA[i] += st.Agree
-			mergedT[i] += st.Total
+			merged[i].Agree += st.Agree
+			merged[i].Total += st.Total
+			merged[i].Observations += st.Observations
 		}
 	}
-	if rows == 0 {
-		return nil
-	}
-	accs := make([]stream.SourceAccuracy, len(r.names))
-	for s := range r.names {
-		accs[s] = stream.SourceAccuracy{Source: r.names[s], Accuracy: r.cfg.Opts.EstimateAccuracy(mergedA[s], mergedT[s])}
-	}
+	return merged, rows, nil
+}
+
+// applyLocked pushes one tagged accuracy table to every node in node
+// order; rescore asks each node to rescore its live objects eagerly.
+func (r *Router) applyLocked(ctx context.Context, tag string, accs []stream.SourceAccuracy, rescore bool) error {
 	for _, node := range r.cfg.Nodes {
-		if err := r.postEpoch(ctx, node, "/v1/epoch/apply", epochRequest{Tag: tag, Accuracies: accs, Rescore: true}, nil); err != nil {
+		if err := r.postEpoch(ctx, node, "/v1/epoch/apply", stream.EpochRequest{Tag: tag, Accuracies: accs, Rescore: rescore}, nil); err != nil {
 			return err
 		}
 	}
-	r.agree, r.total = mergedA, mergedT
 	return nil
 }
 
@@ -788,7 +765,7 @@ func (r *Router) post(ctx context.Context, url, contentType, seq string, body []
 }
 
 // postEpoch runs one idempotent-by-tag coordination exchange.
-func (r *Router) postEpoch(ctx context.Context, node, path string, req epochRequest, out *epochResponse) error {
+func (r *Router) postEpoch(ctx context.Context, node, path string, req stream.EpochRequest, out *epochResponse) error {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err

@@ -29,7 +29,7 @@ type fakeNode struct {
 	seen     map[string]bool
 	drains   []string // /epoch/drain tags, in arrival order
 	masses   []string // /epoch/mass tags, in arrival order
-	applies  []epochRequest
+	applies  []stream.EpochRequest
 	failObs  int // fail this many /observe requests with 500 first
 	checkpts int
 }
@@ -68,7 +68,7 @@ func (f *fakeNode) handler() http.Handler {
 		fmt.Fprintf(w, `{"ingested":%d}`+"\n", n)
 	})
 	mux.HandleFunc("POST /v1/epoch/drain", func(w http.ResponseWriter, r *http.Request) {
-		var req epochRequest
+		var req stream.EpochRequest
 		json.NewDecoder(r.Body).Decode(&req)
 		f.mu.Lock()
 		f.drains = append(f.drains, req.Tag)
@@ -76,7 +76,7 @@ func (f *fakeNode) handler() http.Handler {
 		json.NewEncoder(w).Encode(epochResponse{Tag: req.Tag, Sources: []stream.SourceStat{}})
 	})
 	mux.HandleFunc("POST /v1/epoch/mass", func(w http.ResponseWriter, r *http.Request) {
-		var req epochRequest
+		var req stream.EpochRequest
 		json.NewDecoder(r.Body).Decode(&req)
 		f.mu.Lock()
 		f.masses = append(f.masses, req.Tag)
@@ -86,7 +86,7 @@ func (f *fakeNode) handler() http.Handler {
 		}})
 	})
 	mux.HandleFunc("POST /v1/epoch/apply", func(w http.ResponseWriter, r *http.Request) {
-		var req epochRequest
+		var req stream.EpochRequest
 		json.NewDecoder(r.Body).Decode(&req)
 		f.mu.Lock()
 		f.applies = append(f.applies, req)

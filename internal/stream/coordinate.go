@@ -11,12 +11,14 @@
 //   - RefineMass hands the router one Refine sweep's exact per-source
 //     posterior mass (the parts stage of Engine.Refine, by name).
 //   - ApplyAccuracies installs the router's globally merged accuracy
-//     table as the new frozen σ-table and bumps the epoch — the
-//     σ-recompute half of refreshLocked, with the numbers computed
-//     elsewhere.
+//     table as the new frozen σ-table and bumps the epoch (with an
+//     eager rescore for a Refine sweep).
 //
-// The router performs the cross-engine fold in fixed node order, the
-// same way refreshLocked folds shards in shard order, so the float
+// Each method is built from the same drainAll, refineMass and
+// rescoreAll moves the engine's own refresh and Refine run, and the
+// router folds merged deltas with Options.Fold — the very function
+// refreshLocked calls. The router merges nodes in fixed node order,
+// the same way drainAll merges shards in shard order, so the float
 // accumulation order — and therefore every posterior bit — matches a
 // single engine whose shards are the cluster's nodes.
 package stream
@@ -25,9 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"slimfast/internal/mathx"
-	"slimfast/internal/parallel"
 )
 
 // ExternalEpochLength is the EpochLength sentinel for engines whose
@@ -51,9 +50,33 @@ func ShardIndex(object string, n int) int { return int(fnvHash(object)) % n }
 // EstimateAccuracy is the engine's smoothed empirical accuracy
 // estimate — clamp((InitAccuracy·PriorStrength + agree) /
 // (PriorStrength + total)) — exported so the cluster router computes
-// accuracies from globally merged evidence with bit-identical math.
+// a Refine sweep's accuracies from globally pooled mass with
+// bit-identical math.
 func (o Options) EstimateAccuracy(agree, total float64) float64 {
 	return smoothedAccuracy(o, agree, total)
+}
+
+// Fold is one source's epoch fold, the single copy shared by the
+// engine's epoch refresh and the cluster router's barrier: the
+// cumulative evidence (agree, total) decays by Decay^obs for the obs
+// observations the epoch settled, the epoch's deltas (dAgree, dTotal)
+// are added, agreement clamps at 0, and acc is the smoothed accuracy
+// of the result.
+func (o Options) Fold(agree, total, dAgree, dTotal float64, obs int64) (newAgree, newTotal, acc float64) {
+	if o.Decay < 1 && obs > 0 {
+		d := math.Pow(o.Decay, float64(obs))
+		agree *= d
+		total *= d
+	}
+	agree += dAgree
+	total += dTotal
+	// Under decay the settled baseline shrinks while posterior drift is
+	// still measured against the undecayed settle marks, so a large
+	// downward drift can overshoot; evidence mass is never negative.
+	if agree < 0 {
+		agree = 0
+	}
+	return agree, total, smoothedAccuracy(o, agree, total)
 }
 
 // SourceStat is one source's contribution in a coordination exchange,
@@ -69,6 +92,18 @@ type SourceStat struct {
 type SourceAccuracy struct {
 	Source   string  `json:"source"`
 	Accuracy float64 `json:"accuracy"`
+}
+
+// EpochRequest is the body of the /v1/epoch/{drain,mass,apply}
+// coordination exchanges. Tag is the coordinator's idempotency key for
+// the exchange: a retried request with the tag of the last completed
+// exchange replays its response without re-executing — draining is
+// destructive, so this is what makes a barrier safe to retry after a
+// lost response. Accuracies and Rescore are the apply payload.
+type EpochRequest struct {
+	Tag        string           `json:"tag"`
+	Accuracies []SourceAccuracy `json:"accuracies,omitempty"`
+	Rescore    bool             `json:"rescore,omitempty"`
 }
 
 // ErrOnlineUnsupported gates the coordination API off engines running
@@ -89,27 +124,7 @@ func (e *Engine) DrainDeltas() ([]SourceStat, error) {
 	e.refreshMu.Lock()
 	defer e.refreshMu.Unlock()
 	e.sinceEp.Store(0)
-	agree := e.mergeAgree[:0]
-	total := e.mergeTotal[:0]
-	obs := e.mergeObs[:0]
-	// Shard order fixes the float accumulation order, as in
-	// refreshLocked: the coordinator continues the same ordered
-	// reduction across engines.
-	for s := range e.shards {
-		e.shards[s].drain(func(da, dt []float64, oc []int64) {
-			for len(agree) < len(da) {
-				agree = append(agree, 0)
-				total = append(total, 0)
-				obs = append(obs, 0)
-			}
-			for i := range da {
-				agree[i] += da[i]
-				total[i] += dt[i]
-				obs[i] += oc[i]
-			}
-		})
-	}
-	e.mergeAgree, e.mergeTotal, e.mergeObs = agree, total, obs
+	agree, total, obs := e.drainAll()
 	names := e.sourceNames()
 	out := make([]SourceStat, len(agree))
 	for i := range agree {
@@ -118,13 +133,9 @@ func (e *Engine) DrainDeltas() ([]SourceStat, error) {
 	return out, nil
 }
 
-// RefineMass recomputes, under the current posteriors, the exact
-// per-source agreement mass one Refine sweep would pool: evicted mass
-// as the irreducible base plus every live claim's posterior, merged
-// across shards in shard order. Settled marks move to the summed
-// posteriors and the delta vectors are zeroed, exactly as in
-// Engine.Refine, so later drains stay consistent with the coordinator
-// state rebuilt from this mass. The caller is expected to follow with
+// RefineMass returns the exact per-source agreement mass one Refine
+// sweep would pool (see refineMass), by name, and resets the epoch
+// observation counter. The caller is expected to follow with
 // ApplyAccuracies(..., rescore=true) once the cluster-wide merge is
 // done.
 func (e *Engine) RefineMass() ([]SourceStat, error) {
@@ -133,64 +144,12 @@ func (e *Engine) RefineMass() ([]SourceStat, error) {
 	}
 	e.refreshMu.Lock()
 	defer e.refreshMu.Unlock()
-	type mass struct{ agree, total []float64 }
-	parts := parallel.Map(e.nShards, e.opts.Workers, func(s int) mass {
-		sh := &e.shards[s]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		m := mass{
-			agree: make([]float64, len(sh.evictedAgree)),
-			total: make([]float64, len(sh.evictedTotal)),
-		}
-		copy(m.agree, sh.evictedAgree)
-		copy(m.total, sh.evictedTotal)
-		grow := func(sid int32) {
-			for len(m.agree) <= int(sid) {
-				m.agree = append(m.agree, 0)
-				m.total = append(m.total, 0)
-			}
-		}
-		for ix := range sh.objs {
-			obj := &sh.objs[ix]
-			if !obj.live {
-				continue
-			}
-			for i := range obj.claims {
-				c := &obj.claims[i]
-				p := obj.post[obj.domainIndex(c.val)]
-				grow(c.src)
-				m.agree[c.src] += p
-				m.total[c.src]++
-				c.settled = p
-			}
-			obj.dirty = false
-		}
-		sh.dirtyIx = sh.dirtyIx[:0]
-		for i := range sh.deltaAgree {
-			sh.deltaAgree[i] = 0
-			sh.deltaTotal[i] = 0
-			sh.obsCount[i] = 0
-		}
-		return m
-	})
-	n := 0
-	for _, m := range parts {
-		if len(m.agree) > n {
-			n = len(m.agree)
-		}
-	}
+	agree, total := e.refineMass()
 	e.sinceEp.Store(0)
 	names := e.sourceNames()
-	out := make([]SourceStat, n)
-	for s := 0; s < n; s++ {
-		var a, t float64
-		for _, m := range parts { // shard order: deterministic
-			if s < len(m.agree) {
-				a += m.agree[s]
-				t += m.total[s]
-			}
-		}
-		out[s] = SourceStat{Source: names[s], Agree: a, Total: t}
+	out := make([]SourceStat, len(agree))
+	for s := range agree {
+		out[s] = SourceStat{Source: names[s], Agree: agree[s], Total: total[s]}
 	}
 	return out, nil
 }
@@ -201,8 +160,7 @@ func (e *Engine) RefineMass() ([]SourceStat, error) {
 // must be scored with the global σ, exactly as it would be in a single
 // engine where interning is global), and the epoch is bumped so every
 // object lazily rescores on its next touch. With rescore set, every
-// live object is rescored eagerly and marked dirty — the re-sweep half
-// of Engine.Refine.
+// live object is rescored eagerly — the re-sweep half of Engine.Refine.
 func (e *Engine) ApplyAccuracies(accs []SourceAccuracy, rescore bool) error {
 	if e.learner != nil {
 		return ErrOnlineUnsupported
@@ -219,39 +177,13 @@ func (e *Engine) ApplyAccuracies(accs []SourceAccuracy, rescore bool) error {
 	defer e.refreshMu.Unlock()
 	e.src.mu.Lock()
 	for _, a := range accs {
-		id, ok := e.src.ids[a.Source]
-		if !ok {
-			id = len(e.src.names)
-			e.src.ids[a.Source] = id
-			e.src.names = append(e.src.names, a.Source)
-			e.src.agree = append(e.src.agree, 0)
-			e.src.total = append(e.src.total, 0)
-			e.src.acc = append(e.src.acc, 0)
-			e.src.sigma = append(e.src.sigma, 0)
-		}
-		e.src.acc[id] = a.Accuracy
-		e.src.sigma[id] = mathx.Logit(a.Accuracy)
+		e.src.setAccuracy(e.internSourceLocked(a.Source), a.Accuracy)
 	}
 	e.src.epoch++
 	epoch := e.src.epoch
 	e.src.mu.Unlock()
 	if rescore {
-		parallel.For(e.nShards, e.opts.Workers, func(s int) {
-			sh := &e.shards[s]
-			sh.mu.Lock()
-			for ix := range sh.objs {
-				obj := &sh.objs[ix]
-				if !obj.live {
-					continue
-				}
-				sh.rescore(e, obj, epoch)
-				if !obj.dirty {
-					obj.dirty = true
-					sh.dirtyIx = append(sh.dirtyIx, ix)
-				}
-			}
-			sh.mu.Unlock()
-		})
+		e.rescoreAll(epoch)
 	}
 	return nil
 }

@@ -342,3 +342,56 @@ func TestCoordinationRejectsOnlineLearner(t *testing.T) {
 		t.Fatal("ApplyAccuracies accepted an online engine")
 	}
 }
+
+// TestOptionsFold pins the epoch fold the engine's refresh and the
+// cluster router's barrier share, bit for bit, against the formula
+// written out: decay by Decay^obs, add the deltas, clamp agreement at
+// 0, then smooth.
+func TestOptionsFold(t *testing.T) {
+	opts := func(decay float64) Options {
+		return Options{InitAccuracy: 0.7, PriorStrength: 4, Decay: decay}
+	}
+	for _, tc := range []struct {
+		name                 string
+		o                    Options
+		agree, total, dA, dT float64
+		obs                  int64
+		wantAgree, wantTotal float64
+	}{
+		{
+			name: "decay 1 is a plain add", o: opts(1),
+			agree: 3.25, total: 5, dA: 0.5, dT: 1, obs: 7,
+			wantAgree: 3.75, wantTotal: 6,
+		},
+		{
+			name: "no observations do not decay", o: opts(0.9),
+			agree: 3.25, total: 5, dA: -0.125, dT: 0, obs: 0,
+			wantAgree: 3.125, wantTotal: 5,
+		},
+		{
+			name: "decay scales before adding", o: opts(0.9),
+			agree: 3.25, total: 5, dA: 0.5, dT: 1, obs: 3,
+			wantAgree: 3.25*math.Pow(0.9, 3) + 0.5, wantTotal: 5*math.Pow(0.9, 3) + 1,
+		},
+		{
+			name: "overshooting drift clamps agreement at 0", o: opts(0.5),
+			agree: 1, total: 2, dA: -0.75, dT: 0, obs: 1,
+			wantAgree: 0, wantTotal: 1,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			num := tc.o.InitAccuracy*tc.o.PriorStrength + tc.wantAgree
+			den := tc.o.PriorStrength + tc.wantTotal
+			wantAcc := min(max(num/den, 0.02), 0.98)
+			agree, total, acc := tc.o.Fold(tc.agree, tc.total, tc.dA, tc.dT, tc.obs)
+			for _, c := range []struct {
+				what      string
+				got, want float64
+			}{{"agree", agree, tc.wantAgree}, {"total", total, tc.wantTotal}, {"accuracy", acc, wantAcc}} {
+				if math.Float64bits(c.got) != math.Float64bits(c.want) {
+					t.Errorf("%s = %v (%#x), want %v (%#x)", c.what, c.got, math.Float64bits(c.got), c.want, math.Float64bits(c.want))
+				}
+			}
+		})
+	}
+}

@@ -161,9 +161,12 @@ func (o EngineOptions) learnConfig() online.Config {
 	return cfg
 }
 
-// Triple is one streamed claim: Source says Object has Value.
+// Triple is one streamed claim: Source says Object has Value. Its JSON
+// form is the NDJSON ingest record {"source":…,"object":…,"value":…}.
 type Triple struct {
-	Source, Object, Value string
+	Source string `json:"source"`
+	Object string `json:"object"`
+	Value  string `json:"value"`
 }
 
 // claim is one (source, value) assertion inside an object. settled is
@@ -393,6 +396,15 @@ func (e *Engine) lookupSource(name string) (sid int, sigma float64, epoch int64)
 	}
 	e.src.mu.RUnlock()
 	e.src.mu.Lock()
+	id := e.internSourceLocked(name)
+	sigma, epoch = e.src.sigma[id], e.src.epoch
+	e.src.mu.Unlock()
+	return id, sigma, epoch
+}
+
+// internSourceLocked returns the id of a source, interning it at the
+// prior accuracy when new. Caller holds src.mu for writing.
+func (e *Engine) internSourceLocked(name string) int {
 	id, ok := e.src.ids[name]
 	if !ok {
 		id = len(e.src.names)
@@ -403,9 +415,14 @@ func (e *Engine) lookupSource(name string) (sid int, sigma float64, epoch int64)
 		e.src.acc = append(e.src.acc, smoothedAccuracy(e.opts.Options, 0, 0))
 		e.src.sigma = append(e.src.sigma, e.initSigma)
 	}
-	sigma, epoch = e.src.sigma[id], e.src.epoch
-	e.src.mu.Unlock()
-	return id, sigma, epoch
+	return id
+}
+
+// setAccuracy installs a source's frozen accuracy and its σ =
+// logit(accuracy). Caller holds mu for writing.
+func (t *sourceTable) setAccuracy(s int, acc float64) {
+	t.acc[s] = acc
+	t.sigma[s] = mathx.Logit(acc)
 }
 
 // lookupValue interns the value and returns its id.
@@ -776,37 +793,15 @@ func (e *Engine) maybeRefresh() {
 }
 
 // refreshLocked drains every shard in shard order, folds the deltas
-// into the global source state, recomputes accuracies and the
-// σ-table, and bumps the epoch. Caller holds refreshMu.
+// into the global source state with Options.Fold (the fold the
+// cluster router's barrier runs too), installs the new σ-table, and
+// bumps the epoch. Caller holds refreshMu.
 func (e *Engine) refreshLocked() {
 	var began time.Time
 	if e.met.EpochRefreshSeconds != nil {
 		began = time.Now()
 	}
-	// The merge buffers grow to cover whatever source ids the shard
-	// drains reference: a concurrent Observe may intern new sources
-	// after any initial count snapshot, so sizing is driven by the
-	// drained vectors themselves, never by a stale length.
-	agree := e.mergeAgree[:0]
-	total := e.mergeTotal[:0]
-	obs := e.mergeObs[:0]
-	// Shard order fixes the float accumulation order: the drain is a
-	// deterministic ordered reduction regardless of who ingested what.
-	for s := range e.shards {
-		e.shards[s].drain(func(da, dt []float64, oc []int64) {
-			for len(agree) < len(da) {
-				agree = append(agree, 0)
-				total = append(total, 0)
-				obs = append(obs, 0)
-			}
-			for i := range da {
-				agree[i] += da[i]
-				total[i] += dt[i]
-				obs[i] += oc[i]
-			}
-		})
-	}
-	e.mergeAgree, e.mergeTotal, e.mergeObs = agree, total, obs
+	agree, total, obs := e.drainAll()
 	n := len(agree) // every id here exists: interning precedes claims
 
 	// Online mode: register newly interned sources, feed the learner
@@ -838,30 +833,16 @@ func (e *Engine) refreshLocked() {
 
 	e.src.mu.Lock()
 	for s := 0; s < n; s++ {
-		if e.opts.Decay < 1 && obs[s] > 0 {
-			d := math.Pow(e.opts.Decay, float64(obs[s]))
-			e.src.agree[s] *= d
-			e.src.total[s] *= d
-		}
-		e.src.agree[s] += agree[s]
-		e.src.total[s] += total[s]
-		// Under decay the settled baseline shrinks while posterior
-		// drift is still measured against the undecayed settle marks,
-		// so a large downward drift can overshoot; evidence mass is
-		// never negative.
-		if e.src.agree[s] < 0 {
-			e.src.agree[s] = 0
-		}
+		var a float64
+		e.src.agree[s], e.src.total[s], a = e.opts.Fold(e.src.agree[s], e.src.total[s], agree[s], total[s], obs[s])
 		if acc == nil {
-			e.src.acc[s] = smoothedAccuracy(e.opts.Options, e.src.agree[s], e.src.total[s])
-			e.src.sigma[s] = mathx.Logit(e.src.acc[s])
+			e.src.setAccuracy(s, a)
 		}
 	}
 	// acc covers the name-table snapshot; sources interned after it by
 	// a concurrent Observe keep their prior σ until the next refresh.
 	for s := 0; s < len(acc) && s < len(e.src.acc); s++ {
-		e.src.acc[s] = acc[s]
-		e.src.sigma[s] = mathx.Logit(acc[s])
+		e.src.setAccuracy(s, acc[s])
 	}
 	e.src.epoch++
 	epoch := e.src.epoch
@@ -886,87 +867,25 @@ func (e *Engine) Refine(sweeps int) {
 	}
 	e.refreshMu.Lock()
 	defer e.refreshMu.Unlock()
-	type mass struct{ agree, total []float64 }
 	for sweep := 0; sweep < sweeps; sweep++ {
-		// Per-shard partial sums under the current posteriors; each
-		// claim's settled mark moves to the value just summed so later
-		// drains stay consistent with the rebuilt global state. The
-		// vectors are sized by the ids actually referenced (a
-		// concurrent Observe may intern sources mid-sweep, so a
-		// snapshotted global count would be stale).
-		parts := parallel.Map(e.nShards, e.opts.Workers, func(s int) mass {
-			sh := &e.shards[s]
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			m := mass{
-				agree: make([]float64, len(sh.evictedAgree)),
-				total: make([]float64, len(sh.evictedTotal)),
-			}
-			copy(m.agree, sh.evictedAgree)
-			copy(m.total, sh.evictedTotal)
-			grow := func(sid int32) {
-				for len(m.agree) <= int(sid) {
-					m.agree = append(m.agree, 0)
-					m.total = append(m.total, 0)
-				}
-			}
-			for ix := range sh.objs {
-				obj := &sh.objs[ix]
-				if !obj.live {
-					continue
-				}
-				for i := range obj.claims {
-					c := &obj.claims[i]
-					p := obj.post[obj.domainIndex(c.val)]
-					grow(c.src)
-					m.agree[c.src] += p
-					m.total[c.src]++
-					c.settled = p
-				}
-				obj.dirty = false
-			}
-			sh.dirtyIx = sh.dirtyIx[:0]
-			for i := range sh.deltaAgree {
-				sh.deltaAgree[i] = 0
-				sh.deltaTotal[i] = 0
-				sh.obsCount[i] = 0
-			}
-			return m
-		})
-		n := 0
-		for _, m := range parts {
-			if len(m.agree) > n {
-				n = len(m.agree)
-			}
-		}
+		agree, total := e.refineMass()
+		n := len(agree)
 		if n == 0 {
 			return
 		}
 		// Online mode mirrors core.Calibrate's structure sweep by
-		// sweep: pool the exact per-source agreement mass (in shard
-		// order — deterministic), refit the feature weights on it
-		// (FitMass, the feature-pooling SGD pass), then re-anchor each
-		// source's accuracy with the closed-form empirical-Bayes step
-		// below. Registration runs inside the sweep because a
-		// concurrent Observe may intern sources mid-sweep.
-		var fullAgree, fullTotal []float64
+		// sweep: refit the feature weights on the pooled mass (FitMass,
+		// the feature-pooling SGD pass), then re-anchor each source's
+		// accuracy with the closed-form empirical-Bayes step below.
+		// Registration runs inside the sweep because a concurrent
+		// Observe may intern sources mid-sweep.
 		if e.learner != nil {
-			fullAgree = make([]float64, n)
-			fullTotal = make([]float64, n)
-			for s := 0; s < n; s++ {
-				for _, m := range parts {
-					if s < len(m.agree) {
-						fullAgree[s] += m.agree[s]
-						fullTotal[s] += m.total[s]
-					}
-				}
-			}
 			names := e.sourceNames()
 			e.learnMu.Lock()
 			for sid := e.learner.NumSources(); sid < len(names); sid++ {
 				e.learner.SetFeatures(sid, e.features[names[sid]])
 			}
-			e.learner.FitMass(fullAgree, fullTotal)
+			e.learner.FitMass(agree, total)
 			e.learnMu.Unlock()
 		}
 		e.src.mu.Lock()
@@ -980,52 +899,134 @@ func (e *Engine) Refine(sweeps int) {
 		}
 		for s := 0; s < hi; s++ {
 			var a, t float64
-			if fullAgree != nil {
-				if s < n {
-					a, t = fullAgree[s], fullTotal[s]
-				}
-			} else {
-				for _, m := range parts { // shard order: deterministic
-					if s < len(m.agree) {
-						a += m.agree[s]
-						t += m.total[s]
-					}
-				}
+			if s < n {
+				a, t = agree[s], total[s]
 			}
 			e.src.agree[s] = a
 			e.src.total[s] = t
 			if e.learner != nil && s < e.learner.NumSources() {
-				e.src.acc[s] = e.learner.Blend(s, a, t)
+				e.src.setAccuracy(s, e.learner.Blend(s, a, t))
 			} else {
-				e.src.acc[s] = smoothedAccuracy(e.opts.Options, a, t)
+				e.src.setAccuracy(s, smoothedAccuracy(e.opts.Options, a, t))
 			}
-			e.src.sigma[s] = mathx.Logit(e.src.acc[s])
 		}
 		e.src.epoch++
 		epoch := e.src.epoch
 		e.src.mu.Unlock()
-		// Rescore every live object under the fresh σ and mark it
-		// dirty so the drift vs. its settled mass folds in later.
-		parallel.For(e.nShards, e.opts.Workers, func(s int) {
-			sh := &e.shards[s]
-			sh.mu.Lock()
-			for ix := range sh.objs {
-				obj := &sh.objs[ix]
-				if !obj.live {
-					continue
-				}
-				sh.rescore(e, obj, epoch)
-				if !obj.dirty {
-					obj.dirty = true
-					sh.dirtyIx = append(sh.dirtyIx, ix)
-				}
-			}
-			sh.mu.Unlock()
-		})
+		e.rescoreAll(epoch)
 		e.met.RefineSweeps.Inc()
 		e.met.Epoch.Set(float64(epoch))
 	}
 	e.sinceEp.Store(0)
+}
+
+// drainAll drains every shard in shard order and returns the merged
+// (agree, total, obs) deltas in the reused merge scratch. Shard order
+// fixes the float accumulation order: the drain is a deterministic
+// ordered reduction regardless of who ingested what, and a cluster
+// coordinator continues the same reduction across engines. The
+// buffers grow to cover whatever source ids the drains reference: a
+// concurrent Observe may intern new sources after any initial count
+// snapshot, so sizing is never driven by a stale length. Caller holds
+// refreshMu.
+func (e *Engine) drainAll() (agree, total []float64, obs []int64) {
+	agree, total, obs = e.mergeAgree[:0], e.mergeTotal[:0], e.mergeObs[:0]
+	for s := range e.shards {
+		e.shards[s].drain(func(da, dt []float64, oc []int64) {
+			for len(agree) < len(da) {
+				agree = append(agree, 0)
+				total = append(total, 0)
+				obs = append(obs, 0)
+			}
+			for i := range da {
+				agree[i] += da[i]
+				total[i] += dt[i]
+				obs[i] += oc[i]
+			}
+		})
+	}
+	e.mergeAgree, e.mergeTotal, e.mergeObs = agree, total, obs
+	return agree, total, obs
+}
+
+// refineMass recomputes one Refine sweep's exact per-source agreement
+// mass under the current posteriors: evicted mass as the irreducible
+// base plus every live claim's posterior, pooled across shards in
+// shard order (deterministic). Each claim's settled mark moves to the
+// value just summed and the shard deltas are zeroed, so later drains
+// stay consistent with the state rebuilt from this mass. The vectors
+// are sized by the ids actually referenced (a concurrent Observe may
+// intern sources mid-sweep, so a snapshotted global count would be
+// stale). Caller holds refreshMu.
+func (e *Engine) refineMass() (agree, total []float64) {
+	type mass struct{ agree, total []float64 }
+	parts := parallel.Map(e.nShards, e.opts.Workers, func(s int) mass {
+		sh := &e.shards[s]
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		m := mass{
+			agree: append([]float64(nil), sh.evictedAgree...),
+			total: append([]float64(nil), sh.evictedTotal...),
+		}
+		for ix := range sh.objs {
+			obj := &sh.objs[ix]
+			if !obj.live {
+				continue
+			}
+			for i := range obj.claims {
+				c := &obj.claims[i]
+				p := obj.post[obj.domainIndex(c.val)]
+				for len(m.agree) <= int(c.src) {
+					m.agree = append(m.agree, 0)
+					m.total = append(m.total, 0)
+				}
+				m.agree[c.src] += p
+				m.total[c.src]++
+				c.settled = p
+			}
+			obj.dirty = false
+		}
+		sh.dirtyIx = sh.dirtyIx[:0]
+		for i := range sh.deltaAgree {
+			sh.deltaAgree[i] = 0
+			sh.deltaTotal[i] = 0
+			sh.obsCount[i] = 0
+		}
+		return m
+	})
+	for _, m := range parts {
+		for len(agree) < len(m.agree) {
+			agree = append(agree, 0)
+			total = append(total, 0)
+		}
+		for s := range m.agree {
+			agree[s] += m.agree[s]
+			total[s] += m.total[s]
+		}
+	}
+	return agree, total
+}
+
+// rescoreAll rescores every live object under the σ-table of epoch and
+// marks it dirty, so its drift against the settled mass folds in at
+// the next drain. Caller holds refreshMu.
+func (e *Engine) rescoreAll(epoch int64) {
+	parallel.For(e.nShards, e.opts.Workers, func(s int) {
+		sh := &e.shards[s]
+		sh.mu.Lock()
+		for ix := range sh.objs {
+			obj := &sh.objs[ix]
+			if !obj.live {
+				continue
+			}
+			sh.rescore(e, obj, epoch)
+			if !obj.dirty {
+				obj.dirty = true
+				sh.dirtyIx = append(sh.dirtyIx, ix)
+			}
+		}
+		sh.mu.Unlock()
+	})
 }
 
 // Value returns the current MAP estimate and posterior probability for
