@@ -26,13 +26,14 @@ test-full:
 bench:
 	./scripts/bench.sh bench_local.json
 
-## benchdiff: fail if BENCH_5.json regresses >10% vs BENCH_4.json in
-## allocs/op, printing the ns/op drift alongside (see scripts/benchdiff
-## for arbitrary snapshots). Allocation counts are deterministic;
-## wall-clock on a shared dev box is not, so only allocs gate here —
-## the same policy the CI bench job applies.
-benchdiff:
-	./scripts/benchdiff BENCH_4.json BENCH_5.json 10 allocs
+## benchdiff: record bench_local.json and fail if it regresses >10%
+## vs the committed BENCH_6.json baseline in allocs/op, printing the
+## ns/op drift alongside (see scripts/benchdiff for arbitrary
+## snapshots). Allocation counts are deterministic for a given core
+## count; wall-clock on a shared dev box is not, so only allocs gate
+## here — the same gate the CI bench job applies.
+benchdiff: bench
+	./scripts/benchdiff BENCH_6.json bench_local.json 10 allocs
 
 ## lint: formatting + static analysis, the fast-fail CI gate
 lint:

@@ -451,6 +451,12 @@ var errEmptyClaimField = errors.New("source, object and value must all be non-em
 // anything else is parsed as NDJSON, and a row with an empty field is
 // an error. On error, claims before the bad row have already been
 // delivered to add — the caller reports how many.
+//
+// NDJSON runs of canonical records take stream.CutClaim's fast path;
+// from the first record it does not accept, the rest of the body goes
+// through encoding/json with the row count carried on. CutClaim only
+// accepts records encoding/json decodes identically, so the triples,
+// error texts and row numbers are those of the plain decoder loop.
 func parseClaimBody(body []byte, contentType string, add func(stream.Triple) error) error {
 	check := func(source, object, value string) error {
 		if source == "" || object == "" || value == "" {
@@ -461,8 +467,22 @@ func parseClaimBody(body []byte, contentType string, add func(stream.Triple) err
 	if strings.Contains(contentType, "csv") {
 		return data.StreamObservationsCSV(bytes.NewReader(body), check)
 	}
-	dec := json.NewDecoder(bytes.NewReader(body))
 	row := 0
+	for len(body) > 0 {
+		tr, rest, ok := stream.CutClaim(body)
+		if !ok {
+			break
+		}
+		body = rest
+		row++
+		if aerr := check(tr.Source, tr.Object, tr.Value); aerr != nil {
+			return fmt.Errorf("ndjson row %d: %w", row, aerr)
+		}
+	}
+	if len(body) == 0 {
+		return nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
 	for {
 		var ob stream.Triple
 		if derr := dec.Decode(&ob); derr == io.EOF {

@@ -361,3 +361,31 @@ func TestRouterFeaturesRelay(t *testing.T) {
 		t.Errorf("router features content type = %q", ct)
 	}
 }
+
+// TestParseClaimBodyAllocs pins the canonical NDJSON fast path: a
+// 64-claim body costs at most the three field strings per claim plus a
+// small constant — no decoder state, no reflection.
+func TestParseClaimBodyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	const claims = 64
+	body := ndjsonBodies(benchCorpus(64, 8, 8, 0), claims)[0]
+	got := make([]stream.Triple, 0, claims)
+	add := func(tr stream.Triple) error {
+		got = append(got, tr)
+		return nil
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		got = got[:0]
+		if err := parseClaimBody(body, "application/x-ndjson", add); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(got) != claims {
+		t.Fatalf("decoded %d claims, want %d", len(got), claims)
+	}
+	if limit := float64(3*claims + 4); allocs > limit {
+		t.Errorf("parseClaimBody allocates %v per %d-claim body, want <= %v", allocs, claims, limit)
+	}
+}

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -67,5 +71,85 @@ func FuzzObserveCSV(f *testing.F) {
 	f.Add([]byte{0xef, 0xbb, 0xbf, 's', ',', 'o', ',', 'v'})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		observeFuzzBody(t, "text/csv", body)
+	})
+}
+
+// parseClaimBodyJSON is the NDJSON decoder before the canonical fast
+// path — encoding/json alone — kept as the oracle parseClaimBody is
+// held to.
+func parseClaimBodyJSON(body []byte, add func(stream.Triple) error) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	row := 0
+	for {
+		var ob stream.Triple
+		if derr := dec.Decode(&ob); derr == io.EOF {
+			return nil
+		} else if derr != nil {
+			return fmt.Errorf("ndjson row %d: %w", row+1, derr)
+		}
+		row++
+		if ob.Source == "" || ob.Object == "" || ob.Value == "" {
+			return fmt.Errorf("ndjson row %d: %w", row, errEmptyClaimField)
+		}
+		if aerr := add(ob); aerr != nil {
+			return fmt.Errorf("ndjson row %d: %w", row, aerr)
+		}
+	}
+}
+
+// FuzzClaimBodyDecode is the differential check on the NDJSON decoder:
+// parseClaimBody and the pure encoding/json oracle must deliver the
+// same triples in the same order and fail with the same error text.
+// failAt > 0 makes the add callback refuse that claim, so the
+// mid-body error path is compared too.
+func FuzzClaimBodyDecode(f *testing.F) {
+	for _, body := range []string{
+		`{"source":"s","object":"o","value":"v"}` + "\n" + `{"source":"t","object":"o","value":"w"}` + "\n",
+		`{"object":"o","value":"v","source":"s"}`,
+		`{"Source":"s","OBJECT":"o","value":"v"}`,
+		`{"source":"s","object":"o","value":"v","source":"t"}`,
+		`{"source":"s\"q","object":"o\u00e9\n","value":"v\/<&>"}`,
+		`{"source":"s\u0000","object":"o","value":"v"}`,
+		"{\"source\":\"s\xff\xfe\",\"object\":\"o\",\"value\":\"v\"}",
+		`{"source":"s","object":"o","value":"v"}{"source":"t","object":"o","value":"v"}`,
+		`{"source":null,"object":"o","value":"v"}`,
+		`{"source":"s","object":"o","value":"v"}garbage`,
+		`{"source":"s","object":"o","value":"v"} {"source":"t","object":"o","val`,
+		`{"source":"s","object":"o","value":"v"}` + "\r\n" + `{"source":"t","object":"o","value":"v"}` + "\r\n",
+		`{"source":"","object":"o","value":"v"}`,
+		` {"source": "s", "object": "o", "value": "v"} `,
+		"",
+	} {
+		f.Add([]byte(body), uint8(0))
+	}
+	f.Add([]byte(`{"source":"s","object":"o","value":"v"}`+"\n"+`{"source":"t","object":"o","value":"w"}`), uint8(2))
+	f.Fuzz(func(t *testing.T, body []byte, failAt uint8) {
+		run := func(parse func(add func(stream.Triple) error) error) ([]stream.Triple, string) {
+			var got []stream.Triple
+			err := parse(func(tr stream.Triple) error {
+				if len(got)+1 == int(failAt) {
+					return fmt.Errorf("refused claim %d", failAt)
+				}
+				got = append(got, tr)
+				return nil
+			})
+			msg := "<nil>"
+			if err != nil {
+				msg = err.Error()
+			}
+			return got, msg
+		}
+		got, gotErr := run(func(add func(stream.Triple) error) error {
+			return parseClaimBody(body, "application/x-ndjson", add)
+		})
+		want, wantErr := run(func(add func(stream.Triple) error) error {
+			return parseClaimBodyJSON(body, add)
+		})
+		if gotErr != wantErr {
+			t.Fatalf("error %q, encoding/json gives %q", gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("triples %q, encoding/json gives %q", got, want)
+		}
 	})
 }

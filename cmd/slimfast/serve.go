@@ -104,6 +104,11 @@ type streamServer struct {
 	drainCache epochCache
 	massCache  epochCache
 	applyCache epochCache
+
+	// ingestBuf is the Batch-sized claim buffer /v1/observe fills and
+	// hands to ObserveBatch, reused across requests under the ingest
+	// lock.
+	ingestBuf []stream.Triple
 }
 
 // epochCache replays the response of an idempotent-by-tag exchange.
@@ -117,10 +122,11 @@ func newStreamServer(eng *stream.Engine, cfg serveConfig, logw io.Writer) *strea
 		cfg.Batch = 1
 	}
 	s := &streamServer{
-		eng:  eng,
-		cfg:  cfg,
-		gate: resilience.NewGate(cfg.MaxInflightBytes, cfg.MaxInflightReqs),
-		lock: make(chan struct{}, 1),
+		eng:       eng,
+		cfg:       cfg,
+		gate:      resilience.NewGate(cfg.MaxInflightBytes, cfg.MaxInflightReqs),
+		lock:      make(chan struct{}, 1),
+		ingestBuf: make([]stream.Triple, 0, cfg.Batch),
 	}
 	s.server = newServer(s, logw, cfg.Registry, cfg.LogFormat, "serve")
 	s.bodyTimeout = cfg.RequestTimeout
@@ -215,12 +221,13 @@ func (s *streamServer) observe(r *http.Request, seq string, read func() ([]byte,
 		return s.deduped(seq), nil
 	}
 
-	buf := make([]stream.Triple, 0, s.cfg.Batch)
+	buf := s.ingestBuf[:0]
 	var ingested int64
 	flush := func() {
 		if len(buf) > 0 {
 			s.eng.ObserveBatch(buf)
 			ingested += int64(len(buf))
+			clear(buf) // drop the strings: an idle buffer must not pin request bodies
 			buf = buf[:0]
 		}
 	}

@@ -361,9 +361,13 @@ func (r *Router) Ingest(ctx context.Context, claims []stream.Triple, seq string)
 func (r *Router) forwardLocked(ctx context.Context, chunk []stream.Triple, key string) error {
 	n := len(r.cfg.Nodes)
 	bufs := make([]bytes.Buffer, n)
+	encs := make([]*json.Encoder, n)
 	for _, tr := range chunk {
 		j := stream.ShardIndex(tr.Object, n)
-		if err := json.NewEncoder(&bufs[j]).Encode(tr); err != nil {
+		if encs[j] == nil {
+			encs[j] = json.NewEncoder(&bufs[j])
+		}
+		if err := encs[j].Encode(tr); err != nil {
 			return fmt.Errorf("cluster: encoding claim: %w", err)
 		}
 	}

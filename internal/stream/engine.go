@@ -322,6 +322,10 @@ type Engine struct {
 	mergeObs   []int64
 	accScratch []float64
 
+	// batchPool holds ObserveBatch's *batchScratch: concurrent batches
+	// each take their own.
+	batchPool sync.Pool
+
 	// met is the optional instrumentation seam (SetMetrics); the zero
 	// value is a no-op and the hot-path increments are atomic adds.
 	met Metrics
@@ -471,6 +475,14 @@ type resolvedClaim struct {
 	epoch int64
 }
 
+// batchScratch is ObserveBatch's per-call working set — the claim
+// indices routed to each shard and the resolved claims — pooled so a
+// steady ingest stream allocates nothing that grows with the batch.
+type batchScratch struct {
+	perShard [][]int
+	res      []resolvedClaim
+}
+
 // ObserveBatch ingests a batch of claims with up to Workers
 // goroutines. Sources and values are interned on the calling
 // goroutine in batch order — so the dense ids (which the online
@@ -483,8 +495,19 @@ func (e *Engine) ObserveBatch(batch []Triple) {
 	if len(batch) == 0 {
 		return
 	}
-	perShard := make([][]int, e.nShards)
-	res := make([]resolvedClaim, len(batch))
+	sc, _ := e.batchPool.Get().(*batchScratch)
+	if sc == nil {
+		sc = &batchScratch{perShard: make([][]int, e.nShards)}
+	}
+	defer e.batchPool.Put(sc)
+	perShard := sc.perShard
+	for s := range perShard {
+		perShard[s] = perShard[s][:0]
+	}
+	if cap(sc.res) < len(batch) {
+		sc.res = make([]resolvedClaim, len(batch))
+	}
+	res := sc.res[:len(batch)]
 	for i := range batch {
 		tr := &batch[i]
 		sid, sigma, epoch := e.lookupSource(tr.Source)

@@ -304,6 +304,50 @@ func TestEngineConcurrentReadsDuringIngest(t *testing.T) {
 	}
 }
 
+// TestEngineConcurrentObserveBatch runs ObserveBatch from several
+// goroutines at once, each with its own objects and batch sizes, so
+// concurrent calls share the engine's pooled batch scratch. With σ
+// frozen (no epoch boundary) every object's posterior depends only on
+// its own claims, so the result must equal one goroutine's ingest.
+func TestEngineConcurrentObserveBatch(t *testing.T) {
+	opts := testEngineOptions()
+	opts.EpochLength = 1 << 30
+	claims := func(w int) []Triple {
+		var out []Triple
+		for i := 0; i < 2000; i++ {
+			out = append(out, Triple{
+				Source: fmt.Sprintf("s%d", (i*7+w)%50),
+				Object: fmt.Sprintf("w%d-o%d", w, i%97),
+				Value:  fmt.Sprintf("v%d", (i/97+w)%3),
+			})
+		}
+		return out
+	}
+	ingest := func(e *Engine, w int) {
+		all := claims(w)
+		for lo, size := 0, 1; lo < len(all); lo, size = lo+size, size*2%301+1 {
+			e.ObserveBatch(all[lo:min(lo+size, len(all))])
+		}
+	}
+	want, _ := NewEngine(opts)
+	for w := 0; w < 4; w++ {
+		ingest(want, w)
+	}
+	got, _ := NewEngine(opts)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ingest(got, w)
+		}(w)
+	}
+	wg.Wait()
+	if g, w := fmt.Sprint(got.EstimateAll()), fmt.Sprint(want.EstimateAll()); g != w {
+		t.Errorf("concurrent ObserveBatch estimates differ from sequential ingest:\n got %.300s\nwant %.300s", g, w)
+	}
+}
+
 // TestEngineConcurrentObserveWithFreshSources hammers the crash path
 // the epoch refresh and Refine must survive: multiple goroutines
 // interning brand-new sources while refreshes fire every few

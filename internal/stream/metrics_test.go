@@ -148,3 +148,49 @@ func TestObserveZeroAllocWithMetrics(t *testing.T) {
 		t.Errorf("instrumented Observe allocates %v per op, want 0", n)
 	}
 }
+
+// TestObserveBatchAllocsFlat pins ObserveBatch's reusable scratch: in
+// steady state (everything interned, no epoch boundary) a 64-claim and
+// a 1024-claim batch allocate the same number of times, so no
+// allocation scales with the batch.
+func TestObserveBatchAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	opts := testEngineOptions()
+	opts.Workers = 1
+	opts.EpochLength = 1 << 30 // no refresh inside the measured window
+	e, err := NewEngine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetMetrics(NewMetrics(obs.NewRegistry()))
+	batches := func(n int) [2][]Triple {
+		var out [2][]Triple
+		for pass := range out {
+			for i := 0; i < n; i++ {
+				out[pass] = append(out[pass], Triple{
+					Source: fmt.Sprintf("s%d", i%16),
+					Object: fmt.Sprintf("o%d", i/16),
+					Value:  fmt.Sprintf("v%d", (i+pass)%3),
+				})
+			}
+		}
+		return out
+	}
+	allocs := func(n int) float64 {
+		bs := batches(n)
+		for i := 0; i < 8; i++ { // warm: intern, grow the slabs and the scratch
+			e.ObserveBatch(bs[i%2])
+		}
+		i := 0
+		return testing.AllocsPerRun(100, func() {
+			e.ObserveBatch(bs[i%2]) // values flip: the O(domain) delta path
+			i++
+		})
+	}
+	small, large := allocs(64), allocs(1024)
+	if small != large {
+		t.Errorf("ObserveBatch allocates %v per 64-claim batch but %v per 1024-claim batch, want equal", small, large)
+	}
+}

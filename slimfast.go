@@ -153,8 +153,11 @@ type Report struct {
 }
 
 // Solve compiles the problem and runs fusion. The Problem must not be
-// modified afterwards.
+// modified afterwards, and solving it a second time is an error.
 func (p *Problem) Solve(options ...Option) (*Report, error) {
+	if p.builder == nil {
+		return nil, errors.New("slimfast: problem already solved")
+	}
 	cfg := &solveConfig{
 		algorithm: Auto,
 		opts:      core.DefaultOptions(),

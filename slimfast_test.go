@@ -70,6 +70,23 @@ func TestSolveEmptyProblem(t *testing.T) {
 	}
 }
 
+// A second Solve returns an error instead of dereferencing the builder
+// the first one consumed — also after a first Solve that failed.
+func TestSolveTwice(t *testing.T) {
+	p := figure1Problem()
+	if _, err := p.Solve(WithSeed(1), WithAlgorithm(EM)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Solve(); err == nil || !strings.Contains(err.Error(), "already solved") {
+		t.Errorf("second Solve: err = %v, want an already-solved error", err)
+	}
+	empty := NewProblem("empty")
+	empty.Solve()
+	if _, err := empty.Solve(); err == nil || !strings.Contains(err.Error(), "already solved") {
+		t.Errorf("Solve after a failed Solve: err = %v, want an already-solved error", err)
+	}
+}
+
 func TestSolveUnknownTruthValue(t *testing.T) {
 	p := NewProblem("bad")
 	p.AddObservation("s", "o", "x")
