@@ -109,7 +109,7 @@ func (f *fakeNode) handler() http.Handler {
 }
 
 // fakeCluster starts n fake nodes and a router over them.
-func fakeCluster(t *testing.T, n int, mutate func(*Config)) (*Router, []*fakeNode) {
+func fakeCluster(t testing.TB, n int, mutate func(*Config)) (*Router, []*fakeNode) {
 	t.Helper()
 	fakes := make([]*fakeNode, n)
 	urls := make([]string, n)

@@ -95,11 +95,10 @@ func (r *Router) manifestLocked() Manifest {
 // the target directory, then rename, so a crash mid-write leaves the
 // previous manifest intact.
 func (r *Router) writeManifestLocked() error {
-	data, err := json.MarshalIndent(r.manifestLocked(), "", "  ")
+	data, err := encodeManifest(r.manifestLocked())
 	if err != nil {
-		return fmt.Errorf("cluster: encoding manifest: %w", err)
+		return err
 	}
-	data = append(data, '\n')
 	dir := filepath.Dir(r.cfg.ManifestPath)
 	tmp, err := os.CreateTemp(dir, filepath.Base(r.cfg.ManifestPath)+".tmp*")
 	if err != nil {
@@ -121,6 +120,16 @@ func (r *Router) writeManifestLocked() error {
 		return fmt.Errorf("cluster: installing manifest: %w", err)
 	}
 	return nil
+}
+
+// encodeManifest is the manifest's on-disk form: indented JSON with a
+// trailing newline.
+func encodeManifest(m Manifest) ([]byte, error) {
+	data, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("cluster: encoding manifest: %w", err)
+	}
+	return append(data, '\n'), nil
 }
 
 // LoadManifest reads and validates a manifest file.

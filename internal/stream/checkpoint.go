@@ -274,7 +274,7 @@ func decodeOptions(r *wire.Reader, version uint32) (EngineOptions, error) {
 		return o, corruptf("options declare %d feature rows", nFeat)
 	}
 	if nFeat > 0 {
-		o.Features = make(map[string][]string, nFeat)
+		o.Features = make(map[string][]string, min(nFeat, growSlots))
 		for i := 0; i < nFeat; i++ {
 			if err := r.Err(); err != nil {
 				return o, err
@@ -347,7 +347,7 @@ func corruptf(format string, args ...any) error {
 // structural corruption — it returns a nil engine and a typed error;
 // no partially-restored engine ever escapes.
 func Restore(r io.Reader) (*Engine, error) {
-	rr, version, err := wire.NewReaderVersions(bufio.NewReader(r), checkpointMagic,
+	rr, version, err := wire.NewReaderVersions(r, checkpointMagic,
 		checkpointVersionV1, checkpointVersionV2, checkpointVersionV3, checkpointVersion)
 	if err != nil {
 		return nil, fmt.Errorf("stream: restore: %w", err)
@@ -386,6 +386,9 @@ func Restore(r io.Reader) (*Engine, error) {
 		return nil, fmt.Errorf("stream: restore: %w", err)
 	}
 	for i, name := range srcNames {
+		if _, dup := e.src.ids[name]; dup {
+			return nil, corruptf("source table lists %q twice", name)
+		}
 		e.src.ids[name] = i
 	}
 	e.src.names = srcNames
@@ -395,6 +398,9 @@ func Restore(r io.Reader) (*Engine, error) {
 	e.src.sigma = srcSigma
 	e.src.epoch = srcEpoch
 	for i, name := range valNames {
+		if _, dup := e.vals.ids[name]; dup {
+			return nil, corruptf("value table lists %q twice", name)
+		}
 		e.vals.ids[name] = i
 	}
 	e.vals.names = valNames
@@ -531,6 +537,9 @@ func decodeShard(rr *wire.Reader, version uint32, e *Engine, s, nSrc, nVals int)
 		}
 		if obj.name == "" {
 			return corruptf("shard %d slot %d is live with an empty name", s, ix)
+		}
+		if home := ShardIndex(obj.name, e.nShards); home != s {
+			return corruptf("shard %d holds object %q, which routes to shard %d", s, obj.name, home)
 		}
 		if _, dup := sh.index[obj.name]; dup {
 			return corruptf("shard %d has object %q twice", s, obj.name)

@@ -5,9 +5,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
+	"slimfast/internal/online"
 	"slimfast/internal/wire"
 )
 
@@ -314,54 +317,131 @@ func TestRestoreStructuralCorruption(t *testing.T) {
 		t.Errorf("ragged source table: engine=%v err=%v, want nil + ErrCorrupt", e != nil, err)
 	}
 
+	restore := func(name string, ckpt []byte) {
+		t.Helper()
+		if e, err := Restore(bytes.NewReader(ckpt)); e != nil || !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: engine=%v err=%v, want nil + ErrCorrupt", name, e != nil, err)
+		}
+	}
+	home := ShardIndex("obj", 2)
+	if _, err := Restore(bytes.NewReader(tinyCheckpoint(t, []string{"a"}, []string{"x"}, 2, home, 1))); err != nil {
+		t.Fatalf("well-formed hand-written checkpoint: %v", err)
+	}
 	// A live claim referencing a source the shard's per-source vectors
 	// do not cover would panic in the next drain; Restore must refuse.
-	buf.Reset()
-	w = wire.NewWriter(&buf, checkpointMagic, checkpointVersion)
+	restore("uncovered claim source", tinyCheckpoint(t, []string{"a"}, []string{"x"}, 2, home, 0))
+	// Duplicate names would intern two ids for one source (or value):
+	// Sources() would list it twice and new claims would land on one.
+	restore("duplicate source name", tinyCheckpoint(t, []string{"a", "a"}, []string{"x"}, 2, home, 1))
+	restore("duplicate value name", tinyCheckpoint(t, []string{"a"}, []string{"x", "x"}, 2, home, 1))
+	// An object outside its routed shard is unreachable by name: the
+	// next Observe would create a second copy in the right shard.
+	restore("object in the wrong shard", tinyCheckpoint(t, []string{"a"}, []string{"x"}, 2, 1-home, 1))
+}
+
+// tinyCheckpoint hand-writes a current-version checkpoint of nShards
+// shards holding one live object, "obj", in shard objShard, with one
+// claim by source 0 for value 0. tracked is the length of that
+// shard's per-source vectors (1 covers the claim).
+func tinyCheckpoint(t *testing.T, srcNames, valNames []string, nShards, objShard, tracked int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf, checkpointMagic, checkpointVersion)
+	opts := DefaultEngineOptions()
+	opts.Shards = nShards
+	opts.EpochLength = 8
+	opts.DedupWindow = 8
 	encodeOptions(w, opts)
-	w.Int64(1)
-	w.Int64(1)
-	w.Strings([]string{"src-a"})
-	w.Float64s([]float64{0})
-	w.Float64s([]float64{1})
-	w.Float64s([]float64{0.5})
-	w.Float64s([]float64{0})
+	w.Int64(1) // observations
+	w.Int64(1) // since epoch
+	n := len(srcNames)
+	w.Strings(srcNames)
+	w.Float64s(make([]float64, n)) // agree
+	w.Float64s(make([]float64, n)) // total
+	w.Float64s(slices.Repeat([]float64{0.5}, n))
+	w.Float64s(make([]float64, n)) // sigma
 	w.Int64(0)
-	w.Strings([]string{"val-a"})
-	w.Uint32(1)
-	w.Uint32(0) // shard 0 tag
-	w.Uint32(1) // one object slot
-	w.Bool(true)
-	w.String("obj")
-	w.Int64(0) // epoch
-	w.Int(-1)  // prev
-	w.Int(-1)  // next
-	w.Bool(true)
-	w.Uint32(1) // one claim...
-	w.Uint32(0) // ...by source 0
-	w.Uint32(0)
-	w.Float64(0)
-	w.Int32s([]int32{0})
-	w.Int32s([]int32{1})
-	w.Float64s([]float64{0.5})
-	w.Float64s([]float64{1})
-	w.Ints(nil)      // free list
-	w.Ints([]int{0}) // dirty list
-	w.Int(0)         // lruHead
-	w.Int(0)         // lruTail
-	w.Float64s(nil)  // deltaAgree: empty — does not cover source 0
-	w.Float64s(nil)
-	w.Int64s(nil)
-	w.Float64s(nil)
-	w.Float64s(nil)
-	w.Int64(0)
-	w.Int64(0)
-	w.Float64(0)
+	w.Strings(valNames)
+	w.Uint32(uint32(nShards))
+	for s := 0; s < nShards; s++ {
+		w.Uint32(uint32(s))
+		k := 0 // per-source vector length
+		if s != objShard {
+			w.Uint32(0)
+			w.Ints(nil)
+			w.Ints(nil)
+			w.Int(-1)
+			w.Int(-1)
+		} else {
+			w.Uint32(1)
+			w.Bool(true)
+			w.String("obj")
+			w.Int64(0) // epoch
+			w.Int64(0) // changed
+			w.Int(-1)  // prev
+			w.Int(-1)  // next
+			w.Bool(false)
+			w.Uint32(1) // one claim...
+			w.Uint32(0) // ...by source 0
+			w.Uint32(0) // ...for value 0
+			w.Float64(0)
+			w.Int32s([]int32{0})
+			w.Int32s([]int32{1})
+			w.Float64s([]float64{0.5})
+			w.Float64s([]float64{1})
+			w.Ints(nil) // free list
+			w.Ints(nil) // dirty list
+			w.Int(0)    // lruHead
+			w.Int(0)    // lruTail
+			k = tracked
+		}
+		w.Float64s(make([]float64, k)) // deltaAgree
+		w.Float64s(make([]float64, k))
+		w.Int64s(make([]int64, k))
+		w.Float64s(make([]float64, k))
+		w.Float64s(make([]float64, k))
+		w.Int64(0)
+		w.Int64(0)
+		w.Float64(0)
+	}
+	w.Strings(nil) // dedup window
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if e, err := Restore(bytes.NewReader(buf.Bytes())); e != nil || !errors.Is(err, ErrCorrupt) {
-		t.Errorf("uncovered claim source: engine=%v err=%v, want nil + ErrCorrupt", e != nil, err)
+	return buf.Bytes()
+}
+
+// TestRestoreLyingFeatureCount: a feature-row count backed by no rows
+// must fail after allocating in proportion to the bytes present.
+// Sizing the feature map by the declared count reserved hundreds of
+// megabytes here (gigabytes at the 2^28 cap) before the checksum was
+// read.
+func TestRestoreLyingFeatureCount(t *testing.T) {
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf, checkpointMagic, checkpointVersion)
+	w.Float64(0.7) // InitAccuracy
+	w.Float64(1)   // PriorStrength
+	w.Float64(1)   // Decay
+	w.Int(1)       // Shards
+	w.Int(1)       // Workers
+	w.Int(8)       // EpochLength
+	w.Int(0)       // MaxObjects
+	w.Int(8)       // DedupWindow
+	w.Bool(true)   // OnlineLearn
+	online.EncodeConfig(w, online.DefaultConfig())
+	w.Uint32(1 << 22) // feature rows declared, none delivered
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e, err := Restore(bytes.NewReader(buf.Bytes()))
+	runtime.ReadMemStats(&after)
+	if e != nil || err == nil {
+		t.Fatalf("engine=%v err=%v, want nil + an error", e != nil, err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<20 {
+		t.Errorf("Restore allocated %d MB for a %d-byte checkpoint", n>>20, buf.Len())
 	}
 }
 
@@ -437,5 +517,61 @@ func TestWriteCheckpointConcurrentWithIngest(t *testing.T) {
 	}
 	if a, b := engineFingerprint(e), engineFingerprint(r); a != b {
 		t.Errorf("quiescent round-trip fingerprints differ: %x vs %x", a, b)
+	}
+}
+
+// multiBlockCheckpoint is a real checkpoint several wire read-ahead
+// blocks long, and the engine it was written from.
+func multiBlockCheckpoint(t *testing.T) ([]byte, *Engine) {
+	t.Helper()
+	_, triples := streamInstance(t, 12)
+	e := ingestEngine(t, triples, 1)
+	var buf bytes.Buffer
+	if err := e.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), e
+}
+
+// TestRestoreCutAtBlockBoundaries cuts a real multi-block checkpoint
+// at every offset within 8 bytes of each 64 KiB read-ahead boundary,
+// where a primitive or a refill straddles the cut: Restore must fail
+// with a truncation (or, where only the footer is short, checksum)
+// error and a nil engine, never panic or succeed.
+func TestRestoreCutAtBlockBoundaries(t *testing.T) {
+	ckpt, _ := multiBlockCheckpoint(t)
+	const block = 1 << 16
+	if len(ckpt) < 2*block {
+		t.Fatalf("checkpoint is %d bytes, want at least two blocks", len(ckpt))
+	}
+	for b := block; b < len(ckpt); b += block {
+		for cut := b - 8; cut <= b+8 && cut < len(ckpt); cut++ {
+			e, err := Restore(bytes.NewReader(ckpt[:cut]))
+			if e != nil || !(errors.Is(err, wire.ErrTruncated) || errors.Is(err, wire.ErrChecksum)) {
+				t.Errorf("cut at %d: engine=%v err=%v, want nil + ErrTruncated", cut, e != nil, err)
+			}
+		}
+	}
+}
+
+// TestRestoreAllocsPerLiveObject pins what a warm restart allocates:
+// per live object, its name and its claim, domain, refs, score and
+// posterior slabs, plus its share of the shard index and the tables.
+// The wire decoder's own scratch must not show up per value decoded.
+func TestRestoreAllocsPerLiveObject(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	ckpt, e := multiBlockCheckpoint(t)
+	live := e.Stats().Objects
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Restore(bytes.NewReader(ckpt)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const maxPerObject = 7.0 // measured 6.31 on this checkpoint
+	if per := allocs / float64(live); per > maxPerObject {
+		t.Errorf("Restore makes %.2f allocations per live object (%v for %d), want <= %v",
+			per, allocs, live, maxPerObject)
 	}
 }

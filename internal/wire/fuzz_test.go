@@ -2,7 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"math"
+	"reflect"
 	"testing"
+	"testing/iotest"
 )
 
 // fuzzMagic matches the checkpoint magic so the committed corpus can
@@ -30,11 +35,76 @@ func validStream() []byte {
 	return buf.Bytes()
 }
 
+// decoded is everything the fuzz read schedule yields, floats kept
+// as bit patterns so NaN payloads compare exactly.
+type decoded struct {
+	u8   uint8
+	b    bool
+	u32  uint32
+	u64  uint64
+	n    int
+	f    uint64
+	s    string
+	ss   []string
+	fs   []uint64
+	is   []int64
+	ns   []int
+	i32  []int32
+	errs [2]int // errClass of NewReaderVersions and of Close
+}
+
+// sentinels are the typed decode failures errClass tells apart.
+var sentinels = []error{ErrMagic, ErrVersion, ErrChecksum, ErrTruncated}
+
+// errClass maps an error to -1 (nil), the index of the first
+// sentinel it matches, or len(sentinels) for any other error.
+func errClass(err error) int {
+	if err == nil {
+		return -1
+	}
+	for i, s := range sentinels {
+		if errors.Is(err, s) {
+			return i
+		}
+	}
+	return len(sentinels)
+}
+
+// decodeSchedule reads src with the same schedule the valid stream
+// was written with.
+func decodeSchedule(src io.Reader) decoded {
+	var d decoded
+	r, _, err := NewReaderVersions(src, fuzzMagic, 1, 2, 3)
+	d.errs[0] = errClass(err)
+	if err != nil {
+		return d
+	}
+	d.u8 = r.Uint8()
+	d.b = r.Bool()
+	d.u32 = r.Uint32()
+	d.u64 = r.Uint64()
+	d.n = r.Int()
+	d.f = math.Float64bits(r.Float64())
+	d.s = r.String()
+	d.ss = r.Strings()
+	for _, x := range r.Float64s() {
+		d.fs = append(d.fs, math.Float64bits(x))
+	}
+	d.is = r.Int64s()
+	d.ns = r.Ints()
+	d.i32 = r.Int32s()
+	d.errs[1] = errClass(r.Close())
+	return d
+}
+
 // FuzzDecode throws arbitrary bytes at the reader with the same read
-// schedule the valid stream uses, and checks the decoder's two
-// contracts: it never panics, and its allocations track bytes
-// actually present — every decoded string or slice is bounded by the
-// input's own length, no matter what the length prefixes claim.
+// schedule the valid stream uses, and checks the decoder's contracts:
+// it never panics; its allocations track bytes actually present —
+// every decoded string or slice is bounded by the input's own length,
+// no matter what the length prefixes claim; and where the underlying
+// reader splits the stream (one byte at a time, half reads, EOF
+// delivered with the last data) changes neither the values nor the
+// error class, so block read-ahead is invisible to callers.
 func FuzzDecode(f *testing.F) {
 	f.Add(validStream())
 	f.Add([]byte("SFCK"))
@@ -42,36 +112,29 @@ func FuzzDecode(f *testing.F) {
 	// Version accepted, then a lying length prefix.
 	f.Add(append([]byte{'S', 'F', 'C', 'K', 3, 0, 0, 0}, 0xff, 0xff, 0xff, 0x0f))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, _, err := NewReaderVersions(bytes.NewReader(data), fuzzMagic, 1, 2, 3)
-		if err != nil {
-			return
+		d := decodeSchedule(bytes.NewReader(data))
+		for name, wrap := range map[string]func(io.Reader) io.Reader{
+			"OneByteReader": iotest.OneByteReader,
+			"HalfReader":    iotest.HalfReader,
+			"DataErrReader": iotest.DataErrReader,
+		} {
+			if got := decodeSchedule(wrap(bytes.NewReader(data))); !reflect.DeepEqual(got, d) {
+				t.Fatalf("%s decode differs from plain:\n got %+v\nwant %+v", name, got, d)
+			}
 		}
-		r.Uint8()
-		r.Bool()
-		r.Uint32()
-		r.Uint64()
-		r.Int()
-		r.Float64()
-		s := r.String()
-		ss := r.Strings()
-		fs := r.Float64s()
-		is := r.Int64s()
-		ns := r.Ints()
-		i32 := r.Int32s()
-		r.Close()
 
 		bound := len(data)
-		if len(s) > bound {
-			t.Fatalf("decoded string of %d bytes from a %d-byte input", len(s), bound)
+		if len(d.s) > bound {
+			t.Fatalf("decoded string of %d bytes from a %d-byte input", len(d.s), bound)
 		}
 		total := 0
-		for _, x := range ss {
+		for _, x := range d.ss {
 			total += len(x)
 		}
-		if total > bound || len(ss) > bound {
-			t.Fatalf("decoded %d strings / %d bytes from a %d-byte input", len(ss), total, bound)
+		if total > bound || len(d.ss) > bound {
+			t.Fatalf("decoded %d strings / %d bytes from a %d-byte input", len(d.ss), total, bound)
 		}
-		for _, n := range []int{len(fs) * 8, len(is) * 8, len(ns) * 8, len(i32) * 4} {
+		for _, n := range []int{len(d.fs) * 8, len(d.is) * 8, len(d.ns) * 8, len(d.i32) * 4} {
 			if n > bound {
 				t.Fatalf("decoded slice of %d payload bytes from a %d-byte input", n, bound)
 			}

@@ -49,7 +49,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 const maxSliceLen = 1 << 28
 
 // growChunk bounds how far ahead of the consumed bytes any decode
-// allocation runs.
+// allocation runs, and is the size of the Reader's read-ahead block.
 const growChunk = 1 << 16
 
 // Writer encodes primitives to an io.Writer while folding every byte
@@ -191,15 +191,24 @@ func (w *Writer) Strings(xs []string) {
 	}
 }
 
-// Reader decodes a stream produced by Writer, folding every consumed
-// byte into the CRC so Close can verify the footer. Errors are
-// sticky; once any read fails, all further reads return zero values
-// and Err/Close report the failure.
+// Reader decodes a stream produced by Writer. It reads the stream in
+// blocks of growChunk bytes and decodes primitives straight out of
+// the current block, folding each consumed block into the CRC once
+// (and the last partial block at Close) so Close can verify the
+// footer. Because it reads ahead, the position of the underlying
+// reader after Close is unspecified: a caller cannot continue reading
+// whatever follows the footer. Errors are sticky; once any read
+// fails, all further reads return zero values and Err/Close report
+// the failure.
 type Reader struct {
 	r   io.Reader
-	crc hash.Hash32
+	buf []byte // one growChunk block; buf[pos:end] is unread
+	pos int
+	end int
+	// buf[sum:pos] is consumed but not yet folded into crc.
+	sum int
+	crc uint32
 	err error
-	buf [8]byte
 }
 
 // NewReader validates the 4-byte magic and the format version before
@@ -222,14 +231,13 @@ func NewReaderVersions(r io.Reader, magic string, accept ...uint32) (*Reader, ui
 	if len(accept) == 0 {
 		return nil, 0, errors.New("wire: no accepted versions")
 	}
-	rd := &Reader{r: r, crc: crc32.New(castagnoli)}
-	var got [4]byte
-	rd.read(got[:])
+	rd := &Reader{r: r, buf: make([]byte, growChunk)}
+	got := rd.next(4)
 	if rd.err != nil {
 		return nil, 0, rd.err
 	}
-	if string(got[:]) != magic {
-		return nil, 0, fmt.Errorf("%w: got %q, want %q", ErrMagic, got[:], magic)
+	if string(got) != magic {
+		return nil, 0, fmt.Errorf("%w: got %q, want %q", ErrMagic, got, magic)
 	}
 	v := rd.Uint32()
 	if rd.err != nil {
@@ -243,19 +251,50 @@ func NewReaderVersions(r io.Reader, magic string, accept ...uint32) (*Reader, ui
 	return nil, 0, fmt.Errorf("%w: stream is v%d, this build reads %v", ErrVersion, v, accept)
 }
 
-func (r *Reader) read(p []byte) {
+// fill makes at least need (≤ growChunk) unread bytes available: it
+// folds the consumed part of the block into the CRC, moves the unread
+// tail to the front and reads as much as the block has room for.
+// It reports false, with r.err set, when the stream cannot deliver.
+func (r *Reader) fill(need int) bool {
 	if r.err != nil {
-		return
+		return false
 	}
-	if _, err := io.ReadFull(r.r, p); err != nil {
+	r.crc = crc32.Update(r.crc, castagnoli, r.buf[r.sum:r.pos])
+	r.end = copy(r.buf, r.buf[r.pos:r.end])
+	r.pos, r.sum = 0, 0
+	n, err := io.ReadAtLeast(r.r, r.buf[r.end:], need-r.end)
+	r.end += n
+	if err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			r.err = fmt.Errorf("%w: %v", ErrTruncated, err)
 		} else {
 			r.err = err
 		}
-		return
+		return false
 	}
-	r.crc.Write(p)
+	return true
+}
+
+// next consumes n (≤ growChunk) bytes and returns them as a view into
+// the block, valid until the next read; nil once the stream failed.
+func (r *Reader) next(n int) []byte {
+	if r.err != nil || r.end-r.pos < n && !r.fill(n) {
+		return nil
+	}
+	b := r.buf[r.pos : r.pos+n : r.pos+n]
+	r.pos += n
+	return b
+}
+
+// elems consumes between one and remaining whole size-byte elements
+// — as many as the block holds — and returns their bytes; nil once
+// the stream failed.
+func (r *Reader) elems(remaining, size int) []byte {
+	if r.err != nil || r.end-r.pos < size && !r.fill(size) {
+		return nil
+	}
+	k := min(remaining, (r.end-r.pos)/size)
+	return r.next(k * size)
 }
 
 // Err returns the first error encountered, if any.
@@ -275,17 +314,17 @@ func (r *Reader) Close() error {
 	if r.err != nil {
 		return r.err
 	}
-	want := r.crc.Sum32() // snapshot before the footer bytes are read
-	var foot [4]byte
-	if _, err := io.ReadFull(r.r, foot[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
+	// Fold the last partial block before the footer is consumed.
+	want := crc32.Update(r.crc, castagnoli, r.buf[r.sum:r.pos])
+	r.crc, r.sum = want, r.pos
+	foot := r.next(4)
+	if r.err != nil {
+		if errors.Is(r.err, ErrTruncated) {
 			r.err = fmt.Errorf("%w: missing checksum footer", ErrTruncated)
-		} else {
-			r.err = err
 		}
 		return r.err
 	}
-	if got := binary.LittleEndian.Uint32(foot[:]); got != want {
+	if got := binary.LittleEndian.Uint32(foot); got != want {
 		r.err = fmt.Errorf("%w: footer %08x, computed %08x", ErrChecksum, got, want)
 	}
 	return r.err
@@ -293,8 +332,11 @@ func (r *Reader) Close() error {
 
 // Uint8 reads one byte.
 func (r *Reader) Uint8() uint8 {
-	r.read(r.buf[:1])
-	return r.buf[0]
+	b := r.next(1)
+	if b == nil {
+		return 0
+	}
+	return b[0]
 }
 
 // Bool reads a byte written by Writer.Bool; any nonzero byte is true.
@@ -302,20 +344,20 @@ func (r *Reader) Bool() bool { return r.Uint8() != 0 }
 
 // Uint32 reads a little-endian uint32.
 func (r *Reader) Uint32() uint32 {
-	r.read(r.buf[:4])
-	if r.err != nil {
+	b := r.next(4)
+	if b == nil {
 		return 0
 	}
-	return binary.LittleEndian.Uint32(r.buf[:4])
+	return binary.LittleEndian.Uint32(b)
 }
 
 // Uint64 reads a little-endian uint64.
 func (r *Reader) Uint64() uint64 {
-	r.read(r.buf[:8])
-	if r.err != nil {
+	b := r.next(8)
+	if b == nil {
 		return 0
 	}
-	return binary.LittleEndian.Uint64(r.buf[:8])
+	return binary.LittleEndian.Uint64(b)
 }
 
 // Int64 reads an int64.
@@ -340,66 +382,128 @@ func (r *Reader) length() int {
 	return int(n)
 }
 
-// String reads a length-prefixed byte string, growing the buffer as
-// bytes actually arrive.
+// String reads a length-prefixed byte string. One that fits in a
+// block costs a single allocation, the string itself; a longer one
+// grows as its bytes actually arrive, a block at a time.
 func (r *Reader) String() string {
 	n := r.length()
 	if r.err != nil || n == 0 {
 		return ""
 	}
-	out := make([]byte, 0, min(n, growChunk))
-	var chunk [growChunk]byte
-	for len(out) < n {
-		m := min(n-len(out), growChunk)
-		r.read(chunk[:m])
-		if r.err != nil {
+	if n <= growChunk {
+		b := r.next(n)
+		if b == nil {
 			return ""
 		}
-		out = append(out, chunk[:m]...)
+		return string(b)
+	}
+	out := make([]byte, 0, growChunk)
+	for len(out) < n {
+		b := r.elems(n-len(out), 1)
+		if b == nil {
+			return ""
+		}
+		out = append(out, b...)
 	}
 	return string(out)
 }
 
-// decodeSlice reads n elements via elem into a slice that grows with
-// the data consumed (never preallocated to the declared length), so a
-// lying length prefix ends in ErrTruncated, not an OOM.
-func decodeSlice[T any](r *Reader, elem func() T) []T {
+// The slice decoders below never preallocate the declared length:
+// the result starts at most growChunk elements large and grows with
+// the data consumed, so a lying length prefix ends in ErrTruncated,
+// not an OOM. The fixed-width ones decode every whole element the
+// block holds in one loop per refill.
+
+// Float64s reads a length-prefixed []float64 (nil when empty).
+func (r *Reader) Float64s() []float64 {
 	n := r.length()
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	xs := make([]T, 0, min(n, growChunk))
-	for i := 0; i < n; i++ {
-		v := elem()
-		if r.err != nil {
+	xs := make([]float64, 0, min(n, growChunk))
+	for len(xs) < n {
+		b := r.elems(n-len(xs), 8)
+		if b == nil {
 			return nil
 		}
-		xs = append(xs, v)
+		for i := 0; i < len(b); i += 8 {
+			xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(b[i:])))
+		}
 	}
 	return xs
 }
 
-// Float64s reads a length-prefixed []float64 (nil when empty).
-func (r *Reader) Float64s() []float64 {
-	return decodeSlice(r, r.Float64)
-}
-
 // Int64s reads a length-prefixed []int64 (nil when empty).
 func (r *Reader) Int64s() []int64 {
-	return decodeSlice(r, r.Int64)
+	n := r.length()
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	xs := make([]int64, 0, min(n, growChunk))
+	for len(xs) < n {
+		b := r.elems(n-len(xs), 8)
+		if b == nil {
+			return nil
+		}
+		for i := 0; i < len(b); i += 8 {
+			xs = append(xs, int64(binary.LittleEndian.Uint64(b[i:])))
+		}
+	}
+	return xs
 }
 
 // Ints reads a length-prefixed []int (nil when empty).
 func (r *Reader) Ints() []int {
-	return decodeSlice(r, r.Int)
+	n := r.length()
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	xs := make([]int, 0, min(n, growChunk))
+	for len(xs) < n {
+		b := r.elems(n-len(xs), 8)
+		if b == nil {
+			return nil
+		}
+		for i := 0; i < len(b); i += 8 {
+			xs = append(xs, int(int64(binary.LittleEndian.Uint64(b[i:]))))
+		}
+	}
+	return xs
 }
 
 // Int32s reads a length-prefixed []int32 (nil when empty).
 func (r *Reader) Int32s() []int32 {
-	return decodeSlice(r, func() int32 { return int32(r.Uint32()) })
+	n := r.length()
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	xs := make([]int32, 0, min(n, growChunk))
+	for len(xs) < n {
+		b := r.elems(n-len(xs), 4)
+		if b == nil {
+			return nil
+		}
+		for i := 0; i < len(b); i += 4 {
+			xs = append(xs, int32(binary.LittleEndian.Uint32(b[i:])))
+		}
+	}
+	return xs
 }
 
-// Strings reads a length-prefixed []string (nil when empty).
+// Strings reads a length-prefixed []string (nil when empty), growing
+// the result as strings actually arrive.
 func (r *Reader) Strings() []string {
-	return decodeSlice(r, r.String)
+	n := r.length()
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	xs := make([]string, 0, min(n, growChunk))
+	for i := 0; i < n; i++ {
+		s := r.String()
+		if r.err != nil {
+			return nil
+		}
+		xs = append(xs, s)
+	}
+	return xs
 }

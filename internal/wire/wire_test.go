@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 const (
@@ -288,5 +290,91 @@ func TestNewReaderVersions(t *testing.T) {
 	}
 	if _, _, err := NewReaderVersions(strings.NewReader("TS"), testMagic, testVersion); !errors.Is(err, ErrTruncated) {
 		t.Errorf("short stream: err = %v, want ErrTruncated", err)
+	}
+}
+
+// sinkString and sinkFloats keep decoded values alive so the
+// allocation pins below measure what a real caller pays.
+var (
+	sinkString string
+	sinkFloats []float64
+)
+
+// TestReaderAllocs pins the decode cost the block reader buys: a
+// short string is exactly its own allocation (no scratch array), and
+// a short fixed-width slice is exactly the slice. The stream is long
+// enough that the runs cross block refills, which must not allocate.
+func TestReaderAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const runs = 5000
+	var buf bytes.Buffer
+	w := NewWriter(&buf, testMagic, testVersion)
+	for i := 0; i <= runs; i++ {
+		w.String("0123456789abcdef")
+	}
+	for i := 0; i <= runs; i++ {
+		w.Float64s([]float64{1, 2, 3, 4})
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(bytes.NewReader(buf.Bytes()), testMagic, testVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(runs, func() { sinkString = r.String() }); a != 1 {
+		t.Errorf("String of 16 bytes: %v allocs, want 1", a)
+	}
+	if a := testing.AllocsPerRun(runs, func() { sinkFloats = r.Float64s() }); a != 1 {
+		t.Errorf("Float64s of 4 elements: %v allocs, want 1", a)
+	}
+	if sinkString != "0123456789abcdef" || len(sinkFloats) != 4 || sinkFloats[3] != 4 {
+		t.Fatalf("decoded %q, %v", sinkString, sinkFloats)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLongValuesSpanBlocks round-trips a string and slices longer
+// than one read-ahead block, through a reader that hands out one byte
+// at a time, so every element boundary lands on a refill somewhere.
+func TestLongValuesSpanBlocks(t *testing.T) {
+	long := strings.Repeat("0123456789", 3*growChunk/10+7)
+	fs := make([]float64, growChunk/8*2+3)
+	is := make([]int32, growChunk/4+5)
+	for i := range fs {
+		fs[i] = float64(i) / 3
+	}
+	for i := range is {
+		is[i] = int32(-i)
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf, testMagic, testVersion)
+	w.Uint8(1) // misalign everything after it
+	w.String(long)
+	w.Float64s(fs)
+	w.Int32s(is)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(iotest.OneByteReader(bytes.NewReader(buf.Bytes())), testMagic, testVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Uint8()
+	if got := r.String(); got != long {
+		t.Errorf("long string: got %d bytes, want %d", len(got), len(long))
+	}
+	if got := r.Float64s(); !slices.Equal(got, fs) {
+		t.Errorf("long Float64s: got %d elements, want %d", len(got), len(fs))
+	}
+	if got := r.Int32s(); !slices.Equal(got, is) {
+		t.Errorf("long Int32s: got %d elements, want %d", len(got), len(is))
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 }

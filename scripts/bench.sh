@@ -17,7 +17,7 @@ TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
 go test -run '^$' \
-	-bench '^(BenchmarkCoreEMFit|BenchmarkCoreERMFit|BenchmarkCoreExactInference|BenchmarkOptimizerDecide|BenchmarkLassoPath|BenchmarkFacadeSolve|BenchmarkStreamIngest|BenchmarkOnlineIngest|BenchmarkServeHTTP|BenchmarkMetricsScrape)$' \
+	-bench '^(BenchmarkCoreEMFit|BenchmarkCoreERMFit|BenchmarkCoreExactInference|BenchmarkOptimizerDecide|BenchmarkLassoPath|BenchmarkFacadeSolve|BenchmarkStreamIngest|BenchmarkOnlineIngest|BenchmarkCheckpointRestore|BenchmarkServeHTTP|BenchmarkMetricsScrape)$' \
 	-benchmem \
 	. ./cmd/slimfast ./internal/obs | tee "$TMP"
 
