@@ -10,8 +10,9 @@
 //
 //	POST /v1/observe     ingest claims (NDJSON objects or text/csv rows);
 //	                     idempotent when stamped with X-Batch-Seq
-//	GET  /v1/estimates   the estimates relation: plain dump, or filtered /
-//	                     ordered / limited / grouped via query parameters
+//	GET  /v1/estimates   the estimates relation: the object-sorted plain
+//	                     dump, or filtered / ordered / limited / grouped
+//	                     via query parameters
 //	                     (where, order, limit, cols, group, agg, disagree);
 //	                     CSV by default, NDJSON via format=json or
 //	                     Accept: application/json
@@ -63,10 +64,6 @@ type backend interface {
 	// body; a backend may answer without calling it (a node's admission
 	// shed or idempotent replay).
 	observe(r *http.Request, seq string, read func() ([]byte, error)) (any, error)
-	// estimatesCSV writes the plain estimates dump: the legacy
-	// shard-major bytes the e2e byte-diffs pin, and faster than
-	// executing the plain query.
-	estimatesCSV(ctx context.Context, w io.Writer) error
 	// estimates runs a query over the estimates relation; partial asks
 	// for unfinalized group aggregates (the router's scatter format).
 	estimates(ctx context.Context, q *query.Query, partial bool) (*query.Result, error)
@@ -270,16 +267,12 @@ func (s *server) serveResult(w http.ResponseWriter, r *http.Request, res *query.
 	s.render(w, r, contentType, func(out io.Writer) error { return query.Write(out, res, format) })
 }
 
-// handleEstimates serves the estimates relation: bare CSV requests get
-// the backend's plain dump, anything else runs the query.
+// handleEstimates runs the query over the estimates relation; a bare
+// request is the empty query, the object-sorted plain dump.
 func (s *server) handleEstimates(w http.ResponseWriter, r *http.Request) {
 	q, format, err := parseRead(r, "estimates", query.EstimateColumns())
 	if err != nil {
 		s.fail(w, r, err)
-		return
-	}
-	if q.IsPlain() && format == "csv" {
-		s.render(w, r, "text/csv", func(out io.Writer) error { return s.be.estimatesCSV(r.Context(), out) })
 		return
 	}
 	res, err := s.be.estimates(r.Context(), q, r.URL.Query().Get("partial") != "")

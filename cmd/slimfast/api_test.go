@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -333,6 +336,90 @@ func TestRouterQueryGoldenEquivalence(t *testing.T) {
 	rec = doReq(t, rs.handler(), "GET", "/v1/features", "", "")
 	if rec.Code != http.StatusConflict || decodeEnvelope(t, rec) != "conflict" {
 		t.Errorf("router features without learner = %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// TestPlainExportOnePath: the plain dump is the empty query on every
+// surface. A node's and a router's bare GET /v1/estimates, `stream
+// -values`, and Engine.EstimatesSeq written as 4-digit CSV all equal
+// query.WriteCSV(query.Execute(ref, &query.Query{})) byte for byte,
+// sorted by object whatever the shard count.
+func TestPlainExportOnePath(t *testing.T) {
+	const batch, epochLen = 32, 64
+	claims := goldenClaims()
+	var csvIn strings.Builder
+	csvIn.WriteString("source,object,value\n")
+	for _, tr := range claims {
+		fmt.Fprintf(&csvIn, "%s,%s,%s\n", tr.Source, tr.Object, tr.Value)
+	}
+	for _, shards := range []int{1, 3} {
+		newEngine := func() *stream.Engine {
+			opts := stream.DefaultEngineOptions()
+			opts.Shards = shards
+			opts.EpochLength = epochLen
+			eng, err := stream.NewEngine(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return eng
+		}
+		ref := newEngine()
+		for lo := 0; lo < len(claims); lo += batch {
+			ref.ObserveBatch(claims[lo:min(lo+batch, len(claims))])
+		}
+		want := refQueryBytes(t, ref, "", "csv")
+		lines := strings.Split(strings.TrimSuffix(want, "\n"), "\n")
+		if len(lines) != 121 {
+			t.Fatalf("shards=%d: plain dump has %d lines, want header + 120 objects", shards, len(lines))
+		}
+		for i, line := range lines[1:] {
+			if !strings.HasPrefix(line, fmt.Sprintf("obj%03d,", i)) {
+				t.Fatalf("shards=%d: row %d is %q, want object order", shards, i, line)
+			}
+		}
+
+		surfaces := map[string]func() string{
+			"node": func() string {
+				h := testServer(newEngine(), "", batch).handler()
+				if rec := doReq(t, h, "POST", "/v1/observe", "application/x-ndjson", ndjsonFromTriples(claims)); rec.Code != http.StatusOK {
+					t.Fatalf("node observe: %d %s", rec.Code, rec.Body)
+				}
+				return doReq(t, h, "GET", "/v1/estimates", "", "").Body.String()
+			},
+			"router": func() string {
+				h := newGoldenCluster(t, shards, batch, epochLen, 1).handler()
+				if rec := doReq(t, h, "POST", "/v1/observe", "application/x-ndjson", ndjsonFromTriples(claims)); rec.Code != http.StatusOK {
+					t.Fatalf("router observe: %d %s", rec.Code, rec.Body)
+				}
+				return doReq(t, h, "GET", "/v1/estimates", "", "").Body.String()
+			},
+			"stream -values": func() string {
+				values := filepath.Join(t.TempDir(), "values.csv")
+				args := []string{"-shards", strconv.Itoa(shards), "-epoch", strconv.Itoa(epochLen),
+					"-batch", strconv.Itoa(batch), "-refine", "0", "-values", values}
+				if err := runStream(args, strings.NewReader(csvIn.String()), io.Discard); err != nil {
+					t.Fatal(err)
+				}
+				out, err := os.ReadFile(values)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return string(out)
+			},
+			"EstimatesSeq": func() string {
+				var sb strings.Builder
+				sb.WriteString("object,value,confidence\n")
+				for est := range ref.EstimatesSeq() {
+					fmt.Fprintf(&sb, "%s,%s,%.4f\n", est.Object, est.Value, est.Confidence)
+				}
+				return sb.String()
+			},
+		}
+		for name, got := range surfaces {
+			if got := got(); got != want {
+				t.Errorf("shards=%d: %s diverged from the plain query\ngot:\n%s\nwant:\n%s", shards, name, got, want)
+			}
+		}
 	}
 }
 

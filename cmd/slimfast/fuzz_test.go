@@ -8,7 +8,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"slimfast/internal/stream"
@@ -150,6 +152,102 @@ func FuzzClaimBodyDecode(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("triples %q, encoding/json gives %q", got, want)
+		}
+	})
+}
+
+// epochRoutes are the member control-plane endpoints FuzzEpochRequest
+// posts to, indexed by the target's op byte.
+var epochRoutes = []string{"/v1/epoch/drain", "/v1/epoch/mass", "/v1/epoch/apply"}
+
+// epochMember builds an -external-epochs node engine holding settled
+// evidence, so drain, mass and a rescoring apply all have state to move.
+func epochMember(t testing.TB) *stream.Engine {
+	opts := stream.DefaultEngineOptions()
+	opts.Shards = 2
+	opts.EpochLength = stream.ExternalEpochLength
+	eng, err := stream.NewEngine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.ObserveBatch(goldenClaims()[:80])
+	return eng
+}
+
+// checkpointBytes fingerprints the whole engine state: cumulative and
+// pending evidence, σ-table, epoch and every live object.
+func checkpointBytes(t testing.TB, eng *stream.Engine) []byte {
+	var buf bytes.Buffer
+	if err := eng.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// routerEpochExchanges drives a one-member router through an epoch
+// barrier and a one-sweep refine, recording every body it posts to the
+// member's /v1/epoch routes.
+func routerEpochExchanges(f *testing.F) (ops []uint8, bodies [][]byte) {
+	h := testServer(epochMember(f), "", 32).handler()
+	var mu sync.Mutex
+	member := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if op := slices.Index(epochRoutes, r.URL.Path); op >= 0 {
+			body, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			mu.Lock()
+			ops, bodies = append(ops, uint8(op)), append(bodies, body)
+			mu.Unlock()
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer member.Close()
+	rh := newGoldenClusterOver(f, []string{member.URL}, 32, 64, 1).handler()
+	for _, path := range []string{"/v1/observe?seq=fuzz", "/v1/refine?sweeps=1"} {
+		body := ""
+		if strings.HasPrefix(path, "/v1/observe") {
+			body = ndjsonFromTriples(goldenClaims()[:80])
+		}
+		req := httptest.NewRequest("POST", path, strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		rh.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			f.Fatalf("router %s: %d %s", path, rec.Code, rec.Body)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	return ops, bodies
+}
+
+// FuzzEpochRequest throws arbitrary bodies at the /v1/epoch control
+// plane of an -external-epochs node: no body may panic the node or
+// answer 5xx, and a rejected body must leave the engine untouched.
+// Seeds are the router's own barrier, mass and apply exchanges.
+func FuzzEpochRequest(f *testing.F) {
+	ops, bodies := routerEpochExchanges(f)
+	for i := range ops {
+		f.Add(ops[i], bodies[i])
+	}
+	for _, body := range []string{
+		"", "null", "[]", "{", `{"tag":5}`, `{"tag":"x"} trailing`,
+		`{"tag":"x","accuracies":[{"source":"","accuracy":0.5}]}`,
+		`{"tag":"x","accuracies":[{"source":"s0","accuracy":1}],"rescore":true}`,
+		`{"tag":"x","accuracies":[{"source":"s0","accuracy":0.9},{"source":"new","accuracy":-1}]}`,
+		`{"accuracies":[{"source":"s0","accuracy":"0.9"}]}`,
+	} {
+		f.Add(uint8(2), []byte(body))
+	}
+	f.Fuzz(func(t *testing.T, op uint8, body []byte) {
+		eng := epochMember(t)
+		h := testServer(eng, "", 32).handler()
+		before := checkpointBytes(t, eng)
+		path := epochRoutes[int(op)%len(epochRoutes)]
+		rec := doReq(t, h, "POST", path, "application/json", string(body))
+		switch {
+		case rec.Code >= 500:
+			t.Fatalf("%s answered %d: %s", path, rec.Code, rec.Body)
+		case rec.Code != http.StatusOK && !bytes.Equal(before, checkpointBytes(t, eng)):
+			t.Fatalf("%s rejected the body (%d: %s) but changed the engine", path, rec.Code, rec.Body)
 		}
 	})
 }

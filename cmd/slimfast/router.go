@@ -151,15 +151,6 @@ func (s *routerServer) observe(r *http.Request, seq string, read func() ([]byte,
 	return res, nil
 }
 
-// estimatesCSV concatenates the members' plain dumps in partition
-// order — the shard-major bytes of one engine with a shard per member.
-func (s *routerServer) estimatesCSV(ctx context.Context, w io.Writer) error {
-	if err := s.rt.Estimates(ctx, w); err != nil {
-		return unavailable(err)
-	}
-	return nil
-}
-
 // estimates pushes the query down to every member and merges with the
 // single-engine fold, so the bytes match one N-shard engine.
 func (s *routerServer) estimates(ctx context.Context, q *query.Query, _ bool) (*query.Result, error) {

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -76,7 +75,7 @@ func newGoldenCluster(t *testing.T, nodes, batch, epochLen int, decay float64) *
 
 // newGoldenClusterOver builds a router with evidence decay decay over
 // already-running member URLs.
-func newGoldenClusterOver(t *testing.T, urls []string, batch, epochLen int, decay float64) *routerServer {
+func newGoldenClusterOver(t testing.TB, urls []string, batch, epochLen int, decay float64) *routerServer {
 	t.Helper()
 	opts := stream.DefaultOptions()
 	opts.Decay = decay
@@ -126,14 +125,7 @@ func TestRouterGoldenEquivalence(t *testing.T) {
 				t.Fatalf("observe: %d %s", rec.Code, rec.Body)
 			}
 
-			refCSV := func(emit func(w *bytes.Buffer) error) string {
-				var buf bytes.Buffer
-				if err := emit(&buf); err != nil {
-					t.Fatal(err)
-				}
-				return buf.String()
-			}
-			wantEst := refCSV(func(w *bytes.Buffer) error { return writeEstimatesCSV(w, ref) })
+			wantEst := refQueryBytes(t, ref, "", "csv")
 			wantSrc := legacySourcesCSV(ref)
 
 			gotEst := doReq(t, rs.handler(), http.MethodGet, "/v1/estimates", "", "")
@@ -150,7 +142,7 @@ func TestRouterGoldenEquivalence(t *testing.T) {
 			if rec := doReq(t, rs.handler(), http.MethodPost, "/v1/refine?sweeps=2", "", ""); rec.Code != http.StatusOK {
 				t.Fatalf("refine: %d %s", rec.Code, rec.Body)
 			}
-			wantEst = refCSV(func(w *bytes.Buffer) error { return writeEstimatesCSV(w, ref) })
+			wantEst = refQueryBytes(t, ref, "", "csv")
 			wantSrc = legacySourcesCSV(ref)
 			if got := doReq(t, rs.handler(), http.MethodGet, "/v1/estimates", "", ""); got.Body.String() != wantEst {
 				t.Fatalf("post-refine /estimates diverged\ncluster:\n%s\nreference:\n%s", got.Body, wantEst)

@@ -265,10 +265,6 @@ func (s *streamServer) deduped(seq string) any {
 	}
 }
 
-func (s *streamServer) estimatesCSV(_ context.Context, w io.Writer) error {
-	return writeEstimatesCSV(w, s.eng)
-}
-
 func (s *streamServer) estimates(_ context.Context, q *query.Query, partial bool) (*query.Result, error) {
 	exec := query.Execute
 	if partial {

@@ -250,27 +250,6 @@ func runStream(args []string, stdin io.Reader, stdout io.Writer) error {
 	return nil
 }
 
-// writeEstimatesCSV emits the final estimates in the exchange format.
-// The CLI's -values output and the server's plain GET /v1/estimates
-// share this one emitter, so a served engine and a batch run produce
-// comparable bytes. Rows stream through Engine.EstimatesSeq —
-// shard-major, names sorted within each shard, deterministic for a
-// fixed shard count — so huge object sets never materialize in one
-// slice or map.
-func writeEstimatesCSV(w io.Writer, eng *stream.Engine) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"object", "value", "confidence"}); err != nil {
-		return err
-	}
-	for est := range eng.EstimatesSeq() {
-		if err := cw.Write([]string{est.Object, est.Value, fmt.Sprintf("%.4f", est.Confidence)}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // writeFeatureWeightsCSV emits the online learner's model for the
 // server's GET /features: the intercept first, then every feature
 // label sorted, each with its learned logit-space weight.
@@ -293,13 +272,19 @@ func writeFeatureWeightsCSV(w io.Writer, intercept float64, feats []online.Weigh
 	return cw.Error()
 }
 
+// writeStreamValues writes the final estimates the way a node answers
+// a plain GET /v1/estimates: the empty query, as CSV.
 func writeStreamValues(path string, stdout io.Writer, eng *stream.Engine) error {
 	w, closeFn, err := openOut(path, stdout)
 	if err != nil {
 		return err
 	}
 	defer closeFn()
-	return writeEstimatesCSV(w, eng)
+	res, err := query.Execute(eng, &query.Query{})
+	if err != nil {
+		return err
+	}
+	return query.WriteCSV(w, res)
 }
 
 func writeStreamAccuracies(path string, stdout io.Writer, eng *stream.Engine) error {

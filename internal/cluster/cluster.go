@@ -531,36 +531,9 @@ func (r *Router) applyLocked(ctx context.Context, tag string, accs []stream.Sour
 	return nil
 }
 
-// estimatesHeader / sourcesHeader pin the node CSV surfaces the
-// merges below rely on; drift is an error, not silent corruption.
-const estimatesHeader = "object,value,confidence\n"
-
+// sourcesHeader pins the node CSV surface the merge below relies on;
+// drift is an error, not silent corruption.
 var sourcesHeader = []string{"source", "accuracy"}
-
-// Estimates scatter-gathers GET /estimates and writes the merged CSV:
-// node bodies concatenated in partition order with the header kept
-// once — exactly the shard-major order a single engine with one shard
-// per node emits, so the merged bytes match the single-engine output.
-func (r *Router) Estimates(ctx context.Context, w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, node := range r.cfg.Nodes {
-		body, err := r.get(ctx, node+"/v1/estimates")
-		if err != nil {
-			return fmt.Errorf("cluster: partition %d estimates: %w", i, err)
-		}
-		if !bytes.HasPrefix(body, []byte(estimatesHeader)) {
-			return fmt.Errorf("cluster: partition %d returned an unexpected /estimates header", i)
-		}
-		if i > 0 {
-			body = body[len(estimatesHeader):]
-		}
-		if _, err := w.Write(body); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // Sources scatter-gathers GET /sources into the cluster-wide accuracy
 // relation: the union of the node tables (every node holds the full

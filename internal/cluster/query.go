@@ -67,7 +67,7 @@ func estimateSchema(names []string) ([]query.Column, error) {
 
 // Query scatter-gathers one relational query across the members and
 // merges the results so they match a single N-shard engine bit for
-// bit. Like Estimates, it holds the router lock for a barrier-stable
+// bit. Like Sources, it holds the router lock for a barrier-stable
 // read.
 func (r *Router) Query(ctx context.Context, q *query.Query) (*query.Result, error) {
 	r.mu.Lock()

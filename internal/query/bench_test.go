@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"io"
 	"net/url"
 	"runtime"
 	"testing"
@@ -103,6 +104,42 @@ func BenchmarkEstimateAll(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if len(e.EstimateAll()) != 12000 {
 			b.Fatal("short result")
+		}
+	}
+}
+
+// exportEngine is BenchmarkQueryExport's fixture: 100k objects, three
+// claims each, over two shards — the plain export at the scale of the
+// repository benchmark's query-mix checkpoint.
+func exportEngine(b *testing.B) *stream.Engine {
+	const objects = 100_000
+	claims := make([][3]string, 0, 3*objects)
+	for o := 0; o < objects; o++ {
+		obj := fmt.Sprintf("x%06d", (o*7919)%objects)
+		for s := 0; s < 3; s++ {
+			val := fmt.Sprintf("v%d", o%4)
+			if s == 2 && o%5 == 0 {
+				val = "w"
+			}
+			claims = append(claims, [3]string{fmt.Sprintf("s%d", s), obj, val})
+		}
+	}
+	return buildEngine(b, 2, 2, 4096, claims)
+}
+
+// BenchmarkQueryExport is the plain GET /v1/estimates of node, router
+// member and `stream -values`: the empty query executed and written
+// as CSV.
+func BenchmarkQueryExport(b *testing.B) {
+	e := exportEngine(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		res, err := Execute(e, &Query{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := WriteCSV(io.Discard, res); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -1,11 +1,12 @@
 // The query executor. Engine-backed execution pushes predicates into
 // the per-shard scans (object-equality conjuncts prune to a single
 // shard; the disagree pair resolves to interned ids checked during
-// the locked scan) and keeps only bounded state per shard: a top-k
-// buffer when the query has a limit, group partials when it
-// aggregates. The per-shard results then compose lazily — a k-way
-// merge under the query's total order, a projection at yield time —
-// so the full estimate set is never materialized.
+// the locked scan) and keeps bounded state per shard: a top-k buffer
+// when the query has a limit, group partials when it aggregates. Rows
+// leave the shard lock in a columnar run that holds only the columns
+// the query orders or projects by. The per-shard runs then compose
+// lazily — a k-way merge under the query's total order, a projection
+// at yield time.
 //
 // Determinism contract: every result is totally ordered (the order
 // keys, then the object name / the remaining columns), group
@@ -19,6 +20,7 @@ package query
 import (
 	"fmt"
 	"iter"
+	"slices"
 	"sort"
 	"strings"
 
@@ -97,7 +99,10 @@ type plan struct {
 	conds    []condP
 	order    []orderP
 	proj     []int
-	limit    int    // group-path row cap (rows honor Query.Limit directly)
+	limit    int    // row cap, 0 = unlimited
+	pair     bool   // rows must carry Row.Disagree (the query names a disagree pair)
+	nums     []int  // numeric columns a row query keeps past the scan
+	slot     []int  // per column, its index in nums; -1 = not kept
 	groupIx  int    // -1 when not grouping
 	aggIx    []int  // aggregated column per agg (-1 for count)
 	accKinds []Kind // accumulator kind per agg
@@ -111,7 +116,7 @@ func compile(q *Query, cols []Column, defaultProj []int) (*plan, error) {
 	for i, c := range cols {
 		ix[c.Name] = i
 	}
-	p := &plan{cols: cols, groupIx: -1, limit: q.Limit}
+	p := &plan{cols: cols, groupIx: -1, limit: q.Limit, pair: q.DisA != ""}
 	for _, c := range q.Where {
 		i, ok := ix[c.Col]
 		if !ok {
@@ -230,8 +235,8 @@ func estRowNum(r *stream.Row, ix int) float64 {
 
 // matchRow evaluates the compiled conjuncts (and the disagree gate)
 // against a borrowed scan row.
-func (p *plan) matchRow(r *stream.Row, pair bool) bool {
-	if pair && !r.Disagree {
+func (p *plan) matchRow(r *stream.Row) bool {
+	if p.pair && !r.Disagree {
 		return false
 	}
 	for i := range p.conds {
@@ -247,15 +252,61 @@ func (p *plan) matchRow(r *stream.Row, pair bool) bool {
 	return true
 }
 
-// cmpRow is the query's total order over estimate rows: the order
-// keys, then the (unique) object name.
-func (p *plan) cmpRow(a, b *stream.Row) int {
+// run is one shard's matching rows, kept past the shard lock in
+// columnar form: each row's object and value names, and only the
+// numeric columns the plan orders or projects by (plan.nums). The
+// plain dump so holds 40 bytes a row, not a whole stream.Row, while
+// the shards merge. A run sorts in place under the plan's total order.
+type run struct {
+	p   *plan
+	str []string  // row i's object at 2i, its value at 2i+1
+	num []float64 // row i's kept numeric columns from i*len(p.nums)
+}
+
+func (rn *run) Len() int           { return len(rn.str) / 2 }
+func (rn *run) Less(i, j int) bool { return rn.p.cmpKept(rn, i, rn, j) < 0 }
+func (rn *run) Swap(i, j int) {
+	str, num, w := rn.str, rn.num, len(rn.p.nums)
+	str[2*i], str[2*i+1], str[2*j], str[2*j+1] = str[2*j], str[2*j+1], str[2*i], str[2*i+1]
+	for k := range w {
+		num[i*w+k], num[j*w+k] = num[j*w+k], num[i*w+k]
+	}
+}
+
+// keepCols picks the numeric columns a row query keeps past the scan:
+// its order keys and its projection.
+func (p *plan) keepCols() {
+	p.slot = slices.Repeat([]int{-1}, len(p.cols))
+	keys := slices.Clone(p.proj)
+	for _, k := range p.order {
+		keys = append(keys, k.ix)
+	}
+	for _, ix := range keys {
+		if p.cols[ix].Kind != KindString && p.slot[ix] < 0 {
+			p.slot[ix] = len(p.nums)
+			p.nums = append(p.nums, ix)
+		}
+	}
+}
+
+// keep appends a borrowed scan row to the run.
+func (p *plan) keep(rn *run, r *stream.Row) {
+	rn.str = append(rn.str, r.Object, r.Value)
+	for _, ix := range p.nums {
+		rn.num = append(rn.num, estRowNum(r, ix))
+	}
+}
+
+// cmpKept is the query's total order over kept rows: the order keys,
+// then the (unique) object name.
+func (p *plan) cmpKept(a *run, i int, b *run, j int) int {
+	w := len(p.nums)
 	for _, k := range p.order {
 		var c int
 		if k.kind == KindString {
-			c = strings.Compare(estRowStr(a, k.ix), estRowStr(b, k.ix))
+			c = strings.Compare(a.str[2*i+k.ix], b.str[2*j+k.ix])
 		} else {
-			c = cmpFloat(estRowNum(a, k.ix), estRowNum(b, k.ix))
+			c = cmpFloat(a.num[i*w+p.slot[k.ix]], b.num[j*w+p.slot[k.ix]])
 		}
 		if k.desc {
 			c = -c
@@ -264,43 +315,44 @@ func (p *plan) cmpRow(a, b *stream.Row) int {
 			return c
 		}
 	}
-	return strings.Compare(a.Object, b.Object)
+	return strings.Compare(a.str[2*i], b.str[2*j])
 }
 
-func (p *plan) sortRows(buf []stream.Row) {
-	sort.Slice(buf, func(i, j int) bool { return p.cmpRow(&buf[i], &buf[j]) < 0 })
-}
-
-// projectRow fills out (a reused slice) with the projected cells of r.
-func (p *plan) projectRow(r *stream.Row, out []Val) {
-	for i, ix := range p.proj {
-		col := &p.cols[ix]
-		switch col.Kind {
-		case KindString:
-			out[i] = Val{Kind: KindString, Str: estRowStr(r, ix)}
-		case KindFloat:
-			out[i] = Val{Kind: KindFloat, Num: estRowNum(r, ix)}
-		default:
-			out[i] = Val{Kind: KindInt, Int: int64(estRowNum(r, ix))}
-		}
+// sortRun sorts the run and keeps its first n rows (all when n <= 0).
+func sortRun(rn *run, n int) {
+	sort.Sort(rn)
+	rows := rn.Len()
+	if n > 0 {
+		rows = min(rows, n)
 	}
+	rn.str, rn.num = rn.str[:2*rows], rn.num[:rows*len(rn.p.nums)]
 }
 
-// shardList applies the one structural pushdown the hash layout
-// allows: an object-equality conjunct pins the query to a single
-// shard, so the other shards are never even snapshotted.
-func shardList(eng *stream.Engine, q *Query) []int {
+// scanScope resolves where a query scans. An object-equality conjunct
+// pins it to a single shard, so the other shards are never even
+// snapshotted — the one structural pushdown the hash layout allows. A
+// disagree pair resolves to interned ids; when either source has never
+// been seen no row can have them disagreeing, so no shard is scanned.
+func scanScope(eng *stream.Engine, q *Query) ([]int, stream.ScanOptions) {
+	opt := stream.NoPair
+	if q.DisA != "" {
+		ia, ib, ok := eng.SourceIDs(q.DisA, q.DisB)
+		if !ok {
+			return nil, opt
+		}
+		opt.PairA, opt.PairB = ia, ib
+	}
 	n := eng.NumShards()
 	for _, c := range q.Where {
 		if c.Col == "object" && c.Op == "=" {
-			return []int{stream.ShardIndex(c.Str, n)}
+			return []int{stream.ShardIndex(c.Str, n)}, opt
 		}
 	}
 	all := make([]int, n)
 	for i := range all {
 		all[i] = i
 	}
-	return all
+	return all, opt
 }
 
 // Execute runs a compiled query against a live engine. Safe to call
@@ -311,38 +363,16 @@ func Execute(eng *stream.Engine, q *Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt := stream.NoPair
-	pair := false
-	if q.DisA != "" {
-		ia, ib, ok := eng.SourceIDs(q.DisA, q.DisB)
-		if !ok {
-			// One of the pair has never been seen: no row can have
-			// them disagreeing.
-			return emptyResult(p), nil
-		}
-		opt.PairA, opt.PairB = ia, ib
-		pair = true
-	}
-	shards := shardList(eng, q)
 	if p.groupIx >= 0 {
-		global := newGroupTable(p)
-		for _, s := range shards {
-			local := newGroupTable(p)
-			eng.ScanShard(s, opt, func(r *stream.Row) bool {
-				if p.matchRow(r, pair) {
-					local.addRow(p, r)
-				}
-				return true
-			})
-			global.fold(p, local)
-		}
-		return global.finalize(p), nil
+		return p.groupShards(eng, q).finalize(p), nil
 	}
-	parts := make([][]stream.Row, len(shards))
+	p.keepCols()
+	shards, opt := scanScope(eng, q)
+	runs := make([]*run, len(shards))
 	for i, s := range shards {
-		parts[i] = collectShard(eng, s, p, opt, pair, q.Limit)
+		runs[i] = p.collectShard(eng, s, opt)
 	}
-	return &Result{Cols: p.projCols(), Rows: p.mergeRows(parts, q.Limit)}, nil
+	return &Result{Cols: p.projCols(), Rows: p.mergeRows(runs)}, nil
 }
 
 // ExecutePartial runs a group query but stops before finalizing: the
@@ -358,98 +388,92 @@ func ExecutePartial(eng *stream.Engine, q *Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt := stream.NoPair
-	pair := false
-	if q.DisA != "" {
-		ia, ib, ok := eng.SourceIDs(q.DisA, q.DisB)
-		if !ok {
-			return &Result{Cols: p.partialCols(), Rows: func(func([]Val) bool) {}}, nil
-		}
-		opt.PairA, opt.PairB = ia, ib
-		pair = true
-	}
-	global := newGroupTable(p)
-	for _, s := range shardList(eng, q) {
-		local := newGroupTable(p)
+	return p.groupShards(eng, q).partial(p), nil
+}
+
+// groupShards aggregates the query's shards: one group table per
+// shard, folded in shard order.
+func (p *plan) groupShards(eng *stream.Engine, q *Query) *groupTable {
+	shards, opt := scanScope(eng, q)
+	global := newGroupTable()
+	for _, s := range shards {
+		local := newGroupTable()
 		eng.ScanShard(s, opt, func(r *stream.Row) bool {
-			if p.matchRow(r, pair) {
+			if p.matchRow(r) {
 				local.addRow(p, r)
 			}
 			return true
 		})
 		global.fold(p, local)
 	}
-	return global.partial(p), nil
+	return global
 }
 
-// collectShard scans one shard with the predicates pushed down,
-// keeping a bounded buffer when the query has a limit: the buffer is
+// collectShard scans one shard with the predicates pushed down. A
+// query without predicates keeps every live row, so its run is sized
+// to the shard up front. With a limit the run stays bounded: it is
 // sorted and cut back to the limit every time it reaches a small
 // multiple of it, so a selective query over a huge shard allocates
 // O(limit), not O(shard).
-func collectShard(eng *stream.Engine, s int, p *plan, opt stream.ScanOptions, pair bool, limit int) []stream.Row {
-	var buf []stream.Row
-	cut := 0
-	if limit > 0 {
-		cut = 4*limit + 16
+func (p *plan) collectShard(eng *stream.Engine, s int, opt stream.ScanOptions) *run {
+	size, cut := 0, 0
+	if len(p.conds) == 0 && !p.pair {
+		size = eng.ShardLen(s)
 	}
+	if p.limit > 0 {
+		cut = 4*p.limit + 16
+		size = min(size, cut)
+	}
+	rn := &run{p: p, str: make([]string, 0, 2*size), num: make([]float64, 0, size*len(p.nums))}
 	eng.ScanShard(s, opt, func(r *stream.Row) bool {
-		if !p.matchRow(r, pair) {
-			return true
-		}
-		buf = append(buf, *r)
-		if cut > 0 && len(buf) >= cut {
-			p.sortRows(buf)
-			buf = buf[:limit]
+		if p.matchRow(r) {
+			p.keep(rn, r)
+			if cut > 0 && rn.Len() >= cut {
+				sortRun(rn, p.limit)
+			}
 		}
 		return true
 	})
-	p.sortRows(buf)
-	if limit > 0 && len(buf) > limit {
-		buf = buf[:limit]
-	}
-	return buf
+	sortRun(rn, p.limit)
+	return rn
 }
 
-// mergeRows lazily k-way-merges the per-shard sorted buffers under
-// the plan's total order, projecting at yield time. Cross-shard ties
-// are impossible (an object lives in exactly one shard), so the merge
+// mergeRows lazily k-way-merges the per-shard sorted runs under the
+// plan's total order, projecting at yield time. Cross-shard ties are
+// impossible (an object lives in exactly one shard), so the merge
 // order — and therefore the output bytes — does not depend on the
 // shard iteration pattern.
-func (p *plan) mergeRows(parts [][]stream.Row, limit int) iter.Seq[[]Val] {
+func (p *plan) mergeRows(runs []*run) iter.Seq[[]Val] {
 	return func(yield func([]Val) bool) {
-		heads := make([]int, len(parts))
+		heads := make([]int, len(runs))
 		out := make([]Val, len(p.proj))
-		n := 0
-		for limit <= 0 || n < limit {
+		for n := 0; p.limit <= 0 || n < p.limit; n++ {
 			best := -1
-			for i := range parts {
-				if heads[i] >= len(parts[i]) {
-					continue
-				}
-				if best < 0 || p.cmpRow(&parts[i][heads[i]], &parts[best][heads[best]]) < 0 {
+			for i, rn := range runs {
+				if heads[i] < rn.Len() && (best < 0 || p.cmpKept(rn, heads[i], runs[best], heads[best]) < 0) {
 					best = i
 				}
 			}
 			if best < 0 {
 				return
 			}
-			p.projectRow(&parts[best][heads[best]], out)
+			rn, row := runs[best], heads[best]
 			heads[best]++
+			for i, ix := range p.proj {
+				switch p.cols[ix].Kind {
+				case KindString:
+					out[i] = Val{Kind: KindString, Str: rn.str[2*row+ix]} // colObject or colValue
+				case KindFloat:
+					out[i] = Val{Kind: KindFloat, Num: rn.num[row*len(p.nums)+p.slot[ix]]}
+				default:
+					out[i] = Val{Kind: KindInt, Int: int64(rn.num[row*len(p.nums)+p.slot[ix]])}
+				}
+			}
 			if !yield(out) {
 				return
 			}
-			n++
 		}
 	}
-}
-
-func emptyResult(p *plan) *Result {
-	cols := p.projCols()
-	if p.groupIx >= 0 {
-		cols = p.groupCols()
-	}
-	return &Result{Cols: cols, Rows: func(func([]Val) bool) {}}
 }
 
 // ---- group aggregation ----
@@ -468,7 +492,7 @@ type groupTable struct {
 	m map[Val]*groupAcc
 }
 
-func newGroupTable(p *plan) *groupTable {
+func newGroupTable() *groupTable {
 	return &groupTable{m: make(map[Val]*groupAcc)}
 }
 
@@ -657,7 +681,7 @@ func MergePartials(q *Query, members [][][]Val) (*Result, error) {
 	if p.groupIx < 0 {
 		return nil, fmt.Errorf("partial: not a group query")
 	}
-	global := newGroupTable(p)
+	global := newGroupTable()
 	for _, rows := range members {
 		for _, row := range rows {
 			if len(row) != 2+len(p.aggs) {

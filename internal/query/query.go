@@ -137,13 +137,6 @@ type Query struct {
 	DisB  string
 }
 
-// IsPlain reports whether the query is the bare full dump — the case
-// the serving layer answers with its legacy shard-major fast path.
-func (q *Query) IsPlain() bool {
-	return len(q.Where) == 0 && len(q.Order) == 0 && q.Limit == 0 &&
-		len(q.Cols) == 0 && q.Group == "" && q.DisA == ""
-}
-
 // transportKeys are URL parameters the query language shares the
 // namespace with but does not interpret: output format selection and
 // the cluster's internal partial-aggregate flag.

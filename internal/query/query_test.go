@@ -38,9 +38,6 @@ func TestParseFullGrammar(t *testing.T) {
 	if q.Limit != 10 || !reflect.DeepEqual(q.Cols, []string{"object", "value", "confidence"}) {
 		t.Errorf("limit/cols parsed wrong: %+v", q)
 	}
-	if q.IsPlain() {
-		t.Error("non-trivial query reported plain")
-	}
 
 	g := parseQ(t, "group=value&agg=count,sum:confidence,avg:dissent,min:confidence,max:sources")
 	if g.Group != "value" || len(g.Aggs) != 5 || g.Aggs[1].Name() != "sum:confidence" {
@@ -57,7 +54,7 @@ func TestParseFullGrammar(t *testing.T) {
 
 func TestParseTransportKeysIgnored(t *testing.T) {
 	q := parseQ(t, "format=json&partial=1")
-	if !q.IsPlain() {
+	if !reflect.DeepEqual(q, &Query{}) {
 		t.Errorf("transport-only query not plain: %+v", q)
 	}
 }

@@ -38,7 +38,7 @@ func ExecuteRelation(rel *Relation, q *Query) (*Result, error) {
 		}
 	}
 	if p.groupIx >= 0 {
-		table := newGroupTable(p)
+		table := newGroupTable()
 		for _, row := range rows {
 			table.addVals(p, row)
 		}

@@ -28,8 +28,14 @@ func WriteCSV(w io.Writer, res *Result) error {
 		return err
 	}
 	record := make([]string, len(res.Cols))
+	var num []byte // float cells format here: one allocation each, not FormatFloat's two
 	for row := range res.Rows {
 		for i, v := range row {
+			if v.Kind == KindFloat {
+				num = strconv.AppendFloat(num[:0], v.Num, 'f', 4, 64)
+				record[i] = string(num)
+				continue
+			}
 			record[i] = v.String()
 		}
 		if err := cw.Write(record); err != nil {

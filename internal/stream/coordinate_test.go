@@ -201,28 +201,26 @@ func clusterEquivalence(t *testing.T, opts Options, maxObjects int) {
 }
 
 // compareClusterToReference checks the two determinism claims the
-// router's scatter-gather relies on: member estimates concatenated in
-// member order are exactly the reference engine's shard-major estimate
-// sequence, and every member's view of a source accuracy is the
-// reference accuracy bit for bit.
+// router's scatter-gather relies on: member m holds exactly the
+// reference estimates of the objects ShardIndex routes to m, bit for
+// bit, and every member's view of a source accuracy is the reference
+// accuracy bit for bit.
 func compareClusterToReference(t *testing.T, stage string, ref *Engine, members []*Engine) {
 	t.Helper()
-	var want []Estimate
-	for est := range ref.EstimatesSeq() {
-		want = append(want, est)
+	want := make([][]Estimate, len(members))
+	for _, est := range ref.EstimateAll() {
+		m := ShardIndex(est.Object, len(members))
+		want[m] = append(want[m], est)
 	}
-	var got []Estimate
-	for _, m := range members {
-		for est := range m.EstimatesSeq() {
-			got = append(got, est)
+	for mi, m := range members {
+		got := m.EstimateAll()
+		if len(got) != len(want[mi]) {
+			t.Fatalf("%s: member %d has %d estimates, reference routes it %d", stage, mi, len(got), len(want[mi]))
 		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%s: cluster has %d estimates, reference %d", stage, len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: estimate %d diverged: cluster %+v, reference %+v", stage, i, got[i], want[i])
+		for i := range got {
+			if got[i] != want[mi][i] {
+				t.Fatalf("%s: member %d estimate %d diverged: member %+v, reference %+v", stage, mi, i, got[i], want[mi][i])
+			}
 		}
 	}
 	refSrcs := ref.Sources()

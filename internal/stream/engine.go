@@ -33,7 +33,9 @@ import (
 	"errors"
 	"iter"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -1087,23 +1089,15 @@ func (e *Engine) sourceNames() []string {
 	return names
 }
 
-// mapValue extracts the MAP (value name, probability) of an object.
-// Caller holds the object's shard lock (read or write) and passes a
+// mapValue reads an object's cached MAP (value name, probability) —
+// the same mapIx ScanShard reports, so every reader agrees. Caller
+// holds the object's shard lock (read or write) and passes a
 // valueNames() snapshot taken under it.
 func mapValue(obj *object, valNames []string) (string, float64, bool) {
-	if len(obj.post) == 0 {
+	if obj.mapIx < 0 {
 		return "", 0, false
 	}
-	best := valNames[obj.domain[0]]
-	bestP := obj.post[0]
-	for i := 1; i < len(obj.domain); i++ {
-		name := valNames[obj.domain[i]]
-		p := obj.post[i]
-		if p > bestP || (p == bestP && name < best) {
-			best, bestP = name, p
-		}
-	}
-	return best, bestP, true
+	return valNames[obj.domain[obj.mapIx]], obj.post[obj.mapIx], true
 }
 
 // SourceAccuracy returns the frozen-epoch accuracy estimate for a
@@ -1199,10 +1193,11 @@ type Estimate struct {
 }
 
 // shardEstimates snapshots one shard's live estimates under its read
-// lock, sorted by object name.
+// lock, in slot order.
 func (e *Engine) shardEstimates(s int) []Estimate {
 	sh := &e.shards[s]
 	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	valNames := e.valueNames()
 	out := make([]Estimate, 0, sh.nLive)
 	for ix := range sh.objs {
@@ -1214,62 +1209,37 @@ func (e *Engine) shardEstimates(s int) []Estimate {
 			out = append(out, Estimate{obj.name, v, conf})
 		}
 	}
-	sh.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Object < out[j].Object })
 	return out
 }
 
 // EstimateAll returns every live object's MAP estimate with its
 // confidence, sorted by object name — one locked pass per shard, so
 // callers that need both value and confidence never re-derive MAPs
-// object by object. Safe to call during ingest. For huge object
-// counts prefer EstimatesSeq, which never materializes the full set.
+// object by object. The order is the total order of the plain
+// estimates query, independent of the shard count. Safe to call
+// during ingest.
 func (e *Engine) EstimateAll() []Estimate {
 	parts := parallel.Map(e.nShards, e.opts.Workers, e.shardEstimates)
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	all := make([]Estimate, 0, total)
-	for _, p := range parts {
-		all = append(all, p...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Object < all[j].Object })
+	all := slices.Concat(parts...)
+	slices.SortFunc(all, func(a, b Estimate) int { return strings.Compare(a.Object, b.Object) })
 	return all
 }
 
-// EstimatesSeq yields every live object's estimate while holding at
-// most one shard's snapshot in memory — the streaming emitter behind
-// /estimates and the CLI CSV, sized for object counts where one
-// all-objects map or slice would not fit. Order is shard-major with
-// names sorted within each shard: deterministic for a fixed shard
-// count (and so byte-stable across runs and worker counts), but not
-// globally sorted the way EstimateAll is. Safe to call during ingest;
-// no locks are held while the consumer runs.
+// EstimatesSeq yields EstimateAll's rows: every live object's
+// estimate, sorted by object name — the rows of the plain estimates
+// query (query.Execute with an empty Query), whatever the shard
+// count. Safe to call during ingest; no locks are held while the
+// consumer runs.
 func (e *Engine) EstimatesSeq() iter.Seq[Estimate] {
-	return func(yield func(Estimate) bool) {
-		for s := 0; s < e.nShards; s++ {
-			for _, est := range e.shardEstimates(s) {
-				if !yield(est) {
-					return
-				}
-			}
-		}
-	}
+	return slices.Values(e.EstimateAll())
 }
 
 // Estimates returns the MAP value of every live object. Safe to call
 // during ingest (each shard is snapshotted under its read lock).
 func (e *Engine) Estimates() map[string]string {
-	live := 0
-	for s := range e.shards {
-		sh := &e.shards[s]
-		sh.mu.RLock()
-		live += sh.nLive
-		sh.mu.RUnlock()
-	}
-	est := make(map[string]string, live)
-	for x := range e.EstimatesSeq() {
+	all := e.EstimateAll()
+	est := make(map[string]string, len(all))
+	for _, x := range all {
 		est[x.Object] = x.Value
 	}
 	return est

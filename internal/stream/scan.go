@@ -54,6 +54,15 @@ func (e *Engine) SourceIDs(a, b string) (ia, ib int, ok bool) {
 // domain for ScanShard.
 func (e *Engine) NumShards() int { return e.nShards }
 
+// ShardLen reports how many live objects shard s holds — the size of
+// a full scan. Safe to call during ingest.
+func (e *Engine) ShardLen(s int) int {
+	sh := &e.shards[s]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.nLive
+}
+
 // CurrentEpoch reports the engine's σ-table epoch — the clock
 // Row.Changed is stamped against. Safe to call during ingest.
 func (e *Engine) CurrentEpoch() int64 {

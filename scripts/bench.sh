@@ -17,9 +17,9 @@ TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
 go test -run '^$' \
-	-bench '^(BenchmarkCoreEMFit|BenchmarkCoreERMFit|BenchmarkCoreExactInference|BenchmarkOptimizerDecide|BenchmarkLassoPath|BenchmarkFacadeSolve|BenchmarkStreamIngest|BenchmarkOnlineIngest|BenchmarkCheckpointRestore|BenchmarkServeHTTP|BenchmarkMetricsScrape)$' \
+	-bench '^(BenchmarkCoreEMFit|BenchmarkCoreERMFit|BenchmarkCoreExactInference|BenchmarkOptimizerDecide|BenchmarkLassoPath|BenchmarkFacadeSolve|BenchmarkStreamIngest|BenchmarkOnlineIngest|BenchmarkCheckpointRestore|BenchmarkServeHTTP|BenchmarkMetricsScrape|BenchmarkQueryExport)$' \
 	-benchmem \
-	. ./cmd/slimfast ./internal/obs | tee "$TMP"
+	. ./cmd/slimfast ./internal/obs ./internal/query | tee "$TMP"
 
 {
 	printf '{\n'
