@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -249,6 +250,8 @@ func refQueryBytes(t *testing.T, ref *stream.Engine, raw, format string) string 
 // query shape served through a three-node router is byte-identical to
 // the same query against one three-shard engine — predicates, ordering
 // and limits pushed to the members, group partials folded node-major.
+// An object= lookup reaches the owning member alone, and still answers
+// while another member is down.
 func TestRouterQueryGoldenEquivalence(t *testing.T) {
 	const nodes, batch, epochLen = 3, 32, 64
 	claims := goldenClaims()
@@ -265,30 +268,76 @@ func TestRouterQueryGoldenEquivalence(t *testing.T) {
 		ref.ObserveBatch(claims[lo:hi])
 	}
 
-	rs := newGoldenCluster(t, nodes, batch, epochLen, 1)
+	// Members count the estimate queries they serve, so the test can
+	// see which ones a router query reached.
+	var hits [nodes]atomic.Int64
+	members := make([]*httptest.Server, nodes)
+	urls := make([]string, nodes)
+	for i := range members {
+		h := memberHandler(t, batch, 1, "")
+		members[i] = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/estimates" {
+				hits[i].Add(1)
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(members[i].Close)
+		urls[i] = members[i].URL
+	}
+	rs := newGoldenClusterOver(t, urls, batch, epochLen, 1)
 	if rec := doReq(t, rs.handler(), "POST", "/v1/observe?seq=qgolden", "application/x-ndjson", ndjsonFromTriples(claims)); rec.Code != http.StatusOK {
 		t.Fatalf("observe: %d %s", rec.Code, rec.Body)
 	}
 
-	queries := []string{
-		"where=confidence<0.999&order=-contested&limit=12&cols=object,value,confidence,contested",
-		"order=-contested,object&limit=7",
-		"where=value=t0&cols=object&order=object",
-		"disagree=s0,s7&order=object&limit=9",
-		"group=value&agg=count,avg:confidence,max:contested",
-		"group=value&agg=count&where=sources>=8",
+	// owner is the one member a lookup may reach, -1 when a query must
+	// reach them all.
+	const present = "obj042"
+	own := func(object string) int { return stream.ShardIndex(object, nodes) }
+	queries := []struct {
+		raw   string
+		owner int
+	}{
+		{"where=confidence<0.999&order=-contested&limit=12&cols=object,value,confidence,contested", -1},
+		{"order=-contested,object&limit=7", -1},
+		{"where=value=t0&cols=object&order=object", -1},
+		{"disagree=s0,s7&order=object&limit=9", -1},
+		{"group=value&agg=count,avg:confidence,max:contested", -1},
+		{"group=value&agg=count&where=sources>=8", -1},
+		{"where=object=" + present, own(present)},
+		{"where=object=nosuch&cols=object,value", own("nosuch")},
+		{"where=object=", own("")},
+		{"where=object=" + present + "&where=sources>100", own(present)},
+		{"where=object=" + present + "&where=object=obj043", own(present)},
+		{"group=value&agg=count&where=object=" + present, own(present)},
+		{"disagree=s0,s7&where=object=" + present, own(present)},
 	}
-	for _, raw := range queries {
+	for _, qc := range queries {
+		var before [nodes]int64
+		for i := range hits {
+			before[i] = hits[i].Load()
+		}
 		for _, format := range []string{"csv", "json"} {
-			want := refQueryBytes(t, ref, raw, format)
-			rec := doReq(t, rs.handler(), "GET", "/v1/estimates?"+raw+"&format="+format, "", "")
+			want := refQueryBytes(t, ref, qc.raw, format)
+			rec := doReq(t, rs.handler(), "GET", "/v1/estimates?"+qc.raw+"&format="+format, "", "")
 			if rec.Code != http.StatusOK {
-				t.Fatalf("%s (%s): %d %s", raw, format, rec.Code, rec.Body)
+				t.Fatalf("%s (%s): %d %s", qc.raw, format, rec.Code, rec.Body)
 			}
 			if got := rec.Body.String(); got != want {
-				t.Errorf("%s (%s) diverged from the single engine\nrouter:\n%s\nreference:\n%s", raw, format, got, want)
+				t.Errorf("%s (%s) diverged from the single engine\nrouter:\n%s\nreference:\n%s", qc.raw, format, got, want)
 			}
 		}
+		for i := range hits {
+			want := int64(2) // one request per format
+			if qc.owner >= 0 && i != qc.owner {
+				want = 0
+			}
+			if got := hits[i].Load() - before[i]; got != want {
+				t.Errorf("%s reached member %d %d times, want %d", qc.raw, i, got, want)
+			}
+		}
+	}
+	if want := refQueryBytes(t, ref, "where=object="+present, "csv"); !strings.Contains(want, "\n"+present+",") {
+		t.Fatalf("lookup of %s found no row:\n%s", present, want)
 	}
 
 	// Accept negotiation works on the router too.
@@ -336,6 +385,15 @@ func TestRouterQueryGoldenEquivalence(t *testing.T) {
 	rec = doReq(t, rs.handler(), "GET", "/v1/features", "", "")
 	if rec.Code != http.StatusConflict || decodeEnvelope(t, rec) != "conflict" {
 		t.Errorf("router features without learner = %d: %s", rec.Code, rec.Body)
+	}
+
+	// A lookup needs only its owner: with another member down it still
+	// answers, byte-identical to the single engine.
+	members[(own(present)+1)%nodes].Close()
+	lookup := "where=object=" + present
+	rec = doReq(t, rs.handler(), "GET", "/v1/estimates?"+lookup, "", "")
+	if want := refQueryBytes(t, ref, lookup, "csv"); rec.Code != http.StatusOK || rec.Body.String() != want {
+		t.Errorf("lookup with a non-owning member down = %d\nrouter:\n%s\nreference:\n%s", rec.Code, rec.Body, want)
 	}
 }
 

@@ -151,8 +151,9 @@ func (s *routerServer) observe(r *http.Request, seq string, read func() ([]byte,
 	return res, nil
 }
 
-// estimates pushes the query down to every member and merges with the
-// single-engine fold, so the bytes match one N-shard engine.
+// estimates pushes the query down to the members (the owner alone for
+// an object= lookup) and merges with the single-engine fold, so the
+// bytes match one N-shard engine.
 func (s *routerServer) estimates(ctx context.Context, q *query.Query, _ bool) (*query.Result, error) {
 	res, err := s.rt.Query(ctx, q)
 	if err != nil {

@@ -48,6 +48,14 @@ func ndjsonFromTriples(claims []stream.Triple) string {
 // checkpointing to ckpt when set.
 func newMember(t *testing.T, batch int, decay float64, ckpt string) *httptest.Server {
 	t.Helper()
+	srv := httptest.NewServer(memberHandler(t, batch, decay, ckpt))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// memberHandler is newMember's node handler, for tests that wrap it.
+func memberHandler(t *testing.T, batch int, decay float64, ckpt string) http.Handler {
+	t.Helper()
 	opts := stream.DefaultEngineOptions()
 	opts.Shards = 1
 	opts.EpochLength = stream.ExternalEpochLength
@@ -56,9 +64,7 @@ func newMember(t *testing.T, batch int, decay float64, ckpt string) *httptest.Se
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(testServer(eng, ckpt, batch).handler())
-	t.Cleanup(srv.Close)
-	return srv
+	return testServer(eng, ckpt, batch).handler()
 }
 
 // newGoldenCluster starts nodes members plus a router over them,

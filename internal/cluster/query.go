@@ -8,7 +8,8 @@
 // byte-identical to one engine whose shards are the members. Group
 // queries gather unfinalized partials (partial=1) and fold them in
 // node order, the same accumulation tree the engine's shard-major fold
-// builds.
+// builds. A query with an object-equality conjunct goes to the
+// object's owning member alone: the others hold no row it can match.
 package cluster
 
 import (
@@ -78,6 +79,21 @@ func (r *Router) Query(ctx context.Context, q *query.Query) (*query.Result, erro
 	return r.queryRowsLocked(ctx, q)
 }
 
+// queryMembers lists the partitions a query must reach, in node
+// order: the owner of the object a query pins with object=, otherwise
+// every member. The skipped members' answers would be empty, so the
+// merge and the partial fold see exactly the rows they would have.
+func (r *Router) queryMembers(q *query.Query) []int {
+	if obj, ok := q.ObjectKey(); ok {
+		return []int{r.Partition(obj)}
+	}
+	all := make([]int, len(r.cfg.Nodes))
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
 // memberQuery fetches one member's NDJSON rows for the given forward
 // parameters.
 func (r *Router) memberQuery(ctx context.Context, partition int, vals url.Values, cols []query.Column) ([][]query.Val, error) {
@@ -105,7 +121,7 @@ func (r *Router) queryRowsLocked(ctx context.Context, q *query.Query) (*query.Re
 		return nil, err
 	}
 	rel := &query.Relation{Cols: cols}
-	for i := range r.cfg.Nodes {
+	for _, i := range r.queryMembers(q) {
 		rows, err := r.memberQuery(ctx, i, q.Values(member), cols)
 		if err != nil {
 			return nil, err
@@ -128,7 +144,7 @@ func (r *Router) queryGroupLocked(ctx context.Context, q *query.Query) (*query.R
 		return nil, err
 	}
 	parts := make([][][]query.Val, len(r.cfg.Nodes))
-	for i := range r.cfg.Nodes {
+	for _, i := range r.queryMembers(q) {
 		vals := q.Values(nil)
 		vals.Set("partial", "1")
 		rows, err := r.memberQuery(ctx, i, vals, pcols)

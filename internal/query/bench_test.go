@@ -143,3 +143,25 @@ func BenchmarkQueryExport(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkQueryLookup is the keyed read, GET /v1/estimates?where=
+// object=X, over BenchmarkQueryExport's fixture: the object-equality
+// conjunct makes it a point read through the owning shard's index, so
+// its cost is one row, not the shard.
+func BenchmarkQueryLookup(b *testing.B) {
+	e := exportEngine(b)
+	q := mustParse("where=object=x042424")
+	if res, err := Execute(e, q); err != nil || len(Materialize(res).Rows) != 1 {
+		b.Fatalf("lookup fixture: want one row (err %v)", err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		res, err := Execute(e, q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := WriteCSV(io.Discard, res); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -97,6 +97,7 @@ func queryNDJSON(t *testing.T, e *stream.Engine, raw string) string {
 // gate: for a fixed shard count, every query's bytes are identical
 // whether one goroutine ingested or four.
 func TestEngineQueryDeterministicAcrossWorkers(t *testing.T) {
+	const absent = "where=object=nosuch" // the only query with no rows
 	queries := []string{
 		"",
 		"where=confidence<0.95&order=-contested&limit=10",
@@ -104,14 +105,15 @@ func TestEngineQueryDeterministicAcrossWorkers(t *testing.T) {
 		"group=value&agg=count,sum:confidence,avg:confidence,min:confidence,max:confidence",
 		"disagree=s0,s7&cols=object,value",
 		"where=object=o037",
+		absent,
 		"order=-changed,object&limit=5&cols=object,changed",
 	}
 	e1 := buildEngine(t, 4, 1, 64, goldenClaims(), flipClaims())
 	e4 := buildEngine(t, 4, 4, 64, goldenClaims(), flipClaims())
 	for _, raw := range queries {
 		a, b := queryNDJSON(t, e1, raw), queryNDJSON(t, e4, raw)
-		if a == "" {
-			t.Errorf("query %q returned no bytes", raw)
+		if (a == "") != (raw == absent) {
+			t.Errorf("query %q returned %d bytes", raw, len(a))
 		}
 		if a != b {
 			t.Errorf("query %q differs between workers 1 and 4:\n%s\nvs\n%s", raw, a, b)
@@ -127,6 +129,7 @@ func TestEngineQueryAcrossShardCounts(t *testing.T) {
 		"cols=object,value",
 		"group=value&agg=count",
 		"where=object=o005&cols=object,value",
+		"where=object=nosuch&cols=object,value",
 		"disagree=s0,s7&cols=object",
 	}
 	base := buildEngine(t, 1, 2, 64, goldenClaims(), flipClaims())

@@ -330,7 +330,9 @@ func sortRun(rn *run, n int) {
 
 // scanScope resolves where a query scans. An object-equality conjunct
 // pins it to a single shard, so the other shards are never even
-// snapshotted — the one structural pushdown the hash layout allows. A
+// snapshotted — the one structural pushdown the hash layout allows —
+// and turns that shard's scan into a point read through its object
+// index; matchRow still checks every conjunct on the one row. A
 // disagree pair resolves to interned ids; when either source has never
 // been seen no row can have them disagreeing, so no shard is scanned.
 func scanScope(eng *stream.Engine, q *Query) ([]int, stream.ScanOptions) {
@@ -343,10 +345,9 @@ func scanScope(eng *stream.Engine, q *Query) ([]int, stream.ScanOptions) {
 		opt.PairA, opt.PairB = ia, ib
 	}
 	n := eng.NumShards()
-	for _, c := range q.Where {
-		if c.Col == "object" && c.Op == "=" {
-			return []int{stream.ShardIndex(c.Str, n)}, opt
-		}
+	if obj, ok := q.ObjectKey(); ok {
+		opt.Point, opt.Object = true, obj
+		return []int{stream.ShardIndex(obj, n)}, opt
 	}
 	all := make([]int, n)
 	for i := range all {

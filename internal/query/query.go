@@ -137,6 +137,19 @@ type Query struct {
 	DisB  string
 }
 
+// ObjectKey reports the operand of the query's first object-equality
+// conjunct: the one object the query can return, so both serving
+// surfaces answer it with a point read (the engine through its shard
+// index, the router from the owning member alone).
+func (q *Query) ObjectKey() (string, bool) {
+	for _, c := range q.Where {
+		if c.Col == "object" && c.Op == "=" {
+			return c.Str, true
+		}
+	}
+	return "", false
+}
+
 // transportKeys are URL parameters the query language shares the
 // namespace with but does not interpret: output format selection and
 // the cluster's internal partial-aggregate flag.

@@ -6,8 +6,9 @@
 // a selective query never materializes an Estimate slice the way
 // EstimateAll does. Predicate pushdown lives one level up: the query
 // executor decides which shards to scan (ShardIndex pruning on object
-// equality) and which rows to keep; this file only guarantees that a
-// shard scan is one RLock, zero allocations, and deterministic slot
+// equality), whether the scan is a point read through the shard's
+// object index, and which rows to keep; this file only guarantees that
+// a shard scan is one RLock, zero allocations, and deterministic slot
 // order.
 package stream
 
@@ -31,6 +32,11 @@ type ScanOptions struct {
 	// PairA/PairB are interned source ids (from SourceIDs) driving
 	// Row.Disagree; -1 disables the pair check.
 	PairA, PairB int
+	// Point turns the scan into a point read of the object named
+	// Object, resolved through the shard's index: at most one row.
+	// An unknown (or evicted) name, including "", visits nothing.
+	Point  bool
+	Object string
 }
 
 // NoPair is the ScanOptions zero state with the disagree pair off.
@@ -73,7 +79,8 @@ func (e *Engine) CurrentEpoch() int64 {
 
 // ScanShard visits every live object in shard s in slot order
 // (deterministic for a fixed shard count), filling and passing one
-// reused Row. Returning false from visit stops the scan. The visit
+// reused Row; a Point scan visits only the named object's slot.
+// Returning false from visit stops the scan. The visit
 // callback runs under the shard's read lock: it must not retain the
 // *Row (copy it), must not block, and must not call back into the
 // engine's write paths.
@@ -83,8 +90,16 @@ func (e *Engine) ScanShard(s int, opt ScanOptions, visit func(*Row) bool) {
 	defer sh.mu.RUnlock()
 	valNames := e.valueNames()
 	var row Row
-	for ix := range sh.objs {
-		obj := &sh.objs[ix]
+	objs := sh.objs
+	if opt.Point {
+		ix, ok := sh.index[opt.Object]
+		if !ok {
+			return
+		}
+		objs = objs[ix : ix+1]
+	}
+	for ix := range objs {
+		obj := &objs[ix]
 		if !obj.live || obj.mapIx < 0 {
 			continue
 		}
