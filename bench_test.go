@@ -267,14 +267,12 @@ func BenchmarkCoreExactInference(b *testing.B) {
 }
 
 // BenchmarkStreamIngest measures the per-observation cost of streaming
-// ingest: the seed sequential Fuser (which rebuilds the touched
-// object's posterior maps on every Observe) against the sharded
-// incremental engine (dense per-shard state, O(domain) delta updates,
-// frozen-accuracy epochs). The stream cycles through a fixed claim set
-// with values alternating between passes, so steady-state re-claims
-// exercise the delta path rather than pure no-ops. The engine's
-// allocs/op is the headline number: the seed's per-observe full
-// recompute allocates every call, the engine amortizes to ~0.
+// ingest into the sharded incremental engine (dense per-shard state,
+// O(domain) delta updates, frozen-accuracy epochs) at one and four
+// shards. The stream cycles through a fixed claim set with values
+// alternating between passes, so steady-state re-claims exercise the
+// delta path rather than pure no-ops. allocs/op is the headline
+// number: the engine amortizes to ~0.
 func BenchmarkStreamIngest(b *testing.B) {
 	inst, err := synth.Generate(synth.Config{
 		Name: "ingest", Sources: 80, Objects: 2000, DomainSize: 3,
@@ -304,17 +302,6 @@ func BenchmarkStreamIngest(b *testing.B) {
 	rng := randx.New(32)
 	rng.Shuffle(len(triples), func(i, j int) { triples[i], triples[j] = triples[j], triples[i] })
 
-	b.Run("seed-fuser", func(b *testing.B) {
-		f, err := stream.New(stream.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			t := &triples[i%len(triples)]
-			f.Observe(t.s, t.o, t.vals[(i/len(triples))%2])
-		}
-	})
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("engine-shards=%d", shards), func(b *testing.B) {
 			opts := stream.DefaultEngineOptions()

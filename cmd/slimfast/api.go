@@ -42,6 +42,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
 	"strconv"
@@ -118,8 +119,8 @@ func (s *server) handler() http.Handler {
 	mount("POST /v1/observe", s.reply(func(w http.ResponseWriter, r *http.Request) (any, error) {
 		return s.be.observe(r, seqKey(r), func() ([]byte, error) { return s.readBody(w, r) })
 	}))
-	mount("GET /v1/estimates", s.handleEstimates)
-	mount("GET /v1/sources", s.handleSources)
+	mount("GET /v1/estimates", s.handleRead("estimates"))
+	mount("GET /v1/sources", s.handleRead("sources"))
 	mount("GET /v1/features", func(w http.ResponseWriter, r *http.Request) {
 		s.render(w, r, "text/csv", func(out io.Writer) error { return s.be.features(r.Context(), out) })
 	})
@@ -236,72 +237,74 @@ func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error
 	}
 }
 
-// parseRead parses a relational read: the query against the table's
-// columns, then the response format — an explicit format parameter
-// wins, otherwise an Accept header naming application/json selects
-// NDJSON, default CSV.
-func parseRead(r *http.Request, table string, cols []query.Column) (*query.Query, string, error) {
-	q, err := query.Parse(r.URL.Query(), cols)
-	if err != nil {
-		return nil, "", errStatus(http.StatusBadRequest, "%s: %v", table, err)
-	}
+// readFormat negotiates a relational read's response format: an
+// explicit format parameter wins, otherwise an Accept header naming
+// application/json selects NDJSON, default CSV.
+func readFormat(r *http.Request, table string) (string, error) {
 	switch f := r.URL.Query().Get("format"); f {
 	case "":
 		if strings.Contains(r.Header.Get("Accept"), "application/json") {
-			return q, "json", nil
+			return "json", nil
 		}
-		return q, "csv", nil
+		return "csv", nil
 	case "csv", "json", "ndjson":
-		return q, f, nil
+		return f, nil
 	default:
-		return nil, "", errStatus(http.StatusBadRequest, "%s: unknown format %q (want csv or json)", table, f)
+		return "", errStatus(http.StatusBadRequest, "%s: unknown format %q (want csv or json)", table, f)
 	}
 }
 
-// serveResult renders a query result in the negotiated format.
-func (s *server) serveResult(w http.ResponseWriter, r *http.Request, res *query.Result, format string) {
-	contentType := "application/x-ndjson"
-	if format == "csv" {
-		contentType = "text/csv"
+// runRead is the one parse-and-execute for the relational reads,
+// shared by GET /v1/estimates, GET /v1/sources and `query -from`: it
+// resolves the table, parses vals against its columns and executes. The
+// sources relation is resolved before parsing because its columns
+// depend on the engine (an online learner adds learned and empirical).
+// A bare estimates query is the empty query, the object-sorted plain
+// dump; partial asks for the router's unfinalized group aggregates.
+func runRead(ctx context.Context, be backend, table string, vals url.Values, partial bool) (*query.Result, error) {
+	if table == "sources" {
+		rel, err := be.sources(ctx)
+		if err != nil {
+			return nil, err
+		}
+		q, err := query.Parse(vals, rel.Cols)
+		if err == nil {
+			var res *query.Result
+			if res, err = query.ExecuteRelation(rel, q); err == nil {
+				return res, nil
+			}
+		}
+		return nil, errStatus(http.StatusBadRequest, "sources: %v", err)
 	}
-	s.render(w, r, contentType, func(out io.Writer) error { return query.Write(out, res, format) })
+	q, err := query.Parse(vals, query.EstimateColumns())
+	if err != nil {
+		return nil, errStatus(http.StatusBadRequest, "estimates: %v", err)
+	}
+	return be.estimates(ctx, q, partial)
 }
 
-// handleEstimates runs the query over the estimates relation; a bare
-// request is the empty query, the object-sorted plain dump.
-func (s *server) handleEstimates(w http.ResponseWriter, r *http.Request) {
-	q, format, err := parseRead(r, "estimates", query.EstimateColumns())
-	if err != nil {
-		s.fail(w, r, err)
-		return
+// handleRead serves a relational read of table: the format is
+// negotiated first, then runRead parses and executes, and the result
+// is rendered in that format.
+func (s *server) handleRead(table string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		format, err := readFormat(r, table)
+		if err != nil {
+			s.fail(w, r, err)
+			return
+		}
+		vals := r.URL.Query()
+		res, err := runRead(r.Context(), s.be, table, vals, vals.Get("partial") != "")
+		if err != nil {
+			s.fail(w, r, err)
+			return
+		}
+		contentType := "application/x-ndjson"
+		if format == "csv" {
+			contentType = "text/csv"
+		}
+		s.render(w, r, contentType, func(out io.Writer) error { return query.Write(out, res, format) })
 	}
-	res, err := s.be.estimates(r.Context(), q, r.URL.Query().Get("partial") != "")
-	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	s.serveResult(w, r, res, format)
-}
-
-// handleSources queries the source accuracy relation with the same
-// language and negotiation as /v1/estimates.
-func (s *server) handleSources(w http.ResponseWriter, r *http.Request) {
-	rel, err := s.be.sources(r.Context())
-	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	q, format, err := parseRead(r, "sources", rel.Cols)
-	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	res, err := query.ExecuteRelation(rel, q)
-	if err != nil {
-		s.fail(w, r, errStatus(http.StatusBadRequest, "sources: %v", err))
-		return
-	}
-	s.serveResult(w, r, res, format)
 }
 
 // maxRefineSweeps caps an operator-requested re-sweep: each sweep is

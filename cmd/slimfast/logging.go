@@ -22,7 +22,7 @@ import (
 	"time"
 )
 
-// logFormats validates a -log-format value.
+// validLogFormat validates a -log-format value.
 func validLogFormat(format string) error {
 	switch format {
 	case "", "text", "json":
@@ -62,17 +62,8 @@ func requestLogger(ctx context.Context, fallback *slog.Logger) *slog.Logger {
 	if fallback != nil {
 		return fallback
 	}
-	return slog.New(discardHandler{})
+	return slog.New(slog.DiscardHandler)
 }
-
-// discardHandler is a slog.Handler that drops everything; the fallback
-// of last resort so logging is never a nil dereference.
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
-func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
 
 // startPprof serves net/http/pprof on its own mux at addr — a side
 // server, so the profiling surface never mounts on the public API by

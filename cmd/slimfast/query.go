@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -125,9 +126,11 @@ func queryCheckpoint(path, table, format string, generations int, vals url.Value
 			continue
 		}
 		restored++
-		res, err := runTableQuery(eng, table, vals)
+		// The node's own read path: a streamServer's estimates and
+		// sources touch only its engine.
+		res, err := runRead(context.Background(), &streamServer{eng: eng}, table, vals, false)
 		if err != nil {
-			return err
+			return fmt.Errorf("query: %w", err)
 		}
 		if single {
 			out = res
@@ -139,32 +142,6 @@ func queryCheckpoint(path, table, format string, generations int, vals url.Value
 		return fmt.Errorf("query: no readable checkpoint generation at %s", path)
 	}
 	return query.Write(stdout, out, format)
-}
-
-// runTableQuery parses the query against the chosen relation's schema
-// and executes it over the restored engine.
-func runTableQuery(eng *stream.Engine, table string, vals url.Values) (*query.Result, error) {
-	if table == "sources" {
-		rel := sourcesRelation(eng)
-		q, err := query.Parse(vals, rel.Cols)
-		if err != nil {
-			return nil, fmt.Errorf("query: %w", err)
-		}
-		res, err := query.ExecuteRelation(rel, q)
-		if err != nil {
-			return nil, fmt.Errorf("query: %w", err)
-		}
-		return res, nil
-	}
-	q, err := query.Parse(vals, query.EstimateColumns())
-	if err != nil {
-		return nil, fmt.Errorf("query: %w", err)
-	}
-	res, err := query.Execute(eng, q)
-	if err != nil {
-		return nil, fmt.Errorf("query: %w", err)
-	}
-	return res, nil
 }
 
 // appendGeneration materializes res and appends its rows to out with

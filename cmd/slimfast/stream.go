@@ -70,6 +70,12 @@ func runStream(args []string, stdin io.Reader, stdout io.Writer) error {
 		}
 		*epoch = stream.ExternalEpochLength
 	}
+	if *window < 0 {
+		return fmt.Errorf("-window must be non-negative, got %d", *window)
+	}
+	if *window != 0 && *featPath == "" {
+		return errors.New("-window needs -features: the drift window belongs to the online learner")
+	}
 
 	var eng *stream.Engine
 	if *restorePath != "" {
@@ -87,9 +93,6 @@ func runStream(args []string, stdin io.Reader, stdout io.Writer) error {
 		default:
 			return err
 		}
-	}
-	if *window < 0 {
-		return fmt.Errorf("-window must be non-negative, got %d", *window)
 	}
 	if eng != nil && *featPath != "" {
 		// Engine shape comes from the checkpoint, like -shards; saying

@@ -210,6 +210,13 @@ func TestStreamSubcommandFeatureFlagEdgeCases(t *testing.T) {
 		strings.NewReader(streamCSV(2)), &out); err == nil {
 		t.Error("negative -window should error")
 	}
+	// -window tunes the online learner, so without -features it must
+	// fail loudly rather than be silently ignored.
+	out.Reset()
+	if err := runStream([]string{"-window", "5"},
+		strings.NewReader(streamCSV(2)), &out); err == nil || !strings.Contains(err.Error(), "-features") {
+		t.Errorf("-window without -features should error naming -features, got %v", err)
+	}
 
 	// -features alongside a -restore that finds a featureless
 	// checkpoint must warn, not silently serve agreement-only.

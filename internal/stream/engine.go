@@ -1,13 +1,13 @@
-// The sharded streaming engine: the serving-grade sibling of the
-// sequential Fuser, built in the compiled-layout style of
-// internal/core.
+// The sharded streaming engine, the package's one production
+// estimator, built in the compiled-layout style of internal/core. Its
+// test oracle is the seed sequential Fuser in fuser_test.go.
 //
 // Objects are hash-partitioned across N shards. Each shard owns dense
 // state for its objects — claims as (source id, value id) pairs, the
 // object's value domain in first-seen order, a log-space score
 // accumulator per domain value, and the cached posterior — so Observe
 // is an O(domain) delta update on reused slices, not the per-call map
-// rebuild the Fuser does.
+// rebuild the oracle Fuser does.
 //
 // The cross-shard coupling (source reliability) follows a
 // frozen-accuracy epoch contract, the streaming analog of the σ-cache
@@ -26,7 +26,7 @@
 // Refine is the periodic exact re-sweep: it recomputes accuracies
 // from posteriors and posteriors from accuracies over all live
 // objects (plus the retained mass of evicted ones), the same fixed
-// point the sequential Fuser's Refine converges to.
+// point the oracle Fuser's Refine converges to.
 package stream
 
 import (
@@ -47,12 +47,12 @@ import (
 )
 
 // EngineOptions tunes the sharded streaming engine. The embedded
-// Options carry the same estimator settings as the sequential Fuser,
-// with one semantic difference: Decay applies at epoch granularity
+// Options carry the estimator settings the oracle Fuser (fuser_test.go)
+// takes too, with one semantic difference: Decay applies at epoch granularity
 // (the refresh discounts a source's settled mass by Decay^k for its k
 // observations that epoch), and evidence that is merely re-asserted
 // decays rather than being refreshed per observation as in the Fuser.
-// Both engines agree again after Refine, which — like the Fuser's —
+// The two agree again after Refine, which — like the Fuser's —
 // rebuilds mass from the undecayed claim set.
 type EngineOptions struct {
 	Options
@@ -102,7 +102,7 @@ type EngineOptions struct {
 	// claims both count — under heavy evict/re-observe churn a
 	// source's evidence mass reflects observation traffic rather than
 	// the deduplicated (source, object) claim set an unbounded engine
-	// (or the Fuser) would keep. That is the memory/fidelity trade;
+	// (or the oracle Fuser) would keep. That is the memory/fidelity trade;
 	// size MaxObjects above the working set where exactness matters.
 	MaxObjects int
 
@@ -123,8 +123,8 @@ const DefaultEpochLength = 1024
 // enough that the window is noise in the checkpoint.
 const DefaultDedupWindow = 4096
 
-// DefaultEngineOptions returns production defaults: Fuser estimator
-// settings, one shard per core, unbounded memory.
+// DefaultEngineOptions returns production defaults: DefaultOptions
+// estimator settings, one shard per core, unbounded memory.
 func DefaultEngineOptions() EngineOptions {
 	return EngineOptions{Options: DefaultOptions()}
 }
@@ -183,7 +183,7 @@ type claim struct {
 // object is the dense per-object state a shard owns. Domain entries
 // are never removed (slots stay for value ids seen once), but only
 // entries with a live claim (refs > 0) participate in the posterior —
-// matching the Fuser, whose domain is always the currently claimed
+// matching the oracle Fuser, whose domain is always the currently claimed
 // value set.
 type object struct {
 	name    string
@@ -452,8 +452,8 @@ func (e *Engine) lookupValue(name string) int {
 
 // Observe ingests one claim. Re-claiming the same (source, object)
 // replaces the previous value (single-truth semantics, as in the
-// Fuser). Safe for concurrent use; for bit-deterministic results use a
-// single ingesting goroutine or ObserveBatch.
+// oracle Fuser). Safe for concurrent use; for bit-deterministic
+// results use a single ingesting goroutine or ObserveBatch.
 func (e *Engine) Observe(source, objectName, value string) {
 	sid, sigma, epoch := e.lookupSource(source)
 	vid := e.lookupValue(value)
@@ -882,7 +882,7 @@ func (e *Engine) refreshLocked() {
 // Refine runs full re-estimation sweeps — accuracies from posteriors,
 // then posteriors from the new accuracies — over all live objects,
 // with evicted mass as the irreducible base. This is the exact
-// re-sweep of the Fuser's Refine: both converge to the same fixed
+// re-sweep of the oracle Fuser's Refine: both converge to the same fixed
 // point, and the engine's result is bit-identical for any Workers
 // count. Refine locks out epoch refreshes; for deterministic output
 // do not ingest concurrently.
@@ -1056,17 +1056,16 @@ func (e *Engine) rescoreAll(epoch int64) {
 
 // Value returns the current MAP estimate and posterior probability for
 // an object; ok is false for unknown (or evicted) objects. Ties break
-// to the lexically smaller value name, as in the Fuser. Safe to call
-// during ingest.
+// to the lexically smaller value name, as in the reference Fuser. It
+// is a point ScanShard, so it reports exactly the scan's row. Safe to
+// call during ingest.
 func (e *Engine) Value(objectName string) (value string, confidence float64, ok bool) {
-	sh := e.shardOf(objectName)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	ix, found := sh.index[objectName]
-	if !found {
-		return "", 0, false
-	}
-	return mapValue(&sh.objs[ix], e.valueNames())
+	point := ScanOptions{PairA: -1, PairB: -1, Point: true, Object: objectName}
+	e.ScanShard(ShardIndex(objectName, e.nShards), point, func(r *Row) bool {
+		value, confidence, ok = r.Value, r.Confidence, true
+		return false
+	})
+	return value, confidence, ok
 }
 
 // valueNames snapshots the value name table without holding its lock
@@ -1087,17 +1086,6 @@ func (e *Engine) sourceNames() []string {
 	names := e.src.names
 	e.src.mu.RUnlock()
 	return names
-}
-
-// mapValue reads an object's cached MAP (value name, probability) —
-// the same mapIx ScanShard reports, so every reader agrees. Caller
-// holds the object's shard lock (read or write) and passes a
-// valueNames() snapshot taken under it.
-func mapValue(obj *object, valNames []string) (string, float64, bool) {
-	if obj.mapIx < 0 {
-		return "", 0, false
-	}
-	return valNames[obj.domain[obj.mapIx]], obj.post[obj.mapIx], true
 }
 
 // SourceAccuracy returns the frozen-epoch accuracy estimate for a
@@ -1192,26 +1180,6 @@ type Estimate struct {
 	Confidence float64
 }
 
-// shardEstimates snapshots one shard's live estimates under its read
-// lock, in slot order.
-func (e *Engine) shardEstimates(s int) []Estimate {
-	sh := &e.shards[s]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	valNames := e.valueNames()
-	out := make([]Estimate, 0, sh.nLive)
-	for ix := range sh.objs {
-		obj := &sh.objs[ix]
-		if !obj.live {
-			continue
-		}
-		if v, conf, ok := mapValue(obj, valNames); ok {
-			out = append(out, Estimate{obj.name, v, conf})
-		}
-	}
-	return out
-}
-
 // EstimateAll returns every live object's MAP estimate with its
 // confidence, sorted by object name — one locked pass per shard, so
 // callers that need both value and confidence never re-derive MAPs
@@ -1219,7 +1187,14 @@ func (e *Engine) shardEstimates(s int) []Estimate {
 // estimates query, independent of the shard count. Safe to call
 // during ingest.
 func (e *Engine) EstimateAll() []Estimate {
-	parts := parallel.Map(e.nShards, e.opts.Workers, e.shardEstimates)
+	parts := parallel.Map(e.nShards, e.opts.Workers, func(s int) []Estimate {
+		out := make([]Estimate, 0, e.ShardLen(s))
+		e.ScanShard(s, NoPair, func(r *Row) bool {
+			out = append(out, Estimate{r.Object, r.Value, r.Confidence})
+			return true
+		})
+		return out
+	})
 	all := slices.Concat(parts...)
 	slices.SortFunc(all, func(a, b Estimate) int { return strings.Compare(a.Object, b.Object) })
 	return all

@@ -3,13 +3,15 @@
 // under its read lock and hands the caller a borrowed Row per object —
 // the full relational view (MAP value, confidence, contestedness,
 // flip epoch, claim counts) computed in place from the dense slabs, so
-// a selective query never materializes an Estimate slice the way
-// EstimateAll does. Predicate pushdown lives one level up: the query
-// executor decides which shards to scan (ShardIndex pruning on object
-// equality), whether the scan is a point read through the shard's
-// object index, and which rows to keep; this file only guarantees that
-// a shard scan is one RLock, zero allocations, and deterministic slot
-// order.
+// a selective query never materializes an Estimate slice. ScanShard is
+// the engine's one way to turn an object slot into a row: Value is a
+// point scan and EstimateAll collects full scans, so the live/MAP gate
+// and the value-name lookup exist only here. Predicate pushdown lives
+// one level up: the query executor decides which shards to scan
+// (ShardIndex pruning on object equality), whether the scan is a point
+// read through the shard's object index, and which rows to keep; this
+// file only guarantees that a shard scan is one RLock, zero
+// allocations, and deterministic slot order.
 package stream
 
 // Row is the relational view of one live object, the tuple the query
