@@ -35,10 +35,12 @@ bench:
 benchdiff: bench
 	./scripts/benchdiff BENCH_9.json bench_local.json 10 allocs
 
-## lint: formatting + static analysis, the fast-fail CI gate
+## lint: formatting + static analysis + the package reachability gate
+## (scripts/reachcheck), the fast-fail CI gate
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
+	./scripts/reachcheck
 
 ## cover: streaming-engine + online-learner + resilience + query-layer
 ## + observability coverage with the ratcheted >=80% gates CI

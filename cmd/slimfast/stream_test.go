@@ -131,6 +131,13 @@ func TestStreamSubcommandErrors(t *testing.T) {
 	if err := runStream([]string{"-decay", "7"}, strings.NewReader(streamCSV(2)), &out); err == nil {
 		t.Error("invalid decay should error")
 	}
+	// NaN passes every plain comparison, so it needs its own pin.
+	for _, d := range []string{"NaN", "Inf", "-Inf"} {
+		err := runStream([]string{"-decay", d}, strings.NewReader(streamCSV(2)), &out)
+		if err == nil || !strings.Contains(err.Error(), "Decay must be in (0,1]") {
+			t.Errorf("-decay %s: err = %v, want the Decay range error", d, err)
+		}
+	}
 	if err := runStream([]string{"-max-objects", "-2"}, strings.NewReader(streamCSV(2)), &out); err == nil {
 		t.Error("negative max-objects should error")
 	}

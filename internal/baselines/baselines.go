@@ -10,8 +10,6 @@
 //     which scales source reliability by chi-square confidence
 //     intervals to handle long-tail sources.
 //   - SSTF — the semi-supervised truth finder of Yin & Tan [40].
-//   - TruthFinder — the iterative method of Yin et al. [39] (the base
-//     of SSTF; included for completeness).
 //
 // Every method implements the Method interface so the experiment
 // harness can run them uniformly. Methods that follow probabilistic

@@ -33,7 +33,6 @@ func allMethods() []Method {
 		NewACCU(),
 		NewCATD(),
 		NewSSTF(),
-		NewTruthFinder(),
 	}
 }
 
@@ -233,40 +232,10 @@ func TestSSTFExploitsLabels(t *testing.T) {
 	}
 }
 
-func TestTruthFinderTrustTracksAccuracy(t *testing.T) {
-	inst := benchInstance(t, 78)
-	out, err := NewTruthFinder().Fuse(inst.Dataset, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Spearman-ish check: mean trust of top-quartile accuracy sources
-	// should exceed bottom quartile.
-	var hi, lo, hiN, loN float64
-	for s, a := range inst.TrueAccuracy {
-		if inst.Dataset.SourceObservationCount(data.SourceID(s)) == 0 {
-			continue
-		}
-		tr := out.SourceAccuracies[s]
-		if a > 0.8 {
-			hi += tr
-			hiN++
-		} else if a < 0.6 {
-			lo += tr
-			loN++
-		}
-	}
-	if hiN == 0 || loN == 0 {
-		t.Skip("instance lacks accuracy spread")
-	}
-	if hi/hiN <= lo/loN {
-		t.Errorf("TruthFinder trust should track accuracy: hi=%v lo=%v", hi/hiN, lo/loN)
-	}
-}
-
 func TestMethodMetadata(t *testing.T) {
 	probabilistic := map[string]bool{
 		"Majority": true, "Counts": true, "ACCU": true,
-		"CATD": false, "SSTF": false, "TruthFinder": true,
+		"CATD": false, "SSTF": false,
 	}
 	for _, m := range allMethods() {
 		want, ok := probabilistic[m.Name()]

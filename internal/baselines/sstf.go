@@ -19,7 +19,7 @@ type SSTF struct {
 	// Lambda blends the propagated score with the previous score
 	// (graph smoothing).
 	Lambda float64
-	// Gamma dampens the trust-score sigmoid, as in TruthFinder.
+	// Gamma dampens the trust-score sigmoid, as in TruthFinder [39].
 	Gamma     float64
 	InitTrust float64
 	MaxIters  int

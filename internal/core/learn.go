@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math"
 
 	"slimfast/internal/data"
 	"slimfast/internal/mathx"
@@ -385,38 +384,4 @@ func (m *Model) Fuse(algorithm Algorithm, train data.TruthMap) (*Result, error) 
 	}
 	res.Algorithm = algorithm.String()
 	return res, nil
-}
-
-// ExpectedLogLoss computes the mean negative log posterior of the gold
-// label over the given objects (the generalization loss L(w) of
-// Theorem 1), used by the theory-validation experiments.
-func (m *Model) ExpectedLogLoss(gold data.TruthMap) float64 {
-	examples := m.labeledExamples(gold)
-	if len(examples) == 0 {
-		return 0
-	}
-	sg := m.sigmaTable()
-	sum := parallel.Sum(len(examples), m.workers(), func(ch parallel.Chunk) float64 {
-		var part float64
-		sc := m.getScratch()
-		for i := ch.Lo; i < ch.Hi; i++ {
-			ex := examples[i]
-			scores, dom := m.objectScores(ex.object, sg, sc.scores)
-			sc.scores = scores
-			lse := mathx.LogSumExp(scores)
-			for j, v := range dom {
-				if v == ex.truth {
-					part += -(scores[j] - lse)
-					break
-				}
-			}
-		}
-		m.putScratch(sc)
-		return part
-	})
-	loss := sum / float64(len(examples))
-	if math.IsNaN(loss) {
-		return math.Inf(1)
-	}
-	return loss
 }

@@ -347,11 +347,13 @@ func TestExpectedLogLossFiniteAndOrdered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lossBefore := m.ExpectedLogLoss(test)
+	// The held-out loss L(w) of Theorem 1 is the mean negative log
+	// posterior of the gold label: -LogLikelihood.
+	lossBefore := -m.LogLikelihood(test)
 	if _, err := m.FitERM(train); err != nil {
 		t.Fatal(err)
 	}
-	lossAfter := m.ExpectedLogLoss(test)
+	lossAfter := -m.LogLikelihood(test)
 	if math.IsInf(lossAfter, 0) || math.IsNaN(lossAfter) {
 		t.Fatalf("loss not finite: %v", lossAfter)
 	}

@@ -120,8 +120,8 @@ type Options struct {
 	// results — weights, fused values, posteriors, accuracies — are
 	// bit-identical for every value of Workers: each object/example
 	// owns its output slot, and gradient application stays ordered.
-	// The scalar diagnostics LogLikelihood and ExpectedLogLoss reduce
-	// over chunked partial sums, so they are bit-identical across all
+	// The scalar diagnostic LogLikelihood reduces over chunked
+	// partial sums, so it is bit-identical across all
 	// Workers > 1 but may differ from Workers == 1 by float
 	// reassociation noise (well under 1e-12).
 	Workers int

@@ -391,12 +391,6 @@ func TestTruthFromNamesUnknownValue(t *testing.T) {
 	}
 }
 
-func TestFormatFloat(t *testing.T) {
-	if got := FormatFloat(0.123456, 3); got != "0.123" {
-		t.Errorf("FormatFloat = %q", got)
-	}
-}
-
 func TestStreamObservationsCSV(t *testing.T) {
 	in := "source,object,value\ns1,o1,a\ns2,o1,b\ns1,o2,a\n"
 	var got [][3]string

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 )
 
 // The on-disk formats:
@@ -352,10 +351,4 @@ func ReadJSON(r io.Reader) (*Dataset, TruthMap, error) {
 		return nil, nil, err
 	}
 	return d, tm, nil
-}
-
-// FormatFloat renders a float for table output with trailing-zero
-// trimming at the given precision, matching the paper's table style.
-func FormatFloat(v float64, prec int) string {
-	return strconv.FormatFloat(v, 'f', prec, 64)
 }

@@ -3,7 +3,6 @@ package eval
 import (
 	"fmt"
 	"io"
-	"sort"
 	"text/tabwriter"
 
 	"slimfast/internal/baselines"
@@ -372,28 +371,3 @@ func absFloat(x float64) float64 {
 	}
 	return x
 }
-
-// sortedKeys returns map keys in sorted order (helper for deterministic
-// rendering).
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-var _ = sortedKeys[map[string]int] // referenced by figures.go helpers
-
-// runWithMethod is a convenience for experiments needing one method on
-// one dataset at one fraction.
-func runWithMethod(m baselines.Method, cfg Config, dataset string, frac float64) (Trial, error) {
-	inst, err := cfg.LoadDataset(dataset)
-	if err != nil {
-		return Trial{}, err
-	}
-	return RunAveraged(m, inst, frac, cfg.Seeds)
-}
-
-var _ = runWithMethod // used by tests

@@ -103,28 +103,6 @@ func NewSLiMFastCopying(minOverlap int) *SLiMFast {
 	return m
 }
 
-// WithOptions replaces the model options (for ablations) and returns
-// the method for chaining.
-func (s *SLiMFast) WithOptions(opts core.Options) *SLiMFast {
-	s.opts = opts
-	return s
-}
-
-// WithOptimizerOptions replaces the EM/ERM-selection options.
-func (s *SLiMFast) WithOptimizerOptions(o core.OptimizerOptions) *SLiMFast {
-	s.optimizer = o
-	return s
-}
-
-// WithLabel overrides the display name.
-func (s *SLiMFast) WithLabel(label string) *SLiMFast {
-	s.label = label
-	return s
-}
-
-// Options returns a copy of the current model options.
-func (s *SLiMFast) Options() core.Options { return s.opts }
-
 // Clone implements Cloner: concurrent trials each get an independent
 // copy so the Last* diagnostic fields never race. The options structs
 // are value types (the ObjectClasses slice, when set, is shared but

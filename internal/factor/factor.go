@@ -280,27 +280,6 @@ func (g *Graph) gibbsIndependent(cfg GibbsConfig) [][]float64 {
 	return counts
 }
 
-// MAP returns the marginal-MAP assignment from a Gibbs run: each
-// variable takes its highest-marginal value. For the fully factorized
-// graphs SLiMFast compiles to, this equals the exact MAP.
-func (g *Graph) MAP(cfg GibbsConfig) ([]int, error) {
-	marg, err := g.Gibbs(cfg)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, len(marg))
-	for v, ps := range marg {
-		best, bestP := 0, ps[0]
-		for d := 1; d < len(ps); d++ {
-			if ps[d] > bestP {
-				best, bestP = d, ps[d]
-			}
-		}
-		out[v] = best
-	}
-	return out, nil
-}
-
 // ExactMarginalsSingleton computes marginals exactly for graphs whose
 // factors are all unary (every factor touches exactly one variable).
 // Returns an error if any factor has arity > 1; callers fall back to

@@ -157,26 +157,6 @@ func TestExactMarginalsRejectsPairwise(t *testing.T) {
 	}
 }
 
-func TestMAPPicksHigherMarginal(t *testing.T) {
-	g := buildBiased(2)
-	cfg := GibbsConfig{Burnin: 50, Samples: 500, Seed: 11}
-	mp, err := g.MAP(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mp[0] != 1 {
-		t.Errorf("MAP = %v, want value 1", mp[0])
-	}
-	g2 := buildBiased(-2)
-	mp2, err := g2.MAP(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mp2[0] != 0 {
-		t.Errorf("MAP = %v, want value 0", mp2[0])
-	}
-}
-
 func TestGibbsConfigValidation(t *testing.T) {
 	g := buildBiased(0)
 	if _, err := g.Gibbs(GibbsConfig{Samples: 0}); err == nil {

@@ -100,18 +100,6 @@ func Entropy2(p float64) float64 {
 	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
 }
 
-// EntropyDist returns the Shannon entropy in bits of the distribution
-// ps, which need not be normalized exactly; zero entries contribute 0.
-func EntropyDist(ps []float64) float64 {
-	var h float64
-	for _, p := range ps {
-		if p > 0 {
-			h -= p * math.Log2(p)
-		}
-	}
-	return h
-}
-
 // KLBernoulli returns KL(p || q) in nats for Bernoulli parameters p and
 // q, clamping q away from {0,1} so the divergence stays finite.
 func KLBernoulli(p, q float64) float64 {
@@ -259,55 +247,6 @@ func ChiSquareQuantile(p float64, k int) float64 {
 		return 0
 	}
 	return q
-}
-
-// MeanVar returns the sample mean and (population) variance of xs. For
-// an empty slice both are 0.
-func MeanVar(xs []float64) (mean, variance float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	for _, x := range xs {
-		d := x - mean
-		variance += d * d
-	}
-	variance /= float64(len(xs))
-	return mean, variance
-}
-
-// Dot returns the dot product of a and b; the slices must have equal
-// length (enforced by panic, as a programming error).
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("mathx: Dot length mismatch")
-	}
-	var s float64
-	for i, x := range a {
-		s += x * b[i]
-	}
-	return s
-}
-
-// L1Norm returns sum_i |xs[i]|.
-func L1Norm(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += math.Abs(x)
-	}
-	return s
-}
-
-// L2Norm returns sqrt(sum_i xs[i]^2).
-func L2Norm(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }
 
 // MaxAbsDiff returns max_i |a[i]-b[i]|; slices must have equal length.

@@ -143,18 +143,6 @@ func TestEntropy2(t *testing.T) {
 	}
 }
 
-func TestEntropyDist(t *testing.T) {
-	if got := EntropyDist([]float64{0.5, 0.5}); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("EntropyDist uniform 2 = %v, want 1", got)
-	}
-	if got := EntropyDist([]float64{0.25, 0.25, 0.25, 0.25}); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("EntropyDist uniform 4 = %v, want 2", got)
-	}
-	if got := EntropyDist([]float64{1, 0, 0}); got != 0 {
-		t.Errorf("EntropyDist point mass = %v, want 0", got)
-	}
-}
-
 func TestKLBernoulli(t *testing.T) {
 	if got := KLBernoulli(0.5, 0.5); !almostEqual(got, 0, 1e-12) {
 		t.Errorf("KL(p||p) = %v, want 0", got)
@@ -302,41 +290,6 @@ func TestChiSquareQuantileMonotoneInDF(t *testing.T) {
 		}
 		prev = q
 	}
-}
-
-func TestMeanVar(t *testing.T) {
-	m, v := MeanVar([]float64{1, 2, 3, 4})
-	if !almostEqual(m, 2.5, 1e-12) || !almostEqual(v, 1.25, 1e-12) {
-		t.Errorf("MeanVar = (%v, %v), want (2.5, 1.25)", m, v)
-	}
-	m, v = MeanVar(nil)
-	if m != 0 || v != 0 {
-		t.Error("MeanVar(nil) should be (0,0)")
-	}
-}
-
-func TestDotAndNorms(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Errorf("Dot = %v, want 32", got)
-	}
-	if got := L1Norm([]float64{-1, 2, -3}); got != 6 {
-		t.Errorf("L1Norm = %v, want 6", got)
-	}
-	if got := L2Norm([]float64{3, 4}); got != 5 {
-		t.Errorf("L2Norm = %v, want 5", got)
-	}
-	if got := MaxAbsDiff([]float64{1, 5}, []float64{2, 3}); got != 2 {
-		t.Errorf("MaxAbsDiff = %v, want 2", got)
-	}
-}
-
-func TestDotPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Dot should panic on length mismatch")
-		}
-	}()
-	Dot([]float64{1}, []float64{1, 2})
 }
 
 func TestSoftThreshold(t *testing.T) {

@@ -55,27 +55,6 @@ func SourceAccuracyError(d *data.Dataset, estimated, trueAcc []float64) float64 
 	return num / den
 }
 
-// UnweightedSourceAccuracyError is the unweighted mean absolute error
-// over sources, restricted to the given subset (all sources when subset
-// is nil). Used by the Figure 7 unseen-source experiment, where every
-// held-out source should count equally.
-func UnweightedSourceAccuracyError(estimated, trueAcc []float64, subset []int) float64 {
-	if subset == nil {
-		subset = make([]int, len(estimated))
-		for i := range subset {
-			subset[i] = i
-		}
-	}
-	if len(subset) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, s := range subset {
-		sum += math.Abs(estimated[s] - trueAcc[s])
-	}
-	return sum / float64(len(subset))
-}
-
 // MeanKL returns (1/|S|) Σ_s KL(A_s || A*_s), the quantity bounded by
 // Theorem 3. Estimates are clamped away from {0,1}.
 func MeanKL(estimated, trueAcc []float64) float64 {
@@ -87,30 +66,6 @@ func MeanKL(estimated, trueAcc []float64) float64 {
 		sum += mathx.KLBernoulli(mathx.ClampProb(estimated[s]), trueAcc[s])
 	}
 	return sum / float64(len(estimated))
-}
-
-// LogLoss returns the mean negative log posterior probability assigned
-// to the gold value over test objects, given per-object posteriors
-// (maps from value to probability). Objects without a posterior
-// contribute the maximum loss log(domain)≈uniform surprise.
-func LogLoss(posteriors map[data.ObjectID]map[data.ValueID]float64, test data.TruthMap, defaultDomain int) float64 {
-	if len(test) == 0 {
-		return 0
-	}
-	if defaultDomain < 2 {
-		defaultDomain = 2
-	}
-	var sum float64
-	for o, truth := range test {
-		post, ok := posteriors[o]
-		if !ok {
-			sum += math.Log(float64(defaultDomain))
-			continue
-		}
-		p := mathx.ClampProb(post[truth])
-		sum += -math.Log(p)
-	}
-	return sum / float64(len(test))
 }
 
 // RelativeDifference returns (a-b)/b as a percentage, the statistic the
@@ -133,19 +88,4 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Stddev returns the sample standard deviation of xs (0 when fewer than
-// two samples).
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
 }

@@ -54,20 +54,6 @@ func TestSourceAccuracyErrorPerfect(t *testing.T) {
 	}
 }
 
-func TestUnweightedSourceAccuracyError(t *testing.T) {
-	est := []float64{0.9, 0.5, 0.7}
-	trueAcc := []float64{1.0, 0.5, 0.5}
-	if got := UnweightedSourceAccuracyError(est, trueAcc, nil); math.Abs(got-0.1) > 1e-12 {
-		t.Errorf("unweighted all = %v, want 0.1", got)
-	}
-	if got := UnweightedSourceAccuracyError(est, trueAcc, []int{2}); math.Abs(got-0.2) > 1e-12 {
-		t.Errorf("unweighted subset = %v, want 0.2", got)
-	}
-	if UnweightedSourceAccuracyError(est, trueAcc, []int{}) != 0 {
-		t.Error("empty subset should give 0")
-	}
-}
-
 func TestMeanKL(t *testing.T) {
 	if got := MeanKL([]float64{0.7, 0.3}, []float64{0.7, 0.3}); got > 1e-12 {
 		t.Errorf("identical accuracies should give ~0 KL, got %v", got)
@@ -77,29 +63,6 @@ func TestMeanKL(t *testing.T) {
 	}
 	if MeanKL(nil, nil) != 0 {
 		t.Error("empty should give 0")
-	}
-}
-
-func TestLogLoss(t *testing.T) {
-	post := map[data.ObjectID]map[data.ValueID]float64{
-		0: {0: 0.9, 1: 0.1},
-	}
-	test := data.TruthMap{0: 0}
-	want := -math.Log(0.9)
-	if got := LogLoss(post, test, 2); math.Abs(got-want) > 1e-12 {
-		t.Errorf("LogLoss = %v, want %v", got, want)
-	}
-	// Missing posterior contributes log(domain).
-	test2 := data.TruthMap{0: 0, 1: 0}
-	got := LogLoss(post, test2, 4)
-	want = (-math.Log(0.9) + math.Log(4)) / 2
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("LogLoss with missing = %v, want %v", got, want)
-	}
-	// Zero probability stays finite.
-	post[0][0] = 0
-	if v := LogLoss(post, test, 2); math.IsInf(v, 0) {
-		t.Error("LogLoss should clamp zero probabilities")
 	}
 }
 
@@ -117,10 +80,7 @@ func TestMeanStddev(t *testing.T) {
 	if got := Mean(xs); got != 5 {
 		t.Errorf("Mean = %v, want 5", got)
 	}
-	if got := Stddev(xs); math.Abs(got-2.138) > 1e-3 {
-		t.Errorf("Stddev = %v, want ~2.138", got)
-	}
-	if Mean(nil) != 0 || Stddev([]float64{1}) != 0 {
-		t.Error("degenerate inputs should give 0")
+	if Mean(nil) != 0 {
+		t.Error("Mean of no samples should be 0")
 	}
 }

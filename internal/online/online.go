@@ -104,13 +104,14 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports the first invalid option.
+// Validate reports the first invalid option. Each range check is
+// written so that NaN fails it, and every float must be finite.
 func (c Config) Validate() error {
-	if c.InitAccuracy <= 0 || c.InitAccuracy >= 1 {
+	if !(c.InitAccuracy > 0 && c.InitAccuracy < 1) {
 		return errors.New("online: InitAccuracy must be in (0,1)")
 	}
-	if c.PriorStrength < 0 {
-		return errors.New("online: PriorStrength must be non-negative")
+	if !finiteNonNegative(c.PriorStrength) {
+		return errors.New("online: PriorStrength must be finite and non-negative")
 	}
 	if c.WindowEpochs < 0 {
 		return errors.New("online: WindowEpochs must be non-negative")
@@ -121,13 +122,18 @@ func (c Config) Validate() error {
 	if c.Batch < 1 {
 		return errors.New("online: Batch must be positive")
 	}
-	if c.LearningRate <= 0 {
-		return errors.New("online: LearningRate must be positive")
+	if !(c.LearningRate > 0) || math.IsInf(c.LearningRate, 1) {
+		return errors.New("online: LearningRate must be finite and positive")
 	}
-	if c.Decay < 0 || c.L2 < 0 {
-		return errors.New("online: Decay and L2 must be non-negative")
+	if !finiteNonNegative(c.Decay) || !finiteNonNegative(c.L2) {
+		return errors.New("online: Decay and L2 must be finite and non-negative")
 	}
 	return nil
+}
+
+// finiteNonNegative reports whether x is in [0, +Inf); NaN is not.
+func finiteNonNegative(x float64) bool {
+	return x >= 0 && !math.IsInf(x, 1)
 }
 
 // Accuracy clamp bounds, matching the streaming engine's

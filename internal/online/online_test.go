@@ -20,6 +20,17 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.LearningRate = 0 },
 		func(c *Config) { c.Decay = -1 },
 		func(c *Config) { c.L2 = -1 },
+		func(c *Config) { c.InitAccuracy = math.NaN() },
+		func(c *Config) { c.InitAccuracy = math.Inf(1) },
+		func(c *Config) { c.PriorStrength = math.NaN() },
+		func(c *Config) { c.PriorStrength = math.Inf(1) },
+		func(c *Config) { c.LearningRate = math.NaN() },
+		func(c *Config) { c.LearningRate = math.Inf(1) },
+		func(c *Config) { c.LearningRate = math.Inf(-1) },
+		func(c *Config) { c.Decay = math.NaN() },
+		func(c *Config) { c.Decay = math.Inf(1) },
+		func(c *Config) { c.L2 = math.NaN() },
+		func(c *Config) { c.L2 = math.Inf(1) },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()

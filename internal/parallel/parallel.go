@@ -4,7 +4,7 @@
 // while staying deterministic.
 //
 // Determinism is the design constraint. The side-effect runners (Do,
-// For, DoErr) require callbacks to write only index-owned slots, so
+// For, Map) require callbacks to write only index-owned slots, so
 // their results are bit-identical for any worker count regardless of
 // chunking — which frees their layout to adapt to the worker count
 // (at least one chunk per worker, ~chunkTarget-wide chunks on large
@@ -20,7 +20,6 @@
 package parallel
 
 import (
-	"context"
 	"runtime"
 	"sync"
 )
@@ -71,7 +70,7 @@ func Split(n, parts int) []Chunk {
 }
 
 // scatterLayout chunks [0, n) for the side-effect runners (Do, For,
-// DoErr), whose callbacks write index-owned slots: chunk boundaries
+// Map), whose callbacks write index-owned slots: chunk boundaries
 // cannot influence results there, so the layout is free to adapt to
 // the worker count. It guarantees at least one chunk per worker (so a
 // 4-seed replication with 4 workers actually fans out) while keeping
@@ -103,66 +102,34 @@ func reduceLayout(n, workers int) []Chunk {
 
 // run drains the chunk list with up to workers goroutines, calling
 // fn(chunkIndex, chunk) for each. With one worker (or one chunk) it
-// runs inline. The per-chunk errors are collected and the error of the
-// lowest-indexed failing chunk is returned, so the reported error does
-// not depend on scheduling. A canceled ctx stops workers from starting
-// new chunks and is reported as ctx.Err() when no chunk failed first.
-func run(ctx context.Context, chunks []Chunk, workers int, fn func(c int, ch Chunk) error) error {
-	if len(chunks) == 0 {
-		return nil
-	}
+// runs inline.
+func run(chunks []Chunk, workers int, fn func(c int, ch Chunk)) {
 	w := Resolve(workers)
 	if w > len(chunks) {
 		w = len(chunks)
 	}
 	if w <= 1 {
 		for c, ch := range chunks {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			if err := fn(c, ch); err != nil {
-				return err
-			}
+			fn(c, ch)
 		}
-		return nil
+		return
 	}
-	errs := make([]error, len(chunks))
 	next := make(chan int)
-	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for i := 0; i < w; i++ {
 		go func() {
 			defer wg.Done()
 			for c := range next {
-				if ctx != nil && ctx.Err() != nil {
-					errs[c] = ctx.Err()
-					continue
-				}
-				errs[c] = fn(c, chunks[c])
+				fn(c, chunks[c])
 			}
 		}()
 	}
-	go func() {
-		defer close(next)
-		for c := range chunks {
-			select {
-			case next <- c:
-			case <-done:
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	close(done)
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	for c := range chunks {
+		next <- c
 	}
-	return nil
+	close(next)
+	wg.Wait()
 }
 
 // Do runs fn over the deterministic chunking of [0, n) with up to
@@ -170,19 +137,7 @@ func run(ctx context.Context, chunks []Chunk, workers int, fn func(c int, ch Chu
 // its chunk. With workers resolving to 1 the single chunk [0, n) runs
 // inline — the exact legacy serial path.
 func Do(n, workers int, fn func(ch Chunk)) {
-	_ = run(nil, scatterLayout(n, workers), workers, func(_ int, ch Chunk) error {
-		fn(ch)
-		return nil
-	})
-}
-
-// DoErr is Do with error propagation and context cancellation: the
-// first error (by chunk index) is returned, and a canceled ctx stops
-// unstarted chunks.
-func DoErr(ctx context.Context, n, workers int, fn func(ch Chunk) error) error {
-	return run(ctx, scatterLayout(n, workers), workers, func(_ int, ch Chunk) error {
-		return fn(ch)
-	})
+	run(scatterLayout(n, workers), workers, func(_ int, ch Chunk) { fn(ch) })
 }
 
 // For runs fn(i) for every i in [0, n) with up to workers goroutines,
@@ -222,10 +177,7 @@ func Map[T any](n, workers int, fn func(i int) T) []T {
 func MapChunks[T any](n, workers int, fn func(ch Chunk) T) []T {
 	chunks := reduceLayout(n, workers)
 	out := make([]T, len(chunks))
-	_ = run(nil, chunks, workers, func(c int, ch Chunk) error {
-		out[c] = fn(ch)
-		return nil
-	})
+	run(chunks, workers, func(c int, ch Chunk) { out[c] = fn(ch) })
 	return out
 }
 

@@ -1,8 +1,6 @@
 package parallel
 
 import (
-	"context"
-	"errors"
 	"math"
 	"runtime"
 	"sync/atomic"
@@ -148,40 +146,6 @@ func TestMapChunksOrdered(t *testing.T) {
 	}
 }
 
-func TestDoErrReturnsLowestChunkError(t *testing.T) {
-	errBoom := errors.New("boom")
-	for _, w := range []int{1, 4} {
-		err := DoErr(context.Background(), 1000, w, func(ch Chunk) error {
-			for i := ch.Lo; i < ch.Hi; i++ {
-				if i >= 128 {
-					return errBoom
-				}
-			}
-			return nil
-		})
-		if !errors.Is(err, errBoom) {
-			t.Fatalf("workers=%d: err = %v, want boom", w, err)
-		}
-	}
-}
-
-func TestDoErrContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var started int32
-	err := DoErr(ctx, 10000, 2, func(ch Chunk) error {
-		if atomic.AddInt32(&started, 1) == 1 {
-			cancel()
-		}
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n := atomic.LoadInt32(&started); int(n) >= len(scatterLayout(10000, 2)) {
-		t.Errorf("cancellation did not stop chunk dispatch: %d chunks ran", n)
-	}
-}
-
 func TestEmptyRanges(t *testing.T) {
 	called := false
 	Do(0, 4, func(Chunk) { called = true })
@@ -191,9 +155,6 @@ func TestEmptyRanges(t *testing.T) {
 	}
 	if got := Sum(0, 4, func(Chunk) float64 { return 1 }); got != 0 {
 		t.Errorf("Sum over empty range = %v", got)
-	}
-	if err := DoErr(context.Background(), 0, 4, func(Chunk) error { return errors.New("x") }); err != nil {
-		t.Errorf("DoErr over empty range = %v", err)
 	}
 }
 

@@ -55,18 +55,6 @@ func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// Binomial samples from Binomial(n, p) by direct simulation; n is small
-// (number of sources per object) in all our uses.
-func (r *RNG) Binomial(n int, p float64) int {
-	k := 0
-	for i := 0; i < n; i++ {
-		if r.Float64() < p {
-			k++
-		}
-	}
-	return k
-}
-
 // Categorical samples an index from the (not necessarily normalized)
 // non-negative weight vector ws. It panics if all weights are zero or
 // the slice is empty, which indicates a programming error upstream.
@@ -103,62 +91,6 @@ func (r *RNG) IntnExcept(n, except int) int {
 		v++
 	}
 	return v
-}
-
-// TruncNormal samples a normal with the given mean and stddev, rejected
-// into [lo, hi]. Falls back to clamping after 64 rejections to stay
-// total.
-func (r *RNG) TruncNormal(mean, stddev, lo, hi float64) float64 {
-	for i := 0; i < 64; i++ {
-		v := mean + stddev*r.NormFloat64()
-		if v >= lo && v <= hi {
-			return v
-		}
-	}
-	return math.Max(lo, math.Min(hi, mean))
-}
-
-// Beta samples from a Beta(a, b) distribution using Jöhnk's/Gamma
-// method via two Gamma draws (Marsaglia–Tsang).
-func (r *RNG) Beta(a, b float64) float64 {
-	x := r.Gamma(a)
-	y := r.Gamma(b)
-	if x+y == 0 {
-		return 0.5
-	}
-	return x / (x + y)
-}
-
-// Gamma samples from Gamma(shape, 1) using Marsaglia–Tsang for
-// shape >= 1 and the boost transform for shape < 1.
-func (r *RNG) Gamma(shape float64) float64 {
-	if shape <= 0 {
-		panic("randx: Gamma shape must be positive")
-	}
-	if shape < 1 {
-		u := r.Float64()
-		for u == 0 {
-			u = r.Float64()
-		}
-		return r.Gamma(shape+1) * math.Pow(u, 1/shape)
-	}
-	d := shape - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := r.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := r.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v
-		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v
-		}
-	}
 }
 
 // Shuffled returns a new slice [0, n) in random order.

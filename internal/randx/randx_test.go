@@ -50,26 +50,6 @@ func TestBernoulliFrequency(t *testing.T) {
 	}
 }
 
-func TestBinomialMoments(t *testing.T) {
-	r := New(4)
-	const trials, n = 5000, 20
-	const p = 0.4
-	var sum, sumsq float64
-	for i := 0; i < trials; i++ {
-		k := float64(r.Binomial(n, p))
-		sum += k
-		sumsq += k * k
-	}
-	mean := sum / trials
-	variance := sumsq/trials - mean*mean
-	if math.Abs(mean-n*p) > 0.15 {
-		t.Errorf("Binomial mean = %v, want %v", mean, n*p)
-	}
-	if math.Abs(variance-n*p*(1-p)) > 0.5 {
-		t.Errorf("Binomial variance = %v, want %v", variance, n*p*(1-p))
-	}
-}
-
 func TestCategoricalProportions(t *testing.T) {
 	r := New(5)
 	counts := [3]int{}
@@ -122,59 +102,6 @@ func TestIntnExcept(t *testing.T) {
 		}
 	}()
 	r.IntnExcept(1, 0)
-}
-
-func TestTruncNormalBounds(t *testing.T) {
-	r := New(8)
-	for i := 0; i < 2000; i++ {
-		v := r.TruncNormal(0.7, 0.2, 0.5, 1.0)
-		if v < 0.5 || v > 1.0 {
-			t.Fatalf("TruncNormal out of bounds: %v", v)
-		}
-	}
-	// Degenerate interval falls back to clamp.
-	v := r.TruncNormal(10, 0.001, 0, 1)
-	if v != 1 {
-		t.Errorf("TruncNormal clamp fallback = %v, want 1", v)
-	}
-}
-
-func TestBetaMoments(t *testing.T) {
-	r := New(9)
-	const a, b, n = 2.0, 5.0, 20000
-	var sum float64
-	for i := 0; i < n; i++ {
-		v := r.Beta(a, b)
-		if v < 0 || v > 1 {
-			t.Fatalf("Beta out of [0,1]: %v", v)
-		}
-		sum += v
-	}
-	mean := sum / n
-	if math.Abs(mean-a/(a+b)) > 0.01 {
-		t.Errorf("Beta mean = %v, want %v", mean, a/(a+b))
-	}
-}
-
-func TestGammaMean(t *testing.T) {
-	r := New(10)
-	for _, shape := range []float64{0.5, 1, 3.7} {
-		var sum float64
-		const n = 20000
-		for i := 0; i < n; i++ {
-			sum += r.Gamma(shape)
-		}
-		mean := sum / n
-		if math.Abs(mean-shape) > 0.08*math.Max(1, shape) {
-			t.Errorf("Gamma(%v) mean = %v", shape, mean)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Gamma(0) should panic")
-		}
-	}()
-	r.Gamma(0)
 }
 
 func TestShuffledIsPermutation(t *testing.T) {

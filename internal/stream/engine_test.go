@@ -5,6 +5,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"slimfast/internal/online"
 )
 
 // testEngineOptions pins the knobs that affect float accumulation
@@ -18,15 +20,34 @@ func testEngineOptions() EngineOptions {
 }
 
 func TestEngineOptionsValidate(t *testing.T) {
-	bad := testEngineOptions()
-	bad.InitAccuracy = 0
-	if _, err := NewEngine(bad); err == nil {
-		t.Error("invalid embedded Options should be rejected")
+	nan, inf := math.NaN(), math.Inf(1)
+	badLearn := func(mutate func(*online.Config)) func(*EngineOptions) {
+		return func(o *EngineOptions) {
+			o.OnlineLearn = true
+			o.Learn = online.DefaultConfig()
+			mutate(&o.Learn)
+		}
 	}
-	bad = testEngineOptions()
-	bad.MaxObjects = -1
-	if _, err := NewEngine(bad); err == nil {
-		t.Error("negative MaxObjects should be rejected")
+	bad := []struct {
+		name   string
+		mutate func(*EngineOptions)
+	}{
+		{"InitAccuracy=0", func(o *EngineOptions) { o.InitAccuracy = 0 }},
+		{"InitAccuracy=NaN", func(o *EngineOptions) { o.InitAccuracy = nan }},
+		{"PriorStrength=NaN", func(o *EngineOptions) { o.PriorStrength = nan }},
+		{"PriorStrength=+Inf", func(o *EngineOptions) { o.PriorStrength = inf }},
+		{"Decay=NaN", func(o *EngineOptions) { o.Decay = nan }},
+		{"Decay=-Inf", func(o *EngineOptions) { o.Decay = -inf }},
+		{"MaxObjects=-1", func(o *EngineOptions) { o.MaxObjects = -1 }},
+		{"Learn.LearningRate=NaN", badLearn(func(c *online.Config) { c.LearningRate = nan })},
+		{"Learn.L2=+Inf", badLearn(func(c *online.Config) { c.L2 = inf })},
+	}
+	for _, tc := range bad {
+		opts := testEngineOptions()
+		tc.mutate(&opts)
+		if _, err := NewEngine(opts); err == nil {
+			t.Errorf("%s should be rejected", tc.name)
+		}
 	}
 	if _, err := NewEngine(DefaultEngineOptions()); err != nil {
 		t.Fatal(err)

@@ -20,6 +20,7 @@ package stream
 
 import (
 	"errors"
+	"math"
 
 	"slimfast/internal/mathx"
 )
@@ -43,15 +44,16 @@ func DefaultOptions() Options {
 	return Options{InitAccuracy: 0.7, PriorStrength: 4, Decay: 1}
 }
 
-// Validate reports the first invalid option.
+// Validate reports the first invalid option. Each range check is
+// written so that NaN fails it, and the prior strength must be finite.
 func (o Options) Validate() error {
-	if o.InitAccuracy <= 0 || o.InitAccuracy >= 1 {
+	if !(o.InitAccuracy > 0 && o.InitAccuracy < 1) {
 		return errors.New("stream: InitAccuracy must be in (0,1)")
 	}
-	if o.PriorStrength < 0 {
-		return errors.New("stream: PriorStrength must be non-negative")
+	if !(o.PriorStrength >= 0) || math.IsInf(o.PriorStrength, 1) {
+		return errors.New("stream: PriorStrength must be finite and non-negative")
 	}
-	if o.Decay <= 0 || o.Decay > 1 {
+	if !(o.Decay > 0 && o.Decay <= 1) {
 		return errors.New("stream: Decay must be in (0,1]")
 	}
 	return nil

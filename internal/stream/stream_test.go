@@ -17,6 +17,15 @@ func TestOptionsValidate(t *testing.T) {
 		{InitAccuracy: 0.7, PriorStrength: -1, Decay: 1},
 		{InitAccuracy: 0.7, PriorStrength: 1, Decay: 0},
 		{InitAccuracy: 0.7, PriorStrength: 1, Decay: 1.5},
+		{InitAccuracy: math.NaN(), PriorStrength: 1, Decay: 1},
+		{InitAccuracy: math.Inf(1), PriorStrength: 1, Decay: 1},
+		{InitAccuracy: math.Inf(-1), PriorStrength: 1, Decay: 1},
+		{InitAccuracy: 0.7, PriorStrength: math.NaN(), Decay: 1},
+		{InitAccuracy: 0.7, PriorStrength: math.Inf(1), Decay: 1},
+		{InitAccuracy: 0.7, PriorStrength: math.Inf(-1), Decay: 1},
+		{InitAccuracy: 0.7, PriorStrength: 1, Decay: math.NaN()},
+		{InitAccuracy: 0.7, PriorStrength: 1, Decay: math.Inf(1)},
+		{InitAccuracy: 0.7, PriorStrength: 1, Decay: math.Inf(-1)},
 	}
 	for i, o := range bad {
 		if _, err := New(o); err == nil {
