@@ -87,24 +87,31 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports whether the configuration is usable.
+// Validate reports whether the configuration is usable. Each range
+// check is written so that NaN fails it, and every float must be
+// finite.
 func (c Config) Validate() error {
 	if c.Epochs <= 0 {
 		return errors.New("optim: Epochs must be positive")
 	}
-	if c.LearningRate <= 0 {
-		return errors.New("optim: LearningRate must be positive")
+	if !(c.LearningRate > 0) || math.IsInf(c.LearningRate, 1) {
+		return errors.New("optim: LearningRate must be finite and positive")
 	}
-	if c.L1 < 0 || c.L2 < 0 {
-		return errors.New("optim: penalties must be non-negative")
+	if !finiteNonNegative(c.L1) || !finiteNonNegative(c.L2) {
+		return errors.New("optim: penalties must be finite and non-negative")
 	}
-	if c.Decay < 0 {
-		return errors.New("optim: Decay must be non-negative")
+	if !finiteNonNegative(c.Decay) {
+		return errors.New("optim: Decay must be finite and non-negative")
 	}
 	if c.Batch < 0 {
 		return errors.New("optim: Batch must be non-negative")
 	}
 	return nil
+}
+
+// finiteNonNegative reports whether x is in [0, +Inf); NaN is not.
+func finiteNonNegative(x float64) bool {
+	return x >= 0 && !math.IsInf(x, 1)
 }
 
 // Sparse accumulates a sparse gradient: per-example losses in data

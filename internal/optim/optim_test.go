@@ -130,12 +130,25 @@ func TestMinimizeZeroExamples(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	bad := []Config{
 		{Epochs: 0, LearningRate: 1},
 		{Epochs: 1, LearningRate: 0},
 		{Epochs: 1, LearningRate: 1, L1: -1},
 		{Epochs: 1, LearningRate: 1, L2: -1},
 		{Epochs: 1, LearningRate: 1, Decay: -1},
+		{Epochs: 1, LearningRate: nan},
+		{Epochs: 1, LearningRate: inf},
+		{Epochs: 1, LearningRate: -inf},
+		{Epochs: 1, LearningRate: 1, L1: nan},
+		{Epochs: 1, LearningRate: 1, L1: inf},
+		{Epochs: 1, LearningRate: 1, L1: -inf},
+		{Epochs: 1, LearningRate: 1, L2: nan},
+		{Epochs: 1, LearningRate: 1, L2: inf},
+		{Epochs: 1, LearningRate: 1, L2: -inf},
+		{Epochs: 1, LearningRate: 1, Decay: nan},
+		{Epochs: 1, LearningRate: 1, Decay: inf},
+		{Epochs: 1, LearningRate: 1, Decay: -inf},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -412,11 +412,15 @@ func (p *plan) groupShards(eng *stream.Engine, q *Query) *groupTable {
 
 // collectShard scans one shard with the predicates pushed down. A
 // query without predicates keeps every live row, so its run is sized
-// to the shard up front. With a limit the run stays bounded: it is
-// sorted and cut back to the limit every time it reaches a small
-// multiple of it, so a selective query over a huge shard allocates
-// O(limit), not O(shard).
+// to the shard up front. A plan with no order keys is ordered by
+// object name alone, so it scans the shard in the engine's cached
+// name order: the run comes out sorted and the scan stops at the
+// limit. Any other plan sorts its run; with a limit the run stays
+// bounded, sorted and cut back to the limit every time it reaches a
+// small multiple of it, so a selective query over a huge shard
+// allocates O(limit), not O(shard).
 func (p *plan) collectShard(eng *stream.Engine, s int, opt stream.ScanOptions) *run {
+	opt.ByName = len(p.order) == 0
 	size, cut := 0, 0
 	if len(p.conds) == 0 && !p.pair {
 		size = eng.ShardLen(s)
@@ -427,15 +431,21 @@ func (p *plan) collectShard(eng *stream.Engine, s int, opt stream.ScanOptions) *
 	}
 	rn := &run{p: p, str: make([]string, 0, 2*size), num: make([]float64, 0, size*len(p.nums))}
 	eng.ScanShard(s, opt, func(r *stream.Row) bool {
-		if p.matchRow(r) {
-			p.keep(rn, r)
-			if cut > 0 && rn.Len() >= cut {
-				sortRun(rn, p.limit)
-			}
+		if !p.matchRow(r) {
+			return true
+		}
+		p.keep(rn, r)
+		if opt.ByName {
+			return p.limit <= 0 || rn.Len() < p.limit
+		}
+		if cut > 0 && rn.Len() >= cut {
+			sortRun(rn, p.limit)
 		}
 		return true
 	})
-	sortRun(rn, p.limit)
+	if !opt.ByName {
+		sortRun(rn, p.limit)
+	}
 	return rn
 }
 

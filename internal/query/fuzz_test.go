@@ -3,7 +3,9 @@ package query
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"net/url"
+	"strconv"
 	"testing"
 )
 
@@ -64,6 +66,8 @@ func FuzzQueryExecute(f *testing.F) {
 		"where=confidence<0.999&order=-contested&limit=12&cols=object,value,confidence,contested",
 		"order=-changed,object&limit=5&cols=object,changed",
 		"",
+		"limit=3",
+		"where=confidence<0.999&limit=4&cols=object,contested",
 	} {
 		f.Add(seed)
 	}
@@ -105,6 +109,30 @@ func FuzzQueryExecute(f *testing.F) {
 		want := render(ExecuteRelation(rel, &oracle))
 		if got != want {
 			t.Fatalf("Execute(%q) diverged from the materialized relation\n got:\n%s\nwant:\n%s", raw, got, want)
+		}
+	})
+}
+
+// FuzzFixed4 pins WriteCSV's float formatter byte for byte to
+// strconv.FormatFloat(v, 'f', 4, 64) over raw float64 bit patterns.
+// The seeds are the values a scaled-integer rounding gets wrong first:
+// the exact half-way cases k/32 (0.03125 rounds down to 0.0312,
+// 0.09375 up to 0.0938), the ends of [0, 1], the smallest subnormal,
+// and the neighbours of the four-decimal boundaries k/20000.
+func FuzzFixed4(f *testing.F) {
+	for _, v := range []float64{0, 1, math.Copysign(0, -1), math.SmallestNonzeroFloat64,
+		1.0 / 32, 3.0 / 32, 5.0 / 32, 31.0 / 32, math.Nextafter(1, 2), math.Inf(1), math.NaN(), -0.5} {
+		f.Add(math.Float64bits(v))
+	}
+	for _, k := range []float64{1, 3, 9999, 10001, 19999} {
+		x := k / 20000
+		f.Add(math.Float64bits(math.Nextafter(x, 0)))
+		f.Add(math.Float64bits(math.Nextafter(x, 1)))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		v := math.Float64frombits(bits)
+		if got, want := fixed4(v), strconv.FormatFloat(v, 'f', 4, 64); got != want {
+			t.Fatalf("fixed4(%v) [bits %#x] = %q, strconv says %q", v, bits, got, want)
 		}
 	})
 }

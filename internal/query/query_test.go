@@ -2,8 +2,11 @@ package query
 
 import (
 	"bytes"
+	"math"
+	"math/rand/v2"
 	"net/url"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -279,5 +282,37 @@ func TestWriteFormatDispatch(t *testing.T) {
 	}
 	if err := Write(&bytes.Buffer{}, res, "xml"); err == nil {
 		t.Error("unknown format not rejected")
+	}
+}
+
+// TestFixed4MatchesStrconv sweeps the formatter's hard cases in full:
+// every k/20000 (the rounding boundaries of four decimals) with both
+// float64 neighbours, the only exact half-way cases k/32 (10000·v has
+// a fractional part of exactly 1/2 only when v's lowest set bit is
+// 2^-5), and a deterministic spread of random [0, 1] bit patterns. A
+// table cell must also cost no allocation.
+func TestFixed4MatchesStrconv(t *testing.T) {
+	check := func(v float64) {
+		if got, want := fixed4(v), strconv.FormatFloat(v, 'f', 4, 64); got != want {
+			t.Fatalf("fixed4(%v) [bits %#x] = %q, strconv says %q", v, math.Float64bits(v), got, want)
+		}
+	}
+	for k := 0; k <= 20000; k++ {
+		x := float64(k) / 20000
+		check(x)
+		check(math.Nextafter(x, 0))
+		check(math.Nextafter(x, 1))
+	}
+	for k := 0; k <= 32; k++ {
+		check(float64(k) / 32)
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	one := math.Float64bits(1)
+	for range 10_000 {
+		check(math.Float64frombits(rng.Uint64N(one + 1)))
+		check(rng.Float64())
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = fixed4(0.123456) }); n != 0 {
+		t.Errorf("fixed4 allocates %v times per call", n)
 	}
 }

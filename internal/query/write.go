@@ -12,12 +12,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
 // WriteCSV streams a result as CSV: a header row of column names,
 // then one record per row with floats rendered %.4f (the format the
-// unqueried /estimates and /sources endpoints have always used).
+// unqueried /estimates and /sources endpoints have always used). A
+// float in [0, 1], which every confidence and contestedness is, is
+// formatted by fixed4 without allocating; any other float goes
+// through strconv. Either way a cell's bytes are exactly
+// strconv.FormatFloat(v, 'f', 4, 64).
 func WriteCSV(w io.Writer, res *Result) error {
 	cw := csv.NewWriter(w)
 	header := make([]string, len(res.Cols))
@@ -28,12 +33,10 @@ func WriteCSV(w io.Writer, res *Result) error {
 		return err
 	}
 	record := make([]string, len(res.Cols))
-	var num []byte // float cells format here: one allocation each, not FormatFloat's two
 	for row := range res.Rows {
 		for i, v := range row {
 			if v.Kind == KindFloat {
-				num = strconv.AppendFloat(num[:0], v.Num, 'f', 4, 64)
-				record[i] = string(num)
+				record[i] = fixed4(v.Num)
 				continue
 			}
 			record[i] = v.String()
@@ -44,6 +47,46 @@ func WriteCSV(w io.Writer, res *Result) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// fixed4Table is the text of every float in [0, 1] rounded to four
+// decimals, "0.0000" through "1.0000", six bytes each.
+var fixed4Table = func() string {
+	b := make([]byte, 0, 6*10001)
+	for k := 0; k <= 10000; k++ {
+		b = append(b, byte('0'+k/10000), '.', byte('0'+k/1000%10), byte('0'+k/100%10), byte('0'+k/10%10), byte('0'+k%10))
+	}
+	return string(b)
+}()
+
+// fixed4 returns strconv.FormatFloat(v, 'f', 4, 64). For v in [+0, 1]
+// it rounds v·10000 to an integer k exactly, half to even as strconv
+// does, and returns the k-th fixed4Table entry: no allocation and
+// none of strconv's multi-precision work, which 'f' with a fixed
+// precision always takes. With v = mant·2^(exp-1075), v·10000 is
+// mant·625 (below 2^63, so exact in a uint64) shifted right by
+// 1071-exp bits, which is at least 48 for v ≤ 1.
+func fixed4(v float64) string {
+	b := math.Float64bits(v)
+	if b > math.Float64bits(1) { // negative (sign bit set), above 1, Inf or NaN
+		return strconv.FormatFloat(v, 'f', 4, 64)
+	}
+	mant, exp := b&(1<<52-1), b>>52
+	if exp == 0 {
+		exp = 1 // subnormal: no implicit bit, same scale as the smallest normal
+	} else {
+		mant |= 1 << 52
+	}
+	n, shift := mant*625, 1071-exp
+	if shift >= 64 { // n < 2^63 ≤ half a unit: v·10000 < 1/2
+		return fixed4Table[:6]
+	}
+	k := n >> shift
+	rem, half := n&(1<<shift-1), uint64(1)<<(shift-1)
+	if rem > half || rem == half && k&1 == 1 {
+		k++
+	}
+	return fixed4Table[6*k : 6*k+6]
 }
 
 // WriteNDJSON streams a result as newline-delimited JSON objects in

@@ -242,6 +242,15 @@ type shard struct {
 	lruTail int
 	nLive   int
 
+	// nameOrder is the live slots sorted by object name, the order a
+	// ByName scan visits. It is derived state, never checkpointed:
+	// insert and evict, the only paths that change the name set, clear
+	// nameOK under the write lock, and the next ByName scan rebuilds
+	// the order under nameMu while it holds the read lock.
+	nameMu    sync.Mutex
+	nameOrder []int32
+	nameOK    bool
+
 	// Per-source accumulators since the last drain, indexed by global
 	// source id (grown on demand).
 	deltaAgree []float64
@@ -701,6 +710,7 @@ func (sh *shard) insert(e *Engine, name string, epoch int64) int {
 		sh.objs = append(sh.objs, object{name: name, epoch: epoch, live: true, mapIx: -1, prev: -1, next: -1})
 	}
 	sh.index[name] = ix
+	sh.nameOK = false
 	sh.lruPush(ix)
 	sh.nLive++
 	if e.shardCap > 0 && sh.nLive > e.shardCap {
@@ -727,6 +737,7 @@ func (sh *shard) evict(ix int) {
 	sh.evictedClaims += int64(len(obj.claims))
 	sh.lruUnlink(ix)
 	delete(sh.index, obj.name)
+	sh.nameOK = false
 	obj.name = ""
 	obj.dirty = false
 	obj.live = false

@@ -11,8 +11,15 @@
 // (ShardIndex pruning on object equality), whether the scan is a point
 // read through the shard's object index, and which rows to keep; this
 // file only guarantees that a shard scan is one RLock, zero
-// allocations, and deterministic slot order.
+// allocations, and a deterministic visit order: slot order, or object
+// name order from the shard's cached name order (ByName), which the
+// executor's object-ordered runs use so they need no sort.
 package stream
+
+import (
+	"slices"
+	"strings"
+)
 
 // Row is the relational view of one live object, the tuple the query
 // layer filters, orders and aggregates over. Numeric counters are
@@ -39,6 +46,9 @@ type ScanOptions struct {
 	// An unknown (or evicted) name, including "", visits nothing.
 	Point  bool
 	Object string
+	// ByName visits the live objects in ascending object-name order
+	// instead of slot order. A Point scan ignores it.
+	ByName bool
 }
 
 // NoPair is the ScanOptions zero state with the disagree pair off.
@@ -80,36 +90,70 @@ func (e *Engine) CurrentEpoch() int64 {
 }
 
 // ScanShard visits every live object in shard s in slot order
-// (deterministic for a fixed shard count), filling and passing one
-// reused Row; a Point scan visits only the named object's slot.
-// Returning false from visit stops the scan. The visit
-// callback runs under the shard's read lock: it must not retain the
-// *Row (copy it), must not block, and must not call back into the
-// engine's write paths.
+// (deterministic for a fixed shard count) or, with ByName, in object
+// name order, filling and passing one reused Row; a Point scan visits
+// only the named object's slot. Returning false from visit stops the
+// scan. The visit callback runs under the shard's read lock: it must
+// not retain the *Row (copy it), must not block, and must not call
+// back into the engine's write paths.
 func (e *Engine) ScanShard(s int, opt ScanOptions, visit func(*Row) bool) {
 	sh := &e.shards[s]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	valNames := e.valueNames()
 	var row Row
-	objs := sh.objs
-	if opt.Point {
-		ix, ok := sh.index[opt.Object]
-		if !ok {
-			return
+	switch {
+	case opt.Point:
+		if ix, ok := sh.index[opt.Object]; ok {
+			scanSlot(&sh.objs[ix], valNames, opt, &row, visit)
 		}
-		objs = objs[ix : ix+1]
+	case opt.ByName:
+		for _, ix := range sh.byName() {
+			if !scanSlot(&sh.objs[ix], valNames, opt, &row, visit) {
+				return
+			}
+		}
+	default:
+		for ix := range sh.objs {
+			if !scanSlot(&sh.objs[ix], valNames, opt, &row, visit) {
+				return
+			}
+		}
 	}
-	for ix := range objs {
-		obj := &objs[ix]
-		if !obj.live || obj.mapIx < 0 {
-			continue
-		}
-		fillRow(obj, valNames, opt, &row)
-		if !visit(&row) {
-			return
-		}
+}
+
+// scanSlot passes one slot's row to visit, skipping freelist slots and
+// objects with no MAP value yet. It reports whether the scan goes on.
+func scanSlot(obj *object, valNames []string, opt ScanOptions, row *Row, visit func(*Row) bool) bool {
+	if !obj.live || obj.mapIx < 0 {
+		return true
 	}
+	fillRow(obj, valNames, opt, row)
+	return visit(row)
+}
+
+// byName returns the shard's live slots sorted by object name,
+// rebuilding the cached order when an insert or evict has made it
+// stale. Caller holds the read lock: no writer can run until it is
+// released, so the slice stays valid for the caller's scan, and
+// nameMu makes concurrent readers that find the order stale rebuild
+// it once.
+func (sh *shard) byName() []int32 {
+	sh.nameMu.Lock()
+	defer sh.nameMu.Unlock()
+	if !sh.nameOK {
+		order := slices.Grow(sh.nameOrder[:0], len(sh.objs))
+		for ix := range sh.objs {
+			if sh.objs[ix].live {
+				order = append(order, int32(ix))
+			}
+		}
+		slices.SortFunc(order, func(a, b int32) int {
+			return strings.Compare(sh.objs[a].name, sh.objs[b].name)
+		})
+		sh.nameOrder, sh.nameOK = order, true
+	}
+	return sh.nameOrder
 }
 
 // fillRow computes the relational view of one object into row. Caller

@@ -1,7 +1,10 @@
 package stream
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -76,4 +79,157 @@ func TestScanShardPoint(t *testing.T) {
 			t.Errorf("point scan of %q visited %d rows, want none", name, len(got))
 		}
 	}
+}
+
+// scanNames lists the objects one scan of every shard visits, shard by
+// shard.
+func scanNames(e *Engine, byName bool) [][]string {
+	out := make([][]string, e.NumShards())
+	for s := range out {
+		opt := NoPair
+		opt.ByName = byName
+		e.ScanShard(s, opt, func(r *Row) bool {
+			out[s] = append(out[s], r.Object)
+			return true
+		})
+	}
+	return out
+}
+
+// checkNameOrder fails unless each shard's ByName scan visits exactly
+// its slot-order scan's objects, sorted by name.
+func checkNameOrder(t *testing.T, e *Engine, when string) {
+	t.Helper()
+	slot, named := scanNames(e, false), scanNames(e, true)
+	total := 0
+	for s := range slot {
+		want := slices.Clone(slot[s])
+		slices.Sort(want)
+		if !slices.Equal(named[s], want) {
+			t.Fatalf("%s: shard %d ByName scan visits %v, want the sorted live names %v", when, s, named[s], want)
+		}
+		total += len(want)
+	}
+	if total == 0 {
+		t.Fatalf("%s: no live objects", when)
+	}
+}
+
+// TestEngineNameOrderScan pins the cached name order behind ByName
+// scans: it must match the sorted live names after a restore (the
+// order is not checkpointed), after inserts that land before, between
+// and after names already ordered, and after LRU evictions whose slots
+// are reused by new names; and ByName scans racing ingest must each
+// see a strictly ascending, duplicate-free name sequence.
+func TestEngineNameOrderScan(t *testing.T) {
+	observe := func(e *Engine, names ...string) {
+		for _, o := range names {
+			e.Observe("goodA", o, "t")
+			e.Observe("bad", o, "w")
+		}
+	}
+	spread := func(from, to, step int) []string {
+		var out []string
+		for i := from; i < to; i += step {
+			out = append(out, fmt.Sprintf("o%04d", i))
+		}
+		return out
+	}
+
+	t.Run("inserts", func(t *testing.T) {
+		e, err := NewEngine(testEngineOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		observe(e, spread(100, 200, 3)...)
+		checkNameOrder(t, e, "first scan")
+		observe(e, spread(0, 300, 7)...) // before, among and after the ordered names
+		checkNameOrder(t, e, "after inserts")
+		observe(e, spread(100, 200, 3)...) // claims on known names change no order
+		checkNameOrder(t, e, "after updates")
+	})
+
+	t.Run("restore", func(t *testing.T) {
+		e, err := NewEngine(testEngineOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		observe(e, spread(0, 500, 1)...)
+		checkNameOrder(t, e, "before checkpoint")
+		var buf bytes.Buffer
+		if err := e.WriteCheckpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Restore(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkNameOrder(t, r, "after restore")
+		observe(r, "a-first", "z-last")
+		checkNameOrder(t, r, "after inserts into a restored engine")
+	})
+
+	t.Run("evictions", func(t *testing.T) {
+		opts := testEngineOptions()
+		opts.MaxObjects = 40
+		e, err := NewEngine(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		observe(e, spread(0, 40, 1)...)
+		checkNameOrder(t, e, "full")
+		// Descending names: each insert evicts the least recent object
+		// and reuses its slot for a name that sorts before it.
+		for round := 0; round < 5; round++ {
+			var names []string
+			for i := 0; i < 15; i++ {
+				names = append(names, fmt.Sprintf("n%02d-%02d", 4-round, 14-i))
+			}
+			observe(e, names...)
+			checkNameOrder(t, e, fmt.Sprintf("after eviction round %d", round))
+		}
+		if st := e.Stats(); st.EvictedObjects == 0 {
+			t.Fatal("no object was evicted")
+		}
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		opts := testEngineOptions()
+		opts.MaxObjects = 200
+		e, err := NewEngine(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		observe(e, spread(0, 100, 1)...)
+		var wg sync.WaitGroup
+		for r := 0; r < 3; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for pass := 0; pass < 40; pass++ {
+					for s := range e.NumShards() {
+						prev := ""
+						e.ScanShard(s, ScanOptions{PairA: -1, PairB: -1, ByName: true}, func(row *Row) bool {
+							if row.Object <= prev {
+								t.Errorf("shard %d ByName scan visited %q after %q", s, row.Object, prev)
+								return false
+							}
+							prev = row.Object
+							return true
+						})
+					}
+				}
+			}()
+		}
+		for i := 0; i < 100; i++ {
+			batch := make([]Triple, 0, 16)
+			for j := 0; j < 8; j++ {
+				o := fmt.Sprintf("c%04d", ((8*i+j)*7919)%1000)
+				batch = append(batch, Triple{Source: "goodA", Object: o, Value: "t"}, Triple{Source: "bad", Object: o, Value: "w"})
+			}
+			e.ObserveBatch(batch)
+		}
+		wg.Wait()
+		checkNameOrder(t, e, "after concurrent ingest")
+	})
 }
