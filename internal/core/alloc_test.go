@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"slimfast/internal/data"
+	"slimfast/internal/mathx"
 	"slimfast/internal/optim"
 )
 
@@ -64,47 +65,82 @@ func TestAccumGradientZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
 	}
-	m := allocModel(t, DefaultOptions())
-	nObj := m.ds.NumObjects()
-	g := optim.NewSparse()
-	sc := &scratch{}
-	tbl := make([]float64, m.numSources*m.numClasses)
-	m.fillSigma(m.w, tbl)
-	// q posteriors for the EM-residual variant, precomputed outside the
-	// measured loop the way FitEM holds them across the M-step.
-	q := make([][]float64, nObj)
-	for o := 0; o < nObj; o++ {
-		scores, _ := m.objectScores(data.ObjectID(o), tbl, nil)
-		q[o] = scores
+	nObj := goldenInstance(t).Dataset.NumObjects()
+	classes := make([]int, nObj)
+	for o := range classes {
+		classes[o] = o % 2
 	}
-	for _, tc := range []struct {
+	// The default model (features on) runs unprefixed; the copy-pair
+	// and per-class models prefix their subtests.
+	for _, mc := range []struct {
 		name string
-		run  func()
+		edit func(*Options)
 	}{
-		// Sequential SGD path: σ recomputed from live weights per step.
-		{"erm-per-step", func() {
-			for o := 0; o < nObj; o++ {
-				dom := m.lay.dom[o]
-				if len(dom) == 0 {
-					continue
-				}
-				g.Reset()
-				m.accumGradient(m.w, g, data.ObjectID(o), dom[0], nil, nil, sc)
-			}
-		}},
-		// Minibatch path: σ read from the frozen-batch table.
-		{"em-sigma-table", func() {
-			for o := 0; o < nObj; o++ {
-				g.Reset()
-				m.accumGradient(m.w, g, data.ObjectID(o), data.None, q[o], tbl, sc)
-			}
+		{"", func(*Options) {}},
+		{"copy-pairs", func(o *Options) { o.CopyFeatures = true }},
+		{"classes", func(o *Options) {
+			o.ObjectClasses = classes
+			o.NumClasses = 2
 		}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			tc.run() // warm scratch and the sparse accumulator's index map
-			if allocs := testing.AllocsPerRun(20, tc.run); allocs != 0 {
-				t.Errorf("accumGradient allocates %.1f times per full pass, want 0", allocs)
+		opts := DefaultOptions()
+		mc.edit(&opts)
+		m := allocModel(t, opts)
+		g := optim.NewSparseSized(m.NumParams())
+		sc := &scratch{}
+		tbl := make([]float64, m.numSources*m.numClasses)
+		m.fillSigma(m.w, tbl)
+		// q holds posteriors for the EM-residual variants, precomputed
+		// outside the measured loop the way FitEM holds them across the
+		// M-step: raw scores (residuals all nonzero) and the posteriors
+		// at the current weights (residuals exactly 0, so the plan path
+		// narrows each object's coordinate list).
+		q := make([][]float64, nObj)
+		post := make([][]float64, nObj)
+		for o := 0; o < nObj; o++ {
+			scores, _ := m.objectScores(data.ObjectID(o), tbl, nil)
+			q[o] = scores
+			post[o] = mathx.Softmax(scores, nil)
+		}
+		for _, tc := range []struct {
+			name string
+			run  func()
+		}{
+			// Sequential SGD path: σ recomputed from live weights per step.
+			{"erm-per-step", func() {
+				for o := 0; o < nObj; o++ {
+					dom := m.lay.dom[o]
+					if len(dom) == 0 {
+						continue
+					}
+					g.Reset()
+					m.accumGradient(m.w, g, data.ObjectID(o), dom[0], nil, nil, sc)
+				}
+			}},
+			// Minibatch path: σ read from the frozen-batch table.
+			{"em-sigma-table", func() {
+				for o := 0; o < nObj; o++ {
+					g.Reset()
+					m.accumGradient(m.w, g, data.ObjectID(o), data.None, q[o], tbl, sc)
+				}
+			}},
+			{"em-zero-residual", func() {
+				for o := 0; o < nObj; o++ {
+					g.Reset()
+					m.accumGradient(m.w, g, data.ObjectID(o), data.None, post[o], tbl, sc)
+				}
+			}},
+		} {
+			name := tc.name
+			if mc.name != "" {
+				name = mc.name + "/" + tc.name
 			}
-		})
+			t.Run(name, func(t *testing.T) {
+				tc.run() // warm the scratch buffers and the accumulator
+				if allocs := testing.AllocsPerRun(20, tc.run); allocs != 0 {
+					t.Errorf("accumGradient allocates %.1f times per full pass, want 0", allocs)
+				}
+			})
+		}
 	}
 }

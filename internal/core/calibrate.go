@@ -161,21 +161,13 @@ func (m *Model) calibrateOnce(train data.TruthMap, fitFeatures, labeledOnly bool
 			return
 		}
 		s := data.SourceID(i % nS)
-		sigma := w[i]
-		if m.opts.UseFeatures {
-			for _, k := range m.ds.SourceFeatures[s] {
-				sigma += w[m.featBase()+int(k)]
-			}
-		}
-		as := mathx.Logistic(sigma)
+		as := mathx.Logistic(m.sigmaAt(w, i, s))
 		// d/dσ of the weighted logistic loss, scaled so gradient
 		// magnitudes stay O(1) regardless of observation counts.
 		r := (tot[i]*as - corr[i]) / totMean
 		g.Add(i, r)
-		if m.opts.UseFeatures {
-			for _, k := range m.ds.SourceFeatures[s] {
-				g.Add(m.featBase()+int(k), r)
-			}
+		for _, c := range m.plan.feat[m.plan.featStart[s]:m.plan.featStart[s+1]] {
+			g.Add(int(c), r)
 		}
 	}
 	if fitFeatures {

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"math"
+
 	"slimfast/internal/data"
 )
 
@@ -76,23 +80,176 @@ func (m *Model) buildLayout() {
 	}
 }
 
-// fillSigma writes σ_{s,c} = w_{s,c} + Σ_k w_k f_sk for every
-// (source, class) into tbl (indexed like srcIdx: class·|S|+source),
-// reading the weights from w. The per-entry arithmetic and feature
-// summation order match SigmaClass exactly, so a cached entry is
-// bit-identical to a per-observation recomputation at the same weights.
-func (m *Model) fillSigma(w []float64, tbl []float64) {
+// gradPlan is the compiled form of the SGD step's chain rule, built
+// once in Compile next to the layout, in int32 CSR form:
+//
+//   - feat[featStart[s]:featStart[s+1]] lists source s's feature-weight
+//     coordinates (featBase()+k, in SourceFeatures order); every range
+//     is empty when Options.UseFeatures is off. σ reads the same list
+//     through sigmaAt, so the sequential step, the σ-table and
+//     SigmaClass share one definition of σ;
+//   - coord[coordStart[o]:coordStart[o+1]] lists object o's distinct
+//     gradient coordinates: claim i's source weight at position i (a
+//     source claims an object at most once), then the claims' feature
+//     weights in the order a claim-order walk first reaches them, then
+//     one copy-pair weight per copy agreement (objCopyAgree[o] order);
+//   - slot[slotStart[o]:slotStart[o+1]] holds, claim by claim, the
+//     positions in that list of the claim's feature weights (numFeat
+//     entries per claim).
+//
+// accumGradient scatters each claim's residual through its position
+// and slots into a dense per-object buffer, so each coordinate's sum
+// keeps claim order, and hands the coordinate list and the buffer to
+// the optimizer in one call.
+type gradPlan struct {
+	featStart  []int32
+	feat       []int32
+	coordStart []int32
+	coord      []int32
+	slotStart  []int32
+	slot       []int32
+	// maxCoord is the longest coordinate list, which sizes the
+	// per-object gradient buffers once.
+	maxCoord int
+}
+
+// numFeat returns how many feature weights a claim by source s reaches.
+func (p *gradPlan) numFeat(s data.SourceID) int {
+	return int(p.featStart[s+1] - p.featStart[s])
+}
+
+// buildPlan compiles the gradient plan into two slabs allocated once:
+// the per-source part and the per-object part. The per-object slab is
+// sized before it is filled: each claim's slot count is known up front,
+// and an object's distinct coordinates number at most its claims plus
+// its slots (and the feature count) plus its copy agreements, so one
+// fill pass deduplicates each object's feature coordinates with a
+// per-feature stamp array instead of a map and leaves any unused bound
+// at the slab's tail.
+func (m *Model) buildPlan() error {
+	ds := m.ds
+	nObj := ds.NumObjects()
+	nW := len(m.w)
+	if nW >= math.MaxInt32 {
+		return fmt.Errorf("core: %d weights exceed the int32 gradient plan", nW)
+	}
 	fb := m.featBase()
-	for c := 0; c < m.numClasses; c++ {
-		for s := 0; s < m.numSources; s++ {
-			sg := w[c*m.numSources+s]
-			if m.opts.UseFeatures {
-				for _, k := range m.ds.SourceFeatures[s] {
-					sg += w[fb+int(k)]
-				}
-			}
-			tbl[c*m.numSources+s] = sg
+	nFeat := 0
+	if m.opts.UseFeatures {
+		for _, fs := range ds.SourceFeatures {
+			nFeat += len(fs)
 		}
+	}
+	// The per-source slab also carries the build's scratch: stamp[k]
+	// == o+1 marks feature k as listed for object o, at position at[k]
+	// of its list.
+	src := make([]int32, m.numSources+1+nFeat+2*m.numFeatures)
+	p := &m.plan
+	p.featStart, src = src[:m.numSources+1], src[m.numSources+1:]
+	p.feat, src = src[:nFeat:nFeat], src[nFeat:]
+	stamp, at := src[:m.numFeatures], src[m.numFeatures:]
+	n := 0
+	for s := 0; s < m.numSources; s++ {
+		if m.opts.UseFeatures {
+			for _, k := range ds.SourceFeatures[s] {
+				p.feat[n] = int32(fb + int(k))
+				n++
+			}
+		}
+		p.featStart[s+1] = int32(n)
+	}
+
+	nSlot, bound := 0, 0
+	for o := 0; o < nObj; o++ {
+		obs := ds.ObjectObservations(data.ObjectID(o))
+		slots := 0
+		for _, ob := range obs {
+			slots += p.numFeat(ob.Source)
+		}
+		nSlot += slots
+		bound += len(obs) + min(slots, m.numFeatures) + len(m.copyAgreements(o))
+	}
+	if nSlot+bound >= math.MaxInt32 {
+		return errors.New("core: dataset too large for the int32 gradient plan")
+	}
+	obj := make([]int32, 2*(nObj+1)+nSlot+bound)
+	p.coordStart, obj = obj[:nObj+1], obj[nObj+1:]
+	p.slotStart, obj = obj[:nObj+1], obj[nObj+1:]
+	p.slot, obj = obj[:nSlot], obj[nSlot:]
+	nCoord, nSlot := 0, 0
+	for o := 0; o < nObj; o++ {
+		c, sl := m.fillObject(o, stamp, at, obj[nCoord:], p.slot[nSlot:])
+		nCoord += c
+		nSlot += sl
+		p.maxCoord = max(p.maxCoord, c)
+		p.coordStart[o+1] = int32(nCoord)
+		p.slotStart[o+1] = int32(nSlot)
+	}
+	p.coord = obj[:nCoord:nCoord]
+	return nil
+}
+
+// fillObject writes object o's coordinate list and feature slots (see
+// gradPlan) into coord and slot and returns how many of each it wrote.
+// stamp and at, indexed by feature, deduplicate the feature
+// coordinates.
+func (m *Model) fillObject(o int, stamp, at, coord, slot []int32) (nCoord, nSlot int) {
+	p := &m.plan
+	tag := int32(o + 1)
+	fb := int32(m.featBase())
+	classBase := int32(m.classOfObject(data.ObjectID(o)) * m.numSources)
+	obs := m.ds.ObjectObservations(data.ObjectID(o))
+	for _, ob := range obs {
+		coord[nCoord] = classBase + int32(ob.Source)
+		nCoord++
+	}
+	for _, ob := range obs {
+		for _, c := range p.feat[p.featStart[ob.Source]:p.featStart[ob.Source+1]] {
+			k := c - fb
+			if stamp[k] != tag {
+				stamp[k] = tag
+				at[k] = int32(nCoord)
+				coord[nCoord] = c
+				nCoord++
+			}
+			slot[nSlot] = at[k]
+			nSlot++
+		}
+	}
+	for _, ag := range m.copyAgreements(o) {
+		coord[nCoord] = fb + int32(m.numFeatures+ag.pair)
+		nCoord++
+	}
+	return nCoord, nSlot
+}
+
+// copyAgreements returns object o's copy agreements, none when copy
+// features are off.
+func (m *Model) copyAgreements(o int) []copyAgreement {
+	if !m.opts.CopyFeatures {
+		return nil
+	}
+	return m.objCopyAgree[o]
+}
+
+// sigmaAt returns σ = w[i] + Σ_k w_k f_sk for source s, where i is
+// the (source, class) weight index; the one definition of σ that
+// fillSigma, SigmaClass and the sequential SGD step all read.
+func (m *Model) sigmaAt(w []float64, i int, s data.SourceID) float64 {
+	sg := w[i]
+	for _, c := range m.plan.feat[m.plan.featStart[s]:m.plan.featStart[s+1]] {
+		sg += w[c]
+	}
+	return sg
+}
+
+// fillSigma writes σ_{s,c} for every (source, class) into tbl (indexed
+// like srcIdx: class·|S|+source), reading the weights from w. Every
+// entry comes from sigmaAt, so a cached entry is bit-identical to a
+// per-observation recomputation at the same weights.
+func (m *Model) fillSigma(w []float64, tbl []float64) {
+	for i := range tbl {
+		tbl[i] = m.sigmaAt(w, i, data.SourceID(i%m.numSources))
 	}
 }
 
@@ -134,6 +291,12 @@ type scratch struct {
 	scores []float64
 	probs  []float64
 	resid  []float64
+	// grad is accumGradient's per-object gradient buffer (indexed like
+	// the object's plan coordinates); hit and coord serve objects with
+	// a zero residual: the touched marks and the compacted list.
+	grad  []float64
+	hit   []bool
+	coord []int32
 }
 
 // growFloats returns buf resized to n, reallocating only when the

@@ -10,13 +10,10 @@ import (
 	"slimfast/internal/randx"
 )
 
-// goldenDecideFingerprint was recorded from the map-backed
-// EstimateAverageAccuracy (PR 2 state). The dense pair-matrix layout
-// must reproduce every field of the Decision bit for bit under the
-// default overlap-weighted estimator, whose integer-valued sums are
-// exactly order-independent — so the fingerprint is stable across both
-// the map iteration order of the old code and the triangular sweep of
-// the new one.
+// goldenDecideFingerprint was recorded from the original map-backed
+// EstimateAverageAccuracy. Decide must keep every field of the
+// Decision bit-identical under the default overlap-weighted estimator,
+// whose integer-valued sums are exactly order-independent.
 const goldenDecideFingerprint uint64 = 0x3b83854de55fa935
 
 func decisionFingerprint(decs ...Decision) uint64 {
@@ -56,12 +53,11 @@ func TestDecideGoldenFingerprint(t *testing.T) {
 	}
 }
 
-// TestEstimateAverageAccuracyMatchesReference checks the dense
-// triangular accumulation against a straightforward per-object
-// reference for both estimator variants. The closed-form variant sums
-// non-integer ratios whose order the old map-backed code left to map
-// iteration; the dense sweep fixes pair order, so the comparison
-// allows float reassociation noise.
+// TestEstimateAverageAccuracyMatchesReference checks both estimator
+// variants against a straightforward per-pair reference. The reference
+// sums the closed form's non-integer ratios in map order, so the
+// comparison allows float reassociation noise; agreement_test.go pins
+// the exact bits.
 func TestEstimateAverageAccuracyMatchesReference(t *testing.T) {
 	inst := goldenInstance(t)
 	ds := inst.Dataset

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 
 	"slimfast/internal/data"
 	"slimfast/internal/mathx"
@@ -73,7 +74,8 @@ type EMStats struct {
 
 // FitEM learns the weights by expectation maximization (Section 3.2).
 // Labeled objects in train (may be empty) act as evidence, making the
-// run semi-supervised. Each round alternates:
+// run semi-supervised; a label trainableLabel rejects (one outside the
+// object's domain) leaves its object unlabeled. Each round alternates:
 //
 //	E-step: q_o(d) = P(To=d | Ω; w) for unlabeled objects
 //	        (labeled objects have q_o = point mass on the label),
@@ -83,8 +85,9 @@ type EMStats struct {
 // EMMaxIters rounds.
 func (m *Model) FitEM(train data.TruthMap) (EMStats, error) {
 	type emExample struct {
-		object data.ObjectID
-		truth  data.ValueID // data.None when unlabeled
+		object  data.ObjectID
+		truth   data.ValueID
+		labeled bool // truth is a trainable label (see trainableLabel)
 	}
 	var examples []emExample
 	for o := 0; o < m.ds.NumObjects(); o++ {
@@ -92,11 +95,8 @@ func (m *Model) FitEM(train data.TruthMap) (EMStats, error) {
 		if len(m.ds.Domain(oid)) == 0 {
 			continue
 		}
-		truth := data.None
-		if v, ok := train[oid]; ok {
-			truth = v
-		}
-		examples = append(examples, emExample{oid, truth})
+		truth, ok := train[oid]
+		examples = append(examples, emExample{oid, truth, ok && m.trainableLabel(oid, truth)})
 	}
 	if len(examples) == 0 {
 		return EMStats{}, errors.New("core: FitEM requires at least one observed object")
@@ -144,7 +144,7 @@ func (m *Model) FitEM(train data.TruthMap) (EMStats, error) {
 			sc := m.getScratch()
 			for i := ch.Lo; i < ch.Hi; i++ {
 				ex := examples[i]
-				if ex.truth != data.None {
+				if ex.labeled {
 					// Labeled: point mass on the label; no scoring.
 					dom := m.lay.dom[ex.object]
 					p := growFloats(q[i], len(dom))
@@ -198,36 +198,40 @@ type labeledExample struct {
 }
 
 // labeledExamples returns the training examples ERM can use: labeled
-// objects with at least one observation whose label is in the observed
-// domain (the single-truth assumption guarantees this for real data;
-// labels outside the domain are unlearnable and skipped).
+// objects with at least one observation whose label is trainable.
 func (m *Model) labeledExamples(train data.TruthMap) []labeledExample {
 	var out []labeledExample
 	for o := 0; o < m.ds.NumObjects(); o++ {
 		oid := data.ObjectID(o)
 		truth, ok := train[oid]
-		if !ok {
-			continue
-		}
-		dom := m.ds.Domain(oid)
-		if len(dom) == 0 {
-			continue
-		}
-		// Under open-world semantics a data.None label ("the truth was
-		// never reported") is trainable: it targets the wildcard
-		// coordinate.
-		found := m.opts.OpenWorld && truth == data.None
-		for _, v := range dom {
-			if v == truth {
-				found = true
-				break
-			}
-		}
-		if found {
+		if ok && m.trainableLabel(oid, truth) {
 			out = append(out, labeledExample{oid, truth})
 		}
 	}
 	return out
+}
+
+// trainableLabel reports whether truth is a label the learners can fit
+// on object o: a value in its observed domain (the single-truth
+// assumption guarantees this for real data; labels outside the domain
+// are unlearnable, and ERM skips them while EM treats the object as
+// unlabeled). Under open-world semantics a data.None label ("the truth
+// was never reported") is trainable too: it targets the wildcard
+// coordinate. Objects without observations have no trainable label.
+func (m *Model) trainableLabel(o data.ObjectID, truth data.ValueID) bool {
+	dom := m.ds.Domain(o)
+	if len(dom) == 0 {
+		return false
+	}
+	if m.opts.OpenWorld && truth == data.None {
+		return true
+	}
+	for _, v := range dom {
+		if v == truth {
+			return true
+		}
+	}
+	return false
 }
 
 // accumGradient adds one object's gradient contribution to g. q selects
@@ -240,12 +244,19 @@ func (m *Model) labeledExamples(train data.TruthMap) []labeledExample {
 // to w_s and to every active feature weight of s; a copy agreement on
 // value u adds Σ_{d≠u} r_d to the pair weight.
 //
+// The compiled gradient plan (see gradPlan) drives the chain rule: each
+// claim's residual is scattered through its position and slots into a
+// dense per-object buffer in claim order, and the object's coordinates
+// go to g in one AddAll. A claim whose residual is exactly 0 contributes
+// nothing, so a coordinate only such claims reach is left out of g
+// entirely (lazy L2 and L1 must not touch it); copy-pair coordinates
+// are always handed over.
+//
 // sg is the frozen-batch σ-table (see prepGrad) or nil for the
 // sequential path, which recomputes σ from w at every step — w aliases
 // m.w during optimization, and the per-step recomputation honours the
-// optimizer's live view of the weights exactly as the pre-compiled
-// implementation did. All buffers come from sc, so the steady state
-// allocates nothing.
+// optimizer's live view of the weights. All buffers come from sc, so
+// the steady state allocates nothing.
 func (m *Model) accumGradient(w []float64, g *optim.Sparse, o data.ObjectID, truth data.ValueID, q []float64, sg []float64, sc *scratch) {
 	dom := m.lay.dom[o]
 	n := len(dom)
@@ -263,30 +274,22 @@ func (m *Model) accumGradient(w []float64, g *optim.Sparse, o data.ObjectID, tru
 	}
 	obs := m.ds.ObjectObservations(o)
 	base := m.lay.obsBase[o]
-	class := m.classOfObject(o)
-	classBase := class * m.numSources
+	classBase := m.classOfObject(o) * m.numSources
 	if sg != nil {
 		for i, ob := range obs {
 			scores[m.lay.obsLocal[base+i]] += sg[classBase+int(ob.Source)]
 		}
 	} else {
 		for i, ob := range obs {
-			sgm := w[classBase+int(ob.Source)]
-			if m.opts.UseFeatures {
-				for _, k := range m.ds.SourceFeatures[ob.Source] {
-					sgm += w[fb+int(k)]
-				}
-			}
-			scores[m.lay.obsLocal[base+i]] += sgm
+			scores[m.lay.obsLocal[base+i]] += m.sigmaAt(w, classBase+int(ob.Source), ob.Source)
 		}
 	}
-	if m.opts.CopyFeatures {
-		for _, ag := range m.objCopyAgree[o] {
-			wp := w[fb+m.numFeatures+ag.pair]
-			for i, v := range dom {
-				if v != ag.value {
-					scores[i] += wp
-				}
+	agrees := m.copyAgreements(int(o))
+	for _, ag := range agrees {
+		wp := w[fb+m.numFeatures+ag.pair]
+		for i, v := range dom {
+			if v != ag.value {
+				scores[i] += wp
 			}
 		}
 	}
@@ -306,29 +309,88 @@ func (m *Model) accumGradient(w []float64, g *optim.Sparse, o data.ObjectID, tru
 			}
 		}
 	}
+	if len(agrees) == 0 && !slices.ContainsFunc(r, func(x float64) bool { return x != 0 }) {
+		// A saturated object: no claim has a residual, so nothing is
+		// touched.
+		return
+	}
+
+	p := &m.plan
+	coords := p.coord[p.coordStart[o]:p.coordStart[o+1]]
+	slots := p.slot[p.slotStart[o]:p.slotStart[o+1]]
+	if cap(sc.grad) < len(coords) {
+		sc.grad = make([]float64, p.maxCoord)
+	}
+	vals := sc.grad[:len(coords)]
+	clear(vals)
+	skipped := false
+	at := 0
 	for i, ob := range obs {
-		rv := r[m.lay.obsLocal[base+i]]
-		if rv == 0 {
-			continue
+		next := at + p.numFeat(ob.Source)
+		if rv := r[m.lay.obsLocal[base+i]]; rv != 0 {
+			vals[i] = rv
+			for _, sl := range slots[at:next] {
+				vals[sl] += rv
+			}
+		} else {
+			skipped = true
 		}
-		g.Add(classBase+int(ob.Source), rv)
-		if m.opts.UseFeatures {
-			for _, k := range m.ds.SourceFeatures[ob.Source] {
-				g.Add(fb+int(k), rv)
+		at = next
+	}
+	first := len(coords) - len(agrees)
+	for a, ag := range agrees {
+		var sum float64
+		for i, v := range dom {
+			if v != ag.value {
+				sum += r[i]
 			}
 		}
+		vals[first+a] = sum
 	}
-	if m.opts.CopyFeatures {
-		for _, ag := range m.objCopyAgree[o] {
-			var sum float64
-			for i, v := range dom {
-				if v != ag.value {
-					sum += r[i]
-				}
+	if skipped {
+		coords, vals = m.touchedCoords(o, r, coords, vals, first, sc)
+	}
+	g.AddAll(coords, vals)
+}
+
+// touchedCoords narrows object o's gradient, when some claim's residual
+// is exactly 0, to the coordinates the per-claim Add walk would touch:
+// those a claim with a nonzero residual reaches, plus the copy-pair
+// coordinates from index first on. vals is compacted in place; the
+// coordinates land in sc.coord.
+func (m *Model) touchedCoords(o data.ObjectID, r []float64, coords []int32, vals []float64, first int, sc *scratch) ([]int32, []float64) {
+	p := &m.plan
+	slots := p.slot[p.slotStart[o]:p.slotStart[o+1]]
+	if cap(sc.hit) < len(coords) {
+		sc.hit = make([]bool, p.maxCoord)
+		sc.coord = make([]int32, 0, p.maxCoord)
+	}
+	hit := sc.hit[:len(coords)]
+	clear(hit)
+	for j := first; j < len(coords); j++ {
+		hit[j] = true
+	}
+	base := m.lay.obsBase[o]
+	at := 0
+	for i, ob := range m.ds.ObjectObservations(o) {
+		next := at + p.numFeat(ob.Source)
+		if r[m.lay.obsLocal[base+i]] != 0 {
+			hit[i] = true
+			for _, sl := range slots[at:next] {
+				hit[sl] = true
 			}
-			g.Add(fb+m.numFeatures+ag.pair, sum)
+		}
+		at = next
+	}
+	out := sc.coord[:0]
+	for j, c := range coords {
+		if hit[j] {
+			vals[len(out)] = vals[j]
+			out = append(out, c)
 		}
 	}
+	sc.coord = out
+	return out, vals[:len(out)]
 }
 
 // LogLikelihood returns the mean log posterior probability the current

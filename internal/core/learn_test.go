@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -250,6 +251,86 @@ func TestFitEMSemiSupervisedUsesLabels(t *testing.T) {
 	}
 	if acc := metrics.ObjectAccuracy(res.Values, test); acc < 0.8 {
 		t.Errorf("semi-supervised EM accuracy = %v, want >= 0.8", acc)
+	}
+}
+
+// emToyDataset has two agreeing sources and a third that dissents on
+// every other object, plus an interned value "elsewhere" that no
+// source reports on o0.
+func emToyDataset() (*data.Dataset, data.ValueID) {
+	b := data.NewBuilder("em-toy")
+	for o := 0; o < 12; o++ {
+		obj := fmt.Sprintf("o%d", o)
+		b.ObserveNames("s1", obj, "a")
+		b.ObserveNames("s2", obj, "a")
+		if o%2 == 0 {
+			b.ObserveNames("s3", obj, "b")
+		} else {
+			b.ObserveNames("s3", obj, "a")
+		}
+	}
+	elsewhere := b.Value("elsewhere")
+	return b.Freeze(), elsewhere
+}
+
+// TestFitEMIgnoresOutOfDomainLabel: in a closed world, a label outside
+// the object's domain used to give its E-step an all-zero q, whose
+// residual pushed every weight on the object down. EM must treat the
+// object as unlabeled, as ERM skips it, so the weights equal those of a
+// run without the label, bit for bit.
+func TestFitEMIgnoresOutOfDomainLabel(t *testing.T) {
+	ds, elsewhere := emToyDataset()
+	opts := DefaultOptions()
+	opts.EMCalibrate = false
+	fit := func(train data.TruthMap) []float64 {
+		m, err := Compile(ds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.FitEM(train); err != nil {
+			t.Fatal(err)
+		}
+		return m.Weights()
+	}
+	o0 := data.ObjectID(0) // "o0" is interned first
+	got := fit(data.TruthMap{o0: elsewhere})
+	want := fit(nil)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("weights with an out-of-domain label = %v, without it %v", got, want)
+		}
+	}
+	for s := 0; s < 3; s++ {
+		if got[s] <= 0 {
+			t.Errorf("source %d weight %v, want > 0: every source beats chance", s, got[s])
+		}
+	}
+}
+
+// TestFitEMOpenWorldNoneLabelIsEvidence: under open-world semantics a
+// data.None label is trainable (it targets the wildcard), for EM as for
+// ERM, so it makes the wildcard likelier on its object than a run
+// without the label does.
+func TestFitEMOpenWorldNoneLabelIsEvidence(t *testing.T) {
+	ds, _ := emToyDataset()
+	opts := DefaultOptions()
+	opts.OpenWorld = true
+	opts.OpenWorldBias = 0
+	opts.EMCalibrate = false
+	o0 := data.ObjectID(0)
+	wildcard := func(train data.TruthMap) float64 {
+		m, err := Compile(ds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.FitEM(train); err != nil {
+			t.Fatal(err)
+		}
+		return m.Posterior(o0)[data.None]
+	}
+	labeled, unlabeled := wildcard(data.TruthMap{o0: data.None}), wildcard(nil)
+	if !(labeled > unlabeled) {
+		t.Errorf("wildcard posterior with a None label %v, without %v: want higher", labeled, unlabeled)
 	}
 }
 

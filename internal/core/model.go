@@ -176,6 +176,10 @@ type Model struct {
 	// index); see compiled.go.
 	lay layout
 
+	// plan is the compiled per-object gradient plan and the per-source
+	// feature-coordinate list σ reads; see gradPlan in compiled.go.
+	plan gradPlan
+
 	// sigma caches the per-(source, class) reliability scores at the
 	// current weights; sigmaValid tracks the invalidate-on-weight-change
 	// contract documented on sigmaTable.
@@ -197,7 +201,9 @@ type copyAgreement struct {
 }
 
 // Compile builds a Model over the dataset. It precomputes the copy-pair
-// structure when Options.CopyFeatures is set.
+// structure when Options.CopyFeatures is set, the hot-path layout and
+// the SGD step's gradient plan; it fails when the dataset is too large
+// for the plan's int32 indices.
 func Compile(ds *data.Dataset, opts Options) (*Model, error) {
 	if ds == nil {
 		return nil, errors.New("core: nil dataset")
@@ -236,6 +242,9 @@ func Compile(ds *data.Dataset, opts Options) (*Model, error) {
 	m.w = make([]float64, m.numSources*m.numClasses+m.numFeatures+len(m.copyPairs))
 	m.sigma = make([]float64, m.numSources*m.numClasses)
 	m.buildLayout()
+	if err := m.buildPlan(); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
@@ -352,13 +361,7 @@ func (m *Model) Sigma(s data.SourceID) float64 { return m.SigmaClass(s, 0) }
 // SigmaClass returns source s's reliability score for objects of the
 // given class.
 func (m *Model) SigmaClass(s data.SourceID, class int) float64 {
-	sigma := m.w[m.srcIdx(s, class)]
-	if m.opts.UseFeatures {
-		for _, k := range m.ds.SourceFeatures[s] {
-			sigma += m.w[m.featBase()+int(k)]
-		}
-	}
-	return sigma
+	return m.sigmaAt(m.w, m.srcIdx(s, class), s)
 }
 
 // SourceAccuracies returns A_s = logistic(σ_s) for every source

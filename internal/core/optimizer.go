@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"slimfast/internal/data"
 	"slimfast/internal/mathx"
@@ -72,127 +73,102 @@ type Decision struct {
 	AvgAccuracy float64 // matrix-completion estimate of mean accuracy
 }
 
-// densePairLimit bounds the |S|² agreement matrix at 4096² entries
-// (~256 MiB of int64 pair counters); rarer, wider instances take the
-// map path instead of risking the allocation.
-const densePairLimit = 4096
-
 // EstimateAverageAccuracy implements the matrix-completion estimator of
 // Section 4.3: the source-agreement matrix X has E[X_ij] = (2A−1)², so
 // µ̂ = √(ΣX_ij / (|S|²−|S|)) and A = (µ̂+1)/2. The overlap-weighted
 // variant divides by overlap mass instead of the full pair count.
 //
-// The pair statistics accumulate in a dense |S|×|S| upper-triangular
-// matrix (two flat slices) instead of a map of heap-allocated structs:
-// the map paid one allocation per co-observing pair (the bulk of
-// Decide's allocation bill) and hashed on every observation pair,
-// while the dense layout is two slice allocations total and a direct
-// index per pair. It also makes the paper's closed-form variant
-// deterministic — the map version summed non-integer ratios in map
-// iteration order. The overlap-weighted default sums integer-valued
-// floats, which are exactly associative, so its result is bit-identical
-// to the map implementation (pinned by TestDecideGoldenFingerprint).
+// The overlap-weighted default never forms a pair: summed over all
+// source pairs, agreements minus disagreements and the overlap are
+// per-object quantities. An object with n claims, c_v of them on value
+// v, contributes 2·Σ_v C(c_v,2) − C(n,2) to the agreement mass and
+// C(n,2) to the overlap, so the estimate costs O(claims) time and a
+// per-value counter of O(|values|) memory. Both sums are exact int64
+// integers; a sum of integer-valued floats below 2^53 is exact in any
+// order, so the result is bit-identical to summing a pair matrix.
+//
+// The paper's closed form needs each pair's mean agreement X_ij, a
+// non-integer ratio, so it accumulates pairs one source row at a time
+// (agreementClosedForm) and sums the ratios in ascending a·|S|+b order,
+// which fixes the result's bits for any source count.
 func EstimateAverageAccuracy(ds *data.Dataset, overlapWeighted bool) float64 {
 	nS := ds.NumSources()
 	if nS < 2 {
 		return 0.5
 	}
-	if nS > densePairLimit {
-		return estimateAverageAccuracySparse(ds, overlapWeighted)
+	if !overlapWeighted {
+		return finishAverageAccuracy(agreementClosedForm(ds), float64(nS*nS-nS))
 	}
-	// agree[a·|S|+b] (a < b, observations are source-sorted within an
-	// object) holds agreements minus disagreements; overlap counts the
-	// shared objects.
-	agree := make([]int64, nS*nS)
-	overlap := make([]int64, nS*nS)
-	for o := 0; o < ds.NumObjects(); o++ {
-		obs := ds.ObjectObservations(data.ObjectID(o))
-		for i := 0; i < len(obs); i++ {
-			row := int(obs[i].Source) * nS
-			vi := obs[i].Value
-			for j := i + 1; j < len(obs); j++ {
-				k := row + int(obs[j].Source)
-				overlap[k]++
-				if vi == obs[j].Value {
-					agree[k]++
-				} else {
-					agree[k]--
-				}
-			}
-		}
+	num, den := agreementCounts(ds)
+	if den == 0 {
+		return 0.5
 	}
-	var num, den float64
-	if overlapWeighted {
-		for k, ov := range overlap {
-			if ov != 0 {
-				num += float64(agree[k])
-				den += float64(ov)
-			}
-		}
-		if den == 0 {
-			return 0.5
-		}
-	} else {
-		// Paper's closed form: X_ij is the mean agreement of pair
-		// (i,j); the denominator counts all ordered pairs, with
-		// non-overlapping pairs contributing X_ij = 0. Each unordered
-		// pair appears twice in Σ_{i,j}, matching |S|²−|S| ordered
-		// pairs.
-		for k, ov := range overlap {
-			if ov != 0 {
-				num += 2 * float64(agree[k]) / float64(ov)
-			}
-		}
-		den = float64(nS*nS - nS)
-	}
-	return finishAverageAccuracy(num, den)
+	return finishAverageAccuracy(float64(num), float64(den))
 }
 
-// estimateAverageAccuracySparse is the map fallback for instances too
-// wide for the dense pair matrix. Same arithmetic; per-pair map
-// entries instead of the flat slabs.
-func estimateAverageAccuracySparse(ds *data.Dataset, overlapWeighted bool) float64 {
-	type pairStat struct {
-		agreeMinusDisagree int64
-		overlap            int64
-	}
-	stats := map[[2]data.SourceID]*pairStat{}
+// agreementCounts returns the agreement mass (agreements minus
+// disagreements) and the overlap (co-observations) summed over every
+// unordered pair of claims on the same object, from per-object value
+// counts.
+func agreementCounts(ds *data.Dataset) (num, den int64) {
+	count := make([]int32, ds.NumValues())
 	for o := 0; o < ds.NumObjects(); o++ {
 		obs := ds.ObjectObservations(data.ObjectID(o))
-		for i := 0; i < len(obs); i++ {
-			for j := i + 1; j < len(obs); j++ {
-				k := [2]data.SourceID{obs[i].Source, obs[j].Source}
-				st := stats[k]
-				if st == nil {
-					st = &pairStat{}
-					stats[k] = st
+		n := int64(len(obs))
+		// Each claim agrees with every earlier claim on its value:
+		// same = Σ_v C(c_v,2).
+		var same int64
+		for _, ob := range obs {
+			same += int64(count[ob.Value])
+			count[ob.Value]++
+		}
+		for _, ob := range obs {
+			count[ob.Value] = 0
+		}
+		pairs := n * (n - 1) / 2
+		num += 2*same - pairs
+		den += pairs
+	}
+	return num, den
+}
+
+// agreementClosedForm returns Σ_{i≠j} X_ij of the paper's closed form:
+// twice the sum over co-observing source pairs a < b of (agreements −
+// disagreements)/overlap. Observations are (object, source)-sorted, so
+// the claims after source a's claim on an object are exactly its
+// partners b > a; each row a is gathered into reused per-b counters and
+// summed in ascending b, giving one fixed a·|S|+b order.
+func agreementClosedForm(ds *data.Dataset) float64 {
+	nS := ds.NumSources()
+	agree := make([]int64, nS)
+	overlap := make([]int64, nS)
+	var touched []data.SourceID
+	all := ds.Observations
+	var num float64
+	for a := 0; a < nS; a++ {
+		for _, i := range ds.SourceObservationIndices(data.SourceID(a)) {
+			oi := all[i]
+			for j := i + 1; j < len(all) && all[j].Object == oi.Object; j++ {
+				b := all[j].Source
+				if overlap[b] == 0 {
+					touched = append(touched, b)
 				}
-				st.overlap++
-				if obs[i].Value == obs[j].Value {
-					st.agreeMinusDisagree++
+				overlap[b]++
+				if oi.Value == all[j].Value {
+					agree[b]++
 				} else {
-					st.agreeMinusDisagree--
+					agree[b]--
 				}
 			}
 		}
+		slices.Sort(touched)
+		for _, b := range touched {
+			num += 2 * float64(agree[b]) / float64(overlap[b])
+			agree[b], overlap[b] = 0, 0
+		}
+		touched = touched[:0]
 	}
-	var num, den float64
-	if overlapWeighted {
-		for _, st := range stats {
-			num += float64(st.agreeMinusDisagree)
-			den += float64(st.overlap)
-		}
-		if den == 0 {
-			return 0.5
-		}
-	} else {
-		for _, st := range stats {
-			num += 2 * float64(st.agreeMinusDisagree) / float64(st.overlap)
-		}
-		nS := ds.NumSources()
-		den = float64(nS*nS - nS)
-	}
-	return finishAverageAccuracy(num, den)
+	return num
 }
 
 // finishAverageAccuracy maps the accumulated agreement mass to the

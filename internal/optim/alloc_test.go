@@ -18,6 +18,8 @@ func TestSparseZeroAlloc(t *testing.T) {
 	}
 	s := NewSparseSized(64)
 	out := make([]float64, 64)
+	coords := []int32{9, 3, 40, 7, 63}
+	vals := []float64{1, 2, 3, 4, 5}
 	cycle := func() {
 		for rep := 0; rep < 3; rep++ {
 			s.Reset()
@@ -29,12 +31,19 @@ func TestSparseZeroAlloc(t *testing.T) {
 				k, v := s.At(i)
 				out[k] = v
 			}
+			s.Reset()
+			s.AddAll(coords, vals)
+			s.Add(7, 1) // stamps the deferred AddAll entries
+			for i := 0; i < s.Len(); i++ {
+				k, v := s.At(i)
+				out[k] = v
+			}
 			s.Dense(out)
 		}
 	}
 	cycle()
 	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
-		t.Errorf("Sparse Reset/Add/At/Dense cycle allocates %.1f times, want 0", allocs)
+		t.Errorf("Sparse Reset/Add/AddAll/At/Dense cycle allocates %.1f times, want 0", allocs)
 	}
 }
 

@@ -118,64 +118,117 @@ func finiteNonNegative(x float64) bool {
 // fusion touch only the weights of the sources and features involved in
 // one object, so updates must not pay O(len(w)).
 //
-// The layout is a dense stamp/touch-list accumulator: val is a dense
-// slab indexed by coordinate, stamp[j] records the Reset generation
-// that last touched j, and idx lists the touched coordinates in
-// first-touch order. Add and At are branch-plus-array-index — no map
-// hashing, no per-coordinate allocation — and Reset is O(1) (bump the
-// generation). The accumulator grows to the largest coordinate it has
-// seen and is reused across steps, so the steady state allocates
-// nothing; size it up front with NewSparseSized to avoid even the
-// warm-up growth.
+// The layout is a stamp/touch-list accumulator: idx lists the touched
+// coordinates in first-touch order and val holds their sums in the same
+// order; stamp[j] records the Reset generation that last touched
+// coordinate j and pos[j] its position in idx. Add and At are
+// branch-plus-array-index — no map hashing, no per-coordinate
+// allocation — and Reset is O(1) (bump the generation). The
+// accumulator grows to the largest coordinate it has seen and is reused
+// across steps, so the steady state allocates nothing; size it up front
+// with NewSparseSized to avoid even the warm-up growth. Coordinates
+// must fit in an int32.
 type Sparse struct {
-	idx   []int
+	idx   []int32
 	val   []float64
 	stamp []uint64
+	pos   []int32
 	gen   uint64
+	// stamped counts the leading idx entries whose stamp and pos are
+	// set; the rest came from a fresh AddAll (see stampPending).
+	stamped int
 }
 
 // NewSparse returns an empty accumulator that grows on first touch.
 func NewSparse() *Sparse { return &Sparse{gen: 1} }
 
 // NewSparseSized returns an accumulator pre-sized for coordinates
-// [0, n), so no hot-path growth ever happens.
+// [0, n) and for touching all of them, so no hot-path growth ever
+// happens.
 func NewSparseSized(n int) *Sparse {
 	s := NewSparse()
 	s.grow(n)
+	s.idx = make([]int32, 0, n)
+	s.val = make([]float64, 0, n)
 	return s
 }
 
-// grow extends the dense slabs to cover at least n coordinates.
+// grow extends the per-coordinate slabs to cover at least n
+// coordinates.
 func (s *Sparse) grow(n int) {
-	if n <= len(s.val) {
+	if n <= len(s.stamp) {
 		return
 	}
-	val := make([]float64, n)
-	copy(val, s.val)
-	s.val = val
+	if n-1 > math.MaxInt32 {
+		panic("optim: Sparse coordinate out of int32 range")
+	}
 	stamp := make([]uint64, n)
 	copy(stamp, s.stamp)
 	s.stamp = stamp
+	pos := make([]int32, n)
+	copy(pos, s.pos)
+	s.pos = pos
 }
 
 // Reset clears the accumulator for reuse.
 func (s *Sparse) Reset() {
 	s.idx = s.idx[:0]
+	s.val = s.val[:0]
+	s.stamped = 0
 	s.gen++
 }
 
 // Add accumulates v into coordinate j.
 func (s *Sparse) Add(j int, v float64) {
-	if j >= len(s.val) {
+	if j >= len(s.stamp) {
 		s.grow(j + 1)
 	}
+	if s.stamped < len(s.idx) {
+		s.stampPending()
+	}
 	if s.stamp[j] == s.gen {
-		s.val[j] += v
+		s.val[s.pos[j]] += v
 		return
 	}
 	s.stamp[j] = s.gen
-	s.val[j] = v
-	s.idx = append(s.idx, j)
+	s.pos[j] = int32(len(s.idx))
+	s.idx = append(s.idx, int32(j))
+	s.val = append(s.val, v)
+	s.stamped = len(s.idx)
+}
+
+// AddAll accumulates vals[i] into coordinate coords[i] for every i, in
+// order: the same sums and first-touch order as one Add per pair, in
+// one call per example. The coordinates must be distinct. On a freshly
+// Reset accumulator, the common case of one AddAll per example, both
+// lists are appended as they are and the membership stamps are
+// deferred until a later Add or AddAll needs them.
+func (s *Sparse) AddAll(coords []int32, vals []float64) {
+	vals = vals[:len(coords)]
+	if len(s.idx) > 0 {
+		for i, c := range coords {
+			s.Add(int(c), vals[i])
+		}
+		return
+	}
+	s.idx = append(s.idx, coords...)
+	s.val = append(s.val, vals...)
+}
+
+// stampPending stamps the coordinates a fresh AddAll listed without
+// stamps, so membership checks see them.
+func (s *Sparse) stampPending() {
+	hi := int32(-1)
+	for _, j := range s.idx[s.stamped:] {
+		hi = max(hi, j)
+	}
+	s.grow(int(hi) + 1)
+	for p := s.stamped; p < len(s.idx); p++ {
+		j := s.idx[p]
+		s.stamp[j] = s.gen
+		s.pos[j] = int32(p)
+	}
+	s.stamped = len(s.idx)
 }
 
 // Len returns the number of touched coordinates.
@@ -184,15 +237,14 @@ func (s *Sparse) Len() int { return len(s.idx) }
 // At returns the i-th touched (coordinate, value) pair in first-touch
 // order.
 func (s *Sparse) At(i int) (int, float64) {
-	j := s.idx[i]
-	return j, s.val[j]
+	return int(s.idx[i]), s.val[i]
 }
 
 // Dense writes the accumulated gradient into out (which must have
 // enough length) and returns it; used by tests.
 func (s *Sparse) Dense(out []float64) []float64 {
-	for _, j := range s.idx {
-		out[j] += s.val[j]
+	for i, j := range s.idx {
+		out[j] += s.val[i]
 	}
 	return out
 }
@@ -248,9 +300,8 @@ func Minimize(n int, w []float64, grad GradFunc, cfg Config) (Result, error) {
 			grad(i, w, g)
 			lr := cfg.LearningRate / (1 + cfg.Decay*float64(step))
 			step++
-			for p := 0; p < g.Len(); p++ {
-				j, gj := g.At(p)
-				gj += cfg.L2 * w[j]
+			for p, j := range g.idx {
+				gj := g.val[p] + cfg.L2*w[j]
 				eta := lr
 				if cfg.Method == AdaGrad {
 					accum[j] += gj * gj

@@ -232,3 +232,77 @@ func TestProximalGradientMonotoneLoss(t *testing.T) {
 		prevLoss = loss
 	}
 }
+
+// sparseEntries lists an accumulator's (coordinate, value bits) pairs
+// in first-touch order.
+func sparseEntries(s *Sparse) [][2]uint64 {
+	out := make([][2]uint64, s.Len())
+	for i := range out {
+		j, v := s.At(i)
+		out[i] = [2]uint64{uint64(j), math.Float64bits(v)}
+	}
+	return out
+}
+
+// TestSparseAddAllMatchesAdd: AddAll is one Add per pair, whether it
+// lands on a fresh accumulator (its stamps deferred) or a used one, and
+// whatever Add or AddAll follows it before the next Reset.
+func TestSparseAddAllMatchesAdd(t *testing.T) {
+	type op struct {
+		coords []int32
+		vals   []float64
+	}
+	for _, tc := range []struct {
+		name string
+		ops  []op
+	}{
+		{"fresh", []op{{[]int32{5, 0, 9}, []float64{0.1, -2, 3}}}},
+		{"fresh-then-add", []op{
+			{[]int32{5, 0, 9}, []float64{0.1, -2, 3}},
+			{[]int32{9}, []float64{0.7}},
+			{[]int32{2}, []float64{1}},
+			{[]int32{5}, []float64{1e-17}},
+		}},
+		{"addall-twice", []op{
+			{[]int32{5, 0, 9}, []float64{0.1, -2, 3}},
+			{[]int32{0, 12, 5}, []float64{0.25, 4, 0.3}},
+		}},
+		{"beyond-size", []op{
+			{[]int32{100, 3}, []float64{1, 2}},
+			{[]int32{3, 200}, []float64{0.5, 6}},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, sized := range []bool{false, true} {
+				got, want := NewSparse(), NewSparse()
+				if sized {
+					got, want = NewSparseSized(16), NewSparseSized(16)
+				}
+				// A stale generation must not leak into the next one.
+				got.AddAll([]int32{9, 5}, []float64{7, 7})
+				got.Reset()
+				want.Add(9, 7)
+				want.Reset()
+				for i, o := range tc.ops {
+					if i == 0 || len(o.coords) > 1 {
+						got.AddAll(o.coords, o.vals)
+					} else {
+						got.Add(int(o.coords[0]), o.vals[0])
+					}
+					for k, c := range o.coords {
+						want.Add(int(c), o.vals[k])
+					}
+				}
+				g, w := sparseEntries(got), sparseEntries(want)
+				if len(g) != len(w) {
+					t.Fatalf("sized=%v: AddAll entries %v, Add entries %v", sized, g, w)
+				}
+				for i := range g {
+					if g[i] != w[i] {
+						t.Fatalf("sized=%v: AddAll entries %v, Add entries %v", sized, g, w)
+					}
+				}
+			}
+		})
+	}
+}
