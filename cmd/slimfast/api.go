@@ -390,12 +390,23 @@ func (s *server) serve(addr string) error {
 	return shutdownErr
 }
 
+// encodedJSON is a response body already encoded exactly as
+// json.Encoder would encode it, trailing newline included;
+// writeJSONLog writes it as is.
+type encodedJSON []byte
+
 // writeJSONLog writes a JSON response; encode/write failures are
 // logged on log, not dropped.
 func writeJSONLog(w http.ResponseWriter, log *slog.Logger, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	var err error
+	if b, ok := v.(encodedJSON); ok {
+		_, err = w.Write(b)
+	} else {
+		err = json.NewEncoder(w).Encode(v)
+	}
+	if err != nil {
 		log.Warn("writing JSON response failed", slog.Any("error", err))
 	}
 }

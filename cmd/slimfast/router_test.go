@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -326,5 +327,64 @@ func TestRouterReadyzDegrades(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), `"status":"unavailable"`) {
 		t.Errorf("unavailable readyz body: %s", rec.Body)
+	}
+}
+
+// TestMemberEpochRepliesTakeFastPath: the drain and mass replies of a
+// real -external-epochs member are the bytes encoding/json writes for
+// them, and the router's stream.CutEpochReply reads them without
+// falling back to encoding/json; a retry under the same tag replays
+// the same bytes. The router's own request bodies take the member's
+// CutEpochRequest fast path. (The fake nodes in internal/cluster answer
+// tag first, which keeps the router's fallback covered.)
+func TestMemberEpochRepliesTakeFastPath(t *testing.T) {
+	h := testServer(epochMember(t), "", 32).handler()
+	for _, path := range []string{"/v1/epoch/drain", "/v1/epoch/mass"} {
+		req, err := stream.AppendEpochRequest(nil, stream.EpochRequest{Tag: "e1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := stream.CutEpochRequest(req); !ok {
+			t.Fatalf("CutEpochRequest declined the router's %s body %q", path, req)
+		}
+		rec := doReq(t, h, http.MethodPost, path, "application/json", string(req))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", path, rec.Code, rec.Body)
+		}
+		reply := rec.Body.Bytes()
+		rows, tag, ok := stream.CutEpochReply(reply, nil)
+		if !ok {
+			t.Fatalf("%s reply %q missed the fast path", path, reply)
+		}
+		var decoded struct {
+			Sources []stream.SourceStat `json:"sources"`
+		}
+		if err := json.Unmarshal(reply, &decoded); err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(map[string]any{"tag": "e1", "sources": decoded.Sources}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(reply, want.Bytes()) {
+			t.Fatalf("%s reply\n got %q\nwant %q", path, reply, want.Bytes())
+		}
+		if tag != "e1" || len(rows) != 8 || len(decoded.Sources) != 8 {
+			t.Fatalf("%s: tag %q, %d rows (encoding/json %d), want e1 and 8", path, tag, len(rows), len(decoded.Sources))
+		}
+		if again := doReq(t, h, http.MethodPost, path, "application/json", string(req)); !bytes.Equal(again.Body.Bytes(), reply) {
+			t.Fatalf("%s retry under the same tag answered %q, first %q", path, again.Body, reply)
+		}
+	}
+	apply := stream.EpochRequest{Tag: "e1", Accuracies: []stream.SourceAccuracy{{Source: "s0", Accuracy: 0.8}, {Source: "s1", Accuracy: 1e-7}}, Rescore: true}
+	body, err := stream.AppendEpochRequest(nil, apply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := stream.CutEpochRequest(body); !ok || len(got.Accuracies) != 2 || got.Accuracies[1] != apply.Accuracies[1] || !got.Rescore {
+		t.Fatalf("CutEpochRequest(%q) = %+v, %v", body, got, ok)
+	}
+	if rec := doReq(t, h, http.MethodPost, "/v1/epoch/apply", "application/json", string(body)); rec.Code != http.StatusOK {
+		t.Fatalf("apply: %d %s", rec.Code, rec.Body)
 	}
 }

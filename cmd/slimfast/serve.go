@@ -35,7 +35,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -419,13 +418,13 @@ func (s *streamServer) routes() map[string]func(context.Context, []byte) (any, e
 		// drain an epoch refresh starts with.
 		"POST /v1/epoch/drain": s.epoch(&s.drainCache, func(req stream.EpochRequest) (any, error) {
 			stats, err := s.eng.DrainDeltas()
-			return map[string]any{"tag": req.Tag, "sources": stats}, err
+			return statsReply(req.Tag, stats, err)
 		}),
 		// mass hands the coordinator one Refine sweep's exact
 		// per-source posterior mass (evicted base included).
 		"POST /v1/epoch/mass": s.epoch(&s.massCache, func(req stream.EpochRequest) (any, error) {
 			stats, err := s.eng.RefineMass()
-			return map[string]any{"tag": req.Tag, "sources": stats}, err
+			return statsReply(req.Tag, stats, err)
 		}),
 		// apply installs the coordinator's merged accuracy table as the
 		// new frozen σ-table; with "rescore" every live object is
@@ -439,7 +438,23 @@ func (s *streamServer) routes() map[string]func(context.Context, []byte) (any, e
 	}
 }
 
-// epoch wraps one coordination exchange: parse the body, take the
+// statsReply renders a drain or mass answer as its canonical reply
+// bytes (stream.AppendEpochReply) before any header is written, so the
+// epoch cache replays those very bytes and an unencodable statistic
+// answers 500 instead of a truncated 200.
+func statsReply(tag string, stats []stream.SourceStat, err error) (any, error) {
+	if err != nil {
+		return nil, err
+	}
+	b, err := stream.AppendEpochReply(make([]byte, 0, 64+72*len(stats)), tag, stats)
+	if err != nil {
+		return nil, errStatus(http.StatusInternalServerError, "epoch: encoding reply: %v", err)
+	}
+	return encodedJSON(b), nil
+}
+
+// epoch wraps one coordination exchange: parse the body (canonical
+// bodies through stream.DecodeEpochRequest's fast path), take the
 // ingest lock (coordination moves are request-serialized like
 // everything that mutates the engine), replay the cached response when
 // the tag matches, otherwise execute and cache. Engines running the
@@ -448,7 +463,8 @@ func (s *streamServer) epoch(cache *epochCache, exec func(req stream.EpochReques
 	return func(ctx context.Context, body []byte) (any, error) {
 		var req stream.EpochRequest
 		if len(bytes.TrimSpace(body)) > 0 {
-			if err := json.Unmarshal(body, &req); err != nil {
+			var err error
+			if req, err = stream.DecodeEpochRequest(body); err != nil {
 				return nil, errStatus(http.StatusBadRequest, "epoch: parsing body: %v", err)
 			}
 		}
@@ -462,9 +478,12 @@ func (s *streamServer) epoch(cache *epochCache, exec func(req stream.EpochReques
 			return cache.resp, nil
 		}
 		resp, err := exec(req)
+		var ae *apiError
 		switch {
 		case errors.Is(err, stream.ErrOnlineUnsupported):
 			return nil, errStatus(http.StatusConflict, "%v", err)
+		case errors.As(err, &ae):
+			return nil, err
 		case err != nil:
 			return nil, errStatus(http.StatusBadRequest, "%v", err)
 		}

@@ -339,8 +339,17 @@ func TestServePeriodicCheckpoint(t *testing.T) {
 	var log syncBuffer
 	srv := newStreamServer(eng, serveConfig{Batch: 8, Store: store, CheckpointEvery: 20 * time.Millisecond}, &log)
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go srv.checkpointLoop(ctx, srv.cfg.CheckpointEvery)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.checkpointLoop(ctx, srv.cfg.CheckpointEvery)
+	}()
+	// The loop must be gone before TempDir's cleanup removes the
+	// directory a tick may be writing into.
+	defer func() {
+		cancel()
+		<-done
+	}()
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {

@@ -158,6 +158,14 @@ type Router struct {
 	statSince    atomic.Int64
 	statSources  atomic.Int64
 
+	// Buffers reused under mu: the per-partition fan-out chunk bodies,
+	// the epoch request body, the last node answer and the rows of one
+	// drain or mass reply.
+	fanBufs [][]byte
+	reqBuf  []byte
+	respBuf bytes.Buffer
+	rows    []stream.StatRow
+
 	// Instrumentation (all nil-safe): per-partition fan-out children
 	// resolved once at New, plus the scalar seams from Config.Metrics.
 	met    Metrics
@@ -206,16 +214,17 @@ func New(cfg Config) (*Router, error) {
 		hc = http.DefaultClient
 	}
 	r := &Router{
-		cfg:    cfg,
-		client: resilience.NewClient(hc, cfg.Retry),
-		hc:     hc,
-		log:    cfg.Log,
-		ix:     map[string]int{},
-		seen:   map[string]struct{}{},
-		ring:   make([]string, 0, cfg.DedupWindow),
-		met:    cfg.Metrics,
-		fanReq: make([]*obs.Counter, len(nodes)),
-		fanSec: make([]*obs.Histogram, len(nodes)),
+		cfg:     cfg,
+		client:  resilience.NewClient(hc, cfg.Retry),
+		hc:      hc,
+		log:     cfg.Log,
+		ix:      map[string]int{},
+		seen:    map[string]struct{}{},
+		ring:    make([]string, 0, cfg.DedupWindow),
+		fanBufs: make([][]byte, len(nodes)),
+		met:     cfg.Metrics,
+		fanReq:  make([]*obs.Counter, len(nodes)),
+		fanSec:  make([]*obs.Histogram, len(nodes)),
 	}
 	for j := range nodes {
 		if cfg.Metrics.FanoutRequests != nil {
@@ -357,22 +366,19 @@ func (r *Router) Ingest(ctx context.Context, claims []stream.Triple, seq string)
 	return res, nil
 }
 
-// forwardLocked fans one chunk out to the nodes owning its objects.
+// forwardLocked fans one chunk out to the nodes owning its objects,
+// each partition's claims as canonical NDJSON (stream.AppendClaim).
 func (r *Router) forwardLocked(ctx context.Context, chunk []stream.Triple, key string) error {
-	n := len(r.cfg.Nodes)
-	bufs := make([]bytes.Buffer, n)
-	encs := make([]*json.Encoder, n)
+	bufs := r.fanBufs
+	for j := range bufs {
+		bufs[j] = bufs[j][:0]
+	}
 	for _, tr := range chunk {
-		j := stream.ShardIndex(tr.Object, n)
-		if encs[j] == nil {
-			encs[j] = json.NewEncoder(&bufs[j])
-		}
-		if err := encs[j].Encode(tr); err != nil {
-			return fmt.Errorf("cluster: encoding claim: %w", err)
-		}
+		j := stream.ShardIndex(tr.Object, len(bufs))
+		bufs[j] = stream.AppendClaim(bufs[j], tr)
 	}
 	for j, node := range r.cfg.Nodes {
-		if bufs[j].Len() == 0 {
+		if len(bufs[j]) == 0 {
 			continue
 		}
 		nodeKey := ""
@@ -380,20 +386,13 @@ func (r *Router) forwardLocked(ctx context.Context, chunk []stream.Triple, key s
 			nodeKey = key + ".n" + strconv.Itoa(j)
 		}
 		began := time.Now()
-		if _, err := r.post(ctx, node+"/v1/observe", "application/x-ndjson", nodeKey, bufs[j].Bytes()); err != nil {
+		if _, err := r.post(ctx, node+"/v1/observe", "application/x-ndjson", nodeKey, bufs[j]); err != nil {
 			return fmt.Errorf("cluster: partition %d: %w", j, err)
 		}
 		r.fanReq[j].Inc()
 		r.fanSec[j].Observe(time.Since(began).Seconds())
 	}
 	return nil
-}
-
-// epochResponse is the drain and mass exchange reply (the server half
-// lives in cmd/slimfast's /v1/epoch handlers).
-type epochResponse struct {
-	Tag     string              `json:"tag"`
-	Sources []stream.SourceStat `json:"sources"`
 }
 
 // flushBarrierLocked completes a pending epoch barrier, if any.
@@ -498,19 +497,31 @@ func (r *Router) refineSweepLocked(ctx context.Context, op int64, sweep int) err
 // gatherLocked posts one tagged drain or mass exchange to every node in
 // node order and merges the returned stats by interned source id,
 // node-major — the accumulation order of a single engine's shard-
-// ordered reduction. rows counts the stats the nodes returned.
+// ordered reduction. Rows are merged straight from the reply bytes
+// (stream.DecodeEpochReply); a known source costs a map lookup, not a
+// string. rows counts the stats the nodes returned.
 func (r *Router) gatherLocked(ctx context.Context, path, tag string) (merged []stream.SourceStat, rows int, err error) {
+	body, err := r.epochBodyLocked(stream.EpochRequest{Tag: tag})
+	if err != nil {
+		return nil, 0, err
+	}
 	merged = make([]stream.SourceStat, len(r.names), len(r.names)+16)
 	for _, node := range r.cfg.Nodes {
-		var resp epochResponse
-		if err := r.postEpoch(ctx, node, path, stream.EpochRequest{Tag: tag}, &resp); err != nil {
+		data, err := r.post(ctx, node+path, "application/json", "", body)
+		if err != nil {
 			return nil, 0, err
 		}
-		rows += len(resp.Sources)
-		for _, st := range resp.Sources {
-			i := r.internLocked(st.Source)
-			for len(merged) < len(r.names) {
-				merged = append(merged, stream.SourceStat{})
+		if r.rows, err = stream.DecodeEpochReply(data, r.rows[:0]); err != nil {
+			return nil, 0, fmt.Errorf("%s%s: parsing response: %w", node, path, err)
+		}
+		rows += len(r.rows)
+		for _, st := range r.rows {
+			i, ok := r.ix[string(st.Source)]
+			if !ok {
+				i = r.internLocked(string(st.Source))
+				for len(merged) < len(r.names) {
+					merged = append(merged, stream.SourceStat{})
+				}
 			}
 			merged[i].Agree += st.Agree
 			merged[i].Total += st.Total
@@ -521,14 +532,30 @@ func (r *Router) gatherLocked(ctx context.Context, path, tag string) (merged []s
 }
 
 // applyLocked pushes one tagged accuracy table to every node in node
-// order; rescore asks each node to rescore its live objects eagerly.
+// order — one body, encoded once; rescore asks each node to rescore
+// its live objects eagerly.
 func (r *Router) applyLocked(ctx context.Context, tag string, accs []stream.SourceAccuracy, rescore bool) error {
+	body, err := r.epochBodyLocked(stream.EpochRequest{Tag: tag, Accuracies: accs, Rescore: rescore})
+	if err != nil {
+		return err
+	}
 	for _, node := range r.cfg.Nodes {
-		if err := r.postEpoch(ctx, node, "/v1/epoch/apply", stream.EpochRequest{Tag: tag, Accuracies: accs, Rescore: rescore}, nil); err != nil {
+		if _, err := r.post(ctx, node+"/v1/epoch/apply", "application/json", "", body); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// epochBodyLocked encodes one coordination request into the reused
+// request buffer.
+func (r *Router) epochBodyLocked(req stream.EpochRequest) ([]byte, error) {
+	body, err := stream.AppendEpochRequest(r.reqBuf[:0], req)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: encoding epoch request: %w", err)
+	}
+	r.reqBuf = body
+	return body, nil
 }
 
 // sourcesHeader pins the node CSV surface the merge below relies on;
@@ -724,14 +751,17 @@ func (r *Router) probeAll(ctx context.Context, path string) (string, []NodeStatu
 }
 
 // post issues one mutating node request through the retrying client
-// and fails on any non-2xx answer with the node's error text.
+// and fails on any non-2xx answer with the node's error text. Callers
+// hold mu: the answer is read into a buffer the next post reuses.
 func (r *Router) post(ctx context.Context, url, contentType, seq string, body []byte) ([]byte, error) {
 	resp, err := r.client.Post(ctx, url, contentType, seq, body)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, rerr := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+	r.respBuf.Reset()
+	_, rerr := r.respBuf.ReadFrom(io.LimitReader(resp.Body, 256<<20))
+	data := r.respBuf.Bytes()
 	if resp.StatusCode/100 != 2 {
 		return nil, fmt.Errorf("%s: status %d: %s", url, resp.StatusCode, bytes.TrimSpace(data))
 	}
@@ -739,24 +769,6 @@ func (r *Router) post(ctx context.Context, url, contentType, seq string, body []
 		return nil, fmt.Errorf("%s: reading response: %w", url, rerr)
 	}
 	return data, nil
-}
-
-// postEpoch runs one idempotent-by-tag coordination exchange.
-func (r *Router) postEpoch(ctx context.Context, node, path string, req stream.EpochRequest, out *epochResponse) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	data, err := r.post(ctx, node+path, "application/json", "", body)
-	if err != nil {
-		return err
-	}
-	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
-			return fmt.Errorf("%s%s: parsing response: %w", node, path, err)
-		}
-	}
-	return nil
 }
 
 // get issues one read through the retrying client.

@@ -73,7 +73,7 @@ func (f *fakeNode) handler() http.Handler {
 		f.mu.Lock()
 		f.drains = append(f.drains, req.Tag)
 		f.mu.Unlock()
-		json.NewEncoder(w).Encode(epochResponse{Tag: req.Tag, Sources: []stream.SourceStat{}})
+		json.NewEncoder(w).Encode(tagFirstReply{Tag: req.Tag, Sources: []stream.SourceStat{}})
 	})
 	mux.HandleFunc("POST /v1/epoch/mass", func(w http.ResponseWriter, r *http.Request) {
 		var req stream.EpochRequest
@@ -81,7 +81,7 @@ func (f *fakeNode) handler() http.Handler {
 		f.mu.Lock()
 		f.masses = append(f.masses, req.Tag)
 		f.mu.Unlock()
-		json.NewEncoder(w).Encode(epochResponse{Tag: req.Tag, Sources: []stream.SourceStat{
+		json.NewEncoder(w).Encode(tagFirstReply{Tag: req.Tag, Sources: []stream.SourceStat{
 			{Source: "s0", Agree: 1, Total: 2},
 		}})
 	})
@@ -106,6 +106,14 @@ func (f *fakeNode) handler() http.Handler {
 		fmt.Fprintln(w, `{"status":"ready"}`)
 	})
 	return mux
+}
+
+// tagFirstReply is the fake node's drain and mass reply. Its tag comes
+// first, unlike a real member's canonical {"sources":…,"tag":…}, so
+// every exchange here also covers the router's encoding/json fallback.
+type tagFirstReply struct {
+	Tag     string              `json:"tag"`
+	Sources []stream.SourceStat `json:"sources"`
 }
 
 // fakeCluster starts n fake nodes and a router over them.

@@ -55,6 +55,9 @@ func (m *Model) CalibrateSupervised(train data.TruthMap) error {
 }
 
 func (m *Model) calibrate(train data.TruthMap, labeledOnly bool) error {
+	// A label the learners cannot fit (see trainableLabel) leaves its
+	// object unlabeled here too, so one fit reads every label one way.
+	train = m.trainableLabels(train)
 	// Anchor the fixed point: starting calibration from a weak or
 	// untrained model (mean σ ≈ 0, near-uniform posteriors) rates
 	// every source near chance, flips σ negative, and converges to the
@@ -97,6 +100,28 @@ func (m *Model) calibrate(train data.TruthMap, labeledOnly bool) error {
 		}
 	}
 	return nil
+}
+
+// trainableLabels returns train without the labels trainableLabel
+// rejects (and without keys naming no object); train itself when it
+// holds none.
+func (m *Model) trainableLabels(train data.TruthMap) data.TruthMap {
+	keep := func(o data.ObjectID, v data.ValueID) bool {
+		return o >= 0 && int(o) < m.ds.NumObjects() && m.trainableLabel(o, v)
+	}
+	for o, v := range train {
+		if keep(o, v) {
+			continue
+		}
+		out := make(data.TruthMap, len(train))
+		for o, v := range train {
+			if keep(o, v) {
+				out[o] = v
+			}
+		}
+		return out
+	}
+	return train
 }
 
 // calibrateOnce runs one agreement-count / weight-refit round. The SGD

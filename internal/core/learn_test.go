@@ -277,11 +277,11 @@ func emToyDataset() (*data.Dataset, data.ValueID) {
 // the object's domain used to give its E-step an all-zero q, whose
 // residual pushed every weight on the object down. EM must treat the
 // object as unlabeled, as ERM skips it, so the weights equal those of a
-// run without the label, bit for bit.
+// run without the label, bit for bit. The default calibration pass runs
+// too, and must read the label the same way.
 func TestFitEMIgnoresOutOfDomainLabel(t *testing.T) {
 	ds, elsewhere := emToyDataset()
 	opts := DefaultOptions()
-	opts.EMCalibrate = false
 	fit := func(train data.TruthMap) []float64 {
 		m, err := Compile(ds, opts)
 		if err != nil {

@@ -17,13 +17,18 @@ type Backoff struct {
 	Jitter float64       // relative jitter in [0,1) (default 0.2)
 
 	attempt int
-	rng     *rand.Rand
+	// The jitter stream: seeded from seed at the first jittered Next,
+	// so a schedule that is never read (a request that succeeds first
+	// time) never pays for seeding. A zero Backoff has no stream.
+	seeded bool
+	seed   int64
+	rng    *rand.Rand
 }
 
 // NewBackoff returns a Backoff with the default schedule and a
 // jitter stream seeded by seed.
 func NewBackoff(seed int64) *Backoff {
-	return &Backoff{rng: rand.New(rand.NewSource(seed))}
+	return &Backoff{seeded: true, seed: seed}
 }
 
 // Next returns the delay before the upcoming retry and advances the
@@ -51,7 +56,10 @@ func (b *Backoff) Next() time.Duration {
 		}
 	}
 	b.attempt++
-	if b.rng != nil && jit > 0 {
+	if b.seeded && jit > 0 {
+		if b.rng == nil {
+			b.rng = rand.New(rand.NewSource(b.seed))
+		}
 		d *= 1 - jit + 2*jit*b.rng.Float64()
 	}
 	if d > float64(maxd) {

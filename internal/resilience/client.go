@@ -115,7 +115,8 @@ func (c *Client) do(ctx context.Context, method, url, contentType, seq string, b
 		Max:    c.cfg.Backoff.Max,
 		Mult:   c.cfg.Backoff.Mult,
 		Jitter: c.cfg.Backoff.Jitter,
-		rng:    NewBackoff(c.cfg.Seed).rng,
+		seeded: true,
+		seed:   c.cfg.Seed,
 	}
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
@@ -210,8 +211,8 @@ func (b *cancelOnClose) Close() error {
 }
 
 // sleep waits d or until ctx is done; it reports whether the full
-// delay elapsed.
-func sleep(ctx context.Context, d time.Duration) bool {
+// delay elapsed. It is a variable so tests can record the schedule.
+var sleep = func(ctx context.Context, d time.Duration) bool {
 	if d <= 0 {
 		return ctx.Err() == nil
 	}

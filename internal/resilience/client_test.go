@@ -227,3 +227,66 @@ func TestClientPerTryTimeout(t *testing.T) {
 		t.Errorf("server saw %d calls, want hung first + ok second", calls.Load())
 	}
 }
+
+// TestClientRetryDelaysMatchNewBackoff: the jitter stream a retried
+// request draws is seeded lazily, at its first retry, yet the delays it
+// sleeps are NewBackoff(Seed)'s schedule bit for bit; a request that
+// succeeds first time sleeps nothing.
+func TestClientRetryDelaysMatchNewBackoff(t *testing.T) {
+	var slept []time.Duration
+	orig := sleep
+	sleep = func(ctx context.Context, d time.Duration) bool {
+		slept = append(slept, d)
+		return true
+	}
+	t.Cleanup(func() { sleep = orig })
+	var fail atomic.Bool
+	fail.Store(true)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if fail.Load() {
+			w.WriteHeader(http.StatusServiceUnavailable)
+		}
+	}))
+	defer srv.Close()
+
+	tmpl := Backoff{Base: 3 * time.Millisecond, Max: time.Second, Mult: 1.7, Jitter: 0.35}
+	const seed, attempts = 42, 6
+	schedule := func() *Backoff {
+		b := NewBackoff(seed)
+		b.Base, b.Max, b.Mult, b.Jitter = tmpl.Base, tmpl.Max, tmpl.Mult, tmpl.Jitter
+		return b
+	}
+	c := NewClient(srv.Client(), ClientConfig{MaxAttempts: attempts, Backoff: tmpl, Seed: seed})
+	if _, err := c.Post(context.Background(), srv.URL, "text/plain", "k", []byte("x")); err == nil {
+		t.Fatal("want an error once every attempt failed")
+	}
+	want := schedule()
+	if len(slept) != attempts-1 {
+		t.Fatalf("slept %d times, want %d", len(slept), attempts-1)
+	}
+	for i, d := range slept {
+		if w := want.Next(); d != w {
+			t.Fatalf("delay %d = %v, NewBackoff(%d) gives %v", i, d, seed, w)
+		}
+	}
+
+	// A second request starts the schedule afresh, from the same seed.
+	slept = nil
+	if _, err := c.Post(context.Background(), srv.URL, "text/plain", "k", []byte("x")); err == nil {
+		t.Fatal("want an error once every attempt failed")
+	}
+	if w := schedule().Next(); len(slept) == 0 || slept[0] != w {
+		t.Fatalf("second request's first delay = %v, want %v", slept, w)
+	}
+
+	fail.Store(false)
+	slept = nil
+	resp, err := c.Post(context.Background(), srv.URL, "text/plain", "k", []byte("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if len(slept) != 0 {
+		t.Fatalf("a first-try success slept %v", slept)
+	}
+}
