@@ -41,6 +41,7 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
+	"strconv"
 	"time"
 
 	"slimfast/internal/obs"
@@ -247,21 +248,47 @@ func (s *streamServer) observe(r *http.Request, seq string, read func() ([]byte,
 	// followable across member logs.
 	requestLogger(ctx, s.log).LogAttrs(ctx, slog.LevelInfo, "ingested claims",
 		slog.Int64("claims", ingested), slog.String("seq", seq))
-	return map[string]any{
-		"ingested":     ingested,
-		"observations": s.eng.Stats().Observations,
-	}, nil
+	return ingestReply(ingested, s.eng.Observations()), nil
 }
 
 // deduped acknowledges an already-ingested idempotency key.
 func (s *streamServer) deduped(seq string) any {
 	s.ins.met.dedupReplays.Inc()
-	return map[string]any{
-		"ingested":     0,
-		"deduped":      true,
-		"seq":          seq,
-		"observations": s.eng.Stats().Observations,
-	}
+	return dedupReply(seq, s.eng.Observations())
+}
+
+// The member replies below are the bytes json.Encoder writes for the
+// map in each comment: keys sorted, strings HTML-escaped, a trailing
+// newline.
+
+// ingestReply: {"ingested": ingested, "observations": obs}.
+func ingestReply(ingested, obs int64) encodedJSON {
+	b := append(make([]byte, 0, 64), `{"ingested":`...)
+	b = strconv.AppendInt(b, ingested, 10)
+	b = append(b, `,"observations":`...)
+	b = strconv.AppendInt(b, obs, 10)
+	return append(b, "}\n"...)
+}
+
+// dedupReply: {"deduped": true, "ingested": 0, "observations": obs,
+// "seq": seq}.
+func dedupReply(seq string, obs int64) encodedJSON {
+	b := append(make([]byte, 0, 80+len(seq)), `{"deduped":true,"ingested":0,"observations":`...)
+	b = strconv.AppendInt(b, obs, 10)
+	b = append(b, `,"seq":`...)
+	b = stream.AppendJSONString(b, seq)
+	return append(b, "}\n"...)
+}
+
+// applyReply: {"applied": applied, "epoch": epoch, "tag": tag}.
+func applyReply(tag string, epoch int64, applied int) encodedJSON {
+	b := append(make([]byte, 0, 64+len(tag)), `{"applied":`...)
+	b = strconv.AppendInt(b, int64(applied), 10)
+	b = append(b, `,"epoch":`...)
+	b = strconv.AppendInt(b, epoch, 10)
+	b = append(b, `,"tag":`...)
+	b = stream.AppendJSONString(b, tag)
+	return append(b, "}\n"...)
 }
 
 func (s *streamServer) estimates(_ context.Context, q *query.Query, partial bool) (*query.Result, error) {
@@ -433,7 +460,7 @@ func (s *streamServer) routes() map[string]func(context.Context, []byte) (any, e
 			if err := s.eng.ApplyAccuracies(req.Accuracies, req.Rescore); err != nil {
 				return nil, err
 			}
-			return map[string]any{"tag": req.Tag, "epoch": s.eng.Stats().Epoch, "applied": len(req.Accuracies)}, nil
+			return applyReply(req.Tag, s.eng.CurrentEpoch(), len(req.Accuracies)), nil
 		}),
 	}
 }

@@ -510,3 +510,36 @@ func TestServeSourcesDetailInOnlineMode(t *testing.T) {
 		t.Errorf("restored online /sources diverges from uninterrupted run:\ngot:\n%s\nwant:\n%s", got, wantSrc)
 	}
 }
+
+// TestMemberRepliesMatchEncodingJSON pins the member's observe, dedup
+// and epoch-apply replies to the bytes json.Encoder writes for the
+// map each used to be: sorted keys, HTML-escaped strings and the
+// trailing newline, for seqs and tags that need escaping.
+func TestMemberRepliesMatchEncodingJSON(t *testing.T) {
+	encode := func(m map[string]any) string {
+		b, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b) + "\n"
+	}
+	texts := []string{"", "k1", `a"b\c`, "<script>&amp;", "\x00\x1f\x7f", "  ", "bad\xffutf8", "é€😀", "line\u2028sep\u2029", "tab\there"}
+	counts := []int64{0, 1, 64, 1 << 40, -3}
+	for _, n := range counts {
+		for _, m := range counts {
+			if got, want := string(ingestReply(n, m)), encode(map[string]any{"ingested": n, "observations": m}); got != want {
+				t.Errorf("ingestReply(%d, %d) = %q, want %q", n, m, got, want)
+			}
+		}
+	}
+	for _, s := range texts {
+		for _, n := range counts {
+			if got, want := string(dedupReply(s, n)), encode(map[string]any{"ingested": 0, "deduped": true, "seq": s, "observations": n}); got != want {
+				t.Errorf("dedupReply(%q, %d) = %q, want %q", s, n, got, want)
+			}
+			if got, want := string(applyReply(s, n, int(n)+7)), encode(map[string]any{"tag": s, "epoch": n, "applied": int(n) + 7}); got != want {
+				t.Errorf("applyReply(%q, %d) = %q, want %q", s, n, got, want)
+			}
+		}
+	}
+}

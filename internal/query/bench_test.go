@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/url"
 	"runtime"
+	"sync"
 	"testing"
 
 	"slimfast/internal/stream"
@@ -54,10 +55,20 @@ func runTop10(e *stream.Engine) int {
 	return n
 }
 
+// materializeAll is the materializing baseline: the plain estimates
+// query with every row copied out.
+func materializeAll(e *stream.Engine) *Relation {
+	res, err := Execute(e, &Query{})
+	if err != nil {
+		panic(err)
+	}
+	return Materialize(res)
+}
+
 // TestSelectiveQueryAllocatesFarLessThanMaterializing is the
 // pushdown's acceptance bar: a limit-10 query over 12k objects keeps
 // only bounded per-shard buffers, so it allocates a small fraction of
-// what EstimateAll's full materialization does.
+// what materializing every estimate does.
 func TestSelectiveQueryAllocatesFarLessThanMaterializing(t *testing.T) {
 	e := buildEngine(t, 4, 4, 1024, benchClaims())
 	measure := func(f func()) uint64 {
@@ -72,13 +83,13 @@ func TestSelectiveQueryAllocatesFarLessThanMaterializing(t *testing.T) {
 	if n := runTop10(e); n != 10 {
 		t.Fatalf("top-10 query returned %d rows", n)
 	}
-	_ = e.EstimateAll()
+	_ = materializeAll(e)
 
 	queryBytes := measure(func() { runTop10(e) })
-	allBytes := measure(func() { _ = e.EstimateAll() })
-	t.Logf("selective query: %d bytes, EstimateAll: %d bytes", queryBytes, allBytes)
+	allBytes := measure(func() { _ = materializeAll(e) })
+	t.Logf("selective query: %d bytes, materialized: %d bytes", queryBytes, allBytes)
 	if queryBytes*5 >= allBytes {
-		t.Errorf("selective query allocated %d bytes, not ≪ EstimateAll's %d", queryBytes, allBytes)
+		t.Errorf("selective query allocated %d bytes, not ≪ the materialized relation's %d", queryBytes, allBytes)
 	}
 }
 
@@ -95,14 +106,14 @@ func BenchmarkQueryTop10Contested(b *testing.B) {
 	}
 }
 
-// BenchmarkEstimateAll is the materializing baseline the selective
+// BenchmarkMaterializeAll is the materializing baseline the selective
 // query is measured against.
-func BenchmarkEstimateAll(b *testing.B) {
+func BenchmarkMaterializeAll(b *testing.B) {
 	e := buildEngine(b, 4, 4, 1024, benchClaims())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(e.EstimateAll()) != 12000 {
+		if len(materializeAll(e).Rows) != 12000 {
 			b.Fatal("short result")
 		}
 	}
@@ -165,3 +176,59 @@ func BenchmarkQueryLookup(b *testing.B) {
 		}
 	}
 }
+
+// mixEngine is the fixture of BenchmarkQueryTopK and BenchmarkQueryGroup,
+// shaped like the repository benchmark's query-mix checkpoint: 100k
+// objects over two shards, eight claims each from 40 sources, four
+// values with a quarter of the claims scattered over the others, so
+// contestedness varies and the group query has four keys. It is built
+// once per test binary.
+var mixEngine = sync.OnceValue(func() *stream.Engine {
+	const objects, claimsPer, sources, values = 100_000, 8, 40, 4
+	claims := make([][3]string, 0, claimsPer*objects)
+	x := uint64(1)
+	for r := 0; r < claimsPer; r++ {
+		for o := 0; o < objects; o++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			val := o % values
+			if x>>62 == 0 {
+				val = int(x>>40) % values
+			}
+			claims = append(claims, [3]string{fmt.Sprintf("s%02d", (o+5*r)%sources), fmt.Sprintf("m%06d", (o*7919)%objects), fmt.Sprintf("v%d", val)})
+		}
+	}
+	opts := stream.DefaultEngineOptions()
+	opts.Shards, opts.Workers = 2, 2
+	e, err := stream.NewEngine(opts)
+	if err != nil {
+		panic(err)
+	}
+	ingest(e, claims)
+	return e
+})
+
+// benchQuery runs q over the query-mix fixture, result written as CSV.
+func benchQuery(b *testing.B, raw string, rows int) {
+	e, q := mixEngine(), mustParse(raw)
+	if res, err := Execute(e, q); err != nil || len(Materialize(res).Rows) != rows {
+		b.Fatalf("%s: want %d rows (err %v)", raw, rows, err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		res, err := Execute(e, q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := WriteCSV(io.Discard, res); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkQueryTopK is query-mix's top-k read: the ten most contested
+// of 100k objects.
+func BenchmarkQueryTopK(b *testing.B) { benchQuery(b, "order=-contested&limit=10", 10) }
+
+// BenchmarkQueryGroup is query-mix's group read: every object folded
+// into its value's count and mean confidence.
+func BenchmarkQueryGroup(b *testing.B) { benchQuery(b, "group=value&agg=count,avg:confidence", 4) }

@@ -2,11 +2,15 @@
 // the per-shard scans (object-equality conjuncts prune to a single
 // shard; the disagree pair resolves to interned ids checked during
 // the locked scan) and keeps bounded state per shard: a top-k buffer
-// when the query has a limit, group partials when it aggregates. Rows
-// leave the shard lock in a columnar run that holds only the columns
-// the query orders or projects by. The per-shard runs then compose
-// lazily — a k-way merge under the query's total order, a projection
-// at yield time.
+// when the query has a limit, group partials when it aggregates. A
+// top-k buffer admits only rows that rank before its current k-th row;
+// group partials add each row through the aggregate's typed accumulate
+// step, resolved once at compile time. A scan walks each object's
+// claims only when the plan reads dissent or names a disagree pair.
+// Rows leave the shard lock in a columnar run that holds only the
+// columns the query orders or projects by. The per-shard runs then
+// compose lazily — a k-way merge under the query's total order, a
+// projection at yield time.
 //
 // Determinism contract: every result is totally ordered (the order
 // keys, then the object name / the remaining columns), group
@@ -99,14 +103,67 @@ type plan struct {
 	conds    []condP
 	order    []orderP
 	proj     []int
-	limit    int    // row cap, 0 = unlimited
-	pair     bool   // rows must carry Row.Disagree (the query names a disagree pair)
-	nums     []int  // numeric columns a row query keeps past the scan
-	slot     []int  // per column, its index in nums; -1 = not kept
-	groupIx  int    // -1 when not grouping
-	aggIx    []int  // aggregated column per agg (-1 for count)
-	accKinds []Kind // accumulator kind per agg
+	limit    int     // row cap, 0 = unlimited
+	pair     bool    // rows must carry Row.Disagree (the query names a disagree pair)
+	nums     []int   // numeric columns a row query keeps past the scan
+	slot     []int   // per column, its index in nums; -1 = not kept
+	groupIx  int     // -1 when not grouping
+	aggIx    []int   // aggregated column per agg (-1 for count)
+	accKinds []Kind  // accumulator kind per agg
+	ops      []aggOp // accumulate step per agg
 	aggs     []Agg
+}
+
+// aggOp is an aggregate resolved to its accumulate step.
+type aggOp uint8
+
+const (
+	opCount    aggOp = iota // no accumulator: the group's row count
+	opSumInt                // sum/avg over an int column
+	opSumFloat              // sum/avg over a float column
+	opMin
+	opMax
+)
+
+// resolveAgg picks the accumulate step of fn over a column of kind.
+func resolveAgg(fn string, kind Kind) aggOp {
+	switch fn {
+	case "count":
+		return opCount
+	case "min":
+		return opMin
+	case "max":
+		return opMax
+	}
+	if kind == KindInt {
+		return opSumInt
+	}
+	return opSumFloat
+}
+
+// add folds v, one row's cell or another scope's partial, into the
+// accumulator a; a group's first contribution seeds it. count has no
+// accumulator, so callers skip it. sum and avg
+// add in the accumulator's kind (ints stay exact); min/max keep the
+// extremum. The float addition order is the caller's: slot order
+// within a shard, shard/member order across.
+func (op aggOp) add(a *Val, v Val, first bool) {
+	switch {
+	case first:
+		*a = v
+	case op == opSumFloat:
+		a.Num += v.Num
+	case op == opSumInt:
+		a.Int += v.Int
+	case op == opMin:
+		if v.num() < a.num() {
+			*a = v
+		}
+	default:
+		if v.num() > a.num() {
+			*a = v
+		}
+	}
 }
 
 // compile resolves a parsed query's column names against a schema.
@@ -142,10 +199,14 @@ func compile(q *Query, cols []Column, defaultProj []int) (*plan, error) {
 		}
 		p.groupIx = gi
 		p.aggs = q.Aggs
+		p.aggIx = make([]int, 0, len(q.Aggs))
+		p.accKinds = make([]Kind, 0, len(q.Aggs))
+		p.ops = make([]aggOp, 0, len(q.Aggs))
 		for _, a := range q.Aggs {
 			if a.Fn == "count" {
 				p.aggIx = append(p.aggIx, -1)
 				p.accKinds = append(p.accKinds, KindInt)
+				p.ops = append(p.ops, opCount)
 				continue
 			}
 			ai, okA := ix[a.Col]
@@ -157,6 +218,7 @@ func compile(q *Query, cols []Column, defaultProj []int) (*plan, error) {
 			}
 			p.aggIx = append(p.aggIx, ai)
 			p.accKinds = append(p.accKinds, cols[ai].Kind)
+			p.ops = append(p.ops, resolveAgg(a.Fn, cols[ai].Kind))
 		}
 		return p, nil
 	}
@@ -297,6 +359,11 @@ func (p *plan) keep(rn *run, r *stream.Row) {
 	}
 }
 
+// drop removes the run's last row.
+func (rn *run) drop() {
+	rn.str, rn.num = rn.str[:len(rn.str)-2], rn.num[:len(rn.num)-len(rn.p.nums)]
+}
+
 // cmpKept is the query's total order over kept rows: the order keys,
 // then the (unique) object name.
 func (p *plan) cmpKept(a *run, i int, b *run, j int) int {
@@ -328,6 +395,23 @@ func sortRun(rn *run, n int) {
 	rn.str, rn.num = rn.str[:2*rows], rn.num[:rows*len(rn.p.nums)]
 }
 
+// readsDissent reports whether the plan reads the dissent column in a
+// where, order, cols, group or agg clause — the one column that costs
+// the scan a walk of each object's claims.
+func (p *plan) readsDissent() bool {
+	for _, c := range p.conds {
+		if c.ix == colDissent {
+			return true
+		}
+	}
+	for _, k := range p.order {
+		if k.ix == colDissent {
+			return true
+		}
+	}
+	return slices.Contains(p.proj, colDissent) || p.groupIx == colDissent || slices.Contains(p.aggIx, colDissent)
+}
+
 // scanScope resolves where a query scans. An object-equality conjunct
 // pins it to a single shard, so the other shards are never even
 // snapshotted — the one structural pushdown the hash layout allows —
@@ -335,8 +419,11 @@ func sortRun(rn *run, n int) {
 // index; matchRow still checks every conjunct on the one row. A
 // disagree pair resolves to interned ids; when either source has never
 // been seen no row can have them disagreeing, so no shard is scanned.
-func scanScope(eng *stream.Engine, q *Query) ([]int, stream.ScanOptions) {
+// The scan walks each object's claims only for a pair or a plan that
+// reads dissent.
+func (p *plan) scanScope(eng *stream.Engine, q *Query) ([]int, stream.ScanOptions) {
 	opt := stream.NoPair
+	opt.Dissent = p.readsDissent()
 	if q.DisA != "" {
 		ia, ib, ok := eng.SourceIDs(q.DisA, q.DisB)
 		if !ok {
@@ -368,7 +455,7 @@ func Execute(eng *stream.Engine, q *Query) (*Result, error) {
 		return p.groupShards(eng, q).finalize(p), nil
 	}
 	p.keepCols()
-	shards, opt := scanScope(eng, q)
+	shards, opt := p.scanScope(eng, q)
 	runs := make([]*run, len(shards))
 	for i, s := range shards {
 		runs[i] = p.collectShard(eng, s, opt)
@@ -395,19 +482,19 @@ func ExecutePartial(eng *stream.Engine, q *Query) (*Result, error) {
 // groupShards aggregates the query's shards: one group table per
 // shard, folded in shard order.
 func (p *plan) groupShards(eng *stream.Engine, q *Query) *groupTable {
-	shards, opt := scanScope(eng, q)
-	global := newGroupTable()
+	shards, opt := p.scanScope(eng, q)
+	var global groupTable
 	for _, s := range shards {
-		local := newGroupTable()
+		var local groupTable
 		eng.ScanShard(s, opt, func(r *stream.Row) bool {
 			if p.matchRow(r) {
 				local.addRow(p, r)
 			}
 			return true
 		})
-		global.fold(p, local)
+		global.fold(p, &local)
 	}
-	return global
+	return &global
 }
 
 // collectShard scans one shard with the predicates pushed down. A
@@ -418,7 +505,11 @@ func (p *plan) groupShards(eng *stream.Engine, q *Query) *groupTable {
 // limit. Any other plan sorts its run; with a limit the run stays
 // bounded, sorted and cut back to the limit every time it reaches a
 // small multiple of it, so a selective query over a huge shard
-// allocates O(limit), not O(shard).
+// allocates O(limit), not O(shard). Once cut, the run admits only a
+// row that ranks strictly before its current k-th row: k kept rows
+// already rank before any other (the order is total, names break
+// ties), and the k-th row only improves with each cut, so a dropped
+// row could never have reached the result.
 func (p *plan) collectShard(eng *stream.Engine, s int, opt stream.ScanOptions) *run {
 	opt.ByName = len(p.order) == 0
 	size, cut := 0, 0
@@ -430,6 +521,7 @@ func (p *plan) collectShard(eng *stream.Engine, s int, opt stream.ScanOptions) *
 		size = min(size, cut)
 	}
 	rn := &run{p: p, str: make([]string, 0, 2*size), num: make([]float64, 0, size*len(p.nums))}
+	gated := false
 	eng.ScanShard(s, opt, func(r *stream.Row) bool {
 		if !p.matchRow(r) {
 			return true
@@ -438,8 +530,13 @@ func (p *plan) collectShard(eng *stream.Engine, s int, opt stream.ScanOptions) *
 		if opt.ByName {
 			return p.limit <= 0 || rn.Len() < p.limit
 		}
+		if gated && p.cmpKept(rn, rn.Len()-1, rn, p.limit-1) >= 0 {
+			rn.drop()
+			return true
+		}
 		if cut > 0 && rn.Len() >= cut {
 			sortRun(rn, p.limit)
+			gated = true
 		}
 		return true
 	})
@@ -498,13 +595,56 @@ type groupAcc struct {
 }
 
 // groupTable accumulates groups for one scan scope (a shard, or a
-// fold of shards/members).
+// fold of shards/members). A value group has a handful of keys, and
+// value names are interned, so the first few groups sit in a slice
+// that a lookup checks before it falls back to the map, which holds
+// only the groups past them.
 type groupTable struct {
-	m map[Val]*groupAcc
+	first [8]*groupAcc // the first n groups seen
+	n     int
+	more  map[Val]*groupAcc
 }
 
-func newGroupTable() *groupTable {
-	return &groupTable{m: make(map[Val]*groupAcc)}
+// get returns key's group, nil when the table has none. The slice
+// check is the map's key equality, field by field, the interned string
+// last.
+func (g *groupTable) get(key Val) *groupAcc {
+	for _, acc := range g.first[:g.n] {
+		if k := &acc.key; k.Kind == key.Kind && k.Int == key.Int && k.Num == key.Num && k.Str == key.Str {
+			return acc
+		}
+	}
+	if g.more == nil {
+		return nil
+	}
+	return g.more[key]
+}
+
+// put adds a group the table does not hold yet.
+func (g *groupTable) put(acc *groupAcc) {
+	if g.n < len(g.first) {
+		g.first[g.n] = acc
+		g.n++
+		return
+	}
+	if g.more == nil {
+		g.more = make(map[Val]*groupAcc)
+	}
+	g.more[acc.key] = acc
+}
+
+// group returns key's group, adding an empty one (count 0, every
+// accumulator seeded by its first contribution) on first sight.
+func (g *groupTable) group(p *plan, key Val) (acc *groupAcc, fresh bool) {
+	if acc = g.get(key); acc != nil {
+		return acc, false
+	}
+	acc = &groupAcc{key: key, accs: make([]Val, len(p.aggs))}
+	for i, kind := range p.accKinds {
+		acc.accs[i] = Val{Kind: kind}
+	}
+	g.put(acc)
+	return acc, true
 }
 
 func colVal(cols []Column, ix int, r *stream.Row) Val {
@@ -520,51 +660,24 @@ func colVal(cols []Column, ix int, r *stream.Row) Val {
 
 // addRow folds one estimate row into the table.
 func (g *groupTable) addRow(p *plan, r *stream.Row) {
-	key := colVal(p.cols, p.groupIx, r)
-	acc := g.m[key]
-	if acc == nil {
-		acc = &groupAcc{key: key, count: 1, accs: make([]Val, len(p.aggs))}
-		for i, ix := range p.aggIx {
-			if ix >= 0 {
-				acc.accs[i] = colVal(p.cols, ix, r)
-			} else {
-				acc.accs[i] = Val{Kind: KindInt}
-			}
-		}
-		g.m[key] = acc
-		return
-	}
+	acc, fresh := g.group(p, colVal(p.cols, p.groupIx, r))
 	acc.count++
 	for i, ix := range p.aggIx {
 		if ix >= 0 {
-			acc.accs[i] = combine(p.aggs[i].Fn, acc.accs[i], colVal(p.cols, ix, r))
+			p.ops[i].add(&acc.accs[i], colVal(p.cols, ix, r), fresh)
 		}
 	}
 }
 
-// combine merges a new value (or a partial) into an accumulator.
-// sum and avg add; min/max keep the extremum. Int accumulators stay
-// exact; float addition order is fixed by the caller (slot order
-// within a shard, shard/member order across).
-func combine(fn string, a, b Val) Val {
-	switch fn {
-	case "min":
-		if b.num() < a.num() {
-			return b
+// addPartial folds another scope's partial for key — count rows with
+// accumulators accs — into the table.
+func (g *groupTable) addPartial(p *plan, key Val, count int64, accs []Val) {
+	acc, fresh := g.group(p, key)
+	acc.count += count
+	for i, ix := range p.aggIx {
+		if ix >= 0 {
+			p.ops[i].add(&acc.accs[i], accs[i], fresh)
 		}
-		return a
-	case "max":
-		if b.num() > a.num() {
-			return b
-		}
-		return a
-	default: // sum, avg
-		if a.Kind == KindInt {
-			a.Int += b.Int
-			return a
-		}
-		a.Num += b.Num
-		return a
 	}
 }
 
@@ -573,26 +686,30 @@ func combine(fn string, a, b Val) Val {
 // float addition tree is "partial per scope, folded in scope order" —
 // identical for a single N-shard engine and an N-member cluster.
 func (g *groupTable) fold(p *plan, local *groupTable) {
-	for key, la := range local.m {
-		acc := g.m[key]
-		if acc == nil {
-			g.m[key] = la
-			continue
-		}
-		acc.count += la.count
-		for i, a := range p.aggs {
-			if p.aggIx[i] >= 0 {
-				acc.accs[i] = combine(a.Fn, acc.accs[i], la.accs[i])
-			}
-		}
+	for _, la := range local.first[:local.n] {
+		g.foldGroup(p, la)
 	}
+	for _, la := range local.more {
+		g.foldGroup(p, la)
+	}
+}
+
+// foldGroup merges one group of a finer-grained table, taking it over
+// whole when g has no such group.
+func (g *groupTable) foldGroup(p *plan, la *groupAcc) {
+	if g.get(la.key) == nil {
+		g.put(la)
+		return
+	}
+	g.addPartial(p, la.key, la.count, la.accs)
 }
 
 // sortedAccs returns the groups sorted by key ascending — the fixed
 // output (and partial emission) order.
 func (g *groupTable) sortedAccs() []*groupAcc {
-	out := make([]*groupAcc, 0, len(g.m))
-	for _, acc := range g.m {
+	out := make([]*groupAcc, 0, g.n+len(g.more))
+	out = append(out, g.first[:g.n]...)
+	for _, acc := range g.more {
 		out = append(out, acc)
 	}
 	sort.Slice(out, func(i, j int) bool { return cmpVal(out[i].key, out[j].key) < 0 })
@@ -692,25 +809,13 @@ func MergePartials(q *Query, members [][][]Val) (*Result, error) {
 	if p.groupIx < 0 {
 		return nil, fmt.Errorf("partial: not a group query")
 	}
-	global := newGroupTable()
+	var global groupTable
 	for _, rows := range members {
 		for _, row := range rows {
 			if len(row) != 2+len(p.aggs) {
 				return nil, fmt.Errorf("partial: row has %d cells, want %d", len(row), 2+len(p.aggs))
 			}
-			key := row[0]
-			acc := global.m[key]
-			if acc == nil {
-				acc = &groupAcc{key: key, count: row[1].Int, accs: append([]Val(nil), row[2:]...)}
-				global.m[key] = acc
-				continue
-			}
-			acc.count += row[1].Int
-			for i, a := range p.aggs {
-				if p.aggIx[i] >= 0 {
-					acc.accs[i] = combine(a.Fn, acc.accs[i], row[2+i])
-				}
-			}
+			global.addPartial(p, row[0], row[1].Int, row[2:])
 		}
 	}
 	return global.finalize(p), nil

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"math"
 	"net/url"
+	"slices"
 	"strconv"
 	"testing"
+
+	"slimfast/internal/stream"
 )
 
 // FuzzQueryParse throws arbitrary URL query strings at Parse, the
@@ -53,9 +56,11 @@ func FuzzQueryParse(f *testing.F) {
 // golden engine must render the same NDJSON bytes as ExecuteRelation
 // over the engine's fully materialized estimates relation — the index
 // point read and the pruned, pushed-down scans against a plain filter
-// and sort of every row.
+// and sort of every row. The engine adds 300 tie-heavy objects to the
+// golden stream so a top-k with a small limit reaches the admission
+// gate in every shard; the setup checks that for the gate seeds.
 func FuzzQueryExecute(f *testing.F) {
-	for _, seed := range []string{
+	seeds := []string{
 		"where=object=o037",
 		"where=object=nosuch&cols=object,value",
 		"where=object=",
@@ -68,10 +73,15 @@ func FuzzQueryExecute(f *testing.F) {
 		"",
 		"limit=3",
 		"where=confidence<0.999&limit=4&cols=object,contested",
-	} {
+	}
+	gateSeeds := []string{
+		"order=contested&limit=5&cols=object,contested,confidence",
+		"where=dissent>0&order=-dissent&limit=3&cols=object,dissent",
+	}
+	for _, seed := range append(seeds, gateSeeds...) {
 		f.Add(seed)
 	}
-	eng := buildEngine(f, 3, 1, 64, goldenClaims(), flipClaims())
+	eng := buildEngine(f, 3, 1, 64, goldenClaims(), flipClaims(), tiedClaims(4, 300))
 	var all Query
 	for _, c := range EstimateColumns() {
 		all.Cols = append(all.Cols, c.Name)
@@ -81,6 +91,22 @@ func FuzzQueryExecute(f *testing.F) {
 		f.Fatal(err)
 	}
 	rel := Materialize(full)
+	for _, raw := range gateSeeds {
+		q := mustParse(raw)
+		p, err := compile(q, rel.Cols, nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		perShard := make([]int, eng.NumShards())
+		for _, row := range rel.Rows {
+			if p.matchVals(row) {
+				perShard[stream.ShardIndex(row[colObject].Str, eng.NumShards())]++
+			}
+		}
+		if slices.Min(perShard) < 4*q.Limit+16 {
+			f.Fatalf("seed %q matches %v rows per shard: too few to reach the top-k gate", raw, perShard)
+		}
+	}
 	f.Fuzz(func(t *testing.T, raw string) {
 		vals, err := url.ParseQuery(raw)
 		if err != nil {

@@ -38,7 +38,7 @@ func ExecuteRelation(rel *Relation, q *Query) (*Result, error) {
 		}
 	}
 	if p.groupIx >= 0 {
-		table := newGroupTable()
+		var table groupTable
 		for _, row := range rows {
 			table.addVals(p, row)
 		}
@@ -101,24 +101,11 @@ func (p *plan) cmpVals(a, b []Val) int {
 
 // addVals folds one relation row into a group table.
 func (g *groupTable) addVals(p *plan, row []Val) {
-	key := row[p.groupIx]
-	acc := g.m[key]
-	if acc == nil {
-		acc = &groupAcc{key: key, count: 1, accs: make([]Val, len(p.aggs))}
-		for i, ix := range p.aggIx {
-			if ix >= 0 {
-				acc.accs[i] = row[ix]
-			} else {
-				acc.accs[i] = Val{Kind: KindInt}
-			}
-		}
-		g.m[key] = acc
-		return
-	}
+	acc, fresh := g.group(p, row[p.groupIx])
 	acc.count++
 	for i, ix := range p.aggIx {
 		if ix >= 0 {
-			acc.accs[i] = combine(p.aggs[i].Fn, acc.accs[i], row[ix])
+			p.ops[i].add(&acc.accs[i], row[ix], fresh)
 		}
 	}
 }

@@ -13,11 +13,11 @@ import "unicode/utf8"
 // included.
 func AppendClaim(b []byte, tr Triple) []byte {
 	b = append(b, `{"source":`...)
-	b = appendString(b, tr.Source)
+	b = AppendJSONString(b, tr.Source)
 	b = append(b, `,"object":`...)
-	b = appendString(b, tr.Object)
+	b = AppendJSONString(b, tr.Object)
 	b = append(b, `,"value":`...)
-	b = appendString(b, tr.Value)
+	b = AppendJSONString(b, tr.Value)
 	return append(b, "}\n"...)
 }
 
@@ -66,10 +66,10 @@ func cutBytes(b []byte, prefix string) ([]byte, []byte, bool) {
 	return nil, nil, false
 }
 
-// appendString writes s as encoding/json writes a string with HTML
+// AppendJSONString appends s as encoding/json writes a string with HTML
 // escaping on: quotes, backslashes, control bytes, <, > and & escaped,
 // invalid UTF-8 replaced by \ufffd, and U+2028/U+2029 escaped.
-func appendString(b []byte, s string) []byte {
+func AppendJSONString(b []byte, s string) []byte {
 	const hex = "0123456789abcdef"
 	b = append(b, '"')
 	start := 0

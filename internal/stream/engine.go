@@ -1191,13 +1191,14 @@ type Estimate struct {
 	Confidence float64
 }
 
-// EstimateAll returns every live object's MAP estimate with its
-// confidence, sorted by object name — one locked pass per shard, so
-// callers that need both value and confidence never re-derive MAPs
-// object by object. The order is the total order of the plain
-// estimates query, independent of the shard count. Safe to call
-// during ingest.
-func (e *Engine) EstimateAll() []Estimate {
+// EstimatesSeq yields every live object's MAP estimate with its
+// confidence, sorted by object name — the rows of the plain estimates
+// query (query.Execute with an empty Query), whatever the shard count.
+// It collects them in one locked pass per shard, so callers that need
+// both value and confidence never re-derive MAPs object by object.
+// Safe to call during ingest; no locks are held while the consumer
+// runs.
+func (e *Engine) EstimatesSeq() iter.Seq[Estimate] {
 	parts := parallel.Map(e.nShards, e.opts.Workers, func(s int) []Estimate {
 		out := make([]Estimate, 0, e.ShardLen(s))
 		e.ScanShard(s, NoPair, func(r *Row) bool {
@@ -1208,28 +1209,22 @@ func (e *Engine) EstimateAll() []Estimate {
 	})
 	all := slices.Concat(parts...)
 	slices.SortFunc(all, func(a, b Estimate) int { return strings.Compare(a.Object, b.Object) })
-	return all
-}
-
-// EstimatesSeq yields EstimateAll's rows: every live object's
-// estimate, sorted by object name — the rows of the plain estimates
-// query (query.Execute with an empty Query), whatever the shard
-// count. Safe to call during ingest; no locks are held while the
-// consumer runs.
-func (e *Engine) EstimatesSeq() iter.Seq[Estimate] {
-	return slices.Values(e.EstimateAll())
+	return slices.Values(all)
 }
 
 // Estimates returns the MAP value of every live object. Safe to call
 // during ingest (each shard is snapshotted under its read lock).
 func (e *Engine) Estimates() map[string]string {
-	all := e.EstimateAll()
-	est := make(map[string]string, len(all))
-	for _, x := range all {
+	est := make(map[string]string)
+	for x := range e.EstimatesSeq() {
 		est[x.Object] = x.Value
 	}
 	return est
 }
+
+// Observations reports how many claims the engine has ingested,
+// Stats().Observations without taking any lock.
+func (e *Engine) Observations() int64 { return e.nObs.Load() }
 
 // EngineStats reports the engine's size and eviction accounting.
 type EngineStats struct {

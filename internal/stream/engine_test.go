@@ -3,6 +3,7 @@ package stream
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -17,6 +18,12 @@ func testEngineOptions() EngineOptions {
 	opts.Workers = 2
 	opts.EpochLength = 256
 	return opts
+}
+
+// EstimateAll collects EstimatesSeq: every live object's estimate,
+// sorted by object name.
+func (e *Engine) EstimateAll() []Estimate {
+	return slices.Collect(e.EstimatesSeq())
 }
 
 func TestEngineOptionsValidate(t *testing.T) {

@@ -30,7 +30,7 @@ import (
 // json.Marshal does, on an accuracy that is NaN or infinite.
 func AppendEpochRequest(b []byte, req EpochRequest) ([]byte, error) {
 	b = append(b, `{"tag":`...)
-	b = appendString(b, req.Tag)
+	b = AppendJSONString(b, req.Tag)
 	if len(req.Accuracies) > 0 {
 		b = append(b, `,"accuracies":[`...)
 		for i, a := range req.Accuracies {
@@ -38,7 +38,7 @@ func AppendEpochRequest(b []byte, req EpochRequest) ([]byte, error) {
 				b = append(b, ',')
 			}
 			b = append(b, `{"source":`...)
-			b = appendString(b, a.Source)
+			b = AppendJSONString(b, a.Source)
 			b = append(b, `,"accuracy":`...)
 			var err error
 			if b, err = appendFloat(b, a.Accuracy); err != nil {
@@ -68,7 +68,7 @@ func AppendEpochReply(b []byte, tag string, stats []SourceStat) ([]byte, error) 
 				b = append(b, ',')
 			}
 			b = append(b, `{"source":`...)
-			b = appendString(b, st.Source)
+			b = AppendJSONString(b, st.Source)
 			b = append(b, `,"agree":`...)
 			var err error
 			if b, err = appendFloat(b, st.Agree); err != nil {
@@ -87,7 +87,7 @@ func AppendEpochReply(b []byte, tag string, stats []SourceStat) ([]byte, error) 
 		b = append(b, ']')
 	}
 	b = append(b, `,"tag":`...)
-	b = appendString(b, tag)
+	b = AppendJSONString(b, tag)
 	return append(b, "}\n"...), nil
 }
 

@@ -1,16 +1,19 @@
 // The relational scan surface: the engine-side half of the query
 // layer (internal/query). ScanShard walks one shard's live objects
 // under its read lock and hands the caller a borrowed Row per object —
-// the full relational view (MAP value, confidence, contestedness,
-// flip epoch, claim counts) computed in place from the dense slabs, so
-// a selective query never materializes an Estimate slice. ScanShard is
+// the relational view (MAP value, confidence, contestedness, flip
+// epoch, claim counts) computed in place from the dense slabs, so a
+// selective query never materializes an Estimate slice. ScanShard is
 // the engine's one way to turn an object slot into a row: Value is a
-// point scan and EstimateAll collects full scans, so the live/MAP gate
-// and the value-name lookup exist only here. Predicate pushdown lives
-// one level up: the query executor decides which shards to scan
-// (ShardIndex pruning on object equality), whether the scan is a point
-// read through the shard's object index, and which rows to keep; this
-// file only guarantees that a shard scan is one RLock, zero
+// point scan and EstimatesSeq collects full scans, so the live/MAP gate
+// and the value-name lookup exist only here. A row reads its object's
+// claims array, a separate heap block, only when the scan asks for
+// Dissent or a disagree pair; every other column comes from the object
+// slot and its posterior. Predicate pushdown lives one level up: the
+// query executor decides which shards to scan (ShardIndex pruning on
+// object equality), whether the scan is a point read through the
+// shard's object index, whether it walks claims, and which rows to
+// keep; this file only guarantees that a shard scan is one RLock, zero
 // allocations, and a deterministic visit order: slot order, or object
 // name order from the shard's cached name order (ByName), which the
 // executor's object-ordered runs use so they need no sort.
@@ -24,7 +27,10 @@ import (
 // Row is the relational view of one live object, the tuple the query
 // layer filters, orders and aggregates over. Numeric counters are
 // int64 so the query comparators work over exactly two scalar kinds
-// (string, number).
+// (string, number). Dissent and Disagree come from a walk of the
+// object's claims, which a scan makes only on request: Dissent is
+// valid when the ScanOptions set Dissent or name a pair, Disagree when
+// they name a pair; otherwise they read 0 and false.
 type Row struct {
 	Object     string  // object name
 	Value      string  // current MAP value
@@ -49,6 +55,10 @@ type ScanOptions struct {
 	// ByName visits the live objects in ascending object-name order
 	// instead of slot order. A Point scan ignores it.
 	ByName bool
+	// Dissent counts Row.Dissent, a walk of every visited object's
+	// claims. Without it (and without a pair) the scan never touches
+	// the claims arrays.
+	Dissent bool
 }
 
 // NoPair is the ScanOptions zero state with the disagree pair off.
@@ -168,12 +178,21 @@ func fillRow(obj *object, valNames []string, opt ScanOptions, row *Row) {
 			p2 = p
 		}
 	}
-	dissent := int64(0)
+	row.Object = obj.name
+	row.Value = valNames[mapVal]
+	row.Confidence = p1
+	row.Contested = 1 - (p1 - p2)
+	row.Changed = obj.changed
+	row.Sources = int64(len(obj.claims))
+	row.Dissent, row.Disagree = 0, false
+	if !opt.Dissent && opt.PairA < 0 {
+		return
+	}
 	pairA, pairB := int32(-1), int32(-1)
 	for i := range obj.claims {
 		c := &obj.claims[i]
 		if c.val != mapVal {
-			dissent++
+			row.Dissent++
 		}
 		if opt.PairA >= 0 {
 			if int(c.src) == opt.PairA {
@@ -183,12 +202,5 @@ func fillRow(obj *object, valNames []string, opt ScanOptions, row *Row) {
 			}
 		}
 	}
-	row.Object = obj.name
-	row.Value = valNames[mapVal]
-	row.Confidence = p1
-	row.Contested = 1 - (p1 - p2)
-	row.Changed = obj.changed
-	row.Sources = int64(len(obj.claims))
-	row.Dissent = dissent
 	row.Disagree = pairA >= 0 && pairB >= 0 && pairA != pairB
 }

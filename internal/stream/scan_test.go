@@ -57,16 +57,31 @@ func TestScanShardPoint(t *testing.T) {
 		t.Fatal("sources not interned")
 	}
 	paired := ScanOptions{PairA: a, PairB: b}
-	for _, opt := range []ScanOptions{NoPair, paired} {
+	dissent := NoPair
+	dissent.Dissent = true
+	for _, opt := range []ScanOptions{NoPair, paired, dissent} {
 		var full []Row
+		dissenting := 0
 		for s := range e.NumShards() {
 			e.ScanShard(s, opt, func(r *Row) bool {
 				full = append(full, *r)
+				if r.Dissent > 0 {
+					dissenting++
+				}
 				return true
 			})
 		}
 		if len(full) == 0 {
 			t.Fatal("full scan visited no rows")
+		}
+		// Dissent is counted only when the scan walks claims; here
+		// every object has a dissenting "bad" claim.
+		want := 0
+		if opt.Dissent || opt.PairA >= 0 {
+			want = len(full)
+		}
+		if dissenting != want {
+			t.Errorf("scan %+v: %d of %d rows dissent, want %d", opt, dissenting, len(full), want)
 		}
 		for _, want := range full {
 			if got := pointRows(e, want.Object, opt); len(got) != 1 || got[0] != want {
