@@ -541,10 +541,11 @@ func decodeShard(rr *wire.Reader, version uint32, e *Engine, s, nSrc, nVals int)
 		if home := ShardIndex(obj.name, e.nShards); home != s {
 			return corruptf("shard %d holds object %q, which routes to shard %d", s, obj.name, home)
 		}
-		if _, dup := sh.index[obj.name]; dup {
+		h := sh.index.hash(obj.name)
+		if sh.index.find(sh.objs, obj.name, h) >= 0 {
 			return corruptf("shard %d has object %q twice", s, obj.name)
 		}
-		sh.index[obj.name] = ix
+		sh.indexAdd(ix, h)
 		sh.nLive++
 	}
 	sh.free = rr.Ints()

@@ -6,7 +6,7 @@
 // state for its objects — claims as (source id, value id) pairs, the
 // object's value domain in first-seen order, a log-space score
 // accumulator per domain value, and the cached posterior — so Observe
-// is an O(domain) delta update on reused slices, not the per-call map
+// is an O(claims) delta update on reused slices, not the per-call map
 // rebuild the oracle Fuser does.
 //
 // The cross-shard coupling (source reliability) follows a
@@ -18,10 +18,11 @@
 // deterministic ordered reduction), folds them into the global
 // source state, recomputes accuracies and the σ-table, and bumps the
 // epoch; shards lazily rescore an object with the fresh σ the first
-// time they touch it in the new epoch. Because shards only
-// communicate through the frozen table and the ordered drain, results
-// are bit-identical for any Workers count (given fixed Shards and the
-// same Observe/ObserveBatch call sequence).
+// time they touch it in the new epoch, folded into that claim's own
+// update (object.apply) so the claim runs one softmax. Because shards
+// only communicate through the frozen table and the ordered drain,
+// results are bit-identical for any Workers count (given fixed Shards
+// and the same Observe/ObserveBatch call sequence).
 //
 // Refine is the periodic exact re-sweep: it recomputes accuracies
 // from posteriors and posteriors from accuracies over all live
@@ -31,6 +32,7 @@ package stream
 
 import (
 	"errors"
+	"hash/maphash"
 	"iter"
 	"math"
 	"slices"
@@ -201,6 +203,11 @@ type object struct {
 	prev, next int
 }
 
+// score is domain entry i's log-odds score, the one place the
+// posterior (refreshPosterior) and the pre-claim leader (leader) read
+// it from.
+func (o *object) score(i int) float64 { return o.scores[i] }
+
 // refreshPosterior recomputes the cached posterior in place: a stable
 // softmax over the claimed (refs > 0) domain entries, zero elsewhere.
 func (o *object) refreshPosterior() {
@@ -210,20 +217,20 @@ func (o *object) refreshPosterior() {
 	o.post = o.post[:len(o.scores)]
 	m := math.Inf(-1)
 	for i, r := range o.refs {
-		if r > 0 && o.scores[i] > m {
-			m = o.scores[i]
+		if r > 0 && o.score(i) > m {
+			m = o.score(i)
 		}
 	}
 	var sum float64
 	for i, r := range o.refs {
 		if r > 0 {
-			sum += math.Exp(o.scores[i] - m)
+			sum += math.Exp(o.score(i) - m)
 		}
 	}
 	lse := m + math.Log(sum)
 	for i, r := range o.refs {
 		if r > 0 {
-			o.post[i] = math.Exp(o.scores[i] - lse)
+			o.post[i] = math.Exp(o.score(i) - lse)
 		} else {
 			o.post[i] = 0
 		}
@@ -234,7 +241,7 @@ func (o *object) refreshPosterior() {
 // accumulators that keep Observe free of cross-shard synchronization.
 type shard struct {
 	mu      sync.RWMutex
-	index   map[string]int // object name -> objs slot
+	index   objIndex // object name -> objs slot
 	objs    []object
 	free    []int // reusable objs slots (from eviction)
 	dirtyIx []int // slots to settle at the next drain
@@ -244,7 +251,7 @@ type shard struct {
 
 	// nameOrder is the live slots sorted by object name, the order a
 	// ByName scan visits. It is derived state, never checkpointed:
-	// insert and evict, the only paths that change the name set, clear
+	// indexAdd and indexDrop, the only writers of the name set, clear
 	// nameOK under the write lock, and the next ByName scan rebuilds
 	// the order under nameMu while it holds the read lock.
 	nameMu    sync.Mutex
@@ -374,9 +381,10 @@ func NewEngine(opts EngineOptions) (*Engine, error) {
 		e.features = opts.Features
 	}
 	e.initSigma = mathx.Logit(smoothedAccuracy(opts.Options, 0, 0))
+	seed := maphash.MakeSeed()
 	for i := range e.shards {
 		sh := &e.shards[i]
-		sh.index = map[string]int{}
+		sh.index = objIndex{seed: seed}
 		sh.lruHead, sh.lruTail = -1, -1
 	}
 	e.src.ids = map[string]int{}
@@ -465,10 +473,13 @@ func (e *Engine) lookupValue(name string) int {
 // results use a single ingesting goroutine or ObserveBatch.
 func (e *Engine) Observe(source, objectName, value string) {
 	sid, sigma, epoch := e.lookupSource(source)
-	vid := e.lookupValue(value)
+	r := resolvedClaim{sid: sid, vid: e.lookupValue(value), sigma: sigma, epoch: epoch}
 	sh := e.shardOf(objectName)
 	sh.mu.Lock()
-	sh.observe(e, objectName, sid, vid, sigma, epoch)
+	valNames := e.valueNames()
+	e.src.mu.RLock()
+	sh.observe(e, valNames, e.src.sigma, objectName, &r)
+	e.src.mu.RUnlock()
 	sh.mu.Unlock()
 	e.nObs.Add(1)
 	e.met.Observations.Inc()
@@ -494,14 +505,25 @@ type batchScratch struct {
 	res      []resolvedClaim
 }
 
+// fanOutGrain is the number of claims each ObserveBatch worker must
+// get before the batch fans out over goroutines. Below it the shards
+// apply on the calling goroutine: starting workers and handing them
+// the shards costs more than a worker saves on a request-sized batch.
+// The value is a measured crossover: on BenchmarkObserveBatch's stream
+// (2 shards, 2-vCPU host) with fan-out forced at every size, two
+// workers were 20% slower per claim than inline at 64-claim batches,
+// 3% slower at 512, even at 576 and 5% faster at 640.
+const fanOutGrain = 288
+
 // ObserveBatch ingests a batch of claims with up to Workers
 // goroutines. Sources and values are interned on the calling
 // goroutine in batch order — so the dense ids (which the online
 // learner's minibatch shuffle keys on) depend only on the claim
 // stream, never on goroutine scheduling — then claims are partitioned
 // by object shard and each shard applies its sub-sequence in batch
-// order. The result is bit-identical for any worker count: the
-// deterministic parallel ingest path.
+// order. A batch too small to give each worker fanOutGrain claims
+// applies inline. The result is bit-identical for any worker count:
+// the deterministic parallel ingest path.
 func (e *Engine) ObserveBatch(batch []Triple) {
 	if len(batch) == 0 {
 		return
@@ -526,19 +548,13 @@ func (e *Engine) ObserveBatch(batch []Triple) {
 		s := ShardIndex(tr.Object, e.nShards)
 		perShard[s] = append(perShard[s], i)
 	}
-	parallel.For(e.nShards, e.opts.Workers, func(s int) {
-		ixs := perShard[s]
-		if len(ixs) == 0 {
-			return
+	if w := min(parallel.Resolve(e.opts.Workers), len(batch)/fanOutGrain); w > 1 {
+		parallel.For(e.nShards, w, func(s int) { e.applyShard(s, batch, res, perShard[s]) })
+	} else {
+		for s := range perShard {
+			e.applyShard(s, batch, res, perShard[s])
 		}
-		sh := &e.shards[s]
-		sh.mu.Lock()
-		for _, i := range ixs {
-			r := &res[i]
-			sh.observe(e, batch[i].Object, r.sid, r.vid, r.sigma, r.epoch)
-		}
-		sh.mu.Unlock()
-	})
+	}
 	e.nObs.Add(int64(len(batch)))
 	e.met.Observations.Add(uint64(len(batch)))
 	if e.sinceEp.Add(int64(len(batch))) >= e.epochLen {
@@ -546,60 +562,105 @@ func (e *Engine) ObserveBatch(batch []Triple) {
 	}
 }
 
-// observe applies one claim to a shard-owned object. Caller holds
-// sh.mu. The hot path is O(domain): a σ delta on the score slab and an
-// in-place softmax. The first touch of an object in a new epoch
-// rebuilds its scores against the fresh σ-table (O(claims), amortized
-// once per object per epoch).
-func (sh *shard) observe(e *Engine, name string, sid, vid int, sigma float64, epoch int64) {
-	ix, ok := sh.index[name]
-	if !ok {
-		ix = sh.insert(e, name, epoch)
+// applyShard applies the claims ixs of batch, all routed to shard s,
+// in batch order. It takes the shard lock, one valueNames() snapshot
+// and the σ-table read lock once for the whole sub-batch, in the order
+// sh.mu → src.mu that every path nesting them uses. Nothing under it
+// takes src.mu again: a nested read lock would deadlock against a
+// waiting refresh.
+func (e *Engine) applyShard(s int, batch []Triple, res []resolvedClaim, ixs []int) {
+	if len(ixs) == 0 {
+		return
+	}
+	sh := &e.shards[s]
+	sh.mu.Lock()
+	valNames := e.valueNames()
+	e.src.mu.RLock()
+	for _, i := range ixs {
+		sh.observe(e, valNames, e.src.sigma, batch[i].Object, &res[i])
+	}
+	e.src.mu.RUnlock()
+	sh.mu.Unlock()
+}
+
+// observe applies one claim to a shard-owned object: an index probe,
+// then one O(claims) pass in object.apply. Caller holds sh.mu and the
+// σ-table read lock, and passes a valueNames() snapshot taken under
+// sh.mu and the σ-table (e.src.sigma).
+func (sh *shard) observe(e *Engine, valNames []string, sigmas []float64, name string, r *resolvedClaim) {
+	h := sh.index.hash(name)
+	ix := sh.index.find(sh.objs, name, h)
+	if ix < 0 {
+		ix = sh.insert(e, name, h, r.epoch)
 	}
 	obj := &sh.objs[ix]
-	if obj.epoch != epoch {
-		sh.rescore(e, obj, epoch)
-	}
-
-	// Locate an existing claim by this source (claim lists are small:
-	// the sources observing one object).
-	ci := -1
-	for i := range obj.claims {
-		if obj.claims[i].src == int32(sid) {
-			ci = i
-			break
-		}
-	}
-	sh.ensureSource(sid)
-	sh.obsCount[sid]++
-	switch {
-	case ci >= 0 && obj.claims[ci].val == int32(vid):
-		// Same claim re-asserted: scores and posterior are unchanged.
-	case ci >= 0:
-		// The source changed its mind: move its σ between values.
-		old := obj.domainIndex(obj.claims[ci].val)
-		obj.scores[old] -= sigma
-		obj.refs[old]--
-		nw := obj.ensureDomain(int32(vid))
-		obj.scores[nw] += sigma
-		obj.refs[nw]++
-		obj.claims[ci].val = int32(vid)
-		obj.refreshPosterior()
-		obj.noteMAP(e.valueNames(), epoch)
-	default:
-		obj.claims = append(obj.claims, claim{src: int32(sid), val: int32(vid)})
-		sh.deltaTotal[sid]++
-		nw := obj.ensureDomain(int32(vid))
-		obj.scores[nw] += sigma
-		obj.refs[nw]++
-		obj.refreshPosterior()
-		obj.noteMAP(e.valueNames(), epoch)
+	sh.ensureSource(r.sid)
+	sh.obsCount[r.sid]++
+	if obj.apply(int32(r.sid), int32(r.vid), r.sigma, r.epoch, sigmas, valNames) {
+		sh.deltaTotal[r.sid]++
 	}
 	if !obj.dirty {
 		obj.dirty = true
 		sh.dirtyIx = append(sh.dirtyIx, ix)
 	}
 	sh.lruTouch(ix)
+}
+
+// apply updates the object for source sid claiming value vid, scored
+// with the claim's frozen σ, and reports whether the claim is new. The
+// hot path is O(claims) with one softmax: a σ delta on the score slab,
+// then the posterior and MAP refresh.
+//
+// The first touch of an object in a new epoch also rebuilds its scores
+// against the fresh σ-table. That rebuild is folded into the claim's
+// own update instead of running a softmax of its own: the score slab
+// is rebuilt in the same float order, and the only thing the skipped
+// softmax decided, the MAP between the rebuild and the claim (which
+// stamps changed when the new σ-table alone moves the MAP), is read
+// off the scores by leader. The result is bit-identical to rescoring
+// first and then applying the claim.
+func (o *object) apply(sid, vid int32, sigma float64, epoch int64, sigmas []float64, valNames []string) (added bool) {
+	ci := -1
+	for i := range o.claims {
+		if o.claims[i].src == sid {
+			ci = i
+			break
+		}
+	}
+	same := ci >= 0 && o.claims[ci].val == vid
+	if o.epoch != epoch {
+		if same {
+			// Re-asserted: the rescore is the only change.
+			o.rescore(sigmas, valNames, epoch)
+			return false
+		}
+		o.rebuildScores(sigmas)
+		o.epoch = epoch
+		o.noteLeader(valNames, epoch)
+	}
+	switch {
+	case same:
+		// Same claim re-asserted: scores and posterior are unchanged.
+		return false
+	case ci >= 0:
+		// The source changed its mind: move its σ between values.
+		old := o.domainIndex(o.claims[ci].val)
+		o.scores[old] -= sigma
+		o.refs[old]--
+		nw := o.ensureDomain(vid)
+		o.scores[nw] += sigma
+		o.refs[nw]++
+		o.claims[ci].val = vid
+	default:
+		o.claims = append(o.claims, claim{src: sid, val: vid})
+		nw := o.ensureDomain(vid)
+		o.scores[nw] += sigma
+		o.refs[nw]++
+		added = true
+	}
+	o.refreshPosterior()
+	o.noteMAP(valNames, epoch)
+	return added
 }
 
 // domainIndex returns the slab index of value v (present by
@@ -627,21 +688,26 @@ func (o *object) ensureDomain(v int32) int {
 	return len(o.domain) - 1
 }
 
-// rescore rebuilds an object's score slab against the current σ-table
-// and stamps it with the epoch. Caller holds sh.mu.
-func (sh *shard) rescore(e *Engine, obj *object, epoch int64) {
-	for i := range obj.scores {
-		obj.scores[i] = 0
+// rebuildScores recomputes the score slab from the claims against the
+// σ-table sigmas, summing in claim order.
+func (o *object) rebuildScores(sigmas []float64) {
+	for i := range o.scores {
+		o.scores[i] = 0
 	}
-	e.src.mu.RLock()
-	for i := range obj.claims {
-		c := &obj.claims[i]
-		obj.scores[obj.domainIndex(c.val)] += e.src.sigma[c.src]
+	for i := range o.claims {
+		c := &o.claims[i]
+		o.scores[o.domainIndex(c.val)] += sigmas[c.src]
 	}
-	e.src.mu.RUnlock()
-	obj.refreshPosterior()
-	obj.noteMAP(e.valueNames(), epoch)
-	obj.epoch = epoch
+}
+
+// rescore rebuilds an object's score slab and posterior against the
+// σ-table sigmas and stamps it with the epoch. Caller holds the shard
+// lock and the σ-table read lock.
+func (o *object) rescore(sigmas []float64, valNames []string, epoch int64) {
+	o.rebuildScores(sigmas)
+	o.refreshPosterior()
+	o.noteMAP(valNames, epoch)
+	o.epoch = epoch
 }
 
 // noteMAP refreshes the cached MAP domain index after a posterior
@@ -650,11 +716,64 @@ func (sh *shard) rescore(e *Engine, obj *object, epoch int64) {
 // E"). An object's very first claim counts as a flip: the estimate
 // appeared. Caller holds the shard lock.
 func (o *object) noteMAP(valNames []string, epoch int64) {
-	ix := mapIndex(o, valNames)
+	o.noteIndex(mapIndex(o, valNames), epoch)
+}
+
+// noteIndex installs ix as the cached MAP index, stamping the flip
+// epoch when it moved.
+func (o *object) noteIndex(ix int32, epoch int64) {
 	if ix >= 0 && ix != o.mapIx {
 		o.mapIx = ix
 		o.changed = epoch
 	}
+}
+
+// noteLeader does noteMAP's bookkeeping for the scores as they stand,
+// without the softmax when leader can read the MAP off the scores. It
+// leaves post stale unless it has to fall back to the softmax.
+func (o *object) noteLeader(valNames []string, epoch int64) {
+	if ix := o.leader(); ix >= 0 {
+		o.noteIndex(ix, epoch)
+		return
+	}
+	o.refreshPosterior()
+	o.noteMAP(valNames, epoch)
+}
+
+// leaderMargin is the relative score margin beyond which the top live
+// score is the softmax's MAP whatever the rounding. The softmax rounds
+// each score's offset from the log-sum-exp to within an ulp or two of
+// the scores' magnitude, and math.Exp is accurate to under an ulp; a
+// gap of 1e-9·(1+|top|) is millions of ulps wider than both, so the
+// top entry's posterior is strictly the largest and no tie-break runs.
+const leaderMargin = 1e-9
+
+// leader returns the domain index mapIndex would pick after
+// refreshPosterior, read off the scores: the top live score, when it
+// is finite and leads every other live score by more than the rounding
+// of the softmax could close. It returns -1 on a near-tie, a NaN or
+// ±Inf score, or no live entry; the caller then runs the softmax.
+func (o *object) leader() int32 {
+	best := -1
+	top, second := math.Inf(-1), math.Inf(-1)
+	for i, r := range o.refs {
+		if r <= 0 {
+			continue
+		}
+		s := o.score(i)
+		if math.IsNaN(s) || math.IsInf(s, 0) {
+			return -1
+		}
+		if s > top {
+			best, top, second = i, s, top
+		} else if s > second {
+			second = s
+		}
+	}
+	if best < 0 || top-second <= leaderMargin*(1+math.Abs(top)) {
+		return -1
+	}
+	return int32(best)
 }
 
 // mapIndex returns the domain index of the object's MAP value under
@@ -686,9 +805,10 @@ func (sh *shard) ensureSource(sid int) {
 	}
 }
 
-// insert allocates (or reuses) an object slot, links it into the LRU,
-// and evicts beyond the shard cap. Caller holds sh.mu.
-func (sh *shard) insert(e *Engine, name string, epoch int64) int {
+// insert allocates (or reuses) an object slot for name, whose index
+// hash is h, links it into the LRU, and evicts beyond the shard cap.
+// Caller holds sh.mu.
+func (sh *shard) insert(e *Engine, name string, h uint64, epoch int64) int {
 	var ix int
 	if n := len(sh.free); n > 0 {
 		ix = sh.free[n-1]
@@ -709,8 +829,7 @@ func (sh *shard) insert(e *Engine, name string, epoch int64) int {
 		ix = len(sh.objs)
 		sh.objs = append(sh.objs, object{name: name, epoch: epoch, live: true, mapIx: -1, prev: -1, next: -1})
 	}
-	sh.index[name] = ix
-	sh.nameOK = false
+	sh.indexAdd(ix, h)
 	sh.lruPush(ix)
 	sh.nLive++
 	if e.shardCap > 0 && sh.nLive > e.shardCap {
@@ -736,8 +855,7 @@ func (sh *shard) evict(ix int) {
 	sh.evictedObjects++
 	sh.evictedClaims += int64(len(obj.claims))
 	sh.lruUnlink(ix)
-	delete(sh.index, obj.name)
-	sh.nameOK = false
+	sh.indexDrop(ix)
 	obj.name = ""
 	obj.dirty = false
 	obj.live = false
@@ -1050,17 +1168,20 @@ func (e *Engine) rescoreAll(epoch int64) {
 	parallel.For(e.nShards, e.opts.Workers, func(s int) {
 		sh := &e.shards[s]
 		sh.mu.Lock()
+		valNames := e.valueNames()
+		e.src.mu.RLock()
 		for ix := range sh.objs {
 			obj := &sh.objs[ix]
 			if !obj.live {
 				continue
 			}
-			sh.rescore(e, obj, epoch)
+			obj.rescore(e.src.sigma, valNames, epoch)
 			if !obj.dirty {
 				obj.dirty = true
 				sh.dirtyIx = append(sh.dirtyIx, ix)
 			}
 		}
+		e.src.mu.RUnlock()
 		sh.mu.Unlock()
 	})
 }

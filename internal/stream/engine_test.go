@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"slimfast/internal/online"
 )
@@ -413,5 +414,87 @@ func TestEngineConcurrentObserveWithFreshSources(t *testing.T) {
 	}
 	if len(e.Estimates()) != 40 {
 		t.Errorf("objects = %d, want 40", len(e.Estimates()))
+	}
+}
+
+// TestEngineConcurrentBatchesRefineAndReads is the race and deadlock
+// check for applyShard holding the σ-table read lock across a shard's
+// sub-batch. Several ObserveBatch callers run both sides of the
+// fan-out grain while epoch refreshes fire every few claims, a refiner
+// loops, and readers take point reads, scans and source lookups, so
+// src.mu writers keep queuing behind held read locks. A nested read
+// lock under applyShard would hang here; the watchdog reports that as
+// a failure instead of a test timeout.
+func TestEngineConcurrentBatchesRefineAndReads(t *testing.T) {
+	opts := testEngineOptions()
+	opts.Workers = 4
+	opts.EpochLength = 48
+	opts.MaxObjects = 400
+	e, _ := NewEngine(opts)
+	const callers, rounds = 3, 20
+	sizes := []int{64, 2*fanOutGrain + 17} // inline and fanned out
+	var writers, readers sync.WaitGroup
+	for w := 0; w < callers; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for r := 0; r < rounds; r++ {
+				batch := make([]Triple, sizes[(w+r)%len(sizes)])
+				for i := range batch {
+					batch[i] = Triple{
+						Source: fmt.Sprintf("s%d", (i*5+w+r)%40),
+						Object: fmt.Sprintf("o%d", (i*13+r*7+w)%600),
+						Value:  fmt.Sprintf("v%d", (i+r+w)%4),
+					}
+				}
+				e.ObserveBatch(batch)
+			}
+		}(w)
+	}
+	writers.Add(1)
+	go func() {
+		defer writers.Done()
+		for i := 0; i < 15; i++ {
+			e.Refine(1)
+		}
+	}()
+	stop := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				e.Value(fmt.Sprintf("o%d", (i*31+r)%600))
+				e.SourceAccuracy(fmt.Sprintf("s%d", i%40))
+				e.ScanShard(i%e.NumShards(), NoPair, func(*Row) bool { return true })
+				e.Stats()
+			}
+		}(r)
+	}
+	done := make(chan struct{})
+	go func() {
+		writers.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("concurrent ingest, Refine and reads did not finish: deadlock")
+	}
+	close(stop)
+	readers.Wait()
+	want := int64(0)
+	for w := 0; w < callers; w++ {
+		for r := 0; r < rounds; r++ {
+			want += int64(sizes[(w+r)%len(sizes)])
+		}
+	}
+	if got := e.Stats().Observations; got != want {
+		t.Errorf("observations = %d, want %d", got, want)
 	}
 }

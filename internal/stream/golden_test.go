@@ -66,6 +66,16 @@ func engineFingerprint(e *Engine) uint64 {
 // is fixed so epoch boundaries are identical across worker counts.
 func ingestEngine(t *testing.T, triples [][3]string, workers int) *Engine {
 	t.Helper()
+	return ingestEngineChunked(t, triples, workers, goldenChunk)
+}
+
+// goldenChunk is ingestEngine's batch length: above the fan-out grain
+// for two workers, so its ObserveBatch calls take the parallel path.
+const goldenChunk = 700
+
+// ingestEngineChunked is ingestEngine with chunk-claim batches.
+func ingestEngineChunked(t *testing.T, triples [][3]string, workers, chunk int) *Engine {
+	t.Helper()
 	opts := DefaultEngineOptions()
 	opts.Shards = 4
 	opts.Workers = workers
@@ -74,7 +84,6 @@ func ingestEngine(t *testing.T, triples [][3]string, workers int) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const chunk = 700
 	lo := 0
 	for ; lo+chunk <= len(triples); lo += chunk {
 		batch := make([]Triple, chunk)
@@ -133,10 +142,20 @@ func TestGoldenEngineMatchesSeedFuser(t *testing.T) {
 // accuracy is bit-identical whether one goroutine ingests or four.
 func TestGoldenEngineDeterministicAcrossWorkers(t *testing.T) {
 	_, triples := streamInstance(t, 8)
-	base := engineFingerprint(ingestEngine(t, triples, 1))
-	for _, workers := range []int{2, 4, 8} {
-		if got := engineFingerprint(ingestEngine(t, triples, workers)); got != base {
-			t.Errorf("workers=%d fingerprint %x != workers=1 %x", workers, got, base)
+	// Both sides of the fan-out grain: 700-claim chunks fan out over
+	// two workers, request-sized 64-claim chunks apply inline.
+	for _, tc := range []struct {
+		chunk   int
+		fansOut bool
+	}{{goldenChunk, true}, {64, false}} {
+		if fansOut := tc.chunk/fanOutGrain >= 2; fansOut != tc.fansOut {
+			t.Fatalf("chunk %d against fan-out grain %d: fans out %v, want %v", tc.chunk, fanOutGrain, fansOut, tc.fansOut)
+		}
+		base := engineFingerprint(ingestEngineChunked(t, triples, 1, tc.chunk))
+		for _, workers := range []int{2, 4, 8} {
+			if got := engineFingerprint(ingestEngineChunked(t, triples, workers, tc.chunk)); got != base {
+				t.Errorf("chunk %d: workers=%d fingerprint %x != workers=1 %x", tc.chunk, workers, got, base)
+			}
 		}
 	}
 	// And the exact re-sweep preserves the property.

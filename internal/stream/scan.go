@@ -114,7 +114,7 @@ func (e *Engine) ScanShard(s int, opt ScanOptions, visit func(*Row) bool) {
 	var row Row
 	switch {
 	case opt.Point:
-		if ix, ok := sh.index[opt.Object]; ok {
+		if ix := sh.slotOf(opt.Object); ix >= 0 {
 			scanSlot(&sh.objs[ix], valNames, opt, &row, visit)
 		}
 	case opt.ByName:

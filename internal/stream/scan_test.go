@@ -46,7 +46,7 @@ func TestScanShardPoint(t *testing.T) {
 	const bare = "bare"
 	sh := e.shardOf(bare)
 	sh.mu.Lock()
-	sh.insert(e, bare, e.CurrentEpoch())
+	sh.insert(e, bare, sh.index.hash(bare), e.CurrentEpoch())
 	sh.mu.Unlock()
 	if _, _, ok := e.Value(bare); ok {
 		t.Fatal("bare object reports a value")
