@@ -52,7 +52,6 @@ func runStream(args []string, stdin io.Reader, stdout io.Writer) error {
 	maxInflightReqs := fs.Int64("max-inflight-reqs", 256, "serve mode: shed /observe with 429 beyond this many concurrent requests (0 = unbounded)")
 	restorePath := fs.String("restore", "", "resume from this checkpoint when it exists (engine flags like -shards then come from the checkpoint); damaged generations fall back to older ones")
 	featPath := fs.String("features", "", "source features CSV (source,feature); enables online discriminative reliability learning")
-	window := fs.Int("window", 0, "drift window in epochs for the online learner (0 = default; needs -features)")
 	logFormat := fs.String("log-format", "text", "serve mode: structured log format, text or json")
 	pprofAddr := fs.String("pprof", "", "serve mode: serve net/http/pprof on this side address (e.g. localhost:6060); empty = off")
 	if err := fs.Parse(args); err != nil {
@@ -69,12 +68,6 @@ func runStream(args []string, stdin io.Reader, stdout io.Writer) error {
 			return errors.New("-features is not supported in cluster member mode (-external-epochs): the online σ-table cannot be coordinated remotely")
 		}
 		*epoch = stream.ExternalEpochLength
-	}
-	if *window < 0 {
-		return fmt.Errorf("-window must be non-negative, got %d", *window)
-	}
-	if *window != 0 && *featPath == "" {
-		return errors.New("-window needs -features: the drift window belongs to the online learner")
 	}
 
 	var eng *stream.Engine
@@ -130,11 +123,6 @@ func runStream(args []string, stdin io.Reader, stdout io.Writer) error {
 			}
 			opts.Features = features
 			opts.OnlineLearn = true
-			if *window > 0 {
-				opts.Learn = online.DefaultConfig()
-				opts.Learn.InitAccuracy = opts.InitAccuracy
-				opts.Learn.WindowEpochs = *window
-			}
 			fmt.Fprintf(stdout, "# online learning over %d featured sources\n", len(features))
 		}
 		var err error

@@ -155,7 +155,7 @@ func TestStreamSubcommandFeatures(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	err := runStream([]string{"-shards", "2", "-epoch", "64", "-features", featPath, "-window", "16"},
+	err := runStream([]string{"-shards", "2", "-epoch", "64", "-features", featPath, "-decay", "0.97"},
 		strings.NewReader(streamCSV(120)), &out)
 	if err != nil {
 		t.Fatal(err)
@@ -211,24 +211,10 @@ func TestStreamSubcommandFeatureFlagEdgeCases(t *testing.T) {
 	if err := os.WriteFile(featPath, []byte(featuresCSV()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Negative window is rejected like the other numeric flags.
-	var out bytes.Buffer
-	if err := runStream([]string{"-features", featPath, "-window", "-3"},
-		strings.NewReader(streamCSV(2)), &out); err == nil {
-		t.Error("negative -window should error")
-	}
-	// -window tunes the online learner, so without -features it must
-	// fail loudly rather than be silently ignored.
-	out.Reset()
-	if err := runStream([]string{"-window", "5"},
-		strings.NewReader(streamCSV(2)), &out); err == nil || !strings.Contains(err.Error(), "-features") {
-		t.Errorf("-window without -features should error naming -features, got %v", err)
-	}
-
 	// -features alongside a -restore that finds a featureless
 	// checkpoint must warn, not silently serve agreement-only.
 	ckpt := filepath.Join(dir, "plain.ckpt")
-	out.Reset()
+	var out bytes.Buffer
 	if err := runStream([]string{"-shards", "2", "-checkpoint", ckpt},
 		strings.NewReader(streamCSV(30)), &out); err != nil {
 		t.Fatal(err)

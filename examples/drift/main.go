@@ -1,12 +1,13 @@
 // Drift: a cohort of sources sharing a domain feature degrades
 // mid-stream, and two engines race to notice — the agreement-only
-// engine (cumulative counting, PR 3) against the feature-aware online
-// engine (sliding-window discriminative learning, internal/online).
+// engine (cumulative counting) against the feature-aware online engine
+// (discriminative learning, internal/online, over evidence that decays
+// per observation).
 //
 // The scenario is the paper's discriminative story run forward in
 // time: "feed=beta" names a shared ingestion pipeline; when it breaks,
 // every source behind it goes bad at once. The online learner sees the
-// cohort's windowed agreement collapse, drags the shared feature
+// cohort's decayed agreement collapse, drags the shared feature
 // weight down, and re-rates the whole cohort within a few epochs —
 // including the low-traffic member the agreement-only engine barely
 // re-rates at all, because its sparse new evidence drowns in its long
@@ -22,7 +23,6 @@ import (
 	"math"
 	"os"
 
-	"slimfast/internal/online"
 	"slimfast/internal/randx"
 	"slimfast/internal/stream"
 )
@@ -35,6 +35,9 @@ const (
 	domainSize = 3
 	goodAcc    = 0.92
 	brokenAcc  = 0.15
+	// evidenceDecay is the featured engine's per-observation decay: a
+	// source's evidence halves over about 14 of its own claims.
+	evidenceDecay = 0.95
 )
 
 func main() {
@@ -44,7 +47,7 @@ func main() {
 }
 
 // mkEngines builds the matched pair: identical estimator settings, one
-// with the online learner (short drift window) and one without.
+// with the online learner and evidence decay, and one without either.
 func mkEngines(features map[string][]string) (featured, plain *stream.Engine, err error) {
 	base := stream.DefaultEngineOptions()
 	base.Shards = 4
@@ -52,8 +55,7 @@ func mkEngines(features map[string][]string) (featured, plain *stream.Engine, er
 
 	opts := base
 	opts.Features = features
-	opts.Learn = online.DefaultConfig()
-	opts.Learn.WindowEpochs = 4
+	opts.Decay = evidenceDecay
 	if featured, err = stream.NewEngine(opts); err != nil {
 		return nil, nil, err
 	}

@@ -1,8 +1,6 @@
 package baselines
 
 import (
-	"math"
-
 	"slimfast/internal/data"
 	"slimfast/internal/mathx"
 )
@@ -11,7 +9,7 @@ import (
 // source copying (the configuration the paper compares against). It
 // alternates between computing value probabilities from vote counts
 //
-//	C(d) = Σ_{s: v_os = d} ln( n·A_s / (1−A_s) ),  n = |Do|−1
+//	C(d) = Σ_{s: v_os = d} ln( n·A_s / (1−A_s) ),  n = max(|Do|−1, 1)
 //
 // and re-estimating each source's accuracy as the mean probability of
 // the values it claimed. Any ground truth initializes the accuracy
@@ -74,10 +72,7 @@ func (a *ACCU) Fuse(ds *data.Dataset, train data.TruthMap) (*Output, error) {
 				continue
 			}
 			dom := ds.Domain(oid)
-			n := float64(len(dom) - 1)
-			if n < 1 {
-				n = 1
-			}
+			lnN := mathx.LogFalseValues(len(dom))
 			scores := make([]float64, len(dom))
 			pos := make(map[data.ValueID]int, len(dom))
 			for i, d := range dom {
@@ -85,7 +80,7 @@ func (a *ACCU) Fuse(ds *data.Dataset, train data.TruthMap) (*Output, error) {
 			}
 			for _, ob := range obs {
 				as := mathx.Clamp(acc[ob.Source], 0.01, 0.99)
-				scores[pos[ob.Value]] += math.Log(n * as / (1 - as))
+				scores[pos[ob.Value]] += lnN + mathx.Logit(as)
 			}
 			probs := mathx.Softmax(scores, nil)
 			post := make(map[data.ValueID]float64, len(dom))

@@ -35,6 +35,30 @@ func Logit(p float64) float64 {
 	return math.Log(p / (1 - p))
 }
 
+// LogFalseValues is ACCU's false-value term ln n, n = max(k−1, 1), for
+// an object whose claims name k distinct values (Dong, Berti-Equille &
+// Srivastava, PVLDB 2009). A vote by a source of accuracy A weighs
+// ln(n·A/(1−A)) = Logit(A) + LogFalseValues(k): Equation 2's logit(A)
+// when k ≤ 2, and the weight that keeps a soft source's vote positive
+// in larger domains, where logit(A) turns negative once A < 1/2.
+// Domains under 64 values read a table, so a streaming claim's
+// softmax pays no extra logarithm.
+func LogFalseValues(k int) float64 {
+	if k < len(logFalseValues) {
+		return logFalseValues[max(k, 0)]
+	}
+	return math.Log(float64(k - 1))
+}
+
+// logFalseValues[k] is LogFalseValues(k) for small k: the same
+// math.Log bits, with k ≤ 2 at 0.
+var logFalseValues = func() (t [64]float64) {
+	for k := 3; k < len(t); k++ {
+		t[k] = math.Log(float64(k - 1))
+	}
+	return t
+}()
+
 // ClampProb clamps p into [Eps, 1-Eps].
 func ClampProb(p float64) float64 {
 	return Clamp(p, Eps, 1-Eps)

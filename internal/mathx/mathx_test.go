@@ -65,6 +65,20 @@ func TestClamp(t *testing.T) {
 	}
 }
 
+func TestLogFalseValues(t *testing.T) {
+	for k, want := range map[int]float64{-1: 0, 0: 0, 1: 0, 2: 0, 3: math.Log(2), 16: math.Log(15), 63: math.Log(62), 64: math.Log(63), 1000: math.Log(999)} {
+		if got := LogFalseValues(k); got != want {
+			t.Errorf("LogFalseValues(%d) = %v, want %v", k, got, want)
+		}
+	}
+	// At A = 1/k the vote carries no evidence: ln(n·A/(1−A)) = 0.
+	for _, k := range []int{3, 4, 16} {
+		if got := Logit(1/float64(k)) + LogFalseValues(k); !almostEqual(got, 0, 1e-12) {
+			t.Errorf("k=%d: weight at A=1/k = %v, want 0", k, got)
+		}
+	}
+}
+
 func TestLogSumExp(t *testing.T) {
 	if !math.IsInf(LogSumExp(nil), -1) {
 		t.Error("LogSumExp(nil) should be -Inf")

@@ -2,8 +2,16 @@
 // engine's format v2. The configuration travels in the engine's
 // options block (it is needed to reconstruct the learner before state
 // can be decoded); this codec carries everything else — weights,
-// vocabulary, per-source features, the window ring, and the RNG/step
-// counters — so a restored learner continues bit-identically.
+// vocabulary, per-source features and the RNG/step counters — so a
+// restored learner continues bit-identically.
+//
+// Writers up to format v4's first releases also kept a sliding window
+// of per-epoch evidence: a window length in the config and, in the
+// state, a ring of that many slots, its position and the per-source
+// window sums. The learner now trains on the engine's own mass, so the
+// writer emits that layout in its cumulative shape (length 0, no
+// slots, position 0, sums of zeros: an older binary still restores
+// the file), and the reader checks an old file's ring and drops it.
 package online
 
 import (
@@ -19,7 +27,7 @@ import (
 func EncodeConfig(w *wire.Writer, c Config) {
 	w.Float64(c.InitAccuracy)
 	w.Float64(c.PriorStrength)
-	w.Int(c.WindowEpochs)
+	w.Int(0) // window length
 	w.Int(c.Steps)
 	w.Int(c.Batch)
 	w.Float64(c.LearningRate)
@@ -29,12 +37,13 @@ func EncodeConfig(w *wire.Writer, c Config) {
 	w.Int64(c.Seed)
 }
 
-// DecodeConfig reads a configuration written by EncodeConfig.
-func DecodeConfig(r *wire.Reader) Config {
-	var c Config
+// DecodeConfig reads a configuration written by EncodeConfig. ring is
+// the file's window length: the number of ring slots DecodeState must
+// find.
+func DecodeConfig(r *wire.Reader) (c Config, ring int) {
 	c.InitAccuracy = r.Float64()
 	c.PriorStrength = r.Float64()
-	c.WindowEpochs = r.Int()
+	ring = r.Int()
 	c.Steps = r.Int()
 	c.Batch = r.Int()
 	c.LearningRate = r.Float64()
@@ -42,7 +51,7 @@ func DecodeConfig(r *wire.Reader) Config {
 	c.L2 = r.Float64()
 	c.Intercept = r.Bool()
 	c.Seed = r.Int64()
-	return c
+	return c, ring
 }
 
 // EncodeState writes the learner's mutable state. Call on a quiescent
@@ -54,14 +63,11 @@ func (l *Learner) EncodeState(w *wire.Writer) {
 	for _, fs := range l.srcFeats {
 		w.Int32s(fs)
 	}
-	w.Uint32(uint32(len(l.ringAgree)))
-	for i := range l.ringAgree {
-		w.Float64s(l.ringAgree[i])
-		w.Float64s(l.ringTotal[i])
-	}
-	w.Int(l.ringPos)
-	w.Float64s(l.winAgree)
-	w.Float64s(l.winTotal)
+	zeros := make([]float64, len(l.srcFeats))
+	w.Uint32(0) // ring slots
+	w.Int(0)    // ring position
+	w.Float64s(zeros)
+	w.Float64s(zeros)
 	w.Int64(l.epochs)
 	w.Int64(l.step)
 }
@@ -74,9 +80,11 @@ const maxStateSlots = 1 << 28
 // DecodeState reads state written by EncodeState into the (freshly
 // constructed) learner, validating structural invariants so a
 // corrupted checkpoint fails here rather than panicking at the next
-// refresh. Wire-level errors surface through the reader's sticky
-// error; structural violations return a descriptive error.
-func (l *Learner) DecodeState(r *wire.Reader) error {
+// refresh. ring is the window length DecodeConfig returned; an older
+// file's window is checked and dropped. Wire-level errors surface
+// through the reader's sticky error; structural violations return a
+// descriptive error.
+func (l *Learner) DecodeState(r *wire.Reader, ring int) error {
 	l.featNames = r.Strings()
 	l.w = r.Float64s()
 	nSrc := int(r.Uint32())
@@ -113,8 +121,8 @@ func (l *Learner) DecodeState(r *wire.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if nRing != l.cfg.WindowEpochs {
-		return fmt.Errorf("online: state has %d ring slots, config says %d", nRing, l.cfg.WindowEpochs)
+	if nRing != ring {
+		return fmt.Errorf("online: state has %d ring slots, config says %d", nRing, ring)
 	}
 	for i := 0; i < nRing; i++ {
 		if err := r.Err(); err != nil {
@@ -128,25 +136,23 @@ func (l *Learner) DecodeState(r *wire.Reader) error {
 		if len(a) > nSrc {
 			return fmt.Errorf("online: ring slot %d covers %d sources, table has %d", i, len(a), nSrc)
 		}
-		l.ringAgree[i] = a
-		l.ringTotal[i] = t
 	}
-	l.ringPos = r.Int()
-	l.winAgree = r.Float64s()
-	l.winTotal = r.Float64s()
+	ringPos := r.Int()
+	winAgree := r.Float64s()
+	winTotal := r.Float64s()
 	l.epochs = r.Int64()
 	l.step = r.Int64()
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if nRing > 0 && (l.ringPos < 0 || l.ringPos >= nRing) {
-		return fmt.Errorf("online: ring position %d out of %d slots", l.ringPos, nRing)
+	if nRing > 0 && (ringPos < 0 || ringPos >= nRing) {
+		return fmt.Errorf("online: ring position %d out of %d slots", ringPos, nRing)
 	}
-	if nRing == 0 && l.ringPos != 0 {
+	if nRing == 0 && ringPos != 0 {
 		return errors.New("online: nonzero ring position in cumulative mode")
 	}
-	if len(l.winAgree) != nSrc || len(l.winTotal) != nSrc {
-		return fmt.Errorf("online: window sums are ragged: %d/%d for %d sources", len(l.winAgree), len(l.winTotal), nSrc)
+	if len(winAgree) != nSrc || len(winTotal) != nSrc {
+		return fmt.Errorf("online: window sums are ragged: %d/%d for %d sources", len(winAgree), len(winTotal), nSrc)
 	}
 	return nil
 }

@@ -6,23 +6,24 @@
 // The Learner is a minibatch-SGD logistic regression over per-source
 // Boolean feature labels — the same feature layout core.Model's
 // PredictAccuracy uses (σ_s = intercept + Σ_k w_k f_sk, A_s =
-// logistic(σ_s)) — trained against the posterior-agreement statistics
-// the streaming engine settles at every epoch refresh. The training
-// objective is the weighted logistic loss of core's Calibrate pass:
+// logistic(σ_s)) — trained against the posterior-agreement mass the
+// streaming engine holds per source. The training objective is the
+// weighted logistic loss of core's Calibrate pass:
 //
 //	Σ_s [ c_s·(−log A_s(w)) + (t_s−c_s)·(−log(1−A_s(w))) ]
 //
-// where (c_s, t_s) are a source's agreement and claim mass over a
-// sliding window of recent epochs, so the feature weights track
-// *current* source behavior and a drifting cohort drags its shared
-// feature weight with it.
+// where (c_s, t_s) are a source's agreement and claim mass. The
+// learner keeps no evidence of its own: the engine passes its folded
+// mass at every epoch refresh (FitMass), so the engine's Decay is the
+// one forgetting knob, and under Decay < 1 a drifting cohort drags its
+// shared feature weight with it.
 //
 // The served accuracy is the empirical-Bayes blend Calibrate's
-// closed-form step uses: the windowed agreement ratio shrunk toward
-// the feature-model prediction by PriorStrength pseudo-counts. Heavily
-// observed sources are governed by their own recent agreement;
-// lightly observed ones inherit the prediction of sources that share
-// their features.
+// closed-form step uses (Blend): the agreement ratio shrunk toward the
+// feature-model prediction by PriorStrength pseudo-counts. Heavily
+// observed sources are governed by their own agreement; lightly
+// observed ones inherit the prediction of sources that share their
+// features.
 //
 // Everything is deterministic: minibatch order comes from a seed
 // mixed with the epoch counter, the SGD step counter drives the
@@ -49,18 +50,11 @@ type Config struct {
 	InitAccuracy float64
 
 	// PriorStrength is the pseudo-count mass behind the feature-model
-	// prediction when blending with windowed empirical agreement — the
-	// same role core.Calibrate's priorStrength plays.
+	// prediction when blending with empirical agreement — the same
+	// role core.Calibrate's priorStrength plays.
 	PriorStrength float64
 
-	// WindowEpochs is the sliding-window length in epoch refreshes: a
-	// source's empirical statistics (and the regression targets) cover
-	// only its last WindowEpochs epochs of settled agreement, so
-	// accuracies adapt when a source drifts. 0 keeps cumulative
-	// statistics (never forget).
-	WindowEpochs int
-
-	// Steps is the number of minibatch SGD steps per epoch refresh,
+	// Steps is the number of minibatch SGD steps per FitMass call,
 	// bounding the learning work added to a refresh regardless of how
 	// many sources are live.
 	Steps int
@@ -93,7 +87,6 @@ func DefaultConfig() Config {
 	return Config{
 		InitAccuracy:  0.7,
 		PriorStrength: 4,
-		WindowEpochs:  32,
 		Steps:         24,
 		Batch:         16,
 		LearningRate:  0.3,
@@ -112,9 +105,6 @@ func (c Config) Validate() error {
 	}
 	if !finiteNonNegative(c.PriorStrength) {
 		return errors.New("online: PriorStrength must be finite and non-negative")
-	}
-	if c.WindowEpochs < 0 {
-		return errors.New("online: WindowEpochs must be non-negative")
 	}
 	if c.Steps < 0 {
 		return errors.New("online: Steps must be non-negative")
@@ -160,16 +150,7 @@ type Learner struct {
 	// once, in intern order, via SetFeatures.
 	srcFeats [][]int32
 
-	// Sliding-window ring of per-epoch settled deltas: slot i holds the
-	// per-source (agree, total) the engine drained at one refresh.
-	// winAgree/winTotal are the current window sums.
-	ringAgree [][]float64
-	ringTotal [][]float64
-	ringPos   int
-	winAgree  []float64
-	winTotal  []float64
-
-	// Persisted counters: epochs drives the per-refresh shuffle seed,
+	// Persisted counters: epochs drives the per-fit shuffle seed,
 	// step the learning-rate decay.
 	epochs int64
 	step   int64
@@ -191,10 +172,6 @@ func New(cfg Config) (*Learner, error) {
 	}
 	if cfg.Intercept {
 		l.w[0] = mathx.Logit(cfg.InitAccuracy)
-	}
-	if cfg.WindowEpochs > 0 {
-		l.ringAgree = make([][]float64, cfg.WindowEpochs)
-		l.ringTotal = make([][]float64, cfg.WindowEpochs)
 	}
 	return l, nil
 }
@@ -239,8 +216,6 @@ func (l *Learner) SetFeatures(sid int, labels []string) {
 	}
 	sort.Slice(feats, func(i, j int) bool { return feats[i] < feats[j] })
 	l.srcFeats = append(l.srcFeats, feats)
-	l.winAgree = append(l.winAgree, 0)
-	l.winTotal = append(l.winTotal, 0)
 }
 
 // WeightedFeature is one (label, weight) pair from the learned model.
@@ -319,18 +294,6 @@ func (l *Learner) PredictLabels(labels []string) float64 {
 	return mathx.Logistic(z)
 }
 
-// windowStats returns source sid's windowed (agree, total) with the
-// agreement clamped into [0, total]: settled deltas can briefly go
-// negative when old posteriors drift down inside the window.
-func (l *Learner) windowStats(sid int) (agree, total float64) {
-	total = l.winTotal[sid]
-	if total < 0 {
-		total = 0
-	}
-	agree = mathx.Clamp(l.winAgree[sid], 0, total)
-	return agree, total
-}
-
 // Blend is the empirical-Bayes accuracy estimate given agreement mass
 // c over claim mass t: the agreement ratio shrunk toward the
 // feature-model prediction by PriorStrength pseudo-counts, clamped
@@ -344,94 +307,38 @@ func (l *Learner) Blend(sid int, c, t float64) float64 {
 	return mathx.Clamp((c+l.cfg.PriorStrength*prior)/(t+l.cfg.PriorStrength), accLo, accHi)
 }
 
-// Accuracy returns the served accuracy of source sid: the windowed
-// agreement ratio blended with the feature-model prior.
-func (l *Learner) Accuracy(sid int) float64 {
-	c, t := l.windowStats(sid)
-	return l.Blend(sid, c, t)
-}
-
-// ObserveEpoch ingests one epoch's settled per-source deltas (indexed
-// by source id; shorter than NumSources is fine — missing tails are
-// zero), rotates the sliding window, and runs the configured number of
-// minibatch SGD steps against the updated window. Call once per engine
-// epoch refresh, after every source in the vectors has registered.
-func (l *Learner) ObserveEpoch(agree, total []float64) {
-	if len(agree) > len(l.srcFeats) || len(total) != len(agree) {
-		panic("online: ObserveEpoch vectors exceed registered sources")
-	}
-	l.pushWindow(agree, total)
-	l.train(l.windowStats)
-	l.epochs++
-}
-
-// FitMass runs one round of minibatch SGD against explicitly supplied
-// cumulative statistics instead of the sliding window — the streaming
-// engine's exact re-sweep (Refine) uses it to re-anchor the feature
-// weights on full posterior-agreement mass, the way core.Calibrate's
-// feature-pooling pass does. The epoch and step counters advance as in
-// ObserveEpoch, so the call sequence stays deterministic and
-// checkpoint-restorable.
+// FitMass runs one round of minibatch SGD against per-source
+// agreement and claim mass (indexed by source id; shorter than
+// NumSources is fine — missing tails are zero mass), the way
+// core.Calibrate's feature-pooling pass does. The streaming engine
+// calls it at every epoch refresh with its folded mass and at every
+// Refine sweep with the exact mass. Each call advances the epoch and
+// step counters, so the call sequence stays deterministic and
+// checkpoint-restorable. Every source in the vectors must have
+// registered.
 func (l *Learner) FitMass(agree, total []float64) {
 	if len(agree) > len(l.srcFeats) || len(total) != len(agree) {
 		panic("online: FitMass vectors exceed registered sources")
 	}
-	l.train(func(sid int) (c, t float64) {
-		if sid >= len(agree) {
-			return 0, 0
-		}
-		t = total[sid]
-		if t < 0 {
-			t = 0
-		}
-		return mathx.Clamp(agree[sid], 0, t), t
-	})
+	l.train(agree, total)
 	l.epochs++
 }
 
-// pushWindow folds one epoch's deltas into the window sums, evicting
-// the slot that falls off the ring (cumulative mode just accumulates).
-func (l *Learner) pushWindow(agree, total []float64) {
-	if l.cfg.WindowEpochs == 0 {
-		for s := range agree {
-			l.winAgree[s] += agree[s]
-			l.winTotal[s] += total[s]
-		}
-		return
-	}
-	oldA := l.ringAgree[l.ringPos]
-	oldT := l.ringTotal[l.ringPos]
-	for s := range oldA {
-		l.winAgree[s] -= oldA[s]
-		l.winTotal[s] -= oldT[s]
-	}
-	// Store a copy sized to the sources seen this epoch; the slot is
-	// replayed verbatim when it falls off the ring.
-	newA := append(oldA[:0], agree...)
-	newT := append(oldT[:0], total...)
-	l.ringAgree[l.ringPos] = newA
-	l.ringTotal[l.ringPos] = newT
-	for s := range agree {
-		l.winAgree[s] += agree[s]
-		l.winTotal[s] += total[s]
-	}
-	l.ringPos = (l.ringPos + 1) % l.cfg.WindowEpochs
-}
-
-// train runs one round of minibatch SGD steps: sources with claim
-// mass under stats, shuffled by a seed derived from the epoch
-// counter, consumed in minibatches at frozen weights with one mean-
-// gradient step per batch. Gradients are normalized by the mean claim
-// mass of the active sources (as in core.Calibrate) so step sizes stay
-// O(1) regardless of traffic volume.
-func (l *Learner) train(stats func(sid int) (c, t float64)) {
+// train runs one round of minibatch SGD steps: sources with positive
+// claim mass, shuffled by a seed derived from the epoch counter,
+// consumed in minibatches at frozen weights with one mean-gradient
+// step per batch. Agreement is clamped into [0, total]. Gradients are
+// normalized by the mean claim mass of the active sources (as in
+// core.Calibrate) so step sizes stay O(1) regardless of traffic
+// volume.
+func (l *Learner) train(agree, total []float64) {
 	if l.cfg.Steps == 0 {
 		return
 	}
 	l.active = l.active[:0]
 	var massSum float64
-	for s := range l.srcFeats {
-		if _, t := stats(s); t > 0 {
+	for s, t := range total {
+		if t > 0 {
 			l.active = append(l.active, s)
 			massSum += t
 		}
@@ -463,7 +370,8 @@ func (l *Learner) train(stats func(sid int) (c, t float64)) {
 			if pos == n {
 				pos = 0
 			}
-			c, t := stats(s)
+			t := total[s]
+			c := mathx.Clamp(agree[s], 0, t)
 			a := mathx.Logistic(l.sigmaOf(s))
 			// d/dσ of the weighted logistic loss, volume-normalized.
 			r := (t*a - c) / massMean
@@ -495,9 +403,6 @@ func (l *Learner) Clone() *Learner {
 		featNames: append([]string(nil), l.featNames...),
 		w:         append([]float64(nil), l.w...),
 		srcFeats:  make([][]int32, len(l.srcFeats)),
-		ringPos:   l.ringPos,
-		winAgree:  append([]float64(nil), l.winAgree...),
-		winTotal:  append([]float64(nil), l.winTotal...),
 		epochs:    l.epochs,
 		step:      l.step,
 	}
@@ -506,14 +411,6 @@ func (l *Learner) Clone() *Learner {
 	}
 	for s := range l.srcFeats {
 		c.srcFeats[s] = append([]int32(nil), l.srcFeats[s]...)
-	}
-	if l.cfg.WindowEpochs > 0 {
-		c.ringAgree = make([][]float64, len(l.ringAgree))
-		c.ringTotal = make([][]float64, len(l.ringTotal))
-		for i := range l.ringAgree {
-			c.ringAgree[i] = append([]float64(nil), l.ringAgree[i]...)
-			c.ringTotal[i] = append([]float64(nil), l.ringTotal[i]...)
-		}
 	}
 	return c
 }

@@ -14,7 +14,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.InitAccuracy = 0 },
 		func(c *Config) { c.InitAccuracy = 1 },
 		func(c *Config) { c.PriorStrength = -1 },
-		func(c *Config) { c.WindowEpochs = -1 },
 		func(c *Config) { c.Steps = -1 },
 		func(c *Config) { c.Batch = 0 },
 		func(c *Config) { c.LearningRate = 0 },
@@ -81,8 +80,8 @@ func TestUntrainedPredictsInitAccuracy(t *testing.T) {
 }
 
 // feedCohorts registers nPer sources per cohort (features "good" and
-// "bad") and feeds epochs where good sources agree at accGood and bad
-// ones at accBad, with mass claims per source per epoch.
+// "bad") and runs epochs FitMass rounds where good sources agree at
+// accGood and bad ones at accBad, over mass claims per source.
 func feedCohorts(l *Learner, nPer, epochs int, accGood, accBad, mass float64) {
 	if l.NumSources() == 0 {
 		for s := 0; s < nPer; s++ {
@@ -103,7 +102,7 @@ func feedCohorts(l *Learner, nPer, epochs int, accGood, accBad, mass float64) {
 		total[s] = mass
 	}
 	for e := 0; e < epochs; e++ {
-		l.ObserveEpoch(agree, total)
+		l.FitMass(agree, total)
 	}
 }
 
@@ -146,27 +145,7 @@ func TestBlendFollowsEvidenceMass(t *testing.T) {
 	}
 }
 
-func TestWindowTracksDriftFasterThanCumulative(t *testing.T) {
-	win := DefaultConfig()
-	win.WindowEpochs = 8
-	cum := DefaultConfig()
-	cum.WindowEpochs = 0
-	lw, _ := New(win)
-	lc, _ := New(cum)
-	for _, l := range []*Learner{lw, lc} {
-		feedCohorts(l, 4, 40, 0.9, 0.9, 25) // long good history for everyone
-		feedCohorts(l, 4, 12, 0.9, 0.2, 25) // then the bad cohort degrades
-	}
-	aw, ac := lw.Accuracy(4), lc.Accuracy(4)
-	if aw >= ac-0.05 {
-		t.Errorf("windowed accuracy %.3f should fall well below cumulative %.3f after drift", aw, ac)
-	}
-	if aw > 0.45 {
-		t.Errorf("windowed accuracy %.3f should approach the post-drift level", aw)
-	}
-}
-
-func TestObserveEpochDeterministic(t *testing.T) {
+func TestFitMassDeterministic(t *testing.T) {
 	run := func() *Learner {
 		l, _ := New(DefaultConfig())
 		feedCohorts(l, 5, 20, 0.85, 0.35, 10)
@@ -179,13 +158,13 @@ func TestObserveEpochDeterministic(t *testing.T) {
 		}
 	}
 	for s := 0; s < a.NumSources(); s++ {
-		if a.Accuracy(s) != b.Accuracy(s) {
+		if a.Blend(s, 3, 5) != b.Blend(s, 3, 5) {
 			t.Fatalf("accuracy of source %d differs", s)
 		}
 	}
 }
 
-func TestObserveEpochRejectsUnregisteredSources(t *testing.T) {
+func TestFitMassRejectsUnregisteredSources(t *testing.T) {
 	l, _ := New(DefaultConfig())
 	l.SetFeatures(0, nil)
 	defer func() {
@@ -193,7 +172,7 @@ func TestObserveEpochRejectsUnregisteredSources(t *testing.T) {
 			t.Error("oversized epoch vector should panic")
 		}
 	}()
-	l.ObserveEpoch(make([]float64, 3), make([]float64, 3))
+	l.FitMass(make([]float64, 3), make([]float64, 3))
 }
 
 const testMagic = "OLTS"
@@ -217,12 +196,12 @@ func decodeLearner(b []byte) (*Learner, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := DecodeConfig(r)
+	cfg, ring := DecodeConfig(r)
 	l, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := l.DecodeState(r); err != nil {
+	if err := l.DecodeState(r, ring); err != nil {
 		return nil, err
 	}
 	if err := r.Close(); err != nil {
@@ -232,30 +211,128 @@ func decodeLearner(b []byte) (*Learner, error) {
 }
 
 func TestCodecRoundTripContinuesBitIdentically(t *testing.T) {
-	for _, windowEpochs := range []int{0, 8} {
-		cfg := DefaultConfig()
-		cfg.WindowEpochs = windowEpochs
-		orig, _ := New(cfg)
-		feedCohorts(orig, 4, 17, 0.88, 0.4, 12)
-		restored, err := decodeLearner(encodeLearner(t, orig))
-		if err != nil {
-			t.Fatalf("window=%d: %v", windowEpochs, err)
+	orig, _ := New(DefaultConfig())
+	feedCohorts(orig, 4, 17, 0.88, 0.4, 12)
+	restored, err := decodeLearner(encodeLearner(t, orig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.Config() != orig.Config() {
+		t.Fatal("config did not round-trip")
+	}
+	// Continue both: every subsequent update must stay bit-exact.
+	feedCohorts(orig, 4, 9, 0.6, 0.6, 12)
+	feedCohorts(restored, 4, 9, 0.6, 0.6, 12)
+	assertSameLearner(t, orig, restored)
+}
+
+// assertSameLearner fails unless a and b hold the same weights bit for
+// bit and blend the same evidence to the same accuracy.
+func assertSameLearner(t *testing.T, a, b *Learner) {
+	t.Helper()
+	if len(a.w) != len(b.w) || a.NumSources() != b.NumSources() {
+		t.Fatalf("shapes differ: %d/%d weights, %d/%d sources", len(a.w), len(b.w), a.NumSources(), b.NumSources())
+	}
+	for j := range a.w {
+		if a.w[j] != b.w[j] {
+			t.Fatalf("weight %d diverged: %v vs %v", j, a.w[j], b.w[j])
 		}
-		if restored.Config() != orig.Config() {
-			t.Fatalf("window=%d: config did not round-trip", windowEpochs)
+	}
+	for s := 0; s < a.NumSources(); s++ {
+		if a.Blend(s, 7, 10) != b.Blend(s, 7, 10) {
+			t.Fatalf("source %d accuracy diverged", s)
 		}
-		// Continue both: every subsequent update must stay bit-exact.
-		feedCohorts(orig, 4, 9, 0.6, 0.6, 12)
-		feedCohorts(restored, 4, 9, 0.6, 0.6, 12)
-		for j := range orig.w {
-			if orig.w[j] != restored.w[j] {
-				t.Fatalf("window=%d: weight %d diverged after restore", windowEpochs, j)
-			}
-		}
-		for s := 0; s < orig.NumSources(); s++ {
-			if orig.Accuracy(s) != restored.Accuracy(s) {
-				t.Fatalf("window=%d: source %d accuracy diverged after restore", windowEpochs, s)
-			}
+	}
+}
+
+// encodeWindowConfig writes DefaultConfig in the config layout, with
+// window as the window length an older writer recorded.
+func encodeWindowConfig(w *wire.Writer, window int) {
+	c := DefaultConfig()
+	w.Float64(c.InitAccuracy)
+	w.Float64(c.PriorStrength)
+	w.Int(window)
+	w.Int(c.Steps)
+	w.Int(c.Batch)
+	w.Float64(c.LearningRate)
+	w.Float64(c.Decay)
+	w.Float64(c.L2)
+	w.Bool(c.Intercept)
+	w.Int64(c.Seed)
+}
+
+// TestDecodeStateDropsOldWindow restores a learner section as a
+// windowed writer laid it out (a 32-slot ring with evidence in it) and
+// checks that the ring is dropped: the learner restores with its
+// weights, counters and sources, and keeps training exactly like one
+// that never had the window.
+func TestDecodeStateDropsOldWindow(t *testing.T) {
+	ref, _ := New(DefaultConfig())
+	feedCohorts(ref, 2, 5, 0.9, 0.3, 10)
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf, testMagic, 1)
+	encodeWindowConfig(w, 32)
+	w.Strings(ref.featNames)
+	w.Float64s(ref.w)
+	w.Uint32(uint32(ref.NumSources()))
+	for _, fs := range ref.srcFeats {
+		w.Int32s(fs)
+	}
+	w.Uint32(32)
+	for i := 0; i < 32; i++ {
+		n := min(i, ref.NumSources()) // slots as long as the sources seen by then
+		w.Float64s(make([]float64, n))
+		w.Float64s(make([]float64, n))
+	}
+	w.Int(5)                          // ring position
+	w.Float64s([]float64{9, 9, 3, 3}) // window sums
+	w.Float64s([]float64{10, 10, 10, 10})
+	w.Int64(ref.epochs)
+	w.Int64(ref.step)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	old, err := decodeLearner(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameLearner(t, ref, old)
+	feedCohorts(ref, 2, 4, 0.5, 0.5, 10)
+	feedCohorts(old, 2, 4, 0.5, 0.5, 10)
+	assertSameLearner(t, ref, old)
+}
+
+// TestEncodeStateWritesCumulativeShape pins the retired window fields
+// a new writer emits: window length 0, no ring slots, position 0 and
+// one zero per source in each window sum, the shape an older reader
+// accepts.
+func TestEncodeStateWritesCumulativeShape(t *testing.T) {
+	l, _ := New(DefaultConfig())
+	feedCohorts(l, 2, 3, 0.9, 0.3, 10)
+	r, err := wire.NewReader(bytes.NewReader(encodeLearner(t, l)), testMagic, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ring := DecodeConfig(r)
+	r.Strings()
+	r.Float64s()
+	nSrc := int(r.Uint32())
+	for s := 0; s < nSrc; s++ {
+		r.Int32s()
+	}
+	slots, pos, sumA, sumT := r.Uint32(), r.Int(), r.Float64s(), r.Float64s()
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if ring != 0 || slots != 0 || pos != 0 {
+		t.Errorf("window length %d, %d ring slots, position %d: want all 0", ring, slots, pos)
+	}
+	if len(sumA) != nSrc || len(sumT) != nSrc || nSrc != 4 {
+		t.Fatalf("window sums %d/%d long for %d sources, want 4", len(sumA), len(sumT), nSrc)
+	}
+	for s := range sumA {
+		if sumA[s] != 0 || sumT[s] != 0 {
+			t.Errorf("source %d window sums %v/%v, want 0", s, sumA[s], sumT[s])
 		}
 	}
 }
@@ -264,7 +341,7 @@ func TestDecodeStateRejectsCorruption(t *testing.T) {
 	write := func(build func(w *wire.Writer)) []byte {
 		var buf bytes.Buffer
 		w := wire.NewWriter(&buf, testMagic, 1)
-		EncodeConfig(w, DefaultConfig())
+		encodeWindowConfig(w, 32)
 		build(w)
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
@@ -293,7 +370,7 @@ func TestDecodeStateRejectsCorruption(t *testing.T) {
 			w.Strings(nil)
 			w.Float64s([]float64{0})
 			w.Uint32(0)
-			w.Uint32(3) // config says WindowEpochs=32
+			w.Uint32(3) // the config records a window of 32
 		}},
 		{"ragged-window-sums", func(w *wire.Writer) {
 			w.Strings(nil)
@@ -307,6 +384,24 @@ func TestDecodeStateRejectsCorruption(t *testing.T) {
 			w.Float64s(nil)
 			w.Int64(0)
 			w.Int64(0)
+		}},
+		{"ragged-ring-slot", func(w *wire.Writer) {
+			w.Strings(nil)
+			w.Float64s([]float64{0})
+			w.Uint32(1)
+			w.Int32s(nil)
+			w.Uint32(32)
+			w.Float64s([]float64{1})
+			w.Float64s(nil) // total shorter than agree
+		}},
+		{"ring-slot-beyond-sources", func(w *wire.Writer) {
+			w.Strings(nil)
+			w.Float64s([]float64{0})
+			w.Uint32(1)
+			w.Int32s(nil)
+			w.Uint32(32)
+			w.Float64s([]float64{1, 1}) // two sources, table has one
+			w.Float64s([]float64{1, 1})
 		}},
 		{"ring-pos-out-of-range", func(w *wire.Writer) {
 			w.Strings(nil)
@@ -347,12 +442,12 @@ func TestZeroStepsSkipsTraining(t *testing.T) {
 	cfg.Steps = 0
 	l, _ := New(cfg)
 	l.SetFeatures(0, []string{"f"})
-	l.ObserveEpoch([]float64{5}, []float64{10})
+	l.FitMass([]float64{5}, []float64{10})
 	if got := l.FeatureWeight("f"); got != 0 {
 		t.Errorf("Steps=0 must not move weights, got %v", got)
 	}
-	// The window still updates, so served accuracy follows evidence.
-	if a := l.Accuracy(0); math.Abs(a-(5+4*0.7)/(10+4)) > 1e-9 {
+	// Served accuracy still follows the evidence through the blend.
+	if a := l.Blend(0, 5, 10); math.Abs(a-(5+4*0.7)/(10+4)) > 1e-9 {
 		t.Errorf("accuracy = %v, want the pure blend", a)
 	}
 }

@@ -166,7 +166,8 @@ func TestLeaderMatchesSoftmax(t *testing.T) {
 		{[]float64{0, 5, 1}, []int32{1, 0, 1}, true}, // a dead entry never leads
 		{[]float64{math.NaN(), 1}, []int32{1, 1}, false},
 		{[]float64{math.Inf(1), 1}, []int32{1, 1}, false},
-		{[]float64{-800, 900}, []int32{1, 1}, true}, // the loser's posterior underflows
+		{[]float64{-800, 900}, []int32{1, 1}, true},      // the loser's posterior underflows
+		{[]float64{1, 1.2, 0.5}, []int32{2, 1, 1}, true}, // ln 2 per vote: the two-vote entry leads
 	} {
 		o := &object{domain: []int32{0, 1, 2}[:len(tc.scores)], scores: tc.scores, refs: tc.refs, mapIx: -1}
 		ix := o.leader()

@@ -31,8 +31,9 @@ import (
 
 // Format versions. v1 is the PR 4 layout; v2 appends the online
 // discriminative-learning section — the Features table, the learner
-// configuration (options block) and the learner state (weights, window
-// ring, RNG/step counters) after the shard records. v3 adds the
+// configuration (options block) and the learner state (weights,
+// RNG/step counters, and a window ring the learner no longer keeps:
+// written empty, read and dropped) after the shard records. v3 adds the
 // ingest idempotency state: the resolved DedupWindow in the options
 // block and the sequence-key ring after the learner section, so a
 // client retry that straddles a restart still deduplicates. v4 adds
@@ -246,8 +247,9 @@ func encodeOptions(w *wire.Writer, o EngineOptions) {
 	}
 }
 
-func decodeOptions(r *wire.Reader, version uint32) (EngineOptions, error) {
-	var o EngineOptions
+// decodeOptions reads what encodeOptions wrote. ring is the learner's
+// window length in the file, which the learner state decode checks.
+func decodeOptions(r *wire.Reader, version uint32) (o EngineOptions, ring int, err error) {
 	o.InitAccuracy = r.Float64()
 	o.PriorStrength = r.Float64()
 	o.Decay = r.Float64()
@@ -259,35 +261,35 @@ func decodeOptions(r *wire.Reader, version uint32) (EngineOptions, error) {
 		o.DedupWindow = r.Int()
 	}
 	if version < 2 {
-		return o, nil
+		return o, 0, nil
 	}
 	o.OnlineLearn = r.Bool()
 	if !o.OnlineLearn {
-		return o, nil
+		return o, 0, nil
 	}
-	o.Learn = online.DecodeConfig(r)
+	o.Learn, ring = online.DecodeConfig(r)
 	nFeat := int(r.Uint32())
 	if err := r.Err(); err != nil {
-		return o, err
+		return o, 0, err
 	}
 	if nFeat > maxCheckpointSlots {
-		return o, corruptf("options declare %d feature rows", nFeat)
+		return o, 0, corruptf("options declare %d feature rows", nFeat)
 	}
 	if nFeat > 0 {
 		o.Features = make(map[string][]string, min(nFeat, growSlots))
 		for i := 0; i < nFeat; i++ {
 			if err := r.Err(); err != nil {
-				return o, err
+				return o, 0, err
 			}
 			name := r.String()
 			labels := r.Strings()
 			if _, dup := o.Features[name]; dup {
-				return o, corruptf("feature table lists source %q twice", name)
+				return o, 0, corruptf("feature table lists source %q twice", name)
 			}
 			o.Features[name] = labels
 		}
 	}
-	return o, r.Err()
+	return o, ring, r.Err()
 }
 
 // encodeShard writes one shard record: an index tag (so Restore can
@@ -352,7 +354,7 @@ func Restore(r io.Reader) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stream: restore: %w", err)
 	}
-	opts, err := decodeOptions(rr, version)
+	opts, ring, err := decodeOptions(rr, version)
 	if err != nil {
 		return nil, fmt.Errorf("stream: restore: %w", err)
 	}
@@ -415,7 +417,7 @@ func Restore(r io.Reader) (*Engine, error) {
 		// overlay the checkpointed state so training continues exactly
 		// where it stopped. Structural failures are corruption, not a
 		// format skew.
-		if err := e.learner.DecodeState(rr); err != nil {
+		if err := e.learner.DecodeState(rr, ring); err != nil {
 			if rr.Err() != nil {
 				return nil, fmt.Errorf("stream: restore: %w", rr.Err())
 			}

@@ -17,9 +17,10 @@ type edgeCase struct {
 	// it through Observe. The Engine always streams.
 	load bool
 	// uniform > 0 installs A = 1/uniform for every source through
-	// ApplyAccuracies. Only finiteness and normalization are asserted:
-	// the MAP under those weights is the inverted-weight defect (ROADMAP
-	// item 1), which a test must not pin. The Fuser has no
+	// ApplyAccuracies. On an object whose claims name uniform values
+	// each vote then weighs ln(n·A/(1−A)) = 0 to within rounding, so
+	// every posterior entry must be 1/uniform (within 1e-12) and want
+	// pins the MAP only where the scores tie exactly. The Fuser has no
 	// ApplyAccuracies, so such a case runs on the Engine alone.
 	uniform int
 	// want pins the MAP value per object after Refine, and conf its
@@ -78,13 +79,17 @@ func edgeCases() []edgeCase {
 		conf:   map[string]float64{"o": 0.5},
 	}
 
+	// Under logit(A) every vote at A = 1/4 weighed −ln 3, so o's
+	// two-vote value had the least posterior mass. Object p's four
+	// single votes tie exactly, so its MAP is the tie-break's.
 	uniform := edgeCase{
 		name:    "accuracy-one-over-domain",
 		uniform: 4,
 		claims: [][3]string{
-			{"s0", "o", "a"}, {"s1", "o", "a"}, {"s2", "o", "a"}, {"s3", "o", "b"},
+			{"s0", "o", "a"}, {"s1", "o", "a"}, {"s2", "o", "b"}, {"s3", "o", "c"}, {"s4", "o", "d"},
 			{"s0", "p", "d"}, {"s1", "p", "c"}, {"s2", "p", "b"}, {"s3", "p", "a"},
 		},
+		want: map[string]string{"p": "a"},
 	}
 	return []edgeCase{single, huge, sat, tie, uniform}
 }
@@ -213,7 +218,20 @@ func TestEngineNumericEdgeCasesMatchFuser(t *testing.T) {
 				if err := e.ApplyAccuracies(accs, true); err != nil {
 					t.Fatal(err)
 				}
-				checkNormalized(t, "engine", enginePosteriors(e))
+				posts := enginePosteriors(e)
+				checkNormalized(t, "engine", posts)
+				for o, ps := range posts {
+					for i, p := range ps {
+						if math.Abs(p-1/float64(tc.uniform)) > 1e-12 {
+							t.Errorf("object %s entry %d posterior %v, want 1/%d", o, i, p, tc.uniform)
+						}
+					}
+				}
+				for o, v := range tc.want {
+					if got, _, _ := e.Value(o); got != v {
+						t.Errorf("object %s = %q, want %q", o, got, v)
+					}
+				}
 				return
 			}
 

@@ -84,9 +84,8 @@ type EngineOptions struct {
 	Features map[string][]string
 
 	// OnlineLearn enables the discriminative reliability learner even
-	// without features (windowed agreement + intercept-only
-	// regression, which already adapts to drift). Implied by a
-	// non-empty Features map.
+	// without features (an intercept-only regression, blended with
+	// each source's agreement). Implied by a non-empty Features map.
 	OnlineLearn bool
 
 	// Learn tunes the online learner; the zero value selects
@@ -203,36 +202,57 @@ type object struct {
 	prev, next int
 }
 
-// score is domain entry i's log-odds score, the one place the
-// posterior (refreshPosterior) and the pre-claim leader (leader) read
-// it from.
-func (o *object) score(i int) float64 { return o.scores[i] }
+// falseValues is ACCU's false-value term for the object's claimed
+// domain: mathx.LogFalseValues of the number of entries with a live
+// claim.
+func (o *object) falseValues() float64 {
+	k := 0
+	for _, r := range o.refs {
+		if r > 0 {
+			k++
+		}
+	}
+	return mathx.LogFalseValues(k)
+}
+
+// score is domain entry i's vote total, Σ ln(n·A_s/(1−A_s)) over its
+// claims: the σ sum plus refs·ln n, with lnN from falseValues. It is
+// the one place the posterior (refreshPosterior) and the pre-claim
+// leader (leader) read a score from.
+func (o *object) score(i int, lnN float64) float64 {
+	return o.scores[i] + float64(o.refs[i])*lnN
+}
 
 // refreshPosterior recomputes the cached posterior in place: a stable
 // softmax over the claimed (refs > 0) domain entries, zero elsewhere.
+// The first pass parks each claimed entry's score in post, so the
+// softmax reads every score once.
 func (o *object) refreshPosterior() {
 	if cap(o.post) < len(o.scores) {
 		o.post = make([]float64, len(o.scores))
 	}
 	o.post = o.post[:len(o.scores)]
+	lnN := o.falseValues()
 	m := math.Inf(-1)
 	for i, r := range o.refs {
-		if r > 0 && o.score(i) > m {
-			m = o.score(i)
+		o.post[i] = 0
+		if r > 0 {
+			o.post[i] = o.score(i, lnN)
+			if o.post[i] > m {
+				m = o.post[i]
+			}
 		}
 	}
 	var sum float64
 	for i, r := range o.refs {
 		if r > 0 {
-			sum += math.Exp(o.score(i) - m)
+			sum += math.Exp(o.post[i] - m)
 		}
 	}
 	lse := m + math.Log(sum)
 	for i, r := range o.refs {
 		if r > 0 {
-			o.post[i] = math.Exp(o.score(i) - lse)
-		} else {
-			o.post[i] = 0
+			o.post[i] = math.Exp(o.post[i] - lse)
 		}
 	}
 }
@@ -338,7 +358,6 @@ type Engine struct {
 	mergeAgree []float64
 	mergeTotal []float64
 	mergeObs   []int64
-	accScratch []float64
 
 	// batchPool holds ObserveBatch's *batchScratch: concurrent batches
 	// each take their own.
@@ -756,11 +775,12 @@ const leaderMargin = 1e-9
 func (o *object) leader() int32 {
 	best := -1
 	top, second := math.Inf(-1), math.Inf(-1)
+	lnN := o.falseValues()
 	for i, r := range o.refs {
 		if r <= 0 {
 			continue
 		}
-		s := o.score(i)
+		s := o.score(i, lnN)
 		if math.IsNaN(s) || math.IsInf(s, 0) {
 			return -1
 		}
@@ -948,59 +968,23 @@ func (e *Engine) maybeRefresh() {
 
 // refreshLocked drains every shard in shard order, folds the deltas
 // into the global source state with Options.Fold (the fold the
-// cluster router's barrier runs too), installs the new σ-table, and
-// bumps the epoch. Caller holds refreshMu.
+// cluster router's barrier runs too), and ends the epoch with
+// installEpochLocked. Caller holds refreshMu.
 func (e *Engine) refreshLocked() {
 	var began time.Time
 	if e.met.EpochRefreshSeconds != nil {
 		began = time.Now()
 	}
 	agree, total, obs := e.drainAll()
-	n := len(agree) // every id here exists: interning precedes claims
-
-	// Online mode: register newly interned sources, feed the learner
-	// this epoch's settled deltas, and take the σ-table from its
-	// feature-smoothed windowed estimates instead of the cumulative
-	// agreement ratio. Predictions are computed for every registered
-	// source (feature weights move every refresh, so even sources with
-	// no traffic this epoch get a fresh σ), before src.mu is taken so
-	// the lock order stays acyclic.
-	var acc []float64
-	if e.learner != nil {
-		names := e.sourceNames()
-		e.learnMu.Lock()
-		for sid := e.learner.NumSources(); sid < len(names); sid++ {
-			e.learner.SetFeatures(sid, e.features[names[sid]])
-		}
-		e.learner.ObserveEpoch(agree, total)
-		acc = e.accScratch[:0]
-		for s := range names {
-			acc = append(acc, e.learner.Accuracy(s))
-		}
-		if e.met.FeatureWeightNorm != nil {
-			e.met.FeatureWeightNorm.Set(e.learner.WeightNorm())
-		}
-		e.learnMu.Unlock()
-		e.accScratch = acc
-		e.met.LearnerEpochs.Inc()
-	}
-
 	e.src.mu.Lock()
-	for s := 0; s < n; s++ {
+	for s := range agree { // every id here exists: interning precedes claims
 		var a float64
 		e.src.agree[s], e.src.total[s], a = e.opts.Fold(e.src.agree[s], e.src.total[s], agree[s], total[s], obs[s])
-		if acc == nil {
+		if e.learner == nil {
 			e.src.setAccuracy(s, a)
 		}
 	}
-	// acc covers the name-table snapshot; sources interned after it by
-	// a concurrent Observe keep their prior σ until the next refresh.
-	for s := 0; s < len(acc) && s < len(e.src.acc); s++ {
-		e.src.setAccuracy(s, acc[s])
-	}
-	e.src.epoch++
-	epoch := e.src.epoch
-	e.src.mu.Unlock()
+	epoch := e.installEpochLocked()
 	e.met.EpochRefreshes.Inc()
 	e.met.Epoch.Set(float64(epoch))
 	if e.met.EpochRefreshSeconds != nil {
@@ -1008,13 +992,60 @@ func (e *Engine) refreshLocked() {
 	}
 }
 
+// installEpochLocked ends an epoch refresh or a Refine sweep, whose
+// fold leaves src.mu held for writing: it installs the σ-table, bumps
+// the epoch, releases src.mu and returns the new epoch. Without the
+// learner the fold has set σ already. With it, the learner registers
+// every source interned so far, runs one FitMass round on a copy of
+// the folded mass (taken in the drain scratch, in the same src.mu
+// section as the name table, so the two cover the same sources), and
+// every registered source's σ comes from Blend over the engine's mass;
+// a source with no traffic gets a fresh σ too, because the feature
+// weights move. Caller holds refreshMu.
+func (e *Engine) installEpochLocked() int64 {
+	if e.learner != nil {
+		names := e.src.names
+		agree := append(e.mergeAgree[:0], e.src.agree...)
+		total := append(e.mergeTotal[:0], e.src.total...)
+		e.mergeAgree, e.mergeTotal = agree, total
+		e.src.mu.Unlock()
+
+		e.learnMu.Lock()
+		for sid := e.learner.NumSources(); sid < len(names); sid++ {
+			e.learner.SetFeatures(sid, e.features[names[sid]])
+		}
+		e.learner.FitMass(agree, total)
+		if e.met.FeatureWeightNorm != nil {
+			e.met.FeatureWeightNorm.Set(e.learner.WeightNorm())
+		}
+		e.learnMu.Unlock()
+		e.met.LearnerEpochs.Inc()
+
+		// Reading the learner without learnMu is safe here: mutation
+		// only happens under refreshMu, which the caller holds.
+		// Sources interned after names keep their prior σ until the
+		// next refresh.
+		e.src.mu.Lock()
+		for s := range names {
+			e.src.setAccuracy(s, e.learner.Blend(s, e.src.agree[s], e.src.total[s]))
+		}
+	}
+	e.src.epoch++
+	epoch := e.src.epoch
+	e.src.mu.Unlock()
+	return epoch
+}
+
 // Refine runs full re-estimation sweeps — accuracies from posteriors,
 // then posteriors from the new accuracies — over all live objects,
 // with evicted mass as the irreducible base. This is the exact
 // re-sweep of the oracle Fuser's Refine: both converge to the same fixed
 // point, and the engine's result is bit-identical for any Workers
-// count. Refine locks out epoch refreshes; for deterministic output
-// do not ingest concurrently.
+// count. In online mode each sweep mirrors core.Calibrate's
+// structure: refit the feature weights on the pooled mass, then
+// re-anchor each source with the closed-form empirical-Bayes step
+// (installEpochLocked). Refine locks out epoch refreshes; for
+// deterministic output do not ingest concurrently.
 func (e *Engine) Refine(sweeps int) {
 	if sweeps <= 0 {
 		return
@@ -1027,29 +1058,12 @@ func (e *Engine) Refine(sweeps int) {
 		if n == 0 {
 			return
 		}
-		// Online mode mirrors core.Calibrate's structure sweep by
-		// sweep: refit the feature weights on the pooled mass (FitMass,
-		// the feature-pooling SGD pass), then re-anchor each source's
-		// accuracy with the closed-form empirical-Bayes step below.
-		// Registration runs inside the sweep because a concurrent
-		// Observe may intern sources mid-sweep.
-		if e.learner != nil {
-			names := e.sourceNames()
-			e.learnMu.Lock()
-			for sid := e.learner.NumSources(); sid < len(names); sid++ {
-				e.learner.SetFeatures(sid, e.features[names[sid]])
-			}
-			e.learner.FitMass(agree, total)
-			e.learnMu.Unlock()
-		}
 		e.src.mu.Lock()
-		// In online mode every registered source gets a fresh estimate
-		// (zero-mass sources fall back to their feature prior).
-		// Reading the learner without learnMu is safe here: mutation
-		// only happens under refreshMu, which Refine holds.
+		// In online mode every registered source is re-anchored, and
+		// those with no mass fall back to their feature prior.
 		hi := n
-		if e.learner != nil && len(e.src.acc) > hi {
-			hi = len(e.src.acc)
+		if e.learner != nil {
+			hi = max(n, len(e.src.agree))
 		}
 		for s := 0; s < hi; s++ {
 			var a, t float64
@@ -1058,15 +1072,11 @@ func (e *Engine) Refine(sweeps int) {
 			}
 			e.src.agree[s] = a
 			e.src.total[s] = t
-			if e.learner != nil && s < e.learner.NumSources() {
-				e.src.setAccuracy(s, e.learner.Blend(s, a, t))
-			} else {
+			if e.learner == nil {
 				e.src.setAccuracy(s, smoothedAccuracy(e.opts.Options, a, t))
 			}
 		}
-		e.src.epoch++
-		epoch := e.src.epoch
-		e.src.mu.Unlock()
+		epoch := e.installEpochLocked()
 		e.rescoreAll(epoch)
 		e.met.RefineSweeps.Inc()
 		e.met.Epoch.Set(float64(epoch))

@@ -380,40 +380,50 @@ func TestEngineConcurrentObserveBatch(t *testing.T) {
 // TestEngineConcurrentObserveWithFreshSources hammers the crash path
 // the epoch refresh and Refine must survive: multiple goroutines
 // interning brand-new sources while refreshes fire every few
-// observations and a refiner runs concurrently. Any stale
-// source-count snapshot inside refresh/Refine panics here.
+// observations and a refiner runs concurrently, with and without the
+// online learner. Any stale source-count snapshot inside refresh/Refine
+// panics here; with the learner, one that outran the name table it
+// registers would hand FitMass unregistered sources.
 func TestEngineConcurrentObserveWithFreshSources(t *testing.T) {
-	opts := testEngineOptions()
-	opts.EpochLength = 8 // refresh constantly
-	e, _ := NewEngine(opts)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 300; i++ {
-				// Every observation introduces a new source name.
-				src := fmt.Sprintf("s-%d-%d", w, i)
-				obj := fmt.Sprintf("o%d", i%40)
-				e.Observe(src, obj, fmt.Sprintf("v%d", i%3))
+	for _, online := range []bool{false, true} {
+		t.Run(fmt.Sprintf("online=%v", online), func(t *testing.T) {
+			opts := testEngineOptions()
+			opts.EpochLength = 8 // refresh constantly
+			opts.OnlineLearn = online
+			e, err := NewEngine(opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 10; i++ {
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < 300; i++ {
+						// Every observation introduces a new source name.
+						src := fmt.Sprintf("s-%d-%d", w, i)
+						obj := fmt.Sprintf("o%d", i%40)
+						e.Observe(src, obj, fmt.Sprintf("v%d", i%3))
+					}
+				}(w)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 10; i++ {
+					e.Refine(1)
+				}
+			}()
+			wg.Wait()
 			e.Refine(1)
-		}
-	}()
-	wg.Wait()
-	e.Refine(1)
-	st := e.Stats()
-	if st.Sources != 4*300 || st.Observations != 4*300 {
-		t.Errorf("stats = %+v, want 1200 sources and observations", st)
-	}
-	if len(e.Estimates()) != 40 {
-		t.Errorf("objects = %d, want 40", len(e.Estimates()))
+			st := e.Stats()
+			if st.Sources != 4*300 || st.Observations != 4*300 {
+				t.Errorf("stats = %+v, want 1200 sources and observations", st)
+			}
+			if len(e.Estimates()) != 40 {
+				t.Errorf("objects = %d, want 40", len(e.Estimates()))
+			}
+		})
 	}
 }
 

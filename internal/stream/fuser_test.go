@@ -78,8 +78,10 @@ func (f *Fuser) recomputePosterior(obj *objectState) map[string]float64 {
 	}
 	sort.Strings(srcs)
 	scores := map[string]float64{}
+	votes := map[string]int{}
 	for _, src := range srcs {
 		scores[obj.claims[src]] += f.sigma(src)
+		votes[obj.claims[src]]++
 	}
 	// Stable ordering for the softmax input.
 	vals := make([]string, 0, len(scores))
@@ -87,9 +89,11 @@ func (f *Fuser) recomputePosterior(obj *objectState) map[string]float64 {
 		vals = append(vals, v)
 	}
 	sort.Strings(vals)
+	// ACCU's weight: each vote adds ln n on top of its logit.
+	lnN := mathx.LogFalseValues(len(vals))
 	xs := make([]float64, len(vals))
 	for i, v := range vals {
-		xs[i] = scores[v]
+		xs[i] = scores[v] + float64(votes[v])*lnN
 	}
 	ps := mathx.Softmax(xs, nil)
 	post := make(map[string]float64, len(vals))

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"slimfast/internal/core"
-	"slimfast/internal/online"
 	"slimfast/internal/randx"
 	"slimfast/internal/synth"
 	"slimfast/internal/wire"
@@ -281,9 +280,9 @@ func TestOnlineV1CheckpointStillRestores(t *testing.T) {
 
 // TestOnlineEngineAdaptsToCohortDrift is the drift story at engine
 // level: a cohort of sources sharing a feature degrades mid-stream;
-// the feature-aware engine pulls the whole cohort's accuracy down
-// within a few epochs, while the agreement-only engine stays anchored
-// on the long good history.
+// the feature-aware engine, whose evidence decays, pulls the whole
+// cohort's accuracy down within a few epochs, while the cumulative
+// agreement-only engine stays anchored on the long good history.
 func TestOnlineEngineAdaptsToCohortDrift(t *testing.T) {
 	const (
 		nPer      = 4
@@ -306,7 +305,7 @@ func TestOnlineEngineAdaptsToCohortDrift(t *testing.T) {
 		opts.EpochLength = epochLen
 		if online {
 			opts.Features = features
-			opts.Learn = onlineTestLearnConfig()
+			opts.Decay = 0.95
 		}
 		e, err := NewEngine(opts)
 		if err != nil {
@@ -349,13 +348,6 @@ func TestOnlineEngineAdaptsToCohortDrift(t *testing.T) {
 	if featErr >= plainErr-0.05 {
 		t.Errorf("feature-aware drift tracking error %.3f should beat agreement-only %.3f", featErr, plainErr)
 	}
-}
-
-// onlineTestLearnConfig is a short-window learner for drift tests.
-func onlineTestLearnConfig() online.Config {
-	cfg := online.DefaultConfig()
-	cfg.WindowEpochs = 4
-	return cfg
 }
 
 // TestSourceAccuracyDetailAndPredict covers the reporting accessors.
