@@ -212,8 +212,7 @@ func BenchmarkCoreERMFit(b *testing.B) {
 }
 
 // BenchmarkCoreEMFit measures EM fitting per worker count (the E-step
-// fans out; results are bit-identical across the variants) plus the
-// opt-in minibatch M-step that parallelizes the gradient work too. The
+// fans out; results are bit-identical across the variants). The
 // stocks variant solves the Table 1 stocks simulator (~34 claims per
 // object) with sequential SGD and features, from a 20% label split as
 // the repository benchmark's batch-fuse workload does: EM then runs
@@ -240,12 +239,6 @@ func BenchmarkCoreEMFit(b *testing.B) {
 			run(b, inst, nil, opts)
 		})
 	}
-	b.Run("minibatch32-workers=4", func(b *testing.B) {
-		opts := core.DefaultOptions()
-		opts.Workers = 4
-		opts.Optim.Batch = 32
-		run(b, inst, nil, opts)
-	})
 	b.Run("stocks", func(b *testing.B) {
 		stocks, err := synth.Stocks(1)
 		if err != nil {

@@ -141,14 +141,12 @@ type Router struct {
 	// boundary but the barrier has not completed; it must run before
 	// any further chunk is forwarded.
 	pendingBarrier bool
-	since          int   // claims since the last barrier
-	claims         int64 // lifetime claims ingested (deduped)
-	barriers       int64 // completed epoch barriers
-	refines        int64 // completed refine operations
-	refineSweeps   int   // sweeps completed of an in-flight refine
-	seen           map[string]struct{}
-	ring           []string // chunk-key dedup ring, oldest at ringAt
-	ringAt         int
+	since          int                // claims since the last barrier
+	claims         int64              // lifetime claims ingested (deduped)
+	barriers       int64              // completed epoch barriers
+	refines        int64              // completed refine operations
+	refineSweeps   int                // sweeps completed of an in-flight refine
+	seen           *resilience.Window // chunk-key dedup window
 
 	// Probe-visible mirrors of the counters above, updated under mu,
 	// read lock-free by Stats/Health/Ready.
@@ -219,8 +217,7 @@ func New(cfg Config) (*Router, error) {
 		hc:      hc,
 		log:     cfg.Log,
 		ix:      map[string]int{},
-		seen:    map[string]struct{}{},
-		ring:    make([]string, 0, cfg.DedupWindow),
+		seen:    resilience.NewWindow(cfg.DedupWindow),
 		fanBufs: make([][]byte, len(nodes)),
 		met:     cfg.Metrics,
 		fanReq:  make([]*obs.Counter, len(nodes)),
@@ -263,26 +260,6 @@ func (r *Router) internLocked(name string) int {
 	r.agree = append(r.agree, 0)
 	r.total = append(r.total, 0)
 	return i
-}
-
-// seenKey / markKey implement the bounded chunk-key dedup window.
-func (r *Router) seenKey(key string) bool {
-	_, ok := r.seen[key]
-	return ok
-}
-
-func (r *Router) markKey(key string) {
-	if _, ok := r.seen[key]; ok {
-		return
-	}
-	if len(r.ring) < cap(r.ring) {
-		r.ring = append(r.ring, key)
-	} else {
-		delete(r.seen, r.ring[r.ringAt])
-		r.ring[r.ringAt] = key
-		r.ringAt = (r.ringAt + 1) % len(r.ring)
-	}
-	r.seen[key] = struct{}{}
 }
 
 // syncStatsLocked refreshes the probe-visible counter mirrors and the
@@ -335,7 +312,7 @@ func (r *Router) Ingest(ctx context.Context, claims []stream.Triple, seq string)
 		if seq != "" {
 			key = seq + ".c" + strconv.Itoa(chunk)
 		}
-		first := key == "" || !r.seenKey(key)
+		first := key == "" || !r.seen.Seen(key)
 		if err := r.forwardLocked(ctx, part, key); err != nil {
 			return res, err
 		}
@@ -344,7 +321,7 @@ func (r *Router) Ingest(ctx context.Context, claims []stream.Triple, seq string)
 			// claims are on the nodes and counted, so a retry must skip
 			// straight to the pending barrier instead of re-counting.
 			if key != "" {
-				r.markKey(key)
+				r.seen.Mark(key)
 			}
 			r.claims += int64(len(part))
 			r.since += len(part)

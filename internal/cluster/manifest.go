@@ -80,14 +80,9 @@ func (r *Router) manifestLocked() Manifest {
 	for i, name := range r.names {
 		m.Sources[i] = ManifestSource{Source: name, Agree: r.agree[i], Total: r.total[i]}
 	}
-	// Ring order oldest-first so a restore refills the window in the
-	// same eviction order.
-	if len(r.ring) == cap(r.ring) && cap(r.ring) > 0 {
-		m.SeqKeys = append(m.SeqKeys, r.ring[r.ringAt:]...)
-		m.SeqKeys = append(m.SeqKeys, r.ring[:r.ringAt]...)
-	} else {
-		m.SeqKeys = append(m.SeqKeys, r.ring...)
-	}
+	// Oldest-first so a restore refills the window in the same
+	// eviction order.
+	m.SeqKeys = r.seen.Keys()
 	return m
 }
 
@@ -199,7 +194,7 @@ func (r *Router) restoreManifest(path string) error {
 		keys = keys[len(keys)-r.cfg.DedupWindow:]
 	}
 	for _, k := range keys {
-		r.markKey(k)
+		r.seen.Mark(k)
 	}
 	r.syncStatsLocked()
 	fmt.Fprintf(r.log, "# restored cluster manifest from %s (%d claims, %d barriers, %d sources)\n",

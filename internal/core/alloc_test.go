@@ -88,8 +88,6 @@ func TestAccumGradientZeroAlloc(t *testing.T) {
 		m := allocModel(t, opts)
 		g := optim.NewSparseSized(m.NumParams())
 		sc := &scratch{}
-		tbl := make([]float64, m.numSources*m.numClasses)
-		m.fillSigma(m.w, tbl)
 		// q holds posteriors for the EM-residual variants, precomputed
 		// outside the measured loop the way FitEM holds them across the
 		// M-step: raw scores (residuals all nonzero) and the posteriors
@@ -98,7 +96,7 @@ func TestAccumGradientZeroAlloc(t *testing.T) {
 		q := make([][]float64, nObj)
 		post := make([][]float64, nObj)
 		for o := 0; o < nObj; o++ {
-			scores, _ := m.objectScores(data.ObjectID(o), tbl, nil)
+			scores, _ := m.objectScores(data.ObjectID(o), m.sigmaTable(), nil)
 			q[o] = scores
 			post[o] = mathx.Softmax(scores, nil)
 		}
@@ -106,7 +104,6 @@ func TestAccumGradientZeroAlloc(t *testing.T) {
 			name string
 			run  func()
 		}{
-			// Sequential SGD path: σ recomputed from live weights per step.
 			{"erm-per-step", func() {
 				for o := 0; o < nObj; o++ {
 					dom := m.lay.dom[o]
@@ -114,20 +111,19 @@ func TestAccumGradientZeroAlloc(t *testing.T) {
 						continue
 					}
 					g.Reset()
-					m.accumGradient(m.w, g, data.ObjectID(o), dom[0], nil, nil, sc)
+					m.accumGradient(m.w, g, data.ObjectID(o), dom[0], nil, sc)
 				}
 			}},
-			// Minibatch path: σ read from the frozen-batch table.
-			{"em-sigma-table", func() {
+			{"em-per-step", func() {
 				for o := 0; o < nObj; o++ {
 					g.Reset()
-					m.accumGradient(m.w, g, data.ObjectID(o), data.None, q[o], tbl, sc)
+					m.accumGradient(m.w, g, data.ObjectID(o), data.None, q[o], sc)
 				}
 			}},
 			{"em-zero-residual", func() {
 				for o := 0; o < nObj; o++ {
 					g.Reset()
-					m.accumGradient(m.w, g, data.ObjectID(o), data.None, post[o], tbl, sc)
+					m.accumGradient(m.w, g, data.ObjectID(o), data.None, post[o], sc)
 				}
 			}},
 		} {

@@ -179,7 +179,7 @@ func (m *Model) calibrateOnce(train data.TruthMap, fitFeatures, labeledOnly bool
 	}
 	totMean /= float64(active)
 
-	cfg := m.optimCfg()
+	cfg := m.opts.Optim
 	cfg.Seed = m.opts.Optim.Seed + 7919
 	grad := func(i int, w []float64, g *optim.Sparse) {
 		if tot[i] == 0 {

@@ -260,13 +260,11 @@ func (m *Model) fillSigma(w []float64, tbl []float64) {
 // invalidateSigma before the next frozen-weight phase reads the table.
 // Inside this package that is SetWeights, the optimizer runs in FitERM,
 // FitEM's M-step and calibrateOnce, EM's initial-accuracy seeding, and
-// calibrate's uniform shift / closed-form per-source steps. The
-// sequential SGD path never reads this cache — accumGradient recomputes
-// σ from the live weights at every step so the legacy per-step
-// trajectory stays bit-identical; only phases with frozen weights
-// (E-step, exact inference, likelihood scoring, Gibbs compilation,
-// calibration counting, minibatch gradient shards via their own
-// per-batch table) read a σ-table.
+// calibrate's uniform shift / closed-form per-source steps. SGD never
+// reads this cache — accumGradient recomputes σ from the live weights
+// at every step; only phases with frozen weights (E-step, exact
+// inference, likelihood scoring, Gibbs compilation, calibration
+// counting) read the σ-table.
 func (m *Model) sigmaTable() []float64 {
 	m.sigmaMu.Lock()
 	if !m.sigmaValid {

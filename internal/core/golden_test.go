@@ -24,7 +24,6 @@ var goldenFingerprints = map[string]uint64{
 	"em-copy":       0x56f05e2556172e9b,
 	"em-classes":    0x479b254e3b4ccd54,
 	"erm-openworld": 0x166d952ab4149c84,
-	"em-minibatch":  0x19191434273240e0,
 }
 
 // goldenInstance builds the synth dataset the golden scenarios share.
@@ -127,11 +126,6 @@ func goldenScenarios(t testing.TB) map[string]func() (*Model, *Result) {
 			opts.OpenWorld = true
 			opts.OpenWorldBias = -1
 			return fuse(compile(opts), AlgorithmERM, train)
-		},
-		"em-minibatch": func() (*Model, *Result) {
-			opts := DefaultOptions()
-			opts.Optim.Batch = 16
-			return fuse(compile(opts), AlgorithmEM, nil)
 		},
 	}
 }

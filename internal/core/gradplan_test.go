@@ -15,7 +15,7 @@ import (
 // to the weights by one Add per claim coordinate (skipping claims whose
 // residual is exactly 0) and one per copy agreement. σ and the scores
 // follow the pre-plan code too, re-summing SourceFeatures per claim.
-func (m *Model) accumGradientOracle(w []float64, g *optim.Sparse, o data.ObjectID, truth data.ValueID, q []float64, sg []float64) {
+func (m *Model) accumGradientOracle(w []float64, g *optim.Sparse, o data.ObjectID, truth data.ValueID, q []float64) {
 	dom := m.lay.dom[o]
 	n := len(dom)
 	if n == 0 {
@@ -30,15 +30,10 @@ func (m *Model) accumGradientOracle(w []float64, g *optim.Sparse, o data.ObjectI
 	base := m.lay.obsBase[o]
 	classBase := m.classOfObject(o) * m.numSources
 	for i, ob := range obs {
-		var sgm float64
-		if sg != nil {
-			sgm = sg[classBase+int(ob.Source)]
-		} else {
-			sgm = w[classBase+int(ob.Source)]
-			if m.opts.UseFeatures {
-				for _, k := range m.ds.SourceFeatures[ob.Source] {
-					sgm += w[fb+int(k)]
-				}
+		sgm := w[classBase+int(ob.Source)]
+		if m.opts.UseFeatures {
+			for _, k := range m.ds.SourceFeatures[ob.Source] {
+				sgm += w[fb+int(k)]
 			}
 		}
 		scores[m.lay.obsLocal[base+i]] += sgm
@@ -159,8 +154,7 @@ func planModels(t *testing.T) map[string]*Model {
 
 // TestGradientPlanMatchesAddLoop checks the plan-driven accumGradient
 // against the Add-walk oracle, bit for bit on the touched coordinate
-// set and every value: sequential σ and the minibatch σ-table, ERM and
-// EM residuals, and residuals forced to exactly 0 for all or some of an
+// set and every value: ERM and EM residuals, and residuals forced to exactly 0 for all or some of an
 // object's values (those coordinates must stay untouched).
 func TestGradientPlanMatchesAddLoop(t *testing.T) {
 	for name, m := range planModels(t) {
@@ -174,8 +168,6 @@ func TestGradientPlanMatchesAddLoop(t *testing.T) {
 				t.Fatal(err)
 			}
 			w = m.w
-			tbl := make([]float64, m.numSources*m.numClasses)
-			m.fillSigma(w, tbl)
 			sc := &scratch{}
 			got, want := optim.NewSparse(), optim.NewSparse()
 			cases, zeroed := 0, 0
@@ -186,9 +178,9 @@ func TestGradientPlanMatchesAddLoop(t *testing.T) {
 					continue
 				}
 				// probs is the object's posterior at w, which the
-				// sequential and the table-driven scores both reproduce
-				// exactly, so q == probs yields residuals of exactly 0.
-				scores, _ := m.objectScores(oid, tbl, nil)
+				// per-step σ reproduces exactly, so q == probs yields
+				// residuals of exactly 0.
+				scores, _ := m.objectScores(oid, m.sigmaTable(), nil)
 				probs := mathx.Softmax(scores, nil)
 				qAll := append([]float64(nil), probs...)
 				qSome := append([]float64(nil), probs...)
@@ -209,25 +201,23 @@ func TestGradientPlanMatchesAddLoop(t *testing.T) {
 					{dom[0], nil}, {dom[len(dom)-1], nil},
 					{data.None, qRand}, {data.None, qAll}, {data.None, qSome},
 				} {
-					for _, sg := range [][]float64{nil, tbl} {
-						got.Reset()
-						want.Reset()
-						m.accumGradient(w, got, oid, res.truth, res.q, sg, sc)
-						m.accumGradientOracle(w, want, oid, res.truth, res.q, sg)
-						gb, wb := sparseBits(t, got), sparseBits(t, want)
-						if len(gb) != len(wb) {
-							t.Fatalf("object %d: plan touched %d coordinates, Add walk %d", o, len(gb), len(wb))
-						}
-						for j, bits := range wb {
-							if gb[j] != bits {
-								t.Fatalf("object %d coordinate %d: plan %v, Add walk %v", o, j, math.Float64frombits(gb[j]), math.Float64frombits(bits))
-							}
-						}
-						if len(wb) < len(m.plan.coord[m.plan.coordStart[o]:m.plan.coordStart[o+1]]) {
-							zeroed++
-						}
-						cases++
+					got.Reset()
+					want.Reset()
+					m.accumGradient(w, got, oid, res.truth, res.q, sc)
+					m.accumGradientOracle(w, want, oid, res.truth, res.q)
+					gb, wb := sparseBits(t, got), sparseBits(t, want)
+					if len(gb) != len(wb) {
+						t.Fatalf("object %d: plan touched %d coordinates, Add walk %d", o, len(gb), len(wb))
 					}
+					for j, bits := range wb {
+						if gb[j] != bits {
+							t.Fatalf("object %d coordinate %d: plan %v, Add walk %v", o, j, math.Float64frombits(gb[j]), math.Float64frombits(bits))
+						}
+					}
+					if len(wb) < len(m.plan.coord[m.plan.coordStart[o]:m.plan.coordStart[o+1]]) {
+						zeroed++
+					}
+					cases++
 				}
 			}
 			if zeroed == 0 {

@@ -10,28 +10,6 @@ import (
 	"slimfast/internal/parallel"
 )
 
-// prepGrad wires a Minimize config for the gradient hot path and
-// returns the σ-table the gradient closures should score against plus a
-// scratch provider safe for the config's concurrency.
-//
-// In minibatch mode (cfg.Batch > 1) the returned table is refreshed by
-// a BatchStart hook at each batch's frozen weights, so the concurrent
-// gradient shards read one σ per (source, class) instead of re-summing
-// the feature weights per observation; scratch comes from the model's
-// pool because the shards run on multiple goroutines. In sequential
-// mode the table is nil — accumGradient recomputes σ from the live
-// weights at every step, preserving the exact legacy SGD trajectory —
-// and a single reused scratch suffices.
-func (m *Model) prepGrad(cfg *optim.Config) (sg []float64, get func() *scratch, put func(*scratch)) {
-	if cfg.Batch > 1 {
-		tbl := make([]float64, m.numSources*m.numClasses)
-		cfg.BatchStart = func(w []float64) { m.fillSigma(w, tbl) }
-		return tbl, m.getScratch, m.putScratch
-	}
-	sc := &scratch{}
-	return nil, func() *scratch { return sc }, func(*scratch) {}
-}
-
 // FitERM learns the model weights by empirical risk minimization over
 // the ground truth G (Section 3.2): it maximizes the likelihood of the
 // labeled object values, a convex objective solved with SGD. It returns
@@ -44,15 +22,12 @@ func (m *Model) FitERM(train data.TruthMap) (optim.Result, error) {
 	if len(examples) == 0 {
 		return optim.Result{}, errors.New("core: FitERM requires ground truth on observed objects")
 	}
-	cfg := m.optimCfg()
-	sg, get, put := m.prepGrad(&cfg)
+	sc := &scratch{}
 	grad := func(i int, w []float64, g *optim.Sparse) {
 		ex := examples[i]
-		sc := get()
-		m.accumGradient(w, g, ex.object, ex.truth, nil, sg, sc)
-		put(sc)
+		m.accumGradient(w, g, ex.object, ex.truth, nil, sc)
 	}
-	res, err := optim.Minimize(len(examples), m.w, grad, cfg)
+	res, err := optim.Minimize(len(examples), m.w, grad, m.opts.Optim)
 	m.invalidateSigma()
 	if err != nil {
 		return res, err
@@ -126,13 +101,13 @@ func (m *Model) FitEM(train data.TruthMap) (EMStats, error) {
 	q := make([][]float64, len(examples))
 	prevW := make([]float64, len(m.w))
 	var stats EMStats
-	mcfg := m.optimCfg()
+	mcfg := m.opts.Optim
 	// A few SGD epochs per M-step; full convergence per round is
 	// wasted work since q moves again immediately.
 	if mcfg.Epochs > 10 {
 		mcfg.Epochs = 10
 	}
-	sg, get, put := m.prepGrad(&mcfg)
+	gsc := &scratch{} // the M-step's; the E-step takes pooled ones
 	workers := m.workers()
 	for iter := 0; iter < m.opts.EMMaxIters; iter++ {
 		// E-step: each example's posterior lands in its own q slot, so
@@ -167,10 +142,7 @@ func (m *Model) FitEM(train data.TruthMap) (EMStats, error) {
 		copy(prevW, m.w)
 		mcfg.Seed = m.opts.Optim.Seed + int64(iter) + 1
 		grad := func(i int, w []float64, g *optim.Sparse) {
-			ex := examples[i]
-			sc := get()
-			m.accumGradient(w, g, ex.object, data.None, q[i], sg, sc)
-			put(sc)
+			m.accumGradient(w, g, examples[i].object, data.None, q[i], gsc)
 		}
 		_, err := optim.Minimize(len(examples), m.w, grad, mcfg)
 		m.invalidateSigma()
@@ -252,12 +224,11 @@ func (m *Model) trainableLabel(o data.ObjectID, truth data.ValueID) bool {
 // entirely (lazy L2 and L1 must not touch it); copy-pair coordinates
 // are always handed over.
 //
-// sg is the frozen-batch σ-table (see prepGrad) or nil for the
-// sequential path, which recomputes σ from w at every step — w aliases
-// m.w during optimization, and the per-step recomputation honours the
-// optimizer's live view of the weights. All buffers come from sc, so
-// the steady state allocates nothing.
-func (m *Model) accumGradient(w []float64, g *optim.Sparse, o data.ObjectID, truth data.ValueID, q []float64, sg []float64, sc *scratch) {
+// σ is recomputed from w at every step — w aliases m.w during
+// optimization, and the per-step recomputation honours the optimizer's
+// live view of the weights. All buffers come from sc, so the steady
+// state allocates nothing.
+func (m *Model) accumGradient(w []float64, g *optim.Sparse, o data.ObjectID, truth data.ValueID, q []float64, sc *scratch) {
 	dom := m.lay.dom[o]
 	n := len(dom)
 	if n == 0 {
@@ -275,14 +246,8 @@ func (m *Model) accumGradient(w []float64, g *optim.Sparse, o data.ObjectID, tru
 	obs := m.ds.ObjectObservations(o)
 	base := m.lay.obsBase[o]
 	classBase := m.classOfObject(o) * m.numSources
-	if sg != nil {
-		for i, ob := range obs {
-			scores[m.lay.obsLocal[base+i]] += sg[classBase+int(ob.Source)]
-		}
-	} else {
-		for i, ob := range obs {
-			scores[m.lay.obsLocal[base+i]] += m.sigmaAt(w, classBase+int(ob.Source), ob.Source)
-		}
+	for i, ob := range obs {
+		scores[m.lay.obsLocal[base+i]] += m.sigmaAt(w, classBase+int(ob.Source), ob.Source)
 	}
 	agrees := m.copyAgreements(int(o))
 	for _, ag := range agrees {
@@ -402,8 +367,7 @@ func (m *Model) LogLikelihood(truth data.TruthMap) float64 {
 		return 0
 	}
 	sg := m.sigmaTable()
-	// Chunked ordered reduction: bit-identical for any Workers > 1 and
-	// within float reassociation noise (<< 1e-12) of the serial order.
+	// Chunked ordered reduction: bit-identical for any Workers.
 	sum := parallel.Sum(len(examples), m.workers(), func(ch parallel.Chunk) float64 {
 		var part float64
 		sc := m.getScratch()

@@ -53,7 +53,7 @@ func TestFitERMGradientFiniteDifference(t *testing.T) {
 	analytic := make([]float64, m.NumParams())
 	for _, ex := range examples {
 		g := optim.NewSparse()
-		m.accumGradient(m.w, g, ex.object, ex.truth, nil, nil, &scratch{})
+		m.accumGradient(m.w, g, ex.object, ex.truth, nil, &scratch{})
 		g.Dense(analytic)
 	}
 
@@ -111,7 +111,7 @@ func TestFitERMGradientWithCopyFeaturesFiniteDifference(t *testing.T) {
 	analytic := make([]float64, m.NumParams())
 	for _, ex := range examples {
 		g := optim.NewSparse()
-		m.accumGradient(m.w, g, ex.object, ex.truth, nil, nil, &scratch{})
+		m.accumGradient(m.w, g, ex.object, ex.truth, nil, &scratch{})
 		g.Dense(analytic)
 	}
 	loss := func(w []float64) float64 {

@@ -107,23 +107,14 @@ type Options struct {
 	OpenWorld     bool
 	OpenWorldBias float64
 
-	// PredictIntercept controls unseen-source accuracy prediction
-	// (Section 5.3.2): when true, the mean of the learned per-source
-	// weights is used as an intercept alongside the feature weights.
-	PredictIntercept bool
-
 	// Workers bounds the goroutines used by the parallel execution
-	// subsystem for the EM E-step, exact inference and likelihood
-	// scoring, and is inherited by Optim.Workers when that is unset.
-	// 0 means runtime.GOMAXPROCS(0); 1 runs everything on the calling
-	// goroutine (the legacy serial path). Learning and inference
-	// results — weights, fused values, posteriors, accuracies — are
-	// bit-identical for every value of Workers: each object/example
-	// owns its output slot, and gradient application stays ordered.
-	// The scalar diagnostic LogLikelihood reduces over chunked
-	// partial sums, so it is bit-identical across all
-	// Workers > 1 but may differ from Workers == 1 by float
-	// reassociation noise (well under 1e-12).
+	// subsystem for the EM E-step, exact inference, Gibbs sampling and
+	// likelihood scoring. 0 means runtime.GOMAXPROCS(0); 1 runs
+	// everything on the calling goroutine. Workers picks speed, never
+	// the algorithm: weights, fused values, posteriors, accuracies and
+	// LogLikelihood are bit-identical for every value. Each
+	// object/example owns its output slot, SGD runs sequentially, and
+	// reductions chunk by problem size alone.
 	Workers int
 }
 
@@ -133,17 +124,16 @@ func DefaultOptions() Options {
 	oc := optim.DefaultConfig()
 	oc.L2 = 1e-3 // keep separable instances finite
 	return Options{
-		UseFeatures:      true,
-		MinCopyOverlap:   3,
-		Inference:        Exact,
-		Gibbs:            factor.DefaultGibbsConfig(),
-		Optim:            oc,
-		EMMaxIters:       25,
-		EMTolerance:      1e-3,
-		EMCalibrate:      true,
-		ERMCalibrate:     true,
-		EMInitAccuracy:   0.8,
-		PredictIntercept: true,
+		UseFeatures:    true,
+		MinCopyOverlap: 3,
+		Inference:      Exact,
+		Gibbs:          factor.DefaultGibbsConfig(),
+		Optim:          oc,
+		EMMaxIters:     25,
+		EMTolerance:    1e-3,
+		EMCalibrate:    true,
+		ERMCalibrate:   true,
+		EMInitAccuracy: 0.8,
 	}
 }
 
@@ -388,12 +378,14 @@ func (m *Model) SourceAccuraciesByClass() [][]float64 {
 }
 
 // PredictAccuracy estimates the accuracy of a source never seen during
-// training, from its feature labels alone (Section 5.3.2, Figure 7).
-// Labels absent from the training feature vocabulary are ignored.
+// training, from its feature labels alone (Section 5.3.2, Figure 7):
+// the mean learned per-source weight serves as an intercept alongside
+// the feature weights. Labels absent from the training feature
+// vocabulary are ignored.
 func (m *Model) PredictAccuracy(featureLabels []string) float64 {
 	idx := m.lay.featIdx
 	var sigma float64
-	if m.opts.PredictIntercept && m.numSources > 0 {
+	if m.numSources > 0 {
 		var sum float64
 		n := m.numSources * m.numClasses
 		for i := 0; i < n; i++ {
@@ -664,23 +656,11 @@ func (m *Model) inferExact(known data.TruthMap) *Result {
 // workers resolves the effective worker count for the parallel paths.
 func (m *Model) workers() int { return parallel.Resolve(m.opts.Workers) }
 
-// optimCfg returns the SGD configuration with the model's parallelism
-// knob inherited when the optimizer's own Workers is unset.
-func (m *Model) optimCfg() optim.Config {
-	cfg := m.opts.Optim
-	if cfg.Workers == 0 {
-		cfg.Workers = m.opts.Workers
-	}
-	return cfg
-}
-
 // inferGibbs compiles the current model into a factor graph and runs
 // the sampler, the execution path the paper uses via DeepDive. The
-// compiled graph is fully factorized (every factor is unary), so the
-// sampler's independent-chain fan-out applies unless the effective
-// Gibbs Workers setting is exactly 1 (the legacy sweep chain); the
-// sampled marginals depend only on the config, never on the host's
-// core count.
+// compiled graph is fully factorized (every factor is unary), so each
+// object samples from its own chain and the marginals depend only on
+// the Gibbs config, never on Workers or the host's core count.
 func (m *Model) inferGibbs(known data.TruthMap) (*Result, error) {
 	var g factor.Graph
 	sg := m.sigmaTable()
@@ -738,11 +718,7 @@ func (m *Model) inferGibbs(known data.TruthMap) (*Result, error) {
 			}
 		}
 	}
-	cfg := m.opts.Gibbs
-	if cfg.Workers == 0 {
-		cfg.Workers = m.opts.Workers
-	}
-	marg, err := g.Gibbs(cfg)
+	marg, err := g.Gibbs(m.opts.Gibbs, m.opts.Workers)
 	if err != nil {
 		return nil, err
 	}

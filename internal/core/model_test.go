@@ -157,7 +157,6 @@ func TestInferGibbsMatchesExact(t *testing.T) {
 	optsGibbs := DefaultOptions()
 	optsGibbs.Inference = Gibbs
 	optsGibbs.Gibbs.Samples = 4000
-	optsGibbs.Gibbs.Burnin = 200
 	mGibbs, err := Compile(inst.Dataset, optsGibbs)
 	if err != nil {
 		t.Fatal(err)
@@ -256,9 +255,7 @@ func TestPredictAccuracyUsesFeatures(t *testing.T) {
 }
 
 func TestPredictAccuracyIntercept(t *testing.T) {
-	opts := DefaultOptions()
-	opts.PredictIntercept = true
-	m, _ := Compile(tinyDataset(), opts)
+	m, _ := Compile(tinyDataset(), DefaultOptions())
 	w := make([]float64, m.NumParams())
 	w[0], w[1], w[2] = 3, 3, 3 // mean source weight 3
 	if err := m.SetWeights(w); err != nil {
@@ -266,14 +263,6 @@ func TestPredictAccuracyIntercept(t *testing.T) {
 	}
 	if got := m.PredictAccuracy(nil); math.Abs(got-mathx.Logistic(3)) > 1e-12 {
 		t.Errorf("intercept prediction = %v, want logistic(3)", got)
-	}
-	opts.PredictIntercept = false
-	m2, _ := Compile(tinyDataset(), opts)
-	if err := m2.SetWeights(w); err != nil {
-		t.Fatal(err)
-	}
-	if got := m2.PredictAccuracy(nil); got != 0.5 {
-		t.Errorf("no-intercept prediction = %v, want 0.5", got)
 	}
 }
 

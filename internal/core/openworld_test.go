@@ -184,7 +184,6 @@ func TestOpenWorldGibbsMatchesExact(t *testing.T) {
 	gOpts := opts
 	gOpts.Inference = Gibbs
 	gOpts.Gibbs.Samples = 20000
-	gOpts.Gibbs.Burnin = 500
 	mGibbs, err := Compile(openWorldDataset(), gOpts)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"slimfast/internal/data"
@@ -154,8 +153,8 @@ func TestParallelInferEquivalentToSerial(t *testing.T) {
 }
 
 func TestParallelLikelihoodWithinTolerance(t *testing.T) {
-	// Scalar reductions reassociate across chunks, so Workers=N agrees
-	// with Workers=1 to 1e-12 (and exactly across N > 1).
+	// The likelihood reduction chunks by problem size alone, so every
+	// worker count, 1 included, gives the same bits.
 	inst := mediumInstance(t, 55)
 	train, _ := data.Split(inst.Gold, 0.3, randx.New(6))
 	opts := DefaultOptions()
@@ -167,11 +166,9 @@ func TestParallelLikelihoodWithinTolerance(t *testing.T) {
 	if _, err := m.FitERM(train); err != nil {
 		t.Fatal(err)
 	}
-	llSerial := m.LogLikelihood(inst.Gold)
 	w := append([]float64{}, m.Weights()...)
-
-	var llRef float64
-	for i, workers := range []int{2, 4, 8} {
+	llRef := m.LogLikelihood(inst.Gold)
+	for _, workers := range []int{1, 2, 4, 8} {
 		o := DefaultOptions()
 		o.Workers = workers
 		mp, err := Compile(inst.Dataset, o)
@@ -181,14 +178,8 @@ func TestParallelLikelihoodWithinTolerance(t *testing.T) {
 		if err := mp.SetWeights(w); err != nil {
 			t.Fatal(err)
 		}
-		ll := mp.LogLikelihood(inst.Gold)
-		if math.Abs(ll-llSerial) > 1e-12 {
-			t.Fatalf("workers=%d: likelihood drifted: %v vs %v", workers, ll, llSerial)
-		}
-		if i == 0 {
-			llRef = ll
-		} else if ll != llRef {
-			t.Fatalf("workers=%d: parallel reductions not bit-identical", workers)
+		if ll := mp.LogLikelihood(inst.Gold); ll != llRef {
+			t.Fatalf("workers=%d: likelihood %v, fitting model (workers=1) gives %v", workers, ll, llRef)
 		}
 	}
 }

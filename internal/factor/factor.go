@@ -9,8 +9,10 @@
 //	P(x) ∝ exp Σ_f weight_f · potential_f(x_f)
 //
 // Indicator potentials over single variables recover exactly SLiMFast's
-// Equation 4; higher-arity potentials support extensions such as the
-// copying-source features of Appendix D.
+// Equation 4, and the copying-source features of Appendix D compile to
+// unary IndicatorNotEquals potentials, so every graph SLiMFast builds
+// is fully factorized. A factor may also join a latent variable to
+// evidence; Gibbs rejects a factor over two latent variables.
 package factor
 
 import (
@@ -100,113 +102,32 @@ func (g *Graph) Cardinality(v int) int { return g.card[v] }
 
 // GibbsConfig controls a sampling run.
 type GibbsConfig struct {
-	Burnin  int   // sweeps discarded before counting
-	Samples int   // counted sweeps
+	Samples int   // draws per latent variable
 	Seed    int64 // chain seed
-
-	// Workers bounds the goroutines used by the independent-chains
-	// fan-out (<= 0 means runtime.GOMAXPROCS(0)). Unless Workers is
-	// exactly 1, a graph where no factor couples two latent variables —
-	// always true for the fully factorized graphs SLiMFast compiles
-	// to — samples each latent variable from its own decorrelated
-	// stream (seeded by Seed and the variable index alone). The path
-	// choice and the streams depend only on the config, never on the
-	// host's core count or scheduling, so the marginals are
-	// bit-identical for every Workers != 1 on every machine.
-	// Workers == 1 keeps the legacy single-stream sweep chain, which
-	// visits variables in order from one generator; graphs with
-	// latent-latent couplings also fall back to that chain, whose
-	// correctness does not admit independent per-variable sampling.
-	Workers int
 }
 
 // DefaultGibbsConfig returns settings adequate for the per-object
-// posteriors in this repository (chains mix in a handful of sweeps
-// because the compiled SLiMFast graph is fully factorized).
+// posteriors in this repository.
 func DefaultGibbsConfig() GibbsConfig {
-	return GibbsConfig{Burnin: 50, Samples: 200, Seed: 1}
+	return GibbsConfig{Samples: 200, Seed: 1}
 }
 
 // Gibbs runs the sampler and returns per-variable marginal estimates:
 // marginals[v][d] ≈ P(X_v = d | evidence). Evidence variables get a
 // point mass on their pinned value.
-func (g *Graph) Gibbs(cfg GibbsConfig) ([][]float64, error) {
+//
+// The graph must not couple two latent variables (a factor may join
+// one latent variable to any evidence), so the posterior factorizes
+// and each latent variable's full conditional is one fixed softmax: its
+// draws are i.i.d. and need no burn-in. Each variable draws Samples
+// times from a stream seeded by (Seed, variable index) alone, so the
+// marginals are a deterministic function of the config, bit-identical
+// for every workers value; workers (<= 0 means runtime.GOMAXPROCS(0))
+// only spreads the variables over goroutines.
+func (g *Graph) Gibbs(cfg GibbsConfig, workers int) ([][]float64, error) {
 	if cfg.Samples <= 0 {
 		return nil, errors.New("factor: Samples must be positive")
 	}
-	if cfg.Burnin < 0 {
-		return nil, errors.New("factor: Burnin must be non-negative")
-	}
-	// The path choice keys off the configured Workers, not the resolved
-	// host parallelism: the same config must sample the same marginals
-	// on a 1-core laptop and a 64-core runner.
-	if cfg.Workers != 1 && g.latentsIndependent() {
-		return g.gibbsIndependent(cfg), nil
-	}
-	rng := randx.New(cfg.Seed)
-	n := len(g.card)
-	state := make([]int, n)
-	for v := range state {
-		if g.evidence[v] >= 0 {
-			state[v] = g.evidence[v]
-		} else {
-			state[v] = rng.Intn(g.card[v])
-		}
-	}
-	counts := make([][]float64, n)
-	for v := range counts {
-		counts[v] = make([]float64, g.card[v])
-	}
-	scores := make([]float64, 0, 16)
-	scratch := make([]int, 0, 8)
-	for sweep := 0; sweep < cfg.Burnin+cfg.Samples; sweep++ {
-		for v := 0; v < n; v++ {
-			if g.evidence[v] >= 0 {
-				continue
-			}
-			scores = scores[:0]
-			for d := 0; d < g.card[v]; d++ {
-				state[v] = d
-				var s float64
-				for _, fi := range g.varFactors[v] {
-					f := &g.factors[fi]
-					scratch = scratch[:0]
-					for _, fv := range f.Vars {
-						scratch = append(scratch, state[fv])
-					}
-					s += f.Weight * f.Potential(scratch)
-				}
-				scores = append(scores, s)
-			}
-			probs := mathx.Softmax(scores, nil)
-			state[v] = rng.Categorical(probs)
-		}
-		if sweep >= cfg.Burnin {
-			for v := 0; v < n; v++ {
-				counts[v][state[v]]++
-			}
-		}
-	}
-	total := float64(cfg.Samples)
-	for v := range counts {
-		if g.evidence[v] >= 0 {
-			for d := range counts[v] {
-				counts[v][d] = 0
-			}
-			counts[v][g.evidence[v]] = 1
-			continue
-		}
-		for d := range counts[v] {
-			counts[v][d] /= total
-		}
-	}
-	return counts, nil
-}
-
-// latentsIndependent reports whether no factor couples two latent
-// variables, i.e. the posterior factorizes over variables and each
-// latent variable's full conditional is constant across sweeps.
-func (g *Graph) latentsIndependent() bool {
 	for _, f := range g.factors {
 		latent := 0
 		for _, v := range f.Vars {
@@ -215,25 +136,13 @@ func (g *Graph) latentsIndependent() bool {
 			}
 		}
 		if latent > 1 {
-			return false
+			return nil, errors.New("factor: a factor couples two latent variables; Gibbs samples factorized graphs only")
 		}
 	}
-	return true
-}
-
-// gibbsIndependent samples each latent variable from its own chain.
-// With no latent-latent couplings a variable's full conditional never
-// changes, so its draws are i.i.d. from one fixed softmax — no mixing
-// is needed and Burnin is skipped entirely, leaving Samples categorical
-// draws per variable. Each variable draws from a stream derived from
-// (Seed, variable index) alone, making the marginals a deterministic
-// function of the config — bit-identical for every worker count — while
-// the per-object chains fan out over the workers.
-func (g *Graph) gibbsIndependent(cfg GibbsConfig) [][]float64 {
 	n := len(g.card)
 	counts := make([][]float64, n)
 	total := float64(cfg.Samples)
-	parallel.Do(n, cfg.Workers, func(ch parallel.Chunk) {
+	parallel.Do(n, workers, func(ch parallel.Chunk) {
 		var scores, probs []float64
 		var vals []int
 		for v := ch.Lo; v < ch.Hi; v++ {
@@ -259,8 +168,8 @@ func (g *Graph) gibbsIndependent(cfg GibbsConfig) [][]float64 {
 						if fv == v {
 							vals[j] = d
 						} else {
-							// Independence guarantees every other
-							// variable in the factor is evidence.
+							// Every other variable in the factor is
+							// evidence (checked above).
 							vals[j] = g.evidence[fv]
 						}
 					}
@@ -277,17 +186,17 @@ func (g *Graph) gibbsIndependent(cfg GibbsConfig) [][]float64 {
 			}
 		}
 	})
-	return counts
+	return counts, nil
 }
 
 // ExactMarginalsSingleton computes marginals exactly for graphs whose
 // factors are all unary (every factor touches exactly one variable).
-// Returns an error if any factor has arity > 1; callers fall back to
-// Gibbs in that case. This is the fast path for SLiMFast's Equation 4.
+// Returns an error if any factor has arity > 1. This is the fast path
+// for SLiMFast's Equation 4.
 func (g *Graph) ExactMarginalsSingleton() ([][]float64, error) {
 	for _, f := range g.factors {
 		if len(f.Vars) != 1 {
-			return nil, errors.New("factor: graph has non-unary factors; use Gibbs")
+			return nil, errors.New("factor: graph has non-unary factors")
 		}
 	}
 	out := make([][]float64, len(g.card))

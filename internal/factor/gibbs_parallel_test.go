@@ -31,31 +31,34 @@ func buildUnaryGraph(t *testing.T) *Graph {
 	return &g
 }
 
-// TestGibbsIndependentChainsDeterministic: with a factorized graph the
-// parallel sampler draws each variable from its own (Seed, variable)
-// stream, so marginals are bit-identical for every worker count > 1.
+// TestGibbsIndependentChainsDeterministic: each variable draws from
+// its own (Seed, variable) stream, so marginals are bit-identical for
+// every worker count, 1 included.
 func TestGibbsIndependentChainsDeterministic(t *testing.T) {
 	g := buildUnaryGraph(t)
 	run := func(workers int) [][]float64 {
-		m, err := g.Gibbs(GibbsConfig{Burnin: 20, Samples: 500, Seed: 7, Workers: workers})
+		m, err := g.Gibbs(GibbsConfig{Samples: 500, Seed: 7}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
 	// Workers=0 (the default: GOMAXPROCS fan-out) must match any
-	// explicit count — the streams depend only on (Seed, variable).
-	m0, m2, m8 := run(0), run(2), run(8)
-	for v := range m2 {
-		for d := range m2[v] {
-			if m2[v][d] != m8[v][d] || m2[v][d] != m0[v][d] {
-				t.Fatalf("marginal[%d][%d] differs across worker counts: %v / %v / %v", v, d, m0[v][d], m2[v][d], m8[v][d])
+	// explicit count.
+	ref := run(1)
+	for _, workers := range []int{0, 2, 8} {
+		m := run(workers)
+		for v := range ref {
+			for d := range ref[v] {
+				if m[v][d] != ref[v][d] {
+					t.Fatalf("workers=%d: marginal[%d][%d] = %v, workers=1 gives %v", workers, v, d, m[v][d], ref[v][d])
+				}
 			}
 		}
 	}
 	// Evidence stays a point mass.
-	if m2[3][1] != 1 || m2[3][0] != 0 {
-		t.Fatalf("evidence marginal = %v, want point mass on 1", m2[3])
+	if ref[3][1] != 1 || ref[3][0] != 0 {
+		t.Fatalf("evidence marginal = %v, want point mass on 1", ref[3])
 	}
 }
 
@@ -67,7 +70,7 @@ func TestGibbsIndependentChainsMatchExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := g.Gibbs(GibbsConfig{Burnin: 50, Samples: 20000, Seed: 3, Workers: 4})
+	sampled, err := g.Gibbs(GibbsConfig{Samples: 20000, Seed: 3}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,49 +83,30 @@ func TestGibbsIndependentChainsMatchExact(t *testing.T) {
 	}
 }
 
-// TestGibbsCoupledLatentsFallBack: a factor over two latent variables
-// rules out independent chains, so any worker count must reproduce the
-// legacy single-stream sweep chain exactly.
-func TestGibbsCoupledLatentsFallBack(t *testing.T) {
-	build := func() *Graph {
-		var g Graph
-		a := g.AddVariable(2)
-		b := g.AddVariable(2)
-		if err := g.AddFactor(Factor{Vars: []int{a}, Weight: 0.7, Potential: IndicatorEquals(1)}); err != nil {
-			t.Fatal(err)
+// TestGibbsRejectsCoupledLatents: a factor over two latent variables
+// has no independent-chain sampler, so Gibbs refuses the graph; the
+// same factor with one side pinned as evidence is accepted.
+func TestGibbsRejectsCoupledLatents(t *testing.T) {
+	var g Graph
+	a := g.AddVariable(2)
+	b := g.AddVariable(2)
+	agree := func(vals []int) float64 {
+		if vals[0] == vals[1] {
+			return 1
 		}
-		// Coupling: reward agreement between the two latents.
-		agree := func(vals []int) float64 {
-			if vals[0] == vals[1] {
-				return 1
-			}
-			return 0
-		}
-		if err := g.AddFactor(Factor{Vars: []int{a, b}, Weight: 1.1, Potential: agree}); err != nil {
-			t.Fatal(err)
-		}
-		return &g
+		return 0
 	}
-	g := build()
-	if g.latentsIndependent() {
-		t.Fatal("coupled graph misclassified as independent")
-	}
-	cfg := GibbsConfig{Burnin: 10, Samples: 300, Seed: 11}
-	serial, err := g.Gibbs(cfg)
-	if err != nil {
+	if err := g.AddFactor(Factor{Vars: []int{a, b}, Weight: 1.1, Potential: agree}); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 6
-	parallelRun, err := g.Gibbs(cfg)
-	if err != nil {
+	if _, err := g.Gibbs(GibbsConfig{Samples: 10, Seed: 11}, 1); err == nil {
+		t.Fatal("a latent-latent factor should be rejected")
+	}
+	if err := g.SetEvidence(b, 1); err != nil {
 		t.Fatal(err)
 	}
-	for v := range serial {
-		for d := range serial[v] {
-			if serial[v][d] != parallelRun[v][d] {
-				t.Fatalf("coupled graph: workers=6 diverged from the sweep chain at [%d][%d]", v, d)
-			}
-		}
+	if _, err := g.Gibbs(GibbsConfig{Samples: 10, Seed: 11}, 1); err != nil {
+		t.Fatalf("a latent-evidence factor should be accepted: %v", err)
 	}
 }
 
@@ -145,10 +129,7 @@ func TestGibbsIndependentEvidenceCoupling(t *testing.T) {
 	if err := g.AddFactor(Factor{Vars: []int{a, e}, Weight: 2.0, Potential: match}); err != nil {
 		t.Fatal(err)
 	}
-	if !g.latentsIndependent() {
-		t.Fatal("latent-evidence coupling misclassified as dependent")
-	}
-	m, err := g.Gibbs(GibbsConfig{Burnin: 50, Samples: 20000, Seed: 5, Workers: 4})
+	m, err := g.Gibbs(GibbsConfig{Samples: 20000, Seed: 5}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,47 +71,32 @@ func TestSparseGrowsOnDemand(t *testing.T) {
 
 // steadyAllocs runs one 12-epoch Minimize over a fixed 200-example
 // problem and returns the heap allocations of epochs 2 through 11
-// alone. The window opens at the first callback of the second epoch,
-// after the per-call setup and a whole warm-up epoch, so the worker
-// pool's goroutines have started and blocked once before it opens;
-// it closes at the first callback of the twelfth epoch. The callback
-// is BatchStart on the minibatch path and the gradient function on the
-// serial one, both on the applier goroutine. Like testing.AllocsPerRun
-// it measures at GOMAXPROCS 1.
+// alone. The window opens at the first gradient callback of the second
+// epoch, after the per-call setup and a whole warm-up epoch, and
+// closes at the first callback of the twelfth epoch. Like
+// testing.AllocsPerRun it measures at GOMAXPROCS 1.
 func steadyAllocs(t *testing.T, cfg Config) uint64 {
 	t.Helper()
 	const n, dim, epochs = 200, 30, 12
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg.Epochs = epochs
 	cfg.Tolerance = 0 // never early-stop: every epoch must run
-	perEpoch := n
-	if cfg.Batch > 1 {
-		perEpoch = (n + cfg.Batch - 1) / cfg.Batch
-	}
 	var calls int
 	var ms runtime.MemStats
 	var open, closed uint64
-	tick := func() {
+	grad := func(i int, w []float64, g *Sparse) {
 		switch calls {
-		case perEpoch:
+		case n:
 			runtime.ReadMemStats(&ms)
 			open = ms.Mallocs
-		case (epochs - 1) * perEpoch:
+		case (epochs - 1) * n:
 			runtime.ReadMemStats(&ms)
 			closed = ms.Mallocs
 		}
 		calls++
-	}
-	grad := func(i int, w []float64, g *Sparse) {
-		if cfg.Batch <= 1 {
-			tick()
-		}
 		j := i % dim
 		g.Add(j, w[j]-float64(i%7))
 		g.Add((j+11)%dim, 0.25*w[(j+11)%dim])
-	}
-	if cfg.Batch > 1 {
-		cfg.BatchStart = func([]float64) { tick() }
 	}
 	w := make([]float64, dim)
 	if _, err := Minimize(n, w, grad, cfg); err != nil {
@@ -121,11 +106,9 @@ func steadyAllocs(t *testing.T, cfg Config) uint64 {
 }
 
 // TestMinimizeSteadyStateZeroAlloc pins the dense accumulator's
-// contract on both Minimize paths: all allocation happens in per-call
-// setup (the accumulators, the shuffle order, the worker pool), so
-// ten steady-state epochs allocate nothing — the per-step
-// Reset/Add/At traffic through the accumulator and the pool's
-// dispatch included.
+// contract: all allocation happens in per-call setup (the accumulator,
+// the shuffle order), so ten steady-state epochs allocate nothing —
+// the per-step Reset/Add/At traffic through the accumulator included.
 func TestMinimizeSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -136,15 +119,12 @@ func TestMinimizeSteadyStateZeroAlloc(t *testing.T) {
 	}{
 		{"serial", Config{Method: SGD, LearningRate: 0.1, Seed: 1}},
 		{"serial-adagrad-l1", Config{Method: AdaGrad, LearningRate: 0.1, L1: 1e-3, Seed: 1}},
-		{"minibatch", Config{Method: SGD, LearningRate: 0.1, Seed: 1, Batch: 16, Workers: 1}},
-		{"minibatch-workers4", Config{Method: SGD, LearningRate: 0.1, Seed: 1, Batch: 16, Workers: 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// Goroutine start-up stays outside the window, but a GC
-			// cycle begun by another test can still drop the runtime's
-			// central sudog cache inside it, so a real per-epoch
-			// regression (deterministic, and present in every trial)
-			// is told from that noise by retrying.
+			// MemStats counts the whole process, so an allocation on
+			// another goroutine can land inside the window; a real
+			// per-epoch regression (deterministic, and present in every
+			// trial) is told from that noise by retrying.
 			var extra uint64
 			for trial := 0; trial < 5; trial++ {
 				if extra = steadyAllocs(t, tc.cfg); extra == 0 {

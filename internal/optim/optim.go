@@ -15,10 +15,8 @@ package optim
 import (
 	"errors"
 	"math"
-	"sync"
 
 	"slimfast/internal/mathx"
-	"slimfast/internal/parallel"
 	"slimfast/internal/randx"
 )
 
@@ -44,33 +42,6 @@ type Config struct {
 	L1           float64 // lasso penalty λ1 (applied proximally)
 	Tolerance    float64 // early stop when max |Δw| over an epoch < Tolerance
 	Seed         int64   // shuffle seed, for reproducibility
-
-	// Batch switches Minimize to deterministic minibatch mode when > 1:
-	// each shuffled epoch is consumed in consecutive batches of this
-	// size, per-example gradients inside a batch are computed at the
-	// frozen weights (concurrently across Workers), merged in
-	// batch-position order, and applied by a single applier. Batch <= 1
-	// keeps the per-example serial path. The trajectory depends only on
-	// (Seed, Batch) — never on Workers — so results are bit-identical
-	// for any worker count.
-	Batch int
-
-	// Workers bounds the goroutines used to compute a batch's gradient
-	// shards; <= 0 means runtime.GOMAXPROCS(0). Ignored when Batch <= 1
-	// (the serial path has no intra-step parallelism to exploit).
-	Workers int
-
-	// BatchStart, when set and Batch > 1, is called once per minibatch
-	// with the frozen weight vector before the batch's gradient shards
-	// are dispatched. Models use it to refresh caches that are pure
-	// functions of the weights (SLiMFast's σ-table) exactly once per
-	// weight freeze instead of per example. It runs on the applier
-	// goroutine, ordered before the shard fan-out and after the
-	// previous step's update, so implementations may mutate state the
-	// gradient callbacks read. Ignored when Batch <= 1: the sequential
-	// path updates weights every step, so there is no frozen phase to
-	// cache against.
-	BatchStart func(w []float64)
 }
 
 // DefaultConfig returns the settings used throughout the reproduction:
@@ -102,9 +73,6 @@ func (c Config) Validate() error {
 	}
 	if !finiteNonNegative(c.Decay) {
 		return errors.New("optim: Decay must be finite and non-negative")
-	}
-	if c.Batch < 0 {
-		return errors.New("optim: Batch must be non-negative")
 	}
 	return nil
 }
@@ -251,10 +219,7 @@ func (s *Sparse) Dense(out []float64) []float64 {
 
 // GradFunc computes the gradient of one example's loss f_i at w,
 // accumulating into grad. Implementations should only touch the
-// coordinates the example involves. When Config.Batch > 1 and
-// Config.Workers allows concurrency, the function is called from
-// multiple goroutines with distinct examples and distinct grad
-// accumulators against frozen w, so it must not mutate shared state.
+// coordinates the example involves.
 type GradFunc func(example int, w []float64, grad *Sparse)
 
 // Result reports what an optimization run did.
@@ -279,9 +244,6 @@ func Minimize(n int, w []float64, grad GradFunc, cfg Config) (Result, error) {
 	if n == 0 {
 		return Result{Converged: true}, nil
 	}
-	if cfg.Batch > 1 {
-		return minimizeMinibatch(n, w, grad, cfg)
-	}
 	rng := randx.New(cfg.Seed)
 	g := NewSparseSized(len(w))
 	var accum []float64 // AdaGrad accumulator
@@ -302,144 +264,6 @@ func Minimize(n int, w []float64, grad GradFunc, cfg Config) (Result, error) {
 			step++
 			for p, j := range g.idx {
 				gj := g.val[p] + cfg.L2*w[j]
-				eta := lr
-				if cfg.Method == AdaGrad {
-					accum[j] += gj * gj
-					eta = cfg.LearningRate / (1e-8 + math.Sqrt(accum[j]))
-				}
-				w[j] -= eta * gj
-				if cfg.L1 > 0 {
-					w[j] = mathx.SoftThreshold(w[j], eta*cfg.L1)
-				}
-			}
-		}
-		res.Epochs = epoch + 1
-		res.LastDelta = mathx.MaxAbsDiff(w, prev)
-		if cfg.Tolerance > 0 && res.LastDelta < cfg.Tolerance {
-			res.Converged = true
-			return res, nil
-		}
-	}
-	return res, nil
-}
-
-// minimizeMinibatch is the Batch > 1 path of Minimize: deterministic
-// minibatch SGD/AdaGrad with parallel gradient shards. Each shuffled
-// epoch is consumed in consecutive batches; within a batch every
-// example's sparse gradient is computed at the frozen weights into its
-// own accumulator (examples spread over Workers goroutines), the
-// shards are merged in batch-position order, and a single applier
-// takes one mean-gradient step. Because shard ownership, merge order
-// and application order depend only on the shuffle — not on scheduling
-// — the trajectory is bit-identical for every worker count, which the
-// race/determinism test tier asserts.
-func minimizeMinibatch(n int, w []float64, grad GradFunc, cfg Config) (Result, error) {
-	rng := randx.New(cfg.Seed)
-	workers := parallel.Resolve(cfg.Workers)
-	batch := cfg.Batch
-	if batch > n {
-		batch = n
-	}
-	// The shards are this fit's per-worker scratch: allocated once,
-	// sized to the weight vector, and reused across every batch of
-	// every epoch, so the gradient fan-out allocates nothing in steady
-	// state.
-	shards := make([]*Sparse, batch)
-	for i := range shards {
-		shards[i] = NewSparseSized(len(w))
-	}
-
-	// One long-lived worker pool for the whole fit: a fit makes
-	// n/Batch dispatches per epoch, so spawning goroutines per batch
-	// would pay pool setup comparable to the gradient work itself.
-	// The main goroutine writes the batch state (order, base, w)
-	// before the channel sends and reads the shards after wg.Wait(),
-	// so the pool sees a frozen batch and the merge stays ordered.
-	order := make([]int, n)
-	base := 0
-	var tasks chan parallel.Chunk
-	var wg sync.WaitGroup
-	if workers > 1 {
-		tasks = make(chan parallel.Chunk)
-		defer close(tasks)
-		for i := 0; i < workers; i++ {
-			go func() {
-				for ch := range tasks {
-					for p := ch.Lo; p < ch.Hi; p++ {
-						shards[p].Reset()
-						grad(order[base+p], w, shards[p])
-					}
-					wg.Done()
-				}
-			}()
-		}
-	}
-	// Chunk boundaries depend only on the batch width, which takes at
-	// most two values (full batches and the tail); precompute both so
-	// the per-batch dispatch allocates nothing.
-	fullChunks := parallel.Split(batch, workers)
-	var tailChunks []parallel.Chunk
-	if rem := n % batch; rem > 0 {
-		tailChunks = parallel.Split(rem, workers)
-	}
-	gradBatch := func(lo, k int) {
-		if workers > 1 && k > 1 {
-			base = lo
-			chunks := fullChunks
-			if k != batch {
-				chunks = tailChunks
-			}
-			wg.Add(len(chunks))
-			for _, ch := range chunks {
-				tasks <- ch
-			}
-			wg.Wait()
-			return
-		}
-		for p := 0; p < k; p++ {
-			shards[p].Reset()
-			grad(order[lo+p], w, shards[p])
-		}
-	}
-
-	merged := NewSparseSized(len(w))
-	var accum []float64 // AdaGrad accumulator
-	if cfg.Method == AdaGrad {
-		accum = make([]float64, len(w))
-	}
-	prev := make([]float64, len(w))
-	var res Result
-	step := 0
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		copy(prev, w)
-		rng.ShuffleRange(order)
-		for lo := 0; lo < n; lo += batch {
-			hi := lo + batch
-			if hi > n {
-				hi = n
-			}
-			k := hi - lo
-			// The weights are frozen until this batch's update is
-			// applied; let the model refresh its weight-derived caches
-			// once per freeze.
-			if cfg.BatchStart != nil {
-				cfg.BatchStart(w)
-			}
-			gradBatch(lo, k)
-			merged.Reset()
-			for p := 0; p < k; p++ {
-				s := shards[p]
-				for q := 0; q < s.Len(); q++ {
-					j, v := s.At(q)
-					merged.Add(j, v)
-				}
-			}
-			lr := cfg.LearningRate / (1 + cfg.Decay*float64(step))
-			step++
-			inv := 1 / float64(k)
-			for p := 0; p < merged.Len(); p++ {
-				j, gj := merged.At(p)
-				gj = gj*inv + cfg.L2*w[j]
 				eta := lr
 				if cfg.Method == AdaGrad {
 					accum[j] += gj * gj

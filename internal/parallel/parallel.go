@@ -1,22 +1,20 @@
 // Package parallel provides the small worker-pool primitives that
-// SLiMFast's hot paths (the EM E-step, exact inference, per-example
-// gradient shards, experiment replication) use to scale with cores
-// while staying deterministic.
+// SLiMFast's hot paths (the EM E-step, exact inference, Gibbs sampling,
+// likelihood scoring, experiment replication, the streaming engine's
+// shard fan-out) use to scale with cores while staying deterministic.
 //
-// Determinism is the design constraint. The side-effect runners (Do,
+// Determinism is the design constraint: every result is bit-identical
+// for every worker count, 1 included. The side-effect runners (Do,
 // For, Map) require callbacks to write only index-owned slots, so
-// their results are bit-identical for any worker count regardless of
-// chunking — which frees their layout to adapt to the worker count
-// (at least one chunk per worker, ~chunkTarget-wide chunks on large
-// index spaces). The ordered reductions (MapChunks, Sum) instead fix
-// their chunk boundaries as a function of the problem size alone and
-// combine per-chunk results in chunk order, so floating-point
-// reductions are bit-identical for any worker count > 1 (and within
-// rounding noise of the single-stream serial order).
+// chunking cannot influence their results — which frees their layout
+// to adapt to the worker count (at least one chunk per worker,
+// ~chunkTarget-wide chunks on large index spaces). The ordered
+// reduction Sum instead fixes its chunk boundaries as a function of
+// the problem size alone and adds the per-chunk results in chunk
+// order, so its floating-point association never depends on workers.
 //
 // Workers <= 0 means runtime.GOMAXPROCS(0). Workers == 1 runs inline
-// on the calling goroutine with no pool overhead, preserving the exact
-// legacy serial behavior of the call site.
+// on the calling goroutine with no pool overhead.
 package parallel
 
 import (
@@ -88,16 +86,11 @@ func scatterLayout(n, workers int) []Chunk {
 	return Split(n, parts)
 }
 
-// reduceLayout chunks [0, n) for the ordered reductions (MapChunks,
-// Sum): boundaries depend only on n, never on the worker count, so the
-// reduction associates identically for every workers > 1. One worker
-// gets the single serial chunk — the exact legacy summation order.
-func reduceLayout(n, workers int) []Chunk {
-	if Resolve(workers) <= 1 {
-		return Split(n, 1)
-	}
-	parts := (n + chunkTarget - 1) / chunkTarget
-	return Split(n, parts)
+// reduceLayout chunks [0, n) for the ordered reduction Sum:
+// boundaries depend only on n, never on the worker count, so the
+// reduction associates identically for every workers value.
+func reduceLayout(n int) []Chunk {
+	return Split(n, (n+chunkTarget-1)/chunkTarget)
 }
 
 // run drains the chunk list with up to workers goroutines, calling
@@ -135,7 +128,7 @@ func run(chunks []Chunk, workers int, fn func(c int, ch Chunk)) {
 // Do runs fn over the deterministic chunking of [0, n) with up to
 // workers goroutines. fn must only write state owned by indices inside
 // its chunk. With workers resolving to 1 the single chunk [0, n) runs
-// inline — the exact legacy serial path.
+// inline on the calling goroutine.
 func Do(n, workers int, fn func(ch Chunk)) {
 	run(scatterLayout(n, workers), workers, func(_ int, ch Chunk) { fn(ch) })
 }
@@ -153,11 +146,9 @@ func For(n, workers int, fn func(i int)) {
 // Map computes fn(i) for every i in [0, n) with up to workers
 // goroutines and returns the results in index order. Each result slot
 // is owned by its index, so the output is deterministic for any worker
-// count and any chunking. Unlike MapChunks — whose chunk layout targets
-// fine-grained index spaces and collapses small n into a single chunk —
-// Map fans out even for small n (one chunk per worker at least), which
-// makes it the right primitive for coarse-grained per-shard or
-// per-partition work.
+// count and any chunking. Map fans out even for small n (one chunk per
+// worker at least), which makes it the right primitive for
+// coarse-grained per-shard or per-partition work.
 func Map[T any](n, workers int, fn func(i int) T) []T {
 	if n <= 0 {
 		return nil
@@ -171,23 +162,15 @@ func Map[T any](n, workers int, fn func(i int) T) []T {
 	return out
 }
 
-// MapChunks computes fn per chunk and returns the per-chunk results in
-// chunk order — the deterministic ordered reduction the callers fold
-// over.
-func MapChunks[T any](n, workers int, fn func(ch Chunk) T) []T {
-	chunks := reduceLayout(n, workers)
-	out := make([]T, len(chunks))
-	run(chunks, workers, func(c int, ch Chunk) { out[c] = fn(ch) })
-	return out
-}
-
 // Sum evaluates fn per chunk and adds the partial results in chunk
 // order. Because the chunk layout depends only on n, the result is
-// bit-identical for every workers > 1, and equals the serial
-// single-stream sum when workers resolves to 1.
+// bit-identical for every worker count.
 func Sum(n, workers int, fn func(ch Chunk) float64) float64 {
+	chunks := reduceLayout(n)
+	parts := make([]float64, len(chunks))
+	run(chunks, workers, func(c int, ch Chunk) { parts[c] = fn(ch) })
 	var total float64
-	for _, part := range MapChunks(n, workers, fn) {
+	for _, part := range parts {
 		total += part
 	}
 	return total

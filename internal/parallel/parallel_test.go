@@ -48,25 +48,16 @@ func TestSplitCoversRange(t *testing.T) {
 }
 
 func TestReduceLayoutIndependentOfWorkerCount(t *testing.T) {
-	// The reduction chunk boundaries must depend only on n so that
-	// ordered reductions are bit-identical for any worker count > 1.
-	for _, n := range []int{1, 63, 64, 65, 1000} {
-		ref := reduceLayout(n, 2)
-		for _, w := range []int{3, 4, 16} {
-			got := reduceLayout(n, w)
-			if len(got) != len(ref) {
-				t.Fatalf("n=%d: layout differs between 2 and %d workers", n, w)
-			}
-			for i := range got {
-				if got[i] != ref[i] {
-					t.Fatalf("n=%d chunk %d: %v vs %v", n, i, got[i], ref[i])
-				}
-			}
+	// The reduction chunk boundaries depend only on n, so ordered
+	// reductions are bit-identical for any worker count: ~chunkTarget
+	// wide, one chunk for small n.
+	for _, tc := range []struct{ n, wantChunks int }{
+		{0, 0}, {1, 1}, {63, 1}, {64, 1}, {65, 2}, {1000, 16},
+	} {
+		got := reduceLayout(tc.n)
+		if len(got) != tc.wantChunks {
+			t.Errorf("reduceLayout(%d) made %d chunks, want %d", tc.n, len(got), tc.wantChunks)
 		}
-	}
-	// Workers==1 must be the single serial chunk.
-	if got := reduceLayout(1000, 1); len(got) != 1 || got[0] != (Chunk{0, 1000}) {
-		t.Fatalf("reduceLayout(1000, 1) = %v, want one full chunk", got)
 	}
 }
 
@@ -77,7 +68,6 @@ func TestScatterLayoutFansOutSmallN(t *testing.T) {
 		{4, 4, 4},     // seed replication
 		{3, 8, 3},     // fewer items than workers
 		{28, 4, 4},    // quick-mode table cells
-		{32, 4, 4},    // minibatch shards at Batch=32
 		{1000, 4, 16}, // large n falls back to ~chunkTarget width
 	} {
 		got := scatterLayout(tc.n, tc.workers)
@@ -117,32 +107,33 @@ func TestSumDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return s
 	}
-	serial := Sum(n, 1, chunkSum)
-	ref := Sum(n, 2, chunkSum)
-	for _, w := range []int{2, 3, 8} {
+	ref := Sum(n, 1, chunkSum)
+	for _, w := range []int{0, 2, 3, 8} {
 		for rep := 0; rep < 5; rep++ {
 			if got := Sum(n, w, chunkSum); got != ref {
 				t.Fatalf("workers=%d rep=%d: sum %v != %v", w, rep, got, ref)
 			}
 		}
 	}
-	if math.Abs(serial-ref) > 1e-12 {
-		t.Fatalf("serial %v and chunked %v sums too far apart", serial, ref)
-	}
 }
 
-func TestMapChunksOrdered(t *testing.T) {
-	n := 300
-	parts := MapChunks(n, 4, func(ch Chunk) Chunk { return ch })
-	prev := 0
-	for _, ch := range parts {
-		if ch.Lo != prev {
-			t.Fatalf("chunks out of order: %v", parts)
-		}
-		prev = ch.Hi
+func TestSumChunksOrdered(t *testing.T) {
+	// Sum must add the partials in chunk order: with partials of mixed
+	// magnitude the float sum depends on that order, so compare with an
+	// explicit left fold over the layout.
+	const n = 3000
+	chunks := reduceLayout(n)
+	partial := func(ch Chunk) float64 {
+		return math.Sin(float64(ch.Lo)) * math.Pow(10, float64(ch.Lo%17))
 	}
-	if prev != n {
-		t.Fatalf("chunks cover %d of %d", prev, n)
+	var want float64
+	for _, ch := range chunks {
+		want += partial(ch)
+	}
+	for _, w := range []int{1, 4} {
+		if got := Sum(n, w, partial); got != want {
+			t.Errorf("workers=%d: Sum = %v, chunk-order fold %v", w, got, want)
+		}
 	}
 }
 

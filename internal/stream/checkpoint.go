@@ -172,7 +172,7 @@ func (e *Engine) WriteCheckpoint(w io.Writer) error {
 	opts := e.opts
 	opts.Shards = e.nShards            // pin the resolved count: GOMAXPROCS on the
 	opts.EpochLength = int(e.epochLen) // restoring host must not change the layout
-	opts.DedupWindow = e.seqCap        // pin so the restored window evicts identically
+	opts.DedupWindow = e.seq.Size()    // pin so the restored window evicts identically
 	var learnerSnap *online.Learner
 	if e.learner != nil {
 		// Pin the resolved learner config too (Learn may have been the
@@ -432,8 +432,8 @@ func Restore(r io.Reader) (*Engine, error) {
 		if err := rr.Err(); err != nil {
 			return nil, fmt.Errorf("stream: restore: %w", err)
 		}
-		if len(seqKeys) > e.seqCap {
-			return nil, corruptf("dedup window holds %d keys, cap is %d", len(seqKeys), e.seqCap)
+		if len(seqKeys) > e.seq.Size() {
+			return nil, corruptf("dedup window holds %d keys, cap is %d", len(seqKeys), e.seq.Size())
 		}
 		for _, k := range seqKeys {
 			if k == "" {

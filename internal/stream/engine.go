@@ -46,6 +46,7 @@ import (
 	"slimfast/internal/mathx"
 	"slimfast/internal/online"
 	"slimfast/internal/parallel"
+	"slimfast/internal/resilience"
 )
 
 // EngineOptions tunes the sharded streaming engine. The embedded
@@ -344,15 +345,11 @@ type Engine struct {
 	learnMu  sync.RWMutex
 	features map[string][]string
 
-	// Ingest idempotency window: a bounded ring of recent batch
-	// sequence keys plus its membership set, guarded by seqMu. The
-	// window rides in the checkpoint (v3) so retries that straddle a
-	// restart still deduplicate.
-	seqMu   sync.Mutex
-	seqKeys []string
-	seqHead int // ring start when full
-	seqSet  map[string]struct{}
-	seqCap  int
+	// Ingest idempotency window of recent batch sequence keys,
+	// guarded by seqMu. The window rides in the checkpoint (v3) so
+	// retries that straddle a restart still deduplicate.
+	seqMu sync.Mutex
+	seq   *resilience.Window
 
 	// Drain scratch, reused across refreshes (guarded by refreshMu).
 	mergeAgree []float64
@@ -383,11 +380,11 @@ func NewEngine(opts EngineOptions) (*Engine, error) {
 	if e.epochLen <= 0 {
 		e.epochLen = DefaultEpochLength
 	}
-	e.seqCap = opts.DedupWindow
-	if e.seqCap <= 0 {
-		e.seqCap = DefaultDedupWindow
+	window := opts.DedupWindow
+	if window <= 0 {
+		window = DefaultDedupWindow
 	}
-	e.seqSet = make(map[string]struct{})
+	e.seq = resilience.NewWindow(window)
 	if opts.MaxObjects > 0 {
 		e.shardCap = (opts.MaxObjects + n - 1) / n
 	}
@@ -1400,18 +1397,7 @@ func (e *Engine) MarkSeq(key string) bool {
 	}
 	e.seqMu.Lock()
 	defer e.seqMu.Unlock()
-	if _, dup := e.seqSet[key]; dup {
-		return false
-	}
-	if len(e.seqKeys) < e.seqCap {
-		e.seqKeys = append(e.seqKeys, key)
-	} else {
-		delete(e.seqSet, e.seqKeys[e.seqHead])
-		e.seqKeys[e.seqHead] = key
-		e.seqHead = (e.seqHead + 1) % e.seqCap
-	}
-	e.seqSet[key] = struct{}{}
-	return true
+	return e.seq.Mark(key)
 }
 
 // SeqSeen reports whether key is currently inside the dedup window
@@ -1422,8 +1408,7 @@ func (e *Engine) SeqSeen(key string) bool {
 	}
 	e.seqMu.Lock()
 	defer e.seqMu.Unlock()
-	_, dup := e.seqSet[key]
-	return dup
+	return e.seq.Seen(key)
 }
 
 // seqSnapshot copies the dedup window oldest-first (the order MarkSeq
@@ -1431,13 +1416,7 @@ func (e *Engine) SeqSeen(key string) bool {
 func (e *Engine) seqSnapshot() []string {
 	e.seqMu.Lock()
 	defer e.seqMu.Unlock()
-	if len(e.seqKeys) < e.seqCap {
-		return append([]string(nil), e.seqKeys...)
-	}
-	out := make([]string, 0, len(e.seqKeys))
-	out = append(out, e.seqKeys[e.seqHead:]...)
-	out = append(out, e.seqKeys[:e.seqHead]...)
-	return out
+	return e.seq.Keys()
 }
 
 // Snapshot exports the live claims as an immutable Dataset plus the

@@ -94,10 +94,11 @@ func WithSeed(seed int64) Option {
 
 // WithParallelism bounds the worker goroutines used by learning and
 // inference. n <= 0 selects runtime.GOMAXPROCS(0), the default; n == 1
-// runs everything on the calling goroutine, the exact legacy serial
-// path. The parallel subsystem is deterministic by construction, so
-// Solve returns identical results for every setting — the knob only
-// trades goroutines for wall-clock.
+// runs everything on the calling goroutine. The parallel subsystem is
+// deterministic by construction and n never selects an algorithm, so
+// Solve returns identical results for every setting, under exact and
+// Gibbs inference alike — the knob only trades goroutines for
+// wall-clock.
 func WithParallelism(n int) Option {
 	return func(c *solveConfig) { c.opts.Workers = n }
 }

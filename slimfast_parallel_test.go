@@ -46,37 +46,66 @@ func buildProblem() *Problem {
 }
 
 // TestWithParallelismEquivalent is the facade-level determinism check:
-// WithParallelism(n) must not change any reported number.
+// WithParallelism(n) must not change any reported number, under exact
+// and under Gibbs inference. The Figure 1 problem keeps its posteriors
+// away from 0 and 1, where a change of sampler would show.
 func TestWithParallelismEquivalent(t *testing.T) {
-	for _, alg := range []Algorithm{ERM, EM, Auto} {
-		serial, err := buildProblem().Solve(WithAlgorithm(alg), WithParallelism(1))
-		if err != nil {
-			t.Fatalf("%s serial: %v", alg, err)
+	problems := []struct {
+		name  string
+		build func() *Problem
+	}{{"par", buildProblem}, {"figure1", figure1Problem}}
+	for _, pb := range problems {
+		for _, alg := range []Algorithm{ERM, EM, Auto} {
+			for _, gibbs := range []bool{false, true} {
+				equivalentAcrossParallelism(t, pb.name, pb.build, alg, gibbs)
+			}
 		}
-		for _, n := range []int{0, 4} {
-			par, err := buildProblem().Solve(WithAlgorithm(alg), WithParallelism(n))
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", alg, n, err)
+	}
+}
+
+// equivalentAcrossParallelism solves one problem at WithParallelism 1,
+// 0 and 4 and fails unless values, confidences and source accuracies
+// agree exactly.
+func equivalentAcrossParallelism(t *testing.T, name string, build func() *Problem, algorithm Algorithm, gibbs bool) {
+	t.Helper()
+	alg := name + "/" + string(algorithm)
+	if gibbs {
+		alg += "/gibbs"
+	}
+	solve := func(n int) (*Report, error) {
+		opts := []Option{WithAlgorithm(algorithm), WithSeed(7), WithParallelism(n)}
+		if gibbs {
+			opts = append(opts, WithGibbsInference())
+		}
+		return build().Solve(opts...)
+	}
+	serial, err := solve(1)
+	if err != nil {
+		t.Fatalf("%s serial: %v", alg, err)
+	}
+	for _, n := range []int{0, 4} {
+		par, err := solve(n)
+		if err != nil {
+			t.Fatalf("%s workers=%d: %v", alg, n, err)
+		}
+		if par.Algorithm() != serial.Algorithm() {
+			t.Fatalf("%s workers=%d: algorithm %s vs %s", alg, n, par.Algorithm(), serial.Algorithm())
+		}
+		sv, pv := serial.Values(), par.Values()
+		if len(sv) != len(pv) {
+			t.Fatalf("%s workers=%d: %d vs %d fused objects", alg, n, len(sv), len(pv))
+		}
+		for obj, v := range sv {
+			if pv[obj] != v {
+				t.Fatalf("%s workers=%d: %s fused to %q vs %q", alg, n, obj, pv[obj], v)
 			}
-			if par.Algorithm() != serial.Algorithm() {
-				t.Fatalf("%s workers=%d: algorithm %s vs %s", alg, n, par.Algorithm(), serial.Algorithm())
+			if c1, c2 := serial.Confidence(obj), par.Confidence(obj); c1 != c2 {
+				t.Fatalf("%s workers=%d: confidence(%s) %v vs %v", alg, n, obj, c1, c2)
 			}
-			sv, pv := serial.Values(), par.Values()
-			if len(sv) != len(pv) {
-				t.Fatalf("%s workers=%d: %d vs %d fused objects", alg, n, len(sv), len(pv))
-			}
-			for obj, v := range sv {
-				if pv[obj] != v {
-					t.Fatalf("%s workers=%d: %s fused to %q vs %q", alg, n, obj, pv[obj], v)
-				}
-				if c1, c2 := serial.Confidence(obj), par.Confidence(obj); c1 != c2 {
-					t.Fatalf("%s workers=%d: confidence(%s) %v vs %v", alg, n, obj, c1, c2)
-				}
-			}
-			for src, acc := range serial.SourceAccuracies() {
-				if got := par.SourceAccuracies()[src]; got != acc {
-					t.Fatalf("%s workers=%d: accuracy(%s) %v vs %v", alg, n, src, got, acc)
-				}
+		}
+		for src, acc := range serial.SourceAccuracies() {
+			if got := par.SourceAccuracies()[src]; got != acc {
+				t.Fatalf("%s workers=%d: accuracy(%s) %v vs %v", alg, n, src, got, acc)
 			}
 		}
 	}
