@@ -1,13 +1,13 @@
 // Benchmarks regenerating every table and figure of the SLiMFast paper
 // (one benchmark per artifact; run with `go test -bench=. -benchmem`),
-// plus ablation benches for the design choices called out in DESIGN.md
-// §5 and micro-benchmarks of the core operations.
+// plus ablation benches for design choices (EM units, the agreement
+// estimator, regularization, the optimizer) and micro-benchmarks of the
+// core operations.
 //
 // Each experiment bench runs the same code path as `cmd/experiments
 // -exp <id>` in quick mode; b.N repetitions measure end-to-end cost,
-// and the rendered output goes to io.Discard. For the full-scale
-// numbers recorded in EXPERIMENTS.md, run cmd/experiments without
-// -quick.
+// and the rendered output goes to io.Discard. For full-scale numbers,
+// run cmd/experiments without -quick.
 package slimfast
 
 import (
@@ -77,44 +77,7 @@ func benchInstance(b *testing.B) *synth.Instance {
 	return inst
 }
 
-// --- Ablations (DESIGN.md §5) ---
-
-// BenchmarkAblationInference compares exact closed-form posteriors
-// against Gibbs sampling over the compiled factor graph.
-func BenchmarkAblationInference(b *testing.B) {
-	inst := benchInstance(b)
-	train, _ := data.Split(inst.Gold, 0.2, randx.New(1))
-	fit := func(opts core.Options) *core.Model {
-		m, err := core.Compile(inst.Dataset, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.FitERM(train); err != nil {
-			b.Fatal(err)
-		}
-		return m
-	}
-	b.Run("exact", func(b *testing.B) {
-		m := fit(core.DefaultOptions())
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Infer(train); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("gibbs", func(b *testing.B) {
-		opts := core.DefaultOptions()
-		opts.Inference = core.Gibbs
-		m := fit(opts)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Infer(train); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
+// --- Ablations ---
 
 // BenchmarkAblationEMUnits compares the printed Algorithm 1 against the
 // Example 8 variant that multiplies per-object gain by m.
@@ -537,5 +500,5 @@ func BenchmarkFacadeSolve(b *testing.B) {
 }
 
 // BenchmarkAblationsQuality runs the registered quality-ablation
-// experiment (DESIGN.md §5) end to end.
+// experiment end to end.
 func BenchmarkAblationsQuality(b *testing.B) { benchExperiment(b, "ablations") }

@@ -30,7 +30,7 @@ func main() {
 
 func run(w io.Writer) error {
 	// The real GAD/DisGeNet data is offline; the calibrated simulator
-	// matches Table 1's shape (see DESIGN.md §4).
+	// matches Table 1's shape (see the internal/synth package doc).
 	inst, err := synth.Genomics(42)
 	if err != nil {
 		return err

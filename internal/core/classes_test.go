@@ -169,27 +169,3 @@ func TestPerClassParamCount(t *testing.T) {
 		t.Error("default model should have 1 class")
 	}
 }
-
-func TestPerClassGibbsInference(t *testing.T) {
-	ds, gold, classes := classedInstance(t)
-	opts := DefaultOptions()
-	opts.ObjectClasses = classes
-	opts.NumClasses = 2
-	opts.Inference = Gibbs
-	opts.Gibbs.Samples = 300
-	m, err := Compile(ds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	train, test := data.Split(gold, 0.3, randx.New(2))
-	if _, err := m.FitERM(train); err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Infer(train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc := metrics.ObjectAccuracy(res.Values, test); acc < 0.75 {
-		t.Errorf("per-class Gibbs accuracy = %v, want >= 0.75", acc)
-	}
-}

@@ -262,9 +262,8 @@ func (m *Model) fillSigma(w []float64, tbl []float64) {
 // FitEM's M-step and calibrateOnce, EM's initial-accuracy seeding, and
 // calibrate's uniform shift / closed-form per-source steps. SGD never
 // reads this cache — accumGradient recomputes σ from the live weights
-// at every step; only phases with frozen weights (E-step, exact
-// inference, likelihood scoring, Gibbs compilation, calibration
-// counting) read the σ-table.
+// at every step; only phases with frozen weights (E-step, inference,
+// likelihood scoring, calibration counting) read the σ-table.
 func (m *Model) sigmaTable() []float64 {
 	m.sigmaMu.Lock()
 	if !m.sigmaValid {

@@ -22,22 +22,9 @@ import (
 	"sync"
 
 	"slimfast/internal/data"
-	"slimfast/internal/factor"
 	"slimfast/internal/mathx"
 	"slimfast/internal/optim"
 	"slimfast/internal/parallel"
-)
-
-// Inference selects how posteriors are computed.
-type Inference int
-
-const (
-	// Exact computes Equation 4 posteriors in closed form (the model
-	// factorizes over objects). This is the default.
-	Exact Inference = iota
-	// Gibbs compiles the model to a factor graph and samples, matching
-	// the paper's DeepDive execution path.
-	Gibbs
 )
 
 // Options configures a SLiMFast model.
@@ -51,11 +38,6 @@ type Options struct {
 	// source pairs that co-observe at least MinCopyOverlap objects.
 	CopyFeatures   bool
 	MinCopyOverlap int
-
-	// Inference selects exact closed-form posteriors or Gibbs
-	// sampling over the compiled factor graph.
-	Inference Inference
-	Gibbs     factor.GibbsConfig
 
 	// Optim configures the SGD/AdaGrad runs inside ERM and each EM
 	// M-step.
@@ -108,13 +90,13 @@ type Options struct {
 	OpenWorldBias float64
 
 	// Workers bounds the goroutines used by the parallel execution
-	// subsystem for the EM E-step, exact inference, Gibbs sampling and
-	// likelihood scoring. 0 means runtime.GOMAXPROCS(0); 1 runs
-	// everything on the calling goroutine. Workers picks speed, never
-	// the algorithm: weights, fused values, posteriors, accuracies and
-	// LogLikelihood are bit-identical for every value. Each
-	// object/example owns its output slot, SGD runs sequentially, and
-	// reductions chunk by problem size alone.
+	// subsystem for the EM E-step, inference and likelihood scoring. 0
+	// means runtime.GOMAXPROCS(0); 1 runs everything on the calling
+	// goroutine. Workers picks speed, never the algorithm: weights,
+	// fused values, posteriors, accuracies and LogLikelihood are
+	// bit-identical for every value. Each object/example owns its
+	// output slot, SGD runs sequentially, and reductions chunk by
+	// problem size alone.
 	Workers int
 }
 
@@ -126,8 +108,6 @@ func DefaultOptions() Options {
 	return Options{
 		UseFeatures:    true,
 		MinCopyOverlap: 3,
-		Inference:      Exact,
-		Gibbs:          factor.DefaultGibbsConfig(),
 		Optim:          oc,
 		EMMaxIters:     25,
 		EMTolerance:    1e-3,
@@ -479,9 +459,8 @@ type Result struct {
 	// ("erm", "em", or "none" for an unfitted model).
 	Algorithm string
 
-	// dense is the slab-backed posterior snapshot (exact inference);
-	// Gibbs results materialize posteriors eagerly instead. lay is the
-	// owning model's compiled layout, needed to decode the slab.
+	// dense is the slab-backed posterior snapshot; lay is the owning
+	// model's compiled layout, needed to decode the slab.
 	dense *denseResult
 	lay   *layout
 
@@ -499,7 +478,7 @@ func (r *Result) Posterior(o data.ObjectID) map[data.ValueID]float64 {
 	if post, ok := r.posteriors[o]; ok {
 		return post
 	}
-	if r.allBuilt || r.dense == nil || int(o) < 0 || int(o) >= len(r.dense.state) {
+	if r.allBuilt || int(o) < 0 || int(o) >= len(r.dense.state) {
 		return nil
 	}
 	post := r.materialize(o)
@@ -522,21 +501,15 @@ func (r *Result) Posteriors() map[data.ObjectID]map[data.ValueID]float64 {
 		return r.posteriors
 	}
 	if r.posteriors == nil {
-		n := 0
-		if r.dense != nil {
-			n = len(r.dense.state)
-		}
-		r.posteriors = make(map[data.ObjectID]map[data.ValueID]float64, n)
+		r.posteriors = make(map[data.ObjectID]map[data.ValueID]float64, len(r.dense.state))
 	}
-	if r.dense != nil {
-		for o := range r.dense.state {
-			oid := data.ObjectID(o)
-			if _, ok := r.posteriors[oid]; ok {
-				continue
-			}
-			if post := r.materialize(oid); post != nil {
-				r.posteriors[oid] = post
-			}
+	for o := range r.dense.state {
+		oid := data.ObjectID(o)
+		if _, ok := r.posteriors[oid]; ok {
+			continue
+		}
+		if post := r.materialize(oid); post != nil {
+			r.posteriors[oid] = post
 		}
 	}
 	r.allBuilt = true
@@ -561,19 +534,26 @@ func (r *Result) materialize(o data.ObjectID) map[data.ValueID]float64 {
 	return nil
 }
 
-// Infer runs posterior inference for every object under the current
-// weights, using exact computation or Gibbs sampling per Options. Known
-// labels (may be nil) are clamped as evidence: their value is returned
-// verbatim, matching the paper's semi-supervised treatment.
+// Infer computes the exact Equation 4 posterior of every object under
+// the current weights (the model factorizes over objects, so each is
+// one closed-form softmax). Known labels (may be nil) are clamped as
+// evidence: their value is returned verbatim, matching the paper's
+// semi-supervised treatment. The error is always nil.
 func (m *Model) Infer(known data.TruthMap) (*Result, error) {
-	switch m.opts.Inference {
-	case Exact:
-		return m.inferExact(known), nil
-	case Gibbs:
-		return m.inferGibbs(known)
-	default:
-		return nil, fmt.Errorf("core: unknown inference kind %d", m.opts.Inference)
+	nObj := m.ds.NumObjects()
+	dr := m.inferDense(known)
+	res := &Result{
+		Values:           make(map[data.ObjectID]data.ValueID, nObj),
+		SourceAccuracies: m.SourceAccuracies(),
+		dense:            dr,
+		lay:              &m.lay,
 	}
+	for o := 0; o < nObj; o++ {
+		if dr.state[o] != objEmpty {
+			res.Values[data.ObjectID(o)] = dr.best[o]
+		}
+	}
+	return res, nil
 }
 
 // Dense-path object states; see denseResult.
@@ -636,123 +616,5 @@ func (m *Model) inferDense(known data.TruthMap) *denseResult {
 	return dr
 }
 
-func (m *Model) inferExact(known data.TruthMap) *Result {
-	nObj := m.ds.NumObjects()
-	res := &Result{
-		Values:           make(map[data.ObjectID]data.ValueID, nObj),
-		SourceAccuracies: m.SourceAccuracies(),
-	}
-	dr := m.inferDense(known)
-	for o := 0; o < nObj; o++ {
-		if dr.state[o] != objEmpty {
-			res.Values[data.ObjectID(o)] = dr.best[o]
-		}
-	}
-	res.dense = dr
-	res.lay = &m.lay
-	return res
-}
-
 // workers resolves the effective worker count for the parallel paths.
 func (m *Model) workers() int { return parallel.Resolve(m.opts.Workers) }
-
-// inferGibbs compiles the current model into a factor graph and runs
-// the sampler, the execution path the paper uses via DeepDive. The
-// compiled graph is fully factorized (every factor is unary), so each
-// object samples from its own chain and the marginals depend only on
-// the Gibbs config, never on Workers or the host's core count.
-func (m *Model) inferGibbs(known data.TruthMap) (*Result, error) {
-	var g factor.Graph
-	sg := m.sigmaTable()
-	varOf := make([]int, m.ds.NumObjects())
-	domains := make([][]data.ValueID, m.ds.NumObjects())
-	for o := 0; o < m.ds.NumObjects(); o++ {
-		oid := data.ObjectID(o)
-		dom := m.lay.dom[o]
-		if len(dom) == 0 {
-			varOf[o] = -1
-			continue
-		}
-		domains[o] = dom
-		varOf[o] = g.AddVariable(len(dom))
-		if m.opts.OpenWorld {
-			f := factor.Factor{
-				Vars:      []int{varOf[o]},
-				Weight:    m.opts.OpenWorldBias,
-				Potential: factor.IndicatorEquals(len(dom) - 1),
-			}
-			if err := g.AddFactor(f); err != nil {
-				return nil, err
-			}
-		}
-		if v, ok := known[oid]; ok {
-			if i := localIndex(dom, v); i >= 0 {
-				if err := g.SetEvidence(varOf[o], i); err != nil {
-					return nil, err
-				}
-			}
-		}
-		classBase := m.classOfObject(oid) * m.numSources
-		base := m.lay.obsBase[o]
-		for i, ob := range m.ds.ObjectObservations(oid) {
-			f := factor.Factor{
-				Vars:      []int{varOf[o]},
-				Weight:    sg[classBase+int(ob.Source)],
-				Potential: factor.IndicatorEquals(int(m.lay.obsLocal[base+i])),
-			}
-			if err := g.AddFactor(f); err != nil {
-				return nil, err
-			}
-		}
-		if m.opts.CopyFeatures {
-			for _, ag := range m.objCopyAgree[oid] {
-				wp := m.w[m.featBase()+m.numFeatures+ag.pair]
-				f := factor.Factor{
-					Vars:      []int{varOf[o]},
-					Weight:    wp,
-					Potential: factor.IndicatorNotEquals(localIndex(dom, ag.value)),
-				}
-				if err := g.AddFactor(f); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	marg, err := g.Gibbs(m.opts.Gibbs, m.opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Values:           make(map[data.ObjectID]data.ValueID, m.ds.NumObjects()),
-		SourceAccuracies: m.SourceAccuracies(),
-		// Sampling is the cold path; its posteriors materialize eagerly.
-		posteriors: make(map[data.ObjectID]map[data.ValueID]float64, m.ds.NumObjects()),
-		allBuilt:   true,
-	}
-	for o := 0; o < m.ds.NumObjects(); o++ {
-		oid := data.ObjectID(o)
-		if varOf[o] < 0 {
-			if v, ok := known[oid]; ok {
-				res.Values[oid] = v
-				res.posteriors[oid] = map[data.ValueID]float64{v: 1}
-			}
-			continue
-		}
-		dom := domains[o]
-		ps := marg[varOf[o]]
-		post := make(map[data.ValueID]float64, len(dom))
-		best, bestP := dom[0], ps[0]
-		for i, v := range dom {
-			post[v] = ps[i]
-			if ps[i] > bestP {
-				best, bestP = v, ps[i]
-			}
-		}
-		if v, ok := known[oid]; ok {
-			best = v
-		}
-		res.Values[oid] = best
-		res.posteriors[oid] = post
-	}
-	return res, nil
-}

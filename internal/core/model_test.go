@@ -91,26 +91,89 @@ func TestSetWeightsLengthCheck(t *testing.T) {
 }
 
 func TestPosteriorMatchesEquation4(t *testing.T) {
-	m, _ := Compile(tinyDataset(), DefaultOptions())
-	w := make([]float64, m.NumParams())
-	w[0], w[1], w[2] = 2, 1, 0.5 // no feature weights
-	if err := m.SetWeights(w); err != nil {
-		t.Fatal(err)
+	// tinyDataset interns "a" as value 0 and "b" as value 1. Object 0:
+	// s0, s1 say "a", s2 says "b"; object 1: s0 and s2 say "b".
+	const a, b = data.ValueID(0), data.ValueID(1)
+	e := math.Exp
+	sources := func(m *Model) []float64 {
+		w := make([]float64, m.NumParams())
+		w[0], w[1], w[2] = 2, 1, 0.5 // σ = w_s: no feature weights
+		return w
 	}
-	// Object 0: s0(σ=2), s1(σ=1) say "a"; s2(σ=0.5) says "b".
-	// P(a) = e^3 / (e^3 + e^0.5).
-	post := m.Posterior(0)
-	want := math.Exp(3) / (math.Exp(3) + math.Exp(0.5))
-	if math.Abs(post[0]-want) > 1e-12 {
-		t.Errorf("P(a) = %v, want %v", post[0], want)
+	// Appendix D with the open-world wildcard: every pair co-observes at
+	// least one object, (s0, s1) agree on "a" at object 0, (s0, s2) on
+	// "b" at object 1, and (s1, s2) never agree.
+	copyOpen := DefaultOptions()
+	copyOpen.CopyFeatures = true
+	copyOpen.MinCopyOverlap = 1
+	copyOpen.OpenWorld = true
+	copyOpen.OpenWorldBias = -0.3
+	pairW := map[[2]data.SourceID]float64{{0, 1}: 0.7, {0, 2}: 0.4, {1, 2}: 0.9}
+	copyWeights := func(m *Model) []float64 {
+		w := sources(m)
+		if m.NumCopyPairs() != len(pairW) {
+			t.Fatalf("NumCopyPairs = %d, want %d", m.NumCopyPairs(), len(pairW))
+		}
+		for p := 0; p < m.NumCopyPairs(); p++ {
+			sa, sb, _ := m.CopyPair(p)
+			w[m.featBase()+m.numFeatures+p] = pairW[[2]data.SourceID{sa, sb}]
+		}
+		return w
 	}
-	// Posterior sums to 1.
-	var sum float64
-	for _, p := range post {
-		sum += p
+	// Every value except the copiers' agreed one, the wildcard
+	// included, gets +w_pair; a pair that agrees elsewhere, or never,
+	// adds nothing.
+	z0 := e(3) + e(0.5+0.7) + e(-0.3+0.7)
+	z1 := e(2.5) + e(-0.3+0.4)
+	cases := []struct {
+		name    string
+		opts    Options
+		weights func(*Model) []float64
+		obj     data.ObjectID
+		want    map[data.ValueID]float64
+	}{
+		{"closed-world", DefaultOptions(), sources, 0, map[data.ValueID]float64{
+			a: e(3) / (e(3) + e(0.5)),
+			b: e(0.5) / (e(3) + e(0.5)),
+		}},
+		{"copy-open-world/o0", copyOpen, copyWeights, 0, map[data.ValueID]float64{
+			a:         e(3) / z0,
+			b:         e(0.5+0.7) / z0,
+			data.None: e(-0.3+0.7) / z0,
+		}},
+		{"copy-open-world/o1", copyOpen, copyWeights, 1, map[data.ValueID]float64{
+			b:         e(2.5) / z1,
+			data.None: e(-0.3+0.4) / z1,
+		}},
 	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("posterior sums to %v", sum)
+	for _, c := range cases {
+		m, err := Compile(tinyDataset(), c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SetWeights(c.weights(m)); err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Infer(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The model's point read and Infer's dense slab must both match.
+		for _, post := range []map[data.ValueID]float64{m.Posterior(c.obj), res.Posterior(c.obj)} {
+			if len(post) != len(c.want) {
+				t.Fatalf("%s: posterior %v, want domain of %v", c.name, post, c.want)
+			}
+			var sum float64
+			for v, want := range c.want {
+				if math.Abs(post[v]-want) > 1e-12 {
+					t.Errorf("%s: P(%d) = %v, want %v", c.name, v, post[v], want)
+				}
+				sum += post[v]
+			}
+			if math.Abs(sum-1) > 1e-12 {
+				t.Errorf("%s: posterior sums to %v", c.name, sum)
+			}
+		}
 	}
 }
 
@@ -126,75 +189,6 @@ func TestInferExactRespectsKnownLabels(t *testing.T) {
 	}
 	if res.Posterior(0)[1] != 1 {
 		t.Error("known label should have point-mass posterior")
-	}
-}
-
-func TestInferGibbsMatchesExact(t *testing.T) {
-	inst, err := synth.Generate(synth.Config{
-		Name: "g", Sources: 15, Objects: 60, DomainSize: 3,
-		Assignment: synth.IIDDensity, Density: 0.4,
-		MeanAccuracy: 0.7, AccuracySD: 0.1, MinAccuracy: 0.5, MaxAccuracy: 0.95,
-		EnsureTruthObserved: true, Seed: 21,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	optsExact := DefaultOptions()
-	mExact, err := Compile(inst.Dataset, optsExact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Moderate weights so posteriors aren't saturated.
-	w := make([]float64, mExact.NumParams())
-	for s := 0; s < inst.Dataset.NumSources(); s++ {
-		w[s] = mathx.Logit(inst.TrueAccuracy[s]) / 2
-	}
-	if err := mExact.SetWeights(w); err != nil {
-		t.Fatal(err)
-	}
-	exact := mExact.inferExact(nil)
-
-	optsGibbs := DefaultOptions()
-	optsGibbs.Inference = Gibbs
-	optsGibbs.Gibbs.Samples = 4000
-	mGibbs, err := Compile(inst.Dataset, optsGibbs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mGibbs.SetWeights(w); err != nil {
-		t.Fatal(err)
-	}
-	gibbs, err := mGibbs.Infer(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Posteriors should agree to sampling error; MAP values should
-	// agree on confidently decided objects.
-	var maxDiff float64
-	for o, pe := range exact.Posteriors() {
-		pg := gibbs.Posterior(o)
-		for v, p := range pe {
-			d := math.Abs(p - pg[v])
-			if d > maxDiff {
-				maxDiff = d
-			}
-		}
-	}
-	if maxDiff > 0.06 {
-		t.Errorf("max posterior diff exact vs Gibbs = %v", maxDiff)
-	}
-	agree, decided := 0, 0
-	for o, v := range exact.Values {
-		if exact.Posterior(o)[v] < 0.7 {
-			continue
-		}
-		decided++
-		if gibbs.Values[o] == v {
-			agree++
-		}
-	}
-	if decided > 0 && float64(agree)/float64(decided) < 0.95 {
-		t.Errorf("Gibbs MAP agrees on %d/%d confident objects", agree, decided)
 	}
 }
 

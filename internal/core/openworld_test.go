@@ -163,43 +163,3 @@ func TestOpenWorldERMWithNoneLabels(t *testing.T) {
 		t.Error("trained model should commit on the clear object")
 	}
 }
-
-func TestOpenWorldGibbsMatchesExact(t *testing.T) {
-	opts := DefaultOptions()
-	opts.OpenWorld = true
-	opts.OpenWorldBias = 0.5
-	mExact, err := Compile(openWorldDataset(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := make([]float64, mExact.NumParams())
-	w[0], w[1], w[2] = 1, 0.3, 0.7
-	if err := mExact.SetWeights(w); err != nil {
-		t.Fatal(err)
-	}
-	exact, err := mExact.Infer(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gOpts := opts
-	gOpts.Inference = Gibbs
-	gOpts.Gibbs.Samples = 20000
-	mGibbs, err := Compile(openWorldDataset(), gOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mGibbs.SetWeights(w); err != nil {
-		t.Fatal(err)
-	}
-	gibbs, err := mGibbs.Infer(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for o, pe := range exact.Posteriors() {
-		for v, p := range pe {
-			if math.Abs(gibbs.Posterior(o)[v]-p) > 0.02 {
-				t.Errorf("object %d value %d: gibbs %v vs exact %v", o, v, gibbs.Posterior(o)[v], p)
-			}
-		}
-	}
-}

@@ -11,10 +11,10 @@ import (
 	"slimfast/internal/synth"
 )
 
-// RunAblations measures the quality impact of the design choices listed
-// in DESIGN.md §5 (their runtime impact lives in bench_test.go):
+// RunAblations measures the quality impact of these design choices
+// (their runtime impact lives in the BenchmarkAblation* benchmarks of
+// bench_test.go):
 //
-//   - exact closed-form inference vs Gibbs sampling,
 //   - the post-EM calibration pass on vs off,
 //   - the paper's closed-form average-accuracy estimator vs the
 //     overlap-weighted default, per dataset,
@@ -54,54 +54,36 @@ func RunAblations(w io.Writer, cfg Config) error {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "Ablation\tVariant\tObjAcc\tSrcErr")
 
-	// Inference: exact vs Gibbs.
-	exactOpts := core.DefaultOptions()
-	a1, e1, err := fitEval(exactOpts, core.AlgorithmERM)
-	if err != nil {
-		return err
-	}
-	gibbsOpts := core.DefaultOptions()
-	gibbsOpts.Inference = core.Gibbs
-	if cfg.Quick {
-		gibbsOpts.Gibbs.Samples = 100
-	}
-	a2, e2, err := fitEval(gibbsOpts, core.AlgorithmERM)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(tw, "inference\texact\t%.3f\t%.3f\n", a1, e1)
-	fmt.Fprintf(tw, "inference\tgibbs\t%.3f\t%.3f\n", a2, e2)
-
 	// EM calibration on vs off.
 	calOn := core.DefaultOptions()
-	a3, e3, err := fitEval(calOn, core.AlgorithmEM)
+	a1, e1, err := fitEval(calOn, core.AlgorithmEM)
 	if err != nil {
 		return err
 	}
 	calOff := core.DefaultOptions()
 	calOff.EMCalibrate = false
-	a4, e4, err := fitEval(calOff, core.AlgorithmEM)
+	a2, e2, err := fitEval(calOff, core.AlgorithmEM)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(tw, "em-calibration\ton\t%.3f\t%.3f\n", a3, e3)
-	fmt.Fprintf(tw, "em-calibration\toff\t%.3f\t%.3f\n", a4, e4)
+	fmt.Fprintf(tw, "em-calibration\ton\t%.3f\t%.3f\n", a1, e1)
+	fmt.Fprintf(tw, "em-calibration\toff\t%.3f\t%.3f\n", a2, e2)
 
 	// Regularization: L2 vs L1.
 	l2 := core.DefaultOptions()
-	a5, e5, err := fitEval(l2, core.AlgorithmERM)
+	a3, e3, err := fitEval(l2, core.AlgorithmERM)
 	if err != nil {
 		return err
 	}
 	l1 := core.DefaultOptions()
 	l1.Optim.L2 = 0
 	l1.Optim.L1 = 1e-3
-	a6, e6, err := fitEval(l1, core.AlgorithmERM)
+	a4, e4, err := fitEval(l1, core.AlgorithmERM)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(tw, "regularization\tl2\t%.3f\t%.3f\n", a5, e5)
-	fmt.Fprintf(tw, "regularization\tl1\t%.3f\t%.3f\n", a6, e6)
+	fmt.Fprintf(tw, "regularization\tl2\t%.3f\t%.3f\n", a3, e3)
+	fmt.Fprintf(tw, "regularization\tl1\t%.3f\t%.3f\n", a4, e4)
 	if err := tw.Flush(); err != nil {
 		return err
 	}

@@ -38,7 +38,7 @@ func All() []Experiment {
 		{"fig8", "Figure 8: copying sources (Demos)", RunFigure8},
 		{"fig9", "Figure 9: Lasso path (Crowd)", RunFigure9},
 		{"theory", "Theory checks: Theorems 1-3 scaling shapes", RunTheory},
-		{"ablations", "Ablations: design-choice quality impact (DESIGN.md §5)", RunAblations},
+		{"ablations", "Ablations: design-choice quality impact", RunAblations},
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package parallel provides the small worker-pool primitives that
-// SLiMFast's hot paths (the EM E-step, exact inference, Gibbs sampling,
-// likelihood scoring, experiment replication, the streaming engine's
-// shard fan-out) use to scale with cores while staying deterministic.
+// SLiMFast's hot paths (the EM E-step, inference, likelihood scoring,
+// experiment replication, the streaming engine's shard fan-out) use to
+// scale with cores while staying deterministic.
 //
 // Determinism is the design constraint: every result is bit-identical
 // for every worker count, 1 included. The side-effect runners (Do,

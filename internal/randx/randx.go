@@ -4,8 +4,9 @@
 // the same table.
 //
 // The package wraps math/rand with a splitmix-style seed deriver so that
-// independent components (dataset generation, train/test splits, Gibbs
-// chains, SGD shuffles) get decorrelated streams from one master seed.
+// independent components (dataset generation, train/test splits, SGD
+// shuffles, the online learner's epochs) get decorrelated streams from
+// one master seed.
 package randx
 
 import (

@@ -16,7 +16,7 @@ package synth
 // The real data are proprietary or require offline downloads; the
 // generators below reproduce the statistical structure (sparsity,
 // domain sizes, heterogeneity, feature signal, copier cliques) so every
-// experiment in Section 5 runs end-to-end. See DESIGN.md §4.
+// experiment in Section 5 runs end-to-end.
 
 // Stocks simulates the stock-volume fusion dataset [24]: 34 web
 // sources, near-complete density (each source reports almost every

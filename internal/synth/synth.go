@@ -9,7 +9,7 @@
 //     statistics. The real datasets are proprietary/offline; these
 //     simulators exercise the same code paths with the same shape
 //     (sparsity, domain sizes, accuracy heterogeneity, feature signal,
-//     copier cliques). See DESIGN.md §4 for the substitution rationale.
+//     copier cliques).
 //
 // Source accuracies are produced by a latent feature-logistic model:
 // each source carries categorical domain features, a subset of feature

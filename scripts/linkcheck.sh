@@ -4,6 +4,11 @@
 # must resolve on disk, and anchor links (same-file or cross-file)
 # must match a heading slug in the target document. External http(s)
 # and mailto links are skipped — CI must not depend on the internet.
+#
+# It also resolves every *.md path named in a Go file (comments and
+# strings alike; testdata/ excluded): first relative to that file's
+# directory, then relative to the repo root. A miss fails the check
+# the same way a broken link does.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -67,8 +72,31 @@ for f in $files; do
 	check_file "$f"
 done
 
+# check_go_refs FILE — every *.md path the Go file names must exist.
+# Absolute paths and URL tails (a leading '/') are skipped.
+check_go_refs() { # file
+	f="$1"
+	dir="$(dirname "$f")"
+	grep -oE '[A-Za-z0-9_./-]+\.md([^A-Za-z0-9_]|$)' "$f" |
+		sed -E 's/[^A-Za-z0-9_]$//' | sort -u | while IFS= read -r ref; do
+		case "$ref" in
+		/*) continue ;;
+		esac
+		if [ ! -e "$dir/$ref" ] && [ ! -e "$ref" ]; then
+			echo "$f: broken doc reference: $ref (neither $dir/$ref nor ./$ref exists)"
+			echo bad >> "$FAILFLAG"
+		fi
+	done
+}
+
+gofiles=0
+for f in $(find . -name '*.go' -not -path '*/testdata/*' -not -path './.git/*' | sort); do
+	check_go_refs "$f"
+	gofiles=$((gofiles + 1))
+done
+
 if [ -s "$FAILFLAG" ]; then
 	echo "FAIL: $(wc -l < "$FAILFLAG") broken links"
 	exit 1
 fi
-echo "PASS: all relative links and anchors in $files resolve"
+echo "PASS: all relative links and anchors in $files resolve, and every *.md named in $gofiles Go files exists"

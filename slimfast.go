@@ -23,9 +23,10 @@
 //	// report.Value("GIGYF2,Parkinson") == "false"
 //	// report.SourceAccuracy("article3") ≈ low
 //
-// The internal packages expose the full machinery (factor graphs,
-// baselines, the experiment harness reproducing every table and figure
-// of the paper); this package is the stable user-facing surface.
+// The internal packages expose the full machinery (the model and its
+// learners, baselines, the experiment harness reproducing every table
+// and figure of the paper); this package is the stable user-facing
+// surface.
 package slimfast
 
 import (
@@ -79,13 +80,6 @@ func WithCopyDetection(minOverlap int) Option {
 	}
 }
 
-// WithGibbsInference computes posteriors by Gibbs sampling over the
-// compiled factor graph (the paper's DeepDive execution path) instead
-// of the exact closed form.
-func WithGibbsInference() Option {
-	return func(c *solveConfig) { c.opts.Inference = core.Gibbs }
-}
-
 // WithSeed fixes the random seed used by learning (results are
 // deterministic for a fixed seed).
 func WithSeed(seed int64) Option {
@@ -96,9 +90,8 @@ func WithSeed(seed int64) Option {
 // inference. n <= 0 selects runtime.GOMAXPROCS(0), the default; n == 1
 // runs everything on the calling goroutine. The parallel subsystem is
 // deterministic by construction and n never selects an algorithm, so
-// Solve returns identical results for every setting, under exact and
-// Gibbs inference alike — the knob only trades goroutines for
-// wall-clock.
+// Solve returns identical results for every setting — the knob only
+// trades goroutines for wall-clock.
 func WithParallelism(n int) Option {
 	return func(c *solveConfig) { c.opts.Workers = n }
 }

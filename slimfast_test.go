@@ -209,16 +209,6 @@ func TestCopyDetectionOption(t *testing.T) {
 	}
 }
 
-func TestGibbsInferenceOption(t *testing.T) {
-	rep, err := figure1Problem().Solve(WithGibbsInference(), WithAlgorithm(EM), WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := rep.Value("GIGYF2,Parkinson"); v != "false" {
-		t.Errorf("Gibbs inference fused value = %q, want \"false\"", v)
-	}
-}
-
 func TestDecisionExposed(t *testing.T) {
 	rep, err := figure1Problem().Solve(WithSeed(8), WithOptimizerThreshold(0.1))
 	if err != nil {
