@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"slimfast/internal/cluster"
 	"slimfast/internal/resilience"
@@ -20,7 +21,19 @@ import (
 // partition and forwards it, and every 1024 claims it runs an epoch
 // barrier: it drains both members, folds 400 sources and pushes the
 // accuracy table back. Allocations count the router and both members.
-func BenchmarkRouterIngest(b *testing.B) {
+func BenchmarkRouterIngest(b *testing.B) { benchRouterIngest(b, 0) }
+
+// BenchmarkRouterIngestSlowMembers is BenchmarkRouterIngest with each
+// member behind a handler that sleeps 200 µs before it serves a
+// request, standing in for a member on another host. The router's
+// fan-out shows its cost here even where router and members share a
+// few cores: posting to both members at once waits one delay per
+// fan-out, not one per member.
+func BenchmarkRouterIngestSlowMembers(b *testing.B) { benchRouterIngest(b, 200*time.Microsecond) }
+
+// benchRouterIngest runs the router ingest benchmark with every member
+// request delayed by delay (0 serves the members directly).
+func benchRouterIngest(b *testing.B, delay time.Duration) {
 	const nodes, batch, epoch = 2, 1024, 1024
 	urls := make([]string, nodes)
 	for i := range urls {
@@ -32,7 +45,15 @@ func BenchmarkRouterIngest(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		srv := httptest.NewServer(newStreamServer(eng, serveConfig{Batch: batch}, io.Discard).handler())
+		h := newStreamServer(eng, serveConfig{Batch: batch}, io.Discard).handler()
+		if delay > 0 {
+			inner := h
+			h = http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+				time.Sleep(delay)
+				inner.ServeHTTP(w, req)
+			})
+		}
+		srv := httptest.NewServer(h)
 		b.Cleanup(srv.Close)
 		urls[i] = srv.URL
 	}

@@ -12,14 +12,17 @@
 // route to nodes with the same hash (stream.ShardIndex), ingest fans
 // out over the nodes' HTTP /observe surface through the retrying
 // resilience client, and at every epoch barrier the router drains all
-// nodes in fixed node order (POST /epoch/drain), merges the deltas
-// node-major — the same float accumulation order as a shard drain —
-// folds them with stream.Options.Fold, the very function the engine's
-// refresh calls, and pushes the merged σ-table back (POST
-// /epoch/apply). Refine is the same protocol over /epoch/mass with an
-// eager rescore. Because every float is folded in the same order a
-// single engine would fold it, the cluster's estimates and source
-// accuracies match the single engine bit for bit
+// nodes at once (POST /epoch/drain), merges the deltas node-major once
+// every reply is in — the same float accumulation order as a shard
+// drain — folds them with stream.Options.Fold, the very function the
+// engine's refresh calls, and pushes the merged σ-table back to every
+// node at once (POST /epoch/apply). Refine is the same protocol over
+// /epoch/mass with an eager rescore. Members are independent between
+// barriers (an object's posterior needs only its own claims and the
+// shared σ-table), so every fan-out posts to all members together and
+// only the merge order is fixed. Because every float is folded in the
+// same order a single engine would fold it, the cluster's estimates
+// and source accuracies match the single engine bit for bit
 // (TestRouterGoldenEquivalence in cmd/slimfast pins this down).
 //
 // Exactly-once across retries and node restarts:
@@ -156,13 +159,16 @@ type Router struct {
 	statSince    atomic.Int64
 	statSources  atomic.Int64
 
-	// Buffers reused under mu: the per-partition fan-out chunk bodies,
-	// the epoch request body, the last node answer and the rows of one
-	// drain or mass reply.
-	fanBufs [][]byte
-	reqBuf  []byte
-	respBuf bytes.Buffer
-	rows    []stream.StatRow
+	// Buffers reused under mu: the per-partition fan-out chunk bodies
+	// and answers, the epoch request body, the rows of one drain or
+	// mass reply, and fanOutLocked's partition lists and error slots.
+	fanBufs  [][]byte
+	respBufs []bytes.Buffer
+	reqBuf   []byte
+	rows     []stream.StatRow
+	allParts []int // 0..len(Nodes)-1
+	active   []int // forwardLocked's non-empty partitions
+	fanErrs  []error
 
 	// Instrumentation (all nil-safe): per-partition fan-out children
 	// resolved once at New, plus the scalar seams from Config.Metrics.
@@ -212,18 +218,22 @@ func New(cfg Config) (*Router, error) {
 		hc = http.DefaultClient
 	}
 	r := &Router{
-		cfg:     cfg,
-		client:  resilience.NewClient(hc, cfg.Retry),
-		hc:      hc,
-		log:     cfg.Log,
-		ix:      map[string]int{},
-		seen:    resilience.NewWindow(cfg.DedupWindow),
-		fanBufs: make([][]byte, len(nodes)),
-		met:     cfg.Metrics,
-		fanReq:  make([]*obs.Counter, len(nodes)),
-		fanSec:  make([]*obs.Histogram, len(nodes)),
+		cfg:      cfg,
+		client:   resilience.NewClient(hc, cfg.Retry),
+		hc:       hc,
+		log:      cfg.Log,
+		ix:       map[string]int{},
+		seen:     resilience.NewWindow(cfg.DedupWindow),
+		fanBufs:  make([][]byte, len(nodes)),
+		respBufs: make([]bytes.Buffer, len(nodes)),
+		allParts: make([]int, len(nodes)),
+		fanErrs:  make([]error, len(nodes)),
+		met:      cfg.Metrics,
+		fanReq:   make([]*obs.Counter, len(nodes)),
+		fanSec:   make([]*obs.Histogram, len(nodes)),
 	}
 	for j := range nodes {
+		r.allParts[j] = j
 		if cfg.Metrics.FanoutRequests != nil {
 			r.fanReq[j] = cfg.Metrics.FanoutRequests.With(strconv.Itoa(j))
 		}
@@ -343,8 +353,41 @@ func (r *Router) Ingest(ctx context.Context, claims []stream.Triple, seq string)
 	return res, nil
 }
 
-// forwardLocked fans one chunk out to the nodes owning its objects,
-// each partition's claims as canonical NDJSON (stream.AppendClaim).
+// fanOutLocked runs do for every partition in parts (ascending) at the
+// same time and waits for all of them. The first partition runs on the
+// calling goroutine, so a one-partition call starts no goroutine. No
+// request is cancelled because another failed: per-node dedup keys and
+// barrier tags make the retry of a partial fan-out safe. The error is
+// the lowest-numbered failing partition's, so it never depends on
+// which member answered first. Callers hold mu, which guards the error
+// slots; do may touch only its own partition's buffers.
+func (r *Router) fanOutLocked(parts []int, do func(j int) error) error {
+	errs := r.fanErrs[:len(parts)]
+	var wg sync.WaitGroup
+	for k := 1; k < len(parts); k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[k] = do(parts[k])
+		}()
+	}
+	if len(parts) > 0 {
+		errs[0] = do(parts[0])
+	}
+	wg.Wait()
+	var err error
+	for k, e := range errs {
+		if err == nil {
+			err = e
+		}
+		errs[k] = nil
+	}
+	return err
+}
+
+// forwardLocked fans one chunk out to the nodes owning its objects at
+// once, each partition's claims as canonical NDJSON
+// (stream.AppendClaim).
 func (r *Router) forwardLocked(ctx context.Context, chunk []stream.Triple, key string) error {
 	bufs := r.fanBufs
 	for j := range bufs {
@@ -354,22 +397,25 @@ func (r *Router) forwardLocked(ctx context.Context, chunk []stream.Triple, key s
 		j := stream.ShardIndex(tr.Object, len(bufs))
 		bufs[j] = stream.AppendClaim(bufs[j], tr)
 	}
-	for j, node := range r.cfg.Nodes {
-		if len(bufs[j]) == 0 {
-			continue
+	r.active = r.active[:0]
+	for j := range bufs {
+		if len(bufs[j]) > 0 {
+			r.active = append(r.active, j)
 		}
+	}
+	return r.fanOutLocked(r.active, func(j int) error {
 		nodeKey := ""
 		if key != "" {
 			nodeKey = key + ".n" + strconv.Itoa(j)
 		}
 		began := time.Now()
-		if _, err := r.post(ctx, node+"/v1/observe", "application/x-ndjson", nodeKey, bufs[j]); err != nil {
+		if _, err := r.post(ctx, j, "/v1/observe", "application/x-ndjson", nodeKey, bufs[j]); err != nil {
 			return fmt.Errorf("cluster: partition %d: %w", j, err)
 		}
 		r.fanReq[j].Inc()
 		r.fanSec[j].Observe(time.Since(began).Seconds())
-	}
-	return nil
+		return nil
+	})
 }
 
 // flushBarrierLocked completes a pending epoch barrier, if any.
@@ -383,8 +429,8 @@ func (r *Router) flushBarrierLocked(ctx context.Context) error {
 	return nil
 }
 
-// barrierLocked runs one cluster epoch: drain every node in node
-// order, fold the merged deltas into the cluster-cumulative evidence
+// barrierLocked runs one cluster epoch: drain every node, fold the
+// node-major merge of their deltas into the cluster-cumulative evidence
 // with the engine's own Options.Fold, and push the resulting σ-table
 // back. The cumulative state commits only after every node accepted
 // the apply, so a partial failure retried under the same tag folds the
@@ -471,24 +517,28 @@ func (r *Router) refineSweepLocked(ctx context.Context, op int64, sweep int) err
 	return nil
 }
 
-// gatherLocked posts one tagged drain or mass exchange to every node in
-// node order and merges the returned stats by interned source id,
-// node-major — the accumulation order of a single engine's shard-
-// ordered reduction. Rows are merged straight from the reply bytes
-// (stream.DecodeEpochReply); a known source costs a map lookup, not a
-// string. rows counts the stats the nodes returned.
+// gatherLocked posts one tagged drain or mass exchange to every node at
+// once and, once every reply is in, merges the returned stats by
+// interned source id, node-major — the accumulation order of a single
+// engine's shard-ordered reduction. Rows are merged straight from the
+// reply bytes (stream.DecodeEpochReply); a known source costs a map
+// lookup, not a string. A failed exchange at any node is reported
+// before a malformed reply. rows counts the stats the nodes returned.
 func (r *Router) gatherLocked(ctx context.Context, path, tag string) (merged []stream.SourceStat, rows int, err error) {
 	body, err := r.epochBodyLocked(stream.EpochRequest{Tag: tag})
 	if err != nil {
 		return nil, 0, err
 	}
+	replies := make([][]byte, len(r.cfg.Nodes))
+	if err := r.fanOutLocked(r.allParts, func(j int) (err error) {
+		replies[j], err = r.post(ctx, j, path, "application/json", "", body)
+		return err
+	}); err != nil {
+		return nil, 0, err
+	}
 	merged = make([]stream.SourceStat, len(r.names), len(r.names)+16)
-	for _, node := range r.cfg.Nodes {
-		data, err := r.post(ctx, node+path, "application/json", "", body)
-		if err != nil {
-			return nil, 0, err
-		}
-		if r.rows, err = stream.DecodeEpochReply(data, r.rows[:0]); err != nil {
+	for j, node := range r.cfg.Nodes {
+		if r.rows, err = stream.DecodeEpochReply(replies[j], r.rows[:0]); err != nil {
 			return nil, 0, fmt.Errorf("%s%s: parsing response: %w", node, path, err)
 		}
 		rows += len(r.rows)
@@ -508,20 +558,18 @@ func (r *Router) gatherLocked(ctx context.Context, path, tag string) (merged []s
 	return merged, rows, nil
 }
 
-// applyLocked pushes one tagged accuracy table to every node in node
-// order — one body, encoded once; rescore asks each node to rescore
-// its live objects eagerly.
+// applyLocked pushes one tagged accuracy table to every node at once —
+// one body, encoded once and shared read-only; rescore asks each node
+// to rescore its live objects eagerly.
 func (r *Router) applyLocked(ctx context.Context, tag string, accs []stream.SourceAccuracy, rescore bool) error {
 	body, err := r.epochBodyLocked(stream.EpochRequest{Tag: tag, Accuracies: accs, Rescore: rescore})
 	if err != nil {
 		return err
 	}
-	for _, node := range r.cfg.Nodes {
-		if _, err := r.post(ctx, node+"/v1/epoch/apply", "application/json", "", body); err != nil {
-			return err
-		}
-	}
-	return nil
+	return r.fanOutLocked(r.allParts, func(j int) error {
+		_, err := r.post(ctx, j, "/v1/epoch/apply", "application/json", "", body)
+		return err
+	})
 }
 
 // epochBodyLocked encodes one coordination request into the reused
@@ -539,29 +587,36 @@ func (r *Router) epochBodyLocked(req stream.EpochRequest) ([]byte, error) {
 // drift is an error, not silent corruption.
 var sourcesHeader = []string{"source", "accuracy"}
 
-// Sources scatter-gathers GET /sources into the cluster-wide accuracy
-// relation: the union of the node tables (every node holds the full
-// pushed σ-table, but interning order differs), sorted by source — the
-// rows of a single engine's table, at the CSV surface's precision. A
-// source reported with two different accuracies is a protocol error
-// (the apply push keeps them equal).
+// Sources scatter-gathers GET /sources from every node at once into
+// the cluster-wide accuracy relation: the union of the node tables
+// (every node holds the full pushed σ-table, but interning order
+// differs), sorted by source — the rows of a single engine's table, at
+// the CSV surface's precision. A source reported with two different
+// accuracies is a protocol error (the apply push keeps them equal).
 func (r *Router) Sources(ctx context.Context) (*query.Relation, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	accs := map[string]string{}
-	for i, node := range r.cfg.Nodes {
-		body, err := r.get(ctx, node+"/v1/sources")
+	tables := make([][][]string, len(r.cfg.Nodes))
+	if err := r.fanOutLocked(r.allParts, func(i int) error {
+		body, err := r.get(ctx, r.cfg.Nodes[i]+"/v1/sources")
 		if err != nil {
-			return nil, fmt.Errorf("cluster: partition %d sources: %w", i, err)
+			return fmt.Errorf("cluster: partition %d sources: %w", i, err)
 		}
 		rows, err := csv.NewReader(bytes.NewReader(body)).ReadAll()
 		if err != nil {
-			return nil, fmt.Errorf("cluster: partition %d returned a malformed /sources table: %w", i, err)
+			return fmt.Errorf("cluster: partition %d returned a malformed /sources table: %w", i, err)
 		}
 		if len(rows) == 0 || !slices.Equal(rows[0], sourcesHeader) {
-			return nil, fmt.Errorf("cluster: partition %d returned an unexpected /sources header (online-learner nodes cannot join a cluster)", i)
+			return fmt.Errorf("cluster: partition %d returned an unexpected /sources header (online-learner nodes cannot join a cluster)", i)
 		}
-		for _, row := range rows[1:] {
+		tables[i] = rows[1:]
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	accs := map[string]string{}
+	for _, rows := range tables {
+		for _, row := range rows {
 			name, acc := row[0], row[1]
 			if prev, dup := accs[name]; dup && prev != acc {
 				return nil, fmt.Errorf("cluster: source %q diverged across partitions (%s vs %s)", name, prev, acc)
@@ -592,10 +647,13 @@ func (r *Router) Checkpoint(ctx context.Context) error {
 }
 
 func (r *Router) checkpointLocked(ctx context.Context) error {
-	for i, node := range r.cfg.Nodes {
-		if _, err := r.post(ctx, node+"/v1/checkpoint", "", "", nil); err != nil {
+	if err := r.fanOutLocked(r.allParts, func(i int) error {
+		if _, err := r.post(ctx, i, "/v1/checkpoint", "", "", nil); err != nil {
 			return fmt.Errorf("cluster: partition %d checkpoint: %w", i, err)
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	if r.cfg.ManifestPath == "" {
 		return nil
@@ -727,18 +785,22 @@ func (r *Router) probeAll(ctx context.Context, path string) (string, []NodeStatu
 	}
 }
 
-// post issues one mutating node request through the retrying client
-// and fails on any non-2xx answer with the node's error text. Callers
-// hold mu: the answer is read into a buffer the next post reuses.
-func (r *Router) post(ctx context.Context, url, contentType, seq string, body []byte) ([]byte, error) {
+// post issues one mutating request to node j's path through the
+// retrying client and fails on any non-2xx answer with the node's
+// error text. Callers hold mu: the answer is read into node j's own
+// buffer, which the next post to j reuses, so posts to different nodes
+// can run at the same time.
+func (r *Router) post(ctx context.Context, j int, path, contentType, seq string, body []byte) ([]byte, error) {
+	url := r.cfg.Nodes[j] + path
 	resp, err := r.client.Post(ctx, url, contentType, seq, body)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	r.respBuf.Reset()
-	_, rerr := r.respBuf.ReadFrom(io.LimitReader(resp.Body, 256<<20))
-	data := r.respBuf.Bytes()
+	buf := &r.respBufs[j]
+	buf.Reset()
+	_, rerr := buf.ReadFrom(io.LimitReader(resp.Body, 256<<20))
+	data := buf.Bytes()
 	if resp.StatusCode/100 != 2 {
 		return nil, fmt.Errorf("%s: status %d: %s", url, resp.StatusCode, bytes.TrimSpace(data))
 	}

@@ -9,7 +9,9 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"slimfast/internal/resilience"
 	"slimfast/internal/stream"
@@ -118,12 +120,22 @@ type tagFirstReply struct {
 
 // fakeCluster starts n fake nodes and a router over them.
 func fakeCluster(t testing.TB, n int, mutate func(*Config)) (*Router, []*fakeNode) {
+	return wrappedCluster(t, n, nil, mutate)
+}
+
+// wrappedCluster is fakeCluster with node i served through wrap(i, h)
+// when wrap is non-nil.
+func wrappedCluster(t testing.TB, n int, wrap func(int, http.Handler) http.Handler, mutate func(*Config)) (*Router, []*fakeNode) {
 	t.Helper()
 	fakes := make([]*fakeNode, n)
 	urls := make([]string, n)
 	for i := range fakes {
 		fakes[i] = &fakeNode{seen: map[string]bool{}}
-		srv := httptest.NewServer(fakes[i].handler())
+		h := fakes[i].handler()
+		if wrap != nil {
+			h = wrap(i, h)
+		}
+		srv := httptest.NewServer(h)
 		t.Cleanup(srv.Close)
 		urls[i] = srv.URL
 	}
@@ -412,5 +424,166 @@ func TestRefineTagsAdvance(t *testing.T) {
 	}
 	if len(seen) != 3 {
 		t.Fatalf("saw %d refine applies, want 3", len(seen))
+	}
+}
+
+// splitClaims builds c claims whose objects alternate between the
+// partitions of a two-node cluster, so every chunk reaches both.
+func splitClaims(c int) []stream.Triple {
+	var objs [2][]string
+	for i := 0; len(objs[0]) < c || len(objs[1]) < c; i++ {
+		o := fmt.Sprintf("obj-%d", i)
+		j := stream.ShardIndex(o, 2)
+		objs[j] = append(objs[j], o)
+	}
+	out := make([]stream.Triple, c)
+	for i := range out {
+		out[i] = stream.Triple{
+			Source: fmt.Sprintf("s%d", i%5),
+			Object: objs[i%2][i/2],
+			Value:  fmt.Sprintf("v%d", i%3),
+		}
+	}
+	return out
+}
+
+// rendezvous holds every request until n of them are in flight at
+// once, then releases them together; a request still alone after the
+// timeout is refused.
+type rendezvous struct {
+	n       int
+	mu      sync.Mutex
+	waiting int
+	release chan struct{}
+}
+
+func newRendezvous(n int) *rendezvous {
+	return &rendezvous{n: n, release: make(chan struct{})}
+}
+
+// wait reports whether all n requests met within the timeout.
+func (rv *rendezvous) wait(timeout time.Duration) bool {
+	rv.mu.Lock()
+	ch := rv.release
+	if rv.waiting++; rv.waiting == rv.n {
+		close(ch)
+		rv.waiting = 0
+		rv.release = make(chan struct{})
+	}
+	rv.mu.Unlock()
+	select {
+	case <-ch:
+		return true
+	case <-time.After(timeout):
+		return false
+	}
+}
+
+// TestRouterFanOutConcurrent: the router posts an ingest chunk, a
+// drain and an apply to every member at once. Each member holds such
+// a request until the other member's has arrived too, and refuses it
+// with 500 after 5 s, so a router that waits for one member before
+// posting to the next fails here.
+func TestRouterFanOutConcurrent(t *testing.T) {
+	kinds := map[string]*rendezvous{
+		"/v1/observe":     newRendezvous(2),
+		"/v1/epoch/drain": newRendezvous(2),
+		"/v1/epoch/apply": newRendezvous(2),
+	}
+	hold := func(_ int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			if rv := kinds[req.URL.Path]; rv != nil && !rv.wait(5*time.Second) {
+				http.Error(w, "the other member's request never arrived", http.StatusInternalServerError)
+				return
+			}
+			h.ServeHTTP(w, req)
+		})
+	}
+	r, fakes := wrappedCluster(t, 2, hold, func(c *Config) {
+		c.Retry = resilience.ClientConfig{MaxAttempts: 1}
+	})
+	res, err := r.Ingest(context.Background(), splitClaims(16), "seq-par")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ingested != 16 || res.Barriers != 2 {
+		t.Fatalf("ingest: %+v", res)
+	}
+	for i, f := range fakes {
+		if f.claims != 8 || len(f.drains) != 2 || len(f.applies) != 2 {
+			t.Fatalf("node %d: %d claims, %d drains, %d applies; want 8, 2, 2", i, f.claims, len(f.drains), len(f.applies))
+		}
+	}
+}
+
+// TestRouterFanOutLowestPartitionError: when several members fail, the
+// error names the lowest-numbered failing partition however the
+// answers race; and a request retried under its seq after a partial
+// fan-out lands every claim exactly once without an extra barrier.
+func TestRouterFanOutLowestPartitionError(t *testing.T) {
+	slow := func(i int, h http.Handler) http.Handler {
+		if i != 0 {
+			return h
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			time.Sleep(20 * time.Millisecond)
+			h.ServeHTTP(w, req)
+		})
+	}
+	r, fakes := wrappedCluster(t, 2, slow, func(c *Config) {
+		c.Retry = resilience.ClientConfig{MaxAttempts: 1}
+	})
+	claims := splitClaims(4)
+	for run := 0; run < 20; run++ {
+		for _, f := range fakes {
+			f.mu.Lock()
+			f.failObs = 1
+			f.mu.Unlock()
+		}
+		_, err := r.Ingest(context.Background(), claims, fmt.Sprintf("seq-%d", run))
+		if err == nil || !strings.Contains(err.Error(), "partition 0:") {
+			t.Fatalf("run %d: error %v, want partition 0's", run, err)
+		}
+	}
+
+	// Partition 1 fails its third chunk, after the first barrier; the
+	// retry under the same seq must resume there.
+	var observes atomic.Int32
+	failThird := func(i int, h http.Handler) http.Handler {
+		if i != 1 {
+			return h
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			if req.URL.Path == "/v1/observe" && observes.Add(1) == 3 {
+				http.Error(w, "induced failure", http.StatusInternalServerError)
+				return
+			}
+			h.ServeHTTP(w, req)
+		})
+	}
+	r, fakes = wrappedCluster(t, 2, failThird, func(c *Config) {
+		c.Retry = resilience.ClientConfig{MaxAttempts: 1}
+	})
+	claims = splitClaims(16) // batch 4, epoch 8 -> 4 chunks, 2 barriers
+	if _, err := r.Ingest(context.Background(), claims, "seq-retry"); err == nil || !strings.Contains(err.Error(), "partition 1:") {
+		t.Fatalf("first attempt: error %v, want partition 1's", err)
+	}
+	res, err := r.Ingest(context.Background(), claims, "seq-retry")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Claims != 16 || res.Barriers != 2 {
+		t.Fatalf("retried ingest: %+v", res)
+	}
+	for i, f := range fakes {
+		if f.claims != 8 {
+			t.Fatalf("node %d holds %d claims, want 8", i, f.claims)
+		}
+		if strings.Join(f.drains, ",") != "e1,e2" {
+			t.Fatalf("node %d drained %v, want [e1 e2]", i, f.drains)
+		}
+		if len(f.applies) != 2 {
+			t.Fatalf("node %d applied %d times, want 2", i, len(f.applies))
+		}
 	}
 }

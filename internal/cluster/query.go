@@ -1,15 +1,16 @@
 // The router half of the relational query surface: push the query to
-// every member, merge the partial results with the exact fold a single
-// N-shard engine uses. Row queries forward the query verbatim with the
-// projection widened (the object key first, then the requested and
-// order columns), gather each member's NDJSON rows, and re-run the
-// order/limit/projection over the concatenation — the relation
-// comparator ties break on the object key, so the merged rows are
-// byte-identical to one engine whose shards are the members. Group
-// queries gather unfinalized partials (partial=1) and fold them in
-// node order, the same accumulation tree the engine's shard-major fold
-// builds. A query with an object-equality conjunct goes to the
-// object's owning member alone: the others hold no row it can match.
+// every member at once, merge the partial results in node order with
+// the exact fold a single N-shard engine uses. Row queries forward the
+// query verbatim with the projection widened (the object key first,
+// then the requested and order columns), gather each member's NDJSON
+// rows, and re-run the order/limit/projection over their concatenation
+// in node order — the relation comparator ties break on the object
+// key, so the merged rows are byte-identical to one engine whose
+// shards are the members. Group queries gather unfinalized partials
+// (partial=1) and fold them in node order, the same accumulation tree
+// the engine's shard-major fold builds. A query with an
+// object-equality conjunct goes to the object's owning member alone:
+// the others hold no row it can match.
 package cluster
 
 import (
@@ -87,11 +88,7 @@ func (r *Router) queryMembers(q *query.Query) []int {
 	if obj, ok := q.ObjectKey(); ok {
 		return []int{r.Partition(obj)}
 	}
-	all := make([]int, len(r.cfg.Nodes))
-	for i := range all {
-		all[i] = i
-	}
-	return all
+	return r.allParts
 }
 
 // memberQuery fetches one member's NDJSON rows for the given forward
@@ -120,12 +117,15 @@ func (r *Router) queryRowsLocked(ctx context.Context, q *query.Query) (*query.Re
 	if err != nil {
 		return nil, err
 	}
+	parts := make([][][]query.Val, len(r.cfg.Nodes))
+	if err := r.fanOutLocked(r.queryMembers(q), func(i int) (err error) {
+		parts[i], err = r.memberQuery(ctx, i, q.Values(member), cols)
+		return err
+	}); err != nil {
+		return nil, err
+	}
 	rel := &query.Relation{Cols: cols}
-	for _, i := range r.queryMembers(q) {
-		rows, err := r.memberQuery(ctx, i, q.Values(member), cols)
-		if err != nil {
-			return nil, err
-		}
+	for _, rows := range parts {
 		rel.Rows = append(rel.Rows, rows...)
 	}
 	merge := &query.Query{Order: q.Order, Limit: q.Limit, Cols: final}
@@ -136,22 +136,21 @@ func (r *Router) queryRowsLocked(ctx context.Context, q *query.Query) (*query.Re
 	return res, nil
 }
 
-// queryGroupLocked runs a group query: members return unfinalized
-// partials, folded here in node order and finalized once.
+// queryGroupLocked runs a group query: members, asked at once, return
+// unfinalized partials, folded here in node order and finalized once.
 func (r *Router) queryGroupLocked(ctx context.Context, q *query.Query) (*query.Result, error) {
 	pcols, err := query.PartialColumns(q)
 	if err != nil {
 		return nil, err
 	}
 	parts := make([][][]query.Val, len(r.cfg.Nodes))
-	for _, i := range r.queryMembers(q) {
+	if err := r.fanOutLocked(r.queryMembers(q), func(i int) (err error) {
 		vals := q.Values(nil)
 		vals.Set("partial", "1")
-		rows, err := r.memberQuery(ctx, i, vals, pcols)
-		if err != nil {
-			return nil, err
-		}
-		parts[i] = rows
+		parts[i], err = r.memberQuery(ctx, i, vals, pcols)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	res, err := query.MergePartials(q, parts)
 	if err != nil {
