@@ -35,8 +35,10 @@ bench:
 benchdiff: bench
 	./scripts/benchdiff BENCH_15.json bench_local.json 10 allocs
 
-## lint: formatting + static analysis + the package reachability gate
-## (scripts/reachcheck), the fast-fail CI gate
+## lint: formatting + static analysis + the reachability gate
+## (scripts/reachcheck: every package imported and every func and
+## method linked by some binary, bar scripts/reachcheck.allow), the
+## fast-fail CI gate
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...

@@ -32,7 +32,8 @@ func benchExperiment(b *testing.B, id string) {
 	if !ok {
 		b.Fatalf("unknown experiment %q", id)
 	}
-	cfg := eval.QuickConfig()
+	cfg := eval.DefaultConfig()
+	cfg.Seeds, cfg.Quick = cfg.Seeds[:1], true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := e.Run(io.Discard, cfg); err != nil {

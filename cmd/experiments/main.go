@@ -7,7 +7,7 @@
 //	experiments -list
 //	experiments -exp table2            # one experiment
 //	experiments -exp all               # the whole suite
-//	experiments -exp fig4a -quick      # smaller instances, 1 seed
+//	experiments -exp fig4a -quick      # smaller instances, fewer settings
 //	experiments -exp table3 -seeds 5   # average over 5 splits
 package main
 
@@ -31,9 +31,10 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	expID := fs.String("exp", "all", "experiment id (see -list) or \"all\"")
 	list := fs.Bool("list", false, "list experiments and exit")
-	quick := fs.Bool("quick", false, "quick mode: smaller instances, fewer settings")
-	seeds := fs.Int("seeds", 3, "random splits to average per configuration")
-	dataSeed := fs.Int64("dataseed", 42, "dataset generation seed")
+	def := eval.DefaultConfig()
+	quick := fs.Bool("quick", def.Quick, "quick mode: smaller instances, fewer settings")
+	seeds := fs.Int("seeds", len(def.Seeds), "random splits to average per configuration")
+	dataSeed := fs.Int64("dataseed", def.DataSeed, "dataset generation seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -481,9 +481,11 @@ func TestPlainExportOnePath(t *testing.T) {
 	}
 }
 
-// TestRouterFeaturesRelay: with a feature-mode member in the cluster,
-// GET /v1/features on the router relays its weight table.
-func TestRouterFeaturesRelay(t *testing.T) {
+// TestRouterFeaturesConflict: a cluster never runs the online learner
+// (members run -external-epochs, which excludes -features), so the
+// router answers GET /v1/features with 409 itself and asks no member,
+// even one that could answer.
+func TestRouterFeaturesConflict(t *testing.T) {
 	opts := stream.DefaultEngineOptions()
 	opts.Shards = 1
 	opts.EpochLength = stream.ExternalEpochLength
@@ -492,18 +494,20 @@ func TestRouterFeaturesRelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(testServer(eng, "", 8).handler())
+	var asked atomic.Int64
+	member := testServer(eng, "", 8).handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		asked.Add(1)
+		member.ServeHTTP(w, r)
+	}))
 	t.Cleanup(srv.Close)
 	rs := newGoldenClusterOver(t, []string{srv.URL}, 8, 16, 1)
 	rec := doReq(t, rs.handler(), "GET", "/v1/features", "", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("router features = %d: %s", rec.Code, rec.Body)
+	if rec.Code != http.StatusConflict || decodeEnvelope(t, rec) != "conflict" {
+		t.Fatalf("router features = %d: %s, want 409 conflict", rec.Code, rec.Body)
 	}
-	if !strings.HasPrefix(rec.Body.String(), "feature,weight\n") {
-		t.Errorf("router features body:\n%s", rec.Body)
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != "text/csv" {
-		t.Errorf("router features content type = %q", ct)
+	if n := asked.Load(); n != 0 {
+		t.Errorf("router sent %d member requests for /v1/features, want 0", n)
 	}
 }
 

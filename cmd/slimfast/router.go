@@ -16,8 +16,9 @@
 // partition failure answers 503 + Retry-After, /v1/checkpoint
 // checkpoints every member and then writes the router manifest,
 // /v1/healthz and /v1/readyz report per partition (readiness degrades,
-// and is 503 only when no member answers), and /v1/features is relayed
-// from the first member that runs a learner.
+// and is 503 only when no member answers), and /v1/features answers
+// 409 without asking any member: members run -external-epochs, which
+// excludes -features, so a cluster never has an online learner.
 package main
 
 import (
@@ -170,16 +171,10 @@ func (s *routerServer) sources(ctx context.Context) (*query.Relation, error) {
 	return rel, nil
 }
 
-// features relays the online learner's feature weights from the first
-// member that has one; a learner-less cluster answers 409 like a
-// learner-less node.
-func (s *routerServer) features(ctx context.Context, w io.Writer) error {
-	body, err := s.rt.Features(ctx)
-	if err != nil {
-		return errStatus(http.StatusConflict, "features: no member has an online learner: %v", err)
-	}
-	_, err = w.Write(body)
-	return err
+// features answers 409 like a learner-less node: cluster members run
+// -external-epochs, which excludes -features.
+func (s *routerServer) features(context.Context, io.Writer) error {
+	return errStatus(http.StatusConflict, "features: a cluster has no online learner (members run -external-epochs, which excludes -features)")
 }
 
 func (s *routerServer) refine(ctx context.Context, sweeps int) (any, error) {

@@ -31,7 +31,7 @@ func TestRouterMetrics(t *testing.T) {
 	for j := 0; j < 3; j++ {
 		p := strconv.Itoa(j)
 		fanReqs += met.FanoutRequests.With(p).Value()
-		fanObs += met.FanoutSeconds.With(p).Count()
+		fanObs += histogramCount(t, reg, "slimfast_router_fanout_seconds", map[string]string{"partition": p})
 	}
 	if fanReqs == 0 {
 		t.Error("no fan-out requests counted")
@@ -60,4 +60,27 @@ func TestRouterMetrics(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+}
+
+// histogramCount reads a histogram series' _count sample from the
+// registry's exposition.
+func histogramCount(t *testing.T, reg *obs.Registry, name string, labels map[string]string) uint64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.Write(&sb); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.Parse(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fams[name]
+	if f == nil {
+		t.Fatalf("exposition has no %s family", name)
+	}
+	v, ok := f.Value(name+"_count", labels)
+	if !ok {
+		t.Fatalf("exposition has no %s_count%v sample", name, labels)
+	}
+	return uint64(v)
 }

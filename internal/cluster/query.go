@@ -158,19 +158,3 @@ func (r *Router) queryGroupLocked(ctx context.Context, q *query.Query) (*query.R
 	}
 	return res, nil
 }
-
-// Features relays the online learner's feature weights: the first
-// member that answers wins (at most one member runs the learner).
-// When none does — the common cluster case, since -external-epochs
-// excludes -features — the last member's refusal is returned.
-func (r *Router) Features(ctx context.Context) ([]byte, error) {
-	var lastErr error
-	for i, node := range r.cfg.Nodes {
-		body, err := r.get(ctx, node+"/v1/features")
-		if err == nil {
-			return body, nil
-		}
-		lastErr = fmt.Errorf("cluster: partition %d features: %w", i, err)
-	}
-	return nil, lastErr
-}

@@ -86,7 +86,7 @@ func TestAccumGradientZeroAlloc(t *testing.T) {
 		opts := DefaultOptions()
 		mc.edit(&opts)
 		m := allocModel(t, opts)
-		g := optim.NewSparseSized(m.NumParams())
+		g := optim.NewSparseSized(len(m.w))
 		sc := &scratch{}
 		// q holds posteriors for the EM-residual variants, precomputed
 		// outside the measured loop the way FitEM holds them across the

@@ -121,7 +121,7 @@ func TestCalibrateOnEmptyModelIsNoOp(t *testing.T) {
 	if err := m.Calibrate(nil); err != nil {
 		t.Fatalf("calibrate with no observations should be a no-op: %v", err)
 	}
-	for _, w := range m.Weights() {
+	for _, w := range m.w {
 		if w != 0 {
 			t.Fatal("weights moved without observations")
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"slimfast/internal/data"
+	"slimfast/internal/mathx"
 	"slimfast/internal/metrics"
 	"slimfast/internal/randx"
 )
@@ -82,8 +83,8 @@ func TestPerClassAccuraciesImproveFusion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if classed.NumClasses() != 2 {
-		t.Fatal("NumClasses wrong")
+	if classed.numClasses != 2 {
+		t.Fatal("numClasses wrong")
 	}
 	if _, err := classed.FitERM(train); err != nil {
 		t.Fatal(err)
@@ -99,12 +100,14 @@ func TestPerClassAccuraciesImproveFusion(t *testing.T) {
 	}
 	// The learned per-class accuracies should show the flip for a
 	// class-0-accurate source.
-	byClass := classed.SourceAccuraciesByClass()
-	if byClass[0][0] <= byClass[1][0] {
-		t.Errorf("source 0 should be better on class 0: %.2f vs %.2f", byClass[0][0], byClass[1][0])
+	acc := func(s data.SourceID, class int) float64 {
+		return mathx.Logistic(classed.SigmaClass(s, class))
 	}
-	if byClass[1][15] <= byClass[0][15] {
-		t.Errorf("source 15 should be better on class 1: %.2f vs %.2f", byClass[1][15], byClass[0][15])
+	if acc(0, 0) <= acc(0, 1) {
+		t.Errorf("source 0 should be better on class 0: %.2f vs %.2f", acc(0, 0), acc(0, 1))
+	}
+	if acc(15, 1) <= acc(15, 0) {
+		t.Errorf("source 15 should be better on class 1: %.2f vs %.2f", acc(15, 1), acc(15, 0))
 	}
 }
 
@@ -161,11 +164,11 @@ func TestPerClassParamCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := ds.NumSources()*2 + ds.NumFeatures()
-	if m.NumParams() != want {
-		t.Errorf("NumParams = %d, want %d", m.NumParams(), want)
+	if len(m.w) != want {
+		t.Errorf("len(w) = %d, want %d", len(m.w), want)
 	}
 	single, _ := Compile(ds, DefaultOptions())
-	if single.NumClasses() != 1 {
+	if single.numClasses != 1 {
 		t.Error("default model should have 1 class")
 	}
 }

@@ -258,12 +258,12 @@ func (m *Model) fillSigma(w []float64, tbl []float64) {
 //
 // Invalidation contract: every code path that mutates m.w must call
 // invalidateSigma before the next frozen-weight phase reads the table.
-// Inside this package that is SetWeights, the optimizer runs in FitERM,
-// FitEM's M-step and calibrateOnce, EM's initial-accuracy seeding, and
-// calibrate's uniform shift / closed-form per-source steps. SGD never
-// reads this cache — accumGradient recomputes σ from the live weights
+// Those paths are the optimizer runs in FitERM, FitEM's M-step and
+// calibrateOnce, EM's initial-accuracy seeding, and calibrate's
+// uniform shift / closed-form per-source steps. SGD never reads this
+// cache — accumGradient recomputes σ from the live weights
 // at every step; only phases with frozen weights (E-step, inference,
-// likelihood scoring, calibration counting) read the σ-table.
+// calibration counting) read the σ-table.
 func (m *Model) sigmaTable() []float64 {
 	m.sigmaMu.Lock()
 	if !m.sigmaValid {

@@ -8,8 +8,9 @@ import (
 )
 
 // TestSigmaCacheInvalidation exercises the invalidate-on-weight-change
-// contract: every public path that mutates weights must leave the model
-// scoring exactly as a freshly compiled model with the same weights.
+// contract: changing the weights behind a populated σ-cache must leave
+// the model scoring exactly as a freshly compiled model with the same
+// weights.
 func TestSigmaCacheInvalidation(t *testing.T) {
 	inst := goldenInstance(t)
 	m, err := Compile(inst.Dataset, DefaultOptions())
@@ -20,24 +21,21 @@ func TestSigmaCacheInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Populate the cache, then change the weights behind it.
-	_ = m.Posterior(0)
-	w := append([]float64{}, m.Weights()...)
+	inferAll(t, m)
+	w := append([]float64{}, m.w...)
 	for i := range w {
 		w[i] += 0.25 * float64(i%3)
 	}
-	if err := m.SetWeights(w); err != nil {
-		t.Fatal(err)
-	}
+	setWeights(t, m, w)
 	fresh, err := Compile(inst.Dataset, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.SetWeights(w); err != nil {
-		t.Fatal(err)
-	}
+	setWeights(t, fresh, w)
+	rm, rf := inferAll(t, m), inferAll(t, fresh)
 	for o := 0; o < inst.Dataset.NumObjects(); o++ {
-		got := m.Posterior(data.ObjectID(o))
-		want := fresh.Posterior(data.ObjectID(o))
+		got := rm.Posterior(data.ObjectID(o))
+		want := rf.Posterior(data.ObjectID(o))
 		if len(got) != len(want) {
 			t.Fatalf("object %d: posterior sizes differ: %d vs %d", o, len(got), len(want))
 		}
@@ -47,7 +45,7 @@ func TestSigmaCacheInvalidation(t *testing.T) {
 			}
 		}
 	}
-	if got, want := m.LogLikelihood(inst.Gold), fresh.LogLikelihood(inst.Gold); got != want {
+	if got, want := meanLogPosterior(m, inst.Gold), meanLogPosterior(fresh, inst.Gold); got != want {
 		t.Fatalf("stale σ-cache log-likelihood %v, want %v", got, want)
 	}
 }
@@ -116,7 +114,7 @@ func TestCopyPairsOrderIndependent(t *testing.T) {
 		if _, err := m.FitERM(train); err != nil {
 			t.Fatal(err)
 		}
-		wr, wm := ref.Weights(), m.Weights()
+		wr, wm := ref.w, m.w
 		for j := range wr {
 			if wr[j] != wm[j] {
 				t.Fatalf("trial %d: weight %d differs under shuffled input: %v vs %v", trial, j, wm[j], wr[j])
@@ -147,13 +145,11 @@ func TestCalibrateWorkerDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.SetWeights(seed.Weights()); err != nil {
-			t.Fatal(err)
-		}
+		setWeights(t, m, seed.w)
 		if err := m.Calibrate(nil); err != nil {
 			t.Fatal(err)
 		}
-		return m.Weights()
+		return m.w
 	}
 	w1, w8 := calibrated(1), calibrated(8)
 	for j := range w1 {

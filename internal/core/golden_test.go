@@ -55,7 +55,7 @@ func fingerprint(m *Model, res *Result) uint64 {
 		binary.LittleEndian.PutUint64(b8[:], u)
 		h.Write(b8[:])
 	}
-	for _, x := range m.Weights() {
+	for _, x := range m.w {
 		put(math.Float64bits(x))
 	}
 	posts := res.Posteriors()

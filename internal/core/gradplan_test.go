@@ -160,13 +160,11 @@ func TestGradientPlanMatchesAddLoop(t *testing.T) {
 	for name, m := range planModels(t) {
 		t.Run(name, func(t *testing.T) {
 			rng := randx.New(11)
-			w := make([]float64, m.NumParams())
+			w := make([]float64, len(m.w))
 			for i := range w {
 				w[i] = 2*rng.Float64() - 1
 			}
-			if err := m.SetWeights(w); err != nil {
-				t.Fatal(err)
-			}
+			setWeights(t, m, w)
 			w = m.w
 			sc := &scratch{}
 			got, want := optim.NewSparse(), optim.NewSparse()

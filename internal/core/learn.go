@@ -358,37 +358,6 @@ func (m *Model) touchedCoords(o data.ObjectID, r []float64, coords []int32, vals
 	return out, vals[:len(out)]
 }
 
-// LogLikelihood returns the mean log posterior probability the current
-// weights assign to the labels in truth, over labeled observed objects.
-// Used by tests to verify learning increases likelihood.
-func (m *Model) LogLikelihood(truth data.TruthMap) float64 {
-	examples := m.labeledExamples(truth)
-	if len(examples) == 0 {
-		return 0
-	}
-	sg := m.sigmaTable()
-	// Chunked ordered reduction: bit-identical for any Workers.
-	sum := parallel.Sum(len(examples), m.workers(), func(ch parallel.Chunk) float64 {
-		var part float64
-		sc := m.getScratch()
-		for i := ch.Lo; i < ch.Hi; i++ {
-			ex := examples[i]
-			scores, dom := m.objectScores(ex.object, sg, sc.scores)
-			sc.scores = scores
-			lse := mathx.LogSumExp(scores)
-			for j, v := range dom {
-				if v == ex.truth {
-					part += scores[j] - lse
-					break
-				}
-			}
-		}
-		m.putScratch(sc)
-		return part
-	})
-	return sum / float64(len(examples))
-}
-
 // Fuse is the one-call API: fits with the requested algorithm and runs
 // inference. algorithm must be AlgorithmERM or AlgorithmEM.
 func (m *Model) Fuse(algorithm Algorithm, train data.TruthMap) (*Result, error) {

@@ -90,13 +90,12 @@ type Options struct {
 	OpenWorldBias float64
 
 	// Workers bounds the goroutines used by the parallel execution
-	// subsystem for the EM E-step, inference and likelihood scoring. 0
-	// means runtime.GOMAXPROCS(0); 1 runs everything on the calling
+	// subsystem for the EM E-step, inference and calibration counting.
+	// 0 means runtime.GOMAXPROCS(0); 1 runs everything on the calling
 	// goroutine. Workers picks speed, never the algorithm: weights,
-	// fused values, posteriors, accuracies and LogLikelihood are
-	// bit-identical for every value. Each object/example owns its
-	// output slot, SGD runs sequentially, and reductions chunk by
-	// problem size alone.
+	// fused values, posteriors and accuracies are bit-identical for
+	// every value. Each object, example or source owns its output
+	// slot, and SGD runs sequentially.
 	Workers int
 }
 
@@ -232,9 +231,6 @@ func (m *Model) classOfObject(o data.ObjectID) int {
 	return m.classOf[o]
 }
 
-// NumClasses returns the number of per-source accuracy classes.
-func (m *Model) NumClasses() int { return m.numClasses }
-
 // buildCopyPairs finds source pairs co-observing at least
 // MinCopyOverlap objects and records their per-object agreements. Pair
 // keys are canonicalized to (min, max) so the compiled copy features do
@@ -287,9 +283,6 @@ func (m *Model) buildCopyPairs() {
 	}
 }
 
-// NumParams returns the total number of learned weights.
-func (m *Model) NumParams() int { return len(m.w) }
-
 // NumCopyPairs returns how many pairwise copying features were
 // compiled.
 func (m *Model) NumCopyPairs() int { return len(m.copyPairs) }
@@ -300,22 +293,6 @@ func (m *Model) NumCopyPairs() int { return len(m.copyPairs) }
 func (m *Model) CopyPair(p int) (a, b data.SourceID, weight float64) {
 	cp := m.copyPairs[p]
 	return cp.a, cp.b, m.w[m.featBase()+m.numFeatures+p]
-}
-
-// Weights exposes the raw weight vector (source weights first, then
-// feature weights, then copy weights). The returned slice aliases the
-// model; treat it as read-only.
-func (m *Model) Weights() []float64 { return m.w }
-
-// SetWeights overwrites the model weights; used by tests and by the
-// Lasso-path sweep. The length must match NumParams.
-func (m *Model) SetWeights(w []float64) error {
-	if len(w) != len(m.w) {
-		return fmt.Errorf("core: SetWeights: got %d weights, want %d", len(w), len(m.w))
-	}
-	copy(m.w, w)
-	m.invalidateSigma()
-	return nil
 }
 
 // FeatureWeight returns w_k for feature k.
@@ -336,25 +313,13 @@ func (m *Model) SigmaClass(s data.SourceID, class int) float64 {
 
 // SourceAccuracies returns A_s = logistic(σ_s) for every source
 // (Equation 3). With per-class accuracies enabled this is the class-0
-// estimate; use SourceAccuraciesByClass for all classes.
+// estimate; SigmaClass gives every class.
 func (m *Model) SourceAccuracies() []float64 {
 	acc := make([]float64, m.numSources)
 	for s := range acc {
 		acc[s] = mathx.Logistic(m.Sigma(data.SourceID(s)))
 	}
 	return acc
-}
-
-// SourceAccuraciesByClass returns accuracies indexed [class][source].
-func (m *Model) SourceAccuraciesByClass() [][]float64 {
-	out := make([][]float64, m.numClasses)
-	for c := range out {
-		out[c] = make([]float64, m.numSources)
-		for s := range out[c] {
-			out[c][s] = mathx.Logistic(m.SigmaClass(data.SourceID(s), c))
-		}
-	}
-	return out
 }
 
 // PredictAccuracy estimates the accuracy of a source never seen during
@@ -426,21 +391,6 @@ func (m *Model) objectScores(o data.ObjectID, sg []float64, buf []float64) ([]fl
 		}
 	}
 	return buf, dom
-}
-
-// Posterior returns P(To = d | Ω; w) over the object's domain, computed
-// exactly. Objects with no observations return nil.
-func (m *Model) Posterior(o data.ObjectID) map[data.ValueID]float64 {
-	scores, dom := m.objectScores(o, m.sigmaTable(), nil)
-	if len(dom) == 0 {
-		return nil
-	}
-	probs := mathx.Softmax(scores, nil)
-	out := make(map[data.ValueID]float64, len(dom))
-	for i, v := range dom {
-		out[v] = probs[i]
-	}
-	return out
 }
 
 // Result is the output of data fusion: MAP values and posteriors per

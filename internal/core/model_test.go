@@ -10,6 +10,27 @@ import (
 )
 
 // tinyDataset builds a 3-source, 2-object instance with features.
+// inferAll runs exact inference with no clamped labels.
+func inferAll(t testing.TB, m *Model) *Result {
+	t.Helper()
+	res, err := m.Infer(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// setWeights installs w as the model's weights and drops the σ-table,
+// as every weight mutation inside the package does.
+func setWeights(t testing.TB, m *Model, w []float64) {
+	t.Helper()
+	if len(w) != len(m.w) {
+		t.Fatalf("got %d weights, the model has %d", len(w), len(m.w))
+	}
+	copy(m.w, w)
+	m.invalidateSigma()
+}
+
 func tinyDataset() *data.Dataset {
 	b := data.NewBuilder("tiny")
 	b.ObserveNames("s0", "o0", "a")
@@ -45,13 +66,11 @@ func TestSigmaAndAccuracies(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Weights: 3 sources + 2 features.
-	if m.NumParams() != 5 {
-		t.Fatalf("NumParams = %d, want 5", m.NumParams())
+	if len(m.w) != 5 {
+		t.Fatalf("len(w) = %d, want 5", len(m.w))
 	}
 	w := []float64{0.5, -0.2, 0.1, 1.0, 2.0} // ws0 ws1 ws2 wf0 wf1
-	if err := m.SetWeights(w); err != nil {
-		t.Fatal(err)
-	}
+	setWeights(t, m, w)
 	// σ(s0) = 0.5 + f0 = 1.5; σ(s1) = -0.2 + 1 + 2 = 2.8; σ(s2) = 0.1.
 	if got := m.Sigma(0); math.Abs(got-1.5) > 1e-12 {
 		t.Errorf("Sigma(s0) = %v, want 1.5", got)
@@ -72,21 +91,12 @@ func TestSigmaWithoutFeatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := make([]float64, m.NumParams())
+	w := make([]float64, len(m.w))
 	w[0] = 0.5
 	w[3] = 99 // feature weight must be ignored
-	if err := m.SetWeights(w); err != nil {
-		t.Fatal(err)
-	}
+	setWeights(t, m, w)
 	if got := m.Sigma(0); got != 0.5 {
 		t.Errorf("Sigma without features = %v, want 0.5", got)
-	}
-}
-
-func TestSetWeightsLengthCheck(t *testing.T) {
-	m, _ := Compile(tinyDataset(), DefaultOptions())
-	if err := m.SetWeights([]float64{1}); err == nil {
-		t.Error("wrong length should error")
 	}
 }
 
@@ -96,7 +106,7 @@ func TestPosteriorMatchesEquation4(t *testing.T) {
 	const a, b = data.ValueID(0), data.ValueID(1)
 	e := math.Exp
 	sources := func(m *Model) []float64 {
-		w := make([]float64, m.NumParams())
+		w := make([]float64, len(m.w))
 		w[0], w[1], w[2] = 2, 1, 0.5 // σ = w_s: no feature weights
 		return w
 	}
@@ -151,28 +161,24 @@ func TestPosteriorMatchesEquation4(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.SetWeights(c.weights(m)); err != nil {
-			t.Fatal(err)
-		}
+		setWeights(t, m, c.weights(m))
 		res, err := m.Infer(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The model's point read and Infer's dense slab must both match.
-		for _, post := range []map[data.ValueID]float64{m.Posterior(c.obj), res.Posterior(c.obj)} {
-			if len(post) != len(c.want) {
-				t.Fatalf("%s: posterior %v, want domain of %v", c.name, post, c.want)
+		post := res.Posterior(c.obj)
+		if len(post) != len(c.want) {
+			t.Fatalf("%s: posterior %v, want domain of %v", c.name, post, c.want)
+		}
+		var sum float64
+		for v, want := range c.want {
+			if math.Abs(post[v]-want) > 1e-12 {
+				t.Errorf("%s: P(%d) = %v, want %v", c.name, v, post[v], want)
 			}
-			var sum float64
-			for v, want := range c.want {
-				if math.Abs(post[v]-want) > 1e-12 {
-					t.Errorf("%s: P(%d) = %v, want %v", c.name, v, post[v], want)
-				}
-				sum += post[v]
-			}
-			if math.Abs(sum-1) > 1e-12 {
-				t.Errorf("%s: posterior sums to %v", c.name, sum)
-			}
+			sum += post[v]
+		}
+		if math.Abs(sum-1) > 1e-12 {
+			t.Errorf("%s: posterior sums to %v", c.name, sum)
 		}
 	}
 }
@@ -213,7 +219,7 @@ func TestCopyPairsCompiled(t *testing.T) {
 	if m.NumCopyPairs() == 0 {
 		t.Fatal("dense instance should compile copy pairs")
 	}
-	if m.NumParams() != inst.Dataset.NumSources()+inst.Dataset.NumFeatures()+m.NumCopyPairs() {
+	if len(m.w) != inst.Dataset.NumSources()+inst.Dataset.NumFeatures()+m.NumCopyPairs() {
 		t.Error("NumParams should include copy pairs")
 	}
 	a, b, w := m.CopyPair(0)
@@ -227,12 +233,10 @@ func TestCopyPairsCompiled(t *testing.T) {
 
 func TestPredictAccuracyUsesFeatures(t *testing.T) {
 	m, _ := Compile(tinyDataset(), DefaultOptions())
-	w := make([]float64, m.NumParams())
+	w := make([]float64, len(m.w))
 	w[3] = 2  // f0
 	w[4] = -1 // f1
-	if err := m.SetWeights(w); err != nil {
-		t.Fatal(err)
-	}
+	setWeights(t, m, w)
 	// Source weights are all zero, so intercept = 0.
 	pf0 := m.PredictAccuracy([]string{"f0"})
 	if math.Abs(pf0-mathx.Logistic(2)) > 1e-12 {
@@ -250,11 +254,9 @@ func TestPredictAccuracyUsesFeatures(t *testing.T) {
 
 func TestPredictAccuracyIntercept(t *testing.T) {
 	m, _ := Compile(tinyDataset(), DefaultOptions())
-	w := make([]float64, m.NumParams())
+	w := make([]float64, len(m.w))
 	w[0], w[1], w[2] = 3, 3, 3 // mean source weight 3
-	if err := m.SetWeights(w); err != nil {
-		t.Fatal(err)
-	}
+	setWeights(t, m, w)
 	if got := m.PredictAccuracy(nil); math.Abs(got-mathx.Logistic(3)) > 1e-12 {
 		t.Errorf("intercept prediction = %v, want logistic(3)", got)
 	}

@@ -27,7 +27,7 @@ func TestOpenWorldPosteriorIncludesWildcard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	post := m.Posterior(0) // contested
+	post := inferAll(t, m).Posterior(0) // contested
 	if _, ok := post[data.None]; !ok {
 		t.Fatal("open-world posterior missing wildcard")
 	}
@@ -59,17 +59,14 @@ func TestOpenWorldVeryNegativeBiasMatchesClosedWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := make([]float64, closed.NumParams())
+	w := make([]float64, len(closed.w))
 	w[0], w[1], w[2] = 1.5, 0.5, 1.0
-	if err := closed.SetWeights(w); err != nil {
-		t.Fatal(err)
-	}
-	if err := open.SetWeights(w); err != nil {
-		t.Fatal(err)
-	}
+	setWeights(t, closed, w)
+	setWeights(t, open, w)
+	rc, ro := inferAll(t, closed), inferAll(t, open)
 	for o := 0; o < ds.NumObjects(); o++ {
-		pc := closed.Posterior(data.ObjectID(o))
-		po := open.Posterior(data.ObjectID(o))
+		pc := rc.Posterior(data.ObjectID(o))
+		po := ro.Posterior(data.ObjectID(o))
 		for v, p := range pc {
 			if math.Abs(po[v]-p) > 1e-9 {
 				t.Errorf("object %d value %d: open %v vs closed %v", o, v, po[v], p)
@@ -110,13 +107,11 @@ func TestOpenWorldMAPPrefersUnanimousOverWildcard(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Give the sources solid reliabilities.
-	w := make([]float64, m.NumParams())
+	w := make([]float64, len(m.w))
 	for s := 0; s < 3; s++ {
 		w[s] = mathx.Logit(0.85)
 	}
-	if err := m.SetWeights(w); err != nil {
-		t.Fatal(err)
-	}
+	setWeights(t, m, w)
 	res, err := m.Infer(nil)
 	if err != nil {
 		t.Fatal(err)

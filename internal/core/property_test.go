@@ -46,7 +46,7 @@ func TestQuickPosteriorIsDistribution(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		w := make([]float64, m.NumParams())
+		w := make([]float64, len(m.w))
 		raw := []float64{w0, w1, w2}
 		for i := range w {
 			w[i] = math.Mod(raw[i%3], 10)
@@ -54,11 +54,10 @@ func TestQuickPosteriorIsDistribution(t *testing.T) {
 				w[i] = 0
 			}
 		}
-		if err := m.SetWeights(w); err != nil {
-			return false
-		}
+		setWeights(t, m, w)
+		res := inferAll(t, m)
 		for o := 0; o < ds.NumObjects(); o++ {
-			post := m.Posterior(data.ObjectID(o))
+			post := res.Posterior(data.ObjectID(o))
 			if post == nil {
 				continue
 			}
@@ -99,7 +98,7 @@ func TestQuickAccuracyMatchesSigma(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		w := make([]float64, m.NumParams())
+		w := make([]float64, len(m.w))
 		raw := []float64{w0, w1, w2, w3}
 		for i := range w {
 			w[i] = math.Mod(raw[i%4], 8)
@@ -107,9 +106,7 @@ func TestQuickAccuracyMatchesSigma(t *testing.T) {
 				w[i] = 0
 			}
 		}
-		if err := m.SetWeights(w); err != nil {
-			return false
-		}
+		setWeights(t, m, w)
 		acc := m.SourceAccuracies()
 		for s := range acc {
 			want := mathx.Logistic(m.Sigma(data.SourceID(s)))
@@ -134,22 +131,18 @@ func TestQuickSigmaShiftMonotonicity(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		before := map[data.ObjectID]map[data.ValueID]float64{}
-		for o := 0; o < ds.NumObjects(); o++ {
-			before[data.ObjectID(o)] = m.Posterior(data.ObjectID(o))
-		}
-		w := make([]float64, m.NumParams())
+		before := inferAll(t, m)
+		w := make([]float64, len(m.w))
 		w[0] = delta // boost s0
-		if err := m.SetWeights(w); err != nil {
-			return false
-		}
+		setWeights(t, m, w)
+		after := inferAll(t, m)
 		for _, idx := range ds.SourceObservationIndices(0) {
 			ob := ds.Observations[idx]
-			after := m.Posterior(ob.Object)
-			if after == nil || before[ob.Object] == nil {
+			pa, pb := after.Posterior(ob.Object), before.Posterior(ob.Object)
+			if pa == nil || pb == nil {
 				continue
 			}
-			if after[ob.Value]+1e-12 < before[ob.Object][ob.Value] {
+			if pa[ob.Value]+1e-12 < pb[ob.Value] {
 				return false
 			}
 		}
@@ -197,16 +190,14 @@ func TestQuickInferMatchesPosteriorArgmax(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		w := make([]float64, m.NumParams())
+		w := make([]float64, len(m.w))
 		for i := range w {
 			w[i] = math.Mod(w0*float64(i+1), 3)
 			if math.IsNaN(w[i]) {
 				w[i] = 0
 			}
 		}
-		if err := m.SetWeights(w); err != nil {
-			return false
-		}
+		setWeights(t, m, w)
 		res, err := m.Infer(nil)
 		if err != nil {
 			return false

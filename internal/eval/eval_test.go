@@ -128,7 +128,7 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite in -short mode")
 	}
-	cfg := QuickConfig()
+	cfg := quickConfig()
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -151,7 +151,7 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 // tier (TestAllExperimentsRunQuick).
 func TestShortTierEndToEnd(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunTable1(&buf, QuickConfig()); err != nil {
+	if err := RunTable1(&buf, quickConfig()); err != nil {
 		t.Fatalf("table1: %v", err)
 	}
 	if !strings.Contains(buf.String(), "# Sources") {
@@ -169,7 +169,7 @@ func TestShortTierEndToEnd(t *testing.T) {
 
 func TestTable1MentionsDatasets(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunTable1(&buf, QuickConfig()); err != nil {
+	if err := RunTable1(&buf, quickConfig()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -200,7 +200,7 @@ func TestMethodRegistries(t *testing.T) {
 
 func TestConfigModes(t *testing.T) {
 	full := DefaultConfig()
-	quick := QuickConfig()
+	quick := quickConfig()
 	if len(full.TrainFractions()) != 5 {
 		t.Error("full config should use the paper's 5 fractions")
 	}
@@ -210,4 +210,11 @@ func TestConfigModes(t *testing.T) {
 	if len(full.DatasetNames()) != 4 {
 		t.Error("full config should use all 4 datasets")
 	}
+}
+
+// quickConfig is DefaultConfig shrunk to one seed in Quick mode.
+func quickConfig() Config {
+	c := DefaultConfig()
+	c.Seeds, c.Quick = c.Seeds[:1], true
+	return c
 }

@@ -164,15 +164,10 @@ type Config struct {
 	DataSeed int64
 }
 
-// DefaultConfig is used by cmd/experiments (3 seeds keeps the full
-// suite minutes-scale while averaging out split noise).
+// DefaultConfig holds cmd/experiments' flag defaults (3 seeds keeps
+// the full suite minutes-scale while averaging out split noise).
 func DefaultConfig() Config {
 	return Config{Seeds: []int64{1, 2, 3}, DataSeed: 42}
-}
-
-// QuickConfig is used by tests and benchmarks.
-func QuickConfig() Config {
-	return Config{Seeds: []int64{1}, Quick: true, DataSeed: 42}
 }
 
 // TrainFractions are the paper's training-data percentages (of

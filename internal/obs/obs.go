@@ -142,18 +142,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the total number of observations (0 for nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // Sum returns the sum of all observed values (0 for nil).
 func (h *Histogram) Sum() float64 {
 	if h == nil {

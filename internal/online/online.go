@@ -182,9 +182,6 @@ func (l *Learner) Config() Config { return l.cfg }
 // NumSources returns how many sources have registered features.
 func (l *Learner) NumSources() int { return len(l.srcFeats) }
 
-// NumFeatures returns the size of the interned feature vocabulary.
-func (l *Learner) NumFeatures() int { return len(l.featNames) }
-
 // SetFeatures registers source sid with the given feature labels,
 // interning new labels into the vocabulary. Sources must register in
 // ascending id order (the engine registers at intern time), each
@@ -247,15 +244,6 @@ func (l *Learner) WeightNorm() float64 {
 		s += w * w
 	}
 	return math.Sqrt(s)
-}
-
-// FeatureWeight returns the learned weight of a feature label (0 for
-// unknown labels).
-func (l *Learner) FeatureWeight(label string) float64 {
-	if k, ok := l.featIdx[label]; ok {
-		return l.w[1+k]
-	}
-	return 0
 }
 
 // sigmaOf computes the feature-model logit of source sid at the

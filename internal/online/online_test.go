@@ -48,8 +48,8 @@ func TestSetFeaturesInternsAndDedups(t *testing.T) {
 	l.SetFeatures(0, []string{"b", "a", "b"})
 	l.SetFeatures(1, []string{"a", "c"})
 	l.SetFeatures(2, nil)
-	if l.NumSources() != 3 || l.NumFeatures() != 3 {
-		t.Fatalf("sources=%d features=%d, want 3/3", l.NumSources(), l.NumFeatures())
+	if l.NumSources() != 3 || len(l.featNames) != 3 {
+		t.Fatalf("sources=%d features=%d, want 3/3", l.NumSources(), len(l.featNames))
 	}
 	if len(l.srcFeats[0]) != 2 {
 		t.Errorf("duplicate label not deduped: %v", l.srcFeats[0])
@@ -109,7 +109,7 @@ func feedCohorts(l *Learner, nPer, epochs int, accGood, accBad, mass float64) {
 func TestLearnsFeatureSeparation(t *testing.T) {
 	l, _ := New(DefaultConfig())
 	feedCohorts(l, 6, 30, 0.9, 0.3, 20)
-	if wg, wb := l.FeatureWeight("good"), l.FeatureWeight("bad"); wg <= wb+0.5 {
+	if wg, wb := l.w[1+l.featIdx["good"]], l.w[1+l.featIdx["bad"]]; wg <= wb+0.5 {
 		t.Errorf("good weight %.3f should clearly exceed bad %.3f", wg, wb)
 	}
 	if pg, pb := l.Predict(0), l.Predict(6); pg <= pb+0.2 {
@@ -121,9 +121,6 @@ func TestLearnsFeatureSeparation(t *testing.T) {
 	}
 	if p := l.PredictLabels([]string{"good"}); p <= 0.7 {
 		t.Errorf("unseen good-cohort source predicted %.3f, want > 0.7", p)
-	}
-	if l.FeatureWeight("never-interned") != 0 {
-		t.Error("unknown feature should have zero weight")
 	}
 }
 
@@ -192,7 +189,7 @@ func encodeLearner(t *testing.T, l *Learner) []byte {
 }
 
 func decodeLearner(b []byte) (*Learner, error) {
-	r, err := wire.NewReader(bytes.NewReader(b), testMagic, 1)
+	r, _, err := wire.NewReaderVersions(bytes.NewReader(b), testMagic, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -309,7 +306,7 @@ func TestDecodeStateDropsOldWindow(t *testing.T) {
 func TestEncodeStateWritesCumulativeShape(t *testing.T) {
 	l, _ := New(DefaultConfig())
 	feedCohorts(l, 2, 3, 0.9, 0.3, 10)
-	r, err := wire.NewReader(bytes.NewReader(encodeLearner(t, l)), testMagic, 1)
+	r, _, err := wire.NewReaderVersions(bytes.NewReader(encodeLearner(t, l)), testMagic, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +440,7 @@ func TestZeroStepsSkipsTraining(t *testing.T) {
 	l, _ := New(cfg)
 	l.SetFeatures(0, []string{"f"})
 	l.FitMass([]float64{5}, []float64{10})
-	if got := l.FeatureWeight("f"); got != 0 {
+	if got := l.w[1+l.featIdx["f"]]; got != 0 {
 		t.Errorf("Steps=0 must not move weights, got %v", got)
 	}
 	// Served accuracy still follows the evidence through the blend.
@@ -459,8 +456,8 @@ func TestAccuracyNamesAreStable(t *testing.T) {
 	for s := 0; s < 4; s++ {
 		l.SetFeatures(s, []string{fmt.Sprintf("g%d", s%2)})
 	}
-	if l.NumFeatures() != 2 {
-		t.Fatalf("features = %d, want 2", l.NumFeatures())
+	if len(l.featNames) != 2 {
+		t.Fatalf("features = %d, want 2", len(l.featNames))
 	}
 	if l.featIdx["g0"] != 0 || l.featIdx["g1"] != 1 {
 		t.Errorf("feature ids not first-seen ordered: %v", l.featIdx)

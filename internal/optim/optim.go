@@ -208,15 +208,6 @@ func (s *Sparse) At(i int) (int, float64) {
 	return int(s.idx[i]), s.val[i]
 }
 
-// Dense writes the accumulated gradient into out (which must have
-// enough length) and returns it; used by tests.
-func (s *Sparse) Dense(out []float64) []float64 {
-	for i, j := range s.idx {
-		out[j] += s.val[i]
-	}
-	return out
-}
-
 // GradFunc computes the gradient of one example's loss f_i at w,
 // accumulating into grad. Implementations should only touch the
 // coordinates the example involves.

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -25,38 +24,24 @@ func TestSplitCoversRange(t *testing.T) {
 	for _, tc := range []struct{ n, parts int }{
 		{0, 4}, {1, 4}, {5, 2}, {10, 3}, {10, 10}, {10, 50}, {100, 7}, {64, 1}, {3, 0},
 	} {
-		chunks := Split(tc.n, tc.parts)
+		chunks := split(tc.n, tc.parts)
 		covered := 0
 		prev := 0
 		for _, ch := range chunks {
 			if ch.Lo != prev {
-				t.Fatalf("Split(%d,%d): gap at %d (chunks %v)", tc.n, tc.parts, ch.Lo, chunks)
+				t.Fatalf("split(%d,%d): gap at %d (chunks %v)", tc.n, tc.parts, ch.Lo, chunks)
 			}
-			if ch.Len() <= 0 {
-				t.Fatalf("Split(%d,%d): empty chunk %v", tc.n, tc.parts, ch)
+			if ch.Hi <= ch.Lo {
+				t.Fatalf("split(%d,%d): empty chunk %v", tc.n, tc.parts, ch)
 			}
-			covered += ch.Len()
+			covered += ch.Hi - ch.Lo
 			prev = ch.Hi
 		}
 		if covered != tc.n {
-			t.Fatalf("Split(%d,%d) covers %d indices", tc.n, tc.parts, covered)
+			t.Fatalf("split(%d,%d) covers %d indices", tc.n, tc.parts, covered)
 		}
 		if tc.parts > 0 && len(chunks) > tc.parts {
-			t.Fatalf("Split(%d,%d) produced %d chunks", tc.n, tc.parts, len(chunks))
-		}
-	}
-}
-
-func TestReduceLayoutIndependentOfWorkerCount(t *testing.T) {
-	// The reduction chunk boundaries depend only on n, so ordered
-	// reductions are bit-identical for any worker count: ~chunkTarget
-	// wide, one chunk for small n.
-	for _, tc := range []struct{ n, wantChunks int }{
-		{0, 0}, {1, 1}, {63, 1}, {64, 1}, {65, 2}, {1000, 16},
-	} {
-		got := reduceLayout(tc.n)
-		if len(got) != tc.wantChunks {
-			t.Errorf("reduceLayout(%d) made %d chunks, want %d", tc.n, len(got), tc.wantChunks)
+			t.Fatalf("split(%d,%d) produced %d chunks", tc.n, tc.parts, len(chunks))
 		}
 	}
 }
@@ -94,58 +79,12 @@ func TestForVisitsEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestSumDeterministicAcrossWorkers(t *testing.T) {
-	n := 10000
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = math.Sin(float64(i)) * 1e-3
-	}
-	chunkSum := func(ch Chunk) float64 {
-		var s float64
-		for i := ch.Lo; i < ch.Hi; i++ {
-			s += vals[i]
-		}
-		return s
-	}
-	ref := Sum(n, 1, chunkSum)
-	for _, w := range []int{0, 2, 3, 8} {
-		for rep := 0; rep < 5; rep++ {
-			if got := Sum(n, w, chunkSum); got != ref {
-				t.Fatalf("workers=%d rep=%d: sum %v != %v", w, rep, got, ref)
-			}
-		}
-	}
-}
-
-func TestSumChunksOrdered(t *testing.T) {
-	// Sum must add the partials in chunk order: with partials of mixed
-	// magnitude the float sum depends on that order, so compare with an
-	// explicit left fold over the layout.
-	const n = 3000
-	chunks := reduceLayout(n)
-	partial := func(ch Chunk) float64 {
-		return math.Sin(float64(ch.Lo)) * math.Pow(10, float64(ch.Lo%17))
-	}
-	var want float64
-	for _, ch := range chunks {
-		want += partial(ch)
-	}
-	for _, w := range []int{1, 4} {
-		if got := Sum(n, w, partial); got != want {
-			t.Errorf("workers=%d: Sum = %v, chunk-order fold %v", w, got, want)
-		}
-	}
-}
-
 func TestEmptyRanges(t *testing.T) {
 	called := false
 	Do(0, 4, func(Chunk) { called = true })
 	For(0, 4, func(int) { called = true })
 	if called {
 		t.Error("n=0 should not invoke fn")
-	}
-	if got := Sum(0, 4, func(Chunk) float64 { return 1 }); got != 0 {
-		t.Errorf("Sum over empty range = %v", got)
 	}
 }
 

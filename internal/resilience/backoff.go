@@ -71,7 +71,3 @@ func (b *Backoff) Next() time.Duration {
 // Reset rewinds the schedule to the first delay (the jitter stream
 // keeps advancing, so reset-after-success does not replay delays).
 func (b *Backoff) Reset() { b.attempt = 0 }
-
-// Attempt reports how many delays have been handed out since the
-// last Reset.
-func (b *Backoff) Attempt() int { return b.attempt }

@@ -96,7 +96,6 @@ type FS interface {
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
 	Open(name string) (io.ReadCloser, error)
-	Stat(name string) (os.FileInfo, error)
 	// SyncDir best-effort-fsyncs a directory so renames survive power
 	// loss; refusals (FUSE, overlay mounts) are ignored by callers.
 	SyncDir(dir string) error
@@ -119,7 +118,6 @@ func (osFS) CreateTemp(dir, pattern string) (File, error) { return os.CreateTemp
 func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(name string) error                     { return os.Remove(name) }
 func (osFS) Open(name string) (io.ReadCloser, error)      { return os.Open(name) }
-func (osFS) Stat(name string) (os.FileInfo, error)        { return os.Stat(name) }
 func (osFS) SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
@@ -205,7 +203,6 @@ func (f *FaultFS) Rename(oldpath, newpath string) error {
 
 func (f *FaultFS) Remove(name string) error                { return f.Inner.Remove(name) }
 func (f *FaultFS) Open(name string) (io.ReadCloser, error) { return f.Inner.Open(name) }
-func (f *FaultFS) Stat(name string) (os.FileInfo, error)   { return f.Inner.Stat(name) }
 func (f *FaultFS) SyncDir(dir string) error                { return f.Inner.SyncDir(dir) }
 
 // faultFile routes writes through the armed FaultWriter while keeping

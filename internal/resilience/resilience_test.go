@@ -115,8 +115,8 @@ func TestBackoffScheduleGrowsAndCaps(t *testing.T) {
 			t.Errorf("delay %d = %v, want %v", i, got[i], want[i])
 		}
 	}
-	if b.Attempt() != 6 {
-		t.Errorf("attempt = %d, want 6", b.Attempt())
+	if b.attempt != 6 {
+		t.Errorf("attempt = %d, want 6", b.attempt)
 	}
 	b.Reset()
 	if d := b.Next(); d != 100*time.Millisecond {
@@ -238,9 +238,6 @@ func TestFaultFSArming(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := ffs.Rename(name, name+".done"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ffs.Stat(name + ".done"); err != nil {
 		t.Fatal(err)
 	}
 	rc, err := ffs.Open(name + ".done")

@@ -155,7 +155,7 @@ func FuzzRoundTrip(f *testing.F) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		r, err := NewReader(bytes.NewReader(buf.Bytes()), fuzzMagic, 1)
+		r, _, err := NewReaderVersions(bytes.NewReader(buf.Bytes()), fuzzMagic, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

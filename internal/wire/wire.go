@@ -91,9 +91,6 @@ func (w *Writer) write(p []byte) {
 	w.crc.Write(p)
 }
 
-// Err returns the first error encountered, if any.
-func (w *Writer) Err() error { return w.err }
-
 // Close writes the CRC-32C footer and returns the first error of the
 // whole stream. It does not close the underlying writer.
 func (w *Writer) Close() error {
@@ -211,19 +208,12 @@ type Reader struct {
 	err error
 }
 
-// NewReader validates the 4-byte magic and the format version before
-// returning; a stream of the wrong kind fails here with ErrMagic or
-// ErrVersion, never half-parsed.
-func NewReader(r io.Reader, magic string, version uint32) (*Reader, error) {
-	rd, _, err := NewReaderVersions(r, magic, version)
-	return rd, err
-}
-
-// NewReaderVersions is NewReader for formats that stay readable across
-// revisions: the stream's version must match one of accept, and the
-// matched version is returned so the caller can branch its decode
-// layout on it. Anything else fails with ErrVersion (listing the
-// accepted set) before any payload is parsed.
+// NewReaderVersions validates the 4-byte magic and the format version
+// before returning, so a stream of the wrong kind fails here with
+// ErrMagic or ErrVersion, never half-parsed. The stream's version must
+// match one of accept, and the matched version is returned so the
+// caller can branch its decode layout on it; the ErrVersion message
+// lists the accepted set.
 func NewReaderVersions(r io.Reader, magic string, accept ...uint32) (*Reader, uint32, error) {
 	if len(magic) != 4 {
 		return nil, 0, fmt.Errorf("wire: magic must be 4 bytes, got %d", len(magic))
@@ -308,8 +298,8 @@ func (r *Reader) fail(err error) {
 }
 
 // Close reads the 4-byte CRC footer and verifies it against every
-// byte consumed since NewReader. A short footer is ErrTruncated; a
-// mismatch is ErrChecksum.
+// byte consumed since NewReaderVersions. A short footer is
+// ErrTruncated; a mismatch is ErrChecksum.
 func (r *Reader) Close() error {
 	if r.err != nil {
 		return r.err

@@ -44,7 +44,7 @@ func writeSample(t *testing.T) []byte {
 
 func TestRoundTrip(t *testing.T) {
 	b := writeSample(t)
-	r, err := NewReader(bytes.NewReader(b), testMagic, testVersion)
+	r, _, err := NewReaderVersions(bytes.NewReader(b), testMagic, testVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,21 +105,21 @@ func TestRoundTrip(t *testing.T) {
 
 func TestBadMagic(t *testing.T) {
 	b := writeSample(t)
-	if _, err := NewReader(bytes.NewReader(b), "NOPE", testVersion); !errors.Is(err, ErrMagic) {
+	if _, _, err := NewReaderVersions(bytes.NewReader(b), "NOPE", testVersion); !errors.Is(err, ErrMagic) {
 		t.Errorf("err = %v, want ErrMagic", err)
 	}
 	// An invalid magic length is a caller bug, not a typed stream error.
-	if _, err := NewReader(bytes.NewReader(b), "LONGMAGIC", testVersion); err == nil {
+	if _, _, err := NewReaderVersions(bytes.NewReader(b), "LONGMAGIC", testVersion); err == nil {
 		t.Error("long magic accepted")
 	}
-	if w := NewWriter(&bytes.Buffer{}, "XY", 1); w.Err() == nil {
+	if w := NewWriter(&bytes.Buffer{}, "XY", 1); w.err == nil {
 		t.Error("short writer magic accepted")
 	}
 }
 
 func TestVersionSkew(t *testing.T) {
 	b := writeSample(t)
-	_, err := NewReader(bytes.NewReader(b), testMagic, testVersion+1)
+	_, _, err := NewReaderVersions(bytes.NewReader(b), testMagic, testVersion+1)
 	if !errors.Is(err, ErrVersion) {
 		t.Errorf("err = %v, want ErrVersion", err)
 	}
@@ -129,7 +129,7 @@ func TestChecksumMismatch(t *testing.T) {
 	b := writeSample(t)
 	// Flip a bit in the footer so the payload still parses.
 	b[len(b)-1] ^= 0x01
-	r, err := NewReader(bytes.NewReader(b), testMagic, testVersion)
+	r, _, err := NewReaderVersions(bytes.NewReader(b), testMagic, testVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestPayloadCorruptionCaughtByChecksum(t *testing.T) {
 	// Flip a payload bit (the Uint64 field). The value parses fine but
 	// Close must reject the stream.
 	b[20] ^= 0x80
-	r, err := NewReader(bytes.NewReader(b), testMagic, testVersion)
+	r, _, err := NewReaderVersions(bytes.NewReader(b), testMagic, testVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +160,10 @@ func TestTruncation(t *testing.T) {
 	// either mid-read or at Close (missing footer). Never a panic,
 	// never a silent success.
 	for cut := 0; cut < len(b); cut++ {
-		r, err := NewReader(bytes.NewReader(b[:cut]), testMagic, testVersion)
+		r, _, err := NewReaderVersions(bytes.NewReader(b[:cut]), testMagic, testVersion)
 		if err != nil {
 			if !errors.Is(err, ErrTruncated) {
-				t.Fatalf("cut=%d: NewReader err = %v, want ErrTruncated", cut, err)
+				t.Fatalf("cut=%d: NewReaderVersions err = %v, want ErrTruncated", cut, err)
 			}
 			continue
 		}
@@ -206,7 +206,7 @@ func TestLyingLengthHitsTruncationNotOOM(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		r, err := NewReader(bytes.NewReader(buf.Bytes()), testMagic, testVersion)
+		r, _, err := NewReaderVersions(bytes.NewReader(buf.Bytes()), testMagic, testVersion)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func TestLengthGuard(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()), testMagic, testVersion)
+	r, _, err := NewReaderVersions(bytes.NewReader(buf.Bytes()), testMagic, testVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestReaderAllocs(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()), testMagic, testVersion)
+	r, _, err := NewReaderVersions(bytes.NewReader(buf.Bytes()), testMagic, testVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestLongValuesSpanBlocks(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(iotest.OneByteReader(bytes.NewReader(buf.Bytes())), testMagic, testVersion)
+	r, _, err := NewReaderVersions(iotest.OneByteReader(bytes.NewReader(buf.Bytes())), testMagic, testVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
