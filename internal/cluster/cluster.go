@@ -105,10 +105,6 @@ type Config struct {
 	// disables the manifest (the router then restarts cold).
 	ManifestPath string
 
-	// DedupWindow bounds the chunk-key dedup ring (default 4096,
-	// matching the nodes' request window).
-	DedupWindow int
-
 	// HTTP is the transport for all node traffic (nil =
 	// http.DefaultClient).
 	HTTP *http.Client
@@ -149,7 +145,7 @@ type Router struct {
 	barriers       int64              // completed epoch barriers
 	refines        int64              // completed refine operations
 	refineSweeps   int                // sweeps completed of an in-flight refine
-	seen           *resilience.Window // chunk-key dedup window
+	seen           *resilience.Window // chunk-key dedup window, as long as the nodes' request window
 
 	// Probe-visible mirrors of the counters above, updated under mu,
 	// read lock-free by Stats/Health/Ready.
@@ -189,9 +185,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.EpochLength < 1 {
 		cfg.EpochLength = 1024
 	}
-	if cfg.DedupWindow < 1 {
-		cfg.DedupWindow = 4096
-	}
 	if cfg.Opts == (stream.Options{}) {
 		cfg.Opts = stream.DefaultOptions()
 	}
@@ -223,7 +216,7 @@ func New(cfg Config) (*Router, error) {
 		hc:       hc,
 		log:      cfg.Log,
 		ix:       map[string]int{},
-		seen:     resilience.NewWindow(cfg.DedupWindow),
+		seen:     resilience.NewWindow(stream.DefaultDedupWindow),
 		fanBufs:  make([][]byte, len(nodes)),
 		respBufs: make([]bytes.Buffer, len(nodes)),
 		allParts: make([]int, len(nodes)),

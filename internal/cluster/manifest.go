@@ -190,8 +190,8 @@ func (r *Router) restoreManifest(path string) error {
 		r.total[i] = s.Total
 	}
 	keys := m.SeqKeys
-	if len(keys) > r.cfg.DedupWindow {
-		keys = keys[len(keys)-r.cfg.DedupWindow:]
+	if n := r.seen.Size(); len(keys) > n {
+		keys = keys[len(keys)-n:]
 	}
 	for _, k := range keys {
 		r.seen.Mark(k)

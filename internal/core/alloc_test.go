@@ -35,12 +35,6 @@ func TestObjectScoresZeroAlloc(t *testing.T) {
 		opts Options
 	}{
 		{"default", DefaultOptions()},
-		{"openworld", func() Options {
-			o := DefaultOptions()
-			o.OpenWorld = true
-			o.OpenWorldBias = -1
-			return o
-		}()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := allocModel(t, tc.opts)
@@ -66,22 +60,14 @@ func TestAccumGradientZeroAlloc(t *testing.T) {
 		t.Skip("allocation counts are distorted under -race")
 	}
 	nObj := goldenInstance(t).Dataset.NumObjects()
-	classes := make([]int, nObj)
-	for o := range classes {
-		classes[o] = o % 2
-	}
 	// The default model (features on) runs unprefixed; the copy-pair
-	// and per-class models prefix their subtests.
+	// model prefixes its subtests.
 	for _, mc := range []struct {
 		name string
 		edit func(*Options)
 	}{
 		{"", func(*Options) {}},
 		{"copy-pairs", func(o *Options) { o.CopyFeatures = true }},
-		{"classes", func(o *Options) {
-			o.ObjectClasses = classes
-			o.NumClasses = 2
-		}},
 	} {
 		opts := DefaultOptions()
 		mc.edit(&opts)
@@ -106,7 +92,7 @@ func TestAccumGradientZeroAlloc(t *testing.T) {
 		}{
 			{"erm-per-step", func() {
 				for o := 0; o < nObj; o++ {
-					dom := m.lay.dom[o]
+					dom := m.ds.Domain(data.ObjectID(o))
 					if len(dom) == 0 {
 						continue
 					}

@@ -66,26 +66,24 @@ func (m *Model) calibrate(train data.TruthMap, labeledOnly bool) error {
 	// observed sources is below that anchor, shift all per-source
 	// weights up uniformly (preserving any learned contrasts); the
 	// counts overwrite them within a round anyway.
-	if m.opts.EMInitAccuracy > 0 {
-		target := mathx.Logit(m.opts.EMInitAccuracy)
-		var mean float64
-		active := 0
-		for s := 0; s < m.numSources; s++ {
-			if m.ds.SourceObservationCount(data.SourceID(s)) == 0 {
-				continue
-			}
-			mean += m.Sigma(data.SourceID(s))
-			active++
+	target := mathx.Logit(emInitAccuracy)
+	var mean float64
+	active := 0
+	for s := 0; s < m.numSources; s++ {
+		if m.ds.SourceObservationCount(data.SourceID(s)) == 0 {
+			continue
 		}
-		if active > 0 {
-			mean /= float64(active)
-			if mean < target {
-				shift := target - mean
-				for i := 0; i < m.numSources*m.numClasses; i++ {
-					m.w[i] += shift
-				}
-				m.invalidateSigma()
+		mean += m.Sigma(data.SourceID(s))
+		active++
+	}
+	if active > 0 {
+		mean /= float64(active)
+		if mean < target {
+			shift := target - mean
+			for s := 0; s < m.numSources; s++ {
+				m.w[s] += shift
 			}
+			m.invalidateSigma()
 		}
 	}
 	rounds := 3
@@ -130,18 +128,16 @@ func (m *Model) trainableLabels(train data.TruthMap) data.TruthMap {
 //
 // Inference uses the dense slab path (no per-object posterior maps) and
 // the agreement counting fans out over sources: the count slots of
-// source s — srcIdx(s, c) for every class c — are written only by s's
-// task, and each source's observations are visited in global
-// observation order (bySource preserves it), so every slot accumulates
-// the same floats in the same order as the legacy serial sweep and the
-// counts are bit-identical for any worker count.
+// source s are written only by s's task, and each source's observations
+// are visited in global observation order (bySource preserves it), so
+// every slot accumulates the same floats in the same order as the
+// legacy serial sweep and the counts are bit-identical for any worker
+// count.
 func (m *Model) calibrateOnce(train data.TruthMap, fitFeatures, labeledOnly bool) error {
 	dr := m.inferDense(train)
 	nS := m.numSources
-	// Per (source, class) counts, flattened the same way as srcIdx.
-	nSC := nS * m.numClasses
-	corr := make([]float64, nSC)
-	tot := make([]float64, nSC)
+	corr := make([]float64, nS)
+	tot := make([]float64, nS)
 	parallel.Do(nS, m.workers(), func(ch parallel.Chunk) {
 		for s := ch.Lo; s < ch.Hi; s++ {
 			for _, oi := range m.ds.SourceObservationIndices(data.SourceID(s)) {
@@ -149,29 +145,28 @@ func (m *Model) calibrateOnce(train data.TruthMap, fitFeatures, labeledOnly bool
 				if dr.state[ob.Object] == objEmpty {
 					continue
 				}
-				i := m.srcIdx(ob.Source, m.classOfObject(ob.Object))
 				if truth, labeled := train[ob.Object]; labeled {
-					tot[i]++
+					tot[s]++
 					if ob.Value == truth {
-						corr[i]++
+						corr[s]++
 					}
 					continue
 				}
 				if labeledOnly {
 					continue
 				}
-				tot[i]++
-				corr[i] += dr.probs[m.lay.scoreStart[ob.Object]+int(m.lay.obsLocal[oi])]
+				tot[s]++
+				corr[s] += dr.probs[m.lay.scoreStart[ob.Object]+int(m.lay.obsLocal[oi])]
 			}
 		}
 	})
 	var totMean float64
 	active := 0
-	for i := 0; i < nSC; i++ {
-		if tot[i] == 0 {
+	for s := 0; s < nS; s++ {
+		if tot[s] == 0 {
 			continue
 		}
-		totMean += tot[i]
+		totMean += tot[s]
 		active++
 	}
 	if active == 0 {
@@ -185,8 +180,8 @@ func (m *Model) calibrateOnce(train data.TruthMap, fitFeatures, labeledOnly bool
 		if tot[i] == 0 {
 			return
 		}
-		s := data.SourceID(i % nS)
-		as := mathx.Logistic(m.sigmaAt(w, i, s))
+		s := data.SourceID(i)
+		as := mathx.Logistic(m.sigmaAt(w, s))
 		// d/dσ of the weighted logistic loss, scaled so gradient
 		// magnitudes stay O(1) regardless of observation counts.
 		r := (tot[i]*as - corr[i]) / totMean
@@ -196,7 +191,7 @@ func (m *Model) calibrateOnce(train data.TruthMap, fitFeatures, labeledOnly bool
 		}
 	}
 	if fitFeatures {
-		_, err := optim.Minimize(nSC, m.w, grad, cfg)
+		_, err := optim.Minimize(nS, m.w, grad, cfg)
 		m.invalidateSigma()
 		if err != nil {
 			return err
@@ -210,16 +205,15 @@ func (m *Model) calibrateOnce(train data.TruthMap, fitFeatures, labeledOnly bool
 	// toward their feature-based prior (empirical-Bayes blend with
 	// pseudo-count priorStrength).
 	const priorStrength = 4.0
-	for i := 0; i < nSC; i++ {
-		if tot[i] == 0 {
+	for s := 0; s < nS; s++ {
+		if tot[s] == 0 {
 			continue
 		}
-		sid := data.SourceID(i % nS)
-		class := i / nS
-		featPart := m.SigmaClass(sid, class) - m.w[i]
-		prior := mathx.Logistic(m.SigmaClass(sid, class))
-		pHat := (corr[i] + priorStrength*prior) / (tot[i] + priorStrength)
-		m.w[i] = mathx.Logit(pHat) - featPart
+		sigma := m.Sigma(data.SourceID(s))
+		featPart := sigma - m.w[s]
+		prior := mathx.Logistic(sigma)
+		pHat := (corr[s] + priorStrength*prior) / (tot[s] + priorStrength)
+		m.w[s] = mathx.Logit(pHat) - featPart
 	}
 	m.invalidateSigma()
 	return nil

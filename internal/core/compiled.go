@@ -16,10 +16,7 @@ import (
 //
 //   - observation i of object o lives at global index obsBase[o]+i in
 //     ds.Observations, and obsLocal[obsBase[o]+i] is the local index of
-//     its value inside dom[o];
-//   - dom[o] is the object's scoring domain with the open-world
-//     wildcard (data.None) already appended when Options.OpenWorld is
-//     set, so the hot loops never copy or extend domains;
+//     its value inside ds.Domain(o), the object's scoring domain;
 //   - scoreStart offsets a single dense slab: object o's score/
 //     posterior vector occupies [scoreStart[o], scoreStart[o+1]) —
 //     the dense posterior path (inferDense) writes there instead of
@@ -29,7 +26,6 @@ import (
 type layout struct {
 	obsBase    []int
 	obsLocal   []int32
-	dom        [][]data.ValueID
 	scoreStart []int
 	featIdx    map[string]data.FeatureID
 }
@@ -46,14 +42,13 @@ func localIndex(dom []data.ValueID, v data.ValueID) int {
 	return -1
 }
 
-// buildLayout compiles the CSR observation layout, the (open-world
-// extended) domains, the dense-slab offsets and the feature-name index.
+// buildLayout compiles the CSR observation layout, the dense-slab
+// offsets and the feature-name index.
 func (m *Model) buildLayout() {
 	ds := m.ds
 	nObj := ds.NumObjects()
 	m.lay.obsBase = make([]int, nObj)
 	m.lay.obsLocal = make([]int32, ds.NumObservations())
-	m.lay.dom = make([][]data.ValueID, nObj)
 	m.lay.scoreStart = make([]int, nObj+1)
 	base := 0
 	for o := 0; o < nObj; o++ {
@@ -61,13 +56,6 @@ func (m *Model) buildLayout() {
 		obs := ds.ObjectObservations(oid)
 		m.lay.obsBase[o] = base
 		dom := ds.Domain(oid)
-		if m.opts.OpenWorld && len(dom) > 0 {
-			ext := make([]data.ValueID, len(dom)+1)
-			copy(ext, dom)
-			ext[len(dom)] = data.None
-			dom = ext
-		}
-		m.lay.dom[o] = dom
 		m.lay.scoreStart[o+1] = m.lay.scoreStart[o] + len(dom)
 		for i, ob := range obs {
 			m.lay.obsLocal[base+i] = int32(localIndex(dom, ob.Value))
@@ -86,8 +74,8 @@ func (m *Model) buildLayout() {
 //   - feat[featStart[s]:featStart[s+1]] lists source s's feature-weight
 //     coordinates (featBase()+k, in SourceFeatures order); every range
 //     is empty when Options.UseFeatures is off. σ reads the same list
-//     through sigmaAt, so the sequential step, the σ-table and
-//     SigmaClass share one definition of σ;
+//     through sigmaAt, so the sequential step, the σ-table and Sigma
+//     share one definition of σ;
 //   - coord[coordStart[o]:coordStart[o+1]] lists object o's distinct
 //     gradient coordinates: claim i's source weight at position i (a
 //     source claims an object at most once), then the claims' feature
@@ -197,10 +185,9 @@ func (m *Model) fillObject(o int, stamp, at, coord, slot []int32) (nCoord, nSlot
 	p := &m.plan
 	tag := int32(o + 1)
 	fb := int32(m.featBase())
-	classBase := int32(m.classOfObject(data.ObjectID(o)) * m.numSources)
 	obs := m.ds.ObjectObservations(data.ObjectID(o))
 	for _, ob := range obs {
-		coord[nCoord] = classBase + int32(ob.Source)
+		coord[nCoord] = int32(ob.Source)
 		nCoord++
 	}
 	for _, ob := range obs {
@@ -232,24 +219,24 @@ func (m *Model) copyAgreements(o int) []copyAgreement {
 	return m.objCopyAgree[o]
 }
 
-// sigmaAt returns σ = w[i] + Σ_k w_k f_sk for source s, where i is
-// the (source, class) weight index; the one definition of σ that
-// fillSigma, SigmaClass and the sequential SGD step all read.
-func (m *Model) sigmaAt(w []float64, i int, s data.SourceID) float64 {
-	sg := w[i]
+// sigmaAt returns σ_s = w_s + Σ_k w_k f_sk for source s; the one
+// definition of σ that fillSigma, Sigma and the sequential SGD step
+// all read.
+func (m *Model) sigmaAt(w []float64, s data.SourceID) float64 {
+	sg := w[s]
 	for _, c := range m.plan.feat[m.plan.featStart[s]:m.plan.featStart[s+1]] {
 		sg += w[c]
 	}
 	return sg
 }
 
-// fillSigma writes σ_{s,c} for every (source, class) into tbl (indexed
-// like srcIdx: class·|S|+source), reading the weights from w. Every
-// entry comes from sigmaAt, so a cached entry is bit-identical to a
-// per-observation recomputation at the same weights.
+// fillSigma writes σ_s for every source into tbl, reading the weights
+// from w. Every entry comes from sigmaAt, so a cached entry is
+// bit-identical to a per-observation recomputation at the same
+// weights.
 func (m *Model) fillSigma(w []float64, tbl []float64) {
-	for i := range tbl {
-		tbl[i] = m.sigmaAt(w, i, data.SourceID(i%m.numSources))
+	for s := range tbl {
+		tbl[s] = m.sigmaAt(w, data.SourceID(s))
 	}
 }
 

@@ -19,11 +19,9 @@ import (
 // any fingerprint drift means the refactor changed arithmetic, not just
 // layout.
 var goldenFingerprints = map[string]uint64{
-	"em-default":    0xcf05ddcbebb57c9b,
-	"erm":           0xda6766f6992b64d9,
-	"em-copy":       0x56f05e2556172e9b,
-	"em-classes":    0x479b254e3b4ccd54,
-	"erm-openworld": 0x166d952ab4149c84,
+	"em-default": 0xcf05ddcbebb57c9b,
+	"erm":        0xda6766f6992b64d9,
+	"em-copy":    0x56f05e2556172e9b,
 }
 
 // goldenInstance builds the synth dataset the golden scenarios share.
@@ -110,22 +108,6 @@ func goldenScenarios(t testing.TB) map[string]func() (*Model, *Result) {
 			opts := DefaultOptions()
 			opts.CopyFeatures = true
 			return fuse(compile(opts), AlgorithmEM, nil)
-		},
-		"em-classes": func() (*Model, *Result) {
-			opts := DefaultOptions()
-			opts.NumClasses = 2
-			classes := make([]int, inst.Dataset.NumObjects())
-			for o := range classes {
-				classes[o] = o % 2
-			}
-			opts.ObjectClasses = classes
-			return fuse(compile(opts), AlgorithmEM, train)
-		},
-		"erm-openworld": func() (*Model, *Result) {
-			opts := DefaultOptions()
-			opts.OpenWorld = true
-			opts.OpenWorldBias = -1
-			return fuse(compile(opts), AlgorithmERM, train)
 		},
 	}
 }

@@ -16,21 +16,17 @@ import (
 // residual is exactly 0) and one per copy agreement. σ and the scores
 // follow the pre-plan code too, re-summing SourceFeatures per claim.
 func (m *Model) accumGradientOracle(w []float64, g *optim.Sparse, o data.ObjectID, truth data.ValueID, q []float64) {
-	dom := m.lay.dom[o]
+	dom := m.ds.Domain(o)
 	n := len(dom)
 	if n == 0 {
 		return
 	}
 	fb := m.featBase()
 	scores := make([]float64, n)
-	if m.opts.OpenWorld {
-		scores[n-1] = m.opts.OpenWorldBias
-	}
 	obs := m.ds.ObjectObservations(o)
 	base := m.lay.obsBase[o]
-	classBase := m.classOfObject(o) * m.numSources
 	for i, ob := range obs {
-		sgm := w[classBase+int(ob.Source)]
+		sgm := w[ob.Source]
 		if m.opts.UseFeatures {
 			for _, k := range m.ds.SourceFeatures[ob.Source] {
 				sgm += w[fb+int(k)]
@@ -65,7 +61,7 @@ func (m *Model) accumGradientOracle(w []float64, g *optim.Sparse, o data.ObjectI
 		if rv == 0 {
 			continue
 		}
-		g.Add(classBase+int(ob.Source), rv)
+		g.Add(int(ob.Source), rv)
 		if m.opts.UseFeatures {
 			for _, k := range m.ds.SourceFeatures[ob.Source] {
 				g.Add(fb+int(k), rv)
@@ -105,10 +101,6 @@ func sparseBits(t *testing.T, g *optim.Sparse) map[int]uint64 {
 func planModels(t *testing.T) map[string]*Model {
 	t.Helper()
 	inst := goldenInstance(t)
-	classes := make([]int, inst.Dataset.NumObjects())
-	for o := range classes {
-		classes[o] = o % 3
-	}
 	out := map[string]*Model{}
 	for name, edit := range map[string]func(*Options){
 		"features":    func(*Options) {},
@@ -117,21 +109,6 @@ func planModels(t *testing.T) map[string]*Model {
 		"copy-no-features": func(o *Options) {
 			o.CopyFeatures = true
 			o.UseFeatures = false
-		},
-		"classes": func(o *Options) {
-			o.ObjectClasses = classes
-			o.NumClasses = 3
-		},
-		"openworld": func(o *Options) {
-			o.OpenWorld = true
-			o.OpenWorldBias = -1
-		},
-		"openworld-copy-classes": func(o *Options) {
-			o.OpenWorld = true
-			o.OpenWorldBias = 0.5
-			o.CopyFeatures = true
-			o.ObjectClasses = classes
-			o.NumClasses = 3
 		},
 	} {
 		opts := DefaultOptions()
@@ -171,7 +148,7 @@ func TestGradientPlanMatchesAddLoop(t *testing.T) {
 			cases, zeroed := 0, 0
 			for o := 0; o < m.ds.NumObjects(); o++ {
 				oid := data.ObjectID(o)
-				dom := m.lay.dom[o]
+				dom := m.ds.Domain(oid)
 				if len(dom) == 0 {
 					continue
 				}

@@ -56,8 +56,8 @@ type EMStats struct {
 //	        (labeled objects have q_o = point mass on the label),
 //	M-step: SGD on the expected negative log-likelihood under q.
 //
-// EM stops when the max weight change drops below EMTolerance or after
-// EMMaxIters rounds.
+// EM stops when the max weight change drops below emTolerance or after
+// emMaxIters rounds.
 func (m *Model) FitEM(train data.TruthMap) (EMStats, error) {
 	type emExample struct {
 		object  data.ObjectID
@@ -88,10 +88,10 @@ func (m *Model) FitEM(train data.TruthMap) (EMStats, error) {
 			break
 		}
 	}
-	if allZero && m.opts.EMInitAccuracy > 0 {
-		init := mathx.Logit(m.opts.EMInitAccuracy)
-		for i := 0; i < m.numSources*m.numClasses; i++ {
-			m.w[i] = init
+	if allZero {
+		init := mathx.Logit(emInitAccuracy)
+		for s := 0; s < m.numSources; s++ {
+			m.w[s] = init
 		}
 		m.invalidateSigma()
 	}
@@ -109,7 +109,7 @@ func (m *Model) FitEM(train data.TruthMap) (EMStats, error) {
 	}
 	gsc := &scratch{} // the M-step's; the E-step takes pooled ones
 	workers := m.workers()
-	for iter := 0; iter < m.opts.EMMaxIters; iter++ {
+	for iter := 0; iter < emMaxIters; iter++ {
 		// E-step: each example's posterior lands in its own q slot, so
 		// the scoring fans out over workers with bit-identical results
 		// for any worker count. The σ-table is frozen for the whole
@@ -121,7 +121,7 @@ func (m *Model) FitEM(train data.TruthMap) (EMStats, error) {
 				ex := examples[i]
 				if ex.labeled {
 					// Labeled: point mass on the label; no scoring.
-					dom := m.lay.dom[ex.object]
+					dom := m.ds.Domain(ex.object)
 					p := growFloats(q[i], len(dom))
 					for j, v := range dom {
 						p[j] = 0
@@ -151,7 +151,7 @@ func (m *Model) FitEM(train data.TruthMap) (EMStats, error) {
 		}
 		stats.Iterations = iter + 1
 		stats.LastDelta = mathx.MaxAbsDiff(m.w, prevW)
-		if stats.LastDelta < m.opts.EMTolerance {
+		if stats.LastDelta < emTolerance {
 			stats.Converged = true
 			break
 		}
@@ -187,31 +187,16 @@ func (m *Model) labeledExamples(train data.TruthMap) []labeledExample {
 // on object o: a value in its observed domain (the single-truth
 // assumption guarantees this for real data; labels outside the domain
 // are unlearnable, and ERM skips them while EM treats the object as
-// unlabeled). Under open-world semantics a data.None label ("the truth
-// was never reported") is trainable too: it targets the wildcard
-// coordinate. Objects without observations have no trainable label.
+// unlabeled). Objects without observations have no trainable label.
 func (m *Model) trainableLabel(o data.ObjectID, truth data.ValueID) bool {
-	dom := m.ds.Domain(o)
-	if len(dom) == 0 {
-		return false
-	}
-	if m.opts.OpenWorld && truth == data.None {
-		return true
-	}
-	for _, v := range dom {
-		if v == truth {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(m.ds.Domain(o), truth)
 }
 
 // accumGradient adds one object's gradient contribution to g. q selects
 // the residual: when non-nil it is the E-step posterior over the
 // object's compiled domain and r = probs − q (EM's expected loss);
-// otherwise r = probs − 1[v = truth] (ERM's supervised loss, where
-// truth may be data.None under open-world semantics to target the
-// wildcard). The chain rule routes each value residual to the weights
+// otherwise r = probs − 1[v = truth] (ERM's supervised loss). The chain
+// rule routes each value residual to the weights
 // that feed that value's score: observation (o,s) with value v adds r_v
 // to w_s and to every active feature weight of s; a copy agreement on
 // value u adds Σ_{d≠u} r_d to the pair weight.
@@ -229,7 +214,7 @@ func (m *Model) trainableLabel(o data.ObjectID, truth data.ValueID) bool {
 // live view of the weights. All buffers come from sc, so the steady
 // state allocates nothing.
 func (m *Model) accumGradient(w []float64, g *optim.Sparse, o data.ObjectID, truth data.ValueID, q []float64, sc *scratch) {
-	dom := m.lay.dom[o]
+	dom := m.ds.Domain(o)
 	n := len(dom)
 	if n == 0 {
 		return
@@ -240,14 +225,10 @@ func (m *Model) accumGradient(w []float64, g *optim.Sparse, o data.ObjectID, tru
 	for i := range scores {
 		scores[i] = 0
 	}
-	if m.opts.OpenWorld {
-		scores[n-1] = m.opts.OpenWorldBias
-	}
 	obs := m.ds.ObjectObservations(o)
 	base := m.lay.obsBase[o]
-	classBase := m.classOfObject(o) * m.numSources
 	for i, ob := range obs {
-		scores[m.lay.obsLocal[base+i]] += m.sigmaAt(w, classBase+int(ob.Source), ob.Source)
+		scores[m.lay.obsLocal[base+i]] += m.sigmaAt(w, ob.Source)
 	}
 	agrees := m.copyAgreements(int(o))
 	for _, ag := range agrees {

@@ -330,33 +330,6 @@ func TestFitEMIgnoresOutOfDomainLabel(t *testing.T) {
 	}
 }
 
-// TestFitEMOpenWorldNoneLabelIsEvidence: under open-world semantics a
-// data.None label is trainable (it targets the wildcard), for EM as for
-// ERM, so it makes the wildcard likelier on its object than a run
-// without the label does.
-func TestFitEMOpenWorldNoneLabelIsEvidence(t *testing.T) {
-	ds, _ := emToyDataset()
-	opts := DefaultOptions()
-	opts.OpenWorld = true
-	opts.OpenWorldBias = 0
-	opts.EMCalibrate = false
-	o0 := data.ObjectID(0)
-	wildcard := func(train data.TruthMap) float64 {
-		m, err := Compile(ds, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.FitEM(train); err != nil {
-			t.Fatal(err)
-		}
-		return inferAll(t, m).Posterior(o0)[data.None]
-	}
-	labeled, unlabeled := wildcard(data.TruthMap{o0: data.None}), wildcard(nil)
-	if !(labeled > unlabeled) {
-		t.Errorf("wildcard posterior with a None label %v, without %v: want higher", labeled, unlabeled)
-	}
-}
-
 func TestFitEMRequiresObservations(t *testing.T) {
 	b := data.NewBuilder("empty")
 	b.Object("o") // object but no observations

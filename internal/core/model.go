@@ -43,12 +43,6 @@ type Options struct {
 	// M-step.
 	Optim optim.Config
 
-	// EMMaxIters bounds the number of EM rounds; EMTolerance stops
-	// early when the maximum weight change between rounds drops below
-	// it.
-	EMMaxIters  int
-	EMTolerance float64
-
 	// EMCalibrate runs a post-EM calibration pass (see Calibrate) that
 	// anchors A_s = logistic(σ_s) on posterior-agreement counts, the
 	// construction used by the paper's Theorem 3 proof. Without it, σ
@@ -61,33 +55,6 @@ type Options struct {
 	// margin), and calibration restores Equation 2's σ_s = logit(A_s)
 	// reading that the paper's Table 3 errors reflect.
 	ERMCalibrate bool
-
-	// EMInitAccuracy seeds the per-source weights with
-	// logit(EMInitAccuracy) when EM starts from all-zero weights.
-	// All-zero weights are a fixed point of EM (uniform posteriors
-	// produce zero gradients), so the first E-step must be anchored;
-	// this makes it a weighted majority vote, the standard
-	// initialization in the truth-discovery literature.
-	EMInitAccuracy float64
-
-	// ObjectClasses optionally assigns each object (by dense id) a
-	// class in [0, NumClasses); the model then learns one accuracy
-	// parameter per (source, class), the relaxation Section 2 of the
-	// paper describes for sources whose reliability differs across
-	// object categories. Domain-feature weights stay shared across
-	// classes. Nil means a single class.
-	ObjectClasses []int
-	NumClasses    int
-
-	// OpenWorld enables the open-world semantics sketched in Section 2
-	// of the paper: every object's domain gains a wildcard value
-	// (data.None) meaning "the true value was not reported by any
-	// source", with constant log-score OpenWorldBias. Objects whose
-	// posterior favours the wildcard are returned with data.None as
-	// their value. More negative biases approach closed-world
-	// behaviour.
-	OpenWorld     bool
-	OpenWorldBias float64
 
 	// Workers bounds the goroutines used by the parallel execution
 	// subsystem for the EM E-step, inference and calibration counting.
@@ -108,13 +75,26 @@ func DefaultOptions() Options {
 		UseFeatures:    true,
 		MinCopyOverlap: 3,
 		Optim:          oc,
-		EMMaxIters:     25,
-		EMTolerance:    1e-3,
 		EMCalibrate:    true,
 		ERMCalibrate:   true,
-		EMInitAccuracy: 0.8,
 	}
 }
+
+const (
+	// emMaxIters bounds the number of EM rounds; EM stops early when
+	// the maximum weight change between rounds drops below
+	// emTolerance.
+	emMaxIters  = 25
+	emTolerance = 1e-3
+
+	// emInitAccuracy seeds the per-source weights with
+	// logit(emInitAccuracy) when EM starts from all-zero weights.
+	// All-zero weights are a fixed point of EM (uniform posteriors
+	// produce zero gradients), so the first E-step must be anchored;
+	// this makes it a weighted majority vote, the standard
+	// initialization in the truth-discovery literature.
+	emInitAccuracy = 0.8
+)
 
 // Model is a compiled SLiMFast instance over one dataset. Construct
 // with Compile; learn with FitERM or FitEM; read results with Infer,
@@ -129,8 +109,6 @@ type Model struct {
 
 	numSources  int
 	numFeatures int
-	numClasses  int
-	classOf     []int // per-object class; nil means all class 0
 
 	// copyPairs lists the source pairs with pairwise copy features;
 	// copyAgree[p] lists, for each pair, the (object, value) agreements
@@ -141,16 +119,16 @@ type Model struct {
 	objCopyAgree [][]copyAgreement
 
 	// lay is the compiled hot-path layout (CSR observations with local
-	// domain indices, extended domains, dense-slab offsets, feature
-	// index); see compiled.go.
+	// domain indices, dense-slab offsets, feature index); see
+	// compiled.go.
 	lay layout
 
 	// plan is the compiled per-object gradient plan and the per-source
 	// feature-coordinate list σ reads; see gradPlan in compiled.go.
 	plan gradPlan
 
-	// sigma caches the per-(source, class) reliability scores at the
-	// current weights; sigmaValid tracks the invalidate-on-weight-change
+	// sigma caches the per-source reliability scores at the current
+	// weights; sigmaValid tracks the invalidate-on-weight-change
 	// contract documented on sigmaTable.
 	sigma      []float64
 	sigmaValid bool
@@ -180,36 +158,17 @@ func Compile(ds *data.Dataset, opts Options) (*Model, error) {
 	if err := opts.Optim.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if opts.EMMaxIters <= 0 {
-		return nil, errors.New("core: EMMaxIters must be positive")
-	}
 	m := &Model{
 		ds:          ds,
 		opts:        opts,
 		numSources:  ds.NumSources(),
 		numFeatures: ds.NumFeatures(),
-		numClasses:  1,
-	}
-	if opts.ObjectClasses != nil {
-		if len(opts.ObjectClasses) != ds.NumObjects() {
-			return nil, fmt.Errorf("core: ObjectClasses has %d entries, want %d", len(opts.ObjectClasses), ds.NumObjects())
-		}
-		if opts.NumClasses < 1 {
-			return nil, errors.New("core: NumClasses must be >= 1 with ObjectClasses")
-		}
-		for o, c := range opts.ObjectClasses {
-			if c < 0 || c >= opts.NumClasses {
-				return nil, fmt.Errorf("core: object %d class %d out of [0,%d)", o, c, opts.NumClasses)
-			}
-		}
-		m.numClasses = opts.NumClasses
-		m.classOf = opts.ObjectClasses
 	}
 	if opts.CopyFeatures {
 		m.buildCopyPairs()
 	}
-	m.w = make([]float64, m.numSources*m.numClasses+m.numFeatures+len(m.copyPairs))
-	m.sigma = make([]float64, m.numSources*m.numClasses)
+	m.w = make([]float64, m.numSources+m.numFeatures+len(m.copyPairs))
+	m.sigma = make([]float64, m.numSources)
 	m.buildLayout()
 	if err := m.buildPlan(); err != nil {
 		return nil, err
@@ -217,19 +176,8 @@ func Compile(ds *data.Dataset, opts Options) (*Model, error) {
 	return m, nil
 }
 
-// srcIdx returns the weight index of source s in class c.
-func (m *Model) srcIdx(s data.SourceID, c int) int { return c*m.numSources + int(s) }
-
 // featBase returns the index of the first feature weight.
-func (m *Model) featBase() int { return m.numSources * m.numClasses }
-
-// classOfObject returns the class of object o (0 when unclassed).
-func (m *Model) classOfObject(o data.ObjectID) int {
-	if m.classOf == nil {
-		return 0
-	}
-	return m.classOf[o]
-}
+func (m *Model) featBase() int { return m.numSources }
 
 // buildCopyPairs finds source pairs co-observing at least
 // MinCopyOverlap objects and records their per-object agreements. Pair
@@ -301,19 +249,11 @@ func (m *Model) FeatureWeight(k data.FeatureID) float64 {
 }
 
 // Sigma returns the reliability score σ_s = w_s + Σ_k w_k f_sk of
-// source s under the current weights (class 0 when per-class
-// accuracies are enabled; see SigmaClass).
-func (m *Model) Sigma(s data.SourceID) float64 { return m.SigmaClass(s, 0) }
-
-// SigmaClass returns source s's reliability score for objects of the
-// given class.
-func (m *Model) SigmaClass(s data.SourceID, class int) float64 {
-	return m.sigmaAt(m.w, m.srcIdx(s, class), s)
-}
+// source s under the current weights.
+func (m *Model) Sigma(s data.SourceID) float64 { return m.sigmaAt(m.w, s) }
 
 // SourceAccuracies returns A_s = logistic(σ_s) for every source
-// (Equation 3). With per-class accuracies enabled this is the class-0
-// estimate; SigmaClass gives every class.
+// (Equation 3).
 func (m *Model) SourceAccuracies() []float64 {
 	acc := make([]float64, m.numSources)
 	for s := range acc {
@@ -332,11 +272,10 @@ func (m *Model) PredictAccuracy(featureLabels []string) float64 {
 	var sigma float64
 	if m.numSources > 0 {
 		var sum float64
-		n := m.numSources * m.numClasses
-		for i := 0; i < n; i++ {
-			sum += m.w[i]
+		for s := 0; s < m.numSources; s++ {
+			sum += m.w[s]
 		}
-		sigma += sum / float64(n)
+		sigma += sum / float64(m.numSources)
 	}
 	if m.opts.UseFeatures {
 		for _, lbl := range featureLabels {
@@ -353,12 +292,10 @@ func (m *Model) PredictAccuracy(featureLabels []string) float64 {
 // features), writing into buf and returning it alongside the domain.
 // sg is the σ-table for the weights being scored (sigmaTable for the
 // model's own weights). The compiled layout supplies each observation's
-// local domain index and the open-world-extended domain, so the loop is
-// pure indexed arithmetic — no per-call maps or domain copies. Under
-// open-world semantics the returned domain carries a trailing data.None
-// wildcard whose score is the configured bias.
+// local domain index, so the loop is pure indexed arithmetic — no
+// per-call maps or domain copies.
 func (m *Model) objectScores(o data.ObjectID, sg []float64, buf []float64) ([]float64, []data.ValueID) {
-	dom := m.lay.dom[o]
+	dom := m.ds.Domain(o)
 	n := len(dom)
 	if n == 0 {
 		return buf[:0], nil
@@ -367,22 +304,16 @@ func (m *Model) objectScores(o data.ObjectID, sg []float64, buf []float64) ([]fl
 	for i := range buf {
 		buf[i] = 0
 	}
-	if m.opts.OpenWorld {
-		buf[n-1] = m.opts.OpenWorldBias
-	}
 	base := m.lay.obsBase[o]
-	classBase := m.classOfObject(o) * m.numSources
 	for i, ob := range m.ds.ObjectObservations(o) {
-		buf[m.lay.obsLocal[base+i]] += sg[classBase+int(ob.Source)]
+		buf[m.lay.obsLocal[base+i]] += sg[ob.Source]
 	}
 	if m.opts.CopyFeatures {
 		for _, ag := range m.objCopyAgree[o] {
 			wp := m.w[m.featBase()+m.numFeatures+ag.pair]
 			// Appendix D: the feature is active when the fused value
 			// differs from what the agreeing pair reported, so every
-			// value except the agreed one gets +wp (the wildcard
-			// included: an unreported truth also contradicts the
-			// copiers).
+			// value except the agreed one gets +wp.
 			for i, v := range dom {
 				if v != ag.value {
 					buf[i] += wp
@@ -409,9 +340,11 @@ type Result struct {
 	// ("erm", "em", or "none" for an unfitted model).
 	Algorithm string
 
-	// dense is the slab-backed posterior snapshot; lay is the owning
-	// model's compiled layout, needed to decode the slab.
+	// dense is the slab-backed posterior snapshot; ds and lay are the
+	// owning model's dataset and compiled layout, needed to decode the
+	// slab.
 	dense *denseResult
+	ds    *data.Dataset
 	lay   *layout
 
 	mu         sync.Mutex
@@ -473,7 +406,7 @@ func (r *Result) materialize(o data.ObjectID) map[data.ValueID]float64 {
 	case objKnown:
 		return map[data.ValueID]float64{r.dense.best[o]: 1}
 	case objComputed:
-		dom := r.lay.dom[o]
+		dom := r.ds.Domain(o)
 		seg := r.dense.probs[r.lay.scoreStart[o]:r.lay.scoreStart[o+1]]
 		post := make(map[data.ValueID]float64, len(dom))
 		for i, v := range dom {
@@ -496,6 +429,7 @@ func (m *Model) Infer(known data.TruthMap) (*Result, error) {
 		Values:           make(map[data.ObjectID]data.ValueID, nObj),
 		SourceAccuracies: m.SourceAccuracies(),
 		dense:            dr,
+		ds:               m.ds,
 		lay:              &m.lay,
 	}
 	for o := 0; o < nObj; o++ {
@@ -514,7 +448,7 @@ const (
 )
 
 // denseResult is the allocation-light internal form of exact inference:
-// object o's posterior over lay.dom[o] occupies
+// object o's posterior over ds.Domain(o) occupies
 // probs[lay.scoreStart[o]:lay.scoreStart[o+1]] in one shared slab, and
 // best holds its MAP value. Internal consumers (the EM E-step feed and
 // Calibrate's agreement counting) read the slab directly through the

@@ -53,11 +53,6 @@ func TestCompileValidation(t *testing.T) {
 	if _, err := Compile(tinyDataset(), opts); err == nil {
 		t.Error("invalid optim config should error")
 	}
-	opts = DefaultOptions()
-	opts.EMMaxIters = 0
-	if _, err := Compile(tinyDataset(), opts); err == nil {
-		t.Error("EMMaxIters=0 should error")
-	}
 }
 
 func TestSigmaAndAccuracies(t *testing.T) {
@@ -110,14 +105,12 @@ func TestPosteriorMatchesEquation4(t *testing.T) {
 		w[0], w[1], w[2] = 2, 1, 0.5 // σ = w_s: no feature weights
 		return w
 	}
-	// Appendix D with the open-world wildcard: every pair co-observes at
-	// least one object, (s0, s1) agree on "a" at object 0, (s0, s2) on
-	// "b" at object 1, and (s1, s2) never agree.
-	copyOpen := DefaultOptions()
-	copyOpen.CopyFeatures = true
-	copyOpen.MinCopyOverlap = 1
-	copyOpen.OpenWorld = true
-	copyOpen.OpenWorldBias = -0.3
+	// Appendix D: every pair co-observes at least one object, (s0, s1)
+	// agree on "a" at object 0, (s0, s2) on "b" at object 1, and
+	// (s1, s2) never agree.
+	copyOpts := DefaultOptions()
+	copyOpts.CopyFeatures = true
+	copyOpts.MinCopyOverlap = 1
 	pairW := map[[2]data.SourceID]float64{{0, 1}: 0.7, {0, 2}: 0.4, {1, 2}: 0.9}
 	copyWeights := func(m *Model) []float64 {
 		w := sources(m)
@@ -130,11 +123,9 @@ func TestPosteriorMatchesEquation4(t *testing.T) {
 		}
 		return w
 	}
-	// Every value except the copiers' agreed one, the wildcard
-	// included, gets +w_pair; a pair that agrees elsewhere, or never,
-	// adds nothing.
-	z0 := e(3) + e(0.5+0.7) + e(-0.3+0.7)
-	z1 := e(2.5) + e(-0.3+0.4)
+	// Every value except the copiers' agreed one gets +w_pair; a pair
+	// that agrees elsewhere, or never, adds nothing.
+	z0 := e(3) + e(0.5+0.7)
 	cases := []struct {
 		name    string
 		opts    Options
@@ -146,14 +137,9 @@ func TestPosteriorMatchesEquation4(t *testing.T) {
 			a: e(3) / (e(3) + e(0.5)),
 			b: e(0.5) / (e(3) + e(0.5)),
 		}},
-		{"copy-open-world/o0", copyOpen, copyWeights, 0, map[data.ValueID]float64{
-			a:         e(3) / z0,
-			b:         e(0.5+0.7) / z0,
-			data.None: e(-0.3+0.7) / z0,
-		}},
-		{"copy-open-world/o1", copyOpen, copyWeights, 1, map[data.ValueID]float64{
-			b:         e(2.5) / z1,
-			data.None: e(-0.3+0.4) / z1,
+		{"copy", copyOpts, copyWeights, 0, map[data.ValueID]float64{
+			a: e(3) / z0,
+			b: e(0.5+0.7) / z0,
 		}},
 	}
 	for _, c := range cases {

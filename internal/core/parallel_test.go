@@ -103,20 +103,6 @@ func TestParallelCopyDetectionEquivalentToSerial(t *testing.T) {
 	assertSameFit(t, "copy-em", a, b, ra, rb)
 }
 
-func TestParallelMultiClassEquivalentToSerial(t *testing.T) {
-	inst := mediumInstance(t, 53)
-	opts := DefaultOptions()
-	classes := make([]int, inst.Dataset.NumObjects())
-	for o := range classes {
-		classes[o] = o % 2
-	}
-	opts.ObjectClasses = classes
-	opts.NumClasses = 2
-	train, _ := data.Split(inst.Gold, 0.2, randx.New(4))
-	a, b, ra, rb := fitBoth(t, inst, opts, AlgorithmERM, train, 1, 4)
-	assertSameFit(t, "multiclass-erm", a, b, ra, rb)
-}
-
 func TestParallelInferEquivalentToSerial(t *testing.T) {
 	inst := mediumInstance(t, 54)
 	train, _ := data.Split(inst.Gold, 0.1, randx.New(5))

@@ -2,7 +2,14 @@ package eval
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"slimfast/internal/synth"
@@ -119,18 +126,61 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsRunQuick smoke-tests every registered experiment in
-// quick mode: they must complete and emit non-trivial output. The
-// subtests run concurrently — experiments are independent and the
-// dataset cache is shared safely — so the suite's wall-clock scales
-// with cores.
+var update = flag.Bool("update", false, "rewrite testdata/quick.golden from this run")
+
+// quickGolden holds every experiment's quick-mode output except the
+// wall-clock ones (see timedExperiments), as "==== id ====" sections.
+const quickGolden = "testdata/quick.golden"
+
+// timedExperiments print wall-clock runtimes, which no golden can pin;
+// they still have to run. No other experiment prints a time.
+var timedExperiments = map[string]bool{"table5": true, "table6": true}
+
+// TestAllExperimentsRunQuick runs every registered experiment in quick
+// mode and compares its output with testdata/quick.golden (-update
+// rewrites it). The subtests run concurrently — experiments are
+// independent and the dataset cache is shared safely — so the suite's
+// wall-clock scales with cores.
+//
+// On amd64 the comparison is exact. Elsewhere the compiler may fuse
+// x*y+z into one rounding, which can move the last printed digit, so
+// numbers there compare within ±0.001 (see sameOutput).
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite in -short mode")
 	}
+	var want map[string]string
+	if !*update {
+		b, err := os.ReadFile(quickGolden)
+		if err != nil {
+			t.Fatalf("%v (run with -update to create it)", err)
+		}
+		want = goldenSections(string(b))
+		for id := range want {
+			if e, ok := ByID(id); !ok || timedExperiments[e.ID] {
+				t.Errorf("%s has a section for %q, which no untimed experiment has", quickGolden, id)
+			}
+		}
+	}
 	cfg := quickConfig()
+	var mu sync.Mutex
+	got := map[string]string{}
+	// Cleanup runs once every parallel subtest has finished.
+	t.Cleanup(func() {
+		if !*update || t.Failed() {
+			return
+		}
+		var out strings.Builder
+		for _, e := range All() {
+			if !timedExperiments[e.ID] {
+				fmt.Fprintf(&out, "==== %s ====\n%s", e.ID, got[e.ID])
+			}
+		}
+		if err := os.WriteFile(quickGolden, []byte(out.String()), 0o644); err != nil {
+			t.Error(err)
+		}
+	})
 	for _, e := range All() {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
 			var buf bytes.Buffer
@@ -140,7 +190,80 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			if buf.Len() < 20 {
 				t.Errorf("%s produced almost no output: %q", e.ID, buf.String())
 			}
+			mu.Lock()
+			got[e.ID] = buf.String()
+			mu.Unlock()
+			if *update || timedExperiments[e.ID] {
+				return
+			}
+			w, ok := want[e.ID]
+			if !ok {
+				t.Fatalf("no section for %s in %s", e.ID, quickGolden)
+			}
+			if !sameOutput(w, buf.String(), runtime.GOARCH == "amd64") {
+				t.Errorf("output differs from %s\n--- want\n%s--- got\n%s", quickGolden, w, buf.String())
+			}
 		})
+	}
+}
+
+// goldenSections splits quick.golden's text into its per-experiment
+// sections.
+func goldenSections(s string) map[string]string {
+	secs := map[string]string{}
+	for _, part := range strings.Split(s, "==== ")[1:] {
+		id, body, _ := strings.Cut(part, " ====\n")
+		secs[id] = body
+	}
+	return secs
+}
+
+// sameOutput reports whether two renderings match: byte for byte when
+// exact, else field by field with numbers within ±0.001.
+func sameOutput(want, got string, exact bool) bool {
+	if exact || want == got {
+		return want == got
+	}
+	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
+	if len(wl) != len(gl) {
+		return false
+	}
+	for i := range wl {
+		wf, gf := strings.Fields(wl[i]), strings.Fields(gl[i])
+		if len(wf) != len(gf) {
+			return false
+		}
+		for j := range wf {
+			if wf[j] == gf[j] {
+				continue
+			}
+			a, errA := strconv.ParseFloat(wf[j], 64)
+			b, errB := strconv.ParseFloat(gf[j], 64)
+			if errA != nil || errB != nil || math.Abs(a-b) > 0.001+1e-9 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestSameOutputTolerance covers the comparison used off amd64.
+func TestSameOutputTolerance(t *testing.T) {
+	want := "Dataset  Acc\nstocks   0.912\n"
+	for _, tc := range []struct {
+		got         string
+		exact, same bool
+	}{
+		{want, true, true},
+		{"Dataset  Acc\nstocks   0.913\n", true, false},
+		{"Dataset  Acc\nstocks   0.913\n", false, true},
+		{"Dataset  Acc\nstocks   0.914\n", false, false},
+		{"Dataset  Acc\ncrowd    0.912\n", false, false},
+		{"Dataset  Acc\nstocks   0.912  x\n", false, false},
+	} {
+		if got := sameOutput(want, tc.got, tc.exact); got != tc.same {
+			t.Errorf("sameOutput(%q, exact=%v) = %v, want %v", tc.got, tc.exact, got, tc.same)
+		}
 	}
 }
 

@@ -105,8 +105,7 @@ func NewSLiMFastCopying(minOverlap int) *SLiMFast {
 
 // Clone implements Cloner: concurrent trials each get an independent
 // copy so the Last* diagnostic fields never race. The options structs
-// are value types (the ObjectClasses slice, when set, is shared but
-// read-only).
+// are value types, so the copy shares nothing.
 func (s *SLiMFast) Clone() baselines.Method {
 	c := *s
 	return &c

@@ -1,9 +1,9 @@
 // Checkpoint serialization for the learner: the state section of the
-// engine's format v2. The configuration travels in the engine's
-// options block (it is needed to reconstruct the learner before state
-// can be decoded); this codec carries everything else — weights,
-// vocabulary, per-source features and the RNG/step counters — so a
-// restored learner continues bit-identically.
+// engine's format v2. The configuration block travels in the engine's
+// options block and holds fixed values, since the hyper-parameters are
+// constants; the reader checks them. The state codec carries
+// everything else — weights, vocabulary, per-source features and the
+// RNG/step counters — so a restored learner continues bit-identically.
 //
 // Writers up to format v4's first releases also kept a sliding window
 // of per-epoch evidence: a window length in the config and, in the
@@ -21,37 +21,50 @@ import (
 	"slimfast/internal/wire"
 )
 
-// EncodeConfig writes the learner configuration through the wire
-// codec; the field order is the format contract, mirrored by
-// DecodeConfig.
-func EncodeConfig(w *wire.Writer, c Config) {
-	w.Float64(c.InitAccuracy)
-	w.Float64(c.PriorStrength)
+// EncodeConfig writes the learner-config block: the anchor accuracy
+// the learner was built with (the engine's InitAccuracy), then the
+// hyper-parameter constants, with the always-on intercept as true and
+// the window length as 0. The slot order is the format contract,
+// mirrored by DecodeConfig.
+func EncodeConfig(w *wire.Writer, initAccuracy float64) {
+	w.Float64(initAccuracy)
+	w.Float64(priorStrength)
 	w.Int(0) // window length
-	w.Int(c.Steps)
-	w.Int(c.Batch)
-	w.Float64(c.LearningRate)
-	w.Float64(c.Decay)
-	w.Float64(c.L2)
-	w.Bool(c.Intercept)
-	w.Int64(c.Seed)
+	w.Int(fitSteps)
+	w.Int(batchSize)
+	w.Float64(learningRate)
+	w.Float64(rateDecay)
+	w.Float64(l2)
+	w.Bool(true) // intercept
+	w.Int64(shuffleSeed)
 }
 
-// DecodeConfig reads a configuration written by EncodeConfig. ring is
-// the file's window length: the number of ring slots DecodeState must
-// find.
-func DecodeConfig(r *wire.Reader) (c Config, ring int) {
-	c.InitAccuracy = r.Float64()
-	c.PriorStrength = r.Float64()
+// DecodeConfig reads the block EncodeConfig writes and fails when a
+// slot differs from what EncodeConfig(initAccuracy) would write: no
+// binary ever wrote other values, and this learner could not honour
+// them. The window length is the exception: files written while the
+// learner kept a window carry its length, returned as ring, the number
+// of ring slots DecodeState must find.
+func DecodeConfig(r *wire.Reader, initAccuracy float64) (ring int, err error) {
+	anchor := r.Float64()
+	prior := r.Float64()
 	ring = r.Int()
-	c.Steps = r.Int()
-	c.Batch = r.Int()
-	c.LearningRate = r.Float64()
-	c.Decay = r.Float64()
-	c.L2 = r.Float64()
-	c.Intercept = r.Bool()
-	c.Seed = r.Int64()
-	return c, ring
+	steps := r.Int()
+	batch := r.Int()
+	rate := r.Float64()
+	decay := r.Float64()
+	penalty := r.Float64()
+	intercept := r.Bool()
+	seed := r.Int64()
+	if err := r.Err(); err != nil {
+		return 0, err
+	}
+	if anchor != initAccuracy || prior != priorStrength || steps != fitSteps || batch != batchSize ||
+		rate != learningRate || decay != rateDecay || penalty != l2 || !intercept || seed != shuffleSeed {
+		return 0, fmt.Errorf("online: learner config (%v, %v, %d, %d, %v, %v, %v, %v, %d) is not this learner's",
+			anchor, prior, steps, batch, rate, decay, penalty, intercept, seed)
+	}
+	return ring, nil
 }
 
 // EncodeState writes the learner's mutable state. Call on a quiescent

@@ -20,7 +20,7 @@
 //
 // The served accuracy is the empirical-Bayes blend Calibrate's
 // closed-form step uses (Blend): the agreement ratio shrunk toward the
-// feature-model prediction by PriorStrength pseudo-counts. Heavily
+// feature-model prediction by priorStrength pseudo-counts. Heavily
 // observed sources are governed by their own agreement; lightly
 // observed ones inherit the prediction of sources that share their
 // features.
@@ -33,7 +33,6 @@
 package online
 
 import (
-	"errors"
 	"math"
 	"sort"
 
@@ -41,90 +40,36 @@ import (
 	"slimfast/internal/randx"
 )
 
-// Config tunes the online reliability learner. The zero value is not
-// valid; start from DefaultConfig.
-type Config struct {
-	// InitAccuracy anchors the intercept: an untrained learner (and any
-	// source with no active features beyond the intercept) predicts
-	// this accuracy. Must lie in (0, 1).
-	InitAccuracy float64
-
-	// PriorStrength is the pseudo-count mass behind the feature-model
+// The learner's hyper-parameters. They track the batch discriminative
+// fit on the test workloads without per-stream tuning, and the
+// checkpoint's learner-config block records them (see EncodeConfig).
+const (
+	// priorStrength is the pseudo-count mass behind the feature-model
 	// prediction when blending with empirical agreement — the same
 	// role core.Calibrate's priorStrength plays.
-	PriorStrength float64
+	priorStrength = 4
 
-	// Steps is the number of minibatch SGD steps per FitMass call,
+	// fitSteps is the number of minibatch SGD steps per FitMass call,
 	// bounding the learning work added to a refresh regardless of how
-	// many sources are live.
-	Steps int
+	// many sources are live; batchSize is the number of sources per
+	// minibatch.
+	fitSteps  = 24
+	batchSize = 16
 
-	// Batch is the number of sources per minibatch.
-	Batch int
+	// learningRate and rateDecay follow optim's schedule: the step
+	// size at (persisted) step t is learningRate / (1 + rateDecay·t).
+	learningRate = 0.3
+	rateDecay    = 0.01
 
-	// LearningRate and Decay follow optim's schedule: the step size at
-	// (persisted) step t is LearningRate / (1 + Decay·t).
-	LearningRate float64
-	Decay        float64
-
-	// L2 is the ridge penalty on the feature weights (the intercept is
+	// l2 is the ridge penalty on the feature weights (the intercept is
 	// unpenalized, as in standard logistic regression).
-	L2 float64
+	l2 = 1e-3
 
-	// Intercept learns a global intercept weight. Without it the
-	// feature weights must also absorb the base accuracy level.
-	Intercept bool
-
-	// Seed drives the deterministic minibatch shuffle (mixed with the
-	// epoch counter, so every refresh visits sources in a fresh but
-	// reproducible order).
-	Seed int64
-}
-
-// DefaultConfig returns settings that track the batch discriminative
-// fit on the test workloads without per-stream tuning.
-func DefaultConfig() Config {
-	return Config{
-		InitAccuracy:  0.7,
-		PriorStrength: 4,
-		Steps:         24,
-		Batch:         16,
-		LearningRate:  0.3,
-		Decay:         0.01,
-		L2:            1e-3,
-		Intercept:     true,
-		Seed:          1,
-	}
-}
-
-// Validate reports the first invalid option. Each range check is
-// written so that NaN fails it, and every float must be finite.
-func (c Config) Validate() error {
-	if !(c.InitAccuracy > 0 && c.InitAccuracy < 1) {
-		return errors.New("online: InitAccuracy must be in (0,1)")
-	}
-	if !finiteNonNegative(c.PriorStrength) {
-		return errors.New("online: PriorStrength must be finite and non-negative")
-	}
-	if c.Steps < 0 {
-		return errors.New("online: Steps must be non-negative")
-	}
-	if c.Batch < 1 {
-		return errors.New("online: Batch must be positive")
-	}
-	if !(c.LearningRate > 0) || math.IsInf(c.LearningRate, 1) {
-		return errors.New("online: LearningRate must be finite and positive")
-	}
-	if !finiteNonNegative(c.Decay) || !finiteNonNegative(c.L2) {
-		return errors.New("online: Decay and L2 must be finite and non-negative")
-	}
-	return nil
-}
-
-// finiteNonNegative reports whether x is in [0, +Inf); NaN is not.
-func finiteNonNegative(x float64) bool {
-	return x >= 0 && !math.IsInf(x, 1)
-}
+	// shuffleSeed drives the deterministic minibatch shuffle (mixed
+	// with the epoch counter, so every refresh visits sources in a
+	// fresh but reproducible order).
+	shuffleSeed = 1
+)
 
 // Accuracy clamp bounds, matching the streaming engine's
 // smoothedAccuracy so logits stay bounded either way.
@@ -137,11 +82,8 @@ const (
 // safe for concurrent use; the streaming engine serializes all
 // mutation under its refresh lock and guards reads separately.
 type Learner struct {
-	cfg Config
-
 	// Feature vocabulary, interned in first-seen order, and the learned
-	// weights: w[0] is the intercept slot (present even when disabled,
-	// to keep the layout stable), features at w[1+k].
+	// weights: w[0] is the intercept, features at w[1+k].
 	featIdx   map[string]int
 	featNames []string
 	w         []float64
@@ -160,24 +102,15 @@ type Learner struct {
 	grad   []float64
 }
 
-// New returns an empty learner.
-func New(cfg Config) (*Learner, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	l := &Learner{
-		cfg:     cfg,
+// New returns an empty learner whose intercept is anchored at
+// initAccuracy, which must lie in (0, 1): an untrained learner (and any
+// source with no active features) predicts this accuracy.
+func New(initAccuracy float64) *Learner {
+	return &Learner{
 		featIdx: map[string]int{},
-		w:       make([]float64, 1),
+		w:       []float64{mathx.Logit(initAccuracy)},
 	}
-	if cfg.Intercept {
-		l.w[0] = mathx.Logit(cfg.InitAccuracy)
-	}
-	return l, nil
 }
-
-// Config returns the learner's configuration.
-func (l *Learner) Config() Config { return l.cfg }
 
 // NumSources returns how many sources have registered features.
 func (l *Learner) NumSources() int { return len(l.srcFeats) }
@@ -222,17 +155,14 @@ type WeightedFeature struct {
 }
 
 // FeatureWeights enumerates every interned feature label with its
-// learned weight, in intern (first-seen) order, plus the intercept
-// (0 when the intercept is disabled). The slice is freshly allocated.
+// learned weight, in intern (first-seen) order, plus the intercept.
+// The slice is freshly allocated.
 func (l *Learner) FeatureWeights() (intercept float64, feats []WeightedFeature) {
-	if l.cfg.Intercept {
-		intercept = l.w[0]
-	}
 	feats = make([]WeightedFeature, len(l.featNames))
 	for k, name := range l.featNames {
 		feats[k] = WeightedFeature{Label: name, Weight: l.w[1+k]}
 	}
-	return intercept, feats
+	return l.w[0], feats
 }
 
 // WeightNorm returns the L2 norm of the learned weight vector
@@ -249,10 +179,7 @@ func (l *Learner) WeightNorm() float64 {
 // sigmaOf computes the feature-model logit of source sid at the
 // current weights.
 func (l *Learner) sigmaOf(sid int) float64 {
-	var z float64
-	if l.cfg.Intercept {
-		z = l.w[0]
-	}
+	z := l.w[0]
 	for _, k := range l.srcFeats[sid] {
 		z += l.w[1+k]
 	}
@@ -270,10 +197,7 @@ func (l *Learner) Predict(sid int) float64 {
 // stream from feature labels alone (the PredictAccuracy analog;
 // unknown labels are ignored).
 func (l *Learner) PredictLabels(labels []string) float64 {
-	var z float64
-	if l.cfg.Intercept {
-		z = l.w[0]
-	}
+	z := l.w[0]
 	for _, lbl := range labels {
 		if k, ok := l.featIdx[lbl]; ok {
 			z += l.w[1+k]
@@ -284,7 +208,7 @@ func (l *Learner) PredictLabels(labels []string) float64 {
 
 // Blend is the empirical-Bayes accuracy estimate given agreement mass
 // c over claim mass t: the agreement ratio shrunk toward the
-// feature-model prediction by PriorStrength pseudo-counts, clamped
+// feature-model prediction by priorStrength pseudo-counts, clamped
 // like the engine's smoothedAccuracy.
 func (l *Learner) Blend(sid int, c, t float64) float64 {
 	if t < 0 {
@@ -292,7 +216,7 @@ func (l *Learner) Blend(sid int, c, t float64) float64 {
 	}
 	c = mathx.Clamp(c, 0, t)
 	prior := l.Predict(sid)
-	return mathx.Clamp((c+l.cfg.PriorStrength*prior)/(t+l.cfg.PriorStrength), accLo, accHi)
+	return mathx.Clamp((c+priorStrength*prior)/(t+priorStrength), accLo, accHi)
 }
 
 // FitMass runs one round of minibatch SGD against per-source
@@ -320,9 +244,6 @@ func (l *Learner) FitMass(agree, total []float64) {
 // core.Calibrate) so step sizes stay O(1) regardless of traffic
 // volume.
 func (l *Learner) train(agree, total []float64) {
-	if l.cfg.Steps == 0 {
-		return
-	}
 	l.active = l.active[:0]
 	var massSum float64
 	for s, t := range total {
@@ -336,7 +257,7 @@ func (l *Learner) train(agree, total []float64) {
 		return
 	}
 	massMean := massSum / float64(n)
-	rng := randx.New(randx.Mix(l.cfg.Seed, l.epochs))
+	rng := randx.New(randx.Mix(shuffleSeed, l.epochs))
 	rng.Shuffle(n, func(i, j int) { l.active[i], l.active[j] = l.active[j], l.active[i] })
 
 	if cap(l.grad) < len(l.w) {
@@ -344,11 +265,8 @@ func (l *Learner) train(agree, total []float64) {
 	}
 	g := l.grad[:len(l.w)]
 	pos := 0
-	for step := 0; step < l.cfg.Steps; step++ {
-		k := l.cfg.Batch
-		if k > n {
-			k = n
-		}
+	for step := 0; step < fitSteps; step++ {
+		k := min(batchSize, n)
 		for j := range g {
 			g[j] = 0
 		}
@@ -363,21 +281,17 @@ func (l *Learner) train(agree, total []float64) {
 			a := mathx.Logistic(l.sigmaOf(s))
 			// d/dσ of the weighted logistic loss, volume-normalized.
 			r := (t*a - c) / massMean
-			if l.cfg.Intercept {
-				g[0] += r
-			}
+			g[0] += r
 			for _, f := range l.srcFeats[s] {
 				g[1+f] += r
 			}
 		}
-		lr := l.cfg.LearningRate / (1 + l.cfg.Decay*float64(l.step))
+		lr := learningRate / (1 + rateDecay*float64(l.step))
 		l.step++
 		inv := 1 / float64(k)
-		if l.cfg.Intercept {
-			l.w[0] -= lr * g[0] * inv // intercept: no L2
-		}
+		l.w[0] -= lr * g[0] * inv // intercept: no L2
 		for j := 1; j < len(l.w); j++ {
-			l.w[j] -= lr * (g[j]*inv + l.cfg.L2*l.w[j])
+			l.w[j] -= lr * (g[j]*inv + l2*l.w[j])
 		}
 	}
 }
@@ -386,7 +300,6 @@ func (l *Learner) train(agree, total []float64) {
 // checkpoint path: snapshot under the refresh lock, encode without).
 func (l *Learner) Clone() *Learner {
 	c := &Learner{
-		cfg:       l.cfg,
 		featIdx:   make(map[string]int, len(l.featIdx)),
 		featNames: append([]string(nil), l.featNames...),
 		w:         append([]float64(nil), l.w...),

@@ -9,42 +9,12 @@ import (
 	"slimfast/internal/wire"
 )
 
-func TestConfigValidate(t *testing.T) {
-	bad := []func(*Config){
-		func(c *Config) { c.InitAccuracy = 0 },
-		func(c *Config) { c.InitAccuracy = 1 },
-		func(c *Config) { c.PriorStrength = -1 },
-		func(c *Config) { c.Steps = -1 },
-		func(c *Config) { c.Batch = 0 },
-		func(c *Config) { c.LearningRate = 0 },
-		func(c *Config) { c.Decay = -1 },
-		func(c *Config) { c.L2 = -1 },
-		func(c *Config) { c.InitAccuracy = math.NaN() },
-		func(c *Config) { c.InitAccuracy = math.Inf(1) },
-		func(c *Config) { c.PriorStrength = math.NaN() },
-		func(c *Config) { c.PriorStrength = math.Inf(1) },
-		func(c *Config) { c.LearningRate = math.NaN() },
-		func(c *Config) { c.LearningRate = math.Inf(1) },
-		func(c *Config) { c.LearningRate = math.Inf(-1) },
-		func(c *Config) { c.Decay = math.NaN() },
-		func(c *Config) { c.Decay = math.Inf(1) },
-		func(c *Config) { c.L2 = math.NaN() },
-		func(c *Config) { c.L2 = math.Inf(1) },
-	}
-	for i, mutate := range bad {
-		cfg := DefaultConfig()
-		mutate(&cfg)
-		if _, err := New(cfg); err == nil {
-			t.Errorf("mutation %d should be rejected", i)
-		}
-	}
-	if _, err := New(DefaultConfig()); err != nil {
-		t.Fatal(err)
-	}
-}
+// testInit is the anchor accuracy the tests build learners with, the
+// stream engine's default InitAccuracy.
+const testInit = 0.7
 
 func TestSetFeaturesInternsAndDedups(t *testing.T) {
-	l, _ := New(DefaultConfig())
+	l := New(testInit)
 	l.SetFeatures(0, []string{"b", "a", "b"})
 	l.SetFeatures(1, []string{"a", "c"})
 	l.SetFeatures(2, nil)
@@ -67,9 +37,7 @@ func TestSetFeaturesInternsAndDedups(t *testing.T) {
 }
 
 func TestUntrainedPredictsInitAccuracy(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.InitAccuracy = 0.65
-	l, _ := New(cfg)
+	l := New(0.65)
 	l.SetFeatures(0, []string{"f"})
 	if got := l.Predict(0); math.Abs(got-0.65) > 1e-12 {
 		t.Errorf("untrained Predict = %v, want 0.65", got)
@@ -107,7 +75,7 @@ func feedCohorts(l *Learner, nPer, epochs int, accGood, accBad, mass float64) {
 }
 
 func TestLearnsFeatureSeparation(t *testing.T) {
-	l, _ := New(DefaultConfig())
+	l := New(testInit)
 	feedCohorts(l, 6, 30, 0.9, 0.3, 20)
 	if wg, wb := l.w[1+l.featIdx["good"]], l.w[1+l.featIdx["bad"]]; wg <= wb+0.5 {
 		t.Errorf("good weight %.3f should clearly exceed bad %.3f", wg, wb)
@@ -125,7 +93,7 @@ func TestLearnsFeatureSeparation(t *testing.T) {
 }
 
 func TestBlendFollowsEvidenceMass(t *testing.T) {
-	l, _ := New(DefaultConfig())
+	l := New(testInit)
 	feedCohorts(l, 6, 30, 0.9, 0.3, 20)
 	// Heavy evidence dominates the prior...
 	if a := l.Blend(6, 85, 100); math.Abs(a-0.85) > 0.03 {
@@ -144,7 +112,7 @@ func TestBlendFollowsEvidenceMass(t *testing.T) {
 
 func TestFitMassDeterministic(t *testing.T) {
 	run := func() *Learner {
-		l, _ := New(DefaultConfig())
+		l := New(testInit)
 		feedCohorts(l, 5, 20, 0.85, 0.35, 10)
 		return l
 	}
@@ -162,7 +130,7 @@ func TestFitMassDeterministic(t *testing.T) {
 }
 
 func TestFitMassRejectsUnregisteredSources(t *testing.T) {
-	l, _ := New(DefaultConfig())
+	l := New(testInit)
 	l.SetFeatures(0, nil)
 	defer func() {
 		if recover() == nil {
@@ -180,7 +148,7 @@ func encodeLearner(t *testing.T, l *Learner) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := wire.NewWriter(&buf, testMagic, 1)
-	EncodeConfig(w, l.Config())
+	EncodeConfig(w, testInit)
 	l.Clone().EncodeState(w)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -193,11 +161,11 @@ func decodeLearner(b []byte) (*Learner, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, ring := DecodeConfig(r)
-	l, err := New(cfg)
+	ring, err := DecodeConfig(r, testInit)
 	if err != nil {
 		return nil, err
 	}
+	l := New(testInit)
 	if err := l.DecodeState(r, ring); err != nil {
 		return nil, err
 	}
@@ -208,14 +176,11 @@ func decodeLearner(b []byte) (*Learner, error) {
 }
 
 func TestCodecRoundTripContinuesBitIdentically(t *testing.T) {
-	orig, _ := New(DefaultConfig())
+	orig := New(testInit)
 	feedCohorts(orig, 4, 17, 0.88, 0.4, 12)
 	restored, err := decodeLearner(encodeLearner(t, orig))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if restored.Config() != orig.Config() {
-		t.Fatal("config did not round-trip")
 	}
 	// Continue both: every subsequent update must stay bit-exact.
 	feedCohorts(orig, 4, 9, 0.6, 0.6, 12)
@@ -242,20 +207,98 @@ func assertSameLearner(t *testing.T, a, b *Learner) {
 	}
 }
 
-// encodeWindowConfig writes DefaultConfig in the config layout, with
-// window as the window length an older writer recorded.
+// encodeWindowConfig writes the config block as a writer with a window
+// of the given length laid it out.
 func encodeWindowConfig(w *wire.Writer, window int) {
-	c := DefaultConfig()
-	w.Float64(c.InitAccuracy)
-	w.Float64(c.PriorStrength)
+	w.Float64(testInit)
+	w.Float64(4) // prior strength
 	w.Int(window)
-	w.Int(c.Steps)
-	w.Int(c.Batch)
-	w.Float64(c.LearningRate)
-	w.Float64(c.Decay)
-	w.Float64(c.L2)
-	w.Bool(c.Intercept)
-	w.Int64(c.Seed)
+	w.Int(24) // steps
+	w.Int(16) // batch
+	w.Float64(0.3)
+	w.Float64(0.01)
+	w.Float64(1e-3)
+	w.Bool(true) // intercept
+	w.Int64(1)   // seed
+}
+
+// TestDecodeConfigChecksEverySlot pins the config block's bytes to the
+// values every writer has recorded, and rejects a block in which any
+// slot but the window length differs.
+func TestDecodeConfigChecksEverySlot(t *testing.T) {
+	block := func(edit func(w *wire.Writer, slot int) bool) []byte {
+		var buf bytes.Buffer
+		w := wire.NewWriter(&buf, testMagic, 1)
+		writes := []func(){
+			func() { w.Float64(testInit) }, func() { w.Float64(4) }, func() { w.Int(0) },
+			func() { w.Int(24) }, func() { w.Int(16) }, func() { w.Float64(0.3) },
+			func() { w.Float64(0.01) }, func() { w.Float64(1e-3) }, func() { w.Bool(true) },
+			func() { w.Int64(1) },
+		}
+		for slot, write := range writes {
+			if !edit(w, slot) {
+				write()
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	decode := func(b []byte) (int, error) {
+		r, _, err := wire.NewReaderVersions(bytes.NewReader(b), testMagic, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return DecodeConfig(r, testInit)
+	}
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf, testMagic, 1)
+	EncodeConfig(w, testInit)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := block(func(*wire.Writer, int) bool { return false }); !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("EncodeConfig wrote % x, want % x", buf.Bytes(), want)
+	}
+	if ring, err := decode(buf.Bytes()); err != nil || ring != 0 {
+		t.Fatalf("own block: ring %d, err %v", ring, err)
+	}
+	if ring, err := decode(block(func(w *wire.Writer, slot int) bool {
+		if slot == 2 {
+			w.Int(32)
+		}
+		return slot == 2
+	})); err != nil || ring != 32 {
+		t.Errorf("window length 32: ring %d, err %v; want 32 and no error", ring, err)
+	}
+	for slot := 0; slot < 10; slot++ {
+		if slot == 2 {
+			continue
+		}
+		b := block(func(w *wire.Writer, at int) bool {
+			if at != slot {
+				return false
+			}
+			switch slot {
+			case 3, 4:
+				w.Int(25)
+			case 8:
+				w.Bool(false)
+			case 9:
+				w.Int64(2)
+			default:
+				w.Float64(0.5)
+			}
+			return true
+		})
+		if _, err := decode(b); err == nil {
+			t.Errorf("slot %d changed: want an error", slot)
+		}
+	}
+	if _, err := decode(buf.Bytes()[:len(buf.Bytes())/2]); err == nil {
+		t.Error("truncated block: want an error")
+	}
 }
 
 // TestDecodeStateDropsOldWindow restores a learner section as a
@@ -264,7 +307,7 @@ func encodeWindowConfig(w *wire.Writer, window int) {
 // weights, counters and sources, and keeps training exactly like one
 // that never had the window.
 func TestDecodeStateDropsOldWindow(t *testing.T) {
-	ref, _ := New(DefaultConfig())
+	ref := New(testInit)
 	feedCohorts(ref, 2, 5, 0.9, 0.3, 10)
 	var buf bytes.Buffer
 	w := wire.NewWriter(&buf, testMagic, 1)
@@ -304,13 +347,16 @@ func TestDecodeStateDropsOldWindow(t *testing.T) {
 // one zero per source in each window sum, the shape an older reader
 // accepts.
 func TestEncodeStateWritesCumulativeShape(t *testing.T) {
-	l, _ := New(DefaultConfig())
+	l := New(testInit)
 	feedCohorts(l, 2, 3, 0.9, 0.3, 10)
 	r, _, err := wire.NewReaderVersions(bytes.NewReader(encodeLearner(t, l)), testMagic, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ring := DecodeConfig(r)
+	ring, err := DecodeConfig(r, testInit)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r.Strings()
 	r.Float64s()
 	nSrc := int(r.Uint32())
@@ -419,7 +465,7 @@ func TestDecodeStateRejectsCorruption(t *testing.T) {
 		}
 	}
 	// Truncation surfaces as a wire error, never a panic.
-	good := encodeLearner(t, func() *Learner { l, _ := New(DefaultConfig()); return l }())
+	good := encodeLearner(t, New(testInit))
 	for _, cut := range []int{9, len(good) / 2, len(good) - 2} {
 		if _, err := decodeLearner(good[:cut]); err == nil {
 			t.Errorf("cut=%d: truncated state should be rejected", cut)
@@ -434,25 +480,10 @@ func writeEmptyRing(w *wire.Writer) {
 	}
 }
 
-func TestZeroStepsSkipsTraining(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Steps = 0
-	l, _ := New(cfg)
-	l.SetFeatures(0, []string{"f"})
-	l.FitMass([]float64{5}, []float64{10})
-	if got := l.w[1+l.featIdx["f"]]; got != 0 {
-		t.Errorf("Steps=0 must not move weights, got %v", got)
-	}
-	// Served accuracy still follows the evidence through the blend.
-	if a := l.Blend(0, 5, 10); math.Abs(a-(5+4*0.7)/(10+4)) > 1e-9 {
-		t.Errorf("accuracy = %v, want the pure blend", a)
-	}
-}
-
 func TestAccuracyNamesAreStable(t *testing.T) {
 	// Guard the layout contract the engine relies on: feature ids are
 	// first-seen ordered and stable across identical registrations.
-	l, _ := New(DefaultConfig())
+	l := New(testInit)
 	for s := 0; s < 4; s++ {
 		l.SetFeatures(s, []string{fmt.Sprintf("g%d", s%2)})
 	}

@@ -31,9 +31,11 @@ import (
 
 // Format versions. v1 is the PR 4 layout; v2 appends the online
 // discriminative-learning section — the Features table, the learner
-// configuration (options block) and the learner state (weights,
-// RNG/step counters, and a window ring the learner no longer keeps:
-// written empty, read and dropped) after the shard records. v3 adds the
+// configuration (options block; fixed values, checked on restore,
+// since the learner's hyper-parameters are constants) and the learner
+// state (weights, RNG/step counters, and a window ring the learner no
+// longer keeps: written empty, read and dropped) after the shard
+// records. v3 adds the
 // ingest idempotency state: the resolved DedupWindow in the options
 // block and the sequence-key ring after the learner section, so a
 // client retry that straddles a restart still deduplicates. v4 adds
@@ -175,12 +177,10 @@ func (e *Engine) WriteCheckpoint(w io.Writer) error {
 	opts.DedupWindow = e.seq.Size()    // pin so the restored window evicts identically
 	var learnerSnap *online.Learner
 	if e.learner != nil {
-		// Pin the resolved learner config too (Learn may have been the
-		// zero value), and deep-copy the state so encoding runs with no
-		// engine locks held. Learner mutation happens under refreshMu,
-		// which is held here.
+		// Deep-copy the learner state so encoding runs with no engine
+		// locks held. Learner mutation happens under refreshMu, which
+		// is held here.
 		opts.OnlineLearn = true
-		opts.Learn = e.learner.Config()
 		opts.Features = e.features
 		learnerSnap = e.learner.Clone()
 	}
@@ -234,7 +234,7 @@ func encodeOptions(w *wire.Writer, o EngineOptions) {
 	if !o.OnlineLearn {
 		return
 	}
-	online.EncodeConfig(w, o.Learn)
+	online.EncodeConfig(w, o.InitAccuracy)
 	names := make([]string, 0, len(o.Features))
 	for name := range o.Features {
 		names = append(names, name)
@@ -267,7 +267,13 @@ func decodeOptions(r *wire.Reader, version uint32) (o EngineOptions, ring int, e
 	if !o.OnlineLearn {
 		return o, 0, nil
 	}
-	o.Learn, ring = online.DecodeConfig(r)
+	ring, err = online.DecodeConfig(r, o.InitAccuracy)
+	if err != nil {
+		if r.Err() != nil {
+			return o, 0, err
+		}
+		return o, 0, corruptf("%v", err)
+	}
 	nFeat := int(r.Uint32())
 	if err := r.Err(); err != nil {
 		return o, 0, err

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"slimfast/internal/mathx"
 	"slimfast/internal/online"
 	"slimfast/internal/wire"
 )
@@ -337,6 +338,13 @@ func TestRestoreStructuralCorruption(t *testing.T) {
 	// An object outside its routed shard is unreachable by name: the
 	// next Observe would create a second copy in the right shard.
 	restore("object in the wrong shard", tinyCheckpoint(t, []string{"a"}, []string{"x"}, 2, 1-home, 1))
+	// The learner-config block holds the values every writer has
+	// recorded; a learner that would take 25 SGD steps per refresh is
+	// not one this binary can continue.
+	if _, err := Restore(bytes.NewReader(learnerCheckpoint(t, 24))); err != nil {
+		t.Fatalf("well-formed hand-written learner checkpoint: %v", err)
+	}
+	restore("learner Steps slot 25", learnerCheckpoint(t, 25))
 }
 
 // tinyCheckpoint hand-writes a current-version checkpoint of nShards
@@ -344,6 +352,21 @@ func TestRestoreStructuralCorruption(t *testing.T) {
 // claim by source 0 for value 0. tracked is the length of that
 // shard's per-source vectors (1 covers the claim).
 func tinyCheckpoint(t *testing.T, srcNames, valNames []string, nShards, objShard, tracked int) []byte {
+	return handCheckpoint(t, srcNames, valNames, nShards, objShard, tracked, 0)
+}
+
+// learnerCheckpoint hand-writes tinyCheckpoint's two-shard state with
+// an online learner whose config block records steps SGD steps per
+// refresh.
+func learnerCheckpoint(t *testing.T, steps int) []byte {
+	home := ShardIndex("obj", 2)
+	return handCheckpoint(t, []string{"a"}, []string{"x"}, 2, home, 1, steps)
+}
+
+// handCheckpoint writes tinyCheckpoint's state; learnSteps > 0 adds an
+// untrained online learner (no features) whose config block records
+// learnSteps in its Steps slot.
+func handCheckpoint(t *testing.T, srcNames, valNames []string, nShards, objShard, tracked, learnSteps int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := wire.NewWriter(&buf, checkpointMagic, checkpointVersion)
@@ -351,7 +374,30 @@ func tinyCheckpoint(t *testing.T, srcNames, valNames []string, nShards, objShard
 	opts.Shards = nShards
 	opts.EpochLength = 8
 	opts.DedupWindow = 8
-	encodeOptions(w, opts)
+	if learnSteps > 0 {
+		w.Float64(opts.InitAccuracy)
+		w.Float64(opts.PriorStrength)
+		w.Float64(opts.Decay)
+		w.Int(opts.Shards)
+		w.Int(opts.Workers)
+		w.Int(opts.EpochLength)
+		w.Int(opts.MaxObjects)
+		w.Int(opts.DedupWindow)
+		w.Bool(true) // OnlineLearn
+		w.Float64(opts.InitAccuracy)
+		w.Float64(4) // learner PriorStrength
+		w.Int(0)     // window length
+		w.Int(learnSteps)
+		w.Int(16) // Batch
+		w.Float64(0.3)
+		w.Float64(0.01)
+		w.Float64(1e-3)
+		w.Bool(true) // Intercept
+		w.Int64(1)   // Seed
+		w.Uint32(0)  // feature rows
+	} else {
+		encodeOptions(w, opts)
+	}
 	w.Int64(1) // observations
 	w.Int64(1) // since epoch
 	n := len(srcNames)
@@ -404,6 +450,21 @@ func tinyCheckpoint(t *testing.T, srcNames, valNames []string, nShards, objShard
 		w.Int64(0)
 		w.Float64(0)
 	}
+	if learnSteps > 0 {
+		n := len(srcNames)
+		w.Strings(nil) // feature labels
+		w.Float64s([]float64{mathx.Logit(opts.InitAccuracy)})
+		w.Uint32(uint32(n))
+		for range n {
+			w.Int32s(nil)
+		}
+		w.Uint32(0) // ring slots
+		w.Int(0)    // ring position
+		w.Float64s(make([]float64, n))
+		w.Float64s(make([]float64, n))
+		w.Int64(0) // epochs
+		w.Int64(0) // step
+	}
 	w.Strings(nil) // dedup window
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -428,7 +489,7 @@ func TestRestoreLyingFeatureCount(t *testing.T) {
 	w.Int(0)       // MaxObjects
 	w.Int(8)       // DedupWindow
 	w.Bool(true)   // OnlineLearn
-	online.EncodeConfig(w, online.DefaultConfig())
+	online.EncodeConfig(w, 0.7)
 	w.Uint32(1 << 22) // feature rows declared, none delivered
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

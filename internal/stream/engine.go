@@ -89,10 +89,6 @@ type EngineOptions struct {
 	// each source's agreement). Implied by a non-empty Features map.
 	OnlineLearn bool
 
-	// Learn tunes the online learner; the zero value selects
-	// online.DefaultConfig() with InitAccuracy inherited from Options.
-	Learn online.Config
-
 	// MaxObjects bounds live per-object state: when positive, each
 	// shard keeps at most ceil(MaxObjects/Shards) objects and evicts
 	// the least recently observed beyond that. Evicted objects keep
@@ -139,11 +135,6 @@ func (o EngineOptions) Validate() error {
 	if o.MaxObjects < 0 {
 		return errors.New("stream: MaxObjects must be non-negative")
 	}
-	if o.onlineEnabled() {
-		if err := o.learnConfig().Validate(); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -151,18 +142,6 @@ func (o EngineOptions) Validate() error {
 // learner path.
 func (o EngineOptions) onlineEnabled() bool {
 	return o.OnlineLearn || len(o.Features) > 0
-}
-
-// learnConfig resolves the learner configuration: the zero value means
-// defaults, with the learner's prior anchored on the engine's
-// InitAccuracy.
-func (o EngineOptions) learnConfig() online.Config {
-	cfg := o.Learn
-	if cfg == (online.Config{}) {
-		cfg = online.DefaultConfig()
-		cfg.InitAccuracy = o.InitAccuracy
-	}
-	return cfg
 }
 
 // Triple is one streamed claim: Source says Object has Value. Its JSON
@@ -389,11 +368,7 @@ func NewEngine(opts EngineOptions) (*Engine, error) {
 		e.shardCap = (opts.MaxObjects + n - 1) / n
 	}
 	if opts.onlineEnabled() {
-		learner, err := online.New(opts.learnConfig())
-		if err != nil {
-			return nil, err
-		}
-		e.learner = learner
+		e.learner = online.New(opts.InitAccuracy)
 		e.features = opts.Features
 	}
 	e.initSigma = mathx.Logit(smoothedAccuracy(opts.Options, 0, 0))

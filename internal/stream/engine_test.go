@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"slimfast/internal/online"
 )
 
 // testEngineOptions pins the knobs that affect float accumulation
@@ -29,13 +27,6 @@ func (e *Engine) EstimateAll() []Estimate {
 
 func TestEngineOptionsValidate(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
-	badLearn := func(mutate func(*online.Config)) func(*EngineOptions) {
-		return func(o *EngineOptions) {
-			o.OnlineLearn = true
-			o.Learn = online.DefaultConfig()
-			mutate(&o.Learn)
-		}
-	}
 	bad := []struct {
 		name   string
 		mutate func(*EngineOptions)
@@ -47,8 +38,6 @@ func TestEngineOptionsValidate(t *testing.T) {
 		{"Decay=NaN", func(o *EngineOptions) { o.Decay = nan }},
 		{"Decay=-Inf", func(o *EngineOptions) { o.Decay = -inf }},
 		{"MaxObjects=-1", func(o *EngineOptions) { o.MaxObjects = -1 }},
-		{"Learn.LearningRate=NaN", badLearn(func(c *online.Config) { c.LearningRate = nan })},
-		{"Learn.L2=+Inf", badLearn(func(c *online.Config) { c.L2 = inf })},
 	}
 	for _, tc := range bad {
 		opts := testEngineOptions()

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"testing"
@@ -218,6 +219,25 @@ func TestGoldenOnlineCheckpointAtEveryEpochBoundary(t *testing.T) {
 				t.Fatalf("workers=%d: source %s detail diverged after restore", workers, src)
 			}
 		}
+	}
+}
+
+// TestGoldenOnlineCheckpointBytes pins the SHA-256 of the checkpoint a
+// feature-mode engine writes after a fixed stream and one Refine. The
+// learner section, its config block included, is part of the hash, so
+// the bytes a restoring binary reads stay what every writer has
+// written.
+func TestGoldenOnlineCheckpointBytes(t *testing.T) {
+	const want = "076fbea833f7bce3e916726cb71e6fec02dd23ee6c5b28b9c50b6f97ed239b07"
+	_, triples, features := featureStreamInstance(t, 13)
+	e := ingestOnline(t, triples, features, 2)
+	e.Refine(2)
+	var buf bytes.Buffer
+	if err := e.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Errorf("checkpoint SHA-256 = %s, want %s", got, want)
 	}
 }
 
