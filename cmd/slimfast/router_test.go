@@ -171,6 +171,57 @@ func TestRouterGoldenEquivalence(t *testing.T) {
 	}
 }
 
+// TestRouterGoldenManifestBytes pins the manifest that
+// TestRouterGoldenEquivalence's cluster (three members, batch 32,
+// epoch 64, no decay) writes after the same observe and refine:
+// counters, the barrier position, the folded evidence, the dedup
+// window and the options block. Member addresses are random ports, so
+// each is replaced by memberN before the comparison.
+func TestRouterGoldenManifestBytes(t *testing.T) {
+	const nodes, batch, epochLen = 3, 32, 64
+	urls := make([]string, nodes)
+	for i := range urls {
+		urls[i] = newMember(t, batch, 1, "").URL
+	}
+	path := filepath.Join(t.TempDir(), "cluster.json")
+	rt, err := cluster.New(cluster.Config{
+		Nodes:        urls,
+		Batch:        batch,
+		EpochLength:  epochLen,
+		Opts:         stream.DefaultOptions(),
+		ManifestPath: path,
+		Retry:        resilience.ClientConfig{MaxAttempts: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newRouterServer(rt, io.Discard, nil, "text").handler()
+	if rec := doReq(t, h, http.MethodPost, "/v1/observe?seq=golden", "application/x-ndjson", ndjsonFromTriples(goldenClaims())); rec.Code != http.StatusOK {
+		t.Fatalf("observe: %d %s", rec.Code, rec.Body)
+	}
+	if rec := doReq(t, h, http.MethodPost, "/v1/refine?sweeps=2", "", ""); rec.Code != http.StatusOK {
+		t.Fatalf("refine: %d %s", rec.Code, rec.Body)
+	}
+	if err := rt.WriteManifest(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, u := range urls {
+		got = bytes.ReplaceAll(got, []byte(u), []byte(fmt.Sprintf("member%d", i)))
+	}
+	golden := filepath.Join("testdata", "router_manifest.golden")
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("manifest differs from %s\ngot:\n%s", golden, got)
+	}
+}
+
 // TestRouterHTTPSurface covers the router's error contract: bad rows
 // reject atomically, refine validates sweeps, health endpoints answer.
 func TestRouterHTTPSurface(t *testing.T) {

@@ -2,7 +2,9 @@ package stream
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -169,6 +171,42 @@ func TestCheckpointRoundTripWithEvictionAndDecay(t *testing.T) {
 	}
 	if a, b := e.Stats(), r.Stats(); a != b {
 		t.Errorf("stats diverged: %+v vs %+v", a, b)
+	}
+}
+
+// TestGoldenCheckpointBytes pins the SHA-256 of the checkpoint a
+// featureless two-shard engine writes after LRU eviction, epoch
+// refreshes, three marked sequence keys and one Refine. The options
+// block, the shard records with their eviction accounting and the
+// dedup ring are all part of the hash, so the bytes a restoring
+// binary reads stay what every writer has written.
+func TestGoldenCheckpointBytes(t *testing.T) {
+	const want = "77b0320e9bc378f0f11de84438617694f71d99c31fe857288d9010359d18809e"
+	_, triples := streamInstance(t, 9)
+	opts := DefaultEngineOptions()
+	opts.Shards = 2
+	opts.EpochLength = 128
+	opts.MaxObjects = 60
+	e, err := NewEngine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range triples {
+		e.Observe(tr[0], tr[1], tr[2])
+	}
+	for _, k := range []string{"k1", "k2", "k3"} {
+		e.MarkSeq(k)
+	}
+	if st := e.Stats(); st.EvictedObjects == 0 || st.Epoch == 0 {
+		t.Fatalf("stream did not evict and refresh: %+v", st)
+	}
+	e.Refine(2)
+	var buf bytes.Buffer
+	if err := e.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Errorf("checkpoint SHA-256 = %s, want %s", got, want)
 	}
 }
 
