@@ -161,7 +161,7 @@ func run(w io.Writer) error {
 	// And a source never seen at all is rated from its feature alone,
 	// the serving analog of the paper's Figure 7 unseen-source curve.
 	fmt.Fprintf(w, "never-seen source on feed=beta would start at %.3f (prior %.3f)\n",
-		featured.PredictAccuracy([]string{"feed=beta"}), stream.DefaultEngineOptions().InitAccuracy)
+		featured.PredictAccuracy([]string{"feed=beta"}), stream.InitAccuracy)
 	if featErr >= plainErr {
 		return fmt.Errorf("feature-aware engine did not recover faster (%.3f vs %.3f)", featErr, plainErr)
 	}

@@ -216,7 +216,7 @@ func New(cfg Config) (*Router, error) {
 		hc:       hc,
 		log:      cfg.Log,
 		ix:       map[string]int{},
-		seen:     resilience.NewWindow(stream.DefaultDedupWindow),
+		seen:     resilience.NewWindow(stream.DedupWindow),
 		fanBufs:  make([][]byte, len(nodes)),
 		respBufs: make([]bytes.Buffer, len(nodes)),
 		allParts: make([]int, len(nodes)),
@@ -501,7 +501,7 @@ func (r *Router) refineSweepLocked(ctx context.Context, op int64, sweep int) err
 	accs := make([]stream.SourceAccuracy, len(mass))
 	for s, m := range mass {
 		agree[s], total[s] = m.Agree, m.Total
-		accs[s] = stream.SourceAccuracy{Source: r.names[s], Accuracy: r.cfg.Opts.EstimateAccuracy(m.Agree, m.Total)}
+		accs[s] = stream.SourceAccuracy{Source: r.names[s], Accuracy: stream.EstimateAccuracy(m.Agree, m.Total)}
 	}
 	if err := r.applyLocked(ctx, tag, accs, true); err != nil {
 		return err

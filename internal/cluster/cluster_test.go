@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -342,11 +343,41 @@ func TestManifestRejectsLayoutChanges(t *testing.T) {
 		{Nodes: urls, Batch: 8, EpochLength: 8, ManifestPath: manifest},
 		{Nodes: urls, Batch: 4, EpochLength: 16, ManifestPath: manifest},
 		{Nodes: urls, Batch: 4, EpochLength: 8, ManifestPath: manifest,
-			Opts: stream.Options{InitAccuracy: 0.6, PriorStrength: 4, Decay: 1}},
+			Opts: stream.Options{Decay: 0.99}},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Fatalf("config %d adopted an incompatible manifest", i)
+		}
+	}
+	// The prior slots hold stream's constants; a manifest folded under
+	// another prior is refused at boot, while the unedited one restores.
+	m, err := LoadManifest(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		edit     func(*ManifestOptions)
+		restores bool
+	}{
+		{"unedited", func(*ManifestOptions) {}, true},
+		{"init_accuracy 0.6", func(o *ManifestOptions) { o.InitAccuracy = 0.6 }, false},
+		{"prior_strength 5", func(o *ManifestOptions) { o.PriorStrength = 5 }, false},
+	} {
+		edited := m
+		tc.edit(&edited.Options)
+		data, err := encodeManifest(edited)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "cluster.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = New(Config{Nodes: urls, Batch: 4, EpochLength: 8, ManifestPath: path})
+		if (err == nil) != tc.restores {
+			t.Errorf("%s manifest: New err = %v, want restored %v", tc.name, err, tc.restores)
 		}
 	}
 }

@@ -7,6 +7,9 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+
+	"slimfast/internal/resilience"
+	"slimfast/internal/stream"
 )
 
 // manifestVersion is the cluster manifest schema version (see
@@ -51,7 +54,8 @@ type ManifestSource struct {
 }
 
 // ManifestOptions pins the streaming options the evidence was folded
-// under; restoring with different options would change the math.
+// under; restoring with different options would change the math. The
+// prior slots always hold stream.InitAccuracy and stream.PriorStrength.
 type ManifestOptions struct {
 	InitAccuracy  float64 `json:"init_accuracy"`
 	PriorStrength float64 `json:"prior_strength"`
@@ -71,11 +75,7 @@ func (r *Router) manifestLocked() Manifest {
 		SinceEpoch:     r.since,
 		PendingBarrier: r.pendingBarrier,
 		Sources:        make([]ManifestSource, len(r.names)),
-		Options: ManifestOptions{
-			InitAccuracy:  r.cfg.Opts.InitAccuracy,
-			PriorStrength: r.cfg.Opts.PriorStrength,
-			Decay:         r.cfg.Opts.Decay,
-		},
+		Options:        r.manifestOptions(),
 	}
 	for i, name := range r.names {
 		m.Sources[i] = ManifestSource{Source: name, Agree: r.agree[i], Total: r.total[i]}
@@ -86,9 +86,22 @@ func (r *Router) manifestLocked() Manifest {
 	return m
 }
 
+// manifestOptions is the options block this router writes, and the
+// only one it restores.
+func (r *Router) manifestOptions() ManifestOptions {
+	return ManifestOptions{
+		InitAccuracy:  stream.InitAccuracy,
+		PriorStrength: stream.PriorStrength,
+		Decay:         r.cfg.Opts.Decay,
+	}
+}
+
 // writeManifestLocked writes the manifest atomically: temp file in
-// the target directory, then rename, so a crash mid-write leaves the
-// previous manifest intact.
+// the target directory, fsync, then rename, so a crash mid-write
+// leaves the previous manifest intact. The directory is synced too, or
+// a power loss could undo the rename while the members' newer
+// checkpoint generations survive; that sync is best-effort, as for the
+// checkpoints, since some filesystems refuse directory fsync.
 func (r *Router) writeManifestLocked() error {
 	data, err := encodeManifest(r.manifestLocked())
 	if err != nil {
@@ -114,6 +127,7 @@ func (r *Router) writeManifestLocked() error {
 	if err := os.Rename(tmp.Name(), r.cfg.ManifestPath); err != nil {
 		return fmt.Errorf("cluster: installing manifest: %w", err)
 	}
+	resilience.OS.SyncDir(dir)
 	return nil
 }
 
@@ -166,12 +180,7 @@ func (r *Router) restoreManifest(path string) error {
 		return fmt.Errorf("cluster: manifest %s was written with -batch %d -epoch %d (configured %d/%d); barrier positions depend on both",
 			path, m.Batch, m.EpochLength, r.cfg.Batch, r.cfg.EpochLength)
 	}
-	mo := ManifestOptions{
-		InitAccuracy:  r.cfg.Opts.InitAccuracy,
-		PriorStrength: r.cfg.Opts.PriorStrength,
-		Decay:         r.cfg.Opts.Decay,
-	}
-	if m.Options != mo {
+	if mo := r.manifestOptions(); m.Options != mo {
 		return fmt.Errorf("cluster: manifest %s was folded under options %+v, configured %+v", path, m.Options, mo)
 	}
 	for i, node := range m.Nodes {

@@ -1,5 +1,5 @@
 // Checkpoint serialization for the learner: the state section of the
-// engine's format v2. The configuration block travels in the engine's
+// engine's checkpoint. The configuration block travels in the engine's
 // options block and holds fixed values, since the hyper-parameters are
 // constants; the reader checks them. The state codec carries
 // everything else — weights, vocabulary, per-source features and the

@@ -157,7 +157,7 @@ func encodeLearner(t *testing.T, l *Learner) []byte {
 }
 
 func decodeLearner(b []byte) (*Learner, error) {
-	r, _, err := wire.NewReaderVersions(bytes.NewReader(b), testMagic, 1)
+	r, err := wire.NewReader(bytes.NewReader(b), testMagic, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +246,7 @@ func TestDecodeConfigChecksEverySlot(t *testing.T) {
 		return buf.Bytes()
 	}
 	decode := func(b []byte) (int, error) {
-		r, _, err := wire.NewReaderVersions(bytes.NewReader(b), testMagic, 1)
+		r, err := wire.NewReader(bytes.NewReader(b), testMagic, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +349,7 @@ func TestDecodeStateDropsOldWindow(t *testing.T) {
 func TestEncodeStateWritesCumulativeShape(t *testing.T) {
 	l := New(testInit)
 	feedCohorts(l, 2, 3, 0.9, 0.3, 10)
-	r, _, err := wire.NewReaderVersions(bytes.NewReader(encodeLearner(t, l)), testMagic, 1)
+	r, err := wire.NewReader(bytes.NewReader(encodeLearner(t, l)), testMagic, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

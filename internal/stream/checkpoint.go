@@ -22,34 +22,24 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"slimfast/internal/online"
 	"slimfast/internal/wire"
 )
 
-// Format versions. v1 is the PR 4 layout; v2 appends the online
-// discriminative-learning section — the Features table, the learner
-// configuration (options block; fixed values, checked on restore,
-// since the learner's hyper-parameters are constants) and the learner
-// state (weights, RNG/step counters, and a window ring the learner no
-// longer keeps: written empty, read and dropped) after the shard
-// records. v3 adds the
-// ingest idempotency state: the resolved DedupWindow in the options
-// block and the sequence-key ring after the learner section, so a
-// client retry that straddles a restart still deduplicates. v4 adds
-// one int64 per live object — the epoch its MAP value last changed —
-// so the query surface's "flipped since epoch E" survives a restart.
-// Writers always emit the current version; Restore reads all four, so
-// older checkpoints keep warm-booting (v3 and older restore with an
-// empty dedup window and/or zeroed flip epochs).
+// The checkpoint format is v4, and Restore reads v4 only: the options
+// block (whose InitAccuracy, PriorStrength and DedupWindow slots hold
+// this package's constants, checked on restore), the source and value
+// tables, the shard records with one int64 per live object for the
+// epoch its MAP value last changed, the online learner's configuration
+// (fixed values, also checked) and state when it is on, and the
+// sequence-key ring, so a client retry that straddles a restart still
+// deduplicates. Older files fail with wire.ErrVersion;
+// docs/WIRE_FORMAT.md says how to upgrade one.
 const (
-	checkpointMagic     = "SFCK"
-	checkpointVersionV1 = uint32(1)
-	checkpointVersionV2 = uint32(2)
-	checkpointVersionV3 = uint32(3)
-	checkpointVersion   = uint32(4)
+	checkpointMagic   = "SFCK"
+	checkpointVersion = uint32(4)
 )
 
 // maxCheckpointSlots bounds slab and claim counts read from a
@@ -174,7 +164,6 @@ func (e *Engine) WriteCheckpoint(w io.Writer) error {
 	opts := e.opts
 	opts.Shards = e.nShards            // pin the resolved count: GOMAXPROCS on the
 	opts.EpochLength = int(e.epochLen) // restoring host must not change the layout
-	opts.DedupWindow = e.seq.Size()    // pin so the restored window evicts identically
 	var learnerSnap *online.Learner
 	if e.learner != nil {
 		// Deep-copy the learner state so encoding runs with no engine
@@ -217,24 +206,25 @@ func (e *Engine) WriteCheckpoint(w io.Writer) error {
 }
 
 // encodeOptions writes the EngineOptions block (resolved values, not
-// the zero-means-default originals). The v2 tail carries the online
-// section header: the learn switch, the resolved learner config, and
+// the zero-means-default originals), with the package constants in the
+// InitAccuracy, PriorStrength and DedupWindow slots. Its tail carries
+// the online section header: the learn switch, the learner config, and
 // the source-feature table (sorted by source name, so the bytes are
 // deterministic regardless of map order).
 func encodeOptions(w *wire.Writer, o EngineOptions) {
-	w.Float64(o.InitAccuracy)
-	w.Float64(o.PriorStrength)
+	w.Float64(InitAccuracy)
+	w.Float64(PriorStrength)
 	w.Float64(o.Decay)
 	w.Int(o.Shards)
 	w.Int(o.Workers)
 	w.Int(o.EpochLength)
 	w.Int(o.MaxObjects)
-	w.Int(o.DedupWindow)
+	w.Int(DedupWindow)
 	w.Bool(o.OnlineLearn)
 	if !o.OnlineLearn {
 		return
 	}
-	online.EncodeConfig(w, o.InitAccuracy)
+	online.EncodeConfig(w, InitAccuracy)
 	names := make([]string, 0, len(o.Features))
 	for name := range o.Features {
 		names = append(names, name)
@@ -247,27 +237,32 @@ func encodeOptions(w *wire.Writer, o EngineOptions) {
 	}
 }
 
-// decodeOptions reads what encodeOptions wrote. ring is the learner's
-// window length in the file, which the learner state decode checks.
-func decodeOptions(r *wire.Reader, version uint32) (o EngineOptions, ring int, err error) {
-	o.InitAccuracy = r.Float64()
-	o.PriorStrength = r.Float64()
+// decodeOptions reads what encodeOptions wrote and fails with
+// ErrCorrupt when a fixed slot differs from this package's constant:
+// no binary ever wrote another value, and this engine could not honour
+// one. ring is the learner's window length in the file, which the
+// learner state decode checks.
+func decodeOptions(r *wire.Reader) (o EngineOptions, ring int, err error) {
+	initAccuracy := r.Float64()
+	prior := r.Float64()
 	o.Decay = r.Float64()
 	o.Shards = r.Int()
 	o.Workers = r.Int()
 	o.EpochLength = r.Int()
 	o.MaxObjects = r.Int()
-	if version >= 3 {
-		o.DedupWindow = r.Int()
+	window := r.Int()
+	if err := r.Err(); err != nil {
+		return o, 0, err
 	}
-	if version < 2 {
-		return o, 0, nil
+	if initAccuracy != InitAccuracy || prior != PriorStrength || window != DedupWindow {
+		return o, 0, corruptf("options record InitAccuracy %v, PriorStrength %v, DedupWindow %d; this engine's are %v, %v, %d",
+			initAccuracy, prior, window, InitAccuracy, PriorStrength, DedupWindow)
 	}
 	o.OnlineLearn = r.Bool()
 	if !o.OnlineLearn {
 		return o, 0, nil
 	}
-	ring, err = online.DecodeConfig(r, o.InitAccuracy)
+	ring, err = online.DecodeConfig(r, InitAccuracy)
 	if err != nil {
 		if r.Err() != nil {
 			return o, 0, err
@@ -355,12 +350,11 @@ func corruptf(format string, args ...any) error {
 // structural corruption — it returns a nil engine and a typed error;
 // no partially-restored engine ever escapes.
 func Restore(r io.Reader) (*Engine, error) {
-	rr, version, err := wire.NewReaderVersions(r, checkpointMagic,
-		checkpointVersionV1, checkpointVersionV2, checkpointVersionV3, checkpointVersion)
+	rr, err := wire.NewReader(r, checkpointMagic, checkpointVersion)
 	if err != nil {
 		return nil, fmt.Errorf("stream: restore: %w", err)
 	}
-	opts, ring, err := decodeOptions(rr, version)
+	opts, ring, err := decodeOptions(rr)
 	if err != nil {
 		return nil, fmt.Errorf("stream: restore: %w", err)
 	}
@@ -414,7 +408,7 @@ func Restore(r io.Reader) (*Engine, error) {
 	e.vals.names = valNames
 
 	for s := 0; s < nShards; s++ {
-		if err := decodeShard(rr, version, e, s, nSrc, len(valNames)); err != nil {
+		if err := decodeShard(rr, e, s, nSrc, len(valNames)); err != nil {
 			return nil, err
 		}
 	}
@@ -433,20 +427,18 @@ func Restore(r io.Reader) (*Engine, error) {
 			return nil, corruptf("online learner tracks %d sources, table has %d", n, nSrc)
 		}
 	}
-	if version >= 3 {
-		seqKeys := rr.Strings()
-		if err := rr.Err(); err != nil {
-			return nil, fmt.Errorf("stream: restore: %w", err)
+	seqKeys := rr.Strings()
+	if err := rr.Err(); err != nil {
+		return nil, fmt.Errorf("stream: restore: %w", err)
+	}
+	if len(seqKeys) > DedupWindow {
+		return nil, corruptf("dedup window holds %d keys, cap is %d", len(seqKeys), DedupWindow)
+	}
+	for _, k := range seqKeys {
+		if k == "" {
+			return nil, corruptf("dedup window holds an empty key")
 		}
-		if len(seqKeys) > e.seq.Size() {
-			return nil, corruptf("dedup window holds %d keys, cap is %d", len(seqKeys), e.seq.Size())
-		}
-		for _, k := range seqKeys {
-			if k == "" {
-				return nil, corruptf("dedup window holds an empty key")
-			}
-			e.MarkSeq(k)
-		}
+		e.MarkSeq(k)
 	}
 	if err := rr.Close(); err != nil {
 		return nil, fmt.Errorf("stream: restore: %w", err)
@@ -458,7 +450,7 @@ func Restore(r io.Reader) (*Engine, error) {
 
 // decodeShard reads one shard record into e.shards[s], validating
 // every id and index against the tables decoded so far.
-func decodeShard(rr *wire.Reader, version uint32, e *Engine, s, nSrc, nVals int) error {
+func decodeShard(rr *wire.Reader, e *Engine, s, nSrc, nVals int) error {
 	tag := int(rr.Uint32())
 	nObjs := int(rr.Uint32())
 	if err := rr.Err(); err != nil {
@@ -489,9 +481,7 @@ func decodeShard(rr *wire.Reader, version uint32, e *Engine, s, nSrc, nVals int)
 		obj.live = true
 		obj.name = rr.String()
 		obj.epoch = rr.Int64()
-		if version >= checkpointVersion {
-			obj.changed = rr.Int64()
-		}
+		obj.changed = rr.Int64()
 		obj.prev = rr.Int()
 		obj.next = rr.Int()
 		obj.dirty = rr.Bool()
@@ -531,8 +521,7 @@ func decodeShard(rr *wire.Reader, version uint32, e *Engine, s, nSrc, nVals int)
 			}
 		}
 		// The cached MAP index is derived state: recompute it from the
-		// restored posterior (pre-v4 checkpoints additionally restore
-		// with changed = 0, so "flipped since E" starts fresh).
+		// restored posterior.
 		obj.mapIx = mapIndex(obj, e.vals.names)
 		for i := range obj.claims {
 			c := &obj.claims[i]
@@ -619,46 +608,14 @@ func decodeShard(rr *wire.Reader, version uint32, e *Engine, s, nSrc, nVals int)
 	return nil
 }
 
-// WriteCheckpointFile atomically checkpoints to path: the bytes land
-// in a temp file in the same directory and are renamed into place
-// only after a successful sync, so a crash mid-write never clobbers
-// the previous checkpoint.
-func (e *Engine) WriteCheckpointFile(path string) (err error) {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("stream: checkpoint: %w", err)
-	}
-	tmp := f.Name()
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	if err = e.WriteCheckpoint(f); err != nil {
-		return err
-	}
-	if err = f.Sync(); err != nil {
-		return fmt.Errorf("stream: checkpoint: %w", err)
-	}
-	if err = f.Close(); err != nil {
-		return fmt.Errorf("stream: checkpoint: %w", err)
-	}
-	if err = os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("stream: checkpoint: %w", err)
-	}
-	// Sync the directory too, or the rename itself may not survive a
-	// power loss — the durability claim covers the directory entry,
-	// not just the bytes. Strictly best-effort: filesystems that
-	// refuse directory fsync (FUSE, network, overlay mounts) still
-	// have a valid, fully-synced file in place, so their refusal must
-	// not fail the checkpoint.
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+// WriteCheckpointFile atomically checkpoints to path: it is a
+// one-generation CheckpointStore's Write, so the bytes land in a temp
+// file in the same directory and are renamed into place only after a
+// successful sync (a crash mid-write never clobbers the previous
+// checkpoint), the directory is synced best-effort, and a stray
+// path.1 left by a store with more generations is pruned.
+func (e *Engine) WriteCheckpointFile(path string) error {
+	return NewCheckpointStore(path, 1).Write(e)
 }
 
 // RestoreFile restores an engine from a checkpoint file.

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -285,6 +286,100 @@ func TestRestoreVersionSkew(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsOldVersions: Restore reads only the version this
+// binary writes. Each v1–v3 file here is a well-formed checkpoint of
+// its format, which earlier binaries restored; it must fail on its
+// header with wire.ErrVersion, while the same engine in v4 restores.
+func TestRestoreRejectsOldVersions(t *testing.T) {
+	ckpt := emptyCheckpoint(t, checkpointVersion, InitAccuracy, PriorStrength, DedupWindow)
+	if _, err := Restore(bytes.NewReader(ckpt)); err != nil {
+		t.Fatalf("v%d empty checkpoint: %v", checkpointVersion, err)
+	}
+	for v := uint32(1); v < checkpointVersion; v++ {
+		ckpt := emptyCheckpoint(t, v, InitAccuracy, PriorStrength, DedupWindow)
+		if e, err := Restore(bytes.NewReader(ckpt)); e != nil || !errors.Is(err, wire.ErrVersion) {
+			t.Errorf("v%d: engine=%v err=%v, want nil + wire.ErrVersion", v, e != nil, err)
+		}
+	}
+}
+
+// TestRestoreRejectsOtherOptionSlots: every file a binary wrote holds
+// this package's constants in the InitAccuracy, PriorStrength and
+// DedupWindow slots, so a file with any other value is corrupt.
+func TestRestoreRejectsOtherOptionSlots(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		init, prior float64
+		window      int
+	}{
+		{"InitAccuracy 0.6", 0.6, PriorStrength, DedupWindow},
+		{"InitAccuracy NaN", math.NaN(), PriorStrength, DedupWindow},
+		{"PriorStrength 5", InitAccuracy, 5, DedupWindow},
+		{"DedupWindow 8", InitAccuracy, PriorStrength, 8},
+	} {
+		ckpt := emptyCheckpoint(t, checkpointVersion, tc.init, tc.prior, tc.window)
+		if e, err := Restore(bytes.NewReader(ckpt)); e != nil || !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: engine=%v err=%v, want nil + ErrCorrupt", tc.name, e != nil, err)
+		}
+	}
+}
+
+// emptyCheckpoint hand-writes a checkpoint of a one-shard engine with
+// no sources, values or objects in format version, with the given
+// values in the options block's InitAccuracy, PriorStrength and
+// DedupWindow slots. v1 has no DedupWindow slot, online switch or
+// dedup ring; v2 adds the switch, v3 the slot and the ring. With no
+// live objects, a v3 body is a v4 body.
+func emptyCheckpoint(t *testing.T, version uint32, initAccuracy, prior float64, window int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf, checkpointMagic, version)
+	w.Float64(initAccuracy)
+	w.Float64(prior)
+	w.Float64(1) // Decay
+	w.Int(1)     // Shards
+	w.Int(0)     // Workers
+	w.Int(8)     // EpochLength
+	w.Int(0)     // MaxObjects
+	if version >= 3 {
+		w.Int(window)
+	}
+	if version >= 2 {
+		w.Bool(false) // OnlineLearn
+	}
+	w.Int64(0) // observations
+	w.Int64(0) // since epoch
+	w.Strings(nil)
+	w.Float64s(nil)
+	w.Float64s(nil)
+	w.Float64s(nil)
+	w.Float64s(nil)
+	w.Int64(0) // source epoch
+	w.Strings(nil)
+	w.Uint32(1) // one shard record
+	w.Uint32(0) // tag
+	w.Uint32(0) // no objects
+	w.Ints(nil)
+	w.Ints(nil)
+	w.Int(-1)
+	w.Int(-1)
+	w.Float64s(nil)
+	w.Float64s(nil)
+	w.Int64s(nil)
+	w.Float64s(nil)
+	w.Float64s(nil)
+	w.Int64(0)
+	w.Int64(0)
+	w.Float64(0)
+	if version >= 3 {
+		w.Strings(nil) // dedup window
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestRestoreShardCountMismatch crafts structurally valid wire
 // streams whose shard records disagree with their own header.
 func TestRestoreShardCountMismatch(t *testing.T) {
@@ -411,18 +506,17 @@ func handCheckpoint(t *testing.T, srcNames, valNames []string, nShards, objShard
 	opts := DefaultEngineOptions()
 	opts.Shards = nShards
 	opts.EpochLength = 8
-	opts.DedupWindow = 8
 	if learnSteps > 0 {
-		w.Float64(opts.InitAccuracy)
-		w.Float64(opts.PriorStrength)
+		w.Float64(InitAccuracy)
+		w.Float64(PriorStrength)
 		w.Float64(opts.Decay)
 		w.Int(opts.Shards)
 		w.Int(opts.Workers)
 		w.Int(opts.EpochLength)
 		w.Int(opts.MaxObjects)
-		w.Int(opts.DedupWindow)
+		w.Int(DedupWindow)
 		w.Bool(true) // OnlineLearn
-		w.Float64(opts.InitAccuracy)
+		w.Float64(InitAccuracy)
 		w.Float64(4) // learner PriorStrength
 		w.Int(0)     // window length
 		w.Int(learnSteps)
@@ -491,7 +585,7 @@ func handCheckpoint(t *testing.T, srcNames, valNames []string, nShards, objShard
 	if learnSteps > 0 {
 		n := len(srcNames)
 		w.Strings(nil) // feature labels
-		w.Float64s([]float64{mathx.Logit(opts.InitAccuracy)})
+		w.Float64s([]float64{mathx.Logit(InitAccuracy)})
 		w.Uint32(uint32(n))
 		for range n {
 			w.Int32s(nil)
@@ -514,20 +608,22 @@ func handCheckpoint(t *testing.T, srcNames, valNames []string, nShards, objShard
 // must fail after allocating in proportion to the bytes present.
 // Sizing the feature map by the declared count reserved hundreds of
 // megabytes here (gigabytes at the 2^28 cap) before the checksum was
-// read.
+// read. The options and learner config hold what this binary writes,
+// so the decode gets past their checks (which fail with ErrCorrupt)
+// and fails in the feature rows, on the bytes that are not there.
 func TestRestoreLyingFeatureCount(t *testing.T) {
 	var buf bytes.Buffer
 	w := wire.NewWriter(&buf, checkpointMagic, checkpointVersion)
-	w.Float64(0.7) // InitAccuracy
-	w.Float64(1)   // PriorStrength
-	w.Float64(1)   // Decay
-	w.Int(1)       // Shards
-	w.Int(1)       // Workers
-	w.Int(8)       // EpochLength
-	w.Int(0)       // MaxObjects
-	w.Int(8)       // DedupWindow
-	w.Bool(true)   // OnlineLearn
-	online.EncodeConfig(w, 0.7)
+	w.Float64(InitAccuracy)
+	w.Float64(PriorStrength)
+	w.Float64(1) // Decay
+	w.Int(1)     // Shards
+	w.Int(1)     // Workers
+	w.Int(8)     // EpochLength
+	w.Int(0)     // MaxObjects
+	w.Int(DedupWindow)
+	w.Bool(true) // OnlineLearn
+	online.EncodeConfig(w, InitAccuracy)
 	w.Uint32(1 << 22) // feature rows declared, none delivered
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -536,8 +632,8 @@ func TestRestoreLyingFeatureCount(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	e, err := Restore(bytes.NewReader(buf.Bytes()))
 	runtime.ReadMemStats(&after)
-	if e != nil || err == nil {
-		t.Fatalf("engine=%v err=%v, want nil + an error", e != nil, err)
+	if e != nil || err == nil || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("engine=%v err=%v, want nil + a wire error from the feature rows", e != nil, err)
 	}
 	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<20 {
 		t.Errorf("Restore allocated %d MB for a %d-byte checkpoint", n>>20, buf.Len())

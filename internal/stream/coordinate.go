@@ -47,15 +47,6 @@ func (e *Engine) ExternalEpochs() bool { return e.epochLen >= ExternalEpochLengt
 // shards would partition them internally.
 func ShardIndex(object string, n int) int { return int(fnvHash(object)) % n }
 
-// EstimateAccuracy is the engine's smoothed empirical accuracy
-// estimate — clamp((InitAccuracy·PriorStrength + agree) /
-// (PriorStrength + total)) — exported so the cluster router computes
-// a Refine sweep's accuracies from globally pooled mass with
-// bit-identical math.
-func (o Options) EstimateAccuracy(agree, total float64) float64 {
-	return smoothedAccuracy(o, agree, total)
-}
-
 // Fold is one source's epoch fold, the single copy shared by the
 // engine's epoch refresh and the cluster router's barrier: the
 // cumulative evidence (agree, total) decays by Decay^obs for the obs
@@ -76,7 +67,7 @@ func (o Options) Fold(agree, total, dAgree, dTotal float64, obs int64) (newAgree
 	if agree < 0 {
 		agree = 0
 	}
-	return agree, total, smoothedAccuracy(o, agree, total)
+	return agree, total, EstimateAccuracy(agree, total)
 }
 
 // SourceStat is one source's contribution in a coordination exchange,

@@ -71,7 +71,7 @@ func (c *testCoord) barrier(t *testing.T, members []*Engine) {
 		if c.agree[s] < 0 {
 			c.agree[s] = 0
 		}
-		accs[s] = SourceAccuracy{Source: c.names[s], Accuracy: c.opts.EstimateAccuracy(c.agree[s], c.total[s])}
+		accs[s] = SourceAccuracy{Source: c.names[s], Accuracy: EstimateAccuracy(c.agree[s], c.total[s])}
 	}
 	for _, m := range members {
 		if err := m.ApplyAccuracies(accs, false); err != nil {
@@ -111,7 +111,7 @@ func (c *testCoord) refine(t *testing.T, members []*Engine, sweeps int) {
 		c.agree, c.total = mergedA, mergedT
 		accs := make([]SourceAccuracy, len(c.names))
 		for s := range c.names {
-			accs[s] = SourceAccuracy{Source: c.names[s], Accuracy: c.opts.EstimateAccuracy(c.agree[s], c.total[s])}
+			accs[s] = SourceAccuracy{Source: c.names[s], Accuracy: EstimateAccuracy(c.agree[s], c.total[s])}
 		}
 		for _, m := range members {
 			if err := m.ApplyAccuracies(accs, true); err != nil {
@@ -347,7 +347,7 @@ func TestCoordinationRejectsOnlineLearner(t *testing.T) {
 // 0, then smooth.
 func TestOptionsFold(t *testing.T) {
 	opts := func(decay float64) Options {
-		return Options{InitAccuracy: 0.7, PriorStrength: 4, Decay: decay}
+		return Options{Decay: decay}
 	}
 	for _, tc := range []struct {
 		name                 string
@@ -378,8 +378,8 @@ func TestOptionsFold(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			num := tc.o.InitAccuracy*tc.o.PriorStrength + tc.wantAgree
-			den := tc.o.PriorStrength + tc.wantTotal
+			num := InitAccuracy*PriorStrength + tc.wantAgree
+			den := PriorStrength + tc.wantTotal
 			wantAcc := min(max(num/den, 0.02), 0.98)
 			agree, total, acc := tc.o.Fold(tc.agree, tc.total, tc.dA, tc.dT, tc.obs)
 			for _, c := range []struct {

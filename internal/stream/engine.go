@@ -103,23 +103,19 @@ type EngineOptions struct {
 	// (or the oracle Fuser) would keep. That is the memory/fidelity trade;
 	// size MaxObjects above the working set where exactness matters.
 	MaxObjects int
-
-	// DedupWindow bounds the ingest idempotency window: how many
-	// recent batch sequence keys (MarkSeq) the engine remembers — and
-	// checkpoints, so a client retry straddling a restart still
-	// collapses to exactly-once. <= 0 selects DefaultDedupWindow.
-	DedupWindow int
 }
 
 // DefaultEpochLength is the σ-refresh interval used when
 // EngineOptions.EpochLength is unset.
 const DefaultEpochLength = 1024
 
-// DefaultDedupWindow is the sequence-key window used when
-// EngineOptions.DedupWindow is unset: large enough that a retry storm
-// across a fleet of replaying clients stays deduplicated, small
-// enough that the window is noise in the checkpoint.
-const DefaultDedupWindow = 4096
+// DedupWindow bounds the ingest idempotency window: how many recent
+// batch sequence keys (MarkSeq) the engine remembers — and
+// checkpoints, so a client retry straddling a restart still collapses
+// to exactly-once. Large enough that a retry storm across a fleet of
+// replaying clients stays deduplicated, small enough that the window
+// is noise in the checkpoint.
+const DedupWindow = 4096
 
 // DefaultEngineOptions returns production defaults: DefaultOptions
 // estimator settings, one shard per core, unbounded memory.
@@ -325,7 +321,7 @@ type Engine struct {
 	features map[string][]string
 
 	// Ingest idempotency window of recent batch sequence keys,
-	// guarded by seqMu. The window rides in the checkpoint (v3) so
+	// guarded by seqMu. The window rides in the checkpoint so
 	// retries that straddle a restart still deduplicate.
 	seqMu sync.Mutex
 	seq   *resilience.Window
@@ -359,19 +355,15 @@ func NewEngine(opts EngineOptions) (*Engine, error) {
 	if e.epochLen <= 0 {
 		e.epochLen = DefaultEpochLength
 	}
-	window := opts.DedupWindow
-	if window <= 0 {
-		window = DefaultDedupWindow
-	}
-	e.seq = resilience.NewWindow(window)
+	e.seq = resilience.NewWindow(DedupWindow)
 	if opts.MaxObjects > 0 {
 		e.shardCap = (opts.MaxObjects + n - 1) / n
 	}
 	if opts.onlineEnabled() {
-		e.learner = online.New(opts.InitAccuracy)
+		e.learner = online.New(InitAccuracy)
 		e.features = opts.Features
 	}
-	e.initSigma = mathx.Logit(smoothedAccuracy(opts.Options, 0, 0))
+	e.initSigma = mathx.Logit(EstimateAccuracy(0, 0))
 	seed := maphash.MakeSeed()
 	for i := range e.shards {
 		sh := &e.shards[i]
@@ -426,7 +418,7 @@ func (e *Engine) internSourceLocked(name string) int {
 		e.src.names = append(e.src.names, name)
 		e.src.agree = append(e.src.agree, 0)
 		e.src.total = append(e.src.total, 0)
-		e.src.acc = append(e.src.acc, smoothedAccuracy(e.opts.Options, 0, 0))
+		e.src.acc = append(e.src.acc, EstimateAccuracy(0, 0))
 		e.src.sigma = append(e.src.sigma, e.initSigma)
 	}
 	return id
@@ -1045,7 +1037,7 @@ func (e *Engine) Refine(sweeps int) {
 			e.src.agree[s] = a
 			e.src.total[s] = t
 			if e.learner == nil {
-				e.src.setAccuracy(s, smoothedAccuracy(e.opts.Options, a, t))
+				e.src.setAccuracy(s, EstimateAccuracy(a, t))
 			}
 		}
 		epoch := e.installEpochLocked()
@@ -1212,7 +1204,7 @@ func (e *Engine) SourceAccuracy(source string) float64 {
 	if id, ok := e.src.ids[source]; ok {
 		return e.src.acc[id]
 	}
-	return e.opts.InitAccuracy
+	return InitAccuracy
 }
 
 // OnlineLearning reports whether the discriminative reliability
@@ -1233,7 +1225,7 @@ func (e *Engine) SourceAccuracyDetail(source string) (acc, learned, empirical fl
 	id, known := e.src.ids[source]
 	if known {
 		acc = e.src.acc[id]
-		empirical = smoothedAccuracy(e.opts.Options, e.src.agree[id], e.src.total[id])
+		empirical = EstimateAccuracy(e.src.agree[id], e.src.total[id])
 	}
 	e.src.mu.RUnlock()
 	if !known {
@@ -1271,7 +1263,7 @@ func (e *Engine) FeatureWeights() (intercept float64, feats []online.WeightedFea
 // online learning is off. Safe to call during ingest.
 func (e *Engine) PredictAccuracy(labels []string) float64 {
 	if e.learner == nil {
-		return e.opts.InitAccuracy
+		return InitAccuracy
 	}
 	e.learnMu.RLock()
 	defer e.learnMu.RUnlock()
@@ -1365,7 +1357,7 @@ func (e *Engine) Stats() EngineStats {
 // was new: true means the caller should ingest the batch, false means
 // the key is a replay inside the dedup window and the batch has
 // already been applied. The window is a bounded ring — once full, the
-// oldest key is forgotten — sized by EngineOptions.DedupWindow.
+// oldest key is forgotten — sized by DedupWindow.
 func (e *Engine) MarkSeq(key string) bool {
 	if key == "" {
 		return true

@@ -31,10 +31,6 @@ func TestEngineOptionsValidate(t *testing.T) {
 		name   string
 		mutate func(*EngineOptions)
 	}{
-		{"InitAccuracy=0", func(o *EngineOptions) { o.InitAccuracy = 0 }},
-		{"InitAccuracy=NaN", func(o *EngineOptions) { o.InitAccuracy = nan }},
-		{"PriorStrength=NaN", func(o *EngineOptions) { o.PriorStrength = nan }},
-		{"PriorStrength=+Inf", func(o *EngineOptions) { o.PriorStrength = inf }},
 		{"Decay=NaN", func(o *EngineOptions) { o.Decay = nan }},
 		{"Decay=-Inf", func(o *EngineOptions) { o.Decay = -inf }},
 		{"MaxObjects=-1", func(o *EngineOptions) { o.MaxObjects = -1 }},
@@ -83,7 +79,7 @@ func TestEngineZeroObservationState(t *testing.T) {
 	if got := len(e.Estimates()); got != 0 {
 		t.Errorf("empty engine Estimates = %d entries", got)
 	}
-	if acc := e.SourceAccuracy("ghost"); acc != e.opts.InitAccuracy {
+	if acc := e.SourceAccuracy("ghost"); acc != InitAccuracy {
 		t.Errorf("unknown source accuracy = %v, want prior", acc)
 	}
 	e.Refine(2) // must not panic on an empty engine

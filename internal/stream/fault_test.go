@@ -332,11 +332,11 @@ func TestRestoreToleratesRotationGap(t *testing.T) {
 }
 
 // TestMarkSeqWindow covers the dedup ring: replays inside the window
-// dedupe, the window is bounded, and eviction is oldest-first.
+// dedupe, the window holds DedupWindow keys, and eviction is
+// oldest-first.
 func TestMarkSeqWindow(t *testing.T) {
 	opts := DefaultEngineOptions()
 	opts.Shards = 1
-	opts.DedupWindow = 3
 	e, err := NewEngine(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -350,12 +350,20 @@ func TestMarkSeqWindow(t *testing.T) {
 	if !e.SeqSeen("a") || e.SeqSeen("zz") {
 		t.Error("SeqSeen misreports window membership")
 	}
-	// Fourth distinct key evicts "a" (oldest).
+	// Fill the window: "a" stays until one more distinct key arrives.
+	for i := 3; i < DedupWindow; i++ {
+		if !e.MarkSeq(fmt.Sprintf("fill%d", i)) {
+			t.Fatalf("fresh key fill%d rejected", i)
+		}
+	}
+	if !e.SeqSeen("a") {
+		t.Fatal("window evicted a key before it was full")
+	}
 	if !e.MarkSeq("d") {
 		t.Fatal("new key rejected")
 	}
-	if e.SeqSeen("a") {
-		t.Error("window did not evict the oldest key")
+	if e.SeqSeen("a") || !e.SeqSeen("b") {
+		t.Error("window did not evict exactly the oldest key")
 	}
 	if !e.MarkSeq("a") {
 		t.Error("evicted key must be ingestable again")
@@ -364,8 +372,8 @@ func TestMarkSeqWindow(t *testing.T) {
 	if !e.MarkSeq("") || !e.MarkSeq("") {
 		t.Error("empty keys must always pass")
 	}
-	if got := e.seqSnapshot(); len(got) != 3 {
-		t.Errorf("window holds %d keys, cap is 3: %v", len(got), got)
+	if got := e.seqSnapshot(); len(got) != DedupWindow {
+		t.Errorf("window holds %d keys, cap is %d", len(got), DedupWindow)
 	}
 }
 
@@ -375,7 +383,6 @@ func TestMarkSeqWindow(t *testing.T) {
 func TestSeqWindowSurvivesCheckpoint(t *testing.T) {
 	opts := DefaultEngineOptions()
 	opts.Shards = 2
-	opts.DedupWindow = 4
 	e, err := NewEngine(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -386,6 +393,9 @@ func TestSeqWindowSurvivesCheckpoint(t *testing.T) {
 	}
 	for _, k := range []string{"w", "x", "y", "z"} {
 		e.MarkSeq(k)
+	}
+	for i := 4; i < DedupWindow; i++ { // fill the window
+		e.MarkSeq(fmt.Sprintf("fill%d", i))
 	}
 	var buf bytes.Buffer
 	if err := e.WriteCheckpoint(&buf); err != nil {

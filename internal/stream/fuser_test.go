@@ -54,14 +54,14 @@ func New(opts Options) (*Fuser, error) {
 
 // accuracy returns the current smoothed accuracy of a source state.
 func (f *Fuser) accuracy(st *sourceState) float64 {
-	return smoothedAccuracy(f.opts, st.agree, st.total)
+	return EstimateAccuracy(st.agree, st.total)
 }
 
 // sigma returns the voting weight (log odds) of a source.
 func (f *Fuser) sigma(name string) float64 {
 	st := f.sources[name]
 	if st == nil {
-		return mathx.Logit(f.opts.InitAccuracy)
+		return mathx.Logit(InitAccuracy)
 	}
 	return mathx.Logit(f.accuracy(st))
 }
@@ -179,7 +179,7 @@ func (f *Fuser) Value(object string) (value string, confidence float64, ok bool)
 func (f *Fuser) SourceAccuracy(source string) float64 {
 	st := f.sources[source]
 	if st == nil {
-		return f.opts.InitAccuracy
+		return InitAccuracy
 	}
 	return f.accuracy(st)
 }

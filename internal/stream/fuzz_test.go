@@ -2,6 +2,10 @@ package stream
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -10,7 +14,6 @@ func fuzzCheckpoint() []byte {
 	opts := DefaultEngineOptions()
 	opts.Shards = 2
 	opts.EpochLength = 16
-	opts.DedupWindow = 8
 	e, err := NewEngine(opts)
 	if err != nil {
 		panic(err)
@@ -53,4 +56,51 @@ func FuzzRestore(f *testing.F) {
 			t.Fatalf("re-checkpoint does not restore: %v", err)
 		}
 	})
+}
+
+// TestFuzzRestoreCorpusFaults pins the check each committed FuzzRestore
+// input reaches, so a format change that stops one earlier (at the
+// header or an options slot) fails here instead of silently shrinking
+// what the corpus exercises. Every file in the corpus must be listed.
+func TestFuzzRestoreCorpusFaults(t *testing.T) {
+	want := map[string]string{ // file -> substring of the restore error; "" restores
+		"seed-valid-v4":    "",
+		"seed-truncated":   "truncated stream",
+		"seed-bitflip":     "checksum mismatch",
+		"ccf736f0bf393563": "options record InitAccuracy NaN",
+		"7bd830c667ff7114": "feature table",
+		"cbd828c92fea3951": "feature table",
+	}
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzRestore", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(want) {
+		t.Errorf("corpus has %d files, the table lists %d", len(files), len(want))
+	}
+	for _, path := range files {
+		name := filepath.Base(path)
+		fault, ok := want[name]
+		if !ok {
+			t.Errorf("corpus file %s is not listed", name)
+			continue
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(string(raw), "go test fuzz v1\n[]byte(")
+		lit, ok2 := strings.CutSuffix(strings.TrimSpace(lit), ")")
+		data, err := strconv.Unquote(lit)
+		if !ok || !ok2 || err != nil {
+			t.Fatalf("%s is not a one-[]byte corpus file: %v", name, err)
+		}
+		_, err = Restore(strings.NewReader(data))
+		switch {
+		case fault == "" && err != nil:
+			t.Errorf("%s: %v, want a restored engine", name, err)
+		case fault != "" && (err == nil || !strings.Contains(err.Error(), fault)):
+			t.Errorf("%s: err = %v, want one naming %q", name, err, fault)
+		}
+	}
 }

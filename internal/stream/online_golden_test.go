@@ -10,7 +10,6 @@ import (
 	"slimfast/internal/core"
 	"slimfast/internal/randx"
 	"slimfast/internal/synth"
-	"slimfast/internal/wire"
 )
 
 // featureStreamInstance builds a synthetic batch instance whose source
@@ -241,63 +240,6 @@ func TestGoldenOnlineCheckpointBytes(t *testing.T) {
 	}
 }
 
-// TestOnlineV1CheckpointStillRestores pins backward compatibility: a
-// minimal format-v1 stream (the PR 4 layout, no online section) must
-// restore into a working agreement-only engine.
-func TestOnlineV1CheckpointStillRestores(t *testing.T) {
-	var buf bytes.Buffer
-	w := wire.NewWriter(&buf, checkpointMagic, checkpointVersionV1)
-	opts := DefaultEngineOptions()
-	opts.Shards = 1
-	opts.EpochLength = 8
-	// v1 options block: the seven scalar fields only.
-	w.Float64(opts.InitAccuracy)
-	w.Float64(opts.PriorStrength)
-	w.Float64(opts.Decay)
-	w.Int(opts.Shards)
-	w.Int(opts.Workers)
-	w.Int(opts.EpochLength)
-	w.Int(opts.MaxObjects)
-	w.Int64(0) // nObs
-	w.Int64(0) // sinceEp
-	w.Strings(nil)
-	w.Float64s(nil)
-	w.Float64s(nil)
-	w.Float64s(nil)
-	w.Float64s(nil)
-	w.Int64(0)
-	w.Strings(nil)
-	w.Uint32(1) // one shard record
-	w.Uint32(0) // tag
-	w.Uint32(0) // no objects
-	w.Ints(nil)
-	w.Ints(nil)
-	w.Int(-1)
-	w.Int(-1)
-	w.Float64s(nil)
-	w.Float64s(nil)
-	w.Int64s(nil)
-	w.Float64s(nil)
-	w.Float64s(nil)
-	w.Int64(0)
-	w.Int64(0)
-	w.Float64(0)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	e, err := Restore(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("v1 checkpoint failed to restore: %v", err)
-	}
-	if e.OnlineLearning() {
-		t.Error("v1 checkpoint must restore as an agreement-only engine")
-	}
-	e.Observe("s1", "o", "a")
-	if v, _, ok := e.Value("o"); !ok || v != "a" {
-		t.Errorf("restored v1 engine broken: Value = %q (%v)", v, ok)
-	}
-}
-
 // TestOnlineEngineAdaptsToCohortDrift is the drift story at engine
 // level: a cohort of sources sharing a feature degrades mid-stream;
 // the feature-aware engine, whose evidence decays, pulls the whole
@@ -401,7 +343,7 @@ func TestSourceAccuracyDetailAndPredict(t *testing.T) {
 	if _, _, _, ok := plain.SourceAccuracyDetail("x"); ok {
 		t.Error("agreement-only engine should have no detail")
 	}
-	if got := plain.PredictAccuracy([]string{"f"}); got != DefaultEngineOptions().InitAccuracy {
+	if got := plain.PredictAccuracy([]string{"f"}); got != InitAccuracy {
 		t.Errorf("plain PredictAccuracy = %v, want the prior", got)
 	}
 }

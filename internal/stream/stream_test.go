@@ -12,20 +12,11 @@ import (
 
 func TestOptionsValidate(t *testing.T) {
 	bad := []Options{
-		{InitAccuracy: 0, PriorStrength: 1, Decay: 1},
-		{InitAccuracy: 1, PriorStrength: 1, Decay: 1},
-		{InitAccuracy: 0.7, PriorStrength: -1, Decay: 1},
-		{InitAccuracy: 0.7, PriorStrength: 1, Decay: 0},
-		{InitAccuracy: 0.7, PriorStrength: 1, Decay: 1.5},
-		{InitAccuracy: math.NaN(), PriorStrength: 1, Decay: 1},
-		{InitAccuracy: math.Inf(1), PriorStrength: 1, Decay: 1},
-		{InitAccuracy: math.Inf(-1), PriorStrength: 1, Decay: 1},
-		{InitAccuracy: 0.7, PriorStrength: math.NaN(), Decay: 1},
-		{InitAccuracy: 0.7, PriorStrength: math.Inf(1), Decay: 1},
-		{InitAccuracy: 0.7, PriorStrength: math.Inf(-1), Decay: 1},
-		{InitAccuracy: 0.7, PriorStrength: 1, Decay: math.NaN()},
-		{InitAccuracy: 0.7, PriorStrength: 1, Decay: math.Inf(1)},
-		{InitAccuracy: 0.7, PriorStrength: 1, Decay: math.Inf(-1)},
+		{Decay: 0},
+		{Decay: 1.5},
+		{Decay: math.NaN()},
+		{Decay: math.Inf(1)},
+		{Decay: math.Inf(-1)},
 	}
 	for i, o := range bad {
 		if _, err := New(o); err == nil {
@@ -85,7 +76,7 @@ func TestAccuraciesSeparateGoodFromBad(t *testing.T) {
 	if g, b := f.SourceAccuracy("good"), f.SourceAccuracy("bad"); g <= b+0.3 {
 		t.Errorf("good %.2f should clearly exceed bad %.2f", g, b)
 	}
-	if f.SourceAccuracy("never-seen") != DefaultOptions().InitAccuracy {
+	if f.SourceAccuracy("never-seen") != InitAccuracy {
 		t.Error("unknown source should return the prior")
 	}
 }

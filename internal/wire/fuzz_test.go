@@ -50,7 +50,7 @@ type decoded struct {
 	is   []int64
 	ns   []int
 	i32  []int32
-	errs [2]int // errClass of NewReaderVersions and of Close
+	errs [2]int // errClass of NewReader and of Close
 }
 
 // sentinels are the typed decode failures errClass tells apart.
@@ -74,7 +74,7 @@ func errClass(err error) int {
 // was written with.
 func decodeSchedule(src io.Reader) decoded {
 	var d decoded
-	r, _, err := NewReaderVersions(src, fuzzMagic, 1, 2, 3)
+	r, err := NewReader(src, fuzzMagic, 3)
 	d.errs[0] = errClass(err)
 	if err != nil {
 		return d
@@ -155,7 +155,7 @@ func FuzzRoundTrip(f *testing.F) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		r, _, err := NewReaderVersions(bytes.NewReader(buf.Bytes()), fuzzMagic, 1)
+		r, err := NewReader(bytes.NewReader(buf.Bytes()), fuzzMagic, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

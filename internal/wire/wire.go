@@ -208,37 +208,30 @@ type Reader struct {
 	err error
 }
 
-// NewReaderVersions validates the 4-byte magic and the format version
-// before returning, so a stream of the wrong kind fails here with
-// ErrMagic or ErrVersion, never half-parsed. The stream's version must
-// match one of accept, and the matched version is returned so the
-// caller can branch its decode layout on it; the ErrVersion message
-// lists the accepted set.
-func NewReaderVersions(r io.Reader, magic string, accept ...uint32) (*Reader, uint32, error) {
+// NewReader validates the 4-byte magic and the format version before
+// returning, so a stream of the wrong kind fails here with ErrMagic or
+// ErrVersion, never half-parsed. The stream's version must equal
+// version: a format has one layout per build.
+func NewReader(r io.Reader, magic string, version uint32) (*Reader, error) {
 	if len(magic) != 4 {
-		return nil, 0, fmt.Errorf("wire: magic must be 4 bytes, got %d", len(magic))
-	}
-	if len(accept) == 0 {
-		return nil, 0, errors.New("wire: no accepted versions")
+		return nil, fmt.Errorf("wire: magic must be 4 bytes, got %d", len(magic))
 	}
 	rd := &Reader{r: r, buf: make([]byte, growChunk)}
 	got := rd.next(4)
 	if rd.err != nil {
-		return nil, 0, rd.err
+		return nil, rd.err
 	}
 	if string(got) != magic {
-		return nil, 0, fmt.Errorf("%w: got %q, want %q", ErrMagic, got, magic)
+		return nil, fmt.Errorf("%w: got %q, want %q", ErrMagic, got, magic)
 	}
 	v := rd.Uint32()
 	if rd.err != nil {
-		return nil, 0, rd.err
+		return nil, rd.err
 	}
-	for _, a := range accept {
-		if v == a {
-			return rd, v, nil
-		}
+	if v != version {
+		return nil, fmt.Errorf("%w: stream is v%d, this build reads v%d", ErrVersion, v, version)
 	}
-	return nil, 0, fmt.Errorf("%w: stream is v%d, this build reads %v", ErrVersion, v, accept)
+	return rd, nil
 }
 
 // fill makes at least need (≤ growChunk) unread bytes available: it
@@ -298,7 +291,7 @@ func (r *Reader) fail(err error) {
 }
 
 // Close reads the 4-byte CRC footer and verifies it against every
-// byte consumed since NewReaderVersions. A short footer is
+// byte consumed since NewReader. A short footer is
 // ErrTruncated; a mismatch is ErrChecksum.
 func (r *Reader) Close() error {
 	if r.err != nil {

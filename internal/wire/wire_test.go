@@ -44,7 +44,7 @@ func writeSample(t *testing.T) []byte {
 
 func TestRoundTrip(t *testing.T) {
 	b := writeSample(t)
-	r, _, err := NewReaderVersions(bytes.NewReader(b), testMagic, testVersion)
+	r, err := NewReader(bytes.NewReader(b), testMagic, testVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +105,11 @@ func TestRoundTrip(t *testing.T) {
 
 func TestBadMagic(t *testing.T) {
 	b := writeSample(t)
-	if _, _, err := NewReaderVersions(bytes.NewReader(b), "NOPE", testVersion); !errors.Is(err, ErrMagic) {
+	if _, err := NewReader(bytes.NewReader(b), "NOPE", testVersion); !errors.Is(err, ErrMagic) {
 		t.Errorf("err = %v, want ErrMagic", err)
 	}
 	// An invalid magic length is a caller bug, not a typed stream error.
-	if _, _, err := NewReaderVersions(bytes.NewReader(b), "LONGMAGIC", testVersion); err == nil {
+	if _, err := NewReader(bytes.NewReader(b), "LONGMAGIC", testVersion); err == nil {
 		t.Error("long magic accepted")
 	}
 	if w := NewWriter(&bytes.Buffer{}, "XY", 1); w.err == nil {
@@ -119,7 +119,7 @@ func TestBadMagic(t *testing.T) {
 
 func TestVersionSkew(t *testing.T) {
 	b := writeSample(t)
-	_, _, err := NewReaderVersions(bytes.NewReader(b), testMagic, testVersion+1)
+	_, err := NewReader(bytes.NewReader(b), testMagic, testVersion+1)
 	if !errors.Is(err, ErrVersion) {
 		t.Errorf("err = %v, want ErrVersion", err)
 	}
@@ -129,7 +129,7 @@ func TestChecksumMismatch(t *testing.T) {
 	b := writeSample(t)
 	// Flip a bit in the footer so the payload still parses.
 	b[len(b)-1] ^= 0x01
-	r, _, err := NewReaderVersions(bytes.NewReader(b), testMagic, testVersion)
+	r, err := NewReader(bytes.NewReader(b), testMagic, testVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestPayloadCorruptionCaughtByChecksum(t *testing.T) {
 	// Flip a payload bit (the Uint64 field). The value parses fine but
 	// Close must reject the stream.
 	b[20] ^= 0x80
-	r, _, err := NewReaderVersions(bytes.NewReader(b), testMagic, testVersion)
+	r, err := NewReader(bytes.NewReader(b), testMagic, testVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +160,10 @@ func TestTruncation(t *testing.T) {
 	// either mid-read or at Close (missing footer). Never a panic,
 	// never a silent success.
 	for cut := 0; cut < len(b); cut++ {
-		r, _, err := NewReaderVersions(bytes.NewReader(b[:cut]), testMagic, testVersion)
+		r, err := NewReader(bytes.NewReader(b[:cut]), testMagic, testVersion)
 		if err != nil {
 			if !errors.Is(err, ErrTruncated) {
-				t.Fatalf("cut=%d: NewReaderVersions err = %v, want ErrTruncated", cut, err)
+				t.Fatalf("cut=%d: NewReader err = %v, want ErrTruncated", cut, err)
 			}
 			continue
 		}
@@ -206,7 +206,7 @@ func TestLyingLengthHitsTruncationNotOOM(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		r, _, err := NewReaderVersions(bytes.NewReader(buf.Bytes()), testMagic, testVersion)
+		r, err := NewReader(bytes.NewReader(buf.Bytes()), testMagic, testVersion)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func TestLengthGuard(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, _, err := NewReaderVersions(bytes.NewReader(buf.Bytes()), testMagic, testVersion)
+	r, err := NewReader(bytes.NewReader(buf.Bytes()), testMagic, testVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,28 +267,28 @@ func TestWriterStickyError(t *testing.T) {
 	}
 }
 
-// TestNewReaderVersions covers multi-version format negotiation: the
-// matched version is reported, unlisted versions fail with ErrVersion,
-// and an empty accept set is a caller bug.
-func TestNewReaderVersions(t *testing.T) {
+// TestNewReader covers the header check: a stream of the reader's
+// version decodes, a stream of any other version fails with
+// ErrVersion, a wrong magic with ErrMagic and a short header with
+// ErrTruncated.
+func TestNewReader(t *testing.T) {
 	b := writeSample(t)
-	r, v, err := NewReaderVersions(bytes.NewReader(b), testMagic, 1, testVersion, 9)
-	if err != nil || v != testVersion {
-		t.Fatalf("negotiation failed: v=%d err=%v", v, err)
+	r, err := NewReader(bytes.NewReader(b), testMagic, testVersion)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if got := r.Uint8(); got != 7 {
-		t.Errorf("payload after negotiation: Uint8 = %d", got)
+		t.Errorf("payload after the header: Uint8 = %d", got)
 	}
-	if _, _, err := NewReaderVersions(bytes.NewReader(b), testMagic, 1, 2); !errors.Is(err, ErrVersion) {
-		t.Errorf("unlisted version: err = %v, want ErrVersion", err)
+	for _, v := range []uint32{1, testVersion - 1, testVersion + 1} {
+		if _, err := NewReader(bytes.NewReader(b), testMagic, v); !errors.Is(err, ErrVersion) {
+			t.Errorf("reader for v%d: err = %v, want ErrVersion", v, err)
+		}
 	}
-	if _, _, err := NewReaderVersions(bytes.NewReader(b), testMagic); err == nil {
-		t.Error("empty accept set should error")
-	}
-	if _, _, err := NewReaderVersions(bytes.NewReader(b), "WRNG", testVersion); !errors.Is(err, ErrMagic) {
+	if _, err := NewReader(bytes.NewReader(b), "WRNG", testVersion); !errors.Is(err, ErrMagic) {
 		t.Errorf("wrong magic: err = %v, want ErrMagic", err)
 	}
-	if _, _, err := NewReaderVersions(strings.NewReader("TS"), testMagic, testVersion); !errors.Is(err, ErrTruncated) {
+	if _, err := NewReader(strings.NewReader("TS"), testMagic, testVersion); !errors.Is(err, ErrTruncated) {
 		t.Errorf("short stream: err = %v, want ErrTruncated", err)
 	}
 }
@@ -320,7 +320,7 @@ func TestReaderAllocs(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, _, err := NewReaderVersions(bytes.NewReader(buf.Bytes()), testMagic, testVersion)
+	r, err := NewReader(bytes.NewReader(buf.Bytes()), testMagic, testVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestLongValuesSpanBlocks(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, _, err := NewReaderVersions(iotest.OneByteReader(bytes.NewReader(buf.Bytes())), testMagic, testVersion)
+	r, err := NewReader(iotest.OneByteReader(bytes.NewReader(buf.Bytes())), testMagic, testVersion)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 # invisible to clients.
 #
 # The suite runs twice: once agreement-only, once in -features mode,
-# so the v2 checkpoint (learner weights, features, step counters)
+# so the v4 checkpoint's learner section (weights, features, step counters)
 # is covered by the same hard-kill proof as the shard state. A third
 # pass damages the newest checkpoint generation on disk and requires
 # the restart to fall back to the previous generation bit-exactly.
