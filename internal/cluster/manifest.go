@@ -127,7 +127,7 @@ func (r *Router) writeManifestLocked() error {
 	if err := os.Rename(tmp.Name(), r.cfg.ManifestPath); err != nil {
 		return fmt.Errorf("cluster: installing manifest: %w", err)
 	}
-	resilience.OS.SyncDir(dir)
+	_ = resilience.OS.SyncDir(dir) // best-effort, as above
 	return nil
 }
 

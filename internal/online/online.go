@@ -72,7 +72,7 @@ const (
 )
 
 // Accuracy clamp bounds, matching the streaming engine's
-// smoothedAccuracy so logits stay bounded either way.
+// EstimateAccuracy so logits stay bounded either way.
 const (
 	accLo = 0.02
 	accHi = 0.98
@@ -209,7 +209,7 @@ func (l *Learner) PredictLabels(labels []string) float64 {
 // Blend is the empirical-Bayes accuracy estimate given agreement mass
 // c over claim mass t: the agreement ratio shrunk toward the
 // feature-model prediction by priorStrength pseudo-counts, clamped
-// like the engine's smoothedAccuracy.
+// like the engine's EstimateAccuracy.
 func (l *Learner) Blend(sid int, c, t float64) float64 {
 	if t < 0 {
 		t = 0

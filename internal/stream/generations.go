@@ -57,8 +57,8 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 }
 
 // NewCheckpointStore returns a store rotating keep generations at
-// path (keep < 1 selects DefaultCheckpointKeep; keep == 1 degenerates
-// to the single-file behavior of WriteCheckpointFile).
+// path (keep < 1 selects DefaultCheckpointKeep; keep == 1 keeps a
+// single file, which is what WriteCheckpointFile writes).
 func NewCheckpointStore(path string, keep int) *CheckpointStore {
 	if keep < 1 {
 		keep = DefaultCheckpointKeep
