@@ -2,6 +2,7 @@ package query
 
 import (
 	"bytes"
+	"encoding/csv"
 	"fmt"
 	"math"
 	"net/url"
@@ -159,6 +160,59 @@ func FuzzFixed4(f *testing.F) {
 		v := math.Float64frombits(bits)
 		if got, want := fixed4(v), strconv.FormatFloat(v, 'f', 4, 64); got != want {
 			t.Fatalf("fixed4(%v) [bits %#x] = %q, strconv says %q", v, bits, got, want)
+		}
+	})
+}
+
+// FuzzWriteCSV pins WriteCSV byte for byte to encoding/csv over a
+// header cell, two string cells, an int and a float. The seeds cover
+// every case encoding/csv quotes — a comma, a quote, CR, LF, the
+// field `\.`, a leading ASCII or Unicode space — and the near misses
+// it writes as they are: the empty cell, a trailing space, `\.x`,
+// invalid UTF-8 and a space after the first rune.
+func FuzzWriteCSV(f *testing.F) {
+	for _, c := range []struct {
+		header, a, b string
+		n            int64
+		x            float64
+	}{
+		{"object", "o1", "t", 3, 0.5},
+		{"object", "a,b", "t", 0, 1},
+		{"object", `say "hi"`, "", -1, 0.25},
+		{"object", "a\rb", "a\nb", 7, math.NaN()},
+		{"object", `\.`, `\.x`, 1, math.Inf(-1)},
+		{"object", " lead", "trail ", 2, -0.5},
+		{"object", "\tlead", "mid dle", 2, 2.5},
+		{"object", "\u00a0nbsp", "\u3000ideographic", 9, 1e-9},
+		{"object", "\u0085nel", "\xffbad", 1 << 40, 0.99995},
+		{"col,1", "o1", "t", 1, 0},
+		{" col", "o1", "\"", 1, 0},
+	} {
+		f.Add(c.header, c.a, c.b, c.n, c.x)
+	}
+	f.Fuzz(func(t *testing.T, header, a, b string, n int64, x float64) {
+		cols := []Column{{header, KindString}, {"v", KindString}, {"n", KindInt}, {"x", KindFloat}}
+		rows := [][]Val{
+			{{Kind: KindString, Str: a}, {Kind: KindString, Str: b}, {Kind: KindInt, Int: n}, {Kind: KindFloat, Num: x}},
+			{{Kind: KindString, Str: b}, {Kind: KindString, Str: "plain"}, {Kind: KindInt, Int: -n}, {Kind: KindFloat, Num: 1 - x}},
+			{{Kind: KindString, Str: "plain"}, {Kind: KindString, Str: a}, {Kind: KindInt, Int: n}, {Kind: KindFloat, Num: x}},
+		}
+		var got bytes.Buffer
+		if err := WriteCSV(&got, &Result{Cols: cols, Rows: slices.Values(rows)}); err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		cw := csv.NewWriter(&want)
+		cw.Write([]string{header, "v", "n", "x"})
+		for _, row := range rows {
+			cw.Write([]string{row[0].Str, row[1].Str, strconv.FormatInt(row[2].Int, 10), strconv.FormatFloat(row[3].Num, 'f', 4, 64)})
+		}
+		cw.Flush()
+		if err := cw.Error(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("WriteCSV wrote\n%q\nencoding/csv writes\n%q", got.Bytes(), want.Bytes())
 		}
 	})
 }

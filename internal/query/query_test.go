@@ -285,6 +285,38 @@ func TestWriteFormatDispatch(t *testing.T) {
 	}
 }
 
+// writeCounter counts the writes WriteCSV hands its destination.
+type writeCounter struct{ writes, bytes int }
+
+func (c *writeCounter) Write(p []byte) (int, error) {
+	c.writes++
+	c.bytes += len(p)
+	return len(p), nil
+}
+
+// TestWriteCSVQuotedRowsStayBuffered writes an export whose every
+// name needs quoting and checks that it reaches the destination in
+// buffer-sized writes, as a plain export does, not one write per row.
+func TestWriteCSVQuotedRowsStayBuffered(t *testing.T) {
+	const n = 2000
+	res := &Result{Cols: []Column{{"object", KindString}, {"value", KindString}, {"confidence", KindFloat}},
+		Rows: func(yield func([]Val) bool) {
+			for i := range n {
+				row := []Val{{Kind: KindString, Str: "Last, First " + strconv.Itoa(i)}, {Kind: KindString, Str: `say "hi"`}, {Kind: KindFloat, Num: 0.5}}
+				if !yield(row) {
+					return
+				}
+			}
+		}}
+	var c writeCounter
+	if err := WriteCSV(&c, res); err != nil {
+		t.Fatal(err)
+	}
+	if max := c.bytes/4096 + 1; c.writes > max {
+		t.Errorf("%d rows, %d bytes in %d writes; want at most %d", n, c.bytes, c.writes, max)
+	}
+}
+
 // TestFixed4MatchesStrconv sweeps the formatter's hard cases in full:
 // every k/20000 (the rounding boundaries of four decimals) with both
 // float64 neighbours, the only exact half-way cases k/32 (10000·v has

@@ -7,13 +7,15 @@ package query
 
 import (
 	"bufio"
-	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
+	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // WriteCSV streams a result as CSV: a header row of column names,
@@ -22,31 +24,72 @@ import (
 // float in [0, 1], which every confidence and contestedness is, is
 // formatted by fixed4 without allocating; any other float goes
 // through strconv. Either way a cell's bytes are exactly
-// strconv.FormatFloat(v, 'f', 4, 64).
+// strconv.FormatFloat(v, 'f', 4, 64). The bytes are encoding/csv's
+// with its defaults (',' and "\n"): numeric cells never need quoting
+// (the formatters write digits, '.', '-', '+', "Inf" and "NaN" only),
+// and names and string cells go through writeCSVString.
 func WriteCSV(w io.Writer, res *Result) error {
-	cw := csv.NewWriter(w)
-	header := make([]string, len(res.Cols))
+	bw := bufio.NewWriter(w)
 	for i, c := range res.Cols {
-		header[i] = c.Name
+		if i > 0 {
+			bw.WriteByte(',')
+		}
+		writeCSVString(bw, c.Name)
 	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	record := make([]string, len(res.Cols))
+	bw.WriteByte('\n')
 	for row := range res.Rows {
 		for i, v := range row {
-			if v.Kind == KindFloat {
-				record[i] = fixed4(v.Num)
-				continue
+			if i > 0 {
+				bw.WriteByte(',')
 			}
-			record[i] = v.String()
+			switch v.Kind {
+			case KindString:
+				writeCSVString(bw, v.Str)
+			case KindInt:
+				bw.Write(strconv.AppendInt(bw.AvailableBuffer(), v.Int, 10))
+			default:
+				bw.WriteString(fixed4(v.Num))
+			}
 		}
-		if err := cw.Write(record); err != nil {
+		// A bufio.Writer's errors are sticky: this reports any failed
+		// write of the row.
+		if err := bw.WriteByte('\n'); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return bw.Flush()
+}
+
+// writeCSVString writes s as encoding/csv writes a field: as it is,
+// or in quotes with each quote doubled when csvNeedsQuotes(s).
+func writeCSVString(bw *bufio.Writer, s string) {
+	if !csvNeedsQuotes(s) {
+		bw.WriteString(s)
+		return
+	}
+	bw.WriteByte('"')
+	bw.WriteString(strings.ReplaceAll(s, `"`, `""`))
+	bw.WriteByte('"')
+}
+
+// csvNeedsQuotes reports whether encoding/csv quotes s: s is not
+// empty, and it holds a comma, quote, CR or LF, is `\.`, or starts
+// with a Unicode space.
+func csvNeedsQuotes(s string) bool {
+	if s == "" {
+		return false
+	}
+	if s == `\.` {
+		return true
+	}
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case ',', '"', '\r', '\n':
+			return true
+		}
+	}
+	r, _ := utf8.DecodeRuneInString(s)
+	return unicode.IsSpace(r)
 }
 
 // fixed4Table is the text of every float in [0, 1] rounded to four

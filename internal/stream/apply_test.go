@@ -13,7 +13,7 @@ import (
 // applyTwoPass is the claim update before the rescore was folded into
 // it: a stale object first rescores with a softmax and MAP note of its
 // own, then the claim lands with a second softmax. object.apply must
-// match it bit for bit in scores, post, mapIx and changed.
+// match it bit for bit in scores, post, the row cache and changed.
 func applyTwoPass(o *object, sid, vid int32, sigma float64, epoch int64, sigmas []float64, valNames []string) (added bool) {
 	if o.epoch != epoch {
 		o.rescore(sigmas, valNames, epoch)
@@ -31,16 +31,16 @@ func applyTwoPass(o *object, sid, vid int32, sigma float64, epoch int64, sigmas 
 	case ci >= 0:
 		old := o.domainIndex(o.claims[ci].val)
 		o.scores[old] -= sigma
-		o.refs[old]--
+		o.domain[old].refs--
 		nw := o.ensureDomain(vid)
 		o.scores[nw] += sigma
-		o.refs[nw]++
+		o.domain[nw].refs++
 		o.claims[ci].val = vid
 	default:
 		o.claims = append(o.claims, claim{src: sid, val: vid})
 		nw := o.ensureDomain(vid)
 		o.scores[nw] += sigma
-		o.refs[nw]++
+		o.domain[nw].refs++
 		added = true
 	}
 	o.refreshPosterior()
@@ -61,7 +61,8 @@ var sigmaPalette = []float64{
 }
 
 // fusedStream drives object.apply and applyTwoPass side by side over
-// the claim stream next decodes, and reports the first divergence.
+// the claim stream next decodes, and reports the first divergence or
+// the first row cache that disagrees with its object's posterior.
 // Three objects, six sources and four values keep claims colliding.
 func fusedStream(next func() byte) error {
 	const nObj, nSrc = 3, 6
@@ -73,8 +74,8 @@ func fusedStream(next func() byte) error {
 	epoch := int64(1)
 	var fused, ref [nObj]object
 	for i := range fused {
-		fused[i] = object{epoch: epoch, mapIx: -1, live: true}
-		ref[i] = object{epoch: epoch, mapIx: -1, live: true}
+		fused[i] = object{epoch: epoch, mapVal: -1, live: true}
+		ref[i] = object{epoch: epoch, mapVal: -1, live: true}
 	}
 	for step := 0; step < 64; step++ {
 		op := next()
@@ -91,7 +92,11 @@ func fusedStream(next func() byte) error {
 		vid := int32(int(next()) % len(valNames))
 		a := fused[o].apply(sid, vid, sigmas[sid], epoch, sigmas, valNames)
 		b := applyTwoPass(&ref[o], sid, vid, sigmas[sid], epoch, sigmas, valNames)
-		if err := sameObject(&fused[o], &ref[o]); err != nil || a != b {
+		err := sameObject(&fused[o], &ref[o])
+		if err == nil {
+			err = rowCacheErr(&fused[o], valNames)
+		}
+		if err != nil || a != b {
 			return fmt.Errorf("step %d, object %d, source %d claims %q at epoch %d (added %v vs %v): %v",
 				step, o, sid, valNames[vid], epoch, a, b, err)
 		}
@@ -109,15 +114,17 @@ func sameObject(got, want *object) error {
 		return out
 	}
 	switch {
-	case got.mapIx != want.mapIx || got.changed != want.changed || got.epoch != want.epoch:
-		return fmt.Errorf("mapIx/changed/epoch %d/%d/%d, want %d/%d/%d",
-			got.mapIx, got.changed, got.epoch, want.mapIx, want.changed, want.epoch)
+	case got.mapVal != want.mapVal || got.changed != want.changed || got.epoch != want.epoch:
+		return fmt.Errorf("mapVal/changed/epoch %d/%d/%d, want %d/%d/%d",
+			got.mapVal, got.changed, got.epoch, want.mapVal, want.changed, want.epoch)
+	case !slices.Equal(bits([]float64{got.top, got.runner}), bits([]float64{want.top, want.runner})):
+		return fmt.Errorf("top/runner %v/%v, want %v/%v", got.top, got.runner, want.top, want.runner)
 	case !slices.Equal(bits(got.post), bits(want.post)):
 		return fmt.Errorf("post %v, want %v", got.post, want.post)
 	case !slices.Equal(bits(got.scores), bits(want.scores)):
 		return fmt.Errorf("scores %v, want %v", got.scores, want.scores)
-	case !slices.Equal(got.claims, want.claims) || !slices.Equal(got.domain, want.domain) || !slices.Equal(got.refs, want.refs):
-		return fmt.Errorf("claims/domain/refs diverged")
+	case !slices.Equal(got.claims, want.claims) || !slices.Equal(got.domain, want.domain):
+		return fmt.Errorf("claims/domain diverged")
 	}
 	return nil
 }
@@ -169,7 +176,10 @@ func TestLeaderMatchesSoftmax(t *testing.T) {
 		{[]float64{-800, 900}, []int32{1, 1}, true},      // the loser's posterior underflows
 		{[]float64{1, 1.2, 0.5}, []int32{2, 1, 1}, true}, // ln 2 per vote: the two-vote entry leads
 	} {
-		o := &object{domain: []int32{0, 1, 2}[:len(tc.scores)], scores: tc.scores, refs: tc.refs, mapIx: -1}
+		o := &object{scores: tc.scores, mapVal: -1}
+		for i, r := range tc.refs {
+			o.domain = append(o.domain, domEntry{val: int32(i), refs: r})
+		}
 		ix := o.leader()
 		if (ix >= 0) != tc.fast {
 			t.Errorf("scores %v: leader %d, want fast path %v", tc.scores, ix, tc.fast)

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 
@@ -126,8 +127,7 @@ func (sh *shard) snapshot() shardSnapshot {
 		}
 		*dst = *src
 		dst.claims = append([]claim(nil), src.claims...)
-		dst.domain = append([]int32(nil), src.domain...)
-		dst.refs = append([]int32(nil), src.refs...)
+		dst.domain = append([]domEntry(nil), src.domain...)
 		dst.scores = append([]float64(nil), src.scores...)
 		dst.post = append([]float64(nil), src.post...)
 	}
@@ -308,8 +308,8 @@ func encodeShard(w *wire.Writer, s int, sn *shardSnapshot) {
 		w.String(obj.name)
 		w.Int64(obj.epoch)
 		w.Int64(obj.changed)
-		w.Int(obj.prev)
-		w.Int(obj.next)
+		w.Int(int(obj.prev))
+		w.Int(int(obj.next))
 		w.Bool(obj.dirty)
 		w.Uint32(uint32(len(obj.claims)))
 		for i := range obj.claims {
@@ -318,8 +318,15 @@ func encodeShard(w *wire.Writer, s int, sn *shardSnapshot) {
 			w.Uint32(uint32(c.val))
 			w.Float64(c.settled)
 		}
-		w.Int32s(obj.domain)
-		w.Int32s(obj.refs)
+		// The domain and refs arrays, each as Int32s writes them.
+		w.Uint32(uint32(len(obj.domain)))
+		for _, d := range obj.domain {
+			w.Uint32(uint32(d.val))
+		}
+		w.Uint32(uint32(len(obj.domain)))
+		for _, d := range obj.domain {
+			w.Uint32(uint32(d.refs))
+		}
 		w.Float64s(obj.scores)
 		w.Float64s(obj.post)
 	}
@@ -474,7 +481,7 @@ func decodeShard(rr *wire.Reader, e *Engine, s, nSrc, nVals int) error {
 		sh.objs = append(sh.objs, object{})
 		obj := &sh.objs[ix]
 		if !rr.Bool() {
-			obj.mapIx = -1
+			obj.mapVal = -1
 			obj.prev, obj.next = -1, -1
 			continue
 		}
@@ -482,8 +489,8 @@ func decodeShard(rr *wire.Reader, e *Engine, s, nSrc, nVals int) error {
 		obj.name = rr.String()
 		obj.epoch = rr.Int64()
 		obj.changed = rr.Int64()
-		obj.prev = rr.Int()
-		obj.next = rr.Int()
+		obj.prev = lruLink(rr.Int())
+		obj.next = lruLink(rr.Int())
 		obj.dirty = rr.Bool()
 		nClaims := int(rr.Uint32())
 		if err := rr.Err(); err != nil {
@@ -503,26 +510,26 @@ func decodeShard(rr *wire.Reader, e *Engine, s, nSrc, nVals int) error {
 				settled: rr.Float64(),
 			})
 		}
-		obj.domain = rr.Int32s()
-		obj.refs = rr.Int32s()
+		nRefs := decodeDomain(rr, obj)
 		obj.scores = rr.Float64s()
 		obj.post = rr.Float64s()
 		if err := rr.Err(); err != nil {
 			return fmt.Errorf("stream: restore: %w", err)
 		}
 		nd := len(obj.domain)
-		if len(obj.refs) != nd || len(obj.scores) != nd || len(obj.post) != nd {
+		if nRefs != nd || len(obj.scores) != nd || len(obj.post) != nd {
 			return corruptf("shard %d object %q has ragged slabs: domain %d, refs %d, scores %d, post %d",
-				s, obj.name, nd, len(obj.refs), len(obj.scores), len(obj.post))
+				s, obj.name, nd, nRefs, len(obj.scores), len(obj.post))
 		}
-		for _, v := range obj.domain {
-			if int(v) < 0 || int(v) >= nVals {
-				return corruptf("shard %d object %q references value id %d of %d", s, obj.name, v, nVals)
+		for _, d := range obj.domain {
+			if int(d.val) < 0 || int(d.val) >= nVals {
+				return corruptf("shard %d object %q references value id %d of %d", s, obj.name, d.val, nVals)
 			}
 		}
-		// The cached MAP index is derived state: recompute it from the
+		// The row cache is derived state: recompute it from the
 		// restored posterior.
-		obj.mapIx = mapIndex(obj, e.vals.names)
+		obj.mapVal = -1
+		obj.setRow(mapIndex(obj, e.vals.names))
 		for i := range obj.claims {
 			c := &obj.claims[i]
 			if int(c.src) < 0 || int(c.src) >= nSrc {
@@ -576,7 +583,7 @@ func decodeShard(rr *wire.Reader, e *Engine, s, nSrc, nVals int) error {
 	}
 	for ix := range sh.objs {
 		obj := &sh.objs[ix]
-		if !inRange(obj.prev) || !inRange(obj.next) {
+		if !inRange(int(obj.prev)) || !inRange(int(obj.next)) {
 			return corruptf("shard %d object %d LRU links out of range: prev %d, next %d", s, ix, obj.prev, obj.next)
 		}
 	}
@@ -606,6 +613,37 @@ func decodeShard(rr *wire.Reader, e *Engine, s, nSrc, nVals int) error {
 		}
 	}
 	return nil
+}
+
+// decodeDomain reads an object's domain and refs arrays, as Int32s
+// wrote them, straight into obj.domain's pairs, growing it as entries
+// arrive. It returns the refs array's declared length for the caller's
+// ragged-slab check: refs past the domain's length are read and
+// dropped, and missing ones are left 0.
+func decodeDomain(rr *wire.Reader, obj *object) (nRefs int) {
+	nd := rr.Len()
+	obj.domain = make([]domEntry, 0, min(nd, growSlots))
+	for i := 0; i < nd && rr.Err() == nil; i++ {
+		obj.domain = append(obj.domain, domEntry{val: int32(rr.Uint32())})
+	}
+	nRefs = rr.Len()
+	for i := 0; i < nRefs && rr.Err() == nil; i++ {
+		r := int32(rr.Uint32())
+		if i < len(obj.domain) {
+			obj.domain[i].refs = r
+		}
+	}
+	return nRefs
+}
+
+// lruLink narrows a decoded LRU link to the slot's int32. A value
+// outside int32 maps to math.MinInt32, which the link range check
+// rejects as it would have rejected the value itself.
+func lruLink(v int) int32 {
+	if v != int(int32(v)) {
+		return math.MinInt32
+	}
+	return int32(v)
 }
 
 // WriteCheckpointFile atomically checkpoints to path: it is a

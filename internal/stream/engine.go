@@ -162,20 +162,33 @@ type claim struct {
 // entries with a live claim (refs > 0) participate in the posterior —
 // matching the oracle Fuser, whose domain is always the currently claimed
 // value set.
+//
+// The fields a row scan reads come first: name, changed, the claims
+// header and the row cache (mapVal, top, runner), which setRow derives
+// from domain and post whenever the posterior changes. A scan that
+// needs no claim walk reads nothing but the slot.
 type object struct {
 	name    string
-	epoch   int64     // σ-table epoch the scores were computed under
-	changed int64     // epoch the MAP value last changed (0 until first claim)
-	claims  []claim   // one per claiming source
-	domain  []int32   // global value ids, first-seen order
-	refs    []int32   // live claims per domain entry
-	scores  []float64 // log-odds accumulator per domain entry
-	post    []float64 // cached posterior per domain entry
-	mapIx   int32     // cached domain index of the MAP value, -1 = none
-	dirty   bool      // true when post has drifted from settled
-	live    bool      // false for freelist slots
+	changed int64      // epoch the MAP value last changed (0 until first claim)
+	claims  []claim    // one per claiming source
+	mapVal  int32      // cached MAP value id, -1 = none
+	live    bool       // false for freelist slots
+	dirty   bool       // true when post has drifted from settled
+	top     float64    // cached post of the MAP value
+	runner  float64    // cached largest other post entry (0 when none)
+	epoch   int64      // σ-table epoch the scores were computed under
+	domain  []domEntry // value ids and live-claim counts, first-seen order
+	scores  []float64  // log-odds accumulator per domain entry
+	post    []float64  // cached posterior per domain entry
 	// Intrusive LRU links (shard-local object indices, -1 = none).
-	prev, next int
+	prev, next int32
+}
+
+// domEntry is one value of an object's domain, in first-seen order:
+// its global value id and the number of live claims for it.
+type domEntry struct {
+	val  int32
+	refs int32
 }
 
 // falseValues is ACCU's false-value term for the object's claimed
@@ -183,8 +196,8 @@ type object struct {
 // claim.
 func (o *object) falseValues() float64 {
 	k := 0
-	for _, r := range o.refs {
-		if r > 0 {
+	for _, d := range o.domain {
+		if d.refs > 0 {
 			k++
 		}
 	}
@@ -196,7 +209,7 @@ func (o *object) falseValues() float64 {
 // the one place the posterior (refreshPosterior) and the pre-claim
 // leader (leader) read a score from.
 func (o *object) score(i int, lnN float64) float64 {
-	return o.scores[i] + float64(o.refs[i])*lnN
+	return o.scores[i] + float64(o.domain[i].refs)*lnN
 }
 
 // refreshPosterior recomputes the cached posterior in place: a stable
@@ -210,9 +223,9 @@ func (o *object) refreshPosterior() {
 	o.post = o.post[:len(o.scores)]
 	lnN := o.falseValues()
 	m := math.Inf(-1)
-	for i, r := range o.refs {
+	for i, d := range o.domain {
 		o.post[i] = 0
-		if r > 0 {
+		if d.refs > 0 {
 			o.post[i] = o.score(i, lnN)
 			if o.post[i] > m {
 				m = o.post[i]
@@ -220,14 +233,14 @@ func (o *object) refreshPosterior() {
 		}
 	}
 	var sum float64
-	for i, r := range o.refs {
-		if r > 0 {
+	for i, d := range o.domain {
+		if d.refs > 0 {
 			sum += math.Exp(o.post[i] - m)
 		}
 	}
 	lse := m + math.Log(sum)
-	for i, r := range o.refs {
-		if r > 0 {
+	for i, d := range o.domain {
+		if d.refs > 0 {
 			o.post[i] = math.Exp(o.post[i] - lse)
 		}
 	}
@@ -629,16 +642,16 @@ func (o *object) apply(sid, vid int32, sigma float64, epoch int64, sigmas []floa
 		// The source changed its mind: move its σ between values.
 		old := o.domainIndex(o.claims[ci].val)
 		o.scores[old] -= sigma
-		o.refs[old]--
+		o.domain[old].refs--
 		nw := o.ensureDomain(vid)
 		o.scores[nw] += sigma
-		o.refs[nw]++
+		o.domain[nw].refs++
 		o.claims[ci].val = vid
 	default:
 		o.claims = append(o.claims, claim{src: sid, val: vid})
 		nw := o.ensureDomain(vid)
 		o.scores[nw] += sigma
-		o.refs[nw]++
+		o.domain[nw].refs++
 		added = true
 	}
 	o.refreshPosterior()
@@ -650,7 +663,7 @@ func (o *object) apply(sid, vid int32, sigma float64, epoch int64, sigmas []floa
 // construction).
 func (o *object) domainIndex(v int32) int {
 	for i, d := range o.domain {
-		if d == v {
+		if d.val == v {
 			return i
 		}
 	}
@@ -661,12 +674,11 @@ func (o *object) domainIndex(v int32) int {
 // entry when v is first claimed for this object.
 func (o *object) ensureDomain(v int32) int {
 	for i, d := range o.domain {
-		if d == v {
+		if d.val == v {
 			return i
 		}
 	}
-	o.domain = append(o.domain, v)
-	o.refs = append(o.refs, 0)
+	o.domain = append(o.domain, domEntry{val: v})
 	o.scores = append(o.scores, 0)
 	return len(o.domain) - 1
 }
@@ -693,22 +705,42 @@ func (o *object) rescore(sigmas []float64, valNames []string, epoch int64) {
 	o.epoch = epoch
 }
 
-// noteMAP refreshes the cached MAP domain index after a posterior
-// change and stamps the flip epoch when the MAP value moved — the
-// bookkeeping behind Row.Changed ("estimates that flipped since epoch
-// E"). An object's very first claim counts as a flip: the estimate
-// appeared. Caller holds the shard lock.
+// noteMAP refreshes the row cache after a posterior change and stamps
+// the flip epoch when the MAP value moved — the bookkeeping behind
+// Row.Changed ("estimates that flipped since epoch E"). An object's
+// very first claim counts as a flip: the estimate appeared. Caller
+// holds the shard lock.
 func (o *object) noteMAP(valNames []string, epoch int64) {
-	o.noteIndex(mapIndex(o, valNames), epoch)
+	ix := mapIndex(o, valNames)
+	o.noteIndex(ix, epoch)
+	o.setRow(ix)
 }
 
-// noteIndex installs ix as the cached MAP index, stamping the flip
-// epoch when it moved.
+// noteIndex stamps the flip epoch when domain entry ix holds another
+// value than the cached MAP, and installs it as the MAP. Domain
+// entries are unique, so comparing value ids compares entries.
 func (o *object) noteIndex(ix int32, epoch int64) {
-	if ix >= 0 && ix != o.mapIx {
-		o.mapIx = ix
+	if ix >= 0 && o.domain[ix].val != o.mapVal {
+		o.mapVal = o.domain[ix].val
 		o.changed = epoch
 	}
+}
+
+// setRow caches the row columns of MAP domain entry ix: its value id,
+// its posterior (top) and the largest other posterior entry (runner,
+// 0 when there is none), by the loop Row.Contested is defined by. A
+// negative ix, no posterior yet, leaves the cache as it is.
+func (o *object) setRow(ix int32) {
+	if ix < 0 {
+		return
+	}
+	runner := 0.0
+	for i, p := range o.post {
+		if i != int(ix) && p > runner {
+			runner = p
+		}
+	}
+	o.mapVal, o.top, o.runner = o.domain[ix].val, o.post[ix], runner
 }
 
 // noteLeader does noteMAP's bookkeeping for the scores as they stand,
@@ -740,8 +772,8 @@ func (o *object) leader() int32 {
 	best := -1
 	top, second := math.Inf(-1), math.Inf(-1)
 	lnN := o.falseValues()
-	for i, r := range o.refs {
-		if r <= 0 {
+	for i, d := range o.domain {
+		if d.refs <= 0 {
 			continue
 		}
 		s := o.score(i, lnN)
@@ -771,7 +803,7 @@ func mapIndex(o *object, valNames []string) int32 {
 	best := 0
 	for i := 1; i < len(o.domain); i++ {
 		if o.post[i] > o.post[best] ||
-			(o.post[i] == o.post[best] && valNames[o.domain[i]] < valNames[o.domain[best]]) {
+			(o.post[i] == o.post[best] && valNames[o.domain[i].val] < valNames[o.domain[best].val]) {
 			best = i
 		}
 	}
@@ -803,15 +835,14 @@ func (sh *shard) insert(e *Engine, name string, h uint64, epoch int64) int {
 		obj.changed = 0
 		obj.claims = obj.claims[:0]
 		obj.domain = obj.domain[:0]
-		obj.refs = obj.refs[:0]
 		obj.scores = obj.scores[:0]
 		obj.post = obj.post[:0]
-		obj.mapIx = -1
+		obj.mapVal, obj.top, obj.runner = -1, 0, 0
 		obj.dirty = false
 		obj.live = true
 	} else {
 		ix = len(sh.objs)
-		sh.objs = append(sh.objs, object{name: name, epoch: epoch, live: true, mapIx: -1, prev: -1, next: -1})
+		sh.objs = append(sh.objs, object{name: name, epoch: epoch, live: true, mapVal: -1, prev: -1, next: -1})
 	}
 	sh.indexAdd(ix, h)
 	sh.lruPush(ix)
@@ -851,9 +882,9 @@ func (sh *shard) evict(ix int) {
 func (sh *shard) lruPush(ix int) {
 	obj := &sh.objs[ix]
 	obj.prev = -1
-	obj.next = sh.lruHead
+	obj.next = int32(sh.lruHead)
 	if sh.lruHead >= 0 {
-		sh.objs[sh.lruHead].prev = ix
+		sh.objs[sh.lruHead].prev = int32(ix)
 	}
 	sh.lruHead = ix
 	if sh.lruTail < 0 {
@@ -867,12 +898,12 @@ func (sh *shard) lruUnlink(ix int) {
 	if obj.prev >= 0 {
 		sh.objs[obj.prev].next = obj.next
 	} else {
-		sh.lruHead = obj.next
+		sh.lruHead = int(obj.next)
 	}
 	if obj.next >= 0 {
 		sh.objs[obj.next].prev = obj.prev
 	} else {
-		sh.lruTail = obj.prev
+		sh.lruTail = int(obj.prev)
 	}
 	obj.prev, obj.next = -1, -1
 }

@@ -32,8 +32,8 @@ func engineFingerprint(e *Engine) uint64 {
 				continue
 			}
 			post := make(map[string]float64, len(obj.domain))
-			for i, v := range obj.domain {
-				post[e.vals.names[v]] = obj.post[i]
+			for i, d := range obj.domain {
+				post[e.vals.names[d.val]] = obj.post[i]
 			}
 			objs = append(objs, entry{obj.name, post})
 		}

@@ -2,21 +2,24 @@
 // layer (internal/query). ScanShard walks one shard's live objects
 // under its read lock and hands the caller a borrowed Row per object —
 // the relational view (MAP value, confidence, contestedness, flip
-// epoch, claim counts) computed in place from the dense slabs, so a
+// epoch, claim counts) read in place from the object slots, so a
 // selective query never materializes an Estimate slice. ScanShard is
 // the engine's one way to turn an object slot into a row: Value is a
 // point scan and EstimatesSeq collects full scans, so the live/MAP gate
 // and the value-name lookup exist only here. A row reads its object's
 // claims array, a separate heap block, only when the scan asks for
 // Dissent or a disagree pair; every other column comes from the object
-// slot and its posterior. Predicate pushdown lives one level up: the
-// query executor decides which shards to scan (ShardIndex pruning on
-// object equality), whether the scan is a point read through the
-// shard's object index, whether it walks claims, and which rows to
-// keep; this file only guarantees that a shard scan is one RLock, zero
-// allocations, and a deterministic visit order: slot order, or object
-// name order from the shard's cached name order (ByName), which the
-// executor's object-ordered runs use so they need no sort.
+// slot alone: its name, flip epoch, claim count and row cache (the MAP
+// value id, its posterior and the runner-up posterior), which the
+// engine refreshes with every posterior change. Predicate pushdown
+// lives one level up: the query executor decides which shards to scan
+// (ShardIndex pruning on object equality), whether the scan is a point
+// read through the shard's object index, whether it walks claims, and
+// which rows to keep; this file only guarantees that a shard scan is
+// one RLock, zero allocations, and a deterministic visit order: slot
+// order, or object name order from the shard's cached name order
+// (ByName), which the executor's object-ordered runs use so they need
+// no sort.
 package stream
 
 import (
@@ -135,7 +138,7 @@ func (e *Engine) ScanShard(s int, opt ScanOptions, visit func(*Row) bool) {
 // scanSlot passes one slot's row to visit, skipping freelist slots and
 // objects with no MAP value yet. It reports whether the scan goes on.
 func scanSlot(obj *object, valNames []string, opt ScanOptions, row *Row, visit func(*Row) bool) bool {
-	if !obj.live || obj.mapIx < 0 {
+	if !obj.live || obj.mapVal < 0 {
 		return true
 	}
 	fillRow(obj, valNames, opt, row)
@@ -166,22 +169,14 @@ func (sh *shard) byName() []int32 {
 	return sh.nameOrder
 }
 
-// fillRow computes the relational view of one object into row. Caller
-// holds the shard lock.
+// fillRow copies the relational view of one object into row: the
+// slot's row cache, plus a walk of its claims when the options ask for
+// Dissent or a pair. Caller holds the shard lock.
 func fillRow(obj *object, valNames []string, opt ScanOptions, row *Row) {
-	mi := int(obj.mapIx)
-	mapVal := obj.domain[mi]
-	p1 := obj.post[mi]
-	p2 := 0.0
-	for i, p := range obj.post {
-		if i != mi && p > p2 {
-			p2 = p
-		}
-	}
 	row.Object = obj.name
-	row.Value = valNames[mapVal]
-	row.Confidence = p1
-	row.Contested = 1 - (p1 - p2)
+	row.Value = valNames[obj.mapVal]
+	row.Confidence = obj.top
+	row.Contested = 1 - (obj.top - obj.runner)
 	row.Changed = obj.changed
 	row.Sources = int64(len(obj.claims))
 	row.Dissent, row.Disagree = 0, false
@@ -191,7 +186,7 @@ func fillRow(obj *object, valNames []string, opt ScanOptions, row *Row) {
 	pairA, pairB := int32(-1), int32(-1)
 	for i := range obj.claims {
 		c := &obj.claims[i]
-		if c.val != mapVal {
+		if c.val != obj.mapVal {
 			row.Dissent++
 		}
 		if opt.PairA >= 0 {

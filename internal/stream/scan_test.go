@@ -3,9 +3,11 @@ package stream
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // pointRows collects the rows a point scan of object visits in its
@@ -247,4 +249,87 @@ func TestEngineNameOrderScan(t *testing.T) {
 		wg.Wait()
 		checkNameOrder(t, e, "after concurrent ingest")
 	})
+}
+
+// rowCacheErr recomputes an object's row cache from its domain and
+// posterior (the MAP entry by mapIndex, then the posterior of every
+// other entry) and reports the first column the cached slot gets
+// wrong, floats compared by bits.
+func rowCacheErr(o *object, valNames []string) error {
+	ix := mapIndex(o, valNames)
+	if ix < 0 {
+		if o.mapVal != -1 {
+			return fmt.Errorf("object %q has no posterior but caches MAP value %d", o.name, o.mapVal)
+		}
+		return nil
+	}
+	runner := 0.0
+	for i, p := range o.post {
+		if i != int(ix) && p > runner {
+			runner = p
+		}
+	}
+	switch {
+	case o.mapVal != o.domain[ix].val:
+		return fmt.Errorf("object %q caches MAP value %d, posterior says %d", o.name, o.mapVal, o.domain[ix].val)
+	case math.Float64bits(o.top) != math.Float64bits(o.post[ix]):
+		return fmt.Errorf("object %q caches top %v, posterior says %v", o.name, o.top, o.post[ix])
+	case math.Float64bits(o.runner) != math.Float64bits(runner):
+		return fmt.Errorf("object %q caches runner %v, posterior says %v", o.name, o.runner, runner)
+	}
+	return nil
+}
+
+// checkRowCache fails the test when any live slot of e holds a row
+// cache that differs from a recomputation from its posterior.
+func checkRowCache(t *testing.T, e *Engine, when string) {
+	t.Helper()
+	valNames := e.valueNames()
+	for s := range e.shards {
+		sh := &e.shards[s]
+		sh.mu.RLock()
+		for ix := range sh.objs {
+			if obj := &sh.objs[ix]; obj.live {
+				if err := rowCacheErr(obj, valNames); err != nil {
+					t.Errorf("%s: shard %d slot %d: %v", when, s, ix, err)
+				}
+			}
+		}
+		sh.mu.RUnlock()
+	}
+}
+
+// TestObjectSlotSize pins the object slot: a full scan reads one slot
+// per object, and ingest's resident size grows with it.
+func TestObjectSlotSize(t *testing.T) {
+	if n := unsafe.Sizeof(object{}); n > 160 {
+		t.Errorf("object slot is %d bytes, want <= 160", n)
+	}
+}
+
+// TestRowCacheOnReusedSlot evicts an object with a three-value domain
+// and lets a one-claim object take over its slot: the new object's
+// row must be its own (confidence 1, contested 0), with nothing left
+// of the old domain or posterior.
+func TestRowCacheOnReusedSlot(t *testing.T) {
+	opts := testEngineOptions()
+	opts.Shards = 1
+	opts.MaxObjects = 1
+	e, err := NewEngine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Observe("goodA", "old", "x")
+	e.Observe("goodB", "old", "y")
+	e.Observe("bad", "old", "z")
+	e.Observe("goodA", "filler", "t") // evicts old, frees its slot
+	e.Observe("goodA", "new", "t")    // evicts filler, reuses old's slot
+	if st := e.Stats(); st.EvictedObjects != 2 || len(e.shards[0].objs) != 2 {
+		t.Fatalf("want two evictions over two slots, got %+v with %d slots", st, len(e.shards[0].objs))
+	}
+	checkRowCache(t, e, "after slot reuse")
+	rows := pointRows(e, "new", NoPair)
+	if len(rows) != 1 || rows[0].Value != "t" || rows[0].Confidence != 1 || rows[0].Contested != 0 {
+		t.Errorf("reused slot row = %+v, want value t, confidence 1, contested 0", rows)
+	}
 }

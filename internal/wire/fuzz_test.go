@@ -57,7 +57,8 @@ type decoded struct {
 var sentinels = []error{ErrMagic, ErrVersion, ErrChecksum, ErrTruncated}
 
 // errClass maps an error to -1 (nil), the index of the first
-// sentinel it matches, or len(sentinels) for any other error.
+// sentinel it matches, or len(sentinels) for any other error, which
+// FuzzDecode rejects: every decode failure is typed.
 func errClass(err error) int {
 	if err == nil {
 		return -1
@@ -99,7 +100,9 @@ func decodeSchedule(src io.Reader) decoded {
 
 // FuzzDecode throws arbitrary bytes at the reader with the same read
 // schedule the valid stream uses, and checks the decoder's contracts:
-// it never panics; its allocations track bytes actually present —
+// it never panics; every failure matches one of the typed sentinels,
+// a length prefix over the cap included; its allocations track bytes
+// actually present —
 // every decoded string or slice is bounded by the input's own length,
 // no matter what the length prefixes claim; and where the underlying
 // reader splits the stream (one byte at a time, half reads, EOF
@@ -111,8 +114,16 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	// Version accepted, then a lying length prefix.
 	f.Add(append([]byte{'S', 'F', 'C', 'K', 3, 0, 0, 0}, 0xff, 0xff, 0xff, 0x0f))
+	// The scalars, then a string length prefix over the cap.
+	overCap := append([]byte{'S', 'F', 'C', 'K', 3, 0, 0, 0}, make([]byte, 30)...)
+	f.Add(append(overCap, 0xff, 0xff, 0xff, 0xff))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := decodeSchedule(bytes.NewReader(data))
+		for i, c := range d.errs {
+			if c == len(sentinels) {
+				t.Fatalf("decode step %d failed with an untyped error", i)
+			}
+		}
 		for name, wrap := range map[string]func(io.Reader) io.Reader{
 			"OneByteReader": iotest.OneByteReader,
 			"HalfReader":    iotest.HalfReader,

@@ -352,14 +352,18 @@ func (r *Reader) Int() int { return int(r.Int64()) }
 // Float64 reads an IEEE-754 bit pattern.
 func (r *Reader) Float64() float64 { return math.Float64frombits(r.Uint64()) }
 
-// length reads and guards a length prefix.
-func (r *Reader) length() int {
+// Len reads the length prefix of a string or slice and guards it: a
+// count above the 2^28 cap fails with ErrTruncated, the class of every
+// prefix that declares more than the decoder will read. A caller that
+// decodes the elements itself must still grow its buffer as they
+// arrive, never preallocate the declared count.
+func (r *Reader) Len() int {
 	n := r.Uint32()
 	if r.err != nil {
 		return 0
 	}
 	if n > maxSliceLen {
-		r.fail(fmt.Errorf("wire: length %d exceeds cap %d", n, maxSliceLen))
+		r.fail(fmt.Errorf("%w: length %d exceeds cap %d", ErrTruncated, n, maxSliceLen))
 		return 0
 	}
 	return int(n)
@@ -369,7 +373,7 @@ func (r *Reader) length() int {
 // block costs a single allocation, the string itself; a longer one
 // grows as its bytes actually arrive, a block at a time.
 func (r *Reader) String() string {
-	n := r.length()
+	n := r.Len()
 	if r.err != nil || n == 0 {
 		return ""
 	}
@@ -399,7 +403,7 @@ func (r *Reader) String() string {
 
 // Float64s reads a length-prefixed []float64 (nil when empty).
 func (r *Reader) Float64s() []float64 {
-	n := r.length()
+	n := r.Len()
 	if r.err != nil || n == 0 {
 		return nil
 	}
@@ -418,7 +422,7 @@ func (r *Reader) Float64s() []float64 {
 
 // Int64s reads a length-prefixed []int64 (nil when empty).
 func (r *Reader) Int64s() []int64 {
-	n := r.length()
+	n := r.Len()
 	if r.err != nil || n == 0 {
 		return nil
 	}
@@ -437,7 +441,7 @@ func (r *Reader) Int64s() []int64 {
 
 // Ints reads a length-prefixed []int (nil when empty).
 func (r *Reader) Ints() []int {
-	n := r.length()
+	n := r.Len()
 	if r.err != nil || n == 0 {
 		return nil
 	}
@@ -456,7 +460,7 @@ func (r *Reader) Ints() []int {
 
 // Int32s reads a length-prefixed []int32 (nil when empty).
 func (r *Reader) Int32s() []int32 {
-	n := r.length()
+	n := r.Len()
 	if r.err != nil || n == 0 {
 		return nil
 	}
@@ -476,7 +480,7 @@ func (r *Reader) Int32s() []int32 {
 // Strings reads a length-prefixed []string (nil when empty), growing
 // the result as strings actually arrive.
 func (r *Reader) Strings() []string {
-	n := r.length()
+	n := r.Len()
 	if r.err != nil || n == 0 {
 		return nil
 	}
