@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test test-full bench benchdiff lint cover serve e2e e2e-cluster linkcheck
+.PHONY: build vet test test-full bench benchdiff lint cover loc serve e2e e2e-cluster linkcheck
 
 ## build: compile every package
 build:
@@ -49,6 +49,11 @@ lint:
 ## enforces; leaves the merged cover.out for `go tool cover -html=cover.out`
 cover:
 	./scripts/covergate cover.out ./internal/stream/ 80 ./internal/online/ 80 ./internal/resilience/ 80 ./internal/query/ 80 ./internal/obs/ 80
+
+## loc: non-test Go lines per package directory, blank and comment
+## lines not counted (scripts/loc). A report, not a gate.
+loc:
+	./scripts/loc
 
 ## serve: run the streaming engine as an HTTP service on :8080 with a
 ## durable checkpoint — restarting the target resumes where it left off

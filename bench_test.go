@@ -1,8 +1,8 @@
 // Benchmarks regenerating every table and figure of the SLiMFast paper
 // (one benchmark per artifact; run with `go test -bench=. -benchmem`),
 // plus ablation benches for design choices (EM units, the agreement
-// estimator, regularization, the optimizer) and micro-benchmarks of the
-// core operations.
+// estimator, regularization) and micro-benchmarks of the core
+// operations.
 //
 // Each experiment bench runs the same code path as `cmd/experiments
 // -exp <id>` in quick mode; b.N repetitions measure end-to-end cost,
@@ -20,7 +20,6 @@ import (
 	"slimfast/internal/data"
 	"slimfast/internal/eval"
 	"slimfast/internal/lasso"
-	"slimfast/internal/optim"
 	"slimfast/internal/randx"
 	"slimfast/internal/stream"
 	"slimfast/internal/synth"
@@ -135,27 +134,6 @@ func BenchmarkAblationRegularization(b *testing.B) {
 	}
 	b.Run("l2", func(b *testing.B) { run(b, 0, 1e-3) })
 	b.Run("l1", func(b *testing.B) { run(b, 1e-3, 0) })
-}
-
-// BenchmarkAblationOptimizer compares SGD against AdaGrad for ERM.
-func BenchmarkAblationOptimizer(b *testing.B) {
-	inst := benchInstance(b)
-	train, _ := data.Split(inst.Gold, 0.2, randx.New(3))
-	run := func(b *testing.B, method optim.Method) {
-		for i := 0; i < b.N; i++ {
-			opts := core.DefaultOptions()
-			opts.Optim.Method = method
-			m, err := core.Compile(inst.Dataset, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := m.FitERM(train); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("sgd", func(b *testing.B) { run(b, optim.SGD) })
-	b.Run("adagrad", func(b *testing.B) { run(b, optim.AdaGrad) })
 }
 
 // --- Micro-benchmarks of the core operations ---

@@ -125,7 +125,7 @@ func run(args []string, stdout io.Writer) error {
 		if *truthPath != "" {
 			if err := readInto(*truthPath, func(r io.Reader) error {
 				var err error
-				truthNames, err = data.ReadTruthCSV(r, b)
+				truthNames, err = data.ReadTruthCSV(r)
 				return err
 			}); err != nil {
 				return err

@@ -14,18 +14,19 @@ import (
 // and re-estimating each source's accuracy as the mean probability of
 // the values it claimed. Any ground truth initializes the accuracy
 // estimates and pins the labeled objects, as suggested in [9].
-type ACCU struct {
-	// InitAccuracy seeds unlabeled sources (the 0.8 of Dong et al.).
-	InitAccuracy float64
-	// MaxIters / Tolerance control the fixed-point iteration.
-	MaxIters  int
-	Tolerance float64
-}
+type ACCU struct{}
 
-// NewACCU returns ACCU with the settings from Dong et al.
-func NewACCU() *ACCU {
-	return &ACCU{InitAccuracy: 0.8, MaxIters: 50, Tolerance: 1e-4}
-}
+// ACCU's settings, from Dong et al.
+const (
+	// accuInitAccuracy seeds unlabeled sources (the 0.8 of Dong et al.).
+	accuInitAccuracy = 0.8
+	// accuMaxIters and accuTolerance control the fixed-point iteration.
+	accuMaxIters  = 50
+	accuTolerance = 1e-4
+)
+
+// NewACCU returns ACCU.
+func NewACCU() *ACCU { return &ACCU{} }
 
 // Name implements Method.
 func (*ACCU) Name() string { return "ACCU" }
@@ -34,7 +35,7 @@ func (*ACCU) Name() string { return "ACCU" }
 func (*ACCU) HasProbabilisticAccuracies() bool { return true }
 
 // Fuse implements Method.
-func (a *ACCU) Fuse(ds *data.Dataset, train data.TruthMap) (*Output, error) {
+func (*ACCU) Fuse(ds *data.Dataset, train data.TruthMap) (*Output, error) {
 	nS := ds.NumSources()
 	acc := make([]float64, nS)
 	// Initialize from ground truth where possible.
@@ -54,7 +55,7 @@ func (a *ACCU) Fuse(ds *data.Dataset, train data.TruthMap) (*Output, error) {
 		if labeledTotal[s] > 0 {
 			acc[s] = mathx.Clamp((labeledCorrect[s]+1)/(labeledTotal[s]+2), 0.05, 0.99)
 		} else {
-			acc[s] = a.InitAccuracy
+			acc[s] = accuInitAccuracy
 		}
 	}
 
@@ -92,7 +93,7 @@ func (a *ACCU) Fuse(ds *data.Dataset, train data.TruthMap) (*Output, error) {
 	}
 
 	prev := make([]float64, nS)
-	for iter := 0; iter < a.MaxIters; iter++ {
+	for iter := 0; iter < accuMaxIters; iter++ {
 		eStep()
 		copy(prev, acc)
 		// M-step: A_s = mean posterior probability of the source's
@@ -112,7 +113,7 @@ func (a *ACCU) Fuse(ds *data.Dataset, train data.TruthMap) (*Output, error) {
 			}
 			acc[s] = mathx.Clamp((sum+0.5)/(tot+1), 0.05, 0.99)
 		}
-		if mathx.MaxAbsDiff(acc, prev) < a.Tolerance {
+		if mathx.MaxAbsDiff(acc, prev) < accuTolerance {
 			break
 		}
 	}

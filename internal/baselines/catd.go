@@ -19,16 +19,19 @@ import (
 //
 // CATD's weights are relative reliabilities, not probabilities, so
 // HasProbabilisticAccuracies is false and the paper's Table 3 omits it.
-type CATD struct {
-	// Alpha is the confidence level of the chi-square interval (0.05
-	// in Li et al.).
-	Alpha     float64
-	MaxIters  int
-	Tolerance float64
-}
+type CATD struct{}
 
-// NewCATD returns CATD with the settings from Li et al.
-func NewCATD() *CATD { return &CATD{Alpha: 0.05, MaxIters: 30, Tolerance: 1e-6} }
+// CATD's settings.
+const (
+	// catdAlpha is the confidence level of the chi-square interval
+	// (0.05 in Li et al.).
+	catdAlpha     = 0.05
+	catdMaxIters  = 30
+	catdTolerance = 1e-6
+)
+
+// NewCATD returns CATD.
+func NewCATD() *CATD { return &CATD{} }
 
 // Name implements Method.
 func (*CATD) Name() string { return "CATD" }
@@ -37,7 +40,7 @@ func (*CATD) Name() string { return "CATD" }
 func (*CATD) HasProbabilisticAccuracies() bool { return false }
 
 // Fuse implements Method.
-func (c *CATD) Fuse(ds *data.Dataset, train data.TruthMap) (*Output, error) {
+func (*CATD) Fuse(ds *data.Dataset, train data.TruthMap) (*Output, error) {
 	// Initialize truths: labels where available, else majority vote.
 	mv, err := MajorityVote{}.Fuse(ds, train)
 	if err != nil {
@@ -48,7 +51,7 @@ func (c *CATD) Fuse(ds *data.Dataset, train data.TruthMap) (*Output, error) {
 	nS := ds.NumSources()
 	weights := make([]float64, nS)
 	prev := make([]float64, nS)
-	for iter := 0; iter < c.MaxIters; iter++ {
+	for iter := 0; iter < catdMaxIters; iter++ {
 		copy(prev, weights)
 		// Weight update: chi-square upper bound over summed 0/1 loss.
 		var wSum float64
@@ -65,7 +68,7 @@ func (c *CATD) Fuse(ds *data.Dataset, train data.TruthMap) (*Output, error) {
 					errSum++
 				}
 			}
-			weights[s] = mathx.ChiSquareQuantile(c.Alpha/2, len(idxs)) / errSum
+			weights[s] = mathx.ChiSquareQuantile(catdAlpha/2, len(idxs)) / errSum
 			wSum += weights[s]
 		}
 		if wSum > 0 {
@@ -89,7 +92,7 @@ func (c *CATD) Fuse(ds *data.Dataset, train data.TruthMap) (*Output, error) {
 			}
 			values[oid] = argmaxFloat(scores)
 		}
-		if mathx.MaxAbsDiff(weights, prev) < c.Tolerance {
+		if mathx.MaxAbsDiff(weights, prev) < catdTolerance {
 			break
 		}
 	}

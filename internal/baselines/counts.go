@@ -12,15 +12,15 @@ import (
 // accuracies are the empirical fraction of correct observations on the
 // ground truth (Laplace smoothed), and truth inference multiplies
 // per-source likelihoods under conditional independence.
-type Counts struct {
-	// DefaultAccuracy is used for sources with no labeled
-	// observations. The paper initializes unseen sources optimistically;
-	// 0.7 matches its ACCU convention.
-	DefaultAccuracy float64
-}
+type Counts struct{}
 
-// NewCounts returns Counts with the conventional default accuracy.
-func NewCounts() *Counts { return &Counts{DefaultAccuracy: 0.7} }
+// countsDefaultAccuracy is used for sources with no labeled
+// observations. The paper initializes unseen sources optimistically;
+// 0.7 matches its ACCU convention.
+const countsDefaultAccuracy = 0.7
+
+// NewCounts returns Counts.
+func NewCounts() *Counts { return &Counts{} }
 
 // Name implements Method.
 func (*Counts) Name() string { return "Counts" }
@@ -29,13 +29,9 @@ func (*Counts) Name() string { return "Counts" }
 func (*Counts) HasProbabilisticAccuracies() bool { return true }
 
 // Fuse implements Method.
-func (c *Counts) Fuse(ds *data.Dataset, train data.TruthMap) (*Output, error) {
+func (*Counts) Fuse(ds *data.Dataset, train data.TruthMap) (*Output, error) {
 	if len(train) == 0 {
 		return nil, errors.New("baselines: Counts requires ground truth")
-	}
-	def := c.DefaultAccuracy
-	if def <= 0 || def >= 1 {
-		def = 0.7
 	}
 	// Empirical accuracies with Laplace smoothing.
 	acc := make([]float64, ds.NumSources())
@@ -53,7 +49,7 @@ func (c *Counts) Fuse(ds *data.Dataset, train data.TruthMap) (*Output, error) {
 			}
 		}
 		if tot == 0 {
-			acc[s] = def
+			acc[s] = countsDefaultAccuracy
 			continue
 		}
 		acc[s] = mathx.Clamp((correct+1)/(tot+2), 0.05, 0.99)

@@ -14,22 +14,24 @@ import (
 // the source's claims; claim confidence is a dampened combination of
 // the trusts of its supporting sources, blended with the previous
 // round's value (the graph-regularization term of [40], approximated by
-// exponential smoothing with weight Lambda).
-type SSTF struct {
-	// Lambda blends the propagated score with the previous score
-	// (graph smoothing).
-	Lambda float64
-	// Gamma dampens the trust-score sigmoid, as in TruthFinder [39].
-	Gamma     float64
-	InitTrust float64
-	MaxIters  int
-	Tolerance float64
-}
+// exponential smoothing with weight sstfLambda).
+type SSTF struct{}
 
-// NewSSTF returns SSTF with the defaults used in the reproduction.
-func NewSSTF() *SSTF {
-	return &SSTF{Lambda: 0.5, Gamma: 0.3, InitTrust: 0.5, MaxIters: 40, Tolerance: 1e-5}
-}
+// SSTF's settings in the reproduction.
+const (
+	// sstfLambda blends the propagated score with the previous score
+	// (graph smoothing).
+	sstfLambda = 0.5
+	// sstfGamma dampens the trust-score sigmoid, as in TruthFinder
+	// [39].
+	sstfGamma     = 0.3
+	sstfInitTrust = 0.5
+	sstfMaxIters  = 40
+	sstfTolerance = 1e-5
+)
+
+// NewSSTF returns SSTF.
+func NewSSTF() *SSTF { return &SSTF{} }
 
 // Name implements Method.
 func (*SSTF) Name() string { return "SSTF" }
@@ -40,11 +42,11 @@ func (*SSTF) Name() string { return "SSTF" }
 func (*SSTF) HasProbabilisticAccuracies() bool { return false }
 
 // Fuse implements Method.
-func (sf *SSTF) Fuse(ds *data.Dataset, train data.TruthMap) (*Output, error) {
+func (*SSTF) Fuse(ds *data.Dataset, train data.TruthMap) (*Output, error) {
 	nS := ds.NumSources()
 	trust := make([]float64, nS)
 	for s := range trust {
-		trust[s] = sf.InitTrust
+		trust[s] = sstfInitTrust
 	}
 	conf := make([]map[data.ValueID]float64, ds.NumObjects())
 	// Initialize claim confidences uniformly; pin labels.
@@ -70,7 +72,7 @@ func (sf *SSTF) Fuse(ds *data.Dataset, train data.TruthMap) (*Output, error) {
 	}
 
 	prev := make([]float64, nS)
-	for iter := 0; iter < sf.MaxIters; iter++ {
+	for iter := 0; iter < sstfMaxIters; iter++ {
 		copy(prev, trust)
 		// Trust from claim confidences.
 		for s := 0; s < nS; s++ {
@@ -104,11 +106,11 @@ func (sf *SSTF) Fuse(ds *data.Dataset, train data.TruthMap) (*Output, error) {
 					}
 					sigma += -math.Log(1 - mathx.Clamp(trust[ob.Source], 0.01, 0.99))
 				}
-				propagated := 1 / (1 + math.Exp(-sf.Gamma*sigma))
-				conf[o][d] = sf.Lambda*conf[o][d] + (1-sf.Lambda)*propagated
+				propagated := 1 / (1 + math.Exp(-sstfGamma*sigma))
+				conf[o][d] = sstfLambda*conf[o][d] + (1-sstfLambda)*propagated
 			}
 		}
-		if mathx.MaxAbsDiff(trust, prev) < sf.Tolerance {
+		if mathx.MaxAbsDiff(trust, prev) < sstfTolerance {
 			break
 		}
 	}

@@ -39,8 +39,9 @@ type Options struct {
 	CopyFeatures   bool
 	MinCopyOverlap int
 
-	// Optim configures the SGD/AdaGrad runs inside ERM and each EM
-	// M-step.
+	// Optim configures the SGD runs inside ERM, each EM M-step (capped
+	// at 10 epochs) and calibration: epochs, the L1/L2 penalties and
+	// the shuffle seed.
 	Optim optim.Config
 
 	// EMCalibrate runs a post-EM calibration pass (see Calibrate) that

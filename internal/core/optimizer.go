@@ -32,33 +32,21 @@ type OptimizerOptions struct {
 	// generalization bound √(|K|/|G|)·log|G| falls below it, ERM is
 	// chosen immediately. The paper uses 0.1 in the evaluation.
 	Tau float64
-
-	// MultiplyByM reproduces Example 8 (each object's information gain
-	// scaled by its number of observations m) instead of the printed
-	// Algorithm 1 (which adds the raw 1−H(pe) per object). The two
-	// disagree in the paper; the printed algorithm is the default.
-	// When set, the ERM side is scaled the same way to stay
-	// comparable.
-	MultiplyByM bool
-
-	// OverlapWeightedAgreement switches the average-accuracy estimator
-	// from the paper's closed form (sum over all |S|²−|S| ordered
-	// pairs, zero for non-overlapping pairs) to an overlap-weighted
-	// mean that is more stable on sparse instances.
-	OverlapWeightedAgreement bool
 }
 
-// DefaultOptimizerOptions follows the paper's evaluation settings
-// (τ = 0.1, printed Algorithm 1) with one documented divergence: the
-// overlap-weighted agreement estimator is the default. The paper's
-// closed form divides by all |S|²−|S| pairs, which collapses the
-// accuracy estimate to 0.5 on very sparse instances (Genomics has
-// ~1 observation per source) and misroutes the ERM/EM decision; the
+// DefaultOptimizerOptions follows the paper's evaluation settings:
+// τ = 0.1 and the printed Algorithm 1, which adds the raw 1−H(pe) per
+// object (Example 8 scales each object's gain by its observation
+// count; EMUnits' multiplyByM computes that variant). Decide departs
+// from the paper in one documented way: it estimates the average
+// accuracy with the overlap-weighted agreement mean. The paper's closed
+// form divides by all |S|²−|S| pairs, which collapses the accuracy
+// estimate to 0.5 on very sparse instances (Genomics has ~1
+// observation per source) and misroutes the ERM/EM decision; the
 // overlap-weighted mean recovers the intended behaviour and is
-// identical on dense instances. Set OverlapWeightedAgreement=false for
-// the verbatim paper estimator (ablated in BenchmarkAblationAgreement).
+// identical on dense instances. RunAblations prints both estimators.
 func DefaultOptimizerOptions() OptimizerOptions {
-	return OptimizerOptions{Tau: 0.1, OverlapWeightedAgreement: true}
+	return OptimizerOptions{Tau: 0.1}
 }
 
 // Decision records the optimizer's choice and its internal evidence,
@@ -236,16 +224,8 @@ func Decide(ds *data.Dataset, train data.TruthMap, opts OptimizerOptions) Decisi
 		return dec
 	}
 	dec.ERMUnits = g
-	if opts.MultiplyByM {
-		// Scale each labeled object by its observation count to stay
-		// comparable with the Example 8 variant of EMUnits.
-		dec.ERMUnits = 0
-		for o := range train {
-			dec.ERMUnits += float64(len(ds.ObjectObservations(o)))
-		}
-	}
-	dec.AvgAccuracy = EstimateAverageAccuracy(ds, opts.OverlapWeightedAgreement)
-	dec.EMUnits = EMUnits(ds, dec.AvgAccuracy, opts.MultiplyByM)
+	dec.AvgAccuracy = EstimateAverageAccuracy(ds, true)
+	dec.EMUnits = EMUnits(ds, dec.AvgAccuracy, false)
 	if dec.ERMUnits < dec.EMUnits {
 		dec.Algorithm = AlgorithmEM
 	} else {

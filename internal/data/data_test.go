@@ -319,7 +319,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := ReadFeaturesCSV(&featBuf, b); err != nil {
 		t.Fatal(err)
 	}
-	names, err := ReadTruthCSV(&truthBuf, b)
+	names, err := ReadTruthCSV(&truthBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,6 +451,21 @@ func TestStreamObservationsCSVReportsRowNumbers(t *testing.T) {
 	})
 	if !errors.Is(err, bad) || !strings.Contains(err.Error(), "row 3") {
 		t.Errorf("fn error lost its position or identity: %v", err)
+	}
+}
+
+// TestReadObservationsCSVReportsRowNumber: the batch reader names the
+// 1-based row (header included) of a malformed record, as the stream
+// reader does, and keeps the rows before it.
+func TestReadObservationsCSVReportsRowNumber(t *testing.T) {
+	b := NewBuilder("rows")
+	in := "source,object,value\ns1,o1,a\ns2,o1,b\nonly,two\ns3,o2,c\n"
+	err := ReadObservationsCSV(strings.NewReader(in), b)
+	if err == nil || !strings.Contains(err.Error(), "observations csv row 4:") {
+		t.Errorf("malformed-row error lost its position: %v", err)
+	}
+	if n := b.Freeze().NumObservations(); n != 2 {
+		t.Errorf("%d observations read before the bad row, want 2", n)
 	}
 }
 

@@ -70,27 +70,14 @@ func WriteTruthCSV(w io.Writer, d *Dataset, truth TruthMap) error {
 	return cw.Error()
 }
 
-// ReadObservationsCSV parses the observations CSV into a Builder.
+// ReadObservationsCSV parses the observations CSV into a Builder. A
+// malformed row is reported with its 1-based row number, as
+// StreamObservationsCSV reports it.
 func ReadObservationsCSV(r io.Reader, b *Builder) error {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 3
-	header := true
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("data: observations csv: %w", err)
-		}
-		if header {
-			header = false
-			if rec[0] == "source" {
-				continue
-			}
-		}
-		b.ObserveNames(rec[0], rec[1], rec[2])
-	}
+	return StreamObservationsCSV(r, func(source, object, value string) error {
+		b.ObserveNames(source, object, value)
+		return nil
+	})
 }
 
 // StreamObservationsCSV reads the observations CSV and invokes fn for
@@ -203,10 +190,10 @@ func ReadSourceFeaturesCSV(r io.Reader) (map[string][]string, error) {
 	}
 }
 
-// ReadTruthCSV parses a truth CSV against an already-built Builder and
-// returns the TruthMap. Objects or values not present in the builder are
-// interned (an object can be labeled without being observed).
-func ReadTruthCSV(r io.Reader, b *Builder) (map[string]string, error) {
+// ReadTruthCSV parses a truth CSV into a name-keyed table, object name
+// to value name. It interns nothing: TruthFromNames resolves the names
+// against the frozen dataset, skipping unobserved objects.
+func ReadTruthCSV(r io.Reader) (map[string]string, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 2
 	out := map[string]string{}

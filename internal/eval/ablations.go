@@ -17,8 +17,9 @@ import (
 //
 //   - the post-EM calibration pass on vs off,
 //   - the paper's closed-form average-accuracy estimator vs the
-//     overlap-weighted default, per dataset,
-//   - L2 vs L1 regularization for the feature-heavy ERM fit.
+//     overlap-weighted one that Decide uses, per dataset,
+//   - L2 vs L1 regularization (optim.Config's two penalties) for the
+//     feature-heavy ERM fit.
 func RunAblations(w io.Writer, cfg Config) error {
 	inst, err := synth.Generate(synth.Config{
 		Name: "ablation", Sources: 70, Objects: 700, DomainSize: 3,

@@ -23,7 +23,6 @@ import (
 
 	"slimfast/internal/data"
 	"slimfast/internal/mathx"
-	"slimfast/internal/optim"
 )
 
 // Path holds feature-weight trajectories along the regularization
@@ -43,21 +42,30 @@ type Path struct {
 type Options struct {
 	// Steps is the number of grid points (default 20).
 	Steps int
-	// LambdaMax is the strongest penalty; when 0 it is auto-set from
-	// the gradient at zero (the smallest penalty that keeps all
-	// weights at zero).
-	LambdaMax float64
-	// LambdaMinRatio sets LambdaMin = LambdaMax·ratio (default 1e-3).
-	LambdaMinRatio float64
-	// MaxIter and Tol control each proximal-gradient solve.
+	// MaxIter bounds each proximal-gradient solve (default 500).
 	MaxIter int
-	Tol     float64
 }
 
 // DefaultOptions returns the settings used by the Figure 6/9 benches.
 func DefaultOptions() Options {
-	return Options{Steps: 20, LambdaMinRatio: 1e-3, MaxIter: 500, Tol: 1e-7}
+	return Options{Steps: 20, MaxIter: 500}
 }
+
+// The grid and the solver's stopping rule.
+const (
+	// lambdaMinRatio sets the weakest penalty, lambdaMax·lambdaMinRatio.
+	// lambdaMax itself comes from the gradient at zero: the smallest
+	// penalty that keeps all weights at zero.
+	lambdaMinRatio = 1e-3
+	// solveTol stops a solve once the max |Δw| of an iteration drops
+	// below it.
+	solveTol = 1e-7
+)
+
+// BatchGradFunc computes the full-batch gradient of the smooth part of
+// the objective at w into grad (zeroed, len(w)) and returns the smooth
+// loss value.
+type BatchGradFunc func(w []float64, grad []float64) float64
 
 // Compute fits the path for the dataset using the given ground truth to
 // derive per-source correctness rates.
@@ -118,40 +126,34 @@ func Compute(ds *data.Dataset, train data.TruthMap, opts Options) (*Path, error)
 		return loss / totalObs
 	}
 
-	// Auto lambda-max: with w=0 (after fitting the intercept), the
-	// largest |gradient| coordinate bounds the penalty at which any
-	// feature activates.
-	lambdaMax := opts.LambdaMax
-	if lambdaMax <= 0 {
-		w0 := make([]float64, 1+nK)
-		// Fit the intercept alone first.
-		interceptOnly := func(w []float64, grad []float64) float64 {
-			g := make([]float64, 1+nK)
-			l := smooth(append([]float64{w[0]}, make([]float64, nK)...), g)
-			grad[0] = g[0]
-			return l
-		}
-		b := []float64{0}
-		if _, err := optim.ProximalGradient(b, interceptOnly, 0, 300, 1e-9); err != nil {
-			return nil, err
-		}
-		w0[0] = b[0]
+	// lambda-max: with w=0 (after fitting the intercept), the largest
+	// |gradient| coordinate bounds the penalty at which any feature
+	// activates.
+	w0 := make([]float64, 1+nK)
+	// Fit the intercept alone first.
+	interceptOnly := func(w []float64, grad []float64) float64 {
 		g := make([]float64, 1+nK)
-		smooth(w0, g)
-		for k := 1; k <= nK; k++ {
-			if a := math.Abs(g[k]); a > lambdaMax {
-				lambdaMax = a
-			}
-		}
-		if lambdaMax == 0 {
-			lambdaMax = 1
-		}
-		lambdaMax *= 1.05 // all-zero at the first grid point
+		l := smooth(append([]float64{w[0]}, make([]float64, nK)...), g)
+		grad[0] = g[0]
+		return l
 	}
-	ratio := opts.LambdaMinRatio
-	if ratio <= 0 || ratio >= 1 {
-		ratio = 1e-3
+	b := []float64{0}
+	if _, err := proxL1ExceptFirst(b, interceptOnly, 0, 300, 1e-9); err != nil {
+		return nil, err
 	}
+	w0[0] = b[0]
+	g := make([]float64, 1+nK)
+	smooth(w0, g)
+	var lambdaMax float64
+	for k := 1; k <= nK; k++ {
+		if a := math.Abs(g[k]); a > lambdaMax {
+			lambdaMax = a
+		}
+	}
+	if lambdaMax == 0 {
+		lambdaMax = 1
+	}
+	lambdaMax *= 1.05 // all-zero at the first grid point
 
 	p := &Path{
 		FeatureNames: append([]string{}, ds.FeatureNames...),
@@ -164,15 +166,12 @@ func Compute(ds *data.Dataset, train data.TruthMap, opts Options) (*Path, error)
 	w := make([]float64, 1+nK)
 	for i := 0; i < opts.Steps; i++ {
 		frac := float64(i) / float64(opts.Steps-1)
-		lambda := lambdaMax * math.Pow(ratio, frac)
+		lambda := lambdaMax * math.Pow(lambdaMinRatio, frac)
 		p.Lambdas[i] = lambda
 		p.Mu[i] = frac
-		// Penalize only feature coordinates: ProximalGradient applies
-		// the prox to every coordinate, so shield the intercept by
-		// solving with a wrapper that adds lambda*|w0| back. Simpler:
-		// since the intercept gradient dominates early, run with the
-		// penalty and then refit the intercept unpenalized.
-		if _, err := proxL1ExceptFirst(w, smooth, lambda, opts.MaxIter, opts.Tol); err != nil {
+		// Penalize only feature coordinates: the intercept stays
+		// unpenalized.
+		if _, err := proxL1ExceptFirst(w, smooth, lambda, opts.MaxIter, solveTol); err != nil {
 			return nil, err
 		}
 		p.Intercepts[i] = w[0]
@@ -183,25 +182,27 @@ func Compute(ds *data.Dataset, train data.TruthMap, opts Options) (*Path, error)
 	return p, nil
 }
 
-// proxL1ExceptFirst is ISTA with the soft-threshold applied to every
-// coordinate except index 0 (the intercept). Like
-// optim.ProximalGradient it keeps two swapped gradient buffers — the
-// accepted trial's gradient becomes the next iteration's gradient, so
-// the inner loop neither allocates nor re-evaluates smooth at the
-// accepted point — and it caps backtracking at 40 halvings per outer
-// iteration: the old loop terminated only on lr < 1e-12, so a NaN/Inf
-// trial loss (which fails every quadratic-bound comparison) burned ~40
-// halvings on every outer iteration and the step size never recovered
-// through the 1.1× growth.
-func proxL1ExceptFirst(w []float64, smooth optim.BatchGradFunc, l1 float64, maxIter int, tol float64) (optim.Result, error) {
+// proxL1ExceptFirst minimizes smooth(w) + l1·||w[1:]||₁ with ISTA
+// proximal gradient steps and backtracking line search: the
+// soft-threshold applies to every coordinate except index 0 (the
+// intercept), so with l1 = 0 it is plain gradient descent. A
+// deterministic solution per penalty keeps the path smooth. It keeps
+// two swapped gradient buffers — the accepted trial's gradient becomes
+// the next iteration's gradient, so the inner loop neither allocates
+// nor re-evaluates smooth at the accepted point — and it caps
+// backtracking at 40 halvings per outer iteration: a NaN/Inf trial
+// loss fails every quadratic-bound comparison, and a loop that stopped
+// only on lr < 1e-12 burned ~40 halvings on every outer iteration, so
+// the step size never recovered through the 1.1× growth. It returns
+// the number of iterations run.
+func proxL1ExceptFirst(w []float64, smooth BatchGradFunc, l1 float64, maxIter int, tol float64) (int, error) {
 	if maxIter <= 0 {
-		return optim.Result{}, errors.New("lasso: maxIter must be positive")
+		return 0, errors.New("lasso: maxIter must be positive")
 	}
 	grad := make([]float64, len(w))
 	next := make([]float64, len(w))
 	gNext := make([]float64, len(w))
 	lr := 1.0
-	var res optim.Result
 	loss := smooth(w, grad)
 	for iter := 0; iter < maxIter; iter++ {
 		var lossNext float64
@@ -229,15 +230,12 @@ func proxL1ExceptFirst(w []float64, smooth optim.BatchGradFunc, l1 float64, maxI
 		copy(w, next)
 		grad, gNext = gNext, grad
 		loss = lossNext
-		res.Epochs = iter + 1
-		res.LastDelta = delta
 		if delta < tol {
-			res.Converged = true
-			return res, nil
+			return iter + 1, nil
 		}
 		lr *= 1.1
 	}
-	return res, nil
+	return maxIter, nil
 }
 
 // ActivationOrder returns feature indices sorted by when they first

@@ -22,12 +22,11 @@ import (
 )
 
 // EncodeConfig writes the learner-config block: the anchor accuracy
-// the learner was built with (the engine's InitAccuracy), then the
-// hyper-parameter constants, with the always-on intercept as true and
-// the window length as 0. The slot order is the format contract,
-// mirrored by DecodeConfig.
-func EncodeConfig(w *wire.Writer, initAccuracy float64) {
-	w.Float64(initAccuracy)
+// InitAccuracy, then the hyper-parameter constants, with the always-on
+// intercept as true and the window length as 0. The slot order is the
+// format contract, mirrored by DecodeConfig.
+func EncodeConfig(w *wire.Writer) {
+	w.Float64(InitAccuracy)
 	w.Float64(priorStrength)
 	w.Int(0) // window length
 	w.Int(fitSteps)
@@ -40,12 +39,12 @@ func EncodeConfig(w *wire.Writer, initAccuracy float64) {
 }
 
 // DecodeConfig reads the block EncodeConfig writes and fails when a
-// slot differs from what EncodeConfig(initAccuracy) would write: no
+// slot differs from what EncodeConfig would write: no
 // binary ever wrote other values, and this learner could not honour
 // them. The window length is the exception: files written while the
 // learner kept a window carry its length, returned as ring, the number
 // of ring slots DecodeState must find.
-func DecodeConfig(r *wire.Reader, initAccuracy float64) (ring int, err error) {
+func DecodeConfig(r *wire.Reader) (ring int, err error) {
 	anchor := r.Float64()
 	prior := r.Float64()
 	ring = r.Int()
@@ -59,7 +58,7 @@ func DecodeConfig(r *wire.Reader, initAccuracy float64) (ring int, err error) {
 	if err := r.Err(); err != nil {
 		return 0, err
 	}
-	if anchor != initAccuracy || prior != priorStrength || steps != fitSteps || batch != batchSize ||
+	if anchor != InitAccuracy || prior != priorStrength || steps != fitSteps || batch != batchSize ||
 		rate != learningRate || decay != rateDecay || penalty != l2 || !intercept || seed != shuffleSeed {
 		return 0, fmt.Errorf("online: learner config (%v, %v, %d, %d, %v, %v, %v, %v, %d) is not this learner's",
 			anchor, prior, steps, batch, rate, decay, penalty, intercept, seed)

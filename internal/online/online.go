@@ -71,6 +71,11 @@ const (
 	shuffleSeed = 1
 )
 
+// InitAccuracy is the anchor accuracy: an untrained learner, and any
+// source with no active features, predicts it. The streaming engine's
+// estimator prior starts every source there too (stream.InitAccuracy).
+const InitAccuracy = 0.7
+
 // Accuracy clamp bounds, matching the streaming engine's
 // EstimateAccuracy so logits stay bounded either way.
 const (
@@ -103,12 +108,11 @@ type Learner struct {
 }
 
 // New returns an empty learner whose intercept is anchored at
-// initAccuracy, which must lie in (0, 1): an untrained learner (and any
-// source with no active features) predicts this accuracy.
-func New(initAccuracy float64) *Learner {
+// InitAccuracy.
+func New() *Learner {
 	return &Learner{
 		featIdx: map[string]int{},
-		w:       []float64{mathx.Logit(initAccuracy)},
+		w:       []float64{mathx.Logit(InitAccuracy)},
 	}
 }
 

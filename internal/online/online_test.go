@@ -9,12 +9,8 @@ import (
 	"slimfast/internal/wire"
 )
 
-// testInit is the anchor accuracy the tests build learners with, the
-// stream engine's default InitAccuracy.
-const testInit = 0.7
-
 func TestSetFeaturesInternsAndDedups(t *testing.T) {
-	l := New(testInit)
+	l := New()
 	l.SetFeatures(0, []string{"b", "a", "b"})
 	l.SetFeatures(1, []string{"a", "c"})
 	l.SetFeatures(2, nil)
@@ -37,13 +33,13 @@ func TestSetFeaturesInternsAndDedups(t *testing.T) {
 }
 
 func TestUntrainedPredictsInitAccuracy(t *testing.T) {
-	l := New(0.65)
+	l := New()
 	l.SetFeatures(0, []string{"f"})
-	if got := l.Predict(0); math.Abs(got-0.65) > 1e-12 {
-		t.Errorf("untrained Predict = %v, want 0.65", got)
+	if got := l.Predict(0); math.Abs(got-InitAccuracy) > 1e-12 {
+		t.Errorf("untrained Predict = %v, want %v", got, InitAccuracy)
 	}
-	if got := l.PredictLabels([]string{"unknown"}); math.Abs(got-0.65) > 1e-12 {
-		t.Errorf("untrained PredictLabels = %v, want 0.65", got)
+	if got := l.PredictLabels([]string{"unknown"}); math.Abs(got-InitAccuracy) > 1e-12 {
+		t.Errorf("untrained PredictLabels = %v, want %v", got, InitAccuracy)
 	}
 }
 
@@ -75,7 +71,7 @@ func feedCohorts(l *Learner, nPer, epochs int, accGood, accBad, mass float64) {
 }
 
 func TestLearnsFeatureSeparation(t *testing.T) {
-	l := New(testInit)
+	l := New()
 	feedCohorts(l, 6, 30, 0.9, 0.3, 20)
 	if wg, wb := l.w[1+l.featIdx["good"]], l.w[1+l.featIdx["bad"]]; wg <= wb+0.5 {
 		t.Errorf("good weight %.3f should clearly exceed bad %.3f", wg, wb)
@@ -93,7 +89,7 @@ func TestLearnsFeatureSeparation(t *testing.T) {
 }
 
 func TestBlendFollowsEvidenceMass(t *testing.T) {
-	l := New(testInit)
+	l := New()
 	feedCohorts(l, 6, 30, 0.9, 0.3, 20)
 	// Heavy evidence dominates the prior...
 	if a := l.Blend(6, 85, 100); math.Abs(a-0.85) > 0.03 {
@@ -112,7 +108,7 @@ func TestBlendFollowsEvidenceMass(t *testing.T) {
 
 func TestFitMassDeterministic(t *testing.T) {
 	run := func() *Learner {
-		l := New(testInit)
+		l := New()
 		feedCohorts(l, 5, 20, 0.85, 0.35, 10)
 		return l
 	}
@@ -130,7 +126,7 @@ func TestFitMassDeterministic(t *testing.T) {
 }
 
 func TestFitMassRejectsUnregisteredSources(t *testing.T) {
-	l := New(testInit)
+	l := New()
 	l.SetFeatures(0, nil)
 	defer func() {
 		if recover() == nil {
@@ -148,7 +144,7 @@ func encodeLearner(t *testing.T, l *Learner) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := wire.NewWriter(&buf, testMagic, 1)
-	EncodeConfig(w, testInit)
+	EncodeConfig(w)
 	l.Clone().EncodeState(w)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -161,11 +157,11 @@ func decodeLearner(b []byte) (*Learner, error) {
 	if err != nil {
 		return nil, err
 	}
-	ring, err := DecodeConfig(r, testInit)
+	ring, err := DecodeConfig(r)
 	if err != nil {
 		return nil, err
 	}
-	l := New(testInit)
+	l := New()
 	if err := l.DecodeState(r, ring); err != nil {
 		return nil, err
 	}
@@ -176,7 +172,7 @@ func decodeLearner(b []byte) (*Learner, error) {
 }
 
 func TestCodecRoundTripContinuesBitIdentically(t *testing.T) {
-	orig := New(testInit)
+	orig := New()
 	feedCohorts(orig, 4, 17, 0.88, 0.4, 12)
 	restored, err := decodeLearner(encodeLearner(t, orig))
 	if err != nil {
@@ -210,8 +206,8 @@ func assertSameLearner(t *testing.T, a, b *Learner) {
 // encodeWindowConfig writes the config block as a writer with a window
 // of the given length laid it out.
 func encodeWindowConfig(w *wire.Writer, window int) {
-	w.Float64(testInit)
-	w.Float64(4) // prior strength
+	w.Float64(0.7) // anchor accuracy
+	w.Float64(4)   // prior strength
 	w.Int(window)
 	w.Int(24) // steps
 	w.Int(16) // batch
@@ -230,7 +226,7 @@ func TestDecodeConfigChecksEverySlot(t *testing.T) {
 		var buf bytes.Buffer
 		w := wire.NewWriter(&buf, testMagic, 1)
 		writes := []func(){
-			func() { w.Float64(testInit) }, func() { w.Float64(4) }, func() { w.Int(0) },
+			func() { w.Float64(0.7) }, func() { w.Float64(4) }, func() { w.Int(0) },
 			func() { w.Int(24) }, func() { w.Int(16) }, func() { w.Float64(0.3) },
 			func() { w.Float64(0.01) }, func() { w.Float64(1e-3) }, func() { w.Bool(true) },
 			func() { w.Int64(1) },
@@ -250,11 +246,11 @@ func TestDecodeConfigChecksEverySlot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return DecodeConfig(r, testInit)
+		return DecodeConfig(r)
 	}
 	var buf bytes.Buffer
 	w := wire.NewWriter(&buf, testMagic, 1)
-	EncodeConfig(w, testInit)
+	EncodeConfig(w)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +303,7 @@ func TestDecodeConfigChecksEverySlot(t *testing.T) {
 // weights, counters and sources, and keeps training exactly like one
 // that never had the window.
 func TestDecodeStateDropsOldWindow(t *testing.T) {
-	ref := New(testInit)
+	ref := New()
 	feedCohorts(ref, 2, 5, 0.9, 0.3, 10)
 	var buf bytes.Buffer
 	w := wire.NewWriter(&buf, testMagic, 1)
@@ -347,13 +343,13 @@ func TestDecodeStateDropsOldWindow(t *testing.T) {
 // one zero per source in each window sum, the shape an older reader
 // accepts.
 func TestEncodeStateWritesCumulativeShape(t *testing.T) {
-	l := New(testInit)
+	l := New()
 	feedCohorts(l, 2, 3, 0.9, 0.3, 10)
 	r, err := wire.NewReader(bytes.NewReader(encodeLearner(t, l)), testMagic, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, err := DecodeConfig(r, testInit)
+	ring, err := DecodeConfig(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +461,7 @@ func TestDecodeStateRejectsCorruption(t *testing.T) {
 		}
 	}
 	// Truncation surfaces as a wire error, never a panic.
-	good := encodeLearner(t, New(testInit))
+	good := encodeLearner(t, New())
 	for _, cut := range []int{9, len(good) / 2, len(good) - 2} {
 		if _, err := decodeLearner(good[:cut]); err == nil {
 			t.Errorf("cut=%d: truncated state should be rejected", cut)
@@ -483,7 +479,7 @@ func writeEmptyRing(w *wire.Writer) {
 func TestAccuracyNamesAreStable(t *testing.T) {
 	// Guard the layout contract the engine relies on: feature ids are
 	// first-seen ordered and stable across identical registrations.
-	l := New(testInit)
+	l := New()
 	for s := 0; s < 4; s++ {
 		l.SetFeatures(s, []string{fmt.Sprintf("g%d", s%2)})
 	}

@@ -1,14 +1,13 @@
-// Package optim provides the first-order optimizers used to fit
-// SLiMFast's logistic-regression model: stochastic gradient descent
-// (the algorithm the paper runs on DeepDive's sampler), AdaGrad as an
-// ablation alternative, and a batch proximal-gradient loop used for the
-// L1-regularized Lasso-path experiments.
+// Package optim provides the stochastic gradient descent that fits
+// SLiMFast's logistic-regression model (the algorithm the paper runs
+// on DeepDive's sampler), plus the sparse gradient accumulator its
+// per-example callbacks write into.
 //
-// The optimizers minimize an empirical objective of the form
+// Minimize minimizes an empirical objective of the form
 //
 //	F(w) = (1/n) Σ_i f_i(w) + (λ2/2)||w||² + λ1||w||₁
 //
-// given only per-example gradient callbacks, so they are agnostic to the
+// given only per-example gradient callbacks, so it is agnostic to the
 // model structure.
 package optim
 
@@ -20,59 +19,41 @@ import (
 	"slimfast/internal/randx"
 )
 
-// Method selects the update rule.
-type Method int
-
+// The step-size schedule and the stopping rule. They converge reliably
+// on every dataset in the evaluation without per-dataset tuning.
 const (
-	// SGD is plain stochastic gradient descent with inverse-time decay.
-	SGD Method = iota
-	// AdaGrad scales each coordinate by the accumulated squared
-	// gradients.
-	AdaGrad
+	// learningRate is the initial step size; the step at update t is
+	// learningRate / (1 + decay·t).
+	learningRate = 0.3
+	decay        = 0.01
+
+	// tolerance stops a run early once the max |Δw| over an epoch
+	// drops below it.
+	tolerance = 1e-4
 )
 
 // Config controls an optimization run. The zero value is not valid; use
 // DefaultConfig as a starting point.
 type Config struct {
-	Method       Method
-	Epochs       int     // maximum passes over the data
-	LearningRate float64 // initial step size
-	Decay        float64 // inverse-time decay: lr_t = lr / (1 + Decay·t)
-	L2           float64 // ridge penalty λ2
-	L1           float64 // lasso penalty λ1 (applied proximally)
-	Tolerance    float64 // early stop when max |Δw| over an epoch < Tolerance
-	Seed         int64   // shuffle seed, for reproducibility
+	Epochs int     // maximum passes over the data
+	L2     float64 // ridge penalty λ2
+	L1     float64 // lasso penalty λ1 (applied proximally)
+	Seed   int64   // shuffle seed, for reproducibility
 }
 
-// DefaultConfig returns the settings used throughout the reproduction:
-// they converge reliably on every dataset in the evaluation without
-// per-dataset tuning.
+// DefaultConfig returns 50 epochs, no penalty and seed 1.
 func DefaultConfig() Config {
-	return Config{
-		Method:       SGD,
-		Epochs:       50,
-		LearningRate: 0.3,
-		Decay:        0.01,
-		Tolerance:    1e-4,
-		Seed:         1,
-	}
+	return Config{Epochs: 50, Seed: 1}
 }
 
-// Validate reports whether the configuration is usable. Each range
-// check is written so that NaN fails it, and every float must be
-// finite.
+// Validate reports whether the configuration is usable. The penalty
+// checks are written so that NaN fails them.
 func (c Config) Validate() error {
 	if c.Epochs <= 0 {
 		return errors.New("optim: Epochs must be positive")
 	}
-	if !(c.LearningRate > 0) || math.IsInf(c.LearningRate, 1) {
-		return errors.New("optim: LearningRate must be finite and positive")
-	}
 	if !finiteNonNegative(c.L1) || !finiteNonNegative(c.L2) {
 		return errors.New("optim: penalties must be finite and non-negative")
-	}
-	if !finiteNonNegative(c.Decay) {
-		return errors.New("optim: Decay must be finite and non-negative")
 	}
 	return nil
 }
@@ -237,10 +218,6 @@ func Minimize(n int, w []float64, grad GradFunc, cfg Config) (Result, error) {
 	}
 	rng := randx.New(cfg.Seed)
 	g := NewSparseSized(len(w))
-	var accum []float64 // AdaGrad accumulator
-	if cfg.Method == AdaGrad {
-		accum = make([]float64, len(w))
-	}
 	prev := make([]float64, len(w))
 	order := make([]int, n) // reused across epochs; same stream as Shuffled
 	var res Result
@@ -251,96 +228,21 @@ func Minimize(n int, w []float64, grad GradFunc, cfg Config) (Result, error) {
 		for _, i := range order {
 			g.Reset()
 			grad(i, w, g)
-			lr := cfg.LearningRate / (1 + cfg.Decay*float64(step))
+			lr := learningRate / (1 + decay*float64(step))
 			step++
 			for p, j := range g.idx {
-				gj := g.val[p] + cfg.L2*w[j]
-				eta := lr
-				if cfg.Method == AdaGrad {
-					accum[j] += gj * gj
-					eta = cfg.LearningRate / (1e-8 + math.Sqrt(accum[j]))
-				}
-				w[j] -= eta * gj
+				w[j] -= lr * (g.val[p] + cfg.L2*w[j])
 				if cfg.L1 > 0 {
-					w[j] = mathx.SoftThreshold(w[j], eta*cfg.L1)
+					w[j] = mathx.SoftThreshold(w[j], lr*cfg.L1)
 				}
 			}
 		}
 		res.Epochs = epoch + 1
 		res.LastDelta = mathx.MaxAbsDiff(w, prev)
-		if cfg.Tolerance > 0 && res.LastDelta < cfg.Tolerance {
+		if res.LastDelta < tolerance {
 			res.Converged = true
 			return res, nil
 		}
-	}
-	return res, nil
-}
-
-// BatchGradFunc computes the full-batch gradient of the smooth part of
-// the objective at w into grad (zeroed, len(w)) and returns the smooth
-// loss value.
-type BatchGradFunc func(w []float64, grad []float64) float64
-
-// ProximalGradient minimizes smooth(w) + λ1||w||₁ with ISTA-style
-// proximal gradient steps and backtracking line search. It is used for
-// the Lasso path (Section 5.3.1), where a deterministic solution per
-// penalty keeps the path smooth.
-func ProximalGradient(w []float64, smooth BatchGradFunc, l1 float64, maxIter int, tol float64) (Result, error) {
-	if maxIter <= 0 {
-		return Result{}, errors.New("optim: maxIter must be positive")
-	}
-	if l1 < 0 {
-		return Result{}, errors.New("optim: l1 must be non-negative")
-	}
-	// Two gradient buffers, allocated once and swapped: grad holds the
-	// gradient at w, gNext receives the trial point's gradient during
-	// backtracking. The old loop allocated a fresh gNext per
-	// backtracking try and threw the trial gradient away, recomputing
-	// it at the top of the next iteration — since smooth is a pure
-	// function, the accepted trial's gradient IS the next iteration's
-	// gradient, so the swap halves the smooth() calls and the hot loop
-	// allocates nothing.
-	grad := make([]float64, len(w))
-	next := make([]float64, len(w))
-	gNext := make([]float64, len(w))
-	lr := 1.0
-	var res Result
-	loss := smooth(w, grad)
-	for iter := 0; iter < maxIter; iter++ {
-		// Backtracking: halve lr until the quadratic upper bound holds.
-		var lossNext float64
-		for try := 0; ; try++ {
-			for j := range w {
-				next[j] = mathx.SoftThreshold(w[j]-lr*grad[j], lr*l1)
-			}
-			for j := range gNext {
-				gNext[j] = 0
-			}
-			lossNext = smooth(next, gNext)
-			// Upper bound: loss + <grad, Δ> + ||Δ||²/(2lr)
-			var lin, quad float64
-			for j := range w {
-				d := next[j] - w[j]
-				lin += grad[j] * d
-				quad += d * d
-			}
-			if lossNext <= loss+lin+quad/(2*lr)+1e-12 || try >= 40 {
-				break
-			}
-			lr /= 2
-		}
-		delta := mathx.MaxAbsDiff(next, w)
-		copy(w, next)
-		grad, gNext = gNext, grad
-		loss = lossNext
-		res.Epochs = iter + 1
-		res.LastDelta = delta
-		if delta < tol {
-			res.Converged = true
-			return res, nil
-		}
-		// Gentle growth so the step size can recover after backtracks.
-		lr *= 1.1
 	}
 	return res, nil
 }

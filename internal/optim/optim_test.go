@@ -3,8 +3,6 @@ package optim
 import (
 	"math"
 	"testing"
-
-	"slimfast/internal/mathx"
 )
 
 // quadratic builds a per-example gradient for F(w) = mean_i (w - t_i)^2/2
@@ -22,7 +20,6 @@ func TestMinimizeQuadratic(t *testing.T) {
 	w := []float64{10}
 	cfg := DefaultConfig()
 	cfg.Epochs = 400
-	cfg.LearningRate = 0.1
 	res, err := Minimize(len(targets), w, quadratic(targets), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -32,27 +29,11 @@ func TestMinimizeQuadratic(t *testing.T) {
 	}
 }
 
-func TestMinimizeAdaGrad(t *testing.T) {
-	targets := []float64{-2, -2, -2, -2}
-	w := []float64{5}
-	cfg := DefaultConfig()
-	cfg.Method = AdaGrad
-	cfg.Epochs = 500
-	cfg.LearningRate = 1.0
-	if _, err := Minimize(len(targets), w, quadratic(targets), cfg); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(w[0]-(-2)) > 0.1 {
-		t.Errorf("AdaGrad w = %v, want ~-2", w[0])
-	}
-}
-
 func TestMinimizeL2ShrinksTowardZero(t *testing.T) {
 	targets := []float64{4, 4, 4, 4}
 	w := []float64{0}
 	cfg := DefaultConfig()
 	cfg.Epochs = 500
-	cfg.LearningRate = 0.1
 	cfg.L2 = 1.0
 	if _, err := Minimize(len(targets), w, quadratic(targets), cfg); err != nil {
 		t.Fatal(err)
@@ -73,7 +54,6 @@ func TestMinimizeL1SparsifiesIrrelevantCoord(t *testing.T) {
 	w := []float64{0, 0.5}
 	cfg := DefaultConfig()
 	cfg.Epochs = 300
-	cfg.LearningRate = 0.1
 	cfg.L1 = 0.05
 	if _, err := Minimize(10, w, grad, cfg); err != nil {
 		t.Fatal(err)
@@ -89,9 +69,7 @@ func TestMinimizeL1SparsifiesIrrelevantCoord(t *testing.T) {
 func TestMinimizeConvergenceFlag(t *testing.T) {
 	targets := []float64{1, 1}
 	w := []float64{1} // already at optimum
-	cfg := DefaultConfig()
-	cfg.Tolerance = 1e-6
-	res, err := Minimize(len(targets), w, quadratic(targets), cfg)
+	res, err := Minimize(len(targets), w, quadratic(targets), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +87,6 @@ func TestMinimizeDeterministic(t *testing.T) {
 		w := []float64{0}
 		cfg := DefaultConfig()
 		cfg.Epochs = 10
-		cfg.Tolerance = 0 // force all epochs
 		_, _ = Minimize(len(targets), w, quadratic(targets), cfg)
 		return w[0]
 	}
@@ -132,23 +109,15 @@ func TestMinimizeZeroExamples(t *testing.T) {
 func TestConfigValidate(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	bad := []Config{
-		{Epochs: 0, LearningRate: 1},
-		{Epochs: 1, LearningRate: 0},
-		{Epochs: 1, LearningRate: 1, L1: -1},
-		{Epochs: 1, LearningRate: 1, L2: -1},
-		{Epochs: 1, LearningRate: 1, Decay: -1},
-		{Epochs: 1, LearningRate: nan},
-		{Epochs: 1, LearningRate: inf},
-		{Epochs: 1, LearningRate: -inf},
-		{Epochs: 1, LearningRate: 1, L1: nan},
-		{Epochs: 1, LearningRate: 1, L1: inf},
-		{Epochs: 1, LearningRate: 1, L1: -inf},
-		{Epochs: 1, LearningRate: 1, L2: nan},
-		{Epochs: 1, LearningRate: 1, L2: inf},
-		{Epochs: 1, LearningRate: 1, L2: -inf},
-		{Epochs: 1, LearningRate: 1, Decay: nan},
-		{Epochs: 1, LearningRate: 1, Decay: inf},
-		{Epochs: 1, LearningRate: 1, Decay: -inf},
+		{Epochs: 0},
+		{Epochs: 1, L1: -1},
+		{Epochs: 1, L2: -1},
+		{Epochs: 1, L1: nan},
+		{Epochs: 1, L1: inf},
+		{Epochs: 1, L1: -inf},
+		{Epochs: 1, L2: nan},
+		{Epochs: 1, L2: inf},
+		{Epochs: 1, L2: -inf},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -157,79 +126,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
-	}
-}
-
-// logisticSmooth returns the batch gradient function for a tiny
-// 1-feature logistic regression with targets y in {0,1}.
-func logisticSmooth(xs []float64, ys []int) BatchGradFunc {
-	return func(w, grad []float64) float64 {
-		var loss float64
-		n := float64(len(xs))
-		for i, x := range xs {
-			p := mathx.Logistic(w[0] * x)
-			y := float64(ys[i])
-			loss += -(y*math.Log(mathx.ClampProb(p)) + (1-y)*math.Log(mathx.ClampProb(1-p)))
-			grad[0] += (p - y) * x / n
-		}
-		return loss / n
-	}
-}
-
-func TestProximalGradientLogistic(t *testing.T) {
-	xs := []float64{1, 1, 1, 1, -1, -1, -1, -1}
-	ys := []int{1, 1, 1, 0, 0, 0, 0, 1}
-	w := []float64{0}
-	res, err := ProximalGradient(w, logisticSmooth(xs, ys), 0, 500, 1e-8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 6/8 agreement: optimum w satisfies logistic(w) = 0.75, w = log 3.
-	if math.Abs(w[0]-math.Log(3)) > 1e-3 {
-		t.Errorf("w = %v, want log 3 ~= 1.0986 (res %+v)", w[0], res)
-	}
-}
-
-func TestProximalGradientL1KillsWeakSignal(t *testing.T) {
-	xs := []float64{1, 1, -1, -1}
-	ys := []int{1, 0, 0, 1} // no signal at all
-	w := []float64{2}
-	if _, err := ProximalGradient(w, logisticSmooth(xs, ys), 0.5, 500, 1e-10); err != nil {
-		t.Fatal(err)
-	}
-	if w[0] != 0 {
-		t.Errorf("strong L1 on pure noise should zero the weight, got %v", w[0])
-	}
-}
-
-func TestProximalGradientErrors(t *testing.T) {
-	if _, err := ProximalGradient([]float64{0}, nil, 0, 0, 1e-6); err == nil {
-		t.Error("maxIter=0 should error")
-	}
-	if _, err := ProximalGradient([]float64{0}, nil, -1, 10, 1e-6); err == nil {
-		t.Error("negative l1 should error")
-	}
-}
-
-func TestProximalGradientMonotoneLoss(t *testing.T) {
-	xs := []float64{2, 1, -1, -2, 0.5, -0.5}
-	ys := []int{1, 1, 0, 0, 1, 0}
-	w := []float64{0}
-	sm := logisticSmooth(xs, ys)
-	g := make([]float64, 1)
-	prevLoss := sm(w, g)
-	for i := 0; i < 20; i++ {
-		if _, err := ProximalGradient(w, sm, 0, 1, 0); err != nil {
-			t.Fatal(err)
-		}
-		for j := range g {
-			g[j] = 0
-		}
-		loss := sm(w, g)
-		if loss > prevLoss+1e-9 {
-			t.Fatalf("loss increased at iter %d: %v -> %v", i, prevLoss, loss)
-		}
-		prevLoss = loss
 	}
 }
 

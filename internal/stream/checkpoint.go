@@ -224,7 +224,7 @@ func encodeOptions(w *wire.Writer, o EngineOptions) {
 	if !o.OnlineLearn {
 		return
 	}
-	online.EncodeConfig(w, InitAccuracy)
+	online.EncodeConfig(w)
 	names := make([]string, 0, len(o.Features))
 	for name := range o.Features {
 		names = append(names, name)
@@ -262,7 +262,7 @@ func decodeOptions(r *wire.Reader) (o EngineOptions, ring int, err error) {
 	if !o.OnlineLearn {
 		return o, 0, nil
 	}
-	ring, err = online.DecodeConfig(r, InitAccuracy)
+	ring, err = online.DecodeConfig(r)
 	if err != nil {
 		if r.Err() != nil {
 			return o, 0, err

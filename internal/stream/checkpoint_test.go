@@ -627,7 +627,7 @@ func TestRestoreLyingFeatureCount(t *testing.T) {
 	w.Int(0)     // MaxObjects
 	w.Int(DedupWindow)
 	w.Bool(true) // OnlineLearn
-	online.EncodeConfig(w, InitAccuracy)
+	online.EncodeConfig(w)
 	w.Uint32(1 << 22) // feature rows declared, none delivered
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

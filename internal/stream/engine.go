@@ -373,7 +373,7 @@ func NewEngine(opts EngineOptions) (*Engine, error) {
 		e.shardCap = (opts.MaxObjects + n - 1) / n
 	}
 	if opts.onlineEnabled() {
-		e.learner = online.New(InitAccuracy)
+		e.learner = online.New()
 		e.features = opts.Features
 	}
 	e.initSigma = mathx.Logit(EstimateAccuracy(0, 0))

@@ -22,15 +22,17 @@ import (
 	"errors"
 
 	"slimfast/internal/mathx"
+	"slimfast/internal/online"
 )
 
 // The estimator's prior: a never-seen source starts at InitAccuracy,
-// backed by PriorStrength pseudo-observations, so the larger the
-// strength, the more observations a source needs to move its accuracy
-// estimate. Both are fixed; checkpoints and cluster manifests record
-// them, and their readers reject any other value.
+// the online learner's anchor, backed by PriorStrength
+// pseudo-observations, so the larger the strength, the more
+// observations a source needs to move its accuracy estimate. Both are
+// fixed; checkpoints and cluster manifests record them, and their
+// readers reject any other value.
 const (
-	InitAccuracy  float64 = 0.7
+	InitAccuracy  float64 = online.InitAccuracy
 	PriorStrength float64 = 4
 )
 
