@@ -320,12 +320,11 @@ func BenchmarkObserveBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkCheckpointRestore measures a warm restart: stream.Restore
-// of an in-memory checkpoint of a fixed synthetic engine (20k objects,
-// 400 sources, 8 claims per object over 4-value domains, 4 shards).
-// MB/s is decode throughput over the checkpoint bytes; allocs/op is
-// dominated by the restored engine's own slabs, about six per object.
-func BenchmarkCheckpointRestore(b *testing.B) {
+// checkpointBenchEngine is the engine the checkpoint benchmarks write
+// and restore: a fixed synthetic stream of 20k objects, 400 sources and
+// 8 claims per object over 4-value domains, on 4 shards.
+func checkpointBenchEngine(b *testing.B) *stream.Engine {
+	b.Helper()
 	inst, err := synth.Generate(synth.Config{
 		Name: "restore", Sources: 400, Objects: 20000, DomainSize: 4,
 		Assignment: synth.FixedPerObject, ObsPerObject: 8,
@@ -352,6 +351,34 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 		b.Fatal(err)
 	}
 	e.ObserveBatch(claims)
+	return e
+}
+
+// BenchmarkCheckpointWrite measures a checkpoint of
+// checkpointBenchEngine to io.Discard: the per-shard copy under the
+// read lock and the encode. MB/s is over the checkpoint bytes; the
+// copy allocates per shard, not per object.
+func BenchmarkCheckpointWrite(b *testing.B) {
+	e := checkpointBenchEngine(b)
+	var buf bytes.Buffer
+	if err := e.WriteCheckpoint(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.WriteCheckpoint(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCheckpointRestore measures a warm restart: stream.Restore
+// of an in-memory checkpoint of checkpointBenchEngine. MB/s is decode
+// throughput over the checkpoint bytes; allocs/op counts blocks, not
+// objects: each shard's arrays and names are carved from shared blocks.
+func BenchmarkCheckpointRestore(b *testing.B) {
+	e := checkpointBenchEngine(b)
 	var buf bytes.Buffer
 	if err := e.WriteCheckpoint(&buf); err != nil {
 		b.Fatal(err)

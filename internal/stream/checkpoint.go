@@ -24,6 +24,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strings"
 
 	"slimfast/internal/online"
 	"slimfast/internal/wire"
@@ -45,10 +46,10 @@ const (
 
 // maxCheckpointSlots bounds slab and claim counts read from a
 // checkpoint before its checksum has been verified. Decoding also
-// grows those slabs as records actually arrive (growSlots at a time)
-// rather than preallocating the declared count, so a corrupted
-// length cannot drive an absurd allocation: on a finite stream it
-// just runs into wire.ErrTruncated.
+// grows slots and arrays as records actually arrive (in chunks and
+// blocks of at most growSlots) rather than preallocating the declared
+// count, so a corrupted length cannot drive an absurd allocation: on a
+// finite stream it just runs into wire.ErrTruncated.
 const (
 	maxCheckpointSlots = 1 << 28
 	growSlots          = 1 << 12
@@ -98,10 +99,25 @@ type shardSnapshot struct {
 
 // snapshot deep-copies the shard. Dead (freelist) slots keep only
 // their placeholder: their slice contents are garbage by contract and
-// are not part of the format.
+// are not part of the format. A first pass sizes the copy, so the live
+// objects' claims, domains, scores and posteriors land in four exact
+// per-shard blocks, not four copies per object.
 func (sh *shard) snapshot() shardSnapshot {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
+	var nClaims, nDomain, nScores, nPost int
+	for ix := range sh.objs {
+		if obj := &sh.objs[ix]; obj.live {
+			nClaims += len(obj.claims)
+			nDomain += len(obj.domain)
+			nScores += len(obj.scores)
+			nPost += len(obj.post)
+		}
+	}
+	claims := make([]claim, 0, nClaims)
+	domain := make([]domEntry, 0, nDomain)
+	scores := make([]float64, 0, nScores)
+	post := make([]float64, 0, nPost)
 	sn := shardSnapshot{
 		objs:           make([]object, len(sh.objs)),
 		free:           append([]int(nil), sh.free...),
@@ -126,12 +142,20 @@ func (sh *shard) snapshot() shardSnapshot {
 			continue
 		}
 		*dst = *src
-		dst.claims = append([]claim(nil), src.claims...)
-		dst.domain = append([]domEntry(nil), src.domain...)
-		dst.scores = append([]float64(nil), src.scores...)
-		dst.post = append([]float64(nil), src.post...)
+		dst.claims = copyInto(&claims, src.claims)
+		dst.domain = copyInto(&domain, src.domain)
+		dst.scores = copyInto(&scores, src.scores)
+		dst.post = copyInto(&post, src.post)
 	}
 	return sn
+}
+
+// copyInto appends src to *blk, which the caller sized to hold it, and
+// returns the cap-limited window of *blk the copy occupies.
+func copyInto[T any](blk *[]T, src []T) []T {
+	lo := len(*blk)
+	*blk = append(*blk, src...)
+	return (*blk)[lo:len(*blk):len(*blk)]
 }
 
 // WriteCheckpoint serializes the engine to w. It is safe to call
@@ -457,6 +481,13 @@ func Restore(r io.Reader) (*Engine, error) {
 
 // decodeShard reads one shard record into e.shards[s], validating
 // every id and index against the tables decoded so far.
+//
+// It allocates per block of bytes, not per object. Slots arrive into
+// chunks that double up to growSlots slots and are copied once into an
+// exact sh.objs; a shard that fits the first chunk keeps it. Each live
+// object's arrays are windows of the shard's restoreBlocks and its name
+// a substring of a name block, and the object index is built in a pass
+// over the copied slots, sized to the live count.
 func decodeShard(rr *wire.Reader, e *Engine, s, nSrc, nVals int) error {
 	tag := int(rr.Uint32())
 	nObjs := int(rr.Uint32())
@@ -470,7 +501,10 @@ func decodeShard(rr *wire.Reader, e *Engine, s, nSrc, nVals int) error {
 		return corruptf("shard %d declares %d object slots", s, nObjs)
 	}
 	sh := &e.shards[s]
-	sh.objs = make([]object, 0, min(nObjs, growSlots))
+	var blk restoreBlocks
+	var full [][]object // filled chunks, in slot order
+	chunk := make([]object, 0, min(nObjs, minBlock))
+	nLive := 0
 	for ix := 0; ix < nObjs; ix++ {
 		// Bail as soon as the stream goes bad: with a sticky read error
 		// every further record decodes as zeros, and a lying nObjs must
@@ -478,15 +512,19 @@ func decodeShard(rr *wire.Reader, e *Engine, s, nSrc, nVals int) error {
 		if err := rr.Err(); err != nil {
 			return fmt.Errorf("stream: restore: %w", err)
 		}
-		sh.objs = append(sh.objs, object{})
-		obj := &sh.objs[ix]
+		if len(chunk) == cap(chunk) {
+			full = append(full, chunk)
+			chunk = make([]object, 0, min(nObjs-ix, 2*cap(chunk), growSlots))
+		}
+		chunk = append(chunk, object{})
+		obj := &chunk[len(chunk)-1]
 		if !rr.Bool() {
 			obj.mapVal = -1
 			obj.prev, obj.next = -1, -1
 			continue
 		}
 		obj.live = true
-		obj.name = rr.String()
+		obj.name = blk.name(rr)
 		obj.epoch = rr.Int64()
 		obj.changed = rr.Int64()
 		obj.prev = lruLink(rr.Int())
@@ -499,7 +537,7 @@ func decodeShard(rr *wire.Reader, e *Engine, s, nSrc, nVals int) error {
 		if nClaims > maxCheckpointSlots {
 			return corruptf("shard %d object %d declares %d claims", s, ix, nClaims)
 		}
-		obj.claims = make([]claim, 0, min(nClaims, growSlots))
+		obj.claims = window(&blk.claims, nClaims)
 		for i := 0; i < nClaims; i++ {
 			if err := rr.Err(); err != nil {
 				return fmt.Errorf("stream: restore: %w", err)
@@ -510,9 +548,11 @@ func decodeShard(rr *wire.Reader, e *Engine, s, nSrc, nVals int) error {
 				settled: rr.Float64(),
 			})
 		}
-		nRefs := decodeDomain(rr, obj)
-		obj.scores = rr.Float64s()
-		obj.post = rr.Float64s()
+		nRefs := decodeDomain(rr, obj, &blk.domain)
+		n := rr.Len()
+		obj.scores = rr.AppendFloat64s(window(&blk.scores, n), n)
+		n = rr.Len()
+		obj.post = rr.AppendFloat64s(window(&blk.post, n), n)
 		if err := rr.Err(); err != nil {
 			return fmt.Errorf("stream: restore: %w", err)
 		}
@@ -545,13 +585,29 @@ func decodeShard(rr *wire.Reader, e *Engine, s, nSrc, nVals int) error {
 		if home := ShardIndex(obj.name, e.nShards); home != s {
 			return corruptf("shard %d holds object %q, which routes to shard %d", s, obj.name, home)
 		}
+		nLive++
+	}
+	sh.objs = chunk
+	if len(full) > 0 {
+		sh.objs = make([]object, 0, nObjs)
+		for _, c := range full {
+			sh.objs = append(sh.objs, c...)
+		}
+		sh.objs = append(sh.objs, chunk...)
+	}
+	sh.index.reserve(nLive)
+	for ix := range sh.objs {
+		obj := &sh.objs[ix]
+		if !obj.live {
+			continue
+		}
 		h := sh.index.hash(obj.name)
 		if sh.index.find(sh.objs, obj.name, h) >= 0 {
 			return corruptf("shard %d has object %q twice", s, obj.name)
 		}
 		sh.indexAdd(ix, h)
-		sh.nLive++
 	}
+	sh.nLive = nLive
 	sh.free = rr.Ints()
 	sh.dirtyIx = rr.Ints()
 	sh.lruHead = rr.Int()
@@ -615,14 +671,77 @@ func decodeShard(rr *wire.Reader, e *Engine, s, nSrc, nVals int) error {
 	return nil
 }
 
+// restoreBlocks are the per-shard blocks a shard's restored objects
+// are carved from: each live object's claims, domain, scores and post
+// are cap-limited windows of the first four, and its name a substring
+// of names. A window is exactly its array's length, so the engine's
+// appends (apply, ensureDomain, refreshPosterior) copy out of the
+// block rather than write over a neighbour, and a reused free slot
+// reslices inside its own window. A block stays reachable while any
+// window or name cut from it does.
+type restoreBlocks struct {
+	claims []claim
+	domain []domEntry
+	scores []float64
+	post   []float64
+	names  strings.Builder
+}
+
+// Block sizes, in elements (bytes for names): a shard's first block of
+// each kind holds minBlock, and each new one doubles up to growSlots
+// (names: nameBlock bytes), so a small shard allocates little and a
+// large one allocates once per full block. An array or name longer
+// than one block is decoded on its own, from minBlock up, grown as its
+// elements arrive, so a lying count never reserves more than a block.
+const (
+	minBlock  = 64
+	nameBlock = 1 << 16
+)
+
+// window returns an empty slice with room for exactly n elements, cut
+// from the free tail of *blk; a new block starts when the tail is
+// short. It returns nil for n == 0.
+func window[T any](blk *[]T, n int) []T {
+	switch {
+	case n == 0:
+		return nil
+	case n > growSlots:
+		return make([]T, 0, minBlock)
+	case cap(*blk)-len(*blk) < n:
+		*blk = make([]T, 0, min(max(n, 2*cap(*blk), minBlock), growSlots))
+	}
+	lo := len(*blk)
+	*blk = (*blk)[:lo+n]
+	return (*blk)[lo : lo : lo+n]
+}
+
+// name decodes a length-prefixed object name as a substring of the
+// name block; a name longer than a block gets a Builder of its own.
+func (b *restoreBlocks) name(rr *wire.Reader) string {
+	n := rr.Len()
+	if n > nameBlock {
+		var long strings.Builder
+		rr.AppendString(&long, n)
+		return long.String()
+	}
+	if b.names.Cap()-b.names.Len() < n {
+		size := min(max(n, 2*b.names.Cap(), minBlock), nameBlock)
+		b.names.Reset()
+		b.names.Grow(size)
+	}
+	lo := b.names.Len()
+	rr.AppendString(&b.names, n)
+	return b.names.String()[lo:]
+}
+
 // decodeDomain reads an object's domain and refs arrays, as Int32s
-// wrote them, straight into obj.domain's pairs, growing it as entries
-// arrive. It returns the refs array's declared length for the caller's
-// ragged-slab check: refs past the domain's length are read and
-// dropped, and missing ones are left 0.
-func decodeDomain(rr *wire.Reader, obj *object) (nRefs int) {
+// wrote them, straight into obj.domain's pairs, a window of the domain
+// block blk. It returns the refs array's declared length for the
+// caller's ragged-slab check: refs past the domain's length are read
+// and dropped, and missing ones are left 0.
+func decodeDomain(rr *wire.Reader, obj *object, blk *[]domEntry) (nRefs int) {
 	nd := rr.Len()
-	obj.domain = make([]domEntry, 0, min(nd, growSlots))
+	obj.domain = window(blk, nd)
 	for i := 0; i < nd && rr.Err() == nil; i++ {
 		obj.domain = append(obj.domain, domEntry{val: int32(rr.Uint32())})
 	}

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"slimfast/internal/mathx"
 	"slimfast/internal/online"
@@ -754,9 +756,11 @@ func TestRestoreCutAtBlockBoundaries(t *testing.T) {
 }
 
 // TestRestoreAllocsPerLiveObject pins what a warm restart allocates:
-// per live object, its name and its claim, domain (values and refs in
-// one block), score and posterior slabs, plus its share of the shard
-// index and the tables.
+// per shard, the slot chunks and their one exact copy, the object
+// index, and the blocks every live object's name, claims, domain
+// (values and refs in one block), scores and posterior are carved
+// from; per engine, the tables. Nothing is allocated per object, so
+// the count per live object is a fraction that falls as shards fill.
 // The wire decoder's own scratch must not show up per value decoded.
 func TestRestoreAllocsPerLiveObject(t *testing.T) {
 	if raceEnabled {
@@ -769,9 +773,215 @@ func TestRestoreAllocsPerLiveObject(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const maxPerObject = 5.5 // measured 5.25 on this checkpoint
+	const maxPerObject = 0.5 // measured 0.39 on this checkpoint
 	if per := allocs / float64(live); per > maxPerObject {
 		t.Errorf("Restore makes %.2f allocations per live object (%v for %d), want <= %v",
 			per, allocs, live, maxPerObject)
+	}
+}
+
+// lyingShardCheckpoint hand-writes a one-shard checkpoint holding one
+// live object, "obj", with one claim by source 0 for value 0. With lie
+// empty it is well formed. Otherwise the count lie names ("slots",
+// "name", "claims", "domain", "refs", "scores" or "post") declares
+// 2^28-1 entries, and only eight zero bytes and the footer follow it.
+func lyingShardCheckpoint(t *testing.T, lie string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf, checkpointMagic, checkpointVersion)
+	opts := DefaultEngineOptions()
+	opts.Shards = 1
+	opts.EpochLength = 8
+	encodeOptions(w, opts)
+	w.Int64(1) // observations
+	w.Int64(1) // since epoch
+	w.Strings([]string{"a"})
+	w.Float64s([]float64{0}) // agree
+	w.Float64s([]float64{0}) // total
+	w.Float64s([]float64{0.5})
+	w.Float64s([]float64{0}) // sigma
+	w.Int64(0)
+	w.Strings([]string{"x"})
+	w.Uint32(1) // shard records
+	w.Uint32(0) // shard tag
+	steps := []struct {
+		count string
+		n     uint32
+		body  func()
+	}{
+		{"slots", 1, func() { w.Bool(true) }},
+		{"name", 3, func() {
+			for _, c := range []byte("obj") {
+				w.Uint8(c)
+			}
+			w.Int64(0)    // epoch
+			w.Int64(0)    // changed
+			w.Int(-1)     // prev
+			w.Int(-1)     // next
+			w.Bool(false) // dirty
+		}},
+		{"claims", 1, func() { w.Uint32(0); w.Uint32(0); w.Float64(0) }},
+		{"domain", 1, func() { w.Uint32(0) }},
+		{"refs", 1, func() { w.Uint32(1) }},
+		{"scores", 1, func() { w.Float64(0.5) }},
+		{"post", 1, func() { w.Float64(1) }},
+	}
+	for _, st := range steps {
+		if st.count == lie {
+			w.Uint32(1<<28 - 1)
+			w.Uint64(0)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		w.Uint32(st.n)
+		st.body()
+	}
+	if lie != "" {
+		t.Fatalf("no count named %q", lie)
+	}
+	w.Ints(nil) // free list
+	w.Ints(nil) // dirty list
+	w.Int(0)    // lruHead
+	w.Int(0)    // lruTail
+	w.Float64s([]float64{0})
+	w.Float64s([]float64{0})
+	w.Int64s([]int64{0})
+	w.Float64s([]float64{0})
+	w.Float64s([]float64{0})
+	w.Int64(0)
+	w.Int64(0)
+	w.Float64(0)
+	w.Strings(nil) // dedup window
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRestoreLyingCountsStayBounded: a shard-record count that
+// declares 2^28-1 entries and delivers eight bytes must fail with
+// wire.ErrTruncated, having allocated at most 64 bytes per input byte
+// beyond what restoring the honest checkpoint of the same shape does.
+// Decoding grows slots, names and arrays as their bytes arrive, from
+// a small first chunk, so the excess tracks the input, never the
+// declared count's gigabytes.
+func TestRestoreLyingCountsStayBounded(t *testing.T) {
+	// allocated is the least TotalAlloc growth of three restores, so an
+	// allocation elsewhere in the process cannot fail the bound.
+	allocated := func(ckpt []byte) (least uint64, err error) {
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			var e *Engine
+			e, err = Restore(bytes.NewReader(ckpt))
+			runtime.ReadMemStats(&after)
+			if e != nil && err != nil {
+				t.Fatalf("Restore returned an engine and %v", err)
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; i == 0 || n < least {
+				least = n
+			}
+		}
+		return least, err
+	}
+	honest := lyingShardCheckpoint(t, "")
+	base, err := allocated(honest)
+	if err != nil {
+		t.Fatalf("well-formed hand-written checkpoint: %v", err)
+	}
+	for _, lie := range []string{"slots", "name", "claims", "domain", "refs", "scores", "post"} {
+		ckpt := lyingShardCheckpoint(t, lie)
+		n, err := allocated(ckpt)
+		if !errors.Is(err, wire.ErrTruncated) {
+			t.Errorf("lying %s count: err = %v, want wire.ErrTruncated", lie, err)
+		}
+		if n > base+64*uint64(len(ckpt)) {
+			t.Errorf("lying %s count: Restore allocated %d bytes for a %d-byte checkpoint; the honest one took %d",
+				lie, n, len(ckpt), base)
+		}
+	}
+}
+
+// TestRestoredWindowsDoNotAlias: right after Restore every live
+// object's arrays are windows exactly their length, and no two share
+// memory, so the engine's appends copy out of the block instead of
+// writing over a neighbour. A new source then claims a new value for
+// every object, across epoch refreshes that rebuild every score slab
+// from the claims: each slot must match the never-stopped engine's bit
+// for bit, and so must the fingerprint.
+func TestRestoredWindowsDoNotAlias(t *testing.T) {
+	_, triples := streamInstance(t, 12)
+	opts := DefaultEngineOptions()
+	opts.Shards = 2
+	opts.EpochLength = 64
+	e, err := NewEngine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range triples {
+		e.Observe(tr[0], tr[1], tr[2])
+	}
+	var buf bytes.Buffer
+	if err := e.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Restore(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type span struct{ lo, hi uintptr }
+	var spans []span
+	add := func(p unsafe.Pointer, n, c int, size uintptr) error {
+		if c != n {
+			return fmt.Errorf("window holds %d, has room for %d", n, c)
+		}
+		if c > 0 {
+			spans = append(spans, span{uintptr(p), uintptr(p) + uintptr(c)*size})
+		}
+		return nil
+	}
+	var names []string
+	for s := range r.shards {
+		for ix := range r.shards[s].objs {
+			o := &r.shards[s].objs[ix]
+			if !o.live {
+				continue
+			}
+			names = append(names, o.name)
+			for _, err := range []error{
+				add(unsafe.Pointer(unsafe.SliceData(o.claims)), len(o.claims), cap(o.claims), unsafe.Sizeof(claim{})),
+				add(unsafe.Pointer(unsafe.SliceData(o.domain)), len(o.domain), cap(o.domain), unsafe.Sizeof(domEntry{})),
+				add(unsafe.Pointer(unsafe.SliceData(o.scores)), len(o.scores), cap(o.scores), 8),
+				add(unsafe.Pointer(unsafe.SliceData(o.post)), len(o.post), cap(o.post), 8),
+			} {
+				if err != nil {
+					t.Fatalf("shard %d slot %d (%q): %v", s, ix, o.name, err)
+				}
+			}
+		}
+	}
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+	for i := 1; i < len(spans); i++ {
+		if spans[i].lo < spans[i-1].hi {
+			t.Fatalf("restored arrays overlap: [%#x, %#x) and [%#x, %#x)",
+				spans[i-1].lo, spans[i-1].hi, spans[i].lo, spans[i].hi)
+		}
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		e.Observe("fresh-source", name, "fresh-value")
+		r.Observe("fresh-source", name, "fresh-value")
+	}
+	for s := range e.shards {
+		for ix := range e.shards[s].objs {
+			if err := sameObject(&r.shards[s].objs[ix], &e.shards[s].objs[ix]); err != nil {
+				t.Fatalf("shard %d slot %d after new claims: %v", s, ix, err)
+			}
+		}
+	}
+	if a, b := engineFingerprint(e), engineFingerprint(r); a != b {
+		t.Errorf("fingerprints differ after new claims: never stopped %x, restored %x", a, b)
 	}
 }

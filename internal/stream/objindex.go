@@ -67,6 +67,18 @@ func (t *objIndex) insert(h uint64, slot int) {
 	t.n++
 }
 
+// reserve sizes an empty table for n names, so n inserts never grow it.
+func (t *objIndex) reserve(n int) {
+	if n == 0 {
+		return
+	}
+	size := objIndexMinWords
+	for size < 2*n {
+		size *= 2
+	}
+	t.words = make([]uint64, size)
+}
+
 // place stores w in the first empty word from its home.
 func (t *objIndex) place(w uint64) {
 	mask := uint64(len(t.words) - 1)

@@ -18,6 +18,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"strings"
 )
 
 // Typed decode failures. Callers match with errors.Is; the returned
@@ -61,6 +62,7 @@ type Writer struct {
 	crc hash.Hash32
 	err error
 	buf [8]byte
+	str []byte // String's copy of its bytes, reused across calls
 }
 
 // NewWriter starts a stream: it writes the 4-byte magic and the
@@ -142,10 +144,13 @@ func (w *Writer) Int(v int) { w.Int64(int64(v)) }
 // for bit (NaN payloads and signed zeros included).
 func (w *Writer) Float64(v float64) { w.Uint64(math.Float64bits(v)) }
 
-// String writes a length-prefixed byte string.
+// String writes a length-prefixed byte string. Its bytes go through
+// one buffer the Writer reuses, so a string costs no allocation once
+// the buffer has grown to the longest one.
 func (w *Writer) String(s string) {
 	w.Uint32(uint32(len(s)))
-	w.write([]byte(s))
+	w.str = append(w.str[:0], s...)
+	w.write(w.str)
 }
 
 // Float64s writes a length-prefixed []float64.
@@ -371,7 +376,7 @@ func (r *Reader) Len() int {
 
 // String reads a length-prefixed byte string. One that fits in a
 // block costs a single allocation, the string itself; a longer one
-// grows as its bytes actually arrive, a block at a time.
+// grows as its bytes actually arrive (AppendString).
 func (r *Reader) String() string {
 	n := r.Len()
 	if r.err != nil || n == 0 {
@@ -384,15 +389,30 @@ func (r *Reader) String() string {
 		}
 		return string(b)
 	}
-	out := make([]byte, 0, growChunk)
-	for len(out) < n {
-		b := r.elems(n-len(out), 1)
-		if b == nil {
-			return ""
-		}
-		out = append(out, b...)
+	var sb strings.Builder
+	sb.Grow(growChunk)
+	r.AppendString(&sb, n)
+	if r.err != nil {
+		return ""
 	}
-	return string(out)
+	return sb.String()
+}
+
+// AppendString reads the n bytes of a string whose length prefix the
+// caller has read with Len, and appends them to sb as they arrive. It
+// allocates only when sb has less than n bytes of room, so a caller
+// that grows one Builder as a block and takes each string as a
+// substring of it decodes many strings with no allocation apiece. On a
+// failed stream it appends what arrived before the failure.
+func (r *Reader) AppendString(sb *strings.Builder, n int) {
+	for n > 0 {
+		b := r.elems(n, 1)
+		if b == nil {
+			return
+		}
+		sb.Write(b)
+		n -= len(b)
+	}
 }
 
 // The slice decoders below never preallocate the declared length:
@@ -407,17 +427,23 @@ func (r *Reader) Float64s() []float64 {
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	xs := make([]float64, 0, min(n, growChunk))
-	for len(xs) < n {
-		b := r.elems(n-len(xs), 8)
+	return r.AppendFloat64s(make([]float64, 0, min(n, growChunk)), n)
+}
+
+// AppendFloat64s decodes n float64s, whose length prefix the caller
+// has read with Len, and appends them to dst; nil once the stream
+// failed. A dst with room for n decodes with no allocation.
+func (r *Reader) AppendFloat64s(dst []float64, n int) []float64 {
+	for want := len(dst) + n; len(dst) < want; {
+		b := r.elems(want-len(dst), 8)
 		if b == nil {
 			return nil
 		}
 		for i := 0; i < len(b); i += 8 {
-			xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(b[i:])))
+			dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(b[i:])))
 		}
 	}
-	return xs
+	return dst
 }
 
 // Int64s reads a length-prefixed []int64 (nil when empty).

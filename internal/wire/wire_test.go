@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"slices"
 	"strings"
@@ -317,8 +318,19 @@ func TestReaderAllocs(t *testing.T) {
 	for i := 0; i <= runs; i++ {
 		w.Float64s([]float64{1, 2, 3, 4})
 	}
+	// The same values again, for the Append decoders.
+	for i := 0; i <= runs; i++ {
+		w.String("0123456789abcdef")
+	}
+	for i := 0; i <= runs; i++ {
+		w.Float64s([]float64{1, 2, 3, 4})
+	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+	dw := NewWriter(io.Discard, testMagic, testVersion)
+	if a := testing.AllocsPerRun(runs, func() { dw.String("0123456789abcdef") }); a != 0 {
+		t.Errorf("Writer.String of 16 bytes: %v allocs, want 0", a)
 	}
 	r, err := NewReader(bytes.NewReader(buf.Bytes()), testMagic, testVersion)
 	if err != nil {
@@ -332,6 +344,19 @@ func TestReaderAllocs(t *testing.T) {
 	}
 	if sinkString != "0123456789abcdef" || len(sinkFloats) != 4 || sinkFloats[3] != 4 {
 		t.Fatalf("decoded %q, %v", sinkString, sinkFloats)
+	}
+	// With room in the destination, the Append decoders allocate nothing.
+	var sb strings.Builder
+	sb.Grow(16 * (runs + 1))
+	if a := testing.AllocsPerRun(runs, func() { r.AppendString(&sb, r.Len()) }); a != 0 {
+		t.Errorf("AppendString of 16 bytes: %v allocs, want 0", a)
+	}
+	dst := make([]float64, 0, 4)
+	if a := testing.AllocsPerRun(runs, func() { dst = r.AppendFloat64s(dst[:0], r.Len()) }); a != 0 {
+		t.Errorf("AppendFloat64s of 4 elements: %v allocs, want 0", a)
+	}
+	if got := sb.String(); got != strings.Repeat("0123456789abcdef", runs+1) || len(dst) != 4 || dst[3] != 4 {
+		t.Fatalf("appended %d bytes, %v", len(got), dst)
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
