@@ -322,8 +322,9 @@ func BenchmarkObserveBatch(b *testing.B) {
 
 // checkpointBenchEngine is the engine the checkpoint benchmarks write
 // and restore: a fixed synthetic stream of 20k objects, 400 sources and
-// 8 claims per object over 4-value domains, on 4 shards.
-func checkpointBenchEngine(b *testing.B) *stream.Engine {
+// 8 claims per object over 4-value domains, on 4 shards with the given
+// Workers, which the checkpoint records and Restore decodes with.
+func checkpointBenchEngine(b *testing.B, workers int) *stream.Engine {
 	b.Helper()
 	inst, err := synth.Generate(synth.Config{
 		Name: "restore", Sources: 400, Objects: 20000, DomainSize: 4,
@@ -345,7 +346,7 @@ func checkpointBenchEngine(b *testing.B) *stream.Engine {
 	}
 	opts := stream.DefaultEngineOptions()
 	opts.Shards = 4
-	opts.Workers = 1
+	opts.Workers = workers
 	e, err := stream.NewEngine(opts)
 	if err != nil {
 		b.Fatal(err)
@@ -359,7 +360,7 @@ func checkpointBenchEngine(b *testing.B) *stream.Engine {
 // read lock and the encode. MB/s is over the checkpoint bytes; the
 // copy allocates per shard, not per object.
 func BenchmarkCheckpointWrite(b *testing.B) {
-	e := checkpointBenchEngine(b)
+	e := checkpointBenchEngine(b, 1)
 	var buf bytes.Buffer
 	if err := e.WriteCheckpoint(&buf); err != nil {
 		b.Fatal(err)
@@ -374,11 +375,18 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 }
 
 // BenchmarkCheckpointRestore measures a warm restart: stream.Restore
-// of an in-memory checkpoint of checkpointBenchEngine. MB/s is decode
+// of an in-memory checkpoint of checkpointBenchEngine with Workers 1,
+// so the shard sections decode one after another. MB/s is decode
 // throughput over the checkpoint bytes; allocs/op counts blocks, not
 // objects: each shard's arrays and names are carved from shared blocks.
-func BenchmarkCheckpointRestore(b *testing.B) {
-	e := checkpointBenchEngine(b)
+func BenchmarkCheckpointRestore(b *testing.B) { benchRestore(b, 1) }
+
+// BenchmarkCheckpointRestoreParallel is BenchmarkCheckpointRestore
+// with Workers 4: the four shard sections decode concurrently.
+func BenchmarkCheckpointRestoreParallel(b *testing.B) { benchRestore(b, 4) }
+
+func benchRestore(b *testing.B, workers int) {
+	e := checkpointBenchEngine(b, workers)
 	var buf bytes.Buffer
 	if err := e.WriteCheckpoint(&buf); err != nil {
 		b.Fatal(err)
@@ -387,7 +395,7 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 	b.SetBytes(int64(len(ckpt)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := stream.Restore(bytes.NewReader(ckpt)); err != nil {
+		if _, err := stream.Restore(bytes.NewReader(ckpt), int64(len(ckpt))); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -100,7 +100,7 @@ func run(w io.Writer) error {
 				return err
 			}
 			ckptSize = ckpt.Len()
-			if warm, err = stream.Restore(&ckpt); err != nil {
+			if warm, err = stream.Restore(bytes.NewReader(ckpt.Bytes()), int64(ckpt.Len())); err != nil {
 				return err
 			}
 		}

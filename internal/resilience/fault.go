@@ -3,6 +3,7 @@ package resilience
 import (
 	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"sync"
 	"syscall"
@@ -95,7 +96,7 @@ type FS interface {
 	CreateTemp(dir, pattern string) (File, error)
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
-	Open(name string) (io.ReadCloser, error)
+	Open(name string) (ReadableFile, error)
 	// SyncDir best-effort-fsyncs a directory so renames survive power
 	// loss; refusals (FUSE, overlay mounts) are ignored by callers.
 	SyncDir(dir string) error
@@ -109,6 +110,15 @@ type File interface {
 	Name() string
 }
 
+// ReadableFile is the readable handle FS hands out: read at any
+// offset, sized by Stat, so a reader can decode parts of it in
+// parallel.
+type ReadableFile interface {
+	io.ReaderAt
+	io.Closer
+	Stat() (fs.FileInfo, error)
+}
+
 // OS is the passthrough FS.
 var OS FS = osFS{}
 
@@ -117,7 +127,7 @@ type osFS struct{}
 func (osFS) CreateTemp(dir, pattern string) (File, error) { return os.CreateTemp(dir, pattern) }
 func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(name string) error                     { return os.Remove(name) }
-func (osFS) Open(name string) (io.ReadCloser, error)      { return os.Open(name) }
+func (osFS) Open(name string) (ReadableFile, error)       { return os.Open(name) }
 func (osFS) SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
@@ -201,9 +211,9 @@ func (f *FaultFS) Rename(oldpath, newpath string) error {
 	return f.Inner.Rename(oldpath, newpath)
 }
 
-func (f *FaultFS) Remove(name string) error                { return f.Inner.Remove(name) }
-func (f *FaultFS) Open(name string) (io.ReadCloser, error) { return f.Inner.Open(name) }
-func (f *FaultFS) SyncDir(dir string) error                { return f.Inner.SyncDir(dir) }
+func (f *FaultFS) Remove(name string) error               { return f.Inner.Remove(name) }
+func (f *FaultFS) Open(name string) (ReadableFile, error) { return f.Inner.Open(name) }
+func (f *FaultFS) SyncDir(dir string) error               { return f.Inner.SyncDir(dir) }
 
 // faultFile routes writes through the armed FaultWriter while keeping
 // the underlying file's Sync/Close/Name.

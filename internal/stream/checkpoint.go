@@ -17,7 +17,6 @@
 package stream
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -27,21 +26,28 @@ import (
 	"strings"
 
 	"slimfast/internal/online"
+	"slimfast/internal/parallel"
+	"slimfast/internal/resilience"
 	"slimfast/internal/wire"
 )
 
-// The checkpoint format is v4, and Restore reads v4 only: the options
-// block (whose InitAccuracy, PriorStrength and DedupWindow slots hold
-// this package's constants, checked on restore), the source and value
-// tables, the shard records with one int64 per live object for the
-// epoch its MAP value last changed, the online learner's configuration
-// (fixed values, also checked) and state when it is on, and the
-// sequence-key ring, so a client retry that straddles a restart still
-// deduplicates. Older files fail with wire.ErrVersion;
-// docs/WIRE_FORMAT.md says how to upgrade one.
+// The checkpoint format is v5: the v4 payload split into checksummed
+// sections so Restore can decode the shards in parallel. The main
+// section holds the options block (whose InitAccuracy, PriorStrength
+// and DedupWindow slots hold this package's constants, checked on
+// restore) and the source and value tables; then comes one section per
+// shard record, each with one int64 per live object for the epoch its
+// MAP value last changed; the tail holds the online learner's state
+// when it is on (its configuration, fixed values also checked, is in
+// the options block) and the sequence-key ring, so a client retry that
+// straddles a restart still deduplicates. A section table at the end
+// locates the sections. Restore also reads v4, the same payload as one
+// stream with one checksum, sequentially; older files fail with
+// wire.ErrVersion. docs/WIRE_FORMAT.md says how to upgrade one.
 const (
 	checkpointMagic   = "SFCK"
-	checkpointVersion = uint32(4)
+	checkpointVersion = uint32(5)
+	checkpointV4      = uint32(4)
 )
 
 // maxCheckpointSlots bounds slab and claim counts read from a
@@ -200,8 +206,7 @@ func (e *Engine) WriteCheckpoint(w io.Writer) error {
 	e.refreshMu.Unlock()
 	seqKeys := e.seqSnapshot()
 
-	bw := bufio.NewWriter(w)
-	ww := wire.NewWriter(bw, checkpointMagic, checkpointVersion)
+	ww := wire.NewWriter(w, checkpointMagic, checkpointVersion)
 	encodeOptions(ww, opts)
 	ww.Int64(nObs)
 	ww.Int64(sinceEp)
@@ -214,16 +219,15 @@ func (e *Engine) WriteCheckpoint(w io.Writer) error {
 	ww.Strings(valNames)
 	ww.Uint32(uint32(len(snaps)))
 	for s := range snaps {
+		ww.Section()
 		encodeShard(ww, s, &snaps[s])
 	}
+	ww.Section()
 	if learnerSnap != nil {
 		learnerSnap.EncodeState(ww)
 	}
 	ww.Strings(seqKeys)
 	if err := ww.Close(); err != nil {
-		return fmt.Errorf("stream: checkpoint: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("stream: checkpoint: %w", err)
 	}
 	return nil
@@ -373,24 +377,143 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// Restore reads a checkpoint written by WriteCheckpoint and returns a
-// fresh engine positioned exactly where the checkpointed one was:
-// continuing the same ingest sequence yields bit-identical
-// fingerprints to an engine that never stopped. On any failure —
-// truncation, checksum mismatch, version skew, shard-count mismatch,
-// structural corruption — it returns a nil engine and a typed error;
-// no partially-restored engine ever escapes.
-func Restore(r io.Reader) (*Engine, error) {
-	rr, err := wire.NewReader(r, checkpointMagic, checkpointVersion)
+// Restore reads the size-byte checkpoint r holds, written by
+// WriteCheckpoint, and returns a fresh engine positioned exactly where
+// the checkpointed one was: continuing the same ingest sequence yields
+// bit-identical fingerprints to an engine that never stopped. On any
+// failure — truncation, checksum mismatch, version skew, shard-count
+// mismatch, structural corruption — it returns a nil engine and a
+// typed error; no partially-restored engine ever escapes.
+//
+// A v5 file's shard sections decode on up to the restored engine's
+// Workers goroutines, each through its own read-ahead block; when
+// several sections are damaged, the error is the lowest-numbered one's
+// (main, shard 0, shard 1, …, tail). A v4 file decodes sequentially.
+func Restore(r io.ReaderAt, size int64) (*Engine, error) {
+	v, err := wire.Version(r, checkpointMagic)
 	if err != nil {
 		return nil, fmt.Errorf("stream: restore: %w", err)
 	}
+	switch v {
+	case checkpointVersion:
+		return restoreSections(r, size)
+	case checkpointV4:
+		return restoreV4(io.NewSectionReader(r, 0, size))
+	}
+	return nil, fmt.Errorf("stream: restore: %w: checkpoint is v%d, this build reads v%d and v%d",
+		wire.ErrVersion, v, checkpointV4, checkpointVersion)
+}
+
+// restoreSections reads a v5 checkpoint: the section table first, then
+// the main section, the shard sections in parallel, and the tail, each
+// verified against its own checksum.
+func restoreSections(r io.ReaderAt, size int64) (*Engine, error) {
+	secs, err := wire.Sections(r, size, checkpointMagic)
+	if err != nil {
+		return nil, fmt.Errorf("stream: restore: %w", err)
+	}
+	if len(secs) == 0 {
+		return nil, fmt.Errorf("%w: the section table is empty", ErrShardCount)
+	}
+	section := func(i int) io.Reader { return io.NewSectionReader(r, secs[i].Off, secs[i].Len) }
+	rr, err := wire.NewReader(section(0), checkpointMagic, checkpointVersion)
+	if err != nil {
+		return nil, fmt.Errorf("stream: restore: %w", err)
+	}
+	e, h, err := decodeMain(rr)
+	if err == nil {
+		err = closeSection(rr, "main")
+	}
+	if err != nil {
+		return nil, err
+	}
+	if len(secs) != h.nShards+2 {
+		return nil, fmt.Errorf("%w: header says %d shard records, the section table holds %d sections",
+			ErrShardCount, h.nShards, len(secs))
+	}
+	errs := make([]error, h.nShards)
+	parallel.For(h.nShards, e.opts.Workers, func(s int) {
+		rd := wire.NewSection(section(1 + s))
+		if errs[s] = decodeShard(rd, e, s); errs[s] == nil {
+			errs[s] = closeSection(rd, fmt.Sprintf("shard %d", s))
+		}
+	})
+	for _, err := range errs { // shard order, whichever worker failed first
+		if err != nil {
+			return nil, err
+		}
+	}
+	rd := wire.NewSection(section(len(secs) - 1))
+	err = decodeTail(rd, e, h.ring)
+	if err == nil {
+		err = closeSection(rd, "tail")
+	}
+	if err != nil {
+		return nil, err
+	}
+	return h.finish(e), nil
+}
+
+// closeSection verifies a section's checksum footer.
+func closeSection(rr *wire.Reader, name string) error {
+	if err := rr.Close(); err != nil {
+		return fmt.Errorf("stream: restore: %s section: %w", name, err)
+	}
+	return nil
+}
+
+// restoreV4 reads a v4 checkpoint: the section decoders one after
+// another from its single stream, then its one checksum.
+func restoreV4(r io.Reader) (*Engine, error) {
+	rr, err := wire.NewReader(r, checkpointMagic, checkpointV4)
+	if err != nil {
+		return nil, fmt.Errorf("stream: restore: %w", err)
+	}
+	e, h, err := decodeMain(rr)
+	if err != nil {
+		return nil, err
+	}
+	for s := 0; s < h.nShards; s++ {
+		if err := decodeShard(rr, e, s); err != nil {
+			return nil, err
+		}
+	}
+	if err := decodeTail(rr, e, h.ring); err != nil {
+		return nil, err
+	}
+	if err := rr.Close(); err != nil {
+		return nil, fmt.Errorf("stream: restore: %w", err)
+	}
+	return h.finish(e), nil
+}
+
+// restoreHead is what the main section holds besides the engine it
+// builds: the counters set once every section has decoded, the shard
+// record count, and the learner's window length for the tail.
+type restoreHead struct {
+	nObs, sinceEp int64
+	nShards, ring int
+}
+
+// finish sets the counters on a fully decoded engine.
+func (h restoreHead) finish(e *Engine) *Engine {
+	e.nObs.Store(h.nObs)
+	e.sinceEp.Store(h.sinceEp)
+	return e
+}
+
+// decodeMain reads the main section's payload — options, counters,
+// the source and value tables and the shard record count — into a new
+// engine.
+func decodeMain(rr *wire.Reader) (*Engine, restoreHead, error) {
+	var h restoreHead
 	opts, ring, err := decodeOptions(rr)
 	if err != nil {
-		return nil, fmt.Errorf("stream: restore: %w", err)
+		return nil, h, fmt.Errorf("stream: restore: %w", err)
 	}
-	nObs := rr.Int64()
-	sinceEp := rr.Int64()
+	h.ring = ring
+	h.nObs = rr.Int64()
+	h.sinceEp = rr.Int64()
 	srcNames := rr.Strings()
 	srcAgree := rr.Float64s()
 	srcTotal := rr.Float64s()
@@ -398,29 +521,29 @@ func Restore(r io.Reader) (*Engine, error) {
 	srcSigma := rr.Float64s()
 	srcEpoch := rr.Int64()
 	valNames := rr.Strings()
-	nShards := int(rr.Uint32())
+	h.nShards = int(rr.Uint32())
 	if err := rr.Err(); err != nil {
-		return nil, fmt.Errorf("stream: restore: %w", err)
+		return nil, h, fmt.Errorf("stream: restore: %w", err)
 	}
 	nSrc := len(srcNames)
 	if len(srcAgree) != nSrc || len(srcTotal) != nSrc || len(srcAcc) != nSrc || len(srcSigma) != nSrc {
-		return nil, corruptf("source table is ragged: %d names vs %d/%d/%d/%d stats",
+		return nil, h, corruptf("source table is ragged: %d names vs %d/%d/%d/%d stats",
 			nSrc, len(srcAgree), len(srcTotal), len(srcAcc), len(srcSigma))
 	}
-	if nShards <= 0 || nShards != opts.Shards {
-		return nil, fmt.Errorf("%w: header says %d shard records, options say %d", ErrShardCount, nShards, opts.Shards)
+	if h.nShards <= 0 || h.nShards != opts.Shards {
+		return nil, h, fmt.Errorf("%w: header says %d shard records, options say %d", ErrShardCount, h.nShards, opts.Shards)
 	}
-	if nShards > maxCheckpointShards {
-		return nil, corruptf("checkpoint declares %d shards, cap is %d", nShards, maxCheckpointShards)
+	if h.nShards > maxCheckpointShards {
+		return nil, h, corruptf("checkpoint declares %d shards, cap is %d", h.nShards, maxCheckpointShards)
 	}
 
 	e, err := NewEngine(opts)
 	if err != nil {
-		return nil, fmt.Errorf("stream: restore: %w", err)
+		return nil, h, fmt.Errorf("stream: restore: %w", err)
 	}
 	for i, name := range srcNames {
 		if _, dup := e.src.ids[name]; dup {
-			return nil, corruptf("source table lists %q twice", name)
+			return nil, h, corruptf("source table lists %q twice", name)
 		}
 		e.src.ids[name] = i
 	}
@@ -432,17 +555,18 @@ func Restore(r io.Reader) (*Engine, error) {
 	e.src.epoch = srcEpoch
 	for i, name := range valNames {
 		if _, dup := e.vals.ids[name]; dup {
-			return nil, corruptf("value table lists %q twice", name)
+			return nil, h, corruptf("value table lists %q twice", name)
 		}
 		e.vals.ids[name] = i
 	}
 	e.vals.names = valNames
+	return e, h, nil
+}
 
-	for s := 0; s < nShards; s++ {
-		if err := decodeShard(rr, e, s, nSrc, len(valNames)); err != nil {
-			return nil, err
-		}
-	}
+// decodeTail reads the tail: the learner state, when the options block
+// turned the learner on, and the sequence-key ring.
+func decodeTail(rr *wire.Reader, e *Engine, ring int) error {
+	nSrc := len(e.src.names)
 	if e.learner != nil {
 		// NewEngine built a fresh learner from the decoded config;
 		// overlay the checkpointed state so training continues exactly
@@ -450,33 +574,28 @@ func Restore(r io.Reader) (*Engine, error) {
 		// format skew.
 		if err := e.learner.DecodeState(rr, ring); err != nil {
 			if rr.Err() != nil {
-				return nil, fmt.Errorf("stream: restore: %w", rr.Err())
+				return fmt.Errorf("stream: restore: %w", rr.Err())
 			}
-			return nil, corruptf("online learner: %v", err)
+			return corruptf("online learner: %v", err)
 		}
 		if n := e.learner.NumSources(); n > nSrc {
-			return nil, corruptf("online learner tracks %d sources, table has %d", n, nSrc)
+			return corruptf("online learner tracks %d sources, table has %d", n, nSrc)
 		}
 	}
 	seqKeys := rr.Strings()
 	if err := rr.Err(); err != nil {
-		return nil, fmt.Errorf("stream: restore: %w", err)
+		return fmt.Errorf("stream: restore: %w", err)
 	}
 	if len(seqKeys) > DedupWindow {
-		return nil, corruptf("dedup window holds %d keys, cap is %d", len(seqKeys), DedupWindow)
+		return corruptf("dedup window holds %d keys, cap is %d", len(seqKeys), DedupWindow)
 	}
 	for _, k := range seqKeys {
 		if k == "" {
-			return nil, corruptf("dedup window holds an empty key")
+			return corruptf("dedup window holds an empty key")
 		}
 		e.MarkSeq(k)
 	}
-	if err := rr.Close(); err != nil {
-		return nil, fmt.Errorf("stream: restore: %w", err)
-	}
-	e.nObs.Store(nObs)
-	e.sinceEp.Store(sinceEp)
-	return e, nil
+	return nil
 }
 
 // decodeShard reads one shard record into e.shards[s], validating
@@ -488,7 +607,11 @@ func Restore(r io.Reader) (*Engine, error) {
 // object's arrays are windows of the shard's restoreBlocks and its name
 // a substring of a name block, and the object index is built in a pass
 // over the copied slots, sized to the live count.
-func decodeShard(rr *wire.Reader, e *Engine, s, nSrc, nVals int) error {
+//
+// It writes e.shards[s] alone and only reads the tables, so shards
+// decode concurrently.
+func decodeShard(rr *wire.Reader, e *Engine, s int) error {
+	nSrc, nVals := len(e.src.names), len(e.vals.names)
 	tag := int(rr.Uint32())
 	nObjs := int(rr.Uint32())
 	if err := rr.Err(); err != nil {
@@ -782,5 +905,15 @@ func RestoreFile(path string) (*Engine, error) {
 		return nil, fmt.Errorf("stream: restore: %w", err)
 	}
 	defer f.Close()
-	return Restore(f)
+	return restoreFile(f)
+}
+
+// restoreFile restores from an open checkpoint file, read at offsets
+// and sized by Stat.
+func restoreFile(f resilience.ReadableFile) (*Engine, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("stream: restore: %w", err)
+	}
+	return Restore(f, st.Size())
 }

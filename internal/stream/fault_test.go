@@ -401,7 +401,7 @@ func TestSeqWindowSurvivesCheckpoint(t *testing.T) {
 	if err := e.WriteCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Restore(&buf)
+	r, err := restoreBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func FuzzRestore(f *testing.F) {
 	f.Add(flipped) // checksum breaker
 	f.Add([]byte("SFCK"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := Restore(bytes.NewReader(data))
+		e, err := restoreBytes(data)
 		if err != nil {
 			return
 		}
@@ -52,7 +52,7 @@ func FuzzRestore(f *testing.F) {
 		if err := e.WriteCheckpoint(&buf); err != nil {
 			t.Fatalf("restored engine cannot re-checkpoint: %v", err)
 		}
-		if _, err := Restore(&buf); err != nil {
+		if _, err := restoreBytes(buf.Bytes()); err != nil {
 			t.Fatalf("re-checkpoint does not restore: %v", err)
 		}
 	})
@@ -95,7 +95,7 @@ func TestFuzzRestoreCorpusFaults(t *testing.T) {
 		if !ok || !ok2 || err != nil {
 			t.Fatalf("%s is not a one-[]byte corpus file: %v", name, err)
 		}
-		_, err = Restore(strings.NewReader(data))
+		_, err = restoreBytes([]byte(data))
 		switch {
 		case fault == "" && err != nil:
 			t.Errorf("%s: %v, want a restored engine", name, err)

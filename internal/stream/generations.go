@@ -169,7 +169,7 @@ func (cs *CheckpointStore) Restore() (*Engine, string, error) {
 			continue
 		}
 		tried++
-		e, err := Restore(rc)
+		e, err := restoreFile(rc)
 		rc.Close()
 		if err != nil {
 			fmt.Fprintf(cs.Log, "# WARNING: checkpoint generation %s unreadable (%v); falling back to older generation\n", p, err)

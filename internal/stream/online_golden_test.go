@@ -197,7 +197,7 @@ func TestGoldenOnlineCheckpointAtEveryEpochBoundary(t *testing.T) {
 			if err := restored.WriteCheckpoint(&buf); err != nil {
 				t.Fatal(err)
 			}
-			if restored, err = Restore(&buf); err != nil {
+			if restored, err = restoreBytes(buf.Bytes()); err != nil {
 				t.Fatal(err)
 			}
 		}

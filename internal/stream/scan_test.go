@@ -177,7 +177,7 @@ func TestEngineNameOrderScan(t *testing.T) {
 		if err := e.WriteCheckpoint(&buf); err != nil {
 			t.Fatal(err)
 		}
-		r, err := Restore(&buf)
+		r, err := restoreBytes(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}

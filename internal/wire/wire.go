@@ -2,7 +2,10 @@
 // format: a magic/version header, fixed-width little-endian
 // primitives, and a trailing CRC-32C over everything written, so a
 // reader can reject truncated, corrupted, or version-skewed streams
-// with a typed error before any of the payload is trusted.
+// with a typed error before any of the payload is trusted. A stream
+// may instead be split into sections, each with its own CRC-32C and
+// located by a checksummed table at the end, so a reader with random
+// access can decode the sections independently (Sections, NewSection).
 //
 // The codec is deliberately dumb: no reflection, no varints, no
 // schema. Layout knowledge lives entirely in the caller (one write
@@ -14,10 +17,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -53,64 +56,132 @@ const maxSliceLen = 1 << 28
 // allocation runs, and is the size of the Reader's read-ahead block.
 const growChunk = 1 << 16
 
-// Writer encodes primitives to an io.Writer while folding every byte
-// (header included) into a running CRC-32C. Errors are sticky: after
-// the first write failure all further calls are no-ops and Close
-// reports the error.
+// Writer encodes primitives into its own growChunk block and hands
+// the underlying io.Writer whole blocks, folding each into a running
+// CRC-32C once (as Reader does on the way back), so a primitive costs
+// a bounds check and a store. Errors are sticky: after the first write
+// failure all further calls are no-ops and Close reports the error.
+//
+// A stream is one checksummed run of bytes until Section is first
+// called; from then on it is sectioned: Section ends the current
+// section with its own CRC-32C footer, and Close ends the last one and
+// writes the section table (Sections reads it back).
 type Writer struct {
-	w   io.Writer
-	crc hash.Hash32
-	err error
-	buf [8]byte
-	str []byte // String's copy of its bytes, reused across calls
+	w     io.Writer
+	magic string
+	buf   []byte // the block; buf[sum:] is not yet folded into crc
+	sum   int
+	crc   uint32
+	err   error
+	off   int64 // bytes handed to w before buf
+	// start is where the current section began; sections holds the
+	// ended ones, nil while the stream is not sectioned.
+	start    int64
+	sections []Section
 }
+
+// Section locates one section of a sectioned stream: Len bytes at
+// offset Off, its CRC-32C footer included. Section 0 starts at offset 0
+// with the stream's magic and version.
+type Section struct{ Off, Len int64 }
 
 // NewWriter starts a stream: it writes the 4-byte magic and the
 // format version before returning.
 func NewWriter(w io.Writer, magic string, version uint32) *Writer {
-	wr := &Writer{w: w, crc: crc32.New(castagnoli)}
+	wr := &Writer{w: w, magic: magic, buf: make([]byte, 0, growChunk)}
 	if len(magic) != 4 {
 		wr.err = fmt.Errorf("wire: magic must be 4 bytes, got %d", len(magic))
 		return wr
 	}
-	wr.write([]byte(magic))
+	wr.write(magic)
 	wr.Uint32(version)
 	return wr
 }
 
-func (w *Writer) write(p []byte) {
+// room makes n (≤ growChunk) bytes of room at the end of the block,
+// flushing it when short; false once the stream failed.
+func (w *Writer) room(n int) bool {
+	if cap(w.buf)-len(w.buf) < n {
+		w.flush()
+	}
+	return w.err == nil
+}
+
+// flush folds the rest of the block into the CRC and writes the block.
+func (w *Writer) flush() {
 	if w.err != nil {
 		return
 	}
-	n, err := w.w.Write(p)
-	if err == nil && n != len(p) {
+	w.crc = crc32.Update(w.crc, castagnoli, w.buf[w.sum:])
+	n, err := w.w.Write(w.buf)
+	if err == nil && n != len(w.buf) {
 		err = io.ErrShortWrite
 	}
 	if err != nil {
 		w.err = err
 		return
 	}
-	w.crc.Write(p)
+	w.off += int64(len(w.buf))
+	w.buf, w.sum = w.buf[:0], 0
 }
 
-// Close writes the CRC-32C footer and returns the first error of the
-// whole stream. It does not close the underlying writer.
+// write appends the bytes of s, a block at a time.
+func (w *Writer) write(s string) {
+	for len(s) > 0 && w.room(1) {
+		n := copy(w.buf[len(w.buf):cap(w.buf)], s)
+		w.buf = w.buf[:len(w.buf)+n]
+		s = s[n:]
+	}
+}
+
+// footer ends the current checksummed run: it appends the CRC-32C of
+// the run, which is not itself folded, and restarts the CRC.
+func (w *Writer) footer() {
+	if !w.room(4) {
+		return
+	}
+	w.crc = crc32.Update(w.crc, castagnoli, w.buf[w.sum:])
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, w.crc)
+	w.sum, w.crc = len(w.buf), 0
+}
+
+// Section ends the current section with its CRC-32C footer and starts
+// the next one, which has no header.
+func (w *Writer) Section() {
+	w.footer()
+	end := w.off + int64(len(w.buf))
+	w.sections = append(w.sections, Section{w.start, end - w.start})
+	w.start = end
+}
+
+// Close writes the CRC-32C footer, flushes the block and returns the
+// first error of the whole stream. A sectioned stream's Close ends the
+// last section and then writes the section table: per section its
+// offset and length as uint64s, the section count as a uint32, the
+// magic again, and the CRC-32C of the table. Close does not close the
+// underlying writer.
 func (w *Writer) Close() error {
-	if w.err != nil {
-		return w.err
+	if w.sections == nil {
+		w.footer()
+	} else {
+		w.Section()
+		for _, s := range w.sections {
+			w.Uint64(uint64(s.Off))
+			w.Uint64(uint64(s.Len))
+		}
+		w.Uint32(uint32(len(w.sections)))
+		w.write(w.magic)
+		w.footer()
 	}
-	sum := w.crc.Sum32()
-	binary.LittleEndian.PutUint32(w.buf[:4], sum)
-	if _, err := w.w.Write(w.buf[:4]); err != nil {
-		w.err = err
-	}
+	w.flush()
 	return w.err
 }
 
 // Uint8 writes one byte.
 func (w *Writer) Uint8(v uint8) {
-	w.buf[0] = v
-	w.write(w.buf[:1])
+	if w.room(1) {
+		w.buf = append(w.buf, v)
+	}
 }
 
 // Bool writes a bool as one byte (0 or 1).
@@ -124,14 +195,16 @@ func (w *Writer) Bool(v bool) {
 
 // Uint32 writes a fixed-width little-endian uint32.
 func (w *Writer) Uint32(v uint32) {
-	binary.LittleEndian.PutUint32(w.buf[:4], v)
-	w.write(w.buf[:4])
+	if w.room(4) {
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
+	}
 }
 
 // Uint64 writes a fixed-width little-endian uint64.
 func (w *Writer) Uint64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:8], v)
-	w.write(w.buf[:8])
+	if w.room(8) {
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
+	}
 }
 
 // Int64 writes an int64 (two's complement, little-endian).
@@ -144,13 +217,11 @@ func (w *Writer) Int(v int) { w.Int64(int64(v)) }
 // for bit (NaN payloads and signed zeros included).
 func (w *Writer) Float64(v float64) { w.Uint64(math.Float64bits(v)) }
 
-// String writes a length-prefixed byte string. Its bytes go through
-// one buffer the Writer reuses, so a string costs no allocation once
-// the buffer has grown to the longest one.
+// String writes a length-prefixed byte string, copied straight into
+// the block.
 func (w *Writer) String(s string) {
 	w.Uint32(uint32(len(s)))
-	w.str = append(w.str[:0], s...)
-	w.write(w.str)
+	w.write(s)
 }
 
 // Float64s writes a length-prefixed []float64.
@@ -216,7 +287,8 @@ type Reader struct {
 // NewReader validates the 4-byte magic and the format version before
 // returning, so a stream of the wrong kind fails here with ErrMagic or
 // ErrVersion, never half-parsed. The stream's version must equal
-// version: a format has one layout per build.
+// version; a caller that reads more than one layout picks it with
+// Version first.
 func NewReader(r io.Reader, magic string, version uint32) (*Reader, error) {
 	if len(magic) != 4 {
 		return nil, fmt.Errorf("wire: magic must be 4 bytes, got %d", len(magic))
@@ -239,6 +311,83 @@ func NewReader(r io.Reader, magic string, version uint32) (*Reader, error) {
 	return rd, nil
 }
 
+// NewSection returns a Reader over one headerless section of a
+// sectioned stream (any section but the first): its primitives, then
+// its CRC-32C footer, which Close verifies against the section's
+// bytes alone.
+func NewSection(r io.Reader) *Reader {
+	return &Reader{r: r, buf: make([]byte, growChunk)}
+}
+
+// Version reads the 4-byte magic and the format version at the start
+// of r, for a caller that reads more than one layout and must pick a
+// decoder before reading on. A stream of the wrong kind fails with
+// ErrMagic, one too short for a header with ErrTruncated.
+func Version(r io.ReaderAt, magic string) (uint32, error) {
+	var head [8]byte
+	if _, err := r.ReadAt(head[:], 0); err != nil {
+		return 0, readErr(err)
+	}
+	if string(head[:4]) != magic {
+		return 0, fmt.Errorf("%w: got %q, want %q", ErrMagic, head[:4], magic)
+	}
+	return binary.LittleEndian.Uint32(head[4:]), nil
+}
+
+// tableTrailer is the fixed end of a section table: the section
+// count, the magic and the table's CRC-32C footer.
+const tableTrailer = 12
+
+// Sections reads the section table at the end of a sectioned stream
+// of size bytes and verifies its checksum, so a caller knows where
+// every section lies before decoding any of them. A stream that does
+// not end in a table — one cut short, whatever the cut — fails with
+// ErrTruncated, as does a table placing a section past the table's own
+// start; a damaged table fails with ErrChecksum. The entries decode
+// through a Reader block and grow as they arrive.
+func Sections(r io.ReaderAt, size int64, magic string) ([]Section, error) {
+	var tail [tableTrailer]byte
+	if size < int64(len(tail)) {
+		return nil, fmt.Errorf("%w: %d bytes hold no section table", ErrTruncated, size)
+	}
+	if _, err := r.ReadAt(tail[:], size-int64(len(tail))); err != nil {
+		return nil, readErr(err)
+	}
+	if string(tail[4:8]) != magic {
+		return nil, fmt.Errorf("%w: the stream does not end in a section table", ErrTruncated)
+	}
+	n := int64(binary.LittleEndian.Uint32(tail[:4]))
+	at := size - tableTrailer - 16*n
+	if at < 0 {
+		return nil, fmt.Errorf("%w: a table of %d sections does not fit in %d bytes", ErrTruncated, n, size)
+	}
+	rd := NewSection(io.NewSectionReader(r, at, size-at))
+	var secs []Section
+	for i := int64(0); i < n && rd.err == nil; i++ {
+		secs = append(secs, Section{int64(rd.Uint64()), int64(rd.Uint64())})
+	}
+	rd.Uint32()
+	rd.next(len(magic))
+	if err := rd.Close(); err != nil {
+		return nil, fmt.Errorf("section table: %w", err)
+	}
+	for i, s := range secs {
+		if s.Off < 0 || s.Len < 0 || s.Len > at-s.Off {
+			return nil, fmt.Errorf("%w: section %d spans [%d, %d), past the section table at %d",
+				ErrTruncated, i, s.Off, s.Off+s.Len, at)
+		}
+	}
+	return secs, nil
+}
+
+// readErr types a failed read: a short stream is ErrTruncated.
+func readErr(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("%w: %v", ErrTruncated, err)
+	}
+	return err
+}
+
 // fill makes at least need (≤ growChunk) unread bytes available: it
 // folds the consumed part of the block into the CRC, moves the unread
 // tail to the front and reads as much as the block has room for.
@@ -253,11 +402,7 @@ func (r *Reader) fill(need int) bool {
 	n, err := io.ReadAtLeast(r.r, r.buf[r.end:], need-r.end)
 	r.end += n
 	if err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			r.err = fmt.Errorf("%w: %v", ErrTruncated, err)
-		} else {
-			r.err = err
-		}
+		r.err = readErr(err)
 		return false
 	}
 	return true
@@ -416,10 +561,11 @@ func (r *Reader) AppendString(sb *strings.Builder, n int) {
 }
 
 // The slice decoders below never preallocate the declared length:
-// the result starts at most growChunk elements large and grows with
-// the data consumed, so a lying length prefix ends in ErrTruncated,
-// not an OOM. The fixed-width ones decode every whole element the
-// block holds in one loop per refill.
+// the result starts empty and grows only by the elements each block
+// actually delivers (Strings: as strings arrive), so a lying length
+// prefix ends in ErrTruncated having allocated in proportion to the
+// bytes read, not the count. The fixed-width ones decode every whole
+// element the block holds in one loop per refill.
 
 // Float64s reads a length-prefixed []float64 (nil when empty).
 func (r *Reader) Float64s() []float64 {
@@ -427,7 +573,7 @@ func (r *Reader) Float64s() []float64 {
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	return r.AppendFloat64s(make([]float64, 0, min(n, growChunk)), n)
+	return r.AppendFloat64s(nil, n)
 }
 
 // AppendFloat64s decodes n float64s, whose length prefix the caller
@@ -439,6 +585,7 @@ func (r *Reader) AppendFloat64s(dst []float64, n int) []float64 {
 		if b == nil {
 			return nil
 		}
+		dst = slices.Grow(dst, len(b)/8)
 		for i := 0; i < len(b); i += 8 {
 			dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(b[i:])))
 		}
@@ -452,12 +599,13 @@ func (r *Reader) Int64s() []int64 {
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	xs := make([]int64, 0, min(n, growChunk))
+	var xs []int64
 	for len(xs) < n {
 		b := r.elems(n-len(xs), 8)
 		if b == nil {
 			return nil
 		}
+		xs = slices.Grow(xs, len(b)/8)
 		for i := 0; i < len(b); i += 8 {
 			xs = append(xs, int64(binary.LittleEndian.Uint64(b[i:])))
 		}
@@ -471,12 +619,13 @@ func (r *Reader) Ints() []int {
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	xs := make([]int, 0, min(n, growChunk))
+	var xs []int
 	for len(xs) < n {
 		b := r.elems(n-len(xs), 8)
 		if b == nil {
 			return nil
 		}
+		xs = slices.Grow(xs, len(b)/8)
 		for i := 0; i < len(b); i += 8 {
 			xs = append(xs, int(int64(binary.LittleEndian.Uint64(b[i:]))))
 		}
@@ -490,12 +639,13 @@ func (r *Reader) Int32s() []int32 {
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	xs := make([]int32, 0, min(n, growChunk))
+	var xs []int32
 	for len(xs) < n {
 		b := r.elems(n-len(xs), 4)
 		if b == nil {
 			return nil
 		}
+		xs = slices.Grow(xs, len(b)/4)
 		for i := 0; i < len(b); i += 4 {
 			xs = append(xs, int32(binary.LittleEndian.Uint32(b[i:])))
 		}
@@ -510,7 +660,7 @@ func (r *Reader) Strings() []string {
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	xs := make([]string, 0, min(n, growChunk))
+	var xs []string
 	for i := 0; i < n; i++ {
 		s := r.String()
 		if r.err != nil {

@@ -17,7 +17,7 @@ TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
 go test -run '^$' \
-	-bench '^(BenchmarkCoreEMFit|BenchmarkCoreERMFit|BenchmarkCoreExactInference|BenchmarkOptimizerDecide|BenchmarkLassoPath|BenchmarkFacadeSolve|BenchmarkStreamIngest|BenchmarkObserveBatch|BenchmarkOnlineIngest|BenchmarkCheckpointWrite|BenchmarkCheckpointRestore|BenchmarkServeHTTP|BenchmarkRouterIngest|BenchmarkRouterIngestSlowMembers|BenchmarkMetricsScrape|BenchmarkQueryExport|BenchmarkQueryLookup|BenchmarkQueryTopK|BenchmarkQueryGroup)$' \
+	-bench '^(BenchmarkCoreEMFit|BenchmarkCoreERMFit|BenchmarkCoreExactInference|BenchmarkOptimizerDecide|BenchmarkLassoPath|BenchmarkFacadeSolve|BenchmarkStreamIngest|BenchmarkObserveBatch|BenchmarkOnlineIngest|BenchmarkCheckpointWrite|BenchmarkCheckpointRestore|BenchmarkCheckpointRestoreParallel|BenchmarkServeHTTP|BenchmarkRouterIngest|BenchmarkRouterIngestSlowMembers|BenchmarkMetricsScrape|BenchmarkQueryExport|BenchmarkQueryLookup|BenchmarkQueryTopK|BenchmarkQueryGroup)$' \
 	-benchmem \
 	. ./cmd/slimfast ./internal/obs ./internal/query | tee "$TMP"
 
