@@ -193,7 +193,7 @@ func TestCheckpointRoundTripWithEvictionAndDecay(t *testing.T) {
 // dedup ring are all part of the hash, so the bytes a restoring
 // binary reads stay what every writer has written.
 func TestGoldenCheckpointBytes(t *testing.T) {
-	const want = "77b0320e9bc378f0f11de84438617694f71d99c31fe857288d9010359d18809e"
+	const want = "529e7d7604cc94601e059f453b418fe5f70b0e5b56fe965b120fd1c98d222fc4"
 	_, triples := streamInstance(t, 9)
 	opts := DefaultEngineOptions()
 	opts.Shards = 2

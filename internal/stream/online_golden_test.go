@@ -227,7 +227,7 @@ func TestGoldenOnlineCheckpointAtEveryEpochBoundary(t *testing.T) {
 // the bytes a restoring binary reads stay what every writer has
 // written.
 func TestGoldenOnlineCheckpointBytes(t *testing.T) {
-	const want = "076fbea833f7bce3e916726cb71e6fec02dd23ee6c5b28b9c50b6f97ed239b07"
+	const want = "21942633584a21bfc334bd5bbc66760446c88e92a2fa1658f00ac4232ba98a94"
 	_, triples, features := featureStreamInstance(t, 13)
 	e := ingestOnline(t, triples, features, 2)
 	e.Refine(2)
