@@ -27,13 +27,13 @@ bench:
 	./scripts/bench.sh bench_local.json
 
 ## benchdiff: record bench_local.json and fail if it regresses >10%
-## vs the committed BENCH_37.json baseline in allocs/op, printing the
+## vs the committed BENCH_38.json baseline in allocs/op, printing the
 ## ns/op drift alongside (see scripts/benchdiff for arbitrary
 ## snapshots). Allocation counts are deterministic for a given core
 ## count; wall-clock on a shared dev box is not, so only allocs gate
 ## here — the same gate the CI bench job applies.
 benchdiff: bench
-	./scripts/benchdiff BENCH_37.json bench_local.json 10 allocs
+	./scripts/benchdiff BENCH_38.json bench_local.json 10 allocs
 
 ## lint: formatting + static analysis + the reachability gate
 ## (scripts/reachcheck: every package imported and every func and

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -194,6 +195,19 @@ func TestCheckpointRoundTripWithEvictionAndDecay(t *testing.T) {
 // binary reads stay what every writer has written.
 func TestGoldenCheckpointBytes(t *testing.T) {
 	const want = "529e7d7604cc94601e059f453b418fe5f70b0e5b56fe965b120fd1c98d222fc4"
+	e := goldenCheckpointEngine(t)
+	var buf bytes.Buffer
+	if err := e.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Errorf("checkpoint SHA-256 = %s, want %s", got, want)
+	}
+}
+
+// goldenCheckpointEngine is the engine TestGoldenCheckpointBytes pins.
+func goldenCheckpointEngine(t *testing.T) *Engine {
+	t.Helper()
 	_, triples := streamInstance(t, 9)
 	opts := DefaultEngineOptions()
 	opts.Shards = 2
@@ -213,13 +227,7 @@ func TestGoldenCheckpointBytes(t *testing.T) {
 		t.Fatalf("stream did not evict and refresh: %+v", st)
 	}
 	e.Refine(2)
-	var buf bytes.Buffer
-	if err := e.WriteCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
-		t.Errorf("checkpoint SHA-256 = %s, want %s", got, want)
-	}
+	return e
 }
 
 // smallCheckpoint builds a compact but non-trivial checkpoint for the
@@ -1022,5 +1030,161 @@ func TestRestoredWindowsDoNotAlias(t *testing.T) {
 	}
 	if a, b := engineFingerprint(e), engineFingerprint(r); a != b {
 		t.Errorf("fingerprints differ after new claims: never stopped %x, restored %x", a, b)
+	}
+}
+
+// exportBytes is the engine's estimates in scan order, confidences as
+// their bit patterns: equal bytes mean an equal export.
+func exportBytes(e *Engine) []byte {
+	var b bytes.Buffer
+	for est := range e.EstimatesSeq() {
+		fmt.Fprintf(&b, "%s,%s,%016x\n", est.Object, est.Value, math.Float64bits(est.Confidence))
+	}
+	return b.Bytes()
+}
+
+// TestRestoreWorkersIdentical: two engines fed one stream that differ
+// only in Workers (1 and 4) write checkpoints that differ only in the
+// main section, where the Workers slot is. The first restores its
+// shard sections one after another and the second concurrently, to
+// equal fingerprints and equal export bytes, and both continue bit for
+// bit like the engine that never stopped.
+func TestRestoreWorkersIdentical(t *testing.T) {
+	_, triples := streamInstance(t, 7)
+	half := len(triples) / 2
+	finish := func(e *Engine) {
+		for _, tr := range triples[half:] {
+			e.Observe(tr[0], tr[1], tr[2])
+		}
+	}
+	never := ingestEngine(t, triples[:half], 1)
+	finish(never)
+	var ckpts [][]byte
+	var restored []*Engine
+	for _, workers := range []int{1, 4} {
+		e := ingestEngine(t, triples[:half], workers)
+		var buf bytes.Buffer
+		if err := e.WriteCheckpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		r, err := restoreBytes(buf.Bytes())
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		ckpts = append(ckpts, buf.Bytes())
+		restored = append(restored, r)
+	}
+	secs, err := wire.Sections(bytes.NewReader(ckpts[0]), int64(len(ckpts[0])), checkpointMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(secs) != 6 {
+		t.Fatalf("%d sections, want main, 4 shards and the tail", len(secs))
+	}
+	mainEnd := secs[0].Off + secs[0].Len
+	if len(ckpts[0]) != len(ckpts[1]) || !bytes.Equal(ckpts[0][mainEnd:], ckpts[1][mainEnd:]) {
+		t.Fatal("the Workers 1 and 4 checkpoints differ past the main section")
+	}
+	if a, b := engineFingerprint(restored[0]), engineFingerprint(restored[1]); a != b {
+		t.Errorf("restored fingerprints differ: Workers 1 %x, Workers 4 %x", a, b)
+	}
+	if !bytes.Equal(exportBytes(restored[0]), exportBytes(restored[1])) {
+		t.Error("restored exports differ between Workers 1 and 4")
+	}
+	want := engineFingerprint(never)
+	for i, r := range restored {
+		finish(r)
+		if got := engineFingerprint(r); got != want {
+			t.Errorf("restore %d continued to %x, the never-stopped engine to %x", i, got, want)
+		}
+	}
+}
+
+// TestRestoreReportsLowestDamagedSection damages the checksum footers
+// of shard sections 1 and 3 of a four-shard checkpoint whose Workers 4
+// decode them concurrently: every restore must fail with shard 1's
+// checksum error, whichever worker finishes first.
+func TestRestoreReportsLowestDamagedSection(t *testing.T) {
+	_, triples := streamInstance(t, 7)
+	e := ingestEngine(t, triples, 4)
+	var buf bytes.Buffer
+	if err := e.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := buf.Bytes()
+	secs, err := wire.Sections(bytes.NewReader(ckpt), int64(len(ckpt)), checkpointMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shard := range []int{1, 3} {
+		sec := secs[1+shard]
+		ckpt[sec.Off+sec.Len-1] ^= 0x01 // the section's CRC-32C footer
+	}
+	for i := 0; i < 20; i++ {
+		e, err := restoreBytes(ckpt)
+		if e != nil || !errors.Is(err, wire.ErrChecksum) || !strings.Contains(err.Error(), "shard 1 section") {
+			t.Fatalf("restore %d: engine=%v err=%v, want nil and shard 1's checksum error", i, e != nil, err)
+		}
+	}
+}
+
+// TestRestoreV4Upgrade: the files under testdata/v4 are the v4
+// checkpoints the last v4 build wrote of the engines
+// TestGoldenCheckpointBytes and TestGoldenOnlineCheckpointBytes build
+// (the SHA-256 those tests pinned for v4). Each restores through the
+// v4 reader to the fingerprint and export of the engine rebuilt here,
+// and its v5 re-checkpoint is that engine's v5 checkpoint byte for
+// byte and restores to the same fingerprint.
+func TestRestoreV4Upgrade(t *testing.T) {
+	for _, tc := range []struct {
+		file, sha string
+		build     func(*testing.T) *Engine
+	}{
+		{"golden.ckpt", "77b0320e9bc378f0f11de84438617694f71d99c31fe857288d9010359d18809e", goldenCheckpointEngine},
+		{"golden-online.ckpt", "076fbea833f7bce3e916726cb71e6fec02dd23ee6c5b28b9c50b6f97ed239b07", goldenOnlineEngine},
+	} {
+		v4, err := os.ReadFile(filepath.Join("testdata", "v4", tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(v4)); got != tc.sha {
+			t.Fatalf("%s: SHA-256 %s, want the v4 pin %s", tc.file, got, tc.sha)
+		}
+		if v, err := wire.Version(bytes.NewReader(v4), checkpointMagic); err != nil || v != checkpointV4 {
+			t.Fatalf("%s: version %d, %v", tc.file, v, err)
+		}
+		want := tc.build(t)
+		old, err := restoreBytes(v4)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		if a, b := engineFingerprint(old), engineFingerprint(want); a != b {
+			t.Errorf("%s: v4 restore fingerprint %x, engine %x", tc.file, a, b)
+		}
+		if !bytes.Equal(exportBytes(old), exportBytes(want)) {
+			t.Errorf("%s: v4 restore exports differently", tc.file)
+		}
+		var re, fresh bytes.Buffer
+		if err := old.WriteCheckpoint(&re); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.WriteCheckpoint(&fresh); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(re.Bytes(), fresh.Bytes()) {
+			t.Errorf("%s: the v5 re-checkpoint differs from the engine's own", tc.file)
+		}
+		// v5 adds a footer per section past the first and the table.
+		n := old.NumShards() + 2
+		if got, want := re.Len()-len(v4), 4*(n-1)+16*n+12; got != want {
+			t.Errorf("%s: v5 is %d bytes longer than v4, want %d", tc.file, got, want)
+		}
+		r, err := restoreBytes(re.Bytes())
+		if err != nil {
+			t.Fatalf("%s: v5 re-checkpoint: %v", tc.file, err)
+		}
+		if a, b := engineFingerprint(r), engineFingerprint(want); a != b {
+			t.Errorf("%s: v5 re-checkpoint restores to %x, engine %x", tc.file, a, b)
+		}
 	}
 }

@@ -70,6 +70,12 @@ func TestFuzzRestoreCorpusFaults(t *testing.T) {
 		"ccf736f0bf393563": "options record InitAccuracy NaN",
 		"7bd830c667ff7114": "feature table",
 		"cbd828c92fea3951": "feature table",
+		// v5: the container's own checks, then a section's checksum.
+		"seed-valid-v5":          "",
+		"seed-truncated-v5":      "does not end in a section table",
+		"seed-bitflip-v5":        "shard 0 section: wire: checksum mismatch",
+		"seed-table-past-end-v5": "section 1 spans [215, 1294), past the section table",
+		"seed-table-checksum-v5": "section table: wire: checksum mismatch",
 	}
 	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzRestore", "*"))
 	if err != nil {

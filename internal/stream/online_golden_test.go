@@ -228,9 +228,7 @@ func TestGoldenOnlineCheckpointAtEveryEpochBoundary(t *testing.T) {
 // written.
 func TestGoldenOnlineCheckpointBytes(t *testing.T) {
 	const want = "21942633584a21bfc334bd5bbc66760446c88e92a2fa1658f00ac4232ba98a94"
-	_, triples, features := featureStreamInstance(t, 13)
-	e := ingestOnline(t, triples, features, 2)
-	e.Refine(2)
+	e := goldenOnlineEngine(t)
 	var buf bytes.Buffer
 	if err := e.WriteCheckpoint(&buf); err != nil {
 		t.Fatal(err)
@@ -238,6 +236,16 @@ func TestGoldenOnlineCheckpointBytes(t *testing.T) {
 	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
 		t.Errorf("checkpoint SHA-256 = %s, want %s", got, want)
 	}
+}
+
+// goldenOnlineEngine is the engine TestGoldenOnlineCheckpointBytes
+// pins.
+func goldenOnlineEngine(t *testing.T) *Engine {
+	t.Helper()
+	_, triples, features := featureStreamInstance(t, 13)
+	e := ingestOnline(t, triples, features, 2)
+	e.Refine(2)
+	return e
 }
 
 // TestOnlineEngineAdaptsToCohortDrift is the drift story at engine

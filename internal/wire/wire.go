@@ -293,7 +293,7 @@ func NewReader(r io.Reader, magic string, version uint32) (*Reader, error) {
 	if len(magic) != 4 {
 		return nil, fmt.Errorf("wire: magic must be 4 bytes, got %d", len(magic))
 	}
-	rd := &Reader{r: r, buf: make([]byte, growChunk)}
+	rd := NewSection(r)
 	got := rd.next(4)
 	if rd.err != nil {
 		return nil, rd.err

@@ -403,3 +403,79 @@ func TestLongValuesSpanBlocks(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 }
+
+// TestSections round-trips a sectioned stream: the table locates each
+// section, the first decodes with NewReader and the rest with
+// NewSection, each verified by its own footer. Cut at any byte, the
+// stream fails to yield its table with ErrTruncated or ErrChecksum;
+// a flipped byte inside a section fails that section alone.
+func TestSections(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf, testMagic, testVersion)
+	w.String("main")
+	w.Section()
+	w.Float64s([]float64{1, 2, 3})
+	w.Section()
+	w.Strings([]string{"tail"})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	secs, err := Sections(bytes.NewReader(b), int64(len(b)), testMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(secs) != 3 || secs[0].Off != 0 || secs[1].Off != secs[0].Len || secs[2].Off != secs[1].Off+secs[1].Len {
+		t.Fatalf("sections %v", secs)
+	}
+	open := func(data []byte, i int) *Reader {
+		sr := io.NewSectionReader(bytes.NewReader(data), secs[i].Off, secs[i].Len)
+		if i > 0 {
+			return NewSection(sr)
+		}
+		r, err := NewReader(sr, testMagic, testVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	r := open(b, 2)
+	if got := r.Strings(); len(got) != 1 || got[0] != "tail" {
+		t.Errorf("tail decoded %v", got)
+	}
+	if err := r.Close(); err != nil {
+		t.Errorf("tail: %v", err)
+	}
+	r = open(b, 1)
+	if got := r.Float64s(); !slices.Equal(got, []float64{1, 2, 3}) {
+		t.Errorf("middle decoded %v", got)
+	}
+	if err := r.Close(); err != nil {
+		t.Errorf("middle: %v", err)
+	}
+	r = open(b, 0)
+	if got := r.String(); got != "main" {
+		t.Errorf("main decoded %q", got)
+	}
+	if err := r.Close(); err != nil {
+		t.Errorf("main: %v", err)
+	}
+	for cut := 0; cut < len(b); cut++ {
+		_, err := Sections(bytes.NewReader(b[:cut]), int64(cut), testMagic)
+		if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrChecksum) {
+			t.Fatalf("cut at %d: %v, want ErrTruncated or ErrChecksum", cut, err)
+		}
+	}
+	flipped := slices.Clone(b)
+	flipped[secs[1].Off+5] ^= 0x01
+	r = open(flipped, 1)
+	r.Float64s()
+	if err := r.Close(); !errors.Is(err, ErrChecksum) {
+		t.Errorf("flipped middle section: %v, want ErrChecksum", err)
+	}
+	r = open(flipped, 2)
+	r.Strings()
+	if err := r.Close(); err != nil {
+		t.Errorf("the tail after a flipped middle section: %v", err)
+	}
+}
