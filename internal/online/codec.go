@@ -8,10 +8,11 @@
 // Writers up to format v4's first releases also kept a sliding window
 // of per-epoch evidence: a window length in the config and, in the
 // state, a ring of that many slots, its position and the per-source
-// window sums. The learner now trains on the engine's own mass, so the
-// writer emits that layout in its cumulative shape (length 0, no
-// slots, position 0, sums of zeros: an older binary still restores
-// the file), and the reader checks an old file's ring and drops it.
+// window sums. The learner now trains on the engine's own mass, and
+// format v6 carries none of those slots. A v5 file still has them,
+// written in the cumulative shape (length 0, no slots, position 0,
+// sums of zeros) or, in an older file, holding a ring: the v5 read
+// shim checks them and drops them, and goes with the v5 layout.
 package online
 
 import (
@@ -23,12 +24,11 @@ import (
 
 // EncodeConfig writes the learner-config block: the anchor accuracy
 // InitAccuracy, then the hyper-parameter constants, with the always-on
-// intercept as true and the window length as 0. The slot order is the
-// format contract, mirrored by DecodeConfig.
+// intercept as true. The slot order is the format contract, mirrored
+// by DecodeConfig.
 func EncodeConfig(w *wire.Writer) {
 	w.Float64(InitAccuracy)
 	w.Float64(priorStrength)
-	w.Int(0) // window length
 	w.Int(fitSteps)
 	w.Int(batchSize)
 	w.Float64(learningRate)
@@ -41,13 +41,17 @@ func EncodeConfig(w *wire.Writer) {
 // DecodeConfig reads the block EncodeConfig writes and fails when a
 // slot differs from what EncodeConfig would write: no
 // binary ever wrote other values, and this learner could not honour
-// them. The window length is the exception: files written while the
-// learner kept a window carry its length, returned as ring, the number
-// of ring slots DecodeState must find.
-func DecodeConfig(r *wire.Reader) (ring int, err error) {
+// them. With v5 set it reads a v5 file's block, which has a window
+// length slot after the prior strength: files written while the
+// learner kept a window carry its length there, returned as ring, the
+// number of ring slots DecodeState must find. The v5 layout goes with
+// the v5 read shim.
+func DecodeConfig(r *wire.Reader, v5 bool) (ring int, err error) {
 	anchor := r.Float64()
 	prior := r.Float64()
-	ring = r.Int()
+	if v5 {
+		ring = r.Int()
+	}
 	steps := r.Int()
 	batch := r.Int()
 	rate := r.Float64()
@@ -75,11 +79,6 @@ func (l *Learner) EncodeState(w *wire.Writer) {
 	for _, fs := range l.srcFeats {
 		w.Int32s(fs)
 	}
-	zeros := make([]float64, len(l.srcFeats))
-	w.Uint32(0) // ring slots
-	w.Int(0)    // ring position
-	w.Float64s(zeros)
-	w.Float64s(zeros)
 	w.Int64(l.epochs)
 	w.Int64(l.step)
 }
@@ -92,11 +91,11 @@ const maxStateSlots = 1 << 28
 // DecodeState reads state written by EncodeState into the (freshly
 // constructed) learner, validating structural invariants so a
 // corrupted checkpoint fails here rather than panicking at the next
-// refresh. ring is the window length DecodeConfig returned; an older
-// file's window is checked and dropped. Wire-level errors surface
-// through the reader's sticky error; structural violations return a
-// descriptive error.
-func (l *Learner) DecodeState(r *wire.Reader, ring int) error {
+// refresh. With v5 set it reads a v5 file's state, whose window slots
+// it checks against ring, the window length DecodeConfig returned, and
+// drops. Wire-level errors surface through the reader's sticky error;
+// structural violations return a descriptive error.
+func (l *Learner) DecodeState(r *wire.Reader, v5 bool, ring int) error {
 	l.featNames = r.Strings()
 	l.w = r.Float64s()
 	nSrc := int(r.Uint32())
@@ -129,6 +128,21 @@ func (l *Learner) DecodeState(r *wire.Reader, ring int) error {
 		}
 		l.srcFeats = append(l.srcFeats, fs)
 	}
+	if v5 {
+		if err := dropWindow(r, ring, nSrc); err != nil {
+			return err
+		}
+	}
+	l.epochs = r.Int64()
+	l.step = r.Int64()
+	return r.Err()
+}
+
+// dropWindow reads and checks the window slots of a v5 file's learner
+// state — the ring of ring slots, its position and the window sums,
+// each as long as the nSrc sources — and drops them. It goes with the
+// v5 read shim.
+func dropWindow(r *wire.Reader, ring, nSrc int) error {
 	nRing := int(r.Uint32())
 	if err := r.Err(); err != nil {
 		return err
@@ -152,8 +166,6 @@ func (l *Learner) DecodeState(r *wire.Reader, ring int) error {
 	ringPos := r.Int()
 	winAgree := r.Float64s()
 	winTotal := r.Float64s()
-	l.epochs = r.Int64()
-	l.step = r.Int64()
 	if err := r.Err(); err != nil {
 		return err
 	}

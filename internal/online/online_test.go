@@ -152,17 +152,19 @@ func encodeLearner(t *testing.T, l *Learner) []byte {
 	return buf.Bytes()
 }
 
-func decodeLearner(b []byte) (*Learner, error) {
+// decodeLearner reads what encodeLearner wrote; with v5 set, a config
+// block and state in the v5 layout, window slots included.
+func decodeLearner(b []byte, v5 bool) (*Learner, error) {
 	r, err := wire.NewReader(bytes.NewReader(b), testMagic, 1)
 	if err != nil {
 		return nil, err
 	}
-	ring, err := DecodeConfig(r)
+	ring, err := DecodeConfig(r, v5)
 	if err != nil {
 		return nil, err
 	}
 	l := New()
-	if err := l.DecodeState(r, ring); err != nil {
+	if err := l.DecodeState(r, v5, ring); err != nil {
 		return nil, err
 	}
 	if err := r.Close(); err != nil {
@@ -174,7 +176,7 @@ func decodeLearner(b []byte) (*Learner, error) {
 func TestCodecRoundTripContinuesBitIdentically(t *testing.T) {
 	orig := New()
 	feedCohorts(orig, 4, 17, 0.88, 0.4, 12)
-	restored, err := decodeLearner(encodeLearner(t, orig))
+	restored, err := decodeLearner(encodeLearner(t, orig), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +205,8 @@ func assertSameLearner(t *testing.T, a, b *Learner) {
 	}
 }
 
-// encodeWindowConfig writes the config block as a writer with a window
-// of the given length laid it out.
+// encodeWindowConfig writes the config block in the v5 layout, as a
+// writer with a window of the given length laid it out.
 func encodeWindowConfig(w *wire.Writer, window int) {
 	w.Float64(0.7) // anchor accuracy
 	w.Float64(4)   // prior strength
@@ -220,9 +222,13 @@ func encodeWindowConfig(w *wire.Writer, window int) {
 
 // TestDecodeConfigChecksEverySlot pins the config block's bytes to the
 // values every writer has recorded, and rejects a block in which any
-// slot but the window length differs.
+// slot differs, in the v6 layout and in the v5 one, whose window
+// length slot is the exception: DecodeConfig returns it.
 func TestDecodeConfigChecksEverySlot(t *testing.T) {
-	block := func(edit func(w *wire.Writer, slot int) bool) []byte {
+	// block writes the v6 block, or with v5 set the v5 block with a
+	// window length of 0 as its third slot; edit may write a slot
+	// itself and report that it did.
+	block := func(v5 bool, edit func(w *wire.Writer, slot int) bool) []byte {
 		var buf bytes.Buffer
 		w := wire.NewWriter(&buf, testMagic, 1)
 		writes := []func(){
@@ -232,6 +238,9 @@ func TestDecodeConfigChecksEverySlot(t *testing.T) {
 			func() { w.Int64(1) },
 		}
 		for slot, write := range writes {
+			if slot == 2 && !v5 {
+				continue
+			}
 			if !edit(w, slot) {
 				write()
 			}
@@ -241,12 +250,12 @@ func TestDecodeConfigChecksEverySlot(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	decode := func(b []byte) (int, error) {
+	decode := func(b []byte, v5 bool) (int, error) {
 		r, err := wire.NewReader(bytes.NewReader(b), testMagic, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return DecodeConfig(r)
+		return DecodeConfig(r, v5)
 	}
 	var buf bytes.Buffer
 	w := wire.NewWriter(&buf, testMagic, 1)
@@ -254,50 +263,52 @@ func TestDecodeConfigChecksEverySlot(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if want := block(func(*wire.Writer, int) bool { return false }); !bytes.Equal(buf.Bytes(), want) {
+	if want := block(false, func(*wire.Writer, int) bool { return false }); !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("EncodeConfig wrote % x, want % x", buf.Bytes(), want)
 	}
-	if ring, err := decode(buf.Bytes()); err != nil || ring != 0 {
+	if ring, err := decode(buf.Bytes(), false); err != nil || ring != 0 {
 		t.Fatalf("own block: ring %d, err %v", ring, err)
 	}
-	if ring, err := decode(block(func(w *wire.Writer, slot int) bool {
+	if ring, err := decode(block(true, func(w *wire.Writer, slot int) bool {
 		if slot == 2 {
 			w.Int(32)
 		}
 		return slot == 2
-	})); err != nil || ring != 32 {
-		t.Errorf("window length 32: ring %d, err %v; want 32 and no error", ring, err)
+	}), true); err != nil || ring != 32 {
+		t.Errorf("v5 window length 32: ring %d, err %v; want 32 and no error", ring, err)
 	}
-	for slot := 0; slot < 10; slot++ {
-		if slot == 2 {
-			continue
-		}
-		b := block(func(w *wire.Writer, at int) bool {
-			if at != slot {
-				return false
+	for _, v5 := range []bool{false, true} {
+		for slot := 0; slot < 10; slot++ {
+			if slot == 2 {
+				continue
 			}
-			switch slot {
-			case 3, 4:
-				w.Int(25)
-			case 8:
-				w.Bool(false)
-			case 9:
-				w.Int64(2)
-			default:
-				w.Float64(0.5)
+			b := block(v5, func(w *wire.Writer, at int) bool {
+				if at != slot {
+					return false
+				}
+				switch slot {
+				case 3, 4:
+					w.Int(25)
+				case 8:
+					w.Bool(false)
+				case 9:
+					w.Int64(2)
+				default:
+					w.Float64(0.5)
+				}
+				return true
+			})
+			if _, err := decode(b, v5); err == nil {
+				t.Errorf("v5 %v, slot %d changed: want an error", v5, slot)
 			}
-			return true
-		})
-		if _, err := decode(b); err == nil {
-			t.Errorf("slot %d changed: want an error", slot)
 		}
 	}
-	if _, err := decode(buf.Bytes()[:len(buf.Bytes())/2]); err == nil {
+	if _, err := decode(buf.Bytes()[:len(buf.Bytes())/2], false); err == nil {
 		t.Error("truncated block: want an error")
 	}
 }
 
-// TestDecodeStateDropsOldWindow restores a learner section as a
+// TestDecodeStateDropsOldWindow restores a v5 learner section as a
 // windowed writer laid it out (a 32-slot ring with evidence in it) and
 // checks that the ring is dropped: the learner restores with its
 // weights, counters and sources, and keeps training exactly like one
@@ -328,7 +339,7 @@ func TestDecodeStateDropsOldWindow(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	old, err := decodeLearner(buf.Bytes())
+	old, err := decodeLearner(buf.Bytes(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,10 +349,10 @@ func TestDecodeStateDropsOldWindow(t *testing.T) {
 	assertSameLearner(t, ref, old)
 }
 
-// TestEncodeStateWritesCumulativeShape pins the retired window fields
-// a new writer emits: window length 0, no ring slots, position 0 and
-// one zero per source in each window sum, the shape an older reader
-// accepts.
+// TestEncodeStateWritesCumulativeShape pins the state a writer emits:
+// the cumulative learner's alone, with none of the window slots a v5
+// file carries. The source features are followed by the epoch and
+// step counters and then the footer.
 func TestEncodeStateWritesCumulativeShape(t *testing.T) {
 	l := New()
 	feedCohorts(l, 2, 3, 0.9, 0.3, 10)
@@ -349,8 +360,7 @@ func TestEncodeStateWritesCumulativeShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, err := DecodeConfig(r)
-	if err != nil {
+	if _, err := DecodeConfig(r, false); err != nil {
 		t.Fatal(err)
 	}
 	r.Strings()
@@ -359,20 +369,12 @@ func TestEncodeStateWritesCumulativeShape(t *testing.T) {
 	for s := 0; s < nSrc; s++ {
 		r.Int32s()
 	}
-	slots, pos, sumA, sumT := r.Uint32(), r.Int(), r.Float64s(), r.Float64s()
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
+	epochs, step := r.Int64(), r.Int64()
+	if err := r.Close(); err != nil {
+		t.Fatalf("the state holds more than its counters after the features: %v", err)
 	}
-	if ring != 0 || slots != 0 || pos != 0 {
-		t.Errorf("window length %d, %d ring slots, position %d: want all 0", ring, slots, pos)
-	}
-	if len(sumA) != nSrc || len(sumT) != nSrc || nSrc != 4 {
-		t.Fatalf("window sums %d/%d long for %d sources, want 4", len(sumA), len(sumT), nSrc)
-	}
-	for s := range sumA {
-		if sumA[s] != 0 || sumT[s] != 0 {
-			t.Errorf("source %d window sums %v/%v, want 0", s, sumA[s], sumT[s])
-		}
+	if nSrc != 4 || epochs != l.epochs || step != l.step {
+		t.Errorf("%d sources, epochs %d, step %d: want 4, %d, %d", nSrc, epochs, step, l.epochs, l.step)
 	}
 }
 
@@ -456,14 +458,14 @@ func TestDecodeStateRejectsCorruption(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		if _, err := decodeLearner(write(tc.build)); err == nil {
+		if _, err := decodeLearner(write(tc.build), true); err == nil {
 			t.Errorf("%s: corrupt state should be rejected", tc.name)
 		}
 	}
 	// Truncation surfaces as a wire error, never a panic.
 	good := encodeLearner(t, New())
 	for _, cut := range []int{9, len(good) / 2, len(good) - 2} {
-		if _, err := decodeLearner(good[:cut]); err == nil {
+		if _, err := decodeLearner(good[:cut], false); err == nil {
 			t.Errorf("cut=%d: truncated state should be rejected", cut)
 		}
 	}

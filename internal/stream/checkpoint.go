@@ -17,9 +17,11 @@
 package stream
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"math"
 	"os"
 	"sort"
@@ -31,31 +33,30 @@ import (
 	"slimfast/internal/wire"
 )
 
-// The checkpoint format is v5: the v4 payload split into checksummed
-// sections so Restore can decode the shards in parallel. The main
+// The checkpoint format is v6: a sectioned wire stream. The main
 // section holds the options block (whose InitAccuracy, PriorStrength
 // and DedupWindow slots hold this package's constants, checked on
 // restore) and the source and value tables; then comes one section per
-// shard record, each with one int64 per live object for the epoch its
-// MAP value last changed; the tail holds the online learner's state
-// when it is on (its configuration, fixed values also checked, is in
-// the options block) and the sequence-key ring, so a client retry that
-// straddles a restart still deduplicates. A section table at the end
-// locates the sections. Restore also reads v4, the same payload as one
-// stream with one checksum, sequentially; older files fail with
-// wire.ErrVersion. docs/WIRE_FORMAT.md says how to upgrade one.
+// shard record, laid out in columns (encodeShard); the tail holds the
+// online learner's state when it is on (its configuration, fixed
+// values also checked, is in the options block) and the sequence-key
+// ring, so a client retry that straddles a restart still
+// deduplicates. A section table at the end locates the sections.
+// Restore also reads v5, whose shard sections hold one record per
+// slot, through a read shim kept for one release; older files fail
+// with wire.ErrVersion. docs/WIRE_FORMAT.md says how to upgrade one.
 const (
 	checkpointMagic   = "SFCK"
-	checkpointVersion = uint32(5)
-	checkpointV4      = uint32(4)
+	checkpointVersion = uint32(6)
+	checkpointV5      = uint32(5)
 )
 
-// maxCheckpointSlots bounds slab and claim counts read from a
-// checkpoint before its checksum has been verified. Decoding also
-// grows slots and arrays as records actually arrive (in chunks and
-// blocks of at most growSlots) rather than preallocating the declared
-// count, so a corrupted length cannot drive an absurd allocation: on a
-// finite stream it just runs into wire.ErrTruncated.
+// maxCheckpointSlots bounds the feature-row count read from the main
+// section before its checksum has been verified; the feature map grows
+// from at most growSlots rows as rows actually arrive, so a corrupted
+// count runs into wire.ErrTruncated instead of an absurd allocation.
+// Shard sections need no such bound: each count there is checked
+// against the bytes left in its section before anything is sized by it.
 const (
 	maxCheckpointSlots = 1 << 28
 	growSlots          = 1 << 12
@@ -79,16 +80,22 @@ var (
 	// pieces and cannot describe one consistent engine.
 	ErrShardCount = errors.New("stream: checkpoint shard count mismatch")
 	// ErrCorrupt means a structural invariant failed during decode
-	// (dangling ids, ragged slabs, out-of-range links) even though the
-	// bytes themselves parsed.
+	// (dangling ids, column counts that disagree, out-of-range links)
+	// even though the bytes themselves parsed.
 	ErrCorrupt = errors.New("stream: corrupt checkpoint")
 )
 
 // shardSnapshot is one shard's state, deep-copied under the shard's
 // read lock so encoding happens with no locks held (the copy-on-read
-// half of "safe concurrent with ingest").
+// half of "safe concurrent with ingest"). claims, domain, scores and
+// post are the live objects' arrays end to end in slot order, each
+// object's a window of them: the claim and domain columns as
+// encodeShard writes them.
 type shardSnapshot struct {
 	objs           []object
+	claims         []claim
+	domain         []domEntry
+	scores, post   []float64
 	free           []int
 	dirtyIx        []int
 	lruHead        int
@@ -108,6 +115,11 @@ type shardSnapshot struct {
 // are not part of the format. A first pass sizes the copy, so the live
 // objects' claims, domains, scores and posteriors land in four exact
 // per-shard blocks, not four copies per object.
+//
+// Every live object's domain, scores and post are equally long: apply
+// refreshes the posterior after any domain change, under the lock held
+// here. So the domain, scores and post blocks are too, and one length
+// per object describes all three.
 func (sh *shard) snapshot() shardSnapshot {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -153,7 +165,20 @@ func (sh *shard) snapshot() shardSnapshot {
 		dst.scores = copyInto(&scores, src.scores)
 		dst.post = copyInto(&post, src.post)
 	}
+	sn.claims, sn.domain, sn.scores, sn.post = claims, domain, scores, post
 	return sn
+}
+
+// live yields the snapshot's live objects in slot order: one element
+// of each per-object column apiece.
+func (sn *shardSnapshot) live() iter.Seq[*object] {
+	return func(yield func(*object) bool) {
+		for ix := range sn.objs {
+			if sn.objs[ix].live && !yield(&sn.objs[ix]) {
+				return
+			}
+		}
+	}
 }
 
 // copyInto appends src to *blk, which the caller sized to hold it, and
@@ -268,9 +293,10 @@ func encodeOptions(w *wire.Writer, o EngineOptions) {
 // decodeOptions reads what encodeOptions wrote and fails with
 // ErrCorrupt when a fixed slot differs from this package's constant:
 // no binary ever wrote another value, and this engine could not honour
-// one. ring is the learner's window length in the file, which the
-// learner state decode checks.
-func decodeOptions(r *wire.Reader) (o EngineOptions, ring int, err error) {
+// one. With v5 set it reads a v5 file's block; ring is then the
+// learner's window length in the file, which the learner state decode
+// checks.
+func decodeOptions(r *wire.Reader, v5 bool) (o EngineOptions, ring int, err error) {
 	initAccuracy := r.Float64()
 	prior := r.Float64()
 	o.Decay = r.Float64()
@@ -290,7 +316,7 @@ func decodeOptions(r *wire.Reader) (o EngineOptions, ring int, err error) {
 	if !o.OnlineLearn {
 		return o, 0, nil
 	}
-	ring, err = online.DecodeConfig(r)
+	ring, err = online.DecodeConfig(r, v5)
 	if err != nil {
 		if r.Err() != nil {
 			return o, 0, err
@@ -321,42 +347,79 @@ func decodeOptions(r *wire.Reader) (o EngineOptions, ring int, err error) {
 	return o, ring, r.Err()
 }
 
-// encodeShard writes one shard record: an index tag (so Restore can
-// detect reordered or mismatched records), the full object slab in
-// slot order, and the shard-local accumulators.
+// encodeShard writes one v6 shard section: an index tag (so Restore
+// can detect reordered or mismatched records), the slots' live flags,
+// the live objects in slot order as columns, and the shard-local
+// accumulators. The object columns are the names blob and each name's
+// end offset in it; epoch, changed, prev, next and dirty; each
+// object's claim count, then the claims' src, val and settled; each
+// object's domain length, then the domain's val and refs, scores and
+// post. The slot, names, claim and domain columns start with their
+// element count, which Restore checks against the bytes left in the
+// section before it sizes anything by it; the per-object columns hold
+// one element per live slot.
 func encodeShard(w *wire.Writer, s int, sn *shardSnapshot) {
 	w.Uint32(uint32(s))
 	w.Uint32(uint32(len(sn.objs)))
 	for ix := range sn.objs {
-		obj := &sn.objs[ix]
-		w.Bool(obj.live)
-		if !obj.live {
-			continue
-		}
-		w.String(obj.name)
-		w.Int64(obj.epoch)
-		w.Int64(obj.changed)
-		w.Int(int(obj.prev))
-		w.Int(int(obj.next))
-		w.Bool(obj.dirty)
-		w.Uint32(uint32(len(obj.claims)))
-		for i := range obj.claims {
-			c := &obj.claims[i]
-			w.Uint32(uint32(c.src))
-			w.Uint32(uint32(c.val))
-			w.Float64(c.settled)
-		}
-		// The domain and refs arrays, each as Int32s writes them.
-		w.Uint32(uint32(len(obj.domain)))
-		for _, d := range obj.domain {
-			w.Uint32(uint32(d.val))
-		}
-		w.Uint32(uint32(len(obj.domain)))
-		for _, d := range obj.domain {
-			w.Uint32(uint32(d.refs))
-		}
-		w.Float64s(obj.scores)
-		w.Float64s(obj.post)
+		w.Bool(sn.objs[ix].live)
+	}
+	nName := 0
+	for o := range sn.live() {
+		nName += len(o.name)
+	}
+	w.Uint32(uint32(nName))
+	for o := range sn.live() {
+		w.Blob(o.name)
+	}
+	end := 0
+	for o := range sn.live() {
+		end += len(o.name)
+		w.Uint32(uint32(end))
+	}
+	for o := range sn.live() {
+		w.Int64(o.epoch)
+	}
+	for o := range sn.live() {
+		w.Int64(o.changed)
+	}
+	for o := range sn.live() {
+		w.Uint32(uint32(o.prev))
+	}
+	for o := range sn.live() {
+		w.Uint32(uint32(o.next))
+	}
+	for o := range sn.live() {
+		w.Bool(o.dirty)
+	}
+	w.Uint32(uint32(len(sn.claims)))
+	for o := range sn.live() {
+		w.Uint32(uint32(len(o.claims)))
+	}
+	for _, c := range sn.claims {
+		w.Uint32(uint32(c.src))
+	}
+	for _, c := range sn.claims {
+		w.Uint32(uint32(c.val))
+	}
+	for _, c := range sn.claims {
+		w.Float64(c.settled)
+	}
+	w.Uint32(uint32(len(sn.domain)))
+	for o := range sn.live() {
+		w.Uint32(uint32(len(o.domain)))
+	}
+	for _, d := range sn.domain {
+		w.Uint32(uint32(d.val))
+	}
+	for _, d := range sn.domain {
+		w.Uint32(uint32(d.refs))
+	}
+	for _, x := range sn.scores {
+		w.Float64(x)
+	}
+	for _, x := range sn.post {
+		w.Float64(x)
 	}
 	w.Ints(sn.free)
 	w.Ints(sn.dirtyIx)
@@ -385,29 +448,26 @@ func corruptf(format string, args ...any) error {
 // mismatch, structural corruption — it returns a nil engine and a
 // typed error; no partially-restored engine ever escapes.
 //
-// A v5 file's shard sections decode on up to the restored engine's
-// Workers goroutines, each through its own read-ahead block; when
-// several sections are damaged, the error is the lowest-numbered one's
-// (main, shard 0, shard 1, …, tail). A v4 file decodes sequentially.
+// The shard sections decode on up to the restored engine's Workers
+// goroutines, each through its own read-ahead block; when several
+// sections are damaged, the error is the lowest-numbered one's (main,
+// shard 0, shard 1, …, tail).
 func Restore(r io.ReaderAt, size int64) (*Engine, error) {
 	v, err := wire.Version(r, checkpointMagic)
 	if err != nil {
 		return nil, fmt.Errorf("stream: restore: %w", err)
 	}
-	switch v {
-	case checkpointVersion:
-		return restoreSections(r, size)
-	case checkpointV4:
-		return restoreV4(io.NewSectionReader(r, 0, size))
+	if v != checkpointVersion && v != checkpointV5 {
+		return nil, fmt.Errorf("stream: restore: %w: checkpoint is v%d, this build reads v%d and v%d",
+			wire.ErrVersion, v, checkpointV5, checkpointVersion)
 	}
-	return nil, fmt.Errorf("stream: restore: %w: checkpoint is v%d, this build reads v%d and v%d",
-		wire.ErrVersion, v, checkpointV4, checkpointVersion)
+	return restoreSections(r, size, v == checkpointV5)
 }
 
-// restoreSections reads a v5 checkpoint: the section table first, then
-// the main section, the shard sections in parallel, and the tail, each
-// verified against its own checksum.
-func restoreSections(r io.ReaderAt, size int64) (*Engine, error) {
+// restoreSections reads a checkpoint, v5 when v5 is set: the section
+// table first, then the main section, the shard sections in parallel,
+// and the tail, each verified against its own checksum.
+func restoreSections(r io.ReaderAt, size int64, v5 bool) (*Engine, error) {
 	secs, err := wire.Sections(r, size, checkpointMagic)
 	if err != nil {
 		return nil, fmt.Errorf("stream: restore: %w", err)
@@ -415,12 +475,16 @@ func restoreSections(r io.ReaderAt, size int64) (*Engine, error) {
 	if len(secs) == 0 {
 		return nil, fmt.Errorf("%w: the section table is empty", ErrShardCount)
 	}
-	section := func(i int) io.Reader { return io.NewSectionReader(r, secs[i].Off, secs[i].Len) }
-	rr, err := wire.NewReader(section(0), checkpointMagic, checkpointVersion)
+	version := checkpointVersion
+	decode := decodeShard
+	if v5 {
+		version, decode = checkpointV5, decodeShardV5
+	}
+	rr, err := wire.NewReader(io.NewSectionReader(r, secs[0].Off, secs[0].Len), checkpointMagic, version)
 	if err != nil {
 		return nil, fmt.Errorf("stream: restore: %w", err)
 	}
-	e, h, err := decodeMain(rr)
+	e, h, err := decodeMain(rr, v5)
 	if err == nil {
 		err = closeSection(rr, "main")
 	}
@@ -433,9 +497,11 @@ func restoreSections(r io.ReaderAt, size int64) (*Engine, error) {
 	}
 	errs := make([]error, h.nShards)
 	parallel.For(h.nShards, e.opts.Workers, func(s int) {
-		rd := wire.NewSection(section(1 + s))
-		if errs[s] = decodeShard(rd, e, s); errs[s] == nil {
-			errs[s] = closeSection(rd, fmt.Sprintf("shard %d", s))
+		rd := wire.NewSection(r, secs[1+s])
+		if errs[s] = decode(rd, e, s); errs[s] == nil {
+			if err := rd.Close(); err != nil {
+				errs[s] = fmt.Errorf("stream: restore: shard %d section: %w", s, err)
+			}
 		}
 	})
 	for _, err := range errs { // shard order, whichever worker failed first
@@ -443,15 +509,17 @@ func restoreSections(r io.ReaderAt, size int64) (*Engine, error) {
 			return nil, err
 		}
 	}
-	rd := wire.NewSection(section(len(secs) - 1))
-	err = decodeTail(rd, e, h.ring)
+	rd := wire.NewSection(r, secs[len(secs)-1])
+	err = decodeTail(rd, e, v5, h.ring)
 	if err == nil {
 		err = closeSection(rd, "tail")
 	}
 	if err != nil {
 		return nil, err
 	}
-	return h.finish(e), nil
+	e.nObs.Store(h.nObs)
+	e.sinceEp.Store(h.sinceEp)
+	return e, nil
 }
 
 // closeSection verifies a section's checksum footer.
@@ -462,52 +530,20 @@ func closeSection(rr *wire.Reader, name string) error {
 	return nil
 }
 
-// restoreV4 reads a v4 checkpoint: the section decoders one after
-// another from its single stream, then its one checksum.
-func restoreV4(r io.Reader) (*Engine, error) {
-	rr, err := wire.NewReader(r, checkpointMagic, checkpointV4)
-	if err != nil {
-		return nil, fmt.Errorf("stream: restore: %w", err)
-	}
-	e, h, err := decodeMain(rr)
-	if err != nil {
-		return nil, err
-	}
-	for s := 0; s < h.nShards; s++ {
-		if err := decodeShard(rr, e, s); err != nil {
-			return nil, err
-		}
-	}
-	if err := decodeTail(rr, e, h.ring); err != nil {
-		return nil, err
-	}
-	if err := rr.Close(); err != nil {
-		return nil, fmt.Errorf("stream: restore: %w", err)
-	}
-	return h.finish(e), nil
-}
-
 // restoreHead is what the main section holds besides the engine it
 // builds: the counters set once every section has decoded, the shard
-// record count, and the learner's window length for the tail.
+// record count, and a v5 file's learner window length for the tail.
 type restoreHead struct {
 	nObs, sinceEp int64
 	nShards, ring int
 }
 
-// finish sets the counters on a fully decoded engine.
-func (h restoreHead) finish(e *Engine) *Engine {
-	e.nObs.Store(h.nObs)
-	e.sinceEp.Store(h.sinceEp)
-	return e
-}
-
 // decodeMain reads the main section's payload — options, counters,
 // the source and value tables and the shard record count — into a new
 // engine.
-func decodeMain(rr *wire.Reader) (*Engine, restoreHead, error) {
+func decodeMain(rr *wire.Reader, v5 bool) (*Engine, restoreHead, error) {
 	var h restoreHead
-	opts, ring, err := decodeOptions(rr)
+	opts, ring, err := decodeOptions(rr, v5)
 	if err != nil {
 		return nil, h, fmt.Errorf("stream: restore: %w", err)
 	}
@@ -565,14 +601,14 @@ func decodeMain(rr *wire.Reader) (*Engine, restoreHead, error) {
 
 // decodeTail reads the tail: the learner state, when the options block
 // turned the learner on, and the sequence-key ring.
-func decodeTail(rr *wire.Reader, e *Engine, ring int) error {
+func decodeTail(rr *wire.Reader, e *Engine, v5 bool, ring int) error {
 	nSrc := len(e.src.names)
 	if e.learner != nil {
 		// NewEngine built a fresh learner from the decoded config;
 		// overlay the checkpointed state so training continues exactly
 		// where it stopped. Structural failures are corruption, not a
 		// format skew.
-		if err := e.learner.DecodeState(rr, ring); err != nil {
+		if err := e.learner.DecodeState(rr, v5, ring); err != nil {
 			if rr.Err() != nil {
 				return fmt.Errorf("stream: restore: %w", rr.Err())
 			}
@@ -598,84 +634,267 @@ func decodeTail(rr *wire.Reader, e *Engine, ring int) error {
 	return nil
 }
 
-// decodeShard reads one shard record into e.shards[s], validating
+// Bytes per element of the claim columns (src, val, settled) and of
+// the domain columns (val, refs, scores, post), which share one count.
+const (
+	claimBytes  = 4 + 4 + 8
+	domainBytes = 4 + 4 + 8 + 8
+)
+
+// decodeShard reads one v6 shard section into e.shards[s], validating
 // every id and index against the tables decoded so far.
 //
-// It allocates per block of bytes, not per object. Slots arrive into
-// chunks that double up to growSlots slots and are copied once into an
-// exact sh.objs; a shard that fits the first chunk keeps it. Each live
-// object's arrays are windows of the shard's restoreBlocks and its name
-// a substring of a name block, and the object index is built in a pass
-// over the copied slots, sized to the live count.
+// It allocates per shard, not per object. The slot, names, claim and
+// domain counts are each checked against the bytes left in the section
+// before anything is sized by them (wire.Reader.Count), so the slots,
+// the names blob and the claim, domain, scores and post blocks are each
+// allocated once, exactly, and every column decodes in one loop per
+// read-ahead block (wire.Reader.Column). Each live object's arrays are
+// cap-limited windows of the blocks and its name a substring of the
+// blob, and the object index is built in a pass over the slots, sized
+// to the live count.
 //
 // It writes e.shards[s] alone and only reads the tables, so shards
 // decode concurrently.
 func decodeShard(rr *wire.Reader, e *Engine, s int) error {
-	nSrc, nVals := len(e.src.names), len(e.vals.names)
+	if err := shardTag(rr, s); err != nil {
+		return err
+	}
+	objs := make([]object, rr.Count(1))
+	nLive := 0
+	ix := 0
+	rr.Column(len(objs), 1, func(b []byte) {
+		for _, live := range b {
+			o := &objs[ix]
+			ix++
+			if live != 0 {
+				o.live = true
+				nLive++
+				continue
+			}
+			o.mapVal = -1
+			o.prev, o.next = -1, -1
+		}
+	})
+	le := binary.LittleEndian
+	var names strings.Builder
+	nName := rr.Count(1)
+	names.Grow(nName)
+	rr.AppendString(&names, nName)
+	blob := names.String()
+	if err := rr.Err(); err != nil {
+		return fmt.Errorf("stream: restore: %w", err)
+	}
+	cut, bad := 0, false // cut: where the last name ended in the blob
+	at := liveSlots{objs: objs}
+	rr.Column(nLive, 4, func(b []byte) {
+		for ; len(b) > 0; b = b[4:] {
+			o := at.next()
+			if end := int(le.Uint32(b)); end >= cut && end <= len(blob) {
+				o.name, cut = blob[cut:end], end
+			} else {
+				bad = true
+			}
+		}
+	})
+	at = liveSlots{objs: objs}
+	rr.Column(nLive, 8, func(b []byte) {
+		for ; len(b) > 0; b = b[8:] {
+			at.next().epoch = int64(le.Uint64(b))
+		}
+	})
+	at = liveSlots{objs: objs}
+	rr.Column(nLive, 8, func(b []byte) {
+		for ; len(b) > 0; b = b[8:] {
+			at.next().changed = int64(le.Uint64(b))
+		}
+	})
+	at = liveSlots{objs: objs}
+	rr.Column(nLive, 4, func(b []byte) {
+		for ; len(b) > 0; b = b[4:] {
+			at.next().prev = int32(le.Uint32(b))
+		}
+	})
+	at = liveSlots{objs: objs}
+	rr.Column(nLive, 4, func(b []byte) {
+		for ; len(b) > 0; b = b[4:] {
+			at.next().next = int32(le.Uint32(b))
+		}
+	})
+	at = liveSlots{objs: objs}
+	rr.Column(nLive, 1, func(b []byte) {
+		for _, dirty := range b {
+			at.next().dirty = dirty != 0
+		}
+	})
+	if err := rr.Err(); err != nil {
+		return fmt.Errorf("stream: restore: %w", err)
+	}
+	if bad || cut != len(blob) {
+		return corruptf("shard %d name offsets do not cut its %d-byte names blob in order", s, len(blob))
+	}
+
+	claims := make([]claim, rr.Count(claimBytes))
+	nClaims := windows(rr, objs, nLive, len(claims), claimBytes, func(o *object, lo, hi int) { o.claims = claims[lo:hi:hi] })
+	if err := rr.Err(); err != nil {
+		return fmt.Errorf("stream: restore: %w", err)
+	}
+	if nClaims != int64(len(claims)) {
+		return corruptf("shard %d objects declare %d claims, its claim columns hold %d", s, nClaims, len(claims))
+	}
+	k := 0
+	rr.Column(len(claims), 4, func(b []byte) {
+		for ; len(b) > 0; b = b[4:] {
+			claims[k].src = int32(le.Uint32(b))
+			k++
+		}
+	})
+	k = 0
+	rr.Column(len(claims), 4, func(b []byte) {
+		for ; len(b) > 0; b = b[4:] {
+			claims[k].val = int32(le.Uint32(b))
+			k++
+		}
+	})
+	k = 0
+	rr.Column(len(claims), 8, func(b []byte) {
+		for ; len(b) > 0; b = b[8:] {
+			claims[k].settled = math.Float64frombits(le.Uint64(b))
+			k++
+		}
+	})
+
+	nd := rr.Count(domainBytes)
+	domain := make([]domEntry, nd)
+	scores := make([]float64, nd)
+	post := make([]float64, nd)
+	nDomain := windows(rr, objs, nLive, nd, domainBytes, func(o *object, lo, hi int) {
+		o.domain, o.scores, o.post = domain[lo:hi:hi], scores[lo:hi:hi], post[lo:hi:hi]
+	})
+	if err := rr.Err(); err != nil {
+		return fmt.Errorf("stream: restore: %w", err)
+	}
+	if nDomain != int64(nd) {
+		return corruptf("shard %d objects declare %d domain entries, its domain columns hold %d", s, nDomain, nd)
+	}
+	k = 0
+	rr.Column(nd, 4, func(b []byte) {
+		for ; len(b) > 0; b = b[4:] {
+			domain[k].val = int32(le.Uint32(b))
+			k++
+		}
+	})
+	k = 0
+	rr.Column(nd, 4, func(b []byte) {
+		for ; len(b) > 0; b = b[4:] {
+			domain[k].refs = int32(le.Uint32(b))
+			k++
+		}
+	})
+	rr.AppendFloat64s(scores[:0], nd)
+	rr.AppendFloat64s(post[:0], nd)
+	if err := rr.Err(); err != nil {
+		return fmt.Errorf("stream: restore: %w", err)
+	}
+	return finishShard(rr, e, s, objs, nLive)
+}
+
+// liveSlots steps through a shard's live slots in slot order, one per
+// element of a per-object column.
+type liveSlots struct {
+	objs []object
+	ix   int
+}
+
+// next returns the next live slot's object.
+func (c *liveSlots) next() *object {
+	for !c.objs[c.ix].live {
+		c.ix++
+	}
+	c.ix++
+	return &c.objs[c.ix-1]
+}
+
+// windows decodes a per-object length column and cuts each live
+// object's window [lo, hi) of a block of n elements with cut, in slot
+// order, while the lengths stay inside the block. It returns the
+// lengths' sum, which the caller checks against n; a sum whose
+// elements of size bytes cannot fit in the section is
+// wire.ErrTruncated, like a column count that cannot.
+func windows(rr *wire.Reader, objs []object, nLive, n, size int, cut func(o *object, lo, hi int)) (sum int64) {
+	at := liveSlots{objs: objs}
+	rr.Column(nLive, 4, func(b []byte) {
+		for ; len(b) > 0; b = b[4:] {
+			o := at.next()
+			k := int64(binary.LittleEndian.Uint32(b))
+			if k > 0 && sum+k <= int64(n) {
+				cut(o, int(sum), int(sum+k))
+			}
+			sum += k
+		}
+	})
+	if sum != int64(n) {
+		rr.Fits(sum, size)
+	}
+	return sum
+}
+
+// shardTag reads a shard section's index tag, which must be s.
+func shardTag(rr *wire.Reader, s int) error {
 	tag := int(rr.Uint32())
-	nObjs := int(rr.Uint32())
 	if err := rr.Err(); err != nil {
 		return fmt.Errorf("stream: restore: %w", err)
 	}
 	if tag != s {
 		return fmt.Errorf("%w: record %d is tagged shard %d", ErrShardCount, s, tag)
 	}
-	if nObjs > maxCheckpointSlots {
-		return corruptf("shard %d declares %d object slots", s, nObjs)
+	return nil
+}
+
+// decodeShardV5 reads one v5 shard section, whose slots are one record
+// apiece, into e.shards[s]: the v5 read shim, which goes with the v5
+// layout. Each live object's arrays are allocated on their own, at
+// their length once it has been checked against the bytes left in the
+// section.
+func decodeShardV5(rr *wire.Reader, e *Engine, s int) error {
+	if err := shardTag(rr, s); err != nil {
+		return err
 	}
-	sh := &e.shards[s]
-	var blk restoreBlocks
-	var full [][]object // filled chunks, in slot order
-	chunk := make([]object, 0, min(nObjs, minBlock))
+	objs := make([]object, rr.Count(1))
 	nLive := 0
-	for ix := 0; ix < nObjs; ix++ {
-		// Bail as soon as the stream goes bad: with a sticky read error
-		// every further record decodes as zeros, and a lying nObjs must
-		// not keep appending slots until the declared count is reached.
+	for ix := range objs {
 		if err := rr.Err(); err != nil {
 			return fmt.Errorf("stream: restore: %w", err)
 		}
-		if len(chunk) == cap(chunk) {
-			full = append(full, chunk)
-			chunk = make([]object, 0, min(nObjs-ix, 2*cap(chunk), growSlots))
-		}
-		chunk = append(chunk, object{})
-		obj := &chunk[len(chunk)-1]
+		obj := &objs[ix]
 		if !rr.Bool() {
 			obj.mapVal = -1
 			obj.prev, obj.next = -1, -1
 			continue
 		}
 		obj.live = true
-		obj.name = blk.name(rr)
+		obj.name = rr.String()
 		obj.epoch = rr.Int64()
 		obj.changed = rr.Int64()
 		obj.prev = lruLink(rr.Int())
 		obj.next = lruLink(rr.Int())
 		obj.dirty = rr.Bool()
-		nClaims := int(rr.Uint32())
-		if err := rr.Err(); err != nil {
-			return fmt.Errorf("stream: restore: %w", err)
+		obj.claims = exact[claim](rr.Count(claimBytes))
+		for i := range obj.claims {
+			obj.claims[i] = claim{src: int32(rr.Uint32()), val: int32(rr.Uint32()), settled: rr.Float64()}
 		}
-		if nClaims > maxCheckpointSlots {
-			return corruptf("shard %d object %d declares %d claims", s, ix, nClaims)
+		obj.domain = exact[domEntry](rr.Count(4))
+		for i := range obj.domain {
+			obj.domain[i].val = int32(rr.Uint32())
 		}
-		obj.claims = window(&blk.claims, nClaims)
-		for i := 0; i < nClaims; i++ {
-			if err := rr.Err(); err != nil {
-				return fmt.Errorf("stream: restore: %w", err)
+		nRefs := rr.Count(4)
+		for i := 0; i < nRefs; i++ {
+			if r := int32(rr.Uint32()); i < len(obj.domain) {
+				obj.domain[i].refs = r
 			}
-			obj.claims = append(obj.claims, claim{
-				src:     int32(rr.Uint32()),
-				val:     int32(rr.Uint32()),
-				settled: rr.Float64(),
-			})
 		}
-		nRefs := decodeDomain(rr, obj, &blk.domain)
-		n := rr.Len()
-		obj.scores = rr.AppendFloat64s(window(&blk.scores, n), n)
-		n = rr.Len()
-		obj.post = rr.AppendFloat64s(window(&blk.post, n), n)
+		obj.scores = rr.Float64s()
+		obj.post = rr.Float64s()
 		if err := rr.Err(); err != nil {
 			return fmt.Errorf("stream: restore: %w", err)
 		}
@@ -683,6 +902,40 @@ func decodeShard(rr *wire.Reader, e *Engine, s int) error {
 		if nRefs != nd || len(obj.scores) != nd || len(obj.post) != nd {
 			return corruptf("shard %d object %q has ragged slabs: domain %d, refs %d, scores %d, post %d",
 				s, obj.name, nd, nRefs, len(obj.scores), len(obj.post))
+		}
+		nLive++
+	}
+	return finishShard(rr, e, s, objs, nLive)
+}
+
+// exact returns a slice of n zero elements, nil for n == 0.
+func exact[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, n)
+}
+
+// lruLink narrows a decoded v5 LRU link to the slot's int32. A value
+// outside int32 maps to math.MinInt32, which the link range check
+// rejects as it would have rejected the value itself.
+func lruLink(v int) int32 {
+	if v != int(int32(v)) {
+		return math.MinInt32
+	}
+	return int32(v)
+}
+
+// finishShard validates the decoded slots of shard s against the
+// tables, derives each live object's row cache, builds the object
+// index, and reads the shard-local vectors and accumulators that end
+// the section, into e.shards[s].
+func finishShard(rr *wire.Reader, e *Engine, s int, objs []object, nLive int) error {
+	nSrc, nVals := len(e.src.names), len(e.vals.names)
+	for ix := range objs {
+		obj := &objs[ix]
+		if !obj.live {
+			continue
 		}
 		for _, d := range obj.domain {
 			if int(d.val) < 0 || int(d.val) >= nVals {
@@ -708,16 +961,9 @@ func decodeShard(rr *wire.Reader, e *Engine, s int) error {
 		if home := ShardIndex(obj.name, e.nShards); home != s {
 			return corruptf("shard %d holds object %q, which routes to shard %d", s, obj.name, home)
 		}
-		nLive++
 	}
-	sh.objs = chunk
-	if len(full) > 0 {
-		sh.objs = make([]object, 0, nObjs)
-		for _, c := range full {
-			sh.objs = append(sh.objs, c...)
-		}
-		sh.objs = append(sh.objs, chunk...)
-	}
+	sh := &e.shards[s]
+	sh.objs = objs
 	sh.index.reserve(nLive)
 	for ix := range sh.objs {
 		obj := &sh.objs[ix]
@@ -746,6 +992,7 @@ func decodeShard(rr *wire.Reader, e *Engine, s int) error {
 	if err := rr.Err(); err != nil {
 		return fmt.Errorf("stream: restore: %w", err)
 	}
+	nObjs := len(objs)
 	inRange := func(ix int) bool { return ix >= -1 && ix < nObjs }
 	for _, ix := range sh.free {
 		if ix < 0 || ix >= nObjs || sh.objs[ix].live {
@@ -792,100 +1039,6 @@ func decodeShard(rr *wire.Reader, e *Engine, s int) error {
 		}
 	}
 	return nil
-}
-
-// restoreBlocks are the per-shard blocks a shard's restored objects
-// are carved from: each live object's claims, domain, scores and post
-// are cap-limited windows of the first four, and its name a substring
-// of names. A window is exactly its array's length, so the engine's
-// appends (apply, ensureDomain, refreshPosterior) copy out of the
-// block rather than write over a neighbour, and a reused free slot
-// reslices inside its own window. A block stays reachable while any
-// window or name cut from it does.
-type restoreBlocks struct {
-	claims []claim
-	domain []domEntry
-	scores []float64
-	post   []float64
-	names  strings.Builder
-}
-
-// Block sizes, in elements (bytes for names): a shard's first block of
-// each kind holds minBlock, and each new one doubles up to growSlots
-// (names: nameBlock bytes), so a small shard allocates little and a
-// large one allocates once per full block. An array or name longer
-// than one block is decoded on its own, from minBlock up, grown as its
-// elements arrive, so a lying count never reserves more than a block.
-const (
-	minBlock  = 64
-	nameBlock = 1 << 16
-)
-
-// window returns an empty slice with room for exactly n elements, cut
-// from the free tail of *blk; a new block starts when the tail is
-// short. It returns nil for n == 0.
-func window[T any](blk *[]T, n int) []T {
-	switch {
-	case n == 0:
-		return nil
-	case n > growSlots:
-		return make([]T, 0, minBlock)
-	case cap(*blk)-len(*blk) < n:
-		*blk = make([]T, 0, min(max(n, 2*cap(*blk), minBlock), growSlots))
-	}
-	lo := len(*blk)
-	*blk = (*blk)[:lo+n]
-	return (*blk)[lo : lo : lo+n]
-}
-
-// name decodes a length-prefixed object name as a substring of the
-// name block; a name longer than a block gets a Builder of its own.
-func (b *restoreBlocks) name(rr *wire.Reader) string {
-	n := rr.Len()
-	if n > nameBlock {
-		var long strings.Builder
-		rr.AppendString(&long, n)
-		return long.String()
-	}
-	if b.names.Cap()-b.names.Len() < n {
-		size := min(max(n, 2*b.names.Cap(), minBlock), nameBlock)
-		b.names.Reset()
-		b.names.Grow(size)
-	}
-	lo := b.names.Len()
-	rr.AppendString(&b.names, n)
-	return b.names.String()[lo:]
-}
-
-// decodeDomain reads an object's domain and refs arrays, as Int32s
-// wrote them, straight into obj.domain's pairs, a window of the domain
-// block blk. It returns the refs array's declared length for the
-// caller's ragged-slab check: refs past the domain's length are read
-// and dropped, and missing ones are left 0.
-func decodeDomain(rr *wire.Reader, obj *object, blk *[]domEntry) (nRefs int) {
-	nd := rr.Len()
-	obj.domain = window(blk, nd)
-	for i := 0; i < nd && rr.Err() == nil; i++ {
-		obj.domain = append(obj.domain, domEntry{val: int32(rr.Uint32())})
-	}
-	nRefs = rr.Len()
-	for i := 0; i < nRefs && rr.Err() == nil; i++ {
-		r := int32(rr.Uint32())
-		if i < len(obj.domain) {
-			obj.domain[i].refs = r
-		}
-	}
-	return nRefs
-}
-
-// lruLink narrows a decoded LRU link to the slot's int32. A value
-// outside int32 maps to math.MinInt32, which the link range check
-// rejects as it would have rejected the value itself.
-func lruLink(v int) int32 {
-	if v != int(int32(v)) {
-		return math.MinInt32
-	}
-	return int32(v)
 }
 
 // WriteCheckpointFile atomically checkpoints to path: it is a

@@ -64,13 +64,14 @@ func FuzzRestore(f *testing.F) {
 // what the corpus exercises. Every file in the corpus must be listed.
 func TestFuzzRestoreCorpusFaults(t *testing.T) {
 	want := map[string]string{ // file -> substring of the restore error; "" restores
-		"seed-valid-v4":    "",
+		"seed-valid-v6":    "",
 		"seed-truncated":   "truncated stream",
 		"seed-bitflip":     "checksum mismatch",
 		"ccf736f0bf393563": "options record InitAccuracy NaN",
 		"7bd830c667ff7114": "feature table",
 		"cbd828c92fea3951": "feature table",
-		// v5: the container's own checks, then a section's checksum.
+		// v5, through the read shim: the container's own checks, then a
+		// section's checksum.
 		"seed-valid-v5":          "",
 		"seed-truncated-v5":      "does not end in a section table",
 		"seed-bitflip-v5":        "shard 0 section: wire: checksum mismatch",

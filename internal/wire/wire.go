@@ -6,6 +6,9 @@
 // may instead be split into sections, each with its own CRC-32C and
 // located by a checksummed table at the end, so a reader with random
 // access can decode the sections independently (Sections, NewSection).
+// A section's Reader knows how many bytes the section has left, so a
+// column's element count is checked against them before the caller
+// allocates it (Count) and the elements decode in bulk (Column).
 //
 // The codec is deliberately dumb: no reflection, no varints, no
 // schema. Layout knowledge lives entirely in the caller (one write
@@ -256,6 +259,11 @@ func (w *Writer) Int32s(xs []int32) {
 	}
 }
 
+// Blob writes the bytes of s with no length prefix: one piece of a
+// blob whose total byte count the caller wrote first, such as a names
+// column whose element boundaries travel as offsets.
+func (w *Writer) Blob(s string) { w.write(s) }
+
 // Strings writes a length-prefixed []string.
 func (w *Writer) Strings(xs []string) {
 	w.Uint32(uint32(len(xs)))
@@ -282,6 +290,9 @@ type Reader struct {
 	sum int
 	crc uint32
 	err error
+	// left is how many bytes of the stream r has not delivered yet, or
+	// -1 when the stream's length is unknown (NewReader).
+	left int64
 }
 
 // NewReader validates the 4-byte magic and the format version before
@@ -293,7 +304,7 @@ func NewReader(r io.Reader, magic string, version uint32) (*Reader, error) {
 	if len(magic) != 4 {
 		return nil, fmt.Errorf("wire: magic must be 4 bytes, got %d", len(magic))
 	}
-	rd := NewSection(r)
+	rd := &Reader{r: r, buf: make([]byte, growChunk), left: -1}
 	got := rd.next(4)
 	if rd.err != nil {
 		return nil, rd.err
@@ -311,12 +322,12 @@ func NewReader(r io.Reader, magic string, version uint32) (*Reader, error) {
 	return rd, nil
 }
 
-// NewSection returns a Reader over one headerless section of a
-// sectioned stream (any section but the first): its primitives, then
+// NewSection returns a Reader over sec, one headerless section of the
+// sectioned stream r (any section but the first): its primitives, then
 // its CRC-32C footer, which Close verifies against the section's
 // bytes alone.
-func NewSection(r io.Reader) *Reader {
-	return &Reader{r: r, buf: make([]byte, growChunk)}
+func NewSection(r io.ReaderAt, sec Section) *Reader {
+	return &Reader{r: io.NewSectionReader(r, sec.Off, sec.Len), buf: make([]byte, growChunk), left: sec.Len}
 }
 
 // Version reads the 4-byte magic and the format version at the start
@@ -361,7 +372,7 @@ func Sections(r io.ReaderAt, size int64, magic string) ([]Section, error) {
 	if at < 0 {
 		return nil, fmt.Errorf("%w: a table of %d sections does not fit in %d bytes", ErrTruncated, n, size)
 	}
-	rd := NewSection(io.NewSectionReader(r, at, size-at))
+	rd := NewSection(r, Section{at, size - at})
 	var secs []Section
 	for i := int64(0); i < n && rd.err == nil; i++ {
 		secs = append(secs, Section{int64(rd.Uint64()), int64(rd.Uint64())})
@@ -401,6 +412,9 @@ func (r *Reader) fill(need int) bool {
 	r.pos, r.sum = 0, 0
 	n, err := io.ReadAtLeast(r.r, r.buf[r.end:], need-r.end)
 	r.end += n
+	if r.left >= 0 {
+		r.left -= int64(n)
+	}
 	if err != nil {
 		r.err = readErr(err)
 		return false
@@ -519,6 +533,56 @@ func (r *Reader) Len() int {
 	return int(n)
 }
 
+// footerLen is the size of the CRC-32C footer that ends a stream or a
+// section.
+const footerLen = 4
+
+// Count reads the element count of a column of size-byte elements, as
+// Len reads a length prefix, and checks that the elements fit in the
+// section (Fits): a count that cannot is ErrTruncated, so the caller
+// may allocate the count exactly before a byte of the column arrives.
+func (r *Reader) Count(size int) int {
+	n := r.Len()
+	if !r.Fits(int64(n), size) {
+		return 0
+	}
+	return n
+}
+
+// Fits reports whether n elements of size bytes fit in the bytes a
+// section's Reader (NewSection) has left before the section's footer,
+// and fails the reader with ErrTruncated when they do not. A Reader
+// from NewReader knows no length, and a failed one has nothing left:
+// Fits reports true for the first and false for the second.
+func (r *Reader) Fits(n int64, size int) bool {
+	if r.err != nil {
+		return false
+	}
+	if r.left < 0 {
+		return true
+	}
+	if avail := r.left + int64(r.end-r.pos) - footerLen; n > avail/int64(size) {
+		r.fail(fmt.Errorf("%w: %d elements of %d bytes, %d bytes left in the section", ErrTruncated, n, size, max(avail, 0)))
+		return false
+	}
+	return true
+}
+
+// Column decodes a column of n size-byte elements in bulk: it hands fn
+// the bytes of as many whole elements as the read-ahead block holds,
+// in order, one call per block, until all n have arrived or the stream
+// fails. fn decodes them in one loop and must not keep b.
+func (r *Reader) Column(n, size int, fn func(b []byte)) {
+	for n > 0 {
+		b := r.elems(n, size)
+		if b == nil {
+			return
+		}
+		fn(b)
+		n -= len(b) / size
+	}
+}
+
 // String reads a length-prefixed byte string. One that fits in a
 // block costs a single allocation, the string itself; a longer one
 // grows as its bytes actually arrive (AppendString).
@@ -560,20 +624,49 @@ func (r *Reader) AppendString(sb *strings.Builder, n int) {
 	}
 }
 
-// The slice decoders below never preallocate the declared length:
-// the result starts empty and grows only by the elements each block
-// actually delivers (Strings: as strings arrive), so a lying length
-// prefix ends in ErrTruncated having allocated in proportion to the
-// bytes read, not the count. The fixed-width ones decode every whole
-// element the block holds in one loop per refill.
+// The slice decoders below check a length prefix against the bytes
+// left before they allocate by it. A section's Reader (NewSection)
+// knows them, so a count that fits (Count) is allocated once, exactly;
+// a Reader from NewReader does not, so its result starts empty and
+// grows only by what each block actually delivers (Strings: as
+// strings arrive). Either way a lying length prefix ends in
+// ErrTruncated having allocated in proportion to the bytes read, not
+// the count. The fixed-width ones decode every whole element the
+// block holds in one loop per refill.
 
-// Float64s reads a length-prefixed []float64 (nil when empty).
-func (r *Reader) Float64s() []float64 {
-	n := r.Len()
+// reserve is how many of n declared elements a decoder allocates
+// before they arrive: all of them on a section's Reader, which has
+// checked that they fit, none on a Reader that knows no length.
+func (r *Reader) reserve(n int) int {
+	if r.left < 0 {
+		return 0
+	}
+	return n
+}
+
+// slice reads a length-prefixed slice of size-byte elements, each
+// decoded by dec (nil when empty).
+func slice[T any](r *Reader, size int, dec func(b []byte) T) []T {
+	n := r.Count(size)
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	return r.AppendFloat64s(nil, n)
+	xs := make([]T, 0, r.reserve(n))
+	r.Column(n, size, func(b []byte) {
+		xs = slices.Grow(xs, len(b)/size)
+		for ; len(b) > 0; b = b[size:] {
+			xs = append(xs, dec(b))
+		}
+	})
+	if r.err != nil {
+		return nil
+	}
+	return xs
+}
+
+// Float64s reads a length-prefixed []float64 (nil when empty).
+func (r *Reader) Float64s() []float64 {
+	return slice(r, 8, func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) })
 }
 
 // AppendFloat64s decodes n float64s, whose length prefix the caller
@@ -595,78 +688,54 @@ func (r *Reader) AppendFloat64s(dst []float64, n int) []float64 {
 
 // Int64s reads a length-prefixed []int64 (nil when empty).
 func (r *Reader) Int64s() []int64 {
-	n := r.Len()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	var xs []int64
-	for len(xs) < n {
-		b := r.elems(n-len(xs), 8)
-		if b == nil {
-			return nil
-		}
-		xs = slices.Grow(xs, len(b)/8)
-		for i := 0; i < len(b); i += 8 {
-			xs = append(xs, int64(binary.LittleEndian.Uint64(b[i:])))
-		}
-	}
-	return xs
+	return slice(r, 8, func(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) })
 }
 
 // Ints reads a length-prefixed []int (nil when empty).
 func (r *Reader) Ints() []int {
-	n := r.Len()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	var xs []int
-	for len(xs) < n {
-		b := r.elems(n-len(xs), 8)
-		if b == nil {
-			return nil
-		}
-		xs = slices.Grow(xs, len(b)/8)
-		for i := 0; i < len(b); i += 8 {
-			xs = append(xs, int(int64(binary.LittleEndian.Uint64(b[i:]))))
-		}
-	}
-	return xs
+	return slice(r, 8, func(b []byte) int { return int(int64(binary.LittleEndian.Uint64(b))) })
 }
 
 // Int32s reads a length-prefixed []int32 (nil when empty).
 func (r *Reader) Int32s() []int32 {
-	n := r.Len()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	var xs []int32
-	for len(xs) < n {
-		b := r.elems(n-len(xs), 4)
-		if b == nil {
-			return nil
-		}
-		xs = slices.Grow(xs, len(b)/4)
-		for i := 0; i < len(b); i += 4 {
-			xs = append(xs, int32(binary.LittleEndian.Uint32(b[i:])))
-		}
-	}
-	return xs
+	return slice(r, 4, func(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) })
 }
 
-// Strings reads a length-prefixed []string (nil when empty), growing
-// the result as strings actually arrive.
+// Strings reads a length-prefixed []string (nil when empty). The
+// strings are substrings of shared blocks, which double from 64 bytes
+// up to growChunk as strings arrive, so a table of short strings costs
+// a few allocations rather than one per string; a string longer than
+// a block is decoded on its own, as String decodes it. A block stays
+// reachable while any string cut from it does.
 func (r *Reader) Strings() []string {
-	n := r.Len()
+	n := r.Count(4)
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	var xs []string
+	xs := make([]string, 0, r.reserve(n))
+	var blk strings.Builder
 	for i := 0; i < n; i++ {
-		s := r.String()
-		if r.err != nil {
+		k := r.Len()
+		if !r.Fits(int64(k), 1) {
 			return nil
 		}
-		xs = append(xs, s)
+		if k > growChunk {
+			var long strings.Builder
+			r.AppendString(&long, k)
+			xs = append(xs, long.String())
+			continue
+		}
+		if blk.Cap()-blk.Len() < k {
+			size := min(max(k, 2*blk.Cap(), 64), growChunk)
+			blk.Reset()
+			blk.Grow(size)
+		}
+		lo := blk.Len()
+		r.AppendString(&blk, k)
+		xs = append(xs, blk.String()[lo:])
+	}
+	if r.err != nil {
+		return nil
 	}
 	return xs
 }

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"slices"
@@ -429,11 +431,10 @@ func TestSections(t *testing.T) {
 		t.Fatalf("sections %v", secs)
 	}
 	open := func(data []byte, i int) *Reader {
-		sr := io.NewSectionReader(bytes.NewReader(data), secs[i].Off, secs[i].Len)
 		if i > 0 {
-			return NewSection(sr)
+			return NewSection(bytes.NewReader(data), secs[i])
 		}
-		r, err := NewReader(sr, testMagic, testVersion)
+		r, err := NewReader(io.NewSectionReader(bytes.NewReader(data), secs[i].Off, secs[i].Len), testMagic, testVersion)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -477,5 +478,98 @@ func TestSections(t *testing.T) {
 	r.Strings()
 	if err := r.Close(); err != nil {
 		t.Errorf("the tail after a flipped middle section: %v", err)
+	}
+}
+
+// TestColumns decodes columns from a section's Reader: Count accepts
+// counts whose elements fit in the bytes left before the footer and
+// fails one that does not with ErrTruncated, and Column hands over
+// every element of a column longer than a read-ahead block, in order.
+// A Reader from NewReader knows no length, so its Fits holds.
+func TestColumns(t *testing.T) {
+	const n = growChunk/8*2 + 3
+	var buf bytes.Buffer
+	w := NewWriter(&buf, testMagic, testVersion)
+	w.Section()
+	w.Uint8(1) // misalign the column
+	w.Uint32(n)
+	for i := 0; i < n; i++ {
+		w.Uint64(uint64(i))
+	}
+	w.Uint32(3) // a blob count
+	w.Blob("abc")
+	w.Uint32(2) // a count of 8-byte elements the 8 bytes left cannot hold
+	w.Uint64(0)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	secs, err := Sections(bytes.NewReader(b), int64(len(b)), testMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewSection(bytes.NewReader(b), secs[1])
+	r.Uint8()
+	if got := r.Count(8); got != n {
+		t.Fatalf("Count = %d, want %d", got, n)
+	}
+	var got []uint64
+	r.Column(n, 8, func(b []byte) {
+		if len(b)%8 != 0 {
+			t.Fatalf("Column handed %d bytes, not whole elements", len(b))
+		}
+		for ; len(b) > 0; b = b[8:] {
+			got = append(got, binary.LittleEndian.Uint64(b))
+		}
+	})
+	if len(got) != n || got[0] != 0 || got[n-1] != n-1 {
+		t.Fatalf("Column decoded %d elements, want %d in order", len(got), n)
+	}
+	var sb strings.Builder
+	r.AppendString(&sb, r.Count(1))
+	if sb.String() != "abc" || r.Err() != nil {
+		t.Fatalf("blob %q, err %v", sb.String(), r.Err())
+	}
+	if got := r.Count(8); got != 0 || !errors.Is(r.Err(), ErrTruncated) {
+		t.Errorf("Count of 2 elements with 8 bytes left = %d, err %v; want 0 and ErrTruncated", got, r.Err())
+	}
+	u, err := NewReader(bytes.NewReader(writeSample(t)), testMagic, testVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !u.Fits(maxSliceLen, 8) {
+		t.Error("a Reader that knows no length refused a count")
+	}
+}
+
+// TestStringsShareBlocks pins Strings' cost: a table of a thousand
+// short strings is cut from a few shared blocks, not allocated string
+// by string, and each string keeps its own bytes.
+func TestStringsShareBlocks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	want := make([]string, 1000)
+	for i := range want {
+		want[i] = fmt.Sprintf("source-%d", i)
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf, testMagic, testVersion)
+	for i := 0; i <= 10; i++ {
+		w.Strings(want)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(bytes.NewReader(buf.Bytes()), testMagic, testVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	if a := testing.AllocsPerRun(10, func() { got = r.Strings() }); a > 32 {
+		t.Errorf("Strings of %d strings: %v allocs, want at most 32", len(want), a)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("Strings decoded %d strings, want %d equal ones", len(got), len(want))
 	}
 }
