@@ -195,7 +195,7 @@ func TestCheckpointRoundTripWithEvictionAndDecay(t *testing.T) {
 // dedup ring are all part of the hash, so the bytes a restoring
 // binary reads stay what every writer has written.
 func TestGoldenCheckpointBytes(t *testing.T) {
-	const want = "529e7d7604cc94601e059f453b418fe5f70b0e5b56fe965b120fd1c98d222fc4"
+	const want = "223440e4ffcc6317110c6b48d26b7fa2ab1fc308261265ae513f3e42bc9847f2"
 	e := goldenCheckpointEngine(t)
 	var buf bytes.Buffer
 	if err := e.WriteCheckpoint(&buf); err != nil {

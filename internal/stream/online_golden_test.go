@@ -227,7 +227,7 @@ func TestGoldenOnlineCheckpointAtEveryEpochBoundary(t *testing.T) {
 // the bytes a restoring binary reads stay what every writer has
 // written.
 func TestGoldenOnlineCheckpointBytes(t *testing.T) {
-	const want = "21942633584a21bfc334bd5bbc66760446c88e92a2fa1658f00ac4232ba98a94"
+	const want = "f7a91395903b3ff322b1b361a321c5721faa2328909f857eeefdbcd530f33fab"
 	e := goldenOnlineEngine(t)
 	var buf bytes.Buffer
 	if err := e.WriteCheckpoint(&buf); err != nil {
