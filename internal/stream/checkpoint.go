@@ -649,10 +649,11 @@ const (
 // before anything is sized by them (wire.Reader.Count), so the slots,
 // the names blob and the claim, domain, scores and post blocks are each
 // allocated once, exactly, and every column decodes in one loop per
-// read-ahead block (wire.Reader.Column). Each live object's arrays are
-// cap-limited windows of the blocks and its name a substring of the
-// blob, and the object index is built in a pass over the slots, sized
-// to the live count.
+// read-ahead block (wire.Reader.Column). The per-object columns are
+// read into one scratch block first, so the slots are then filled in
+// one pass rather than one pass per column. Each live object's arrays
+// are cap-limited windows of the blocks and its name a substring of the
+// blob.
 //
 // It writes e.shards[s] alone and only reads the tables, so shards
 // decode concurrently.
@@ -676,72 +677,30 @@ func decodeShard(rr *wire.Reader, e *Engine, s int) error {
 			o.prev, o.next = -1, -1
 		}
 	})
-	le := binary.LittleEndian
 	var names strings.Builder
 	nName := rr.Count(1)
 	names.Grow(nName)
 	rr.AppendString(&names, nName)
 	blob := names.String()
-	if err := rr.Err(); err != nil {
-		return fmt.Errorf("stream: restore: %w", err)
+	if !rr.Fits(int64(nLive), objectBytes) {
+		return fmt.Errorf("stream: restore: %w", rr.Err())
 	}
-	cut, bad := 0, false // cut: where the last name ended in the blob
-	at := liveSlots{objs: objs}
-	rr.Column(nLive, 4, func(b []byte) {
-		for ; len(b) > 0; b = b[4:] {
-			o := at.next()
-			if end := int(le.Uint32(b)); end >= cut && end <= len(blob) {
-				o.name, cut = blob[cut:end], end
-			} else {
-				bad = true
-			}
-		}
-	})
-	at = liveSlots{objs: objs}
-	rr.Column(nLive, 8, func(b []byte) {
-		for ; len(b) > 0; b = b[8:] {
-			at.next().epoch = int64(le.Uint64(b))
-		}
-	})
-	at = liveSlots{objs: objs}
-	rr.Column(nLive, 8, func(b []byte) {
-		for ; len(b) > 0; b = b[8:] {
-			at.next().changed = int64(le.Uint64(b))
-		}
-	})
-	at = liveSlots{objs: objs}
-	rr.Column(nLive, 4, func(b []byte) {
-		for ; len(b) > 0; b = b[4:] {
-			at.next().prev = int32(le.Uint32(b))
-		}
-	})
-	at = liveSlots{objs: objs}
-	rr.Column(nLive, 4, func(b []byte) {
-		for ; len(b) > 0; b = b[4:] {
-			at.next().next = int32(le.Uint32(b))
-		}
-	})
-	at = liveSlots{objs: objs}
-	rr.Column(nLive, 1, func(b []byte) {
-		for _, dirty := range b {
-			at.next().dirty = dirty != 0
-		}
-	})
-	if err := rr.Err(); err != nil {
-		return fmt.Errorf("stream: restore: %w", err)
-	}
-	if bad || cut != len(blob) {
-		return corruptf("shard %d name offsets do not cut its %d-byte names blob in order", s, len(blob))
-	}
+	// The per-object columns, in stream order: name end offset, epoch,
+	// changed, prev, next and dirty, then (after the claim count) each
+	// object's claim count and (after the domain count) its domain
+	// length.
+	cols := make([]byte, nLive*objectBytes)
+	n := nLive
+	ends, epochs, changed, prevs, nexts, dirty, nClaims, nDomain :=
+		cols[:4*n], cols[4*n:12*n], cols[12*n:20*n], cols[20*n:24*n], cols[24*n:28*n], cols[28*n:29*n], cols[29*n:33*n], cols[33*n:]
+	readBytes(rr, cols[:29*n])
 
 	claims := make([]claim, rr.Count(claimBytes))
-	nClaims := windows(rr, objs, nLive, len(claims), claimBytes, func(o *object, lo, hi int) { o.claims = claims[lo:hi:hi] })
-	if err := rr.Err(); err != nil {
-		return fmt.Errorf("stream: restore: %w", err)
+	readBytes(rr, nClaims)
+	if sum := lengthSum(nClaims); sum != int64(len(claims)) && rr.Fits(sum, claimBytes) {
+		return corruptf("shard %d objects declare %d claims, its claim columns hold %d", s, sum, len(claims))
 	}
-	if nClaims != int64(len(claims)) {
-		return corruptf("shard %d objects declare %d claims, its claim columns hold %d", s, nClaims, len(claims))
-	}
+	le := binary.LittleEndian
 	k := 0
 	rr.Column(len(claims), 4, func(b []byte) {
 		for ; len(b) > 0; b = b[4:] {
@@ -768,14 +727,9 @@ func decodeShard(rr *wire.Reader, e *Engine, s int) error {
 	domain := make([]domEntry, nd)
 	scores := make([]float64, nd)
 	post := make([]float64, nd)
-	nDomain := windows(rr, objs, nLive, nd, domainBytes, func(o *object, lo, hi int) {
-		o.domain, o.scores, o.post = domain[lo:hi:hi], scores[lo:hi:hi], post[lo:hi:hi]
-	})
-	if err := rr.Err(); err != nil {
-		return fmt.Errorf("stream: restore: %w", err)
-	}
-	if nDomain != int64(nd) {
-		return corruptf("shard %d objects declare %d domain entries, its domain columns hold %d", s, nDomain, nd)
+	readBytes(rr, nDomain)
+	if sum := lengthSum(nDomain); sum != int64(nd) && rr.Fits(sum, domainBytes) {
+		return corruptf("shard %d objects declare %d domain entries, its domain columns hold %d", s, sum, nd)
 	}
 	k = 0
 	rr.Column(nd, 4, func(b []byte) {
@@ -796,45 +750,57 @@ func decodeShard(rr *wire.Reader, e *Engine, s int) error {
 	if err := rr.Err(); err != nil {
 		return fmt.Errorf("stream: restore: %w", err)
 	}
+
+	// The lengths sum to their blocks' counts, so every window fits.
+	cut, lo, dlo := 0, 0, 0
+	k = 0
+	for ix := range objs {
+		o := &objs[ix]
+		if !o.live {
+			continue
+		}
+		end := int(le.Uint32(ends[4*k:]))
+		if end < cut || end > len(blob) {
+			return corruptf("shard %d name offsets do not cut its %d-byte names blob in order", s, len(blob))
+		}
+		o.name, cut = blob[cut:end], end
+		o.epoch = int64(le.Uint64(epochs[8*k:]))
+		o.changed = int64(le.Uint64(changed[8*k:]))
+		o.prev = int32(le.Uint32(prevs[4*k:]))
+		o.next = int32(le.Uint32(nexts[4*k:]))
+		o.dirty = dirty[k] != 0
+		if n := int(le.Uint32(nClaims[4*k:])); n > 0 {
+			o.claims = claims[lo : lo+n : lo+n]
+			lo += n
+		}
+		if n := int(le.Uint32(nDomain[4*k:])); n > 0 {
+			hi := dlo + n
+			o.domain, o.scores, o.post = domain[dlo:hi:hi], scores[dlo:hi:hi], post[dlo:hi:hi]
+			dlo = hi
+		}
+		k++
+	}
+	if cut != len(blob) {
+		return corruptf("shard %d name offsets do not cut its %d-byte names blob in order", s, len(blob))
+	}
 	return finishShard(rr, e, s, objs, nLive)
 }
 
-// liveSlots steps through a shard's live slots in slot order, one per
-// element of a per-object column.
-type liveSlots struct {
-	objs []object
-	ix   int
+// objectBytes is the size of a live object's elements of the
+// per-object columns: name end offset 4, epoch 8, changed 8, prev 4,
+// next 4, dirty 1, claim count 4 and domain length 4.
+const objectBytes = 4 + 8 + 8 + 4 + 4 + 1 + 4 + 4
+
+// readBytes reads len(dst) bytes of the section into dst.
+func readBytes(rr *wire.Reader, dst []byte) {
+	k := 0
+	rr.Column(len(dst), 1, func(b []byte) { k += copy(dst[k:], b) })
 }
 
-// next returns the next live slot's object.
-func (c *liveSlots) next() *object {
-	for !c.objs[c.ix].live {
-		c.ix++
-	}
-	c.ix++
-	return &c.objs[c.ix-1]
-}
-
-// windows decodes a per-object length column and cuts each live
-// object's window [lo, hi) of a block of n elements with cut, in slot
-// order, while the lengths stay inside the block. It returns the
-// lengths' sum, which the caller checks against n; a sum whose
-// elements of size bytes cannot fit in the section is
-// wire.ErrTruncated, like a column count that cannot.
-func windows(rr *wire.Reader, objs []object, nLive, n, size int, cut func(o *object, lo, hi int)) (sum int64) {
-	at := liveSlots{objs: objs}
-	rr.Column(nLive, 4, func(b []byte) {
-		for ; len(b) > 0; b = b[4:] {
-			o := at.next()
-			k := int64(binary.LittleEndian.Uint32(b))
-			if k > 0 && sum+k <= int64(n) {
-				cut(o, int(sum), int(sum+k))
-			}
-			sum += k
-		}
-	})
-	if sum != int64(n) {
-		rr.Fits(sum, size)
+// lengthSum is the sum of a per-object length column's uint32s.
+func lengthSum(col []byte) (sum int64) {
+	for ; len(col) >= 4; col = col[4:] {
+		sum += int64(binary.LittleEndian.Uint32(col))
 	}
 	return sum
 }
@@ -926,14 +892,59 @@ func lruLink(v int) int32 {
 	return int32(v)
 }
 
-// finishShard validates the decoded slots of shard s against the
-// tables, derives each live object's row cache, builds the object
-// index, and reads the shard-local vectors and accumulators that end
-// the section, into e.shards[s].
+// finishShard reads the shard-local vectors and accumulators that end
+// the section of shard s, then validates its decoded slots against the
+// tables and those vectors, derives each live object's row cache and
+// builds the object index, in one pass over the slots, into
+// e.shards[s].
 func finishShard(rr *wire.Reader, e *Engine, s int, objs []object, nLive int) error {
-	nSrc, nVals := len(e.src.names), len(e.vals.names)
+	sh := &e.shards[s]
+	sh.free = rr.Ints()
+	sh.dirtyIx = rr.Ints()
+	sh.lruHead = rr.Int()
+	sh.lruTail = rr.Int()
+	sh.deltaAgree = rr.Float64s()
+	sh.deltaTotal = rr.Float64s()
+	sh.obsCount = rr.Int64s()
+	sh.evictedAgree = rr.Float64s()
+	sh.evictedTotal = rr.Float64s()
+	sh.evictedObjects = rr.Int64()
+	sh.evictedClaims = rr.Int64()
+	sh.evictedMass = rr.Float64()
+	if err := rr.Err(); err != nil {
+		return fmt.Errorf("stream: restore: %w", err)
+	}
+	nSrc, nVals, nObjs := len(e.src.names), len(e.vals.names), len(objs)
+	inRange := func(ix int) bool { return ix >= -1 && ix < nObjs }
+	for _, ix := range sh.free {
+		if ix < 0 || ix >= nObjs || objs[ix].live {
+			return corruptf("shard %d free list entry %d is invalid", s, ix)
+		}
+	}
+	for _, ix := range sh.dirtyIx {
+		if ix < 0 || ix >= nObjs {
+			return corruptf("shard %d dirty list entry %d out of range", s, ix)
+		}
+	}
+	if !inRange(sh.lruHead) || !inRange(sh.lruTail) {
+		return corruptf("shard %d LRU links out of range: head %d, tail %d", s, sh.lruHead, sh.lruTail)
+	}
+	nd := len(sh.deltaAgree)
+	if len(sh.deltaTotal) != nd || len(sh.obsCount) != nd || len(sh.evictedAgree) != nd || len(sh.evictedTotal) != nd {
+		return corruptf("shard %d per-source vectors are ragged: %d/%d/%d/%d/%d",
+			s, nd, len(sh.deltaTotal), len(sh.obsCount), len(sh.evictedAgree), len(sh.evictedTotal))
+	}
+	if nd > nSrc {
+		return corruptf("shard %d tracks %d sources, table has %d", s, nd, nSrc)
+	}
+	sh.objs = objs
+	sh.nLive = nLive
+	sh.index.reserve(nLive)
 	for ix := range objs {
 		obj := &objs[ix]
+		if !inRange(int(obj.prev)) || !inRange(int(obj.next)) {
+			return corruptf("shard %d object %d LRU links out of range: prev %d, next %d", s, ix, obj.prev, obj.next)
+		}
 		if !obj.live {
 			continue
 		}
@@ -954,6 +965,14 @@ func finishShard(rr *wire.Reader, e *Engine, s int, objs []object, nLive int) er
 			if int(c.val) < 0 || int(c.val) >= nVals {
 				return corruptf("shard %d object %q claim references value id %d of %d", s, obj.name, c.val, nVals)
 			}
+			// The live engine grows the per-source vectors
+			// (ensureSource) before any claim by that source lands, so
+			// drain() and evict() index them by claim src without
+			// bounds checks. A checkpoint that breaks the invariant
+			// must fail here, not panic at the next epoch refresh.
+			if int(c.src) >= nd {
+				return corruptf("shard %d object %q claims source id %d but tracks only %d sources", s, obj.name, c.src, nd)
+			}
 		}
 		if obj.name == "" {
 			return corruptf("shard %d slot %d is live with an empty name", s, ix)
@@ -961,82 +980,11 @@ func finishShard(rr *wire.Reader, e *Engine, s int, objs []object, nLive int) er
 		if home := ShardIndex(obj.name, e.nShards); home != s {
 			return corruptf("shard %d holds object %q, which routes to shard %d", s, obj.name, home)
 		}
-	}
-	sh := &e.shards[s]
-	sh.objs = objs
-	sh.index.reserve(nLive)
-	for ix := range sh.objs {
-		obj := &sh.objs[ix]
-		if !obj.live {
-			continue
-		}
 		h := sh.index.hash(obj.name)
-		if sh.index.find(sh.objs, obj.name, h) >= 0 {
+		if sh.index.find(objs, obj.name, h) >= 0 {
 			return corruptf("shard %d has object %q twice", s, obj.name)
 		}
 		sh.indexAdd(ix, h)
-	}
-	sh.nLive = nLive
-	sh.free = rr.Ints()
-	sh.dirtyIx = rr.Ints()
-	sh.lruHead = rr.Int()
-	sh.lruTail = rr.Int()
-	sh.deltaAgree = rr.Float64s()
-	sh.deltaTotal = rr.Float64s()
-	sh.obsCount = rr.Int64s()
-	sh.evictedAgree = rr.Float64s()
-	sh.evictedTotal = rr.Float64s()
-	sh.evictedObjects = rr.Int64()
-	sh.evictedClaims = rr.Int64()
-	sh.evictedMass = rr.Float64()
-	if err := rr.Err(); err != nil {
-		return fmt.Errorf("stream: restore: %w", err)
-	}
-	nObjs := len(objs)
-	inRange := func(ix int) bool { return ix >= -1 && ix < nObjs }
-	for _, ix := range sh.free {
-		if ix < 0 || ix >= nObjs || sh.objs[ix].live {
-			return corruptf("shard %d free list entry %d is invalid", s, ix)
-		}
-	}
-	for _, ix := range sh.dirtyIx {
-		if ix < 0 || ix >= nObjs {
-			return corruptf("shard %d dirty list entry %d out of range", s, ix)
-		}
-	}
-	if !inRange(sh.lruHead) || !inRange(sh.lruTail) {
-		return corruptf("shard %d LRU links out of range: head %d, tail %d", s, sh.lruHead, sh.lruTail)
-	}
-	for ix := range sh.objs {
-		obj := &sh.objs[ix]
-		if !inRange(int(obj.prev)) || !inRange(int(obj.next)) {
-			return corruptf("shard %d object %d LRU links out of range: prev %d, next %d", s, ix, obj.prev, obj.next)
-		}
-	}
-	nd := len(sh.deltaAgree)
-	if len(sh.deltaTotal) != nd || len(sh.obsCount) != nd || len(sh.evictedAgree) != nd || len(sh.evictedTotal) != nd {
-		return corruptf("shard %d per-source vectors are ragged: %d/%d/%d/%d/%d",
-			s, nd, len(sh.deltaTotal), len(sh.obsCount), len(sh.evictedAgree), len(sh.evictedTotal))
-	}
-	if nd > nSrc {
-		return corruptf("shard %d tracks %d sources, table has %d", s, nd, nSrc)
-	}
-	// The live engine grows the per-source vectors (ensureSource)
-	// before any claim by that source lands, so drain() and evict()
-	// index them by claim src without bounds checks. A checkpoint that
-	// breaks the invariant must fail here, not panic at the next epoch
-	// refresh.
-	for ix := range sh.objs {
-		obj := &sh.objs[ix]
-		if !obj.live {
-			continue
-		}
-		for i := range obj.claims {
-			if int(obj.claims[i].src) >= nd {
-				return corruptf("shard %d object %q claims source id %d but tracks only %d sources",
-					s, obj.name, obj.claims[i].src, nd)
-			}
-		}
 	}
 	return nil
 }
