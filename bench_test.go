@@ -377,8 +377,8 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 // BenchmarkCheckpointRestore measures a warm restart: stream.Restore
 // of an in-memory checkpoint of checkpointBenchEngine with Workers 1,
 // so the shard sections decode one after another. MB/s is decode
-// throughput over the checkpoint bytes; allocs/op counts blocks, not
-// objects: each shard's arrays and names are carved from shared blocks.
+// throughput over the checkpoint bytes; allocs/op counts shards, not
+// objects: each shard's columns decode into exact per-shard blocks.
 func BenchmarkCheckpointRestore(b *testing.B) { benchRestore(b, 1) }
 
 // BenchmarkCheckpointRestoreParallel is BenchmarkCheckpointRestore

@@ -669,8 +669,8 @@ func (r *Reader) Float64s() []float64 {
 	return slice(r, 8, func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) })
 }
 
-// AppendFloat64s decodes n float64s, whose length prefix the caller
-// has read with Len, and appends them to dst; nil once the stream
+// AppendFloat64s decodes n float64s, whose count the caller has read
+// with Len or Count, and appends them to dst; nil once the stream
 // failed. A dst with room for n decodes with no allocation.
 func (r *Reader) AppendFloat64s(dst []float64, n int) []float64 {
 	for want := len(dst) + n; len(dst) < want; {
